@@ -3,7 +3,9 @@
 A BialgebraSpec stores the coproduct and counit on generators only; both are
 extended to arbitrary polynomials as *-algebra homomorphisms.  Iterated
 coproducts use the recursion D_n = (D_{n-1} (x) id) o D and are memoized per
-normal-form word.
+normal-form word.  Every memo table derived from a BialgebraSpec (coproducts,
+Sweedler expansions, subcoalgebras, Gram factors, slot expansions) is held by
+the spec itself and freed with it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class BialgebraSpec:
             raise ValueError(f"no coproduct for generators {sorted(missing)}")
         self._delta_word = {(): TensorPoly.unit()}
         self._sweedler = {}
+        self._subs = {}         # p.key() -> Subcoalgebra (subcoalg)
+        self._factors = {}      # (psi, dt, a key, b key) -> vacuum value (gram)
+        self._expansions = {}   # (entry keys, counts) -> slot expansion (gram)
 
     # -- coalgebra-view protocol (shared with the group-like carrier) -------
 
@@ -180,18 +185,6 @@ class BialgebraSpec:
             if len(out) > TERM_BUDGET:
                 raise TermBudgetExceeded("Sweedler expansion too large")
         return SweedlerExpansion(n, out)
-
-
-def iterated_coproduct(p, n, B):
-    return B.iterated_coproduct(p, n)
-
-
-def coproduct(p, B):
-    return B.coproduct(p)
-
-
-def counit(p, B):
-    return B.counit(p)
 
 
 def complete_by_involution(algebra, delta_on_gen, counit_on_gen):

@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .bialg import _c2j
 from .errors import ParseError, QLevyError, SchemaError
 
 DEFAULT_SEED = 20080131
@@ -59,11 +60,6 @@ def load_config(config_path):
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _c2j(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _carr(obj):
@@ -124,13 +120,18 @@ def build_objects(cfg):
     return B, psi, ctx
 
 
+def _chain_name(cfg):
+    default = "grouplike" if cfg["experiment"] == "reverse" else "identity"
+    return cfg.get("morphism", {}).get("chain", default)
+
+
 def _build_chain(cfg, B, ctx):
     """(kappa, kappa_tilde or None, c, d) for sweep / reverse experiments."""
     from .constructions import Morphism, make_grouplike
     from .gram import identity_morphism
     from .ncpoly import NcPoly, parse_poly
 
-    chain = cfg.get("morphism", {}).get("chain", "identity")
+    chain = _chain_name(cfg)
     cap = cfg.get("morphism", {}).get("degree_cap", 6)
     c_text = cfg.get("element", "x")
     d_text = cfg.get("element_d", c_text)
@@ -157,24 +158,38 @@ def _build_chain(cfg, B, ctx):
     raise SchemaError(f"/morphism/chain: unknown chain {chain!r}")
 
 
+class _Run:
+    """A loaded config and the objects it describes, built once per run."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.B, self.psi, self.ctx = build_objects(cfg)
+        self.chain = None
+        if cfg["experiment"] in ("sweep", "reverse"):
+            self.chain = _build_chain(cfg, self.B, self.ctx)
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def check_defs(config_path):
-    """Validation report for a config: schema, axioms, counit preservation."""
-    cfg = load_config(config_path)
+def check_defs(config_path, built=None):
+    """Validation report for a config: schema, axioms, counit preservation.
+
+    `built` is the config already loaded and built by the caller; without
+    it the config is loaded and built here.
+    """
     from .bialg import check_bialgebra_axioms
     from .constructions import check_counit_preserving
 
+    run = built if built is not None else _Run(load_config(config_path))
+    cfg, B, psi = run.cfg, run.B, run.psi
     tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
-    B, psi, ctx = build_objects(cfg)
     report = check_bialgebra_axioms(B, n_samples=cfg.get("samples", 30))
     checks = {f"axioms/{k}": v for k, v in report.items() if k != "max_residual"}
     if cfg.get("morphism", {}).get("chain", "identity") != "identity" \
-            and cfg["experiment"] in ("sweep", "reverse"):
-        kappa, _kt, _c, _d = _build_chain(cfg, B, ctx)
-        rep = check_counit_preserving(kappa, n_samples=cfg.get("samples", 30))
+            and run.chain is not None:
+        rep = check_counit_preserving(run.chain[0], n_samples=cfg.get("samples", 30))
         checks["morphism/counit_preservation"] = rep["max_residual"]
     if psi is not None and psi.hermitian:
         checks["generator/psi_unit"] = abs(psi({(): 1.0}))
@@ -214,22 +229,22 @@ def _interval(cfg):
     return float(s), float(t)
 
 
-def _exp_axioms(cfg, rng):
+def _exp_axioms(run, rng):
     from .bialg import check_bialgebra_axioms
 
-    B, _psi, _ctx = build_objects(cfg)
-    report = check_bialgebra_axioms(B, n_samples=cfg.get("samples", 30), rng=rng)
+    cfg = run.cfg
+    report = check_bialgebra_axioms(run.B, n_samples=cfg.get("samples", 30), rng=rng)
     tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
     rows = [[check, _fmt(res)] for check, res in sorted(report.items())]
     assertions = {"max_residual_within_tol": bool(report["max_residual"] <= tol)}
     return ["check", "residual"], rows, assertions, {"report": report}
 
 
-def _exp_convexp(cfg, rng):
+def _exp_convexp(run, rng):
     from .ncpoly import random_poly
     from .subcoalg import conv_exp, conv_exp_series
 
-    B, psi, _ctx = build_objects(cfg)
+    cfg, B, psi = run.cfg, run.B, run.psi
     tol = cfg.get("tolerances", {}).get("convexp", 1e-10)
     ts = cfg.get("ts", [0.1, 1.0, 2.0])
     n_samples = cfg.get("samples", 50)
@@ -251,10 +266,10 @@ def _exp_convexp(cfg, rng):
     return header, rows, assertions, {"max_defect": worst}
 
 
-def _exp_gns(cfg, rng):
+def _exp_gns(run, rng):
     from .gns import gns_construct, levy_triple_residuals
 
-    B, psi, _ctx = build_objects(cfg)
+    cfg, B, psi = run.cfg, run.B, run.psi
     tol = cfg.get("tolerances", {}).get("gns", 1e-10)
     cap = cfg.get("caps", {}).get("degree_cap", 3)
     triple = gns_construct(psi, B, degree_cap=cap)
@@ -266,14 +281,14 @@ def _exp_gns(cfg, rng):
         {"triple": triple.to_json(), "residuals": rep}
 
 
-def _exp_sweep(cfg, rng):
+def _exp_sweep(run, rng):
     from .gram import convergence_sweep
 
-    B, psi, ctx = build_objects(cfg)
-    kappa, _kt, c, d = _build_chain(cfg, B, ctx)
+    cfg = run.cfg
+    kappa, _kt, c, d = run.chain
     s, t = _interval(cfg)
     ns = _partition_ns(cfg)
-    rows_obj = convergence_sweep(c, d, kappa, psi, s, t, ns)
+    rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, ns)
     rows = [[_fmt(r.mesh), str(r.n), _fmt(r.norm_sq), _fmt(r.cross.real),
              _fmt(r.cross.imag), _fmt(r.defect), _fmt(r.bound)]
             for r in rows_obj]
@@ -296,18 +311,14 @@ def _exp_sweep(cfg, rng):
         {"defects": defects, "limit_degenerate": not live}
 
 
-def _exp_reverse(cfg, rng):
+def _exp_reverse(run, rng):
     from .gram import reverse_check
-
-    B, psi, ctx = build_objects(cfg)
-    chain_cfg = dict(cfg.get("morphism", {}))
-    chain_cfg.setdefault("chain", "grouplike")
-    cfg = dict(cfg)
-    cfg["morphism"] = chain_cfg
-    if chain_cfg["chain"] != "grouplike":
-        raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
     from .ncpoly import parse_poly
-    _kappa, kappa_tilde, _c, _d = _build_chain(cfg, B, ctx)
+
+    cfg, B, psi = run.cfg, run.B, run.psi
+    if _chain_name(cfg) != "grouplike":
+        raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
+    _kappa, kappa_tilde, _c, _d = run.chain
     b = parse_poly(cfg.get("element", "x"), B.algebra)
     d = parse_poly(cfg.get("element_d", cfg.get("element", "x")), B.algebra)
     s, t = _interval(cfg)
@@ -322,7 +333,7 @@ def _exp_reverse(cfg, rng):
         {"defects": [r.defect for r in rows_obj]}
 
 
-def _exp_fock_unitary(cfg, rng):
+def _exp_fock_unitary(run, rng):
     import numpy as np
     import scipy.linalg
 
@@ -330,6 +341,7 @@ def _exp_fock_unitary(cfg, rng):
     from .gns import UnitaryTripleParams
     from .partition import Partition
 
+    cfg = run.cfg
     u = cfg.get("unitary")
     if u is None:
         raise SchemaError("/unitary: required for the fock-unitary experiment")
@@ -368,10 +380,11 @@ def _exp_fock_unitary(cfg, rng):
         {"amplitude_defects": amp_defects, "unitarity_defects": uni_defects}
 
 
-def _exp_azema_wiener(cfg, rng):
+def _exp_azema_wiener(run, rng):
     from .fock import azema_wiener_experiment
     from .partition import Partition
 
+    cfg = run.cfg
     q = cfg["bialgebra"].get("q", 2.0)
     s, t = _interval(cfg)
     ns = _partition_ns(cfg, default=(2, 4, 8, 16))
@@ -406,12 +419,13 @@ def _exp_azema_wiener(cfg, rng):
     return FOCK_HEADER, rows, assertions, {"final": reports[-1]}
 
 
-def _exp_trotter(cfg, rng):
+def _exp_trotter(run, rng):
     import numpy as np
 
     from .partition import Partition
     from .subcoalg import ProductFamilySpec, banach_product_check
 
+    cfg = run.cfg
     t_cfg = cfg.get("trotter", {})
     kind = t_cfg.get("kind", "nilpotent")
     size = t_cfg.get("size", 4)
@@ -467,15 +481,16 @@ def run_experiment(config_path, out_dir="."):
     """Run the configured experiment; returns (csv_path, json_path, summary)."""
     import numpy as np
 
-    report = check_defs(config_path)
+    run = _Run(load_config(config_path))
+    report = check_defs(config_path, run)
     if not report["ok"]:
         raise QLevyError(
             f"config checks failed (max residual {report['max_residual']:.3e})")
-    cfg = load_config(config_path)
+    cfg = run.cfg
     seed = cfg.get("rng_seed", DEFAULT_SEED)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    header, rows, assertions, extra = _DISPATCH[cfg["experiment"]](cfg, rng)
+    header, rows, assertions, extra = _DISPATCH[cfg["experiment"]](run, rng)
     wall = time.perf_counter() - start
 
     out = Path(out_dir)

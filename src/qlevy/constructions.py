@@ -259,10 +259,6 @@ class Morphism:
         return self.target.counit(elem)
 
 
-def apply_morphism(m, p):
-    return m.apply(p)
-
-
 def check_counit_preserving(m, n_samples=100, sample_degree=3, rng=None):
     """Max |counit_target(m(p)) - counit_source(p)| over random samples."""
     rng = rng if rng is not None else np.random.default_rng(20080131)

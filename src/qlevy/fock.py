@@ -93,21 +93,8 @@ class FockOperator:
         if self.mat.shape != (factor.dim, factor.dim):
             raise DimensionMismatch("operator matrix does not fit the factor")
 
-    @classmethod
-    def identity(cls, factor, interval):
-        return cls(factor, interval, np.eye(factor.dim, dtype=complex))
-
     def adjoint(self):
         return FockOperator(self.factor, self.interval, self.mat.conj().T)
-
-    def add(self, other):
-        return FockOperator(self.factor, self.interval, self.mat + other.mat)
-
-    def scale(self, z):
-        return FockOperator(self.factor, self.interval, z * self.mat)
-
-    def compose(self, other):
-        return FockOperator(self.factor, self.interval, self.mat @ other.mat)
 
     def apply(self, vec):
         return self.mat @ np.asarray(vec, dtype=complex)
@@ -353,18 +340,18 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     """Vacuum norm of the convolution product vs the exact gram-engine value.
 
     The fock side uses the first-order operators I_{s,t}; the gram side uses
-    the exact one-interval semigroup values conv_exp(psi, dt, .).  The
+    the exact one-interval semigroup values e_*^{dt psi}(a* b) through the
+    gram module's factor path, memoized on B.  The
     reported per-instance bound telescopes the per-interval deviations
     |<I(a) Omega, I(b) Omega> - phi_dt(a* b)| through the term-pair products
     and adds the (here zero: a single application of I creates at most one
     particle per slot) truncation tail.
     """
-    from .subcoalg import conv_exp
+    from .gram import _factor_value
 
     n = partition.n_intervals()
     steps = partition.steps()
     times = partition.times
-    alg = B.algebra
     factor = FockFactor(triple.k_dim, particle_cap)
     om = factor.vacuum()
     leg_list = list(B.iterated_coproduct(b, n).terms.items())
@@ -379,28 +366,24 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
             vec_cache[key] = hit
         return hit
 
-    applied = [(c, tuple(leg_vector(w, r) for r, w in enumerate(legs)))
-               for legs, c in leg_list]
-    gram_cache = {}
-
-    def gram_factor(wa, wb, dt):
-        key = (wa, wb, round(dt, 15))
-        hit = gram_cache.get(key)
-        if hit is None:
-            prod = multiply(involute(NcPoly.word(wa), alg), NcPoly.word(wb), alg)
-            hit = complex(conv_exp(psi, dt, prod, B))
-            gram_cache[key] = hit
-        return hit
+    polys = {}    # leg word -> (NcPoly, key), built once per report
+    for legs, _c in leg_list:
+        for w in legs:
+            if w not in polys:
+                p = NcPoly.word(w)
+                polys[w] = (p, p.key())
+    terms = [(c, tuple(leg_vector(w, r) for r, w in enumerate(legs)),
+              tuple(polys[w] for w in legs)) for legs, c in leg_list]
 
     fock_total = 0.0 + 0.0j
     gram_total = 0.0 + 0.0j
     bound = 0.0
-    for (la, ca), (_fa, va) in zip(leg_list, applied):
-        for (lb, cb), (_fb, vb) in zip(leg_list, applied):
+    for ca, va, pa in terms:
+        for cb, vb, pb in terms:
             z = complex(ca).conjugate() * cb
             fvals = [complex(np.vdot(a, bb)) for a, bb in zip(va, vb)]
-            gvals = [gram_factor(wa, wb, dt)
-                     for wa, wb, dt in zip(la, lb, steps)]
+            gvals = [_factor_value(psi, B, dt, ka, kb, a, bb)
+                     for (a, ka), (bb, kb), dt in zip(pa, pb, steps)]
             fock_total += z * np.prod(fvals) if fvals else z
             gram_total += z * np.prod(gvals) if gvals else z
             mx = [max(abs(f), abs(g)) for f, g in zip(fvals, gvals)]

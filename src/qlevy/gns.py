@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .bialg import LinearFunctional
+from .bialg import LinearFunctional, _c2j
 from .constructions import b0_basis
 from .errors import (
     InvalidParameter,
@@ -109,22 +109,14 @@ class LevyTriple:
         return out
 
     def to_json(self):
-        def c2(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        def arr(a):
-            return np.vectorize(c2, otypes=[object])(np.asarray(a)).tolist() \
-                if np.asarray(a).size else []
-
         return {
             "name": self.name,
             "k_dim": self.k_dim,
             "tol_used": self.tol_used,
-            "eta_on_gen": {str(g): [c2(z) for z in v] for g, v in self.eta1.items()},
-            "rho_on_gen": {str(g): [[c2(z) for z in row] for row in m]
+            "eta_on_gen": {str(g): [_c2j(z) for z in v] for g, v in self.eta1.items()},
+            "rho_on_gen": {str(g): [[_c2j(z) for z in row] for row in m]
                            for g, m in self.rho1.items()},
-            "psi_on_gen": ({str(g): c2(z) for g, z in self.psi1.items()}
+            "psi_on_gen": ({str(g): _c2j(z) for g, z in self.psi1.items()}
                            if self.psi1 is not None else None),
         }
 

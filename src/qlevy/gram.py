@@ -23,17 +23,14 @@ import warnings
 
 import numpy as np
 
-from .bialg import LinearFunctional
+from .bialg import TERM_BUDGET, LinearFunctional
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import Partition
 from .subcoalg import conv_exp
 
-TERM_BUDGET = 10 ** 6
 FACTOR_EVAL_WARN = 10 ** 5
-
-_FACTOR_CACHE = {}
 
 
 class FactorizedVectorSum:
@@ -178,30 +175,27 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
 # ---------------------------------------------------------------------------
 
 def _factor_value(psi, B, dt, a_key, b_key, a, b):
-    key = (id(psi), id(B), dt, a_key, b_key)
-    hit = _FACTOR_CACHE.get(key)
+    """One-interval vacuum value e_*^{dt psi}(a* b), memoized on B."""
+    key = (psi, dt, a_key, b_key)
+    hit = B._factors.get(key)
     if hit is None:
         prod = multiply(involute(a, B.algebra), b, B.algebra)
-        hit = conv_exp(psi, dt, prod, B)
-        _FACTOR_CACHE[key] = hit
-        if len(_FACTOR_CACHE) == FACTOR_EVAL_WARN:
+        hit = B._factors[key] = conv_exp(psi, dt, prod, B)
+        if len(B._factors) == FACTOR_EVAL_WARN:
             warnings.warn(
                 f"more than {FACTOR_EVAL_WARN} distinct Gram factor evaluations",
                 RuntimeWarning)
     return hit
 
 
-_EXPAND_CACHE = {}
-
-
 def _expand_slots(B, polys, counts):
     """Sweedler-expand a run of slots over their sub-interval counts.
 
     Returns a list of (leg polys across all sub-intervals, coefficient);
-    expansions are cached per (entry keys, counts).
+    expansions are memoized on B per (entry keys, counts).
     """
-    key = (id(B), tuple(p.key() for p in polys), counts)
-    hit = _EXPAND_CACHE.get(key)
+    key = (tuple(p.key() for p in polys), counts)
+    hit = B._expansions.get(key)
     if hit is not None:
         return hit
     options = []
@@ -222,7 +216,7 @@ def _expand_slots(B, polys, counts):
         out.append((tuple(legs), coeff))
         if len(out) > TERM_BUDGET:
             raise TermBudgetExceeded("slot expansion exceeds the term budget")
-    _EXPAND_CACHE[key] = out
+    B._expansions[key] = out
     return out
 
 

@@ -40,7 +40,7 @@ class Subcoalgebra:
         n = len(basis)
         self.counit_vector = np.array([B.counit(b) for b in basis])
         self.delta_constants = self._structure_constants()
-        self._transfer_cache = {}
+        self._transfers = {}    # functional -> transfer matrix
         assert self.delta_constants.shape == (n, n, n)
 
     def dim(self):
@@ -147,36 +147,21 @@ def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
 # transfer matrix and convolution exponential
 # ---------------------------------------------------------------------------
 
-class TransferMatrix:
-    """Matrix of T(psi) = (id (x) psi) o Delta on a subcoalgebra basis."""
-
-    def __init__(self, matrix, functional_ref, sub):
-        self.matrix = matrix
-        self.functional_ref = functional_ref
-        self.sub = sub
-
-
 def transfer_matrix(psi, sub):
-    key = id(psi)
-    hit = sub._transfer_cache.get(key)
-    if hit is not None:
-        return hit
-    psi_vals = np.array([psi(b) for b in sub.basis])
-    # (id (x) psi) Delta b_j = sum_i (sum_k c[j,i,k] psi(b_k)) b_i
-    m = np.einsum("jik,k->ij", sub.delta_constants, psi_vals)
-    tm = TransferMatrix(m, psi, sub)
-    sub._transfer_cache[key] = tm
-    return tm
-
-
-_SUB_CACHE = {}
+    """Matrix of T(psi) = (id (x) psi) o Delta on the basis of sub."""
+    m = sub._transfers.get(psi)
+    if m is None:
+        psi_vals = np.array([psi(b) for b in sub.basis])
+        # (id (x) psi) Delta b_j = sum_i (sum_k c[j,i,k] psi(b_k)) b_i
+        m = sub._transfers[psi] = np.einsum("jik,k->ij", sub.delta_constants, psi_vals)
+    return m
 
 
 def _cached_sub(p, B, dim_cap):
-    key = (id(B), p.key())
-    hit = _SUB_CACHE.get(key)
+    key = p.key()
+    hit = B._subs.get(key)
     if hit is None:
-        hit = _SUB_CACHE[key] = subcoalgebra_of(p, B, dim_cap)
+        hit = B._subs[key] = subcoalgebra_of(p, B, dim_cap)
     return hit
 
 
@@ -184,7 +169,7 @@ def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
     """delta o expm(t T(psi)) applied to p; Eq.-style semigroup value."""
     if sub is None:
         sub = _cached_sub(p, B, dim_cap)
-    m = transfer_matrix(psi, sub).matrix
+    m = transfer_matrix(psi, sub)
     x = sub.coords(p)
     if t == 0.0:
         return complex(sub.counit_vector @ x)
@@ -301,7 +286,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     rng = rng if rng is not None else np.random.default_rng(20080131)
     sub = _cached_sub(p, B, dim_cap)
     psi = spec.baseline
-    g = transfer_matrix(psi, sub).matrix
+    g = transfer_matrix(psi, sub)
     steps = partition.steps()
     span = partition.t - partition.s
     x = sub.coords(p)

@@ -117,6 +117,23 @@ def test_degenerate_sweep_flagged(tmp_path):
     assert summary["results"]["limit_degenerate"] is True
 
 
+@pytest.mark.parametrize("name", ["azema_q2.json", "gns_azema_q2.json",
+                                  "sweep_grouplike_xstar.json"])
+def test_run_experiment_builds_objects_once(name, tmp_path, monkeypatch):
+    from qlevy import cli
+
+    calls = []
+    build = cli.build_objects
+
+    def counted(cfg):
+        calls.append(cfg["name"])
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "build_objects", counted)
+    run_experiment(builtin_config_path(name), str(tmp_path))
+    assert len(calls) == 1
+
+
 def test_outputs_deterministic(tmp_path):
     cfg = builtin_config_path("trotter_nilpotent.json")
     a = tmp_path / "a"

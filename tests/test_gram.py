@@ -208,3 +208,28 @@ def test_primitive_tensor_theta_counts(azema2):
     T, kappa = make_primitive_tensor(B, 1)
     u = theta_expand(NcPoly.word((0,)), kappa, Partition.uniform(0, 1, 3))
     assert u.n_terms() == 3
+
+
+def test_bialgebra_memo_tables_are_freed_with_it():
+    # subcoalgebras, transfer matrices, Gram factors and slot expansions live
+    # on the bialgebra, so dropping it and its generator frees them all
+    import gc
+    import weakref
+
+    from qlevy.fock import cross_path_report
+    from qlevy.gns import gns_construct
+
+    def run():
+        B, _prim, psi = make_azema(2.0)
+        x = NcPoly.word((X,))
+        conv_exp(psi, 0.5, multiply(involute(x, B.algebra), x, B.algebra), B)
+        _G, _kappa, kappa_tilde = make_grouplike(B, 6)
+        reverse_check(x, x, kappa_tilde, psi, 0.0, 1.0, [2, 4])
+        convergence_sweep(x, x, identity_morphism(B), psi, 0.0, 1.0, [2, 4])
+        cross_path_report(gns_construct(psi, B, degree_cap=3),
+                          NcPoly.word((XS,)), B, psi, Partition.uniform(0, 1, 4), 5)
+        return weakref.ref(B), weakref.ref(psi)
+
+    refs = run()
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
