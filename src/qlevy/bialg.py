@@ -115,7 +115,7 @@ class BialgebraSpec:
             raise ValueError(f"no coproduct for generators {sorted(missing)}")
         self._delta_word = {(): TensorPoly.unit()}
         self._sweedler = {}
-        self._subs = {}         # p.key() -> Subcoalgebra (subcoalg)
+        self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
         self._factors = {}      # (psi, dt, a key, b key) -> vacuum value (gram)
         self._expansions = {}   # (entry keys, counts) -> slot expansion (gram)
 

@@ -187,8 +187,7 @@ def check_defs(config_path, built=None):
     tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
     report = check_bialgebra_axioms(B, n_samples=cfg.get("samples", 30))
     checks = {f"axioms/{k}": v for k, v in report.items() if k != "max_residual"}
-    if cfg.get("morphism", {}).get("chain", "identity") != "identity" \
-            and run.chain is not None:
+    if _chain_name(cfg) != "identity" and run.chain is not None:
         rep = check_counit_preserving(run.chain[0], n_samples=cfg.get("samples", 30))
         checks["morphism/counit_preservation"] = rep["max_residual"]
     if psi is not None and psi.hermitian:

@@ -363,10 +363,7 @@ def make_induced_tensor(B, degree_cap):
     kappa = Morphism(Tind, B, "algebra-homomorphism",
                      gen_images={i: h for i, h in enumerate(letters)},
                      name=f"kappa[{Tind.name}]")
-    kappa_tilde = Morphism(Tind, B, "algebra-homomorphism",
-                           gen_images={i: h for i, h in enumerate(letters)},
-                           name=f"kappaTilde[{Tind.name}]")
-    return Tind, kappa, kappa_tilde
+    return Tind, kappa
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,17 @@
 Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 (Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
-matrix T(psi) = (id (x) psi) o Delta.  The module also ships the checkers
-for the two infinitesimal-product error bounds used in the convergence
-experiments: a Banach-algebra version on matrices and the coalgebra version
-phrased through functionals.
+matrix T(psi) = (id (x) psi) o Delta.
+
+The subcoalgebra of p is spanned by normal-form words: the words of p,
+closed under taking either leg of coproduct_word.  This relies on the
+algebra's rewriting system being confluent, so that its normal words form a
+basis (Bergman's diamond lemma); the legs of coproduct_word(w) are then basis
+coordinates and the structure constants are read off exactly, with no linear
+solve.  The module also ships the checkers for the two
+infinitesimal-product error bounds used in the convergence experiments: a
+Banach-algebra version on matrices and the coalgebra version phrased through
+functionals.
 """
 
 from __future__ import annotations
@@ -15,10 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence
-from .linalg import LinearSpan
 from .ncpoly import NcPoly
 
-DIM_CAP = 512
+DIM_CAP = 512   # most normal words in one subcoalgebra
 SERIES_MAX_TERMS = 64
 
 
@@ -27,142 +33,110 @@ SERIES_MAX_TERMS = 64
 # ---------------------------------------------------------------------------
 
 class Subcoalgebra:
-    """Delta-closed span with structure constants over its own basis.
+    """Span of a Delta-closed set of normal words, with exact structure constants.
 
-    basis[i] is an NcPoly; delta_constants[i, j, k] gives
-    Delta(basis[i]) = sum_jk c[i, j, k] basis[j] (x) basis[k].
+    basis[i] is the NcPoly of the i-th word in deg-lex order.  The sparse
+    structure constants (j, u, v, c) list
+    Delta(basis[j]) = sum c basis[u] (x) basis[v], read from coproduct_word;
+    they are exact because normal words are a basis of a confluent algebra.
     """
 
-    def __init__(self, B, basis, span):
+    def __init__(self, B, words):
         self.B = B
-        self.basis = basis
-        self._span = span
-        n = len(basis)
-        self.counit_vector = np.array([B.counit(b) for b in basis])
-        self.delta_constants = self._structure_constants()
+        self.basis = [NcPoly.word(w) for w in words]
+        self._words = words
+        self._index = {w: i for i, w in enumerate(words)}
+        j, u, v, c = [], [], [], []
+        for i, w in enumerate(words):
+            for (a, b), z in B.coproduct_word(w).terms.items():
+                j.append(i)
+                u.append(self._index[a])
+                v.append(self._index[b])
+                c.append(z)
+        self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
+                          np.array(v, dtype=int), np.array(c, dtype=complex))
+        self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
         self._transfers = {}    # functional -> transfer matrix
-        assert self.delta_constants.shape == (n, n, n)
 
     def dim(self):
         return len(self.basis)
 
     def coords(self, p):
-        terms = p.terms if isinstance(p, NcPoly) else p
-        x, res = self._span.coords(terms)
-        if x is None:
-            raise InvalidParameter(
-                f"element outside the subcoalgebra (residual {res:.2e})")
-        out = np.zeros(self.dim(), dtype=complex)
-        out[: len(x)] = x
-        return out
-
-    def _structure_constants(self):
-        # Delta b_i = sum_uv Z_i[u, v] u (x) v with u, v spanned by the basis:
-        # solve A C_i A^T = Z_i column-wise through the word-coordinate matrix A
-        n = self.dim()
-        cols = {}
-        deltas = [self.B.coproduct(b) for b in self.basis]
-        for d in deltas:
-            for (u, v) in d.terms:
-                cols.setdefault(u, len(cols))
-                cols.setdefault(v, len(cols))
-        for b in self.basis:
-            for w in b.terms:
-                cols.setdefault(w, len(cols))
-        a = np.zeros((len(cols), n), dtype=complex)
-        for j, b in enumerate(self.basis):
-            for w, c in b.terms.items():
-                a[cols[w], j] = c
-        pinv = np.linalg.pinv(a, rcond=1e-12)
-        out = np.zeros((n, n, n), dtype=complex)
-        for i, d in enumerate(deltas):
-            z = np.zeros((len(cols), len(cols)), dtype=complex)
-            for (u, v), c in d.terms.items():
-                z[cols[u], cols[v]] += c
-            out[i] = pinv @ z @ pinv.T
-        return out
+        x = np.zeros(self.dim(), dtype=complex)
+        for w, c in p.terms.items():
+            i = self._index.get(w)
+            if i is None:
+                raise InvalidParameter(
+                    f"element outside the subcoalgebra (word {w} not in its basis)")
+            x[i] = c
+        return x
 
     def check(self):
         """Residual of the structure constants against the coproduct."""
+        rebuilt = [{} for _ in self.basis]
+        for j, u, v, c in zip(*self.constants):
+            key = (self._words[u], self._words[v])
+            rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
         worst = 0.0
-        for i, b in enumerate(self.basis):
-            d = self.B.coproduct(b)
-            rebuilt = {}
-            for j in range(self.dim()):
-                for k in range(self.dim()):
-                    c = self.delta_constants[i, j, k]
-                    if abs(c) < 1e-14:
-                        continue
-                    for u, cu in self.basis[j].terms.items():
-                        for v, cv in self.basis[k].terms.items():
-                            key = (u, v)
-                            rebuilt[key] = rebuilt.get(key, 0.0) + c * cu * cv
-            for key, c in d.terms.items():
-                rebuilt[key] = rebuilt.get(key, 0.0) - c
-            worst = max(worst, max((abs(c) for c in rebuilt.values()), default=0.0))
+        for got, b in zip(rebuilt, self.basis):
+            for key, c in self.B.coproduct(b).terms.items():
+                got[key] = got.get(key, 0.0) - c
+            worst = max(worst, max((abs(c) for c in got.values()), default=0.0))
         return worst
 
 
 def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
-    """Smallest Delta-closed span containing p, by leg-collection fixpoint."""
+    """Span of p's words closed under taking legs of coproduct_word."""
     if dim_cap < 1:
         raise InvalidParameter("dim_cap must be >= 1")
-    span = LinearSpan()
-    basis = []
-
-    def push(terms):
-        terms = {k: c for k, c in terms.items() if abs(c) > 1e-14}
-        if not terms:
-            return False
-        if span.add(terms):
-            basis.append(NcPoly(dict(terms)))
-            if len(basis) > dim_cap:
-                raise DimCapExceeded(
-                    f"subcoalgebra of {p.pretty(B.algebra)} exceeds cap {dim_cap}")
-            return True
-        return False
-
-    push(p.terms)
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            d = B.coproduct(b)
-            left, right = {}, {}
-            for (u, v), c in d.terms.items():
-                left.setdefault(v, {})
-                left[v][u] = left[v].get(u, 0.0) + c
-                right.setdefault(u, {})
-                right[u][v] = right[u].get(v, 0.0) + c
-            before = len(basis)
-            for legs in (left, right):
-                for terms in legs.values():
-                    push(terms)
-            nxt.extend(basis[before:])
-        frontier = nxt
-    return Subcoalgebra(B, basis, span)
+    words = set()
+    pending = list(p.terms)
+    while pending:
+        w = pending.pop()
+        if w in words:
+            continue
+        words.add(w)
+        if len(words) > dim_cap:
+            raise DimCapExceeded(
+                f"subcoalgebra of {p.pretty(B.algebra)} exceeds cap {dim_cap} words")
+        for legs in B.coproduct_word(w).terms:
+            pending.extend(legs)
+    return Subcoalgebra(B, sorted(words, key=B.algebra._deglex_key))
 
 
 # ---------------------------------------------------------------------------
 # transfer matrix and convolution exponential
 # ---------------------------------------------------------------------------
 
+def _transfer(f, sub):
+    """Matrix of T(f) = (id (x) f) o Delta on the basis of sub."""
+    j, u, v, c = sub.constants
+    vals = np.array([f(b) for b in sub.basis], dtype=complex)
+    m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
+    # (id (x) f) Delta b_j = sum c f(b_v) b_u
+    np.add.at(m, (u, j), c * vals[v])
+    return m
+
+
 def transfer_matrix(psi, sub):
-    """Matrix of T(psi) = (id (x) psi) o Delta on the basis of sub."""
+    """Matrix of T(psi) on the basis of sub, held by sub."""
     m = sub._transfers.get(psi)
     if m is None:
-        psi_vals = np.array([psi(b) for b in sub.basis])
-        # (id (x) psi) Delta b_j = sum_i (sum_k c[j,i,k] psi(b_k)) b_i
-        m = sub._transfers[psi] = np.einsum("jik,k->ij", sub.delta_constants, psi_vals)
+        m = sub._transfers[psi] = _transfer(psi, sub)
     return m
 
 
 def _cached_sub(p, B, dim_cap):
-    key = p.key()
-    hit = B._subs.get(key)
-    if hit is None:
-        hit = B._subs[key] = subcoalgebra_of(p, B, dim_cap)
-    return hit
+    # the closure depends on p's words only
+    key = frozenset(p.terms)
+    sub = B._subs.get(key)
+    if sub is None:
+        sub = B._subs[key] = subcoalgebra_of(p, B, dim_cap)
+    elif sub.dim() > dim_cap:
+        raise DimCapExceeded(
+            f"subcoalgebra of {p.pretty(B.algebra)} has {sub.dim()} words, "
+            f"above cap {dim_cap}")
+    return sub
 
 
 def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
@@ -292,11 +266,6 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     x = sub.coords(p)
     target = complex(sub.counit_vector @ (scipy.linalg.expm(span * g) @ x))
 
-    def remainder_matrix(r, mu):
-        rem = spec.remainder(r, mu)
-        vals = np.array([rem(b) for b in sub.basis])
-        return np.einsum("jik,k->ij", sub.delta_constants, vals)
-
     # operator infinity-norm = max-abs coordinate operator norm
     def inf_norm(m):
         return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
@@ -306,7 +275,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     if spec.remainder is not None:
         for r in set(steps):
             for mu in range(spec.n_choices):
-                s_norm = inf_norm(remainder_matrix(r, mu))
+                s_norm = inf_norm(_transfer(spec.remainder(r, mu), sub))
                 c_c = max(c_c, np.sqrt(2.0 * s_norm) / r)
     # |delta(v)| <= ||counit_vector||_1 ||v||_inf and ||coords(p)||_inf scale
     delta_norm = float(np.abs(sub.counit_vector).sum())
@@ -322,7 +291,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
             a = eye + r * g
             if spec.remainder is not None:
                 mu = int(rng.integers(spec.n_choices))
-                a = a + remainder_matrix(r, mu)
+                a = a + _transfer(spec.remainder(r, mu), sub)
             prod = prod @ a
         val = complex(sub.counit_vector @ (prod @ x))
         worst = max(worst, abs(val - target))

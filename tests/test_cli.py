@@ -81,6 +81,15 @@ def test_check_defs_catches_corrupt_coproduct(tmp_path):
     assert report["max_residual"] > report["tolerance"]
 
 
+def test_check_defs_reverse_without_chain_checks_its_morphism(tmp_path):
+    # a reverse config that names no chain runs the grouplike chain
+    with open(builtin_config_path("reverse_azema_x.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    del cfg["morphism"]
+    report = check_defs(_write(tmp_path, "reverse.json", cfg))
+    assert "morphism/counit_preservation" in report["checks"]
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     csv_path, json_path, summary = run_experiment(
         builtin_config_path("trotter_nilpotent.json"), str(tmp_path))

@@ -73,7 +73,7 @@ def test_primitive_tensor(azema2):
 
 def test_induced_tensor_deltas(azema2):
     B = azema2[0]
-    Tind, kappa, _kt = make_induced_tensor(B, 1)
+    Tind, kappa = make_induced_tensor(B, 1)
     assert len(Tind.letters) == 3
     # y - 1 is letter 2: reduced coproduct (y-1)(x)(y-1)
     want = TensorPoly({((2,), ()): 1.0, ((), (2,)): 1.0, ((2,), (2,)): 1.0})
@@ -87,7 +87,7 @@ def test_induced_tensor_deltas(azema2):
 
 def test_induced_tensor_coassociative(azema2):
     B = azema2[0]
-    Tind, _k, _kt = make_induced_tensor(B, 1)
+    Tind, _k = make_induced_tensor(B, 1)
     rep = check_bialgebra_axioms(Tind, sample_degree=3, n_samples=30)
     # induced coproduct carries no involution on the tensor side
     assert rep["coassociativity"] <= 1e-12

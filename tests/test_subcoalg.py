@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlevy.bialg import LinearFunctional, counit_functional
 from qlevy.constructions import make_azema
@@ -58,6 +60,16 @@ def test_dim_cap(azema2):
     B, _, _ = azema2
     with pytest.raises(DimCapExceeded):
         subcoalgebra_of(NcPoly.word((X, XS)), B, dim_cap=4)
+
+
+def test_cached_subcoalgebra_respects_dim_cap():
+    B, _, psi = make_azema(2.0)
+    p = NcPoly.word((X, XS))
+    conv_exp(psi, 1.0, p, B)
+    with pytest.raises(DimCapExceeded):
+        conv_exp(psi, 1.0, p, B, dim_cap=4)
+    conv_exp(psi, 1.0, p.scale(2.0), B)
+    assert len(B._subs) == 1        # the closure depends on the words only
 
 
 def test_transfer_counit_identity(azema2):
@@ -121,6 +133,17 @@ def test_series_matches_matrix(azema2):
         v1 = conv_exp(psi, t, p, B)
         v2, _n = conv_exp_series(psi, t, p, B, tol=1e-12)
         assert abs(v1 - v2) < 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(log_q=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(0.0, 2.0))
+def test_series_matches_matrix_across_q(log_q, seed, t):
+    B, _, psi = make_azema(10.0 ** log_q)
+    p = random_poly(B.algebra, np.random.default_rng(seed), 4)
+    v1 = conv_exp(psi, t, p, B)
+    v2, _n = conv_exp_series(psi, t, p, B, tol=1e-12)
+    assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v2), p.norm1())
 
 
 def test_series_unit(azema2):
