@@ -6,12 +6,20 @@ coproducts use the recursion D_n = (D_{n-1} (x) id) o D and are memoized per
 normal-form word.  Every memo table derived from a BialgebraSpec (coproducts,
 Sweedler expansions, subcoalgebras, Gram factors, slot expansions) is held by
 the spec itself and freed with it.
+
+A BialgebraSpec is one of the two carriers a Morphism maps between (the other
+is constructions.GroupLikeBialgebra).  Both answer one protocol: elements are
+NcPoly over the carrier's basis keys (here normal-form words); at key level
+unit_key, key_delta, key_counit, key_star and key_order (the sort key that
+keeps subcoalgebra bases deterministic); at element level one, mul, star,
+counit, iterated_coproduct and random_element.
 """
 
 from __future__ import annotations
 
 from .errors import TermBudgetExceeded
-from .ncpoly import DROP_TOL, NcPoly, involute, multiply, normal_form
+from .ncpoly import (DROP_TOL, NcPoly, check_confluent, involute, multiply,
+                     normal_form, random_poly)
 
 TERM_BUDGET = 10 ** 6
 
@@ -98,9 +106,6 @@ class SweedlerExpansion:
         self.arity = arity
         self.terms = {k: c for k, c in terms.items() if abs(c) > DROP_TOL}
 
-    def term_count(self):
-        return len(self.terms)
-
 
 class BialgebraSpec:
     """Generators, coproduct/counit on generators, homomorphic extension."""
@@ -119,7 +124,7 @@ class BialgebraSpec:
         self._factors = {}      # (psi, dt, a key, b key) -> vacuum value (gram)
         self._expansions = {}   # (entry keys, counts) -> slot expansion (gram)
 
-    # -- coalgebra-view protocol (shared with the group-like carrier) -------
+    # -- carrier protocol (shared with the group-like carrier) --------------
 
     def unit_key(self):
         return ()
@@ -136,6 +141,21 @@ class BialgebraSpec:
     def key_star(self, w):
         """Involution of the basis element behind a key, as key -> coeff."""
         return involute(NcPoly({w: 1.0}), self.algebra).terms
+
+    def key_order(self, w):
+        return self.algebra._deglex_key(w)
+
+    def one(self):
+        return NcPoly.one()
+
+    def mul(self, a, b):
+        return multiply(a, b, self.algebra)
+
+    def star(self, a):
+        return involute(a, self.algebra)
+
+    def random_element(self, rng, degree):
+        return random_poly(self.algebra, rng, degree)
 
     # ----------------------------------------------------------------------
 
@@ -217,8 +237,7 @@ class LinearFunctional:
         return got
 
     def __call__(self, p):
-        terms = p.terms if isinstance(p, NcPoly) else p
-        return sum((c * self.on_word(w) for w, c in terms.items()), complex(0.0))
+        return sum((c * self.on_word(w) for w, c in p.terms.items()), complex(0.0))
 
 
 def counit_functional(B):
@@ -243,18 +262,13 @@ def convolve_eval(fs, p, B):
     return total
 
 
-def random_polys(B, rng, degree, count, n_terms=4):
-    from .ncpoly import random_poly
-    return [random_poly(B.algebra, rng, degree, n_terms=n_terms) for _ in range(count)]
-
-
 def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):
     """Max residuals of the coalgebra and compatibility axioms on samples."""
     import numpy as np
 
     rng = rng if rng is not None else np.random.default_rng(20080131)
     alg = B.algebra
-    samples = random_polys(B, rng, sample_degree, n_samples)
+    samples = [B.random_element(rng, sample_degree) for _ in range(n_samples)]
     report = {
         "coassociativity": 0.0,
         "counit_law": 0.0,
@@ -363,6 +377,7 @@ def bialgebra_to_json(B):
 
 
 def bialgebra_from_json(doc):
+    """Build a spec from JSON; raises InvalidParameter for non-confluent rules."""
     from .ncpoly import AlgebraSpec, GeneratorSymbol, RewriteRule
 
     names = [g["name"] for g in doc["alphabet"]]
@@ -378,6 +393,7 @@ def bialgebra_from_json(doc):
     rules = [RewriteRule(names2word(r["lhs"]), j2poly(r["rhs"])) for r in doc["rules"]]
     order = [idx[n] for n in doc.get("letter_order", names)]
     alg = AlgebraSpec(alphabet, rules, letter_order=order, name=doc.get("name", ""))
+    check_confluent(alg)
     delta = {
         idx[g]: TensorPoly({(names2word(t["left"]), names2word(t["right"])): _j2c(t["coeff"])
                             for t in items})

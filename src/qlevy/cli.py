@@ -181,6 +181,7 @@ def check_defs(config_path, built=None):
     """
     from .bialg import check_bialgebra_axioms
     from .constructions import check_counit_preserving
+    from .ncpoly import NcPoly
 
     run = built if built is not None else _Run(load_config(config_path))
     cfg, B, psi = run.cfg, run.B, run.psi
@@ -191,7 +192,7 @@ def check_defs(config_path, built=None):
         rep = check_counit_preserving(run.chain[0], n_samples=cfg.get("samples", 30))
         checks["morphism/counit_preservation"] = rep["max_residual"]
     if psi is not None and psi.hermitian:
-        checks["generator/psi_unit"] = abs(psi({(): 1.0}))
+        checks["generator/psi_unit"] = abs(psi(NcPoly.one()))
     worst = max(checks.values())
     return {
         "config": cfg["name"],

@@ -4,6 +4,13 @@ Shipped structures: the Azema bialgebra for parameter q (plus the companion
 structure with x, x* primitive and y group-like), the unitary-matrix
 bialgebra U<d>, the primitive and induced tensor bialgebras over the counit
 kernel, and the group-like carrier spanned by counit-one elements.
+
+A Morphism maps between two carriers that answer one protocol, so it never
+asks which carrier it holds: a BialgebraSpec (keys are normal-form words) or
+a GroupLikeBialgebra (keys are interned counit-one polynomials of its base).
+Elements of either carrier are NcPoly over its keys.  kappa (hat(b) -> b) is
+an algebra homomorphism given per key, and kappa-tilde is a linear-section
+Morphism whose key map lifts one word of B into the group-like carrier.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import numpy as np
 from .bialg import (
     BialgebraSpec,
     LinearFunctional,
+    SweedlerExpansion,
     TensorPoly,
     complete_by_involution,
 )
@@ -24,8 +32,6 @@ from .ncpoly import (
     NcPoly,
     RewriteRule,
     involute,
-    multiply,
-    normal_form,
 )
 
 
@@ -51,7 +57,6 @@ def make_azema(q):
     ]
     alg = AlgebraSpec(alphabet, rules, name=f"azema(q={q:g})")
 
-    one = ((), ())
     azema_delta = {
         X: TensorPoly({((X,), (Y,)): 1.0, ((), (X,)): 1.0}),
         Y: TensorPoly({((Y,), (Y,)): 1.0}),
@@ -77,7 +82,6 @@ def make_azema(q):
         return 1.0 if w[:k] == (X, XS) else 0.0
 
     psi = LinearFunctional(f"psi-azema(q={q:g})", psi_word, hermitian=True)
-    del one
     return azema, primitive, psi
 
 
@@ -195,10 +199,13 @@ def selfadjoint_b0_basis(B, max_degree):
 # ---------------------------------------------------------------------------
 
 class Morphism:
-    """Counit-preserving map between carriers.
+    """Counit-preserving map between two carriers of the shared protocol.
 
-    kind 'algebra-homomorphism': extended multiplicatively over words/keys.
-    kind 'linear-section': linear extension only (the section nu).
+    Source and target elements are NcPoly over the carriers' keys.
+    kind 'algebra-homomorphism': a key's image is key_map(key), or the
+    product in the target of gen_images over the key's letters.
+    kind 'linear-section': key_map gives each key's image, extended linearly
+    only (the section kappa-tilde).
     """
 
     def __init__(self, source, target, kind, gen_images=None, key_map=None, name=""):
@@ -209,92 +216,48 @@ class Morphism:
         self.key_map = key_map         # source key -> target element
         self.name = name
 
-    # target-side algebra helpers -------------------------------------------
-
-    def _t_unit(self):
-        if isinstance(self.target, GroupLikeBialgebra):
-            return {self.target.unit_key(): 1.0}
-        return NcPoly.one()
-
-    def _t_mul(self, a, b):
-        if isinstance(self.target, GroupLikeBialgebra):
-            return self.target.elem_mul(a, b)
-        return multiply(a, b, self.target.algebra)
-
-    def _t_add(self, a, z, b):
-        if isinstance(self.target, GroupLikeBialgebra):
-            out = dict(a)
-            for k, c in b.items():
-                out[k] = out.get(k, 0.0) + z * c
-            return {k: c for k, c in out.items() if abs(c) > 1e-14}
-        return a.add(b.scale(z))
-
-    def _t_zero(self):
-        if isinstance(self.target, GroupLikeBialgebra):
-            return {}
-        return NcPoly.zero()
-
-    # ------------------------------------------------------------------------
-
     def map_key(self, key):
         """Image of a single source basis key."""
         if self.key_map is not None:
             return self.key_map(key)
-        img = self._t_unit()
+        img = self.target.one()
         for g in key:
-            img = self._t_mul(img, self.gen_images[g])
+            img = self.target.mul(img, self.gen_images[g])
         return img
 
     def apply(self, elem):
-        """Image of a source element (NcPoly or key-indexed dict)."""
-        terms = elem.terms if isinstance(elem, NcPoly) else elem
-        out = self._t_zero()
-        for key, c in terms.items():
-            out = self._t_add(out, c, self.map_key(key))
+        """Image of a source element."""
+        out = NcPoly()
+        for key, c in elem.terms.items():
+            out = out.add(self.map_key(key).scale(c))
         return out
-
-    def target_counit(self, elem):
-        if isinstance(self.target, GroupLikeBialgebra):
-            return sum(elem.values()) if not isinstance(elem, NcPoly) else elem
-        return self.target.counit(elem)
 
 
 def check_counit_preserving(m, n_samples=100, sample_degree=3, rng=None):
     """Max |counit_target(m(p)) - counit_source(p)| over random samples."""
     rng = rng if rng is not None else np.random.default_rng(20080131)
-    src = m.source
     worst = 0.0
     for _ in range(n_samples):
-        elem = _random_source_element(src, rng, sample_degree)
-        lam = _source_counit(src, elem)
-        img = m.apply(elem)
-        delt = m.target_counit(img)
-        worst = max(worst, abs(delt - lam))
+        elem = m.source.random_element(rng, sample_degree)
+        worst = max(worst, abs(m.target.counit(m.apply(elem)) - m.source.counit(elem)))
     return {"max_residual": worst, "n_samples": n_samples}
-
-
-def _random_source_element(src, rng, degree):
-    if isinstance(src, GroupLikeBialgebra):
-        keys = src.known_keys()
-        picks = rng.choice(len(keys), size=min(3, len(keys)), replace=False)
-        return {keys[i]: complex(rng.normal(), rng.normal()) for i in picks}
-    from .ncpoly import random_poly
-    return random_poly(src.algebra, rng, degree)
-
-
-def _source_counit(src, elem):
-    if isinstance(src, GroupLikeBialgebra):
-        return sum(elem.values())
-    return src.counit(elem)
 
 
 # ---------------------------------------------------------------------------
 # tensor bialgebras over the counit kernel (primitive and induced)
 # ---------------------------------------------------------------------------
 
-def _tensor_algebra(n_letters, name):
-    alphabet = [GeneratorSymbol(f"v{i}", i) for i in range(n_letters)]
-    return AlgebraSpec(alphabet, [], name=name)
+def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
+    """Tensor bialgebra on the kernel letters with coproduct delta, plus kappa."""
+    alphabet = [GeneratorSymbol(f"v{i}", i) for i in range(len(letters))]
+    alg = AlgebraSpec(alphabet, [], name=f"{alg_name}[{B.name}]")
+    T = BialgebraSpec(alg, delta, {i: 0.0 for i in range(len(letters))},
+                      name=f"{name}[{B.name}]")
+    T.degree_cap = degree_cap
+    T.letters = letters
+    kappa = Morphism(T, B, "algebra-homomorphism", gen_images=dict(enumerate(letters)),
+                     name=f"kappa[{T.name}]")
+    return T, kappa
 
 
 def make_primitive_tensor(B, degree_cap):
@@ -302,16 +265,8 @@ def make_primitive_tensor(B, degree_cap):
     if degree_cap < 1:
         raise InvalidParameter("degree_cap must be >= 1")
     letters = selfadjoint_b0_basis(B, degree_cap)
-    alg = _tensor_algebra(len(letters), f"T0[{B.name}]")
     delta = {i: TensorPoly({((i,), ()): 1.0, ((), (i,)): 1.0}) for i in range(len(letters))}
-    counit = {i: 0.0 for i in range(len(letters))}
-    T = BialgebraSpec(alg, delta, counit, name=f"primitive-tensor[{B.name}]")
-    T.degree_cap = degree_cap
-    T.letters = letters
-    kappa = Morphism(T, B, "algebra-homomorphism",
-                     gen_images={i: h for i, h in enumerate(letters)},
-                     name=f"kappa[{T.name}]")
-    return T, kappa
+    return _kernel_tensor(B, degree_cap, letters, delta, "T0", "primitive-tensor")
 
 
 def make_induced_tensor(B, degree_cap):
@@ -334,7 +289,6 @@ def make_induced_tensor(B, degree_cap):
                 f"element outside the degree-{degree_cap} truncated kernel")
         return x
 
-    alg = _tensor_algebra(len(letters), f"Tind0[{B.name}]")
     delta = {}
     for i, h in enumerate(letters):
         red = B.coproduct(h).sub(TensorPoly.simple(h, NcPoly.one())).sub(
@@ -342,13 +296,9 @@ def make_induced_tensor(B, degree_cap):
         terms = {((i,), ()): 1.0, ((), (i,)): 1.0}
         # reduced part lives in ker x ker; non-unit word-pair coefficients
         # carry over unchanged to the kernel basis
-        left_polys = {}
         for (a, b), z in red.terms.items():
             if a == () or b == ():
                 continue
-            left_polys.setdefault((a, b), 0.0)
-            left_polys[(a, b)] += z
-        for (a, b), z in left_polys.items():
             ca = letter_coords(NcPoly({a: 1.0, (): -B.key_counit(a)}))
             cb = letter_coords(NcPoly({b: 1.0, (): -B.key_counit(b)}))
             for j in np.nonzero(np.abs(ca) > 1e-13)[0]:
@@ -356,14 +306,7 @@ def make_induced_tensor(B, degree_cap):
                     kk = ((int(j),), (int(k),))
                     terms[kk] = terms.get(kk, 0.0) + z * ca[j] * cb[k]
         delta[i] = TensorPoly(terms)
-    counit = {i: 0.0 for i in range(len(letters))}
-    Tind = BialgebraSpec(alg, delta, counit, name=f"induced-tensor[{B.name}]")
-    Tind.degree_cap = degree_cap
-    Tind.letters = letters
-    kappa = Morphism(Tind, B, "algebra-homomorphism",
-                     gen_images={i: h for i, h in enumerate(letters)},
-                     name=f"kappa[{Tind.name}]")
-    return Tind, kappa
+    return _kernel_tensor(B, degree_cap, letters, delta, "Tind0", "induced-tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +320,11 @@ def _poly_key(p):
 
 
 class GroupLikeBialgebra:
-    """Span of the counit-one monoid of B; every basis key is group-like."""
+    """Span of the counit-one monoid of B; every basis key is group-like.
+
+    A key is an interned counit-one polynomial of B; register interns one and
+    poly returns it.  Elements are NcPoly over keys, as for any carrier.
+    """
 
     def __init__(self, B, degree_cap):
         if degree_cap < 1:
@@ -386,6 +333,7 @@ class GroupLikeBialgebra:
         self.degree_cap = degree_cap
         self.name = f"grouplike[{B.name}]"
         self._registry = {}
+        self._subs = {}         # frozenset of keys -> Subcoalgebra (subcoalg)
         self._unit = self.register(NcPoly.one())
 
     def register(self, p):
@@ -402,8 +350,7 @@ class GroupLikeBialgebra:
     def poly(self, key):
         return self._registry[key]
 
-    def known_keys(self):
-        return list(self._registry)
+    # -- carrier protocol (shared with BialgebraSpec) ------------------------
 
     def unit_key(self):
         return self._unit
@@ -415,58 +362,66 @@ class GroupLikeBialgebra:
         return complex(1.0)
 
     def key_star(self, key):
-        return {self.register(involute(self.poly(key), self.base.algebra)): 1.0}
+        return {self.register(self.base.star(self.poly(key))): 1.0}
+
+    def key_order(self, key):
+        return key
 
     def key_mul(self, k1, k2):
-        return self.register(multiply(self.poly(k1), self.poly(k2), self.base.algebra))
+        return self.register(self.base.mul(self.poly(k1), self.poly(k2)))
 
-    def elem_mul(self, a, b):
+    def one(self):
+        return NcPoly({self._unit: 1.0})
+
+    def mul(self, a, b):
         out = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
                 k = self.key_mul(k1, k2)
                 out[k] = out.get(k, 0.0) + c1 * c2
-        return {k: c for k, c in out.items() if abs(c) > 1e-14}
+        return NcPoly(out)
 
-    def elem_star(self, a):
+    def star(self, a):
         out = {}
-        for k, c in a.items():
+        for k, c in a.terms.items():
             for k2, z in self.key_star(k).items():
                 out[k2] = out.get(k2, 0.0) + complex(c).conjugate() * z
+        return NcPoly(out)
+
+    def counit(self, a):
+        return sum(complex(c) for c in a.terms.values())
+
+    def iterated_coproduct(self, a, n):
+        return SweedlerExpansion(n, {(k,) * n: c for k, c in a.terms.items()})
+
+    def random_element(self, rng, degree):
+        """Three keys hat(p - counit(p) + 1), p random in B, complex coefficients."""
+        out = NcPoly()
+        for _ in range(3):
+            p = self.base.random_element(rng, min(degree, self.degree_cap))
+            k = self.register(p.add(NcPoly({(): 1.0 - self.base.counit(p)})))
+            out = out.add(NcPoly({k: complex(rng.normal(), rng.normal())}))
         return out
 
-    def counit(self, elem):
-        return sum(complex(c) for c in elem.values())
-
-    def iterated_coproduct(self, elem, n):
-        from .bialg import SweedlerExpansion
-        terms = {(k,) * n: c for k, c in elem.items()}
-        return SweedlerExpansion(n, terms)
+    # ------------------------------------------------------------------------
 
     def hat(self, p):
         """The basis element behind a counit-one polynomial."""
-        return {self.register(p): 1.0}
+        return NcPoly({self.register(p): 1.0})
 
-    def kappa_tilde(self, p):
-        """Linear lift of a kernel element: b -> hat(b + 1) - hat(1)."""
-        out = {}
-        for w, c in p.terms.items():
-            if w == ():
-                continue
-            dw = self.base.key_counit(w)
-            shifted = NcPoly({w: 1.0, (): 1.0 - dw})
-            k1 = self.register(shifted)
-            out[k1] = out.get(k1, 0.0) + c
-            out[self._unit] = out.get(self._unit, 0.0) - c
-        return {k: c for k, c in out.items() if abs(c) > 1e-14}
+    def lift_key(self, w):
+        """kappa-tilde on one word: hat(w - counit(w) + 1) - hat(1), 0 on 1."""
+        if w == ():
+            return NcPoly()
+        shifted = NcPoly({w: 1.0, (): 1.0 - self.base.key_counit(w)})
+        return NcPoly({self.register(shifted): 1.0, self._unit: -1.0})
 
 
 def make_grouplike(B, degree_cap):
     """Group-like carrier over B plus kappa (hat(b) -> b) and kappa-tilde."""
     G = GroupLikeBialgebra(B, degree_cap)
     kappa = Morphism(G, B, "algebra-homomorphism",
-                     key_map=lambda k: G.poly(k), name=f"kappa[{G.name}]")
+                     key_map=G.poly, name=f"kappa[{G.name}]")
     kappa_tilde = Morphism(B, G, "linear-section",
-                           key_map=None, name=f"kappaTilde[{G.name}]")
-    kappa_tilde.apply = G.kappa_tilde
+                           key_map=G.lift_key, name=f"kappaTilde[{G.name}]")
     return G, kappa, kappa_tilde

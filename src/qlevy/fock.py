@@ -144,22 +144,6 @@ def quantum_noise_op(kind, arg, interval, factor):
 # factorized vectors
 # ---------------------------------------------------------------------------
 
-class FactorizedFockVector:
-    """coeff * (tensor over partition intervals of per-factor vectors)."""
-
-    def __init__(self, partition, factor, vectors, coeff=1.0):
-        if len(vectors) != partition.n_intervals():
-            raise InvalidParameter("one vector per subinterval required")
-        self.partition = partition
-        self.factor = factor
-        self.vectors = [np.asarray(v, dtype=complex) for v in vectors]
-        self.coeff = complex(coeff)
-
-    @property
-    def terms(self):
-        return [(self.coeff, tuple(self.vectors))]
-
-
 class FockVectorSum:
     """Sum of elementary tensors over a shared partition."""
 
@@ -208,7 +192,8 @@ def exp_tail_bound(z, cap):
 
 
 def exponential_vector(k, interval, factor):
-    """Truncated exponential vector of the profile k (x) 1_{[s,t]}.
+    """Truncated exponential vector of the profile k (x) 1_{[s,t]}, as a
+    one-term FockVectorSum over the single interval.
 
     Occupation amplitudes prod_j c_j^{n_j} / sqrt(n_j!) with c = k sqrt(t-s),
     so <E(f), E(g)> = exp((t-s) <k, k'>) up to the tail sum_{p>cap} |.|^p/p!.
@@ -233,7 +218,7 @@ def exponential_vector(k, interval, factor):
             if n:
                 amp *= c[j] ** n / math.sqrt(math.factorial(n))
         vec[i] = amp
-    return FactorizedFockVector(Partition([s, t]), factor, [vec])
+    return FockVectorSum(Partition([s, t]), factor, [(complex(1.0), (vec,))])
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 from .bialg import TERM_BUDGET, LinearFunctional
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
-from .ncpoly import NcPoly, involute, multiply
-from .partition import Partition
+from .ncpoly import DROP_TOL, NcPoly, involute, multiply
+from .partition import TIME_TOL, Partition
 from .subcoalg import conv_exp
 
 FACTOR_EVAL_WARN = 10 ** 5
@@ -51,7 +51,7 @@ class FactorizedVectorSum:
             keys.append(k)
         keys = tuple(keys)
         self.terms[keys] = self.terms.get(keys, 0.0) + coeff
-        if abs(self.terms[keys]) < 1e-15:
+        if abs(self.terms[keys]) <= DROP_TOL:
             del self.terms[keys]
         if len(self.terms) > TERM_BUDGET:
             raise TermBudgetExceeded(f"more than {TERM_BUDGET} factorized terms")
@@ -73,39 +73,14 @@ class FactorizedVectorSum:
         """
         if not gamma.refines(self.partition):
             raise InvalidParameter("target partition does not refine the source")
-        counts = []
-        times = list(self.partition.times)
-        gi = 0
-        for a, b in zip(times, times[1:]):
-            m = 0
-            while gi + 1 < len(gamma.times) and gamma.times[gi + 1] <= b + 1e-12:
-                m += 1
-                gi += 1
-            counts.append(m)
-        if all(m == 1 for m in counts):
-            out = FactorizedVectorSum(gamma)
-            out.terms = dict(self.terms)
-            out.registry = dict(self.registry)
-            return out
+        ptimes = self.partition.times
+        (layout,) = _side_layout(ptimes, (ptimes[0], ptimes[-1]), gamma.times)
+        counts = tuple(m for _si, m in layout)
         out = FactorizedVectorSum(gamma)
         for keys, z in self.terms.items():
-            slot_options = []
-            for k, m in zip(keys, counts):
-                p = self.registry[k]
-                if m == 1:
-                    slot_options.append([((p,), 1.0)])
-                    continue
-                exp = B.iterated_coproduct(p, m)
-                slot_options.append(
-                    [(tuple(NcPoly.word(w) for w in legs), c)
-                     for legs, c in exp.terms.items()])
-            for combo in itertools.product(*slot_options):
-                coeff = z
-                entries = []
-                for legs, c in combo:
-                    coeff *= c
-                    entries.extend(legs)
-                out.add_term(tuple(entries), coeff)
+            polys = tuple(self.registry[k] for k in keys)
+            for legs, c in _expand_slots(B, polys, counts):
+                out.add_term(legs, z * c)
         return out
 
 
@@ -134,7 +109,10 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     """zeta_alpha(b): legs of Delta_n(b) lifted by kappa-tilde into the
     group-like carrier; each group-like factor on an interval is itself
     represented through its (constant) theta expansion over a sub-partition
-    with inner_mesh_factor equal pieces."""
+    with inner_mesh_factor equal pieces.
+
+    A leg w becomes kappa-tilde(w) + counit(w) hat(1), which is hat(w) when
+    w has counit 1; each distinct leg word is lifted once per call."""
     if inner_mesh_factor < 1:
         raise InvalidParameter("inner_mesh_factor must be >= 1")
     G = kappa_tilde.target
@@ -149,23 +127,21 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     times.append(alpha.times[-1])
     gamma = Partition(times)
     out = FactorizedVectorSum(gamma)
-    unit = G.unit_key()
+    lifts = {}    # leg word -> [(group-like polynomial, coefficient)]
     for word_tuple, z in exp.terms.items():
         leg_options = []
         for w in word_tuple:
-            p = NcPoly.word(w)
-            lifted = dict(G.kappa_tilde(p))
-            dw = complex(B.counit(p))
-            if abs(dw) > 1e-15:
-                lifted[unit] = lifted.get(unit, 0.0) + dw
-            leg_options.append([(k, c) for k, c in lifted.items()
-                                if abs(c) > 1e-15])
+            opts = lifts.get(w)
+            if opts is None:
+                lifted = kappa_tilde.map_key(w).add(G.one().scale(B.key_counit(w)))
+                opts = lifts[w] = [(G.poly(k), c) for k, c in lifted.terms.items()]
+            leg_options.append(opts)
         for combo in itertools.product(*leg_options):
             coeff = z
             entries = []
-            for gkey, c in combo:
+            for g, c in combo:
                 coeff *= c
-                entries.extend([G.poly(gkey)] * inner_mesh_factor)
+                entries.extend([g] * inner_mesh_factor)
             out.add_term(tuple(entries), coeff)
     return out
 
@@ -220,16 +196,16 @@ def _expand_slots(B, polys, counts):
     return out
 
 
-def _side_layout(ptimes, common, gamma_times, tol=1e-12):
+def _side_layout(ptimes, common, gamma_times):
     """Per block: list of (slot index, number of gamma sub-intervals)."""
     per_block = [[] for _ in range(len(common) - 1)]
     bi = 0
     gi = 0
     for si, (a, b) in enumerate(zip(ptimes, ptimes[1:])):
-        while bi + 1 < len(common) - 1 and common[bi + 1] <= a + tol:
+        while bi + 1 < len(common) - 1 and common[bi + 1] <= a + TIME_TOL:
             bi += 1
         m = 0
-        while gi + 1 < len(gamma_times) and gamma_times[gi + 1] <= b + tol:
+        while gi + 1 < len(gamma_times) and gamma_times[gi + 1] <= b + TIME_TOL:
             m += 1
             gi += 1
         per_block[bi].append((si, m))
@@ -246,15 +222,14 @@ def gram(u, v, psi, B):
     one-interval vacuum values.  This keeps nested-partition Gram values
     polynomial in the mesh instead of materializing cross products.
     """
-    tol = 1e-12
-    if abs(u.partition.s - v.partition.s) > tol \
-            or abs(u.partition.t - v.partition.t) > tol:
+    if abs(u.partition.s - v.partition.s) > TIME_TOL \
+            or abs(u.partition.t - v.partition.t) > TIME_TOL:
         raise InvalidParameter("expansions cover different intervals")
     if not u.terms or not v.terms:
         return 0.0 + 0.0j
     gamma = u.partition.common_refinement(v.partition)
     common = [t for t in u.partition.times
-              if min(abs(t - w) for w in v.partition.times) <= tol]
+              if min(abs(t - w) for w in v.partition.times) <= TIME_TOL]
     u_blocks = _side_layout(u.partition.times, common, gamma.times)
     v_blocks = _side_layout(v.partition.times, common, gamma.times)
     n_blocks = len(common) - 1
@@ -318,23 +293,11 @@ def gram(u, v, psi, B):
 # limits e_*^{(t-s) psi o kappa} on the source carrier
 # ---------------------------------------------------------------------------
 
-def _source_star_product(source, c, d):
-    if isinstance(source, GroupLikeBialgebra):
-        return source.elem_mul(source.elem_star(c), d)
-    return multiply(involute(c, source.algebra), d, source.algebra)
-
-
 def limit_value(psi, kappa, tau, elem):
-    """e_*^{tau psi o kappa} evaluated on a source element."""
-    source = kappa.source
-    if isinstance(source, GroupLikeBialgebra):
-        total = 0.0 + 0.0j
-        for gkey, c in elem.items():
-            total += c * np.exp(tau * psi(source.poly(gkey)))
-        return complex(total)
+    """e_*^{tau psi o kappa} evaluated on a source element, on any carrier."""
     pk = LinearFunctional(f"psi-kappa[{kappa.name}]",
                           lambda w: psi(kappa.map_key(w)))
-    return conv_exp(pk, tau, elem, source)
+    return conv_exp(pk, tau, elem, kappa.source)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +315,6 @@ class ConvergenceRow:
         self.bound = bound
         self.cauchy_increment = cauchy_increment
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "mesh": self.mesh,
-            "norm_sq": self.norm_sq,
-            "re_cross": self.cross.real,
-            "im_cross": self.cross.imag,
-            "defect": self.defect,
-            "bound": self.bound,
-            "cauchy_increment": self.cauchy_increment,
-        }
-
 
 def convergence_sweep(c, d, kappa, psi, s, t, ns):
     """Sweep the theta products over uniform meshes against their limit.
@@ -374,14 +325,14 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     B = kappa.target
     source = kappa.source
     tau = t - s
-    limit = limit_value(psi, kappa, tau, _source_star_product(source, c, d))
+    limit = limit_value(psi, kappa, tau, source.mul(source.star(c), d))
     rows = []
     prev_u = prev_norm = None
     c_fit = None
     for n in ns:
         alpha = Partition.uniform(s, t, n)
         u = theta_expand(c, kappa, alpha)
-        v = u if _same_elem(c, d) else theta_expand(d, kappa, alpha)
+        v = u if not c.sub(d).terms else theta_expand(d, kappa, alpha)
         norm_sq = gram(u, u, psi, B).real
         cross = gram(u, v, psi, B)
         defect = abs(cross - limit)
@@ -395,14 +346,6 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
                                    bound, inc))
         prev_u, prev_norm = u, norm_sq
     return rows
-
-
-def _same_elem(c, d):
-    if isinstance(c, NcPoly) and isinstance(d, NcPoly):
-        return not c.sub(d).terms
-    if isinstance(c, dict) and isinstance(d, dict):
-        return c == d
-    return False
 
 
 def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import (
+    InvalidParameter,
     LengthMismatch,
     ParseError,
     RewriteBudgetExceeded,
@@ -19,6 +20,7 @@ from .errors import (
 )
 
 DROP_TOL = 1e-14
+CONFLUENCE_TOL = 1e-12   # relative gap allowed between two normal forms of one word
 REWRITE_BUDGET = 10 ** 6
 
 Word = tuple  # tuple of generator indices; () is the unit
@@ -187,6 +189,43 @@ def normal_form(p, alg):
         for rw, rc in rule.rhs.terms.items():
             pending.append((w[:pos] + rw + w[pos + k:], c * rc))
     return NcPoly(out)
+
+
+def critical_pairs(alg):
+    """(word, one rewrite, another) for each overlap or inclusion of two lhs.
+
+    An overlap is a proper suffix of l1 that is a proper prefix of l2 (word
+    l1 + rest of l2); an inclusion is l2 inside another rule's l1 (word l1).
+    """
+    def splice(prefix, p, suffix):
+        return NcPoly({prefix + w + suffix: c for w, c in p.terms.items()})
+
+    for i, r1 in enumerate(alg.rules):
+        l1 = r1.lhs
+        for j, r2 in enumerate(alg.rules):
+            l2 = r2.lhs
+            if i != j:
+                for pos in range(len(l1) - len(l2) + 1):
+                    if l1[pos:pos + len(l2)] == l2:
+                        yield l1, r1.rhs, splice(l1[:pos], r2.rhs, l1[pos + len(l2):])
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k]:
+                    yield l1 + l2[k:], splice((), r1.rhs, l2[k:]), splice(l1[:-k], r2.rhs, ())
+
+
+def check_confluent(alg):
+    """Raise InvalidParameter unless each critical pair has one normal form.
+
+    Terminating rules that pass are confluent (Newman's lemma), so their
+    normal words form a basis (Bergman's diamond lemma).
+    """
+    for w, a, b in critical_pairs(alg):
+        na, nb = normal_form(a, alg), normal_form(b, alg)
+        if na.sub(nb).norm1() > CONFLUENCE_TOL * max(1.0, na.norm1(), nb.norm1()):
+            word = " ".join(alg.alphabet[g].name for g in w)
+            raise InvalidParameter(
+                f"rewriting system {alg.name!r} is not confluent: {word!r} has "
+                f"normal forms {na.pretty(alg)} and {nb.pretty(alg)}")
 
 
 def multiply(p, q, alg):

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import InvalidParameter
 
+TIME_TOL = 1e-12   # two partition times closer than this are the same point
+
 
 class Partition:
     """Strictly increasing times t0 < ... < tn with endpoints (s, t)."""
@@ -39,16 +41,16 @@ class Partition:
     def mesh(self):
         return max(self.steps())
 
-    def refines(self, other, tol=1e-12):
-        """True if self contains all points of other (up to tol)."""
+    def refines(self, other):
+        """True if self contains all points of other (up to TIME_TOL)."""
         mine = self.times
-        return all(min(abs(u - v) for v in mine) <= tol for u in other.times)
+        return all(min(abs(u - v) for v in mine) <= TIME_TOL for u in other.times)
 
-    def common_refinement(self, other, tol=1e-12):
+    def common_refinement(self, other):
         pts = sorted(set(self.times) | set(other.times))
         merged = [pts[0]]
         for u in pts[1:]:
-            if u - merged[-1] > tol:
+            if u - merged[-1] > TIME_TOL:
                 merged.append(u)
         return Partition(merged)
 

@@ -5,15 +5,17 @@ Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
 matrix T(psi) = (id (x) psi) o Delta.
 
-The subcoalgebra of p is spanned by normal-form words: the words of p,
-closed under taking either leg of coproduct_word.  This relies on the
-algebra's rewriting system being confluent, so that its normal words form a
-basis (Bergman's diamond lemma); the legs of coproduct_word(w) are then basis
+The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
+p, closed under taking either leg of key_delta, sorted by key_order.  On a
+BialgebraSpec the keys are normal-form words; this relies on the algebra's
+rewriting system being confluent, so that its normal words form a basis
+(Bergman's diamond lemma); the legs of key_delta(w) are then basis
 coordinates and the structure constants are read off exactly, with no linear
-solve.  The module also ships the checkers for the two
-infinitesimal-product error bounds used in the convergence experiments: a
-Banach-algebra version on matrices and the coalgebra version phrased through
-functionals.
+solve.  On a group-like carrier every key is group-like, so the span of p's
+keys is closed already and T(psi) is diagonal.  The module also ships the
+checkers for the two infinitesimal-product error bounds used in the
+convergence experiments: a Banach-algebra version on matrices and the
+coalgebra version phrased through functionals.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ SERIES_MAX_TERMS = 64
 # ---------------------------------------------------------------------------
 
 class Subcoalgebra:
-    """Span of a Delta-closed set of normal words, with exact structure constants.
+    """Span of a Delta-closed set of basis keys, with exact structure constants.
 
-    basis[i] is the NcPoly of the i-th word in deg-lex order.  The sparse
+    basis[i] is the NcPoly of the i-th key in key_order.  The sparse
     structure constants (j, u, v, c) list
-    Delta(basis[j]) = sum c basis[u] (x) basis[v], read from coproduct_word;
-    they are exact because normal words are a basis of a confluent algebra.
+    Delta(basis[j]) = sum c basis[u] (x) basis[v], read from key_delta;
+    they are exact because the keys are a basis of the carrier.
     """
 
     def __init__(self, B, words):
@@ -48,7 +50,7 @@ class Subcoalgebra:
         self._index = {w: i for i, w in enumerate(words)}
         j, u, v, c = [], [], [], []
         for i, w in enumerate(words):
-            for (a, b), z in B.coproduct_word(w).terms.items():
+            for (a, b), z in B.key_delta(w).items():
                 j.append(i)
                 u.append(self._index[a])
                 v.append(self._index[b])
@@ -78,15 +80,15 @@ class Subcoalgebra:
             key = (self._words[u], self._words[v])
             rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
         worst = 0.0
-        for got, b in zip(rebuilt, self.basis):
-            for key, c in self.B.coproduct(b).terms.items():
+        for got, w in zip(rebuilt, self._words):
+            for key, c in self.B.key_delta(w).items():
                 got[key] = got.get(key, 0.0) - c
             worst = max(worst, max((abs(c) for c in got.values()), default=0.0))
         return worst
 
 
 def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
-    """Span of p's words closed under taking legs of coproduct_word."""
+    """Span of p's keys closed under taking legs of key_delta."""
     if dim_cap < 1:
         raise InvalidParameter("dim_cap must be >= 1")
     words = set()
@@ -98,10 +100,11 @@ def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
         words.add(w)
         if len(words) > dim_cap:
             raise DimCapExceeded(
-                f"subcoalgebra of {p.pretty(B.algebra)} exceeds cap {dim_cap} words")
-        for legs in B.coproduct_word(w).terms:
+                f"subcoalgebra of a {len(p.terms)}-term element exceeds cap "
+                f"{dim_cap} words")
+        for legs in B.key_delta(w):
             pending.extend(legs)
-    return Subcoalgebra(B, sorted(words, key=B.algebra._deglex_key))
+    return Subcoalgebra(B, sorted(words, key=B.key_order))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def _cached_sub(p, B, dim_cap):
         sub = B._subs[key] = subcoalgebra_of(p, B, dim_cap)
     elif sub.dim() > dim_cap:
         raise DimCapExceeded(
-            f"subcoalgebra of {p.pretty(B.algebra)} has {sub.dim()} words, "
+            f"subcoalgebra of a {len(p.terms)}-term element has {sub.dim()} words, "
             f"above cap {dim_cap}")
     return sub
 

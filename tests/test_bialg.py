@@ -12,6 +12,7 @@ from qlevy.bialg import (
     counit_functional,
 )
 from qlevy.constructions import make_azema, make_unitary_bialgebra
+from qlevy.errors import InvalidParameter
 from qlevy.ncpoly import NcPoly, random_poly
 
 X, XS, Y = 0, 1, 2
@@ -138,6 +139,36 @@ def test_json_roundtrip(azema2):
         p = random_poly(B.algebra, rng, 4)
         assert B2.coproduct(p).sub(B.coproduct(p)).max_abs() < 1e-14
         assert abs(B2.counit(p) - B.counit(p)) < 1e-14
+
+
+@pytest.mark.parametrize("build, n_pairs", [
+    (lambda: make_azema(2.0)[0], 0),
+    (lambda: make_unitary_bialgebra(1), 2),
+    (lambda: make_unitary_bialgebra(2), 8),
+    (lambda: make_unitary_bialgebra(3), 18),
+], ids=["azema", "unitary1", "unitary2", "unitary3"])
+def test_shipped_specs_confluent_through_json(build, n_pairs):
+    from qlevy.ncpoly import critical_pairs
+    B = build()
+    assert len(list(critical_pairs(B.algebra))) == n_pairs
+    B2 = bialgebra_from_json(bialgebra_to_json(B))
+    assert [r.lhs for r in B2.algebra.rules] == [r.lhs for r in B.algebra.rules]
+
+
+def test_non_confluent_spec_rejected():
+    # ab -> c and bc -> a overlap on abc, which rewrites to cc and to aa
+    names = ["a", "b", "c"]
+    doc = {
+        "name": "overlap",
+        "alphabet": [{"name": n, "adjoint": n} for n in names],
+        "rules": [{"lhs": list(lhs), "rhs": [{"word": [rhs], "coeff": [1.0, 0.0]}]}
+                  for lhs, rhs in (("ab", "c"), ("bc", "a"))],
+        "delta_on_gen": {n: [{"left": [n], "right": [n], "coeff": [1.0, 0.0]}]
+                         for n in names},
+        "counit_on_gen": {n: [1.0, 0.0] for n in names},
+    }
+    with pytest.raises(InvalidParameter, match="'a b c'"):
+        bialgebra_from_json(doc)
 
 
 def test_hermitian_spotcheck(azema2):

@@ -159,6 +159,34 @@ def test_grouplike_star(azema2):
     assert G.poly(k2).terms == {(XS,): 1.0, (): 1.0}
 
 
+@pytest.fixture(scope="module", params=["azema", "grouplike"])
+def carrier(request, azema2):
+    B = azema2[0]
+    return B if request.param == "azema" else make_grouplike(B, 4)[0]
+
+
+def test_carrier_counit_of_one(carrier):
+    assert carrier.counit(carrier.one()) == 1.0
+
+
+def test_carrier_counit_multiplicative(carrier):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        a, b = carrier.random_element(rng, 2), carrier.random_element(rng, 2)
+        want = carrier.counit(a) * carrier.counit(b)
+        assert abs(carrier.counit(carrier.mul(a, b)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_carrier_star_is_an_involution(carrier):
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        a = carrier.random_element(rng, 3)
+        assert a.terms
+        assert not carrier.star(carrier.star(a)).sub(a).terms
+        want = np.conj(carrier.counit(a))
+        assert abs(carrier.counit(carrier.star(a)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_broken_morphism_detected(azema2):
     B = azema2[0]
     T, _kappa = make_primitive_tensor(B, 1)

@@ -98,7 +98,8 @@ def test_noise_op_dimension_checks():
 def test_exponential_vector_zero_is_vacuum():
     f = FockFactor(1, 6)
     e = exponential_vector([0.0], (0.0, 1.0), f)
-    assert np.abs(e.vectors[0] - f.vacuum()).max() == 0.0
+    (_coeff, (vec,)), = e.terms
+    assert np.abs(vec - f.vacuum()).max() == 0.0
 
 
 def test_exponential_vector_unit_case():

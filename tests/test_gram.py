@@ -41,6 +41,20 @@ def test_theta_grouplike_single_term(chain):
     assert all(u.registry[k].terms == {(Y,): 1.0} for k in keys)
 
 
+def test_limit_value_grouplike_closed_form(chain):
+    # every key of G is group-like, so e_*^{tau psi o kappa} is diagonal:
+    # sum c hat(g)  ->  sum c exp(tau psi(kappa(hat(g))))
+    B, psi, G, kappa, _kt = chain
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        elem = G.random_element(rng, 3)
+        for tau in (0.3, 1.0, 2.5):
+            want = sum(c * np.exp(tau * psi(kappa.map_key(k)))
+                       for k, c in elem.terms.items())
+            got = limit_value(psi, kappa, tau, elem)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_theta_primitive_letter(azema2):
     B, prim, _psi = azema2
     u = theta_expand(NcPoly.word((X,)), identity_morphism(prim),
