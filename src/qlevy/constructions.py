@@ -34,6 +34,9 @@ from .ncpoly import (
     involute,
 )
 
+COORD_CUT = 1e-13     # kernel-letter coordinates at or below this are dropped
+COUNIT_TOL = 1e-10    # largest |counit - 1| of a group-like key
+
 
 # ---------------------------------------------------------------------------
 # Azema
@@ -301,8 +304,8 @@ def make_induced_tensor(B, degree_cap):
                 continue
             ca = letter_coords(NcPoly({a: 1.0, (): -B.key_counit(a)}))
             cb = letter_coords(NcPoly({b: 1.0, (): -B.key_counit(b)}))
-            for j in np.nonzero(np.abs(ca) > 1e-13)[0]:
-                for k in np.nonzero(np.abs(cb) > 1e-13)[0]:
+            for j in np.nonzero(np.abs(ca) > COORD_CUT)[0]:
+                for k in np.nonzero(np.abs(cb) > COORD_CUT)[0]:
                     kk = ((int(j),), (int(k),))
                     terms[kk] = terms.get(kk, 0.0) + z * ca[j] * cb[k]
         delta[i] = TensorPoly(terms)
@@ -338,7 +341,7 @@ class GroupLikeBialgebra:
 
     def register(self, p):
         """Intern a counit-one polynomial and return its key."""
-        if abs(self.base.counit(p) - 1.0) > 1e-10:
+        if abs(self.base.counit(p) - 1.0) > COUNIT_TOL:
             raise InvalidParameter("group-like keys must have counit 1")
         if p.degree() > self.degree_cap:
             raise DegreeCapExceeded(

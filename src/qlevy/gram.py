@@ -9,7 +9,14 @@ partitions -- to products of one-interval vacuum values
     <j_{u,v}(a) Omega, j_{u,v}(b) Omega> = e_*^{(v-u) psi}(a* b),
 
 each computed by conv_exp.  This makes the engine exact up to
-matrix-exponential precision and immune to Fock truncation error.
+matrix-exponential precision and immune to Fock truncation error.  Where
+one side holds a single entry a between two common points, the sum of these
+values over the Sweedler legs of a is a convolution of functionals, taken as
+a product of transfer matrices on the subcoalgebra of a in O(m dim^2) for m
+sub-intervals (see gram).  Every reverse check, and every sweep whose
+successive n divide each other, gives only such blocks and one-interval
+ones; other ns lists give crossing blocks, which keep the term-by-term
+expansion.
 Convergence sweeps realize the transformation theorem numerically: the
 theta_alpha products of a transported process, the zeta_alpha products of
 the reverse transformation, defects against the limiting convolution
@@ -27,10 +34,11 @@ from .bialg import TERM_BUDGET, LinearFunctional
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import DROP_TOL, NcPoly, involute, multiply
-from .partition import TIME_TOL, Partition
-from .subcoalg import conv_exp
+from .partition import TIME_TOL, Partition, common_points
+from .subcoalg import DIM_CAP, _cached_sub, _transfer, conv_exp
 
 FACTOR_EVAL_WARN = 10 ** 5
+DEFECT_FLOOR = 1e-13   # a sweep defect at or below this fits no rate constant
 
 
 class FactorizedVectorSum:
@@ -44,12 +52,15 @@ class FactorizedVectorSum:
     def add_term(self, polys, coeff):
         if len(polys) != self.partition.n_intervals():
             raise InvalidParameter("one entry per subinterval required")
-        keys = []
-        for p in polys:
-            k = p.key()
-            self.registry.setdefault(k, p)
-            keys.append(k)
-        keys = tuple(keys)
+        self._add(tuple(self._register(p) for p in polys), coeff)
+
+    def _register(self, p):
+        k = p.key()
+        self.registry.setdefault(k, p)
+        return k
+
+    def _add(self, keys, coeff):
+        """add_term for entries already in the registry, given by key."""
         self.terms[keys] = self.terms.get(keys, 0.0) + coeff
         if abs(self.terms[keys]) <= DROP_TOL:
             del self.terms[keys]
@@ -95,13 +106,21 @@ def identity_morphism(B):
 
 def theta_expand(c, kappa, alpha):
     """theta_alpha(c): Sweedler-expand the n-fold coproduct of c in the
-    source carrier and push every leg through kappa into B."""
+    source carrier and push every leg through kappa into B; each distinct
+    leg is mapped once per call."""
     source = kappa.source
     n = alpha.n_intervals()
     exp = source.iterated_coproduct(c, n)
     out = FactorizedVectorSum(alpha)
+    images = {}   # source key -> entry key of its image
     for key_tuple, z in exp.terms.items():
-        out.add_term(tuple(kappa.map_key(k) for k in key_tuple), z)
+        entries = []
+        for k in key_tuple:
+            e = images.get(k)
+            if e is None:
+                e = images[k] = out._register(kappa.map_key(k))
+            entries.append(e)
+        out._add(tuple(entries), z)
     return out
 
 
@@ -127,22 +146,23 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     times.append(alpha.times[-1])
     gamma = Partition(times)
     out = FactorizedVectorSum(gamma)
-    lifts = {}    # leg word -> [(group-like polynomial, coefficient)]
+    lifts = {}    # leg word -> [(entry key of a group-like polynomial, coefficient)]
     for word_tuple, z in exp.terms.items():
         leg_options = []
         for w in word_tuple:
             opts = lifts.get(w)
             if opts is None:
                 lifted = kappa_tilde.map_key(w).add(G.one().scale(B.key_counit(w)))
-                opts = lifts[w] = [(G.poly(k), c) for k, c in lifted.terms.items()]
+                opts = lifts[w] = [(out._register(G.poly(k)), c)
+                                   for k, c in lifted.terms.items()]
             leg_options.append(opts)
         for combo in itertools.product(*leg_options):
             coeff = z
             entries = []
-            for g, c in combo:
+            for k, c in combo:
                 coeff *= c
-                entries.extend([g] * inner_mesh_factor)
-            out.add_term(tuple(entries), coeff)
+                entries.extend([k] * inner_mesh_factor)
+            out._add(tuple(entries), coeff)
     return out
 
 
@@ -215,12 +235,20 @@ def _side_layout(ptimes, common, gamma_times):
 def gram(u, v, psi, B):
     """<u, v> with the left argument conjugate-starred entrywise.
 
-    The value factorizes over the blocks between partition points common
-    to both sides; within each block the coarser entries are re-expanded
-    over the common refinement by iterated coproducts (legitimate because
-    j_{r,s} * j_{s,t} = j_{r,t}), and the block sum is a cached pairing of
-    one-interval vacuum values.  This keeps nested-partition Gram values
-    polynomial in the mesh instead of materializing cross products.
+    The value factorizes over the blocks between partition points common to
+    both sides (legitimate because j_{r,s} * j_{s,t} = j_{r,t}), and each
+    block value is one of three kinds, fixed by the block layout alone:
+    - one sub-interval: the one-interval value e_*^{dt psi}(a* b);
+    - a single coarse entry a on one side over m > 1 entries b_r of the
+      other, one per sub-interval: delta T(g_1) ... T(g_m) coords(a) on the subcoalgebra of a,
+      with g_r(e) = e_*^{dt_r psi}(b_r* e) when a is on the right; on the
+      left, the conjugate of that with g_r(e) = conj e_*^{dt_r psi}(e* b_r).
+      Each table T(g_r) is built once per call for its (dt, entry), so one
+      table serves every term and block of a uniform mesh;
+    - any other block, such as a crossing one with two or more entries on
+      both sides (a sweep whose successive n do not divide): both sides are
+      re-expanded over the common refinement by iterated coproducts and the
+      one-interval values are paired term by term.
     """
     if abs(u.partition.s - v.partition.s) > TIME_TOL \
             or abs(u.partition.t - v.partition.t) > TIME_TOL:
@@ -228,8 +256,7 @@ def gram(u, v, psi, B):
     if not u.terms or not v.terms:
         return 0.0 + 0.0j
     gamma = u.partition.common_refinement(v.partition)
-    common = [t for t in u.partition.times
-              if min(abs(t - w) for w in v.partition.times) <= TIME_TOL]
+    common = common_points(u.partition.times, v.partition.times)
     u_blocks = _side_layout(u.partition.times, common, gamma.times)
     v_blocks = _side_layout(v.partition.times, common, gamma.times)
     n_blocks = len(common) - 1
@@ -242,11 +269,34 @@ def gram(u, v, psi, B):
         block_dts.append(tuple(steps[gi:gi + m]))
         gi += m
 
-    def block_value(bi, u_polys, v_polys):
-        dts = block_dts[bi]
+    tables = {}   # (subcoalgebra, dt, fine entry key, coarse on the left) -> T(g)
+
+    def table(sub, dt, kb, b, left):
+        key = (sub, dt, kb, left)
+        m = tables.get(key)
+        if m is None:
+            if left:
+                # g(e) = conj e_*^{dt psi}(e* b), linear in e
+                def g(e):
+                    return np.conj(_factor_value(psi, B, dt, e.key(), kb, e, b))
+            else:
+                def g(e):
+                    return _factor_value(psi, B, dt, kb, e.key(), b, e)
+            m = tables[key] = _transfer(g, sub)
+        return m
+
+    def transfer_value(dts, a, fine, left):
+        sub = _cached_sub(a, B, DIM_CAP)
+        x = sub.coords(a)
+        for dt, (kb, b) in zip(reversed(dts), reversed(fine)):
+            x = table(sub, dt, kb, b, left) @ x
+        val = complex(sub.counit_vector @ x)
+        return val.conjugate() if left else val
+
+    def crossing_value(dts, u_polys, v_polys, u_counts, v_counts):
         total = 0.0 + 0.0j
-        u_opts = _expand_slots(B, u_polys, tuple(m for _s, m in u_blocks[bi]))
-        v_opts = _expand_slots(B, v_polys, tuple(m for _s, m in v_blocks[bi]))
+        u_opts = _expand_slots(B, u_polys, u_counts)
+        v_opts = _expand_slots(B, v_polys, v_counts)
         for ulegs, cu in u_opts:
             for vlegs, cv in v_opts:
                 prod = np.conj(cu) * cv
@@ -257,32 +307,54 @@ def gram(u, v, psi, B):
                 total += prod
         return total
 
+    # per block: the route, fixed by the sub-interval counts of the slots;
+    # the transfer route needs one fine entry per sub-interval
+    routes = []
+    for bi in range(n_blocks):
+        fine = (1,) * len(block_dts[bi])
+        uc = tuple(m for _s, m in u_blocks[bi])
+        vc = tuple(m for _s, m in v_blocks[bi])
+        if uc == vc == (1,):
+            routes.append("one")
+        elif uc == fine and vc == (len(fine),):
+            routes.append("right")
+        elif vc == fine and uc == (len(fine),):
+            routes.append("left")
+        else:
+            routes.append((uc, vc))
+
+    def block_value(bi, ak, bk):
+        dts, route = block_dts[bi], routes[bi]
+        if route == "one":
+            (ka,), (kb,) = ak, bk
+            return _factor_value(psi, B, dts[0], ka, kb, u.registry[ka], v.registry[kb])
+        if route == "right":
+            return transfer_value(dts, v.registry[bk[0]],
+                                  [(k, u.registry[k]) for k in ak], False)
+        if route == "left":
+            return transfer_value(dts, u.registry[ak[0]],
+                                  [(k, v.registry[k]) for k in bk], True)
+        return crossing_value(dts, tuple(u.registry[k] for k in ak),
+                              tuple(v.registry[k] for k in bk), *route)
+
     u_terms = list(u.terms.items())
     v_terms = list(v.terms.items())
     uz = np.array([z for _k, z in u_terms])
     vz = np.array([z for _k, z in v_terms])
 
     # per block: distinct slot-entry runs per side, and the value matrix
-    cache = {}
     u_sub = [[tuple(keys[si] for si, _m in u_blocks[bi]) for bi in range(n_blocks)]
              for keys, _z in u_terms]
     v_sub = [[tuple(keys[si] for si, _m in v_blocks[bi]) for bi in range(n_blocks)]
              for keys, _z in v_terms]
     pair = np.ones((len(u_terms), len(v_terms)), dtype=complex)
     for bi in range(n_blocks):
-        u_distinct = sorted({s[bi] for s in u_sub})
-        v_distinct = sorted({s[bi] for s in v_sub})
-        ui = {k: i for i, k in enumerate(u_distinct)}
-        vi = {k: i for i, k in enumerate(v_distinct)}
-        fm = np.empty((len(u_distinct), len(v_distinct)), dtype=complex)
-        for ak in u_distinct:
-            for bk in v_distinct:
-                ck = (bi, ak, bk)
-                if ck not in cache:
-                    cache[ck] = block_value(
-                        bi, tuple(u.registry[k] for k in ak),
-                        tuple(v.registry[k] for k in bk))
-                fm[ui[ak], vi[bk]] = cache[ck]
+        ui = {k: i for i, k in enumerate(dict.fromkeys(s[bi] for s in u_sub))}
+        vi = {k: i for i, k in enumerate(dict.fromkeys(s[bi] for s in v_sub))}
+        fm = np.empty((len(ui), len(vi)), dtype=complex)
+        for ak, i in ui.items():
+            for bk, j in vi.items():
+                fm[i, j] = block_value(bi, ak, bk)
         uidx = np.array([ui[s[bi]] for s in u_sub])
         vidx = np.array([vi[s[bi]] for s in v_sub])
         pair *= fm[uidx[:, None], vidx[None, :]]
@@ -336,7 +408,7 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
         norm_sq = gram(u, u, psi, B).real
         cross = gram(u, v, psi, B)
         defect = abs(cross - limit)
-        if c_fit is None and defect > 1e-13:
+        if c_fit is None and defect > DEFECT_FLOOR:
             c_fit = defect * n / tau
         bound = (alpha.mesh() * tau * c_fit) if c_fit is not None else 0.0
         inc = None

@@ -20,6 +20,8 @@ coalgebra version phrased through functionals.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.linalg
 
@@ -41,10 +43,13 @@ class Subcoalgebra:
     structure constants (j, u, v, c) list
     Delta(basis[j]) = sum c basis[u] (x) basis[v], read from key_delta;
     they are exact because the keys are a basis of the carrier.
+
+    The carrier holds its subcoalgebras, so a subcoalgebra keeps no
+    reference to it, and its transfer matrices are dropped with their
+    functionals: neither may keep the carrier alive.
     """
 
     def __init__(self, B, words):
-        self.B = B
         self.basis = [NcPoly.word(w) for w in words]
         self._words = words
         self._index = {w: i for i, w in enumerate(words)}
@@ -58,7 +63,7 @@ class Subcoalgebra:
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
-        self._transfers = {}    # functional -> transfer matrix
+        self._transfers = weakref.WeakKeyDictionary()   # functional -> matrix
 
     def dim(self):
         return len(self.basis)
@@ -73,15 +78,16 @@ class Subcoalgebra:
             x[i] = c
         return x
 
-    def check(self):
-        """Residual of the structure constants against the coproduct."""
+    def check(self, B):
+        """Residual of the structure constants against the coproduct of
+        the carrier B."""
         rebuilt = [{} for _ in self.basis]
         for j, u, v, c in zip(*self.constants):
             key = (self._words[u], self._words[v])
             rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
         worst = 0.0
         for got, w in zip(rebuilt, self._words):
-            for key, c in self.B.key_delta(w).items():
+            for key, c in B.key_delta(w).items():
                 got[key] = got.get(key, 0.0) - c
             worst = max(worst, max((abs(c) for c in got.values()), default=0.0))
         return worst

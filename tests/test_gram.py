@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlevy.bialg import LinearFunctional
 from qlevy.constructions import make_azema, make_grouplike, make_primitive_tensor
 from qlevy.gram import (
     FactorizedVectorSum,
@@ -13,7 +14,7 @@ from qlevy.gram import (
     zeta_expand,
 )
 from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
-from qlevy.partition import Partition
+from qlevy.partition import TIME_TOL, Partition, common_points
 from qlevy.subcoalg import conv_exp
 
 X, XS, Y = 0, 1, 2
@@ -126,6 +127,18 @@ def test_refinement_invariance(azema2):
         cuts = np.sort(rng.uniform(0.01, 0.99, size=4))
         gamma = Partition([0.0, *cuts, 1.0]).common_refinement(u.partition)
         assert abs(gram(u.refine(gamma, B), v, psi, B) - base) < 1e-12
+
+
+def test_gram_entries_differing_only_by_coefficient(azema2):
+    # entry keys of one slot may share their words; gram must not order them
+    B, _, psi = azema2
+    u = FactorizedVectorSum(Partition([0.0, 1.0]))
+    u.add_term((NcPoly.word((XS,), 2.0),), 1.0)
+    u.add_term((NcPoly.word((XS,), 3.0),), 1.0)
+    v = FactorizedVectorSum.singleton(NcPoly.word((XS,)), 0.0, 1.0)
+    want = 5.0 * conv_exp(psi, 1.0, NcPoly.word((X, XS)), B)
+    assert abs(want) > 0.1
+    assert abs(gram(u, v, psi, B) - want) < 1e-12
 
 
 def test_hermitian_symmetry_and_positivity(azema2):
@@ -247,3 +260,178 @@ def test_bialgebra_memo_tables_are_freed_with_it():
     refs = run()
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _count_transfers(monkeypatch):
+    import qlevy.gram
+
+    calls = []
+    original = qlevy.gram._transfer
+
+    def counting(f, sub):
+        calls.append(sub.dim())
+        return original(f, sub)
+
+    monkeypatch.setattr(qlevy.gram, "_transfer", counting)
+    return calls
+
+
+def test_transfer_route_matches_fine_blocks_and_conv_exp(azema2, monkeypatch):
+    # a coarse side over a nested fine side: gram takes the transfer route;
+    # refining the coarse side too leaves one-interval blocks only
+    B, _, psi_azema = azema2
+    alg = B.algebra
+    # psi_azema sees no y-letters, under which its transfer tables commute;
+    # psi_skew tells every factor order apart
+    psi_skew = LinearFunctional(
+        "psi-skew", lambda w: (1.0 - 0.4 * w.count(X) + 0.5j * w.count(Y)) / len(w)
+        if w else 0.0)
+    transfers = _count_transfers(monkeypatch)
+    rng = np.random.default_rng(45)
+    for trial in range(30):
+        psi = (psi_azema, psi_skew)[trial % 2]
+        b = random_poly(alg, rng, 2, n_terms=3)
+        c = random_poly(alg, rng, 2, n_terms=3)
+        n = int(rng.integers(2, 7))
+        gamma = Partition([0.0, *np.sort(rng.uniform(0.05, 0.95, size=n - 1)), 1.0])
+        keep = [t for t in gamma.times[1:-1] if rng.uniform() < 0.4]
+        alpha = Partition([0.0, *keep, 1.0])
+        if alpha.n_intervals() == n:
+            alpha = Partition([0.0, 1.0])
+        fine = FactorizedVectorSum.singleton(b, 0.0, 1.0).refine(gamma, B)
+        coarse = FactorizedVectorSum.singleton(c, 0.0, 1.0).refine(alpha, B)
+        for left, right, got in ((b, c, gram(fine, coarse, psi, B)),
+                                 (c, b, gram(coarse, fine, psi, B))):
+            want = conv_exp(psi, 1.0, multiply(involute(left, alg), right, alg), B)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        # a term with independent entries per sub-interval: the order of the
+        # factors matters, since the coproduct is not cocommutative
+        fine.add_term(tuple(random_poly(alg, rng, 2, n_terms=2) for _ in range(n)),
+                      complex(rng.normal(), rng.normal()))
+        coarse_fine = coarse.refine(gamma, B)
+        for got, oracle in (
+                (gram(fine, coarse, psi, B), gram(fine, coarse_fine, psi, B)),
+                (gram(coarse, fine, psi, B), gram(coarse_fine, fine, psi, B)),
+        ):
+            assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert transfers
+
+
+def test_transfer_route_near_coincident_points(azema2, monkeypatch):
+    # common points equal within TIME_TOL but not bit for bit: every block
+    # value must still match the fully refined pairing
+    B, _, psi = azema2
+    alg = B.algebra
+    transfers = _count_transfers(monkeypatch)
+    rng = np.random.default_rng(47)
+    cases = [([0.0, 0.25, 0.3, 1.0], [0.0, 0.1 + 0.2, 1.0]),
+             ([0.0, 0.25, 0.1 + 0.2, 1.0], [0.0, 0.3, 1.0])]
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        times = [0.0, *np.sort(rng.choice(np.linspace(0.05, 0.95, 19), n - 1,
+                                          replace=False)), 1.0]
+        keep = sorted(rng.choice(range(1, n), size=int(rng.integers(0, n - 1)),
+                                 replace=False))
+        shifted = [times[i] + rng.uniform(-0.4, 0.4) * TIME_TOL for i in keep]
+        cases.append((times, [0.0, *shifted, 1.0]))
+    for fine_times, coarse_times in cases:
+        b = random_poly(alg, rng, 2, n_terms=3)
+        c = random_poly(alg, rng, 2, n_terms=3)
+        fine = FactorizedVectorSum.singleton(b, 0.0, 1.0).refine(Partition(fine_times), B)
+        fine.add_term(tuple(random_poly(alg, rng, 2, n_terms=2)
+                            for _ in range(len(fine_times) - 1)),
+                      complex(rng.normal(), rng.normal()))
+        coarse = FactorizedVectorSum.singleton(c, 0.0, 1.0).refine(Partition(coarse_times), B)
+        gamma = fine.partition.common_refinement(coarse.partition)
+        fine_r, coarse_r = fine.refine(gamma, B), coarse.refine(gamma, B)
+        for got, oracle in (
+                (gram(fine, coarse, psi, B), gram(fine_r, coarse_r, psi, B)),
+                (gram(coarse, fine, psi, B), gram(coarse_r, fine_r, psi, B)),
+        ):
+            assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert transfers
+
+
+def _brute_gram_singleton(u, d, psi, B):
+    """<u, j_{s,t}(d) Omega> as a plain sum over the terms of u and the
+    Sweedler legs of d, each factor one conv_exp."""
+    alg = B.algebra
+    steps = u.partition.steps()
+    legs = B.iterated_coproduct(d, len(steps)).terms
+    factors = {}
+
+    def factor(dt, k, w):
+        if (dt, k, w) not in factors:
+            a = u.registry[k]
+            factors[dt, k, w] = conv_exp(
+                psi, dt, multiply(involute(a, alg), NcPoly.word(w), alg), B)
+        return factors[dt, k, w]
+
+    total = 0.0 + 0.0j
+    for keys, z in u.terms.items():
+        for ws, c in legs.items():
+            prod = np.conj(z) * c
+            for dt, k, w in zip(steps, keys, ws):
+                prod *= factor(dt, k, w)
+            total += prod
+    return total
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_transfer_route_grouplike_zeta(chain, monkeypatch, n):
+    B, psi, G, _kappa, kappa_tilde = chain
+    transfers = _count_transfers(monkeypatch)
+    x = NcPoly.word((X,))
+    d = NcPoly({(X,): 0.7j, (XS,): 0.5 - 0.25j, (XS, Y): 1.0, (): 0.3})
+    for b in (x, NcPoly.word((XS,))):
+        u = zeta_expand(b, kappa_tilde, Partition.uniform(0.0, 1.0, n))
+        for e in (x, d):
+            v = FactorizedVectorSum.singleton(e, 0.0, 1.0)
+            want = _brute_gram_singleton(u, e, psi, B)
+            tol = 1e-12 * max(1.0, abs(want))
+            assert abs(gram(u, v, psi, B) - want) <= tol
+            assert abs(gram(v, u, psi, B) - np.conj(want)) <= tol
+    assert transfers
+
+
+def test_common_points_match_the_quadratic_scan():
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        a = np.sort(rng.choice(np.linspace(0.0, 1.0, 13), size=6, replace=False))
+        b = np.sort(rng.choice(np.linspace(0.0, 1.0, 13), size=5, replace=False))
+        # shift some points of b by just under or just over the tolerance
+        b = b + rng.choice([0.0, 0.5, 2.0, -0.5, -2.0], size=b.size) * TIME_TOL
+        b = np.sort(b)
+        if np.any(np.diff(b) <= 0):
+            continue
+        want = [t for t in a if min(abs(t - w) for w in b) <= TIME_TOL]
+        assert common_points(tuple(a), tuple(b)) == want
+        pa, pb = Partition(a), Partition(b)
+        assert pa.refines(pb) == all(
+            min(abs(u - w) for w in pa.times) <= TIME_TOL for u in pb.times)
+
+
+def test_bialgebras_freed_without_the_cycle_collector():
+    # no reference cycle keeps a carrier alive once a sweep returns: the
+    # carrier owns its subcoalgebras, which refer back to it weakly
+    import gc
+    import weakref
+
+    def run():
+        B, _prim, psi = make_azema(2.0)
+        x = NcPoly.word((X,))
+        G, kappa, kappa_tilde = make_grouplike(B, 6)
+        reverse_check(x, x, kappa_tilde, psi, 0.0, 1.0, [2, 4])
+        convergence_sweep(x, x, identity_morphism(B), psi, 0.0, 1.0, [2, 4])
+        c = kappa_tilde.apply(NcPoly.word((XS,)))
+        convergence_sweep(c, c, kappa, psi, 0.0, 1.0, [2, 4])
+        return weakref.ref(B), weakref.ref(G)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = run()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

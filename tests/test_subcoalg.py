@@ -38,7 +38,7 @@ def test_sub_of_x(azema2):
     sub = subcoalgebra_of(NcPoly.word((X,)), B)
     assert sub.dim() == 3
     assert span_words(sub) == {(), (X,), (Y,)}
-    assert sub.check() < 1e-10
+    assert sub.check(B) < 1e-10
 
 
 def test_sub_of_grouplike(azema2):
@@ -53,7 +53,7 @@ def test_sub_of_xxstar(azema2):
     assert sub.dim() == 8
     assert span_words(sub) == {
         (), (X,), (XS,), (Y,), (Y, Y), (X, Y), (XS, Y), (X, XS)}
-    assert sub.check() < 1e-10
+    assert sub.check(B) < 1e-10
 
 
 def test_dim_cap(azema2):
