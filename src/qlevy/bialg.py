@@ -4,8 +4,8 @@ A BialgebraSpec stores the coproduct and counit on generators only; both are
 extended to arbitrary polynomials as *-algebra homomorphisms.  Iterated
 coproducts use the recursion D_n = (D_{n-1} (x) id) o D and are memoized per
 normal-form word.  Every memo table derived from a BialgebraSpec (coproducts,
-Sweedler expansions, subcoalgebras, Gram factors, slot expansions) is held by
-the spec itself and freed with it.
+Sweedler expansions, subcoalgebras, Gram factors) is held by the spec itself
+and freed with it.
 
 A BialgebraSpec is one of the two carriers a Morphism maps between (the other
 is constructions.GroupLikeBialgebra).  Both answer one protocol: elements are
@@ -122,7 +122,6 @@ class BialgebraSpec:
         self._sweedler = {}
         self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
         self._factors = {}      # (psi, dt, a key, b key) -> vacuum value (gram)
-        self._expansions = {}   # (entry keys, counts) -> slot expansion (gram)
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,24 @@ def test_run_experiment_builds_objects_once(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_objects", counted)
     run_experiment(builtin_config_path(name), str(tmp_path))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["sweep_azema_x", "sweep_grouplike_xstar",
+                                  "reverse_azema_x"])
+def test_gram_driven_configs_match_golden_csvs(name, tmp_path):
+    # tests/golden holds these CSVs as written by the term-by-term Sweedler
+    # pairing of whole-mesh expansions, the route before Gram values of
+    # sweeps and reverse checks became convolution powers
+    csv_path, _, _ = run_experiment(builtin_config_path(f"{name}.json"), str(tmp_path))
+    got = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()]
+    golden = Path(__file__).parent / "golden" / f"{name}.csv"
+    want = [line.split(",") for line in golden.read_text(encoding="utf-8").splitlines()]
+    assert got[0] == want[0]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for row, ref in zip(got[1:], want[1:]):
+        for cell, expected in zip(row, ref):
+            x, y = float(cell), float(expected)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
 
 
 def test_outputs_deterministic(tmp_path):

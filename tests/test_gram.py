@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qlevy.bialg import LinearFunctional
-from qlevy.constructions import make_azema, make_grouplike, make_primitive_tensor
+from qlevy.constructions import Morphism, make_azema, make_grouplike, make_primitive_tensor
+from qlevy.errors import TermBudgetExceeded
 from qlevy.gram import (
     FactorizedVectorSum,
     convergence_sweep,
@@ -13,11 +14,17 @@ from qlevy.gram import (
     theta_expand,
     zeta_expand,
 )
-from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
+from qlevy.ncpoly import NcPoly, involute, multiply, normal_form, random_poly
 from qlevy.partition import TIME_TOL, Partition, common_points
 from qlevy.subcoalg import conv_exp
 
 X, XS, Y = 0, 1, 2
+
+# Azema's psi sees no y-letters, under which its transfer tables commute;
+# psi_skew tells every factor order apart
+PSI_SKEW = LinearFunctional(
+    "psi-skew", lambda w: (1.0 - 0.4 * w.count(X) + 0.5j * w.count(Y)) / len(w)
+    if w else 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -238,8 +245,8 @@ def test_primitive_tensor_theta_counts(azema2):
 
 
 def test_bialgebra_memo_tables_are_freed_with_it():
-    # subcoalgebras, transfer matrices, Gram factors and slot expansions live
-    # on the bialgebra, so dropping it and its generator frees them all
+    # subcoalgebras, transfer matrices and Gram factors live on the
+    # bialgebra, so dropping it and its generator frees them all
     import gc
     import weakref
 
@@ -262,34 +269,14 @@ def test_bialgebra_memo_tables_are_freed_with_it():
     assert [r() for r in refs] == [None, None]
 
 
-def _count_transfers(monkeypatch):
-    import qlevy.gram
-
-    calls = []
-    original = qlevy.gram._transfer
-
-    def counting(f, sub):
-        calls.append(sub.dim())
-        return original(f, sub)
-
-    monkeypatch.setattr(qlevy.gram, "_transfer", counting)
-    return calls
-
-
-def test_transfer_route_matches_fine_blocks_and_conv_exp(azema2, monkeypatch):
+def test_transfer_route_matches_fine_blocks_and_conv_exp(azema2):
     # a coarse side over a nested fine side: gram takes the transfer route;
     # refining the coarse side too leaves one-interval blocks only
     B, _, psi_azema = azema2
     alg = B.algebra
-    # psi_azema sees no y-letters, under which its transfer tables commute;
-    # psi_skew tells every factor order apart
-    psi_skew = LinearFunctional(
-        "psi-skew", lambda w: (1.0 - 0.4 * w.count(X) + 0.5j * w.count(Y)) / len(w)
-        if w else 0.0)
-    transfers = _count_transfers(monkeypatch)
     rng = np.random.default_rng(45)
     for trial in range(30):
-        psi = (psi_azema, psi_skew)[trial % 2]
+        psi = (psi_azema, PSI_SKEW)[trial % 2]
         b = random_poly(alg, rng, 2, n_terms=3)
         c = random_poly(alg, rng, 2, n_terms=3)
         n = int(rng.integers(2, 7))
@@ -314,15 +301,13 @@ def test_transfer_route_matches_fine_blocks_and_conv_exp(azema2, monkeypatch):
                 (gram(coarse, fine, psi, B), gram(coarse_fine, fine, psi, B)),
         ):
             assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
-    assert transfers
 
 
-def test_transfer_route_near_coincident_points(azema2, monkeypatch):
+def test_transfer_route_near_coincident_points(azema2):
     # common points equal within TIME_TOL but not bit for bit: every block
     # value must still match the fully refined pairing
     B, _, psi = azema2
     alg = B.algebra
-    transfers = _count_transfers(monkeypatch)
     rng = np.random.default_rng(47)
     cases = [([0.0, 0.25, 0.3, 1.0], [0.0, 0.1 + 0.2, 1.0]),
              ([0.0, 0.25, 0.1 + 0.2, 1.0], [0.0, 0.3, 1.0])]
@@ -349,7 +334,6 @@ def test_transfer_route_near_coincident_points(azema2, monkeypatch):
                 (gram(coarse, fine, psi, B), gram(coarse_r, fine_r, psi, B)),
         ):
             assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
-    assert transfers
 
 
 def _brute_gram_singleton(u, d, psi, B):
@@ -378,9 +362,8 @@ def _brute_gram_singleton(u, d, psi, B):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_transfer_route_grouplike_zeta(chain, monkeypatch, n):
+def test_transfer_route_grouplike_zeta(chain, n):
     B, psi, G, _kappa, kappa_tilde = chain
-    transfers = _count_transfers(monkeypatch)
     x = NcPoly.word((X,))
     d = NcPoly({(X,): 0.7j, (XS,): 0.5 - 0.25j, (XS, Y): 1.0, (): 0.3})
     for b in (x, NcPoly.word((XS,))):
@@ -391,7 +374,6 @@ def test_transfer_route_grouplike_zeta(chain, monkeypatch, n):
             tol = 1e-12 * max(1.0, abs(want))
             assert abs(gram(u, v, psi, B) - want) <= tol
             assert abs(gram(v, u, psi, B) - np.conj(want)) <= tol
-    assert transfers
 
 
 def test_common_points_match_the_quadratic_scan():
@@ -435,3 +417,106 @@ def test_bialgebras_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_gram_tolerance_chain_points(azema2):
+    # two points of u near 0.3, 1.4e-12 apart, and one point of v between
+    # them: both u points are common to v within TIME_TOL, which once made
+    # gram pair the entries with the wrong steps
+    B, _, psi = azema2
+    alg = B.algebra
+    b = normal_form(NcPoly({(X,): 1.0, (XS, X): 0.5j, (): 0.2}), alg)
+    c = normal_form(NcPoly({(XS,): 0.7, (X, XS): 1.0, (Y,): -0.3}), alg)
+    u = FactorizedVectorSum.singleton(b, 0.0, 1.0).refine(
+        Partition([0.0, 0.25, 0.3, 0.3 + 1.4e-12, 1.0]), B)
+    v = FactorizedVectorSum.singleton(c, 0.0, 1.0).refine(
+        Partition([0.0, 0.3 + 0.7e-12, 1.0]), B)
+    want = conv_exp(psi, 1.0, multiply(involute(b, alg), c, alg), B)
+    tol = 1e-12 * max(1.0, abs(want))
+    assert abs(gram(u, v, psi, B) - want) <= tol
+    assert abs(np.conj(gram(v, u, psi, B)) - want) <= tol
+
+
+def _sweep_oracle(c, d, kappa, psi, ns):
+    """(norm_sq, cross, cauchy_increment, size of the terms the increment
+    is the difference of) per n, from explicit theta expansions over the
+    whole mesh, paired term by term by gram."""
+    B = kappa.target
+    rows = []
+    prev_u = prev_norm = None
+    for n in ns:
+        alpha = Partition.uniform(0.0, 1.0, n)
+        u = theta_expand(c, kappa, alpha)
+        norm_sq = gram(u, u, psi, B).real
+        cross = gram(u, theta_expand(d, kappa, alpha), psi, B)
+        inc = size = None
+        if prev_u is not None:
+            g = gram(u, prev_u, psi, B)
+            inc = abs(norm_sq + prev_norm - 2.0 * g.real)
+            size = abs(norm_sq) + abs(prev_norm) + 2.0 * abs(g)
+        rows.append((norm_sq, cross, inc, size))
+        prev_u, prev_norm = u, norm_sq
+    return rows
+
+
+def _close(got, want, size=None):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want) if size is None else size)
+
+
+@pytest.mark.parametrize("ns", [[2, 4, 8, 16], [2, 3, 5], [4, 6, 12]])
+def test_sweep_rows_match_explicit_theta_expansions(azema2, ns):
+    B, prim, psi_azema = azema2
+    G, kappa, kappa_tilde = make_grouplike(B, 6)
+    a2p = Morphism(B, prim, "algebra-homomorphism",
+                   key_map=lambda k: NcPoly.word(k), name="a2p")
+    p2a = Morphism(prim, B, "algebra-homomorphism",
+                   key_map=lambda k: NcPoly.word(k), name="p2a")
+    x, xs = NcPoly.word((X,)), NcPoly.word((XS,))
+    chains = [
+        (identity_morphism(B), NcPoly({(X, XS): 1.0, (): 0.3}),
+         NcPoly({(XS,): 1.0, (X,): 0.5j})),
+        (kappa, kappa_tilde.apply(NcPoly({(XS,): 1.0, (X,): 0.5j})),
+         kappa_tilde.apply(x)),
+        (a2p, NcPoly({(X, XS): 1.0, (XS,): 0.4}), NcPoly({(X,): 1.0, (Y,): 0.2})),
+        (p2a, x.add(xs.scale(0.3j)), NcPoly({(XS,): 1.0, (): 0.5})),
+    ]
+    for i, (chain, c, d) in enumerate(chains):
+        psi = (psi_azema, PSI_SKEW)[i % 2]
+        rows = convergence_sweep(c, d, chain, psi, 0.0, 1.0, ns)
+        for row, (norm_sq, cross, inc, size) in zip(
+                rows, _sweep_oracle(c, d, chain, psi, ns)):
+            assert _close(row.norm_sq, norm_sq)
+            assert _close(row.cross, cross)
+            assert (row.cauchy_increment is None) == (inc is None)
+            if inc is not None:
+                # a difference of Gram values is only as exact as they are
+                # (the oracle sums up to 4e4 terms): relative to their size
+                assert _close(row.cauchy_increment, inc, size)
+
+
+@pytest.mark.parametrize("inner_mesh_factor", [1, 2])
+@pytest.mark.parametrize("ns", [[2, 4, 8, 16], [2, 3, 5]])
+def test_reverse_rows_match_explicit_zeta_expansions(chain, ns, inner_mesh_factor):
+    B, psi_azema, _G, _kappa, kappa_tilde = chain
+    x = NcPoly.word((X,))
+    d = NcPoly({(X,): 0.7j, (XS,): 0.5 - 0.25j, (XS, Y): 1.0, (): 0.3})
+    cases = [(x, x), (NcPoly.word((XS,)), d), (x.add(NcPoly.word((XS,), 0.5j)), d)]
+    for i, (b, e) in enumerate(cases):
+        psi = (psi_azema, PSI_SKEW)[i % 2]
+        rows = reverse_check(b, e, kappa_tilde, psi, 0.0, 1.0, ns, inner_mesh_factor)
+        v = FactorizedVectorSum.singleton(e, 0.0, 1.0)
+        for row, n in zip(rows, ns):
+            u = zeta_expand(b, kappa_tilde, Partition.uniform(0.0, 1.0, n),
+                            inner_mesh_factor)
+            assert _close(row.norm_sq, gram(u, u, psi, B).real)
+            assert _close(row.cross, gram(u, v, psi, B))
+
+
+def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):
+    import qlevy.gram
+
+    B, _, psi = azema2
+    c = NcPoly({(X, XS): 1.0, (): 0.3})
+    monkeypatch.setattr(qlevy.gram, "TERM_BUDGET", 100)
+    with pytest.raises(TermBudgetExceeded, match="doubled coalgebra"):
+        convergence_sweep(c, c, identity_morphism(B), psi, 0.0, 1.0, [4])
