@@ -9,10 +9,13 @@ first-order generator processes
 
 their infinitesimal convolution products over a partition, unitary product
 evolutions for the unitary-matrix bialgebra, and the Azema / Wiener
-transformation experiments.  Vectors and operators are kept as sums of
-per-interval elementary tensors; the full n-fold tensor space is never
-materialized.  All vacuum quantities computed here are an independent
-second path to the exact one-interval semigroup values of the gram module.
+transformation experiments.  A vacuum value of a convolution product is a
+convolution product of the one-interval values <I(a) Omega, I(b) Omega> on
+the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
+module's powers are; neither the n-fold tensor space nor Delta_n is
+expanded, except in cross_path_report, which pairs Sweedler terms as an
+independent check.  All vacuum quantities computed here are a second path
+to the exact one-interval semigroup values of the gram module.
 """
 
 from __future__ import annotations
@@ -22,17 +25,12 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    TailBoundExceeded,
-    TermBudgetExceeded,
-)
+from .errors import DimensionMismatch, InvalidParameter, TailBoundExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import Partition
+from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product
 
 DEFAULT_CAP = 8
-TENSOR_TERM_BUDGET = 10 ** 5
 
 
 class FockFactor:
@@ -152,14 +150,6 @@ class FockVectorSum:
         self.factor = factor
         self.terms = list(terms) if terms is not None else []
 
-    def add_term(self, coeff, vectors):
-        if len(vectors) != self.partition.n_intervals():
-            raise InvalidParameter("one vector per subinterval required")
-        self.terms.append((complex(coeff), tuple(vectors)))
-        if len(self.terms) > TENSOR_TERM_BUDGET:
-            raise TermBudgetExceeded(
-                f"more than {TENSOR_TERM_BUDGET} elementary tensors")
-
 
 def fock_inner(u, v):
     """<u, v>, conjugate-linear in u; inner products factorize per interval."""
@@ -245,80 +235,38 @@ def generator_process(triple, b, interval, factor):
     return FockOperator(factor, (s, t), mat)
 
 
-class TensorOperatorSum:
-    """Sum of per-interval elementary tensors of single-factor matrices."""
-
-    def __init__(self, partition, factor, terms):
-        self.partition = partition
-        self.factor = factor
-        self.terms = list(terms)
-        if len(self.terms) > TENSOR_TERM_BUDGET:
-            raise TermBudgetExceeded(
-                f"more than {TENSOR_TERM_BUDGET} elementary tensors")
-
-    def scale(self, z):
-        return TensorOperatorSum(self.partition, self.factor,
-                                 [(z * c, mats) for c, mats in self.terms])
-
-    def add(self, other):
-        if list(self.partition.times) != list(other.partition.times):
-            raise InvalidParameter("operator sums live on different partitions")
-        return TensorOperatorSum(self.partition, self.factor,
-                                 self.terms + other.terms)
-
-    def extend(self, extra_mats, new_partition):
-        """Tensor with fixed matrices on appended subintervals."""
-        extra = tuple(np.asarray(m, dtype=complex) for m in extra_mats)
-        return TensorOperatorSum(new_partition, self.factor,
-                                 [(c, mats + extra) for c, mats in self.terms])
-
-    def apply_elementary(self, vectors):
-        out = FockVectorSum(self.partition, self.factor)
-        for c, mats in self.terms:
-            out.add_term(c, tuple(m @ v for m, v in zip(mats, vectors)))
-        return out
-
-    def apply_vacuum(self):
-        om = self.factor.vacuum()
-        return self.apply_elementary([om] * self.partition.n_intervals())
-
-    def vacuum_expectation(self):
-        om = self.factor.vacuum()
-        total = 0.0 + 0.0j
-        for c, mats in self.terms:
-            z = c
-            for m in mats:
-                z *= np.vdot(om, m @ om)
-                if z == 0.0:
-                    break
-            total += z
-        return complex(total)
+def _vacuum_factors(triple, subc, subd, partition, factor, vec):
+    """One (values, g) per run of g equal steps of the partition, with
+    values[a, b] = <I(a) vec, I(b) vec> over the bases of subc and subd."""
+    times = partition.times
+    factors = []
+    for _dt, run in itertools.groupby(range(partition.n_intervals()),
+                                      key=lambda r: round(times[r + 1] - times[r], 15)):
+        run = list(run)
+        interval = (times[run[0]], times[run[0] + 1])
+        va, vb = (np.array([generator_process(triple, a, interval, factor).apply(vec)
+                            for a in sub.basis]) for sub in (subc, subd))
+        factors.append((va.conj() @ vb.T, len(run)))
+    return factors
 
 
-def convolution_product_process(triple, b, B, partition,
-                                particle_cap=DEFAULT_CAP, factor=None):
-    """Infinitesimal convolution product: sum over Delta_n(b) Sweedler legs
-    of the elementary tensor of per-interval generator processes."""
-    n = partition.n_intervals()
+def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP,
+                        factor=None):
+    """<P_alpha(c) Omega, P_alpha(d) Omega> for the infinitesimal convolution
+    product P_alpha(b) = sum over Delta_n(b) of I(b_(1)) (x) ... (x) I(b_(n)).
+
+    It is the convolution product over the intervals of the one-interval
+    functionals a (x) b -> <I(a) Omega, I(b) Omega> on the doubled coalgebra
+    conj(sub(c)) (x) sub(d); no Sweedler expansion is formed.  B supplies
+    the coproduct only, so it may be any coproduct on the triple's algebra
+    (the primitive one sums the increments I(b) per interval).
+    """
     if factor is None:
         factor = FockFactor(triple.k_dim, particle_cap)
-    times = partition.times
-    exp = B.iterated_coproduct(b, n)
-    cache = {}
-    terms = []
-    for legs, z in exp.terms.items():
-        mats = []
-        for r, w in enumerate(legs):
-            dt = times[r + 1] - times[r]
-            key = (w, round(dt, 15))
-            hit = cache.get(key)
-            if hit is None:
-                hit = generator_process(triple, NcPoly.word(w),
-                                        (times[r], times[r + 1]), factor).mat
-                cache[key] = hit
-            mats.append(hit)
-        terms.append((complex(z), tuple(mats)))
-    return TensorOperatorSum(partition, factor, terms)
+    subc = _cached_sub(c, B, DIM_CAP)
+    subd = _cached_sub(d, B, DIM_CAP)
+    return doubled_product(subc, subd, c, d, _vacuum_factors(
+        triple, subc, subd, partition, factor, factor.vacuum()))
 
 
 def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
@@ -530,7 +478,6 @@ def azema_wiener_experiment(q, partition, cap=DEFAULT_CAP):
     """
     from .constructions import make_azema
     from .gns import gns_construct
-    from .subcoalg import conv_exp
 
     B, primitive, psi = make_azema(q)
     alg = B.algebra
@@ -542,53 +489,39 @@ def azema_wiener_experiment(q, partition, cap=DEFAULT_CAP):
     x = NcPoly.word((0,))
     w = NcPoly({(0,): 1.0, (1,): 1.0})          # x + x*
     wsq = multiply(involute(w, alg), w, alg)
-    ident = np.eye(factor.dim, dtype=complex)
 
-    # Wiener from Azema increments: sum_j Z_{t_j, t_{j+1}}
-    terms = []
-    for j in range(n):
-        mats = [ident] * n
-        mats[j] = generator_process(triple, w, (times[j], times[j + 1]),
-                                    factor).mat
-        terms.append((1.0, tuple(mats)))
-    sigma = TensorOperatorSum(partition, factor, terms)
-    wiener_vec = sigma.apply_vacuum()
-    wiener_norm = fock_inner(wiener_vec, wiener_vec).real
+    # Wiener from Azema increments: x + x* is primitive in the primitive
+    # coproduct, so sum_j Z_{t_j, t_{j+1}} is its convolution product there
+    wiener_norm = product_vacuum_gram(triple, w, w, primitive, partition,
+                                      factor=factor).real
     wiener_target = complex(conv_exp(psi, tau, wsq, primitive)).real
 
     # Azema from Wiener increments: the infinitesimal convolution product
-    proc = convolution_product_process(triple, w, B, partition, cap, factor)
-    az_vec = proc.apply_vacuum()
-    azema_norm = fock_inner(az_vec, az_vec).real
+    azema_norm = product_vacuum_gram(triple, w, w, B, partition, factor=factor).real
     azema_target = complex(conv_exp(psi, tau, wsq, B)).real
+    x_vacuum_norm = product_vacuum_gram(triple, x, x, B, partition, factor=factor).real
 
-    xproc = convolution_product_process(triple, x, B, partition, cap, factor)
-    xv = xproc.apply_vacuum()
-    x_vacuum_norm = fock_inner(xv, xv).real
-
-    # discrete QSDE residual over the last subinterval
+    # discrete QSDE residual over the last subinterval: Delta x = x (x) y + 1 (x) x
+    # makes r = X_{n-1}(x) (x) (I(y) - 1 - (q-1) Lambda) + 1 (x) (I(x) - A), a
+    # convolution product whose last slot carries I(a) minus the QSDE operator
     qsde_residual = None
     if n >= 2:
-        head = Partition(times[:-1])
         tail = (times[-2], times[-1])
-        xt = convolution_product_process(triple, x, B, head, cap, factor)
-        lam = quantum_noise_op("preservation", np.eye(factor.m), tail,
-                               factor).mat
-        ann = quantum_noise_op("annihilation", np.ones(factor.m), tail,
-                               factor).mat
-        xfull = convolution_product_process(triple, x, B, partition, cap,
-                                            factor)
-        resid = xfull.add(xt.extend([ident], partition).scale(-1.0))
-        resid = resid.add(xt.extend([lam], partition).scale(-(q - 1.0)))
-        resid = resid.add(TensorOperatorSum(
-            partition, factor, [(-1.0, (ident,) * (n - 1) + (ann,))]))
-        om = factor.vacuum()
-        probe = om.copy()
+        ident = np.eye(factor.dim, dtype=complex)
+        lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor).mat
+        ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor).mat
+        # the QSDE operator of each basis word of sub(x) = {1, x, y}
+        qsde_op = {(): ident, (0,): ann, (2,): ident + (q - 1.0) * lam}
+        probe = factor.vacuum()
         for mu in range(factor.m):
             occ = (0,) * mu + (1,) + (0,) * (factor.m - mu - 1)
             probe[factor.index[occ]] = 0.5
-        rv = resid.apply_elementary([probe] * n)
-        qsde_residual = math.sqrt(max(fock_inner(rv, rv).real, 0.0))
+        sub = _cached_sub(x, B, DIM_CAP)
+        factors = _vacuum_factors(triple, sub, sub, Partition(times[:-1]), factor, probe)
+        last = np.array([(generator_process(triple, a, tail, factor).mat
+                          - qsde_op[next(iter(a.terms))]) @ probe for a in sub.basis])
+        factors.append((last.conj() @ last.T, 1))
+        qsde_residual = math.sqrt(max(doubled_product(sub, sub, x, x, factors).real, 0.0))
 
     return {
         "q": float(q),

@@ -19,7 +19,8 @@ exponential, and Cauchy increments between uniform meshes.  On a uniform
 mesh each of their Gram values is an infinitesimal convolution product of
 g identical blocks, i.e. the g-th convolution power of one block
 functional on the doubled coalgebra conj(C) (x) C, taken as g sparse
-matrix-vector products on the subcoalgebras of the two elements; gram
+matrix-vector products on the subcoalgebras of the two elements by
+subcoalg.doubled_product, the path fock's vacuum values take too; gram
 supplies only the one-block values.
 """
 
@@ -30,14 +31,13 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse
 
 from .bialg import TERM_BUDGET, LinearFunctional
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import DROP_TOL, NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
-from .subcoalg import DIM_CAP, _cached_sub, conv_exp
+from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product
 
 FACTOR_EVAL_WARN = 10 ** 5
 DEFECT_FLOOR = 1e-13   # a sweep defect at or below this fits no rate constant
@@ -236,33 +236,15 @@ def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
 
     This is the g-th convolution power of the one-block functional
     Psi(a (x) b) = gram(block_c(a), block_d(b)) on the doubled coalgebra
-    conj(sub(c)) (x) sub(d), whose structure constants are conj(c_1) c_2
-    over pairs of constants of the two subcoalgebras; its value is
-    (conj delta (x) delta) T(Psi)^g (conj coords(c) (x) coords(d)).
+    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product.
     """
     subc = _cached_sub(c, S, DIM_CAP)
     subd = _cached_sub(d, S, DIM_CAP)
-    q = subd.dim()
-    jc, uc, vc, zc = subc.constants
-    jd, ud, vd, zd = subd.constants
-    if zc.size * zd.size > TERM_BUDGET:
-        raise TermBudgetExceeded(
-            f"doubled coalgebra of dimension {subc.dim()} x {q} has "
-            f"{zc.size * zd.size} structure constants, more than {TERM_BUDGET}")
     blocks_c = [block_c(a) for a in subc.basis]
     blocks_d = [block_d(b) for b in subd.basis]
     values = np.array([[gram(bc, bd, psi, B) for bd in blocks_d] for bc in blocks_c],
-                      dtype=complex).reshape(subc.dim(), q)
-    # (id (x) Psi) Delta of the pair (j1, j2): sum conj(c1) c2 Psi[v1, v2] (u1, u2)
-    rows = np.add.outer(uc * q, ud).ravel()
-    cols = np.add.outer(jc * q, jd).ravel()
-    vals = (np.multiply.outer(zc.conj(), zd) * values[np.ix_(vc, vd)]).ravel()
-    size = subc.dim() * q
-    t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    x = np.kron(subc.coords(c).conj(), subd.coords(d))
-    for _ in range(g):
-        x = t @ x
-    return complex(np.kron(subc.counit_vector.conj(), subd.counit_vector) @ x)
+                      dtype=complex).reshape(subc.dim(), subd.dim())
+    return doubled_product(subc, subd, c, d, [(values, g)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ TIME_TOL = 1e-12   # two partition times closer than this are the same point
 
 
 class Partition:
-    """Strictly increasing times t0 < ... < tn with endpoints (s, t)."""
+    """Strictly increasing times t0 < ... < tn with endpoints (s, t), any two
+    consecutive ones more than TIME_TOL apart."""
 
     def __init__(self, times):
         times = tuple(float(u) for u in times)
         if len(times) < 2:
             raise InvalidParameter("a partition needs at least two points")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidParameter("partition times must be strictly increasing")
+        if any(b - a <= TIME_TOL for a, b in zip(times, times[1:])):
+            raise InvalidParameter(
+                f"partition times must increase by more than TIME_TOL = {TIME_TOL:g}; "
+                "closer times are the same point")
         self.times = times
 
     @classmethod

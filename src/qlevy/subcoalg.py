@@ -12,9 +12,10 @@ rewriting system being confluent, so that its normal words form a basis
 (Bergman's diamond lemma); the legs of key_delta(w) are then basis
 coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
-keys is closed already and T(psi) is diagonal.  The module also ships the
-checkers for the two infinitesimal-product error bounds used in the
-convergence experiments: a Banach-algebra version on matrices and the
+keys is closed already and T(psi) is diagonal.  doubled_product evaluates
+the Gram and Fock vacuum values of infinitesimal products on the doubled
+coalgebra conj(C) (x) C of two subcoalgebras.  The module also ships the checkers for the two infinitesimal-product error bounds used in
+the convergence experiments: a Banach-algebra version on matrices and the
 coalgebra version phrased through functionals.
 """
 
@@ -24,8 +25,11 @@ import weakref
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence
+from .bialg import TERM_BUDGET
+from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence,
+                     TermBudgetExceeded)
 from .ncpoly import NcPoly
 
 DIM_CAP = 512   # most normal words in one subcoalgebra
@@ -146,6 +150,38 @@ def _cached_sub(p, B, dim_cap):
             f"subcoalgebra of a {len(p.terms)}-term element has {sub.dim()} words, "
             f"above cap {dim_cap}")
     return sub
+
+
+def doubled_product(subc, subd, c, d, factors):
+    """Convolution product Psi_1^{*g_1} * ... * Psi_k^{*g_k} on the doubled
+    coalgebra conj(subc) (x) subd, at conj(c) (x) d.
+
+    factors lists (values, g) in interval order, values[a, b] being Psi on
+    the a-th basis element of subc and the b-th of subd.  The structure
+    constants are conj(c_1) c_2 over pairs of constants of the two
+    subcoalgebras; the value (conj delta (x) delta) T(Psi_1)^{g_1} ...
+    T(Psi_k)^{g_k} (conj coords(c) (x) coords(d)) is taken as sparse
+    matrix-vector products.
+    """
+    q = subd.dim()
+    jc, uc, vc, zc = subc.constants
+    jd, ud, vd, zd = subd.constants
+    if zc.size * zd.size > TERM_BUDGET:
+        raise TermBudgetExceeded(
+            f"doubled coalgebra of dimension {subc.dim()} x {q} has "
+            f"{zc.size * zd.size} structure constants, more than {TERM_BUDGET}")
+    # (id (x) Psi) Delta of the pair (j1, j2): sum conj(c1) c2 Psi[v1, v2] (u1, u2)
+    rows = np.add.outer(uc * q, ud).ravel()
+    cols = np.add.outer(jc * q, jd).ravel()
+    coeffs = np.multiply.outer(zc.conj(), zd)
+    size = subc.dim() * q
+    x = np.kron(subc.coords(c).conj(), subd.coords(d))
+    for values, g in reversed(factors):
+        vals = (coeffs * values[np.ix_(vc, vd)]).ravel()
+        t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        for _ in range(g):
+            x = t @ x
+    return complex(np.kron(subc.counit_vector.conj(), subd.counit_vector) @ x)
 
 
 def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):

@@ -7,15 +7,14 @@ from qlevy.constructions import make_azema
 from qlevy.errors import DimensionMismatch, TailBoundExceeded
 from qlevy.fock import (
     FockFactor,
-    TensorOperatorSum,
     UnitaryEvolution,
     azema_wiener_experiment,
-    convolution_product_process,
     cross_path_report,
     exp_tail_bound,
     exponential_vector,
     fock_inner,
     generator_process,
+    product_vacuum_gram,
     quantum_noise_op,
     unitary_product_evolution,
 )
@@ -153,22 +152,61 @@ def test_generator_vacuum_expectation(azema2, azema_triple):
 
 def test_product_process_x_kills_vacuum(azema2, azema_triple):
     B, _, _ = azema2
+    x = NcPoly.word((X,))
     for n in (1, 2, 5):
-        proc = convolution_product_process(
-            azema_triple, NcPoly.word((X,)), B, Partition.uniform(0, 1, n), 5)
-        v = proc.apply_vacuum()
-        assert abs(fock_inner(v, v)) < 1e-28
+        val = product_vacuum_gram(azema_triple, x, x, B, Partition.uniform(0, 1, n), 5)
+        assert abs(val) < 1e-28
 
 
 def test_product_process_xstar_norm(azema2, azema_triple):
     # creation heads with second-quantized tails: norm^2 is exactly t
     B, _, _ = azema2
+    xs = NcPoly.word((XS,))
     for n in (2, 4, 8):
-        proc = convolution_product_process(
-            azema_triple, NcPoly.word((XS,)), B,
-            Partition.uniform(0, 0.8, n), 5)
-        v = proc.apply_vacuum()
-        assert fock_inner(v, v).real == pytest.approx(0.8, abs=1e-12)
+        val = product_vacuum_gram(azema_triple, xs, xs, B, Partition.uniform(0, 0.8, n), 5)
+        assert val.real == pytest.approx(0.8, abs=1e-12)
+
+
+def _random_cuts(rng, s, t, n):
+    return Partition([s] + sorted(rng.uniform(s, t, n - 1)) + [t])
+
+
+def test_product_vacuum_gram_matches_term_pairs(azema2, azema_triple):
+    # cross_path_report pairs the Sweedler terms of Delta_n one by one, an
+    # expansion independent of the doubled-coalgebra product
+    from qlevy.gns import unitary_triple
+
+    B, _, psi = azema2
+    rng = np.random.default_rng(5)
+    u1 = unitary_triple(UnitaryTripleParams(1, np.array([[1.0]]),
+                                            np.array([[[0.3]]]), np.array([[0.5]])))
+    # on U<2> the interval functionals do not commute, so the order of the
+    # factors shows on uneven cuts
+    u2 = unitary_triple(UnitaryTripleParams(
+        2, np.array([[0.6, 0.8j], [0.8j, 0.6]]), np.array([[[0.3], [0.1j]], [[-0.2], [0.4]]]),
+        np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])))
+    cases = [(azema_triple, random_poly(B.algebra, rng, 2, n_terms=3), B, psi)
+             for _ in range(3)]
+    cases.append((u1, NcPoly.word((0,)), u1.B, u1.psi))
+    cases.append((u2, NcPoly({(1,): 1.0, (2,): 0.5j}), u2.B, u2.psi))
+    for triple, b, carrier, phi in cases:
+        for alpha in (Partition.uniform(0, 1, 4), _random_cuts(rng, 0.2, 1.1, 5)):
+            ref = cross_path_report(triple, b, carrier, phi, alpha, 5)["fock_value"]
+            got = product_vacuum_gram(triple, b, b, carrier, alpha, 5)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    # a cross value by polarization: <u, v> = sum_k i^-k |u + i^k v|^2 / 4
+    c, d = (random_poly(B.algebra, rng, 2, n_terms=3) for _ in range(2))
+    alpha = _random_cuts(rng, 0.0, 1.0, 4)
+    ref = sum((1j) ** -k * cross_path_report(
+        azema_triple, c.add(d.scale((1j) ** k)), B, psi, alpha, 5)["fock_value"]
+        for k in range(4)) / 4.0
+    got = product_vacuum_gram(azema_triple, c, d, B, alpha, 5)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    # creation heads with second-quantized tails: norm^2 is t - s at any cuts
+    xs = NcPoly.word((XS,))
+    alpha = _random_cuts(rng, 0.3, 1.7, 7)
+    val = product_vacuum_gram(azema_triple, xs, xs, B, alpha, 5)
+    assert val.real == pytest.approx(1.4, abs=1e-12)
 
 
 def test_cross_path_azema(azema2, azema_triple):
@@ -249,6 +287,14 @@ def test_azema_wiener_experiment():
         if prev is not None and prev["azema_defect"] > 1e-12:
             assert rep["azema_defect"] <= prev["azema_defect"]
         prev = rep
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_azema_wiener_qsde_residual_at_fine_meshes(n):
+    # the residual is a difference taken in the last slot, so it sits at the
+    # rounding floor instead of sqrt(eps) times the norm of the terms
+    rep = azema_wiener_experiment(2.0, Partition.uniform(0, 1, n), 5)
+    assert rep["qsde_residual"] <= 1e-6
 
 
 def test_azema_wiener_q1_exact():

@@ -3,7 +3,7 @@ import pytest
 
 from qlevy.bialg import LinearFunctional
 from qlevy.constructions import Morphism, make_azema, make_grouplike, make_primitive_tensor
-from qlevy.errors import TermBudgetExceeded
+from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
     FactorizedVectorSum,
     convergence_sweep,
@@ -437,6 +437,15 @@ def test_gram_tolerance_chain_points(azema2):
     assert abs(np.conj(gram(v, u, psi, B)) - want) <= tol
 
 
+def test_gram_rejects_points_within_time_tol(azema2):
+    B, _, psi = azema2
+    x = NcPoly.word((X,))
+    with pytest.raises(InvalidParameter, match="TIME_TOL"):
+        gram(FactorizedVectorSum.singleton(x, 0.0, 1.0).refine(
+            Partition([0.0, 0.3, 0.3 + 0.5e-12, 1.0]), B),
+            FactorizedVectorSum.singleton(x, 0.0, 1.0), psi, B)
+
+
 def _sweep_oracle(c, d, kappa, psi, ns):
     """(norm_sq, cross, cauchy_increment, size of the terms the increment
     is the difference of) per n, from explicit theta expansions over the
@@ -513,10 +522,10 @@ def test_reverse_rows_match_explicit_zeta_expansions(chain, ns, inner_mesh_facto
 
 
 def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):
-    import qlevy.gram
+    import qlevy.subcoalg
 
     B, _, psi = azema2
     c = NcPoly({(X, XS): 1.0, (): 0.3})
-    monkeypatch.setattr(qlevy.gram, "TERM_BUDGET", 100)
+    monkeypatch.setattr(qlevy.subcoalg, "TERM_BUDGET", 100)
     with pytest.raises(TermBudgetExceeded, match="doubled coalgebra"):
         convergence_sweep(c, c, identity_morphism(B), psi, 0.0, 1.0, [4])
