@@ -177,11 +177,13 @@ def check_defs(config_path, built=None):
     """Validation report for a config: schema, axioms, counit preservation.
 
     `built` is the config already loaded and built by the caller; without
-    it the config is loaded and built here.
+    it the config is loaded and built here.  The confluence of the rewriting
+    system (critical pairs and their worst relative gap) is reported beside
+    the residual checks; a non-confluent system raises InvalidParameter.
     """
     from .bialg import check_bialgebra_axioms
     from .constructions import check_counit_preserving
-    from .ncpoly import NcPoly
+    from .ncpoly import NcPoly, check_confluent
 
     run = built if built is not None else _Run(load_config(config_path))
     cfg, B, psi = run.cfg, run.B, run.psi
@@ -197,6 +199,7 @@ def check_defs(config_path, built=None):
     return {
         "config": cfg["name"],
         "checks": checks,
+        "confluence": check_confluent(B.algebra),
         "max_residual": worst,
         "tolerance": tol,
         "ok": bool(worst <= tol),
@@ -587,6 +590,9 @@ def main(argv=None):
             report = check_defs(config)
             for check, res in sorted(report["checks"].items()):
                 print(f"{check}: {res:.3e}")
+            conf = report["confluence"]
+            print(f"confluence: {conf['critical_pairs']} critical pairs, "
+                  f"worst gap {conf['worst_gap']:.3e}")
             status = "OK" if report["ok"] else "FAIL"
             print(f"{status} (max residual {report['max_residual']:.3e}, "
                   f"tolerance {report['tolerance']:g})")

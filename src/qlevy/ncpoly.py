@@ -4,6 +4,11 @@ Words are tuples of generator indices; polynomials are sparse mappings
 word -> complex coefficient.  Rewrite rules orient *-ideal relations so that
 every right-hand-side word is strictly smaller in degree-lexicographic order,
 which guarantees termination.
+
+An AlgebraSpec owns one memo table, word -> the terms of its normal form
+with coefficient 1; it is filled on demand and freed with the spec.  The
+normal form of a polynomial is the coefficient-weighted sum of the memo
+entries of its words, pruned once at the end.
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ class AlgebraSpec:
                 if not self._deglex_less(w, rule.lhs):
                     raise ValueError(
                         f"rule rhs word {w} not below lhs {rule.lhs} in deg-lex order")
+        self._nf = {}           # word -> {normal word: coeff}, coefficient-1 input
 
     def _deglex_key(self, w):
         return (len(w), tuple(self._rank[g] for g in w))
@@ -156,6 +162,50 @@ class AlgebraSpec:
     def ngen(self):
         return len(self.alphabet)
 
+    def word_normal_form(self, w):
+        """Normal form of the word w as a shared dict normal word -> coeff.
+
+        A miss rewrites leftmost-first with an explicit stack, so long words
+        need no recursion: a word is stored once every word its first
+        rewrite produces is stored.  Each fresh rule application counts
+        against REWRITE_BUDGET; a word whose rewrite hits it is not stored.
+        Callers must not mutate the returned dict.
+        """
+        memo = self._nf
+        got = memo.get(w)
+        if got is not None:
+            return got
+        budget = REWRITE_BUDGET
+        stack = [(w, None)]     # (word, its one-step rewrite once applied)
+        while stack:
+            v, kids = stack.pop()
+            if v in memo:
+                continue
+            if kids is None:
+                hit = _find_redex(v, self.rules)
+                if hit is None:
+                    memo[v] = {v: 1.0}
+                    continue
+                budget -= 1
+                if budget < 0:
+                    raise RewriteBudgetExceeded(
+                        f"more than {REWRITE_BUDGET} rule applications in "
+                        f"algebra {self.name!r}")
+                pos, rule = hit
+                k = len(rule.lhs)
+                kids = [(v[:pos] + rw + v[pos + k:], rc) for rw, rc in rule.rhs.terms.items()]
+                missing = [(u, None) for u, _ in kids if u not in memo]
+                if missing:
+                    stack.append((v, kids))
+                    stack.extend(missing)
+                    continue
+            out = {}
+            for u, rc in kids:
+                for x, c in memo[u].items():
+                    out[x] = out.get(x, 0.0) + rc * c
+            memo[v] = {x: c for x, c in out.items() if c != 0.0}
+        return memo[w]
+
 
 def _find_redex(w, rules):
     # leftmost position wins; at equal position, declaration order wins
@@ -169,25 +219,11 @@ def _find_redex(w, rules):
 
 def normal_form(p, alg):
     """Rewrite p to its unique fixed point under leftmost-first rewriting."""
-    budget = REWRITE_BUDGET
+    nf = alg.word_normal_form
     out = {}
-    pending = list(p.terms.items())
-    while pending:
-        w, c = pending.pop()
-        if abs(c) <= DROP_TOL:
-            continue
-        hit = _find_redex(w, alg.rules)
-        if hit is None:
-            out[w] = out.get(w, 0.0) + c
-            continue
-        budget -= 1
-        if budget < 0:
-            raise RewriteBudgetExceeded(
-                f"more than {REWRITE_BUDGET} rule applications in algebra {alg.name!r}")
-        pos, rule = hit
-        k = len(rule.lhs)
-        for rw, rc in rule.rhs.terms.items():
-            pending.append((w[:pos] + rw + w[pos + k:], c * rc))
+    for w, c in p.terms.items():
+        for x, z in nf(w).items():
+            out[x] = out.get(x, 0.0) + c * z
     return NcPoly(out)
 
 
@@ -217,15 +253,23 @@ def check_confluent(alg):
     """Raise InvalidParameter unless each critical pair has one normal form.
 
     Terminating rules that pass are confluent (Newman's lemma), so their
-    normal words form a basis (Bergman's diamond lemma).
+    normal words form a basis (Bergman's diamond lemma).  Returns the number
+    of critical pairs and the largest relative gap between the two normal
+    forms of one pair.
     """
+    n_pairs = 0
+    worst = 0.0
     for w, a, b in critical_pairs(alg):
         na, nb = normal_form(a, alg), normal_form(b, alg)
-        if na.sub(nb).norm1() > CONFLUENCE_TOL * max(1.0, na.norm1(), nb.norm1()):
+        gap = na.sub(nb).norm1() / max(1.0, na.norm1(), nb.norm1())
+        if gap > CONFLUENCE_TOL:
             word = " ".join(alg.alphabet[g].name for g in w)
             raise InvalidParameter(
                 f"rewriting system {alg.name!r} is not confluent: {word!r} has "
                 f"normal forms {na.pretty(alg)} and {nb.pretty(alg)}")
+        n_pairs += 1
+        worst = max(worst, gap)
+    return {"critical_pairs": n_pairs, "worst_gap": worst}
 
 
 def multiply(p, q, alg):

@@ -14,9 +14,11 @@ coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
 keys is closed already and T(psi) is diagonal.  doubled_product evaluates
 the Gram and Fock vacuum values of infinitesimal products on the doubled
-coalgebra conj(C) (x) C of two subcoalgebras.  The module also ships the checkers for the two infinitesimal-product error bounds used in
-the convergence experiments: a Banach-algebra version on matrices and the
-coalgebra version phrased through functionals.
+coalgebra conj(C) (x) C of two subcoalgebras.  The module also ships the
+checkers for the two infinitesimal-product error bounds used in the
+convergence experiments: a Banach-algebra version on matrices and the
+coalgebra version phrased through functionals.  A ProductFamilySpec owns the
+memo of its matrix-case targets e^{span G} and ||G||_2, one entry per span.
 """
 
 from __future__ import annotations
@@ -239,6 +241,16 @@ class ProductFamilySpec:
         self.n_choices = int(n_choices)
         self.R = float(R)
         self.C = C
+        self._targets = {}      # span -> (e^{span G}, ||G||_2), matrix case
+
+    def target(self, span):
+        """e^{span G} and the operator norm of G, memoized per span."""
+        got = self._targets.get(span)
+        if got is None:
+            g = np.asarray(self.baseline, dtype=complex)
+            got = (scipy.linalg.expm(span * g), _opnorm(g))
+            self._targets[span] = got
+        return got
 
 
 def _opnorm(m):
@@ -262,8 +274,7 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     n = g.shape[0]
     steps = partition.steps()
     span = partition.t - partition.s
-    target = scipy.linalg.expm(span * g)
-    norm_g = _opnorm(g)
+    target, norm_g = spec.target(span)
     c = float(spec.C) if spec.C is not None else 0.0
     bound = (mesh * span * np.exp(span * max(norm_g, c))
              * (c ** 2 + norm_g ** 2 * np.exp(mesh * norm_g)) / 2.0)

@@ -114,6 +114,17 @@ def test_axioms_azema(azema2):
     assert rep["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("q, seed", [
+    (1e3, None), (1e3, 1), (1e3, 5), (1e-3, 1), (1e-3, 5),
+])
+def test_axioms_at_extreme_q(q, seed):
+    # words rewrite with coefficients near q^k; their normal forms are kept
+    # at coefficient 1 and scaled afterwards, so no product term is pruned
+    rng = None if seed is None else np.random.default_rng(seed)
+    rep = check_bialgebra_axioms(make_azema(q)[0], rng=rng)
+    assert rep["max_residual"] <= 1e-12
+
+
 def test_axioms_unitary_d2():
     B = make_unitary_bialgebra(2)
     rep = check_bialgebra_axioms(B, sample_degree=3, n_samples=30)

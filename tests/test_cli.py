@@ -71,6 +71,22 @@ def test_check_defs_ok():
     assert report["max_residual"] <= report["tolerance"]
 
 
+def test_check_defs_reports_confluence_beside_the_checks(tmp_path, capsys):
+    report = check_defs(builtin_config_path("azema_q2.json"))
+    assert report["confluence"] == {"critical_pairs": 0, "worst_gap": 0.0}
+    assert "confluence" not in report["checks"]
+    path = _write(tmp_path, "unitary2.json", {
+        "name": "unitary2", "experiment": "axioms", "samples": 4,
+        "bialgebra": {"builder": "unitary", "d": 2},
+    })
+    report = check_defs(path)
+    assert report["ok"]
+    assert report["confluence"]["critical_pairs"] == 8
+    assert report["confluence"]["worst_gap"] <= 1e-15
+    assert main(["check", path]) == 0
+    assert "confluence: 8 critical pairs, worst gap" in capsys.readouterr().out
+
+
 def test_check_defs_catches_corrupt_coproduct(tmp_path):
     path = _write(tmp_path, "corrupt.json", {
         "name": "corrupt", "experiment": "axioms",

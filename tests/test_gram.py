@@ -395,7 +395,8 @@ def test_common_points_match_the_quadratic_scan():
 
 def test_bialgebras_freed_without_the_cycle_collector():
     # no reference cycle keeps a carrier alive once a sweep returns: the
-    # carrier owns its subcoalgebras, which refer back to it weakly
+    # carrier owns its subcoalgebras, which refer back to it weakly, and its
+    # algebra (with the normal-form memo) goes with it
     import gc
     import weakref
 
@@ -407,13 +408,13 @@ def test_bialgebras_freed_without_the_cycle_collector():
         convergence_sweep(x, x, identity_morphism(B), psi, 0.0, 1.0, [2, 4])
         c = kappa_tilde.apply(NcPoly.word((XS,)))
         convergence_sweep(c, c, kappa, psi, 0.0, 1.0, [2, 4])
-        return weakref.ref(B), weakref.ref(G)
+        return weakref.ref(B), weakref.ref(G), weakref.ref(B.algebra)
 
     enabled = gc.isenabled()
     gc.disable()
     try:
         refs = run()
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         if enabled:
             gc.enable()

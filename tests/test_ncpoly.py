@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+import qlevy.ncpoly
 from qlevy.constructions import make_azema, make_unitary_bialgebra
-from qlevy.errors import LengthMismatch, ParseError
+from qlevy.errors import InvalidParameter, LengthMismatch, ParseError, RewriteBudgetExceeded
 from qlevy.ncpoly import (
+    DROP_TOL,
+    AlgebraSpec,
+    GeneratorSymbol,
     NcPoly,
+    RewriteRule,
+    _find_redex,
+    check_confluent,
     involute,
     linear_combine,
     multiply,
@@ -138,3 +145,83 @@ class TestParser:
         p = parse_poly("x y - 2 y x^*", alg)
         # y x* -> q x* y = 2 x* y
         assert p.terms == {(X, Y): 1.0, (XS, Y): -4.0}
+
+
+def _pending_normal_form(p, alg):
+    # oracle: leftmost-first rewriting of every term on a pending list, with
+    # no memo; scaled coefficients at or below DROP_TOL are dropped per branch
+    out = {}
+    pending = list(p.terms.items())
+    while pending:
+        w, c = pending.pop()
+        if abs(c) <= DROP_TOL:
+            continue
+        hit = _find_redex(w, alg.rules)
+        if hit is None:
+            out[w] = out.get(w, 0.0) + c
+            continue
+        pos, rule = hit
+        k = len(rule.lhs)
+        for rw, rc in rule.rhs.terms.items():
+            pending.append((w[:pos] + rw + w[pos + k:], c * rc))
+    return NcPoly(out)
+
+
+@pytest.mark.parametrize("build, degree", [
+    (lambda: make_azema(1e-3)[0], 6),
+    (lambda: make_azema(2.0)[0], 6),
+    (lambda: make_azema(1e3)[0], 6),
+    (lambda: make_unitary_bialgebra(2), 5),
+], ids=["azema_q0.001", "azema_q2", "azema_q1000", "unitary2"])
+def test_memoized_normal_form_matches_pending_list_oracle(build, degree):
+    alg = build().algebra
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        p = random_poly(alg, rng, degree, n_terms=6, normal=False)
+        got = normal_form(p, alg)
+        want = _pending_normal_form(p, alg)
+        assert got.sub(want).norm1() <= 1e-15 * max(1.0, want.norm1())
+        # a second pass is served from the memo and gives the same terms
+        assert normal_form(p, alg) == got
+
+
+def test_long_words_normalize_without_recursion():
+    # y^k x^k takes k^2 rewrites in one chain; at q = 2 each one halves
+    alg = make_azema(2.0)[0].algebra
+    for k in range(40, -1, -1):
+        got = alg.word_normal_form((Y,) * k + (X,) * k)
+        c = 2.0 ** (-k * k)
+        assert got == ({(X,) * k + (Y,) * k: c} if c else {})
+    alg = make_azema(1.0)[0].algebra
+    got = normal_form(NcPoly.word((Y,) * 40 + (XS,) * 40 + (X,) * 40), alg)
+    assert got.terms == {(XS,) * 40 + (X,) * 40 + (Y,) * 40: 1.0}
+
+
+def test_rewrite_budget_leaves_no_memo_entry(monkeypatch):
+    alg = make_azema(2.0)[0].algebra
+    w = (Y, Y, Y, X, X, X)       # nine rule applications
+    monkeypatch.setattr(qlevy.ncpoly, "REWRITE_BUDGET", 5)
+    with pytest.raises(RewriteBudgetExceeded):
+        normal_form(NcPoly.word(w), alg)
+    assert w not in alg._nf
+    monkeypatch.setattr(qlevy.ncpoly, "REWRITE_BUDGET", 9)
+    assert normal_form(NcPoly.word(w), alg).terms == {(X, X, X, Y, Y, Y): 2.0 ** -9}
+    assert w in alg._nf
+
+
+def test_check_confluent_reports_pairs_and_gap():
+    rep = check_confluent(make_azema(2.0)[0].algebra)
+    assert rep == {"critical_pairs": 0, "worst_gap": 0.0}
+    rep = check_confluent(make_unitary_bialgebra(2).algebra)
+    assert rep["critical_pairs"] == 8
+    assert 0.0 <= rep["worst_gap"] <= 1e-15
+
+
+def test_check_confluent_rejects_an_overlap():
+    # the rules of a non-confluent JSON spec: ab -> c and bc -> a overlap on
+    # abc, which rewrites to cc and to aa
+    alphabet = [GeneratorSymbol(n, i) for i, n in enumerate("abc")]
+    rules = [RewriteRule((0, 1), NcPoly.word((2,))), RewriteRule((1, 2), NcPoly.word((0,)))]
+    alg = AlgebraSpec(alphabet, rules, name="overlap")
+    with pytest.raises(InvalidParameter, match="'a b c'"):
+        check_confluent(alg)

@@ -236,6 +236,25 @@ def test_banach_random_instances():
         assert rep["passed"], rep
 
 
+def test_banach_targets_memoized_per_span(monkeypatch):
+    import scipy.linalg
+
+    rng = np.random.default_rng(27)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    spec = ProductFamilySpec("matrix-family", g, R=1.0, C=0.0)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
+    reps = [banach_product_check(spec, Partition([0.0, cut, 0.8]), draws=1)
+            for cut in (0.2, 0.5, 0.6)]
+    reps.append(banach_product_check(spec, Partition.uniform(0.0, 0.5, 2), draws=1))
+    assert len(calls) == 2
+    target, norm_g = spec.target(0.8)
+    assert np.array_equal(target, expm(0.8 * g))
+    assert norm_g == np.linalg.norm(g, 2)
+    assert all(rep["norm_G"] == norm_g for rep in reps)
+
+
 def test_banach_mesh_guard():
     spec = ProductFamilySpec("matrix-family", np.zeros((2, 2)), R=0.1, C=0.0)
     with pytest.raises(MeshTooCoarse):
