@@ -11,6 +11,7 @@ time).  Complex values are serialized as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,10 +34,17 @@ CHAINS = ("identity", "grouplike", "azema-to-primitive", "primitive-to-azema")
 # config loading
 # ---------------------------------------------------------------------------
 
-def _schema():
+@functools.cache
+def _validator():
+    """The config schema's validator, its schema checked once per process."""
+    import jsonschema
+
     path = Path(__file__).with_name("config_schema.json")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(config_path):
@@ -48,13 +56,13 @@ def load_config(config_path):
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as e:
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise SchemaError(f"{pointer}: {e.message}") from None
+    # the error jsonschema.validate would raise
+    error = best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
+        raise SchemaError(f"{pointer}: {error.message}")
     return cfg
 
 

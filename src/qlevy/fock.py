@@ -14,7 +14,11 @@ convolution product of the one-interval values <I(a) Omega, I(b) Omega> on
 the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
 module's powers are; neither the n-fold tensor space nor Delta_n is
 expanded, except in cross_path_report, which pairs Sweedler terms as an
-independent check.  All vacuum quantities computed here are a second path
+independent check: each pair reads its slot factors from per-slot tables
+over the few distinct leg words of a slot, and its terms are summed as
+arrays.  A unitary product evolution holds each distinct generator block
+once and advances all its unitarity probes together through one transfer
+matrix per block.  All vacuum quantities computed here are a second path
 to the exact one-interval semigroup values of the gram module.
 """
 
@@ -274,8 +278,10 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
 
     The fock side uses the first-order operators I_{s,t}; the gram side uses
     the exact one-interval semigroup values e_*^{dt psi}(a* b) through the
-    gram module's factor path, memoized on B.  The
-    reported per-instance bound telescopes the per-interval deviations
+    gram module's factor path, memoized on B.  Both sums run over every pair
+    of Sweedler terms of Delta_n(b), reading each pair's slot factors from
+    per-slot tables over the distinct leg words of that slot.  The reported
+    per-instance bound telescopes the per-interval deviations
     |<I(a) Omega, I(b) Omega> - phi_dt(a* b)| through the term-pair products
     and adds the (here zero: a single application of I creates at most one
     particle per slot) truncation tail.
@@ -300,29 +306,47 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
         return hit
 
     polys = {}    # leg word -> (NcPoly, key), built once per report
-    for legs, _c in leg_list:
-        for w in legs:
+    slot_words = [{} for _ in range(n)]     # per slot: leg word -> table index
+    idx = np.zeros((len(leg_list), n), dtype=np.intp)
+    for t, (legs, _c) in enumerate(leg_list):
+        for r, w in enumerate(legs):
             if w not in polys:
                 p = NcPoly.word(w)
                 polys[w] = (p, p.key())
-    terms = [(c, tuple(leg_vector(w, r) for r, w in enumerate(legs)),
-              tuple(polys[w] for w in legs)) for legs, c in leg_list]
+            idx[t, r] = slot_words[r].setdefault(w, len(slot_words[r]))
 
+    # per slot r: <I(u) Omega, I(v) Omega> and e_*^{dt psi}(u* v) over its words
+    width = max(map(len, slot_words))
+    ftab = np.zeros((n, width, width), dtype=complex)
+    gtab = np.zeros((n, width, width), dtype=complex)
+    for r, words in enumerate(slot_words):
+        legs = [(leg_vector(w, r), polys[w]) for w in words]
+        for i, (va, (a, ka)) in enumerate(legs):
+            for j, (vb, (bb, kb)) in enumerate(legs):
+                ftab[r, i, j] = np.vdot(va, vb)
+                gtab[r, i, j] = _factor_value(psi, B, steps[r], ka, kb, a, bb)
+    mtab = np.maximum(np.abs(ftab), np.abs(gtab)).ravel()
+    dtab = np.abs(ftab - gtab).ravel()
+    ftab, gtab = ftab.ravel(), gtab.ravel()
+
+    coeffs = np.array([c for _legs, c in leg_list], dtype=complex)
+    rows = (np.arange(n) * width + idx) * width      # flat table row of each leg
+    ones = np.ones((len(leg_list), 1))
     fock_total = 0.0 + 0.0j
     gram_total = 0.0 + 0.0j
     bound = 0.0
-    for ca, va, pa in terms:
-        for cb, vb, pb in terms:
-            z = complex(ca).conjugate() * cb
-            fvals = [complex(np.vdot(a, bb)) for a, bb in zip(va, vb)]
-            gvals = [_factor_value(psi, B, dt, ka, kb, a, bb)
-                     for (a, ka), (bb, kb), dt in zip(pa, pb, steps)]
-            fock_total += z * np.prod(fvals) if fvals else z
-            gram_total += z * np.prod(gvals) if gvals else z
-            mx = [max(abs(f), abs(g)) for f, g in zip(fvals, gvals)]
-            for r in range(n):
-                rest = np.prod(mx[:r] + mx[r + 1:]) if n > 1 else 1.0
-                bound += abs(z) * abs(fvals[r] - gvals[r]) * rest
+    for ca, row in zip(coeffs, rows):
+        at = row + idx              # (term, slot) entries against every right term
+        z = ca.conjugate() * coeffs
+        fock_total += np.sum(z * np.prod(ftab[at], axis=1))
+        gram_total += np.sum(z * np.prod(gtab[at], axis=1))
+        # sum_r |f_r - g_r| prod_{s != r} max(|f_s|, |g_s|) from exclusive
+        # prefix and suffix products of the max-moduli
+        mx = mtab[at]
+        before = np.cumprod(np.hstack([ones, mx[:, :-1]]), axis=1)
+        after = np.cumprod(np.hstack([ones, mx[:, :0:-1]]), axis=1)[:, ::-1]
+        bound += np.sum(np.abs(z) * np.sum(dtab[at] * before * after, axis=1))
+    fock_total, gram_total = complex(fock_total), complex(gram_total)
     return {
         "n": n,
         "mesh": partition.mesh(),
@@ -341,26 +365,30 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
 class UnitaryEvolution:
     """Ordered product of per-interval d x d generator-block matrices.
 
-    Blocks on distinct intervals act on their own tensor factor; matrix
-    elements against factorized states are evaluated by chaining d^2 x d^2
-    per-interval transfer matrices, never enumerating the d^n block paths.
+    blocks lists each distinct block once, as a d x d list of matrices, and
+    block_of[r] is the index of the block on interval r.  Blocks on distinct
+    intervals act on their own tensor factor; matrix elements against
+    factorized states are evaluated by chaining d^2 x d^2 transfer matrices,
+    one per block and probe-variant pair, never enumerating the d^n block
+    paths.
     """
 
-    def __init__(self, params, partition, factor, blocks):
+    def __init__(self, params, partition, factor, blocks, block_of):
         self.params = params
         self.partition = partition
         self.factor = factor
-        self.blocks = blocks          # per interval: d x d list of matrices
+        self.blocks = blocks
+        self.block_of = block_of
 
     def vacuum_amplitude(self):
         """d x d matrix of <Omega, (U_alpha)_{ij} Omega>."""
         d = self.params.d
         om = self.factor.vacuum()
+        values = [np.array([[np.vdot(om, blk[i][j] @ om) for j in range(d)]
+                            for i in range(d)]) for blk in self.blocks]
         out = np.eye(d, dtype=complex)
-        for blk in self.blocks:
-            v = np.array([[np.vdot(om, blk[i][j] @ om) for j in range(d)]
-                          for i in range(d)])
-            out = out @ v
+        for b in self.block_of:
+            out = out @ values[b]
         return out
 
     def unitarity_defect(self, probe_slots=None):
@@ -371,7 +399,7 @@ class UnitaryEvolution:
         of the <= cap-1 particle subspace without materializing it.
         """
         d, m = self.params.d, self.factor.m
-        n = len(self.blocks)
+        n = len(self.block_of)
         if probe_slots is None:
             probe_slots = sorted({0, n // 2, n - 1})
         variants = [self.factor.vacuum()]
@@ -381,15 +409,15 @@ class UnitaryEvolution:
             e[self.factor.index[occ]] = 1.0
             variants.append(e)
 
-        # per interval, per variant pair: transfer matrix
+        # per block, per variant pair: transfer matrix
         # P[(k, k'), (l, l')] = <B_{kl} u, B_{k'l'} v>
         applied_cache = {}
 
-        def applied(r, v):
-            key = (r, v)
+        def applied(b, v):
+            key = (b, v)
             hit = applied_cache.get(key)
             if hit is None:
-                blk = self.blocks[r]
+                blk = self.blocks[b]
                 hit = [[blk[i][j] @ variants[v] for j in range(d)]
                        for i in range(d)]
                 applied_cache[key] = hit
@@ -397,11 +425,11 @@ class UnitaryEvolution:
 
         transfer_cache = {}
 
-        def transfer(r, u, v):
-            key = (r, u, v)
+        def transfer(b, u, v):
+            key = (b, u, v)
             hit = transfer_cache.get(key)
             if hit is None:
-                au, av = applied(r, u), applied(r, v)
+                au, av = applied(b, u), applied(b, v)
                 p = np.empty((d * d, d * d), dtype=complex)
                 for k in range(d):
                     for kp in range(d):
@@ -415,22 +443,25 @@ class UnitaryEvolution:
 
         probes = [None] + [(r, v) for r in probe_slots
                            for v in range(1, len(variants))]
-        start = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            start[i * d + i] = 1.0
-        defect = 0.0
-        for pa in probes:
-            for pb in probes:
-                row = start.copy()
-                for r in range(n):
-                    u = pa[1] if pa is not None and pa[0] == r else 0
-                    v = pb[1] if pb is not None and pb[0] == r else 0
-                    row = row @ transfer(r, u, v)
-                for j in range(d):
-                    for jp in range(d):
-                        want = 1.0 if (j == jp and pa == pb) else 0.0
-                        defect = max(defect, abs(row[j * d + jp] - want))
-        return float(defect)
+        pairs = [(pa, pb) for pa in probes for pb in probes]
+        # the variant pair each probe pair carries in each probe slot
+        at_slot = {r: [(pa[1] if pa is not None and pa[0] == r else 0,
+                        pb[1] if pb is not None and pb[0] == r else 0)
+                       for pa, pb in pairs] for r in probe_slots}
+        # one row per probe pair, all advanced together outside probe slots
+        rows = np.zeros((len(pairs), d * d), dtype=complex)
+        rows[:, ::d + 1] = 1.0
+        for r, b in enumerate(self.block_of):
+            uv = at_slot.get(r)
+            if uv is None:
+                rows = rows @ transfer(b, 0, 0)
+            else:
+                rows = np.array([row @ transfer(b, u, v) for row, (u, v) in zip(rows, uv)])
+        want = np.zeros(rows.shape)
+        for k, (pa, pb) in enumerate(pairs):
+            if pa == pb:
+                want[k, ::d + 1] = 1.0
+        return float(np.abs(rows - want).max())
 
 
 def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
@@ -444,21 +475,21 @@ def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
     triple = unitary_triple(params)
     factor = FockFactor(params.m, particle_cap)
     times = partition.times
-    cache = {}
+    block_index = {}      # rounded step -> index into blocks
     blocks = []
+    block_of = []
     for r in range(partition.n_intervals()):
-        dt = times[r + 1] - times[r]
-        key = round(dt, 15)
-        blk = cache.get(key)
-        if blk is None:
-            blk = [[generator_process(
+        key = round(times[r + 1] - times[r], 15)
+        b = block_index.get(key)
+        if b is None:
+            b = block_index[key] = len(blocks)
+            blocks.append([[generator_process(
                 triple, NcPoly.word(((i - 1) * params.d + (j - 1),)),
                 (times[r], times[r + 1]), factor).mat
                 for j in range(1, params.d + 1)]
-                for i in range(1, params.d + 1)]
-            cache[key] = blk
-        blocks.append(blk)
-    evo = UnitaryEvolution(params, partition, factor, blocks)
+                for i in range(1, params.d + 1)])
+        block_of.append(b)
+    evo = UnitaryEvolution(params, partition, factor, blocks, block_of)
     return evo, evo.unitarity_defect(probe_slots)
 
 

@@ -189,3 +189,26 @@ def test_hermitian_spotcheck(azema2):
     for _ in range(100):
         p = random_poly(B.algebra, rng, 4)
         assert abs(psi(involute(p, B.algebra)) - complex(psi(p)).conjugate()) < 1e-12
+
+
+@pytest.mark.parametrize("q", [2.0, 1e-3, 1e3])
+def test_tensor_star_matches_legwise_involute(q):
+    # TensorPoly.star reads the starred legs from the normal-form memo; the
+    # reference involutes each leg as a one-term polynomial.  At degree 6 some
+    # legs carry normal-form coefficients at or below DROP_TOL, which both
+    # must prune
+    from qlevy.ncpoly import involute
+
+    B, _, _ = make_azema(q)
+    alg = B.algebra
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        t = B.coproduct(random_poly(alg, rng, 6, n_terms=4))
+        want = {}
+        for (a, b), c in t.terms.items():
+            left = involute(NcPoly({a: 1.0}), alg)
+            right = involute(NcPoly({b: 1.0}), alg)
+            for wl, cl in left.terms.items():
+                for wr, cr in right.terms.items():
+                    want[wl, wr] = want.get((wl, wr), 0.0) + complex(c).conjugate() * cl * cr
+        assert t.star(alg).terms == TensorPoly(want).terms

@@ -38,6 +38,29 @@ def test_schema_rejects_q_zero(tmp_path):
     assert "/bialgebra/q" in str(exc.value)
 
 
+def test_schema_errors_name_the_best_match(tmp_path):
+    # load_config reuses one validator; its message is the one
+    # jsonschema.validate raises
+    import jsonschema
+
+    from qlevy.cli import _validator
+
+    bad = [
+        {"name": "bad", "experiment": "axioms", "bialgebra": {"builder": "azema", "q": 0}},
+        {"name": "bad", "experiment": "frobnicate", "bialgebra": {"builder": "azema"}},
+        {"experiment": "axioms"},
+        {"name": 3, "experiment": "sweep", "bialgebra": {"builder": "nope"}, "extra": 1},
+    ]
+    for i, cfg in enumerate(bad):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, _validator().schema)
+        with pytest.raises(SchemaError) as got:
+            load_config(_write(tmp_path, f"bad{i}.json", cfg))
+        pointer = "/" + "/".join(str(p) for p in want.value.absolute_path)
+        assert str(got.value) == f"{pointer}: {want.value.message}"
+    assert _validator() is _validator()
+
+
 def test_schema_rejects_unknown_experiment(tmp_path):
     path = _write(tmp_path, "bad.json", {
         "name": "bad", "experiment": "frobnicate",

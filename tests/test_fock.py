@@ -171,6 +171,15 @@ def _random_cuts(rng, s, t, n):
     return Partition([s] + sorted(rng.uniform(s, t, n - 1)) + [t])
 
 
+U1_PARAMS = UnitaryTripleParams(1, np.array([[1.0]]), np.array([[[0.3]]]),
+                                np.array([[0.5]]))
+# on U<2> the interval functionals do not commute, so the order of the
+# factors shows on uneven cuts
+U2_PARAMS = UnitaryTripleParams(
+    2, np.array([[0.6, 0.8j], [0.8j, 0.6]]), np.array([[[0.3], [0.1j]], [[-0.2], [0.4]]]),
+    np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]))
+
+
 def test_product_vacuum_gram_matches_term_pairs(azema2, azema_triple):
     # cross_path_report pairs the Sweedler terms of Delta_n one by one, an
     # expansion independent of the doubled-coalgebra product
@@ -178,13 +187,8 @@ def test_product_vacuum_gram_matches_term_pairs(azema2, azema_triple):
 
     B, _, psi = azema2
     rng = np.random.default_rng(5)
-    u1 = unitary_triple(UnitaryTripleParams(1, np.array([[1.0]]),
-                                            np.array([[[0.3]]]), np.array([[0.5]])))
-    # on U<2> the interval functionals do not commute, so the order of the
-    # factors shows on uneven cuts
-    u2 = unitary_triple(UnitaryTripleParams(
-        2, np.array([[0.6, 0.8j], [0.8j, 0.6]]), np.array([[[0.3], [0.1j]], [[-0.2], [0.4]]]),
-        np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])))
+    u1 = unitary_triple(U1_PARAMS)
+    u2 = unitary_triple(U2_PARAMS)
     cases = [(azema_triple, random_poly(B.algebra, rng, 2, n_terms=3), B, psi)
              for _ in range(3)]
     cases.append((u1, NcPoly.word((0,)), u1.B, u1.psi))
@@ -302,3 +306,160 @@ def test_azema_wiener_q1_exact():
     assert rep["wiener_defect"] < 1e-10
     assert rep["azema_defect"] < 1e-10
     assert rep["qsde_residual"] < 1e-6
+
+
+# -- the term-pair and per-interval loops the array kernels replaced --------
+
+def _cross_path_oracle(triple, b, B, psi, partition, particle_cap):
+    """cross_path_report as one Python loop over term pairs and slots."""
+    from qlevy.gram import _factor_value
+
+    n = partition.n_intervals()
+    steps = partition.steps()
+    times = partition.times
+    factor = FockFactor(triple.k_dim, particle_cap)
+    om = factor.vacuum()
+    vecs = {}     # (word, rounded step) -> I(word) Omega on the first such slot
+    terms = []
+    for legs, c in B.iterated_coproduct(b, n).terms.items():
+        for r, w in enumerate(legs):
+            if (w, round(steps[r], 15)) not in vecs:
+                vecs[w, round(steps[r], 15)] = generator_process(
+                    triple, NcPoly.word(w), (times[r], times[r + 1]), factor).apply(om)
+        terms.append((c, tuple(vecs[w, round(steps[r], 15)] for r, w in enumerate(legs)),
+                      tuple((NcPoly.word(w), NcPoly.word(w).key()) for w in legs)))
+    fock_total = gram_total = 0.0 + 0.0j
+    bound = 0.0
+    for ca, va, pa in terms:
+        for cb, vb, pb in terms:
+            z = complex(ca).conjugate() * cb
+            fvals = [complex(np.vdot(a, bb)) for a, bb in zip(va, vb)]
+            gvals = [_factor_value(psi, B, dt, ka, kb, a, bb)
+                     for (a, ka), (bb, kb), dt in zip(pa, pb, steps)]
+            fock_total += z * np.prod(fvals)
+            gram_total += z * np.prod(gvals)
+            mx = [max(abs(f), abs(g)) for f, g in zip(fvals, gvals)]
+            for r in range(n):
+                rest = np.prod(mx[:r] + mx[r + 1:]) if n > 1 else 1.0
+                bound += abs(z) * abs(fvals[r] - gvals[r]) * rest
+    return {"fock_value": fock_total, "gram_value": gram_total, "bound": bound}
+
+
+def test_cross_path_report_matches_term_pair_oracle(azema2, azema_triple):
+    from qlevy.gns import unitary_triple
+
+    B, _, psi = azema2
+    rng = np.random.default_rng(41)
+    c = 0.7 - 0.2j
+    u1 = unitary_triple(U1_PARAMS)
+    u2 = unitary_triple(U2_PARAMS)
+    cases = [
+        (azema_triple, NcPoly.word((XS,), c), B, psi, (1, 3, 8)),
+        (azema_triple, NcPoly({(XS,): c, (X, XS): 0.4}), B, psi, (1, 3, 5)),
+        (azema_triple, random_poly(B.algebra, rng, 2, n_terms=3), B, psi, (1, 4)),
+        (u1, NcPoly.word((0,)), u1.B, u1.psi, (1, 4, 8)),
+        (u2, NcPoly({(1,): 1.0, (2,): 0.5j}), u2.B, u2.psi, (1, 3, 5)),
+    ]
+    for triple, b, carrier, phi, ns in cases:
+        for n in ns:
+            for alpha in (Partition.uniform(0, 1, n), _random_cuts(rng, 0.2, 1.1, n)):
+                got = cross_path_report(triple, b, carrier, phi, alpha, 5)
+                ref = _cross_path_oracle(triple, b, carrier, phi, alpha, 5)
+                for key in ("fock_value", "gram_value"):
+                    assert abs(got[key] - ref[key]) <= 1e-13 * abs(ref[key]), (key, n)
+                assert abs(got["bound"] - ref["bound"]) <= 1e-12 * ref["bound"], n
+                assert got["defect"] == abs(got["fock_value"] - got["gram_value"])
+                assert got["defect"] <= 10.0 * got["bound"] + 1e-12
+
+
+def test_cross_path_degree_two_at_n16(azema2, azema_triple):
+    # 257 Sweedler terms, about 66 000 term pairs; the per-pair loop took
+    # minutes here
+    B, _, psi = azema2
+    b = NcPoly({(XS,): 0.7 - 0.2j, (X, XS): 0.4})
+    alpha = Partition.uniform(0, 1, 16)
+    rep = cross_path_report(azema_triple, b, B, psi, alpha, 5)
+    assert rep["defect"] <= 10.0 * rep["bound"] + 1e-12
+    ref = product_vacuum_gram(azema_triple, b, b, B, alpha, 5)
+    assert abs(rep["fock_value"] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _vacuum_amplitude_oracle(evo):
+    d = evo.params.d
+    om = evo.factor.vacuum()
+    out = np.eye(d, dtype=complex)
+    for b in evo.block_of:
+        blk = evo.blocks[b]
+        out = out @ np.array([[np.vdot(om, blk[i][j] @ om) for j in range(d)]
+                              for i in range(d)])
+    return out
+
+
+def _unitarity_defect_oracle(evo, probe_slots=None):
+    """Each probe pair advanced alone through one transfer matrix per interval."""
+    d, m = evo.params.d, evo.factor.m
+    n = len(evo.block_of)
+    if probe_slots is None:
+        probe_slots = sorted({0, n // 2, n - 1})
+    variants = [evo.factor.vacuum()]
+    for mu in range(m):
+        e = np.zeros(evo.factor.dim, dtype=complex)
+        e[evo.factor.index[(0,) * mu + (1,) + (0,) * (m - mu - 1)]] = 1.0
+        variants.append(e)
+
+    def transfer(r, u, v):
+        blk = evo.blocks[evo.block_of[r]]
+        au = [[blk[i][j] @ variants[u] for j in range(d)] for i in range(d)]
+        av = [[blk[i][j] @ variants[v] for j in range(d)] for i in range(d)]
+        p = np.empty((d * d, d * d), dtype=complex)
+        for k in range(d):
+            for kp in range(d):
+                for l in range(d):
+                    for lp in range(d):
+                        p[k * d + kp, l * d + lp] = np.vdot(au[k][l], av[kp][lp])
+        return p
+
+    probes = [None] + [(r, v) for r in probe_slots for v in range(1, len(variants))]
+    start = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        start[i * d + i] = 1.0
+    defect = 0.0
+    for pa in probes:
+        for pb in probes:
+            row = start.copy()
+            for r in range(n):
+                u = pa[1] if pa is not None and pa[0] == r else 0
+                v = pb[1] if pb is not None and pb[0] == r else 0
+                row = row @ transfer(r, u, v)
+            for j in range(d):
+                for jp in range(d):
+                    want = 1.0 if (j == jp and pa == pb) else 0.0
+                    defect = max(defect, abs(row[j * d + jp] - want))
+    return float(defect)
+
+
+def _params_d2_m1():
+    rng = np.random.default_rng(11)
+    w, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    L = rng.normal(size=(2, 2, 1)) + 1j * rng.normal(size=(2, 2, 1))
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return UnitaryTripleParams(2, w, 0.5 * L / np.abs(L).max(), (h + h.conj().T) / 2.0)
+
+
+def _params_d1_m2():
+    rng = np.random.default_rng(12)
+    w, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return UnitaryTripleParams(1, w, np.array([[[0.3, -0.2j]]]), np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("make_params", [_params_d1_m2, _params_d2_m1])
+def test_unitary_evolution_matches_per_interval_oracle(make_params):
+    params = make_params()
+    uneven = Partition([0.0, 0.25, 0.5, 0.6, 0.7, 0.8, 1.05, 1.3, 1.45])
+    for alpha in (Partition.uniform(0, 0.4, 64), uneven):
+        evo, defect = unitary_product_evolution(params, params.d, alpha, 6)
+        assert len(evo.blocks) <= len(set(np.round(alpha.steps(), 15)))
+        assert defect == _unitarity_defect_oracle(evo)
+        assert evo.unitarity_defect([1, 2]) == _unitarity_defect_oracle(evo, [1, 2])
+        assert np.array_equal(evo.vacuum_amplitude(), _vacuum_amplitude_oracle(evo))
+    assert len(evo.blocks) >= 3

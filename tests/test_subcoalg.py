@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,23 @@ def test_cached_subcoalgebra_respects_dim_cap():
         conv_exp(psi, 1.0, p, B, dim_cap=4)
     conv_exp(psi, 1.0, p.scale(2.0), B)
     assert len(B._subs) == 1        # the closure depends on the words only
+
+
+def test_dim_cap_boundary():
+    # (x x*)^2 closes at exactly dim words: a cap of dim passes, dim - 1 fails,
+    # both when extracting and on a fresh carrier's first conv_exp
+    p = NcPoly.word((X, XS, X, XS))
+    B, _, psi = make_azema(2.0)
+    dim = subcoalgebra_of(p, B).dim()
+    assert subcoalgebra_of(p, B, dim_cap=dim).dim() == dim
+    with pytest.raises(DimCapExceeded):
+        subcoalgebra_of(p, B, dim_cap=dim - 1)
+    want = conv_exp(psi, 0.5, p, B)
+    B, _, psi = make_azema(2.0)
+    assert conv_exp(psi, 0.5, p, B, dim_cap=dim) == want
+    B, _, psi = make_azema(2.0)
+    with pytest.raises(DimCapExceeded):
+        conv_exp(psi, 0.5, p, B, dim_cap=dim - 1)
 
 
 def test_transfer_counit_identity(azema2):
@@ -253,6 +271,51 @@ def test_banach_targets_memoized_per_span(monkeypatch):
     assert np.array_equal(target, expm(0.8 * g))
     assert norm_g == np.linalg.norm(g, 2)
     assert all(rep["norm_G"] == norm_g for rep in reps)
+
+
+def _banach_oracle(spec, partition, draws, rng):
+    """banach_product_check with I + rG built afresh at every step."""
+    g = np.asarray(spec.baseline, dtype=complex)
+    n = g.shape[0]
+    span = partition.t - partition.s
+    norm_g = float(np.linalg.norm(g, 2))
+    target = scipy.linalg.expm(span * g)
+    mesh = partition.mesh()
+    c = float(spec.C) if spec.C is not None else 0.0
+    bound = (mesh * span * np.exp(span * max(norm_g, c))
+             * (c ** 2 + norm_g ** 2 * np.exp(mesh * norm_g)) / 2.0)
+    worst = 0.0
+    for _ in range(draws):
+        prod = np.eye(n, dtype=complex)
+        for r in partition.steps():
+            a = np.eye(n, dtype=complex) + r * g
+            if spec.remainder is not None:
+                mu = int(rng.integers(spec.n_choices))
+                a = a + np.asarray(spec.remainder(r, mu), dtype=complex)
+            prod = prod @ a
+        worst = max(worst, float(np.linalg.norm(prod - target, 2)))
+    return {"lhs_max": worst, "bound": float(bound), "passed": bool(worst <= bound + 1e-12),
+            "mesh": mesh, "draws": draws, "norm_G": norm_g, "C": c}
+
+
+@pytest.mark.parametrize("with_remainder", [False, True])
+def test_banach_check_matches_fresh_step_oracle(with_remainder):
+    rng = np.random.default_rng(28)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    perts = [0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+             for _ in range(3)]
+
+    def remainder(r, mu):
+        return r * r * perts[mu]
+
+    def spec():
+        return ProductFamilySpec("matrix-family", 0.4 * g,
+                                 remainder=remainder if with_remainder else None,
+                                 n_choices=3, R=1.0, C=1.0)
+
+    for part in (Partition.uniform(0.0, 1.0, 8), Partition([0.0, 0.1, 0.4, 0.5, 0.9, 1.0])):
+        got = banach_product_check(spec(), part, draws=6, rng=np.random.default_rng(3))
+        assert got == _banach_oracle(spec(), part, 6, np.random.default_rng(3))
 
 
 def test_banach_mesh_guard():
