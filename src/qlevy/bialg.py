@@ -132,7 +132,6 @@ class BialgebraSpec:
         self._delta_word = {(): TensorPoly.unit()}
         self._sweedler = {}
         self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
-        self._factors = {}      # (psi, dt, a key, b key) -> vacuum value (gram)
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 

@@ -50,6 +50,8 @@ def make_azema(q):
     monomials M(x, x*) y^k read off directly.
     """
     q = float(q)
+    if not np.isfinite(q):
+        raise InvalidParameter(f"q must be finite, got {q}")
     if q == 0.0:
         raise InvalidParameter("q = 0 degenerates the rule orientation yx -> q^-1 xy")
     X, XS, Y = 0, 1, 2

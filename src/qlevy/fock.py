@@ -13,10 +13,10 @@ transformation experiments.  A vacuum value of a convolution product is a
 convolution product of the one-interval values <I(a) Omega, I(b) Omega> on
 the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
 module's powers are; neither the n-fold tensor space nor Delta_n is
-expanded, except in cross_path_report, which pairs Sweedler terms as an
-independent check: each pair reads its slot factors from per-slot tables
-over the few distinct leg words of a slot, and its terms are summed as
-arrays.  A unitary product evolution holds each distinct generator block
+expanded, except in cross_path_report, an independent check that pairs
+Sweedler terms by gram.term_pair_sums over per-step tables of one-interval
+values.  Intervals of equal steps (Partition.step_classes) share those
+values.  A unitary product evolution holds each distinct generator block
 once and advances all its unitarity probes together through one transfer
 matrix per block.  All vacuum quantities computed here are a second path
 to the exact one-interval semigroup values of the gram module.
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, TailBoundExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import Partition
-from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product
+from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
 
 DEFAULT_CAP = 8
 
@@ -243,15 +243,13 @@ def _vacuum_factors(triple, subc, subd, partition, factor, vec):
     """One (values, g) per run of g equal steps of the partition, with
     values[a, b] = <I(a) vec, I(b) vec> over the bases of subc and subd."""
     times = partition.times
-    factors = []
-    for _dt, run in itertools.groupby(range(partition.n_intervals()),
-                                      key=lambda r: round(times[r + 1] - times[r], 15)):
-        run = list(run)
-        interval = (times[run[0]], times[run[0] + 1])
-        va, vb = (np.array([generator_process(triple, a, interval, factor).apply(vec)
-                            for a in sub.basis]) for sub in (subc, subd))
-        factors.append((va.conj() @ vb.T, len(run)))
-    return factors
+    first, of = partition.step_classes()
+    values = []
+    for r in first:
+        va, vb = (np.array([generator_process(triple, a, (times[r], times[r + 1]), factor)
+                            .apply(vec) for a in sub.basis]) for sub in (subc, subd))
+        values.append(va.conj() @ vb.T)
+    return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
 
 
 def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP,
@@ -277,76 +275,57 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     """Vacuum norm of the convolution product vs the exact gram-engine value.
 
     The fock side uses the first-order operators I_{s,t}; the gram side uses
-    the exact one-interval semigroup values e_*^{dt psi}(a* b) through the
-    gram module's factor path, memoized on B.  Both sums run over every pair
-    of Sweedler terms of Delta_n(b), reading each pair's slot factors from
-    per-slot tables over the distinct leg words of that slot.  The reported
+    the exact one-interval semigroup values e_*^{dt psi}(a* b) of
+    subcoalg.factor_table.  Both sums run over every pair of Sweedler terms
+    of Delta_n(b) by gram.term_pair_sums, on one table per step over the
+    distinct leg words of its slots.  The reported
     per-instance bound telescopes the per-interval deviations
     |<I(a) Omega, I(b) Omega> - phi_dt(a* b)| through the term-pair products
     and adds the (here zero: a single application of I creates at most one
     particle per slot) truncation tail.
     """
-    from .gram import _factor_value
+    from .gram import term_pair_sums
 
     n = partition.n_intervals()
     steps = partition.steps()
     times = partition.times
+    first, slot_class = partition.step_classes()
     factor = FockFactor(triple.k_dim, particle_cap)
     om = factor.vacuum()
     leg_list = list(B.iterated_coproduct(b, n).terms.items())
-    vec_cache = {}
+    class_words = [{} for _ in first]     # per step class: leg word -> table index
+    idx = np.array([[class_words[k].setdefault(w, len(class_words[k]))
+                     for k, w in zip(slot_class, legs)] for legs, _c in leg_list],
+                   dtype=np.intp).reshape(len(leg_list), n)
 
-    def leg_vector(w, r):
-        key = (w, round(steps[r], 15))
-        hit = vec_cache.get(key)
-        if hit is None:
-            hit = generator_process(triple, NcPoly.word(w),
-                                    (times[r], times[r + 1]), factor).apply(om)
-            vec_cache[key] = hit
-        return hit
+    # per step class: <I(u) Omega, I(v) Omega> and e_*^{dt psi}(u* v) over its words
+    width = max(map(len, class_words))
+    ftab, gtab = np.zeros((2, len(first), width, width), dtype=complex)
+    for k, (r, words) in enumerate(zip(first, class_words)):
+        polys, m = [NcPoly.word(w) for w in words], len(words)
+        vecs = [generator_process(triple, p, (times[r], times[r + 1]), factor).apply(om)
+                for p in polys]
+        ftab[k, :m, :m] = [[np.vdot(va, vb) for vb in vecs] for va in vecs]
+        gtab[k, :m, :m] = factor_table(psi, steps[r], polys, polys, B)
+    coeffs = np.array([c for _legs, c in leg_list], dtype=complex)
+    terms = (coeffs, idx, np.zeros(len(leg_list), dtype=np.intp), 1)
+    fock_total = complex(term_pair_sums(ftab, slot_class, terms, terms)[0, 0])
+    gram_total = complex(term_pair_sums(gtab, slot_class, terms, terms)[0, 0])
 
-    polys = {}    # leg word -> (NcPoly, key), built once per report
-    slot_words = [{} for _ in range(n)]     # per slot: leg word -> table index
-    idx = np.zeros((len(leg_list), n), dtype=np.intp)
-    for t, (legs, _c) in enumerate(leg_list):
-        for r, w in enumerate(legs):
-            if w not in polys:
-                p = NcPoly.word(w)
-                polys[w] = (p, p.key())
-            idx[t, r] = slot_words[r].setdefault(w, len(slot_words[r]))
-
-    # per slot r: <I(u) Omega, I(v) Omega> and e_*^{dt psi}(u* v) over its words
-    width = max(map(len, slot_words))
-    ftab = np.zeros((n, width, width), dtype=complex)
-    gtab = np.zeros((n, width, width), dtype=complex)
-    for r, words in enumerate(slot_words):
-        legs = [(leg_vector(w, r), polys[w]) for w in words]
-        for i, (va, (a, ka)) in enumerate(legs):
-            for j, (vb, (bb, kb)) in enumerate(legs):
-                ftab[r, i, j] = np.vdot(va, vb)
-                gtab[r, i, j] = _factor_value(psi, B, steps[r], ka, kb, a, bb)
     mtab = np.maximum(np.abs(ftab), np.abs(gtab)).ravel()
     dtab = np.abs(ftab - gtab).ravel()
-    ftab, gtab = ftab.ravel(), gtab.ravel()
-
-    coeffs = np.array([c for _legs, c in leg_list], dtype=complex)
-    rows = (np.arange(n) * width + idx) * width      # flat table row of each leg
+    rows = (np.asarray(slot_class) * width + idx) * width   # flat table row of each leg
     ones = np.ones((len(leg_list), 1))
-    fock_total = 0.0 + 0.0j
-    gram_total = 0.0 + 0.0j
     bound = 0.0
     for ca, row in zip(coeffs, rows):
         at = row + idx              # (term, slot) entries against every right term
         z = ca.conjugate() * coeffs
-        fock_total += np.sum(z * np.prod(ftab[at], axis=1))
-        gram_total += np.sum(z * np.prod(gtab[at], axis=1))
         # sum_r |f_r - g_r| prod_{s != r} max(|f_s|, |g_s|) from exclusive
         # prefix and suffix products of the max-moduli
         mx = mtab[at]
         before = np.cumprod(np.hstack([ones, mx[:, :-1]]), axis=1)
         after = np.cumprod(np.hstack([ones, mx[:, :0:-1]]), axis=1)[:, ::-1]
         bound += np.sum(np.abs(z) * np.sum(dtab[at] * before * after, axis=1))
-    fock_total, gram_total = complex(fock_total), complex(gram_total)
     return {
         "n": n,
         "mesh": partition.mesh(),
@@ -475,20 +454,14 @@ def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
     triple = unitary_triple(params)
     factor = FockFactor(params.m, particle_cap)
     times = partition.times
-    block_index = {}      # rounded step -> index into blocks
+    first, block_of = partition.step_classes()
     blocks = []
-    block_of = []
-    for r in range(partition.n_intervals()):
-        key = round(times[r + 1] - times[r], 15)
-        b = block_index.get(key)
-        if b is None:
-            b = block_index[key] = len(blocks)
-            blocks.append([[generator_process(
-                triple, NcPoly.word(((i - 1) * params.d + (j - 1),)),
-                (times[r], times[r + 1]), factor).mat
-                for j in range(1, params.d + 1)]
-                for i in range(1, params.d + 1)])
-        block_of.append(b)
+    for r in first:
+        blocks.append([[generator_process(
+            triple, NcPoly.word(((i - 1) * params.d + (j - 1),)),
+            (times[r], times[r + 1]), factor).mat
+            for j in range(1, params.d + 1)]
+            for i in range(1, params.d + 1)])
     evo = UnitaryEvolution(params, partition, factor, blocks, block_of)
     return evo, evo.unitarity_defect(probe_slots)
 

@@ -8,9 +8,11 @@ partitions -- to products of one-interval vacuum values
 
     <j_{u,v}(a) Omega, j_{u,v}(b) Omega> = e_*^{(v-u) psi}(a* b),
 
-each computed by conv_exp.  This makes the engine exact up to
-matrix-exponential precision and immune to Fock truncation error.  gram
-pairs the terms of two such sums directly.
+read for all entries of one step off one exponential by
+subcoalg.factor_table.  This makes the engine exact up to matrix-exponential
+precision and immune to Fock truncation error.  term_pair_sums, the one
+term-pair kernel (fock's cross-path report uses it too), pairs the terms of
+such sums in gram_matrix, and gram is its 1 x 1 case.
 
 Convergence sweeps realize the transformation theorem numerically: the
 theta_alpha products of a transported process, the zeta_alpha products of
@@ -20,15 +22,14 @@ mesh each of their Gram values is an infinitesimal convolution product of
 g identical blocks, i.e. the g-th convolution power of one block
 functional on the doubled coalgebra conj(C) (x) C, taken as g sparse
 matrix-vector products on the subcoalgebras of the two elements by
-subcoalg.doubled_product, the path fock's vacuum values take too; gram
-supplies only the one-block values.
+subcoalg.doubled_product, the path fock's vacuum values take too; one
+gram_matrix call supplies all the one-block values of a power.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -37,9 +38,9 @@ from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import DROP_TOL, NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
-from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product
+from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
 
-FACTOR_EVAL_WARN = 10 ** 5
+PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by term_pair_sums
 DEFECT_FLOOR = 1e-13   # a sweep defect at or below this fits no rate constant
 
 
@@ -161,20 +162,6 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
 # gram evaluation
 # ---------------------------------------------------------------------------
 
-def _factor_value(psi, B, dt, a_key, b_key, a, b):
-    """One-interval vacuum value e_*^{dt psi}(a* b), memoized on B."""
-    key = (psi, dt, a_key, b_key)
-    hit = B._factors.get(key)
-    if hit is None:
-        prod = multiply(involute(a, B.algebra), b, B.algebra)
-        hit = B._factors[key] = conv_exp(psi, dt, prod, B)
-        if len(B._factors) == FACTOR_EVAL_WARN:
-            warnings.warn(
-                f"more than {FACTOR_EVAL_WARN} distinct Gram factor evaluations",
-                RuntimeWarning)
-    return hit
-
-
 def _expand_slots(B, polys, counts):
     """Sweedler-expand a run of slots over their sub-interval counts.
 
@@ -201,33 +188,88 @@ def _expand_slots(B, polys, counts):
     return out
 
 
-def gram(u, v, psi, B):
-    """<u, v> with the left argument conjugate-starred entrywise.
+def term_pair_sums(tables, slot_class, left, right):
+    """(left owners) x (right owners) matrix of the sums over term pairs of
+    conj(z_a) z_b prod_r tables[slot_class[r]][i_ar, i_br].
 
-    Both sides are re-expanded over the common refinement of their
-    partitions by iterated coproducts (legitimate because
-    j_{r,s} * j_{s,t} = j_{r,t}), and each pair of terms contributes the
-    product of its one-interval values e_*^{dt psi}(a* b).  The cost is the
-    product of the two term counts, so gram serves user partitions and the
-    one-block values of _convolution_power; sweeps and reverse checks never
-    hand it an n-interval expansion.
+    left and right are (coeffs, index, owner, n_owners), terms grouped by
+    ascending owner, index[t, r] the table row (left) or column (right) of
+    term t in slot r.  A pair's product is formed in slot order after its
+    coefficient; numpy's pairwise summation adds the pairs of one left term
+    and one right owner, then (pairwise again) those sums over the left
+    terms of one owner, so rounding grows with log(terms), not the pairs.
     """
-    if abs(u.partition.s - v.partition.s) > TIME_TOL \
-            or abs(u.partition.t - v.partition.t) > TIME_TOL:
+    (zl, il, ol, nl), (zr, ir, orr, nr) = left, right
+    out = np.zeros((nl, nr), dtype=complex)
+    if not (zl.size and zr.size):
+        return out
+    cls = np.asarray(slot_class, dtype=np.intp)
+    widths = np.array([t.shape[1] for t in tables], dtype=np.intp)
+    base = np.cumsum([0] + [t.size for t in tables])[:-1]
+    flat = np.concatenate([np.ravel(t) for t in tables])
+    lrow = base[cls] + il * widths[cls]     # flat start of each left entry's row
+    lown, lstart = np.unique(ol, return_index=True)
+    rown, rstart = np.unique(orr, return_index=True)
+    rowsums = np.empty((zl.size, rown.size), dtype=complex)
+    step = max(1, PAIR_BLOCK // zr.size)
+    for a in range(0, zl.size, step):
+        acc = np.multiply.outer(zl[a:a + step].conj(), zr)
+        for r in range(cls.size):
+            acc *= flat[lrow[a:a + step, r, None] + ir[:, r]]
+        rowsums[a:a + step] = np.add.reduceat(acc, rstart, axis=1)
+    out[np.ix_(lown, rown)] = np.add.reduceat(
+        np.ascontiguousarray(rowsums.T), lstart, axis=1).T
+    return out
+
+
+def _index_terms(sums, slot_class, n_classes):
+    """The terms of sums in term_pair_sums form, and per step class the
+    distinct entries its index refers to."""
+    seen = [{} for _ in range(n_classes)]    # per class: entry key -> index
+    registry, coeffs, index, owner = {}, [], [], []
+    for o, s in enumerate(sums):
+        registry.update(s.registry)
+        for ks, z in s.terms.items():
+            index.append([seen[k].setdefault(key, len(seen[k]))
+                          for k, key in zip(slot_class, ks)])
+            coeffs.append(z)
+            owner.append(o)
+    return (np.array(coeffs, dtype=complex),
+            np.array(index, dtype=np.intp).reshape(len(coeffs), len(slot_class)),
+            np.array(owner, dtype=np.intp), len(sums)), \
+        [[registry[key] for key in d] for d in seen]
+
+
+def gram_matrix(us, vs, psi, B):
+    """[[<u, v> for v in vs] for u in us], left arguments conjugate-starred
+    entrywise; the sums of each list share one partition.
+
+    Both lists are re-expanded over the common refinement of the partitions
+    (legitimate because j_{r,s} * j_{s,t} = j_{r,t}); each step class of it
+    gets one factor_table over the entries of its slots.  The cost is the
+    product of the term counts, so gram serves user partitions and the
+    one-block values of _convolution_power, never an n-interval sweep.
+    """
+    if not (us and vs):     # e.g. the empty basis of the zero element
+        return np.zeros((len(us), len(vs)), dtype=complex)
+    pu, pv = us[0].partition, vs[0].partition
+    if any(w.partition.times != p.times for ws, p in ((us, pu), (vs, pv)) for w in ws):
+        raise InvalidParameter("the sums of one side must share their partition")
+    if abs(pu.s - pv.s) > TIME_TOL or abs(pu.t - pv.t) > TIME_TOL:
         raise InvalidParameter("expansions cover different intervals")
-    gamma = u.partition.common_refinement(v.partition)
-    u, v = u.refine(gamma, B), v.refine(gamma, B)
-    dts = gamma.steps()
-    total = 0.0 + 0.0j
-    for ukeys, zu in u.terms.items():
-        for vkeys, zv in v.terms.items():
-            prod = complex(zu).conjugate() * zv
-            for dt, ka, kb in zip(dts, ukeys, vkeys):
-                prod *= _factor_value(psi, B, dt, ka, kb, u.registry[ka], v.registry[kb])
-                if prod == 0.0:
-                    break
-            total += prod
-    return complex(total)
+    gamma = pu.common_refinement(pv)
+    first, slot_class = gamma.step_classes()
+    left, lents = _index_terms([u.refine(gamma, B) for u in us], slot_class, len(first))
+    right, rents = _index_terms([v.refine(gamma, B) for v in vs], slot_class, len(first))
+    steps = gamma.steps()
+    tables = [factor_table(psi, steps[r], a, b, B) for r, a, b in zip(first, lents, rents)]
+    return term_pair_sums(tables, slot_class, left, right)
+
+
+def gram(u, v, psi, B):
+    """<u, v> with the left argument conjugate-starred entrywise: the
+    1 x 1 case of gram_matrix."""
+    return complex(gram_matrix([u], [v], psi, B)[0, 0])
 
 
 def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
@@ -236,14 +278,13 @@ def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
 
     This is the g-th convolution power of the one-block functional
     Psi(a (x) b) = gram(block_c(a), block_d(b)) on the doubled coalgebra
-    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product.
+    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product; one
+    gram_matrix call gives all values of Psi on the two bases.
     """
     subc = _cached_sub(c, S, DIM_CAP)
     subd = _cached_sub(d, S, DIM_CAP)
-    blocks_c = [block_c(a) for a in subc.basis]
-    blocks_d = [block_d(b) for b in subd.basis]
-    values = np.array([[gram(bc, bd, psi, B) for bd in blocks_d] for bc in blocks_c],
-                      dtype=complex).reshape(subc.dim(), subd.dim())
+    values = gram_matrix([block_c(a) for a in subc.basis],
+                         [block_d(b) for b in subd.basis], psi, B)
     return doubled_product(subc, subd, c, d, [(values, g)])
 
 

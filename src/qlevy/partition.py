@@ -10,13 +10,15 @@ TIME_TOL = 1e-12   # two partition times closer than this are the same point
 
 
 class Partition:
-    """Strictly increasing times t0 < ... < tn with endpoints (s, t), any two
-    consecutive ones more than TIME_TOL apart."""
+    """Strictly increasing finite times t0 < ... < tn with endpoints (s, t),
+    any two consecutive ones more than TIME_TOL apart."""
 
     def __init__(self, times):
         times = tuple(float(u) for u in times)
         if len(times) < 2:
             raise InvalidParameter("a partition needs at least two points")
+        if not np.isfinite(times).all():
+            raise InvalidParameter(f"partition times must be finite, got {list(times)}")
         if any(b - a <= TIME_TOL for a, b in zip(times, times[1:])):
             raise InvalidParameter(
                 f"partition times must increase by more than TIME_TOL = {TIME_TOL:g}; "
@@ -43,6 +45,20 @@ class Partition:
 
     def mesh(self):
         return max(self.steps())
+
+    def step_classes(self):
+        """(first, of): first[k] is the first interval of the k-th distinct
+        step, of[r] the step class of interval r.  Two steps are one when
+        they are equal after round(dt, 15); steps a few ulp apart are one
+        unless they straddle a rounding boundary, as some of
+        Partition.uniform(0, 1, 14) do."""
+        first, of, seen = [], [], {}
+        for r, dt in enumerate(self.steps()):
+            k = seen.setdefault(round(dt, 15), len(first))
+            if k == len(first):
+                first.append(r)
+            of.append(k)
+        return first, of
 
     def refines(self, other):
         """True if self contains all points of other (up to TIME_TOL)."""

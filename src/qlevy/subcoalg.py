@@ -12,10 +12,11 @@ rewriting system being confluent, so that its normal words form a basis
 (Bergman's diamond lemma); the legs of key_delta(w) are then basis
 coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
-keys is closed already and T(psi) is diagonal.  doubled_product evaluates
-the Gram and Fock vacuum values of infinitesimal products on the doubled
-coalgebra conj(C) (x) C of two subcoalgebras.  The module also ships the
-checkers for the two infinitesimal-product error bounds used in the
+keys is closed already and T(psi) is diagonal.  factor_table reads the
+one-interval Gram factors of a step off one exponential, and doubled_product
+evaluates the Gram and Fock vacuum values of infinitesimal products on the
+doubled coalgebra conj(C) (x) C of two subcoalgebras.  The module also ships
+the checkers for the two infinitesimal-product error bounds used in the
 convergence experiments: a Banach-algebra version on matrices and the
 coalgebra version phrased through functionals.  A ProductFamilySpec owns the
 memo of its matrix-case targets e^{span G} and ||G||_2, one entry per span.
@@ -32,7 +33,7 @@ import scipy.sparse
 from .bialg import TERM_BUDGET
 from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence,
                      TermBudgetExceeded)
-from .ncpoly import NcPoly
+from .ncpoly import NcPoly, involute, multiply
 
 DIM_CAP = 512   # most normal words in one subcoalgebra
 SERIES_MAX_TERMS = 64
@@ -51,8 +52,8 @@ class Subcoalgebra:
     they are exact because the keys are a basis of the carrier.
 
     The carrier holds its subcoalgebras, so a subcoalgebra keeps no
-    reference to it, and its transfer matrices are dropped with their
-    functionals: neither may keep the carrier alive.
+    reference to it, and its transfer matrices and counit rows are dropped
+    with their functionals: neither may keep the carrier alive.
     """
 
     def __init__(self, B, words):
@@ -70,6 +71,7 @@ class Subcoalgebra:
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
         self._transfers = weakref.WeakKeyDictionary()   # functional -> matrix
+        self._rows = weakref.WeakKeyDictionary()   # functional -> {dt: delta e^{dt T}}
 
     def dim(self):
         return len(self.basis)
@@ -112,8 +114,8 @@ def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
         words.add(w)
         if len(words) > dim_cap:
             raise DimCapExceeded(
-                f"subcoalgebra of a {len(p.terms)}-term element exceeds cap "
-                f"{dim_cap} words")
+                f"subcoalgebra of a {len(p.terms)}-term element reached "
+                f"{len(words)} words, above cap {dim_cap}")
         for legs in B.key_delta(w):
             pending.extend(legs)
     return Subcoalgebra(B, sorted(words, key=B.key_order))
@@ -154,6 +156,29 @@ def _cached_sub(p, B, dim_cap):
     return sub
 
 
+def factor_table(psi, dt, left, right, B):
+    """Table [i, j] = e_*^{dt psi}(left[i]* right[j]) for one step dt.
+
+    Delta is multiplicative, so the words of all products left[i]* right[j]
+    close to one subcoalgebra S (owned by B); each value is the counit row
+    delta e^{dt T_S(psi)}, held by S per psi and dt, read against coords_S
+    of its product: one exponential per step, not one per pair.
+    """
+    prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
+    try:
+        sub = _cached_sub(NcPoly({w: 1.0 for p in prods for w in p.terms}), B, DIM_CAP)
+    except DimCapExceeded as err:
+        raise DimCapExceeded(f"Gram factor table at step {dt:.15g}: {err}") from None
+    rows = sub._rows.setdefault(psi, {})
+    row = rows.get(dt)
+    if row is None:
+        row = rows[dt] = sub.counit_vector @ scipy.linalg.expm(
+            dt * transfer_matrix(psi, sub))
+    at = sub._index
+    return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in prods],
+                    dtype=complex).reshape(len(left), len(right))
+
+
 def doubled_product(subc, subd, c, d, factors):
     """Convolution product Psi_1^{*g_1} * ... * Psi_k^{*g_k} on the doubled
     coalgebra conj(subc) (x) subd, at conj(c) (x) d.
@@ -188,6 +213,8 @@ def doubled_product(subc, subd, c, d, factors):
 
 def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
     """delta o expm(t T(psi)) applied to p; Eq.-style semigroup value."""
+    if not np.isfinite(t):
+        raise InvalidParameter(f"conv_exp: t must be finite, got {t}")
     if sub is None:
         sub = _cached_sub(p, B, dim_cap)
     m = transfer_matrix(psi, sub)

@@ -255,3 +255,14 @@ def test_complex_serialization_roundtrip():
     assert arr.shape == (1, 2)
     assert arr[0, 0] == 1.0 + 2.0j
     assert arr[0, 1] == -1.0j
+
+
+def test_run_names_a_non_finite_q(tmp_path, capsys):
+    # JSON takes a NaN literal, and draft-07 cannot exclude it
+    path = _write(tmp_path, "nan_q.json", {
+        "name": "nan_q", "experiment": "axioms",
+        "bialgebra": {"builder": "azema", "q": float("nan")}, "samples": 5,
+    })
+    assert "NaN" in Path(path).read_text(encoding="utf-8")
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert "q must be finite, got nan" in capsys.readouterr().err

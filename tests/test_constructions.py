@@ -196,3 +196,9 @@ def test_broken_morphism_detected(azema2):
     bad = Morphism(T, B, "algebra-homomorphism", gen_images=bad_images, name="bad")
     rep = check_counit_preserving(bad, n_samples=50, sample_degree=2)
     assert rep["max_residual"] >= 0.5
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf")])
+def test_azema_rejects_non_finite_q(q):
+    with pytest.raises(InvalidParameter, match="q must be finite"):
+        make_azema(q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlevy.constructions import make_azema
-from qlevy.errors import DimensionMismatch, TailBoundExceeded
+from qlevy.errors import DimCapExceeded, DimensionMismatch, TailBoundExceeded
 from qlevy.fock import (
     FockFactor,
     UnitaryEvolution,
@@ -19,8 +19,9 @@ from qlevy.fock import (
     unitary_product_evolution,
 )
 from qlevy.gns import UnitaryTripleParams, gns_construct
-from qlevy.ncpoly import NcPoly, random_poly
+from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
 from qlevy.partition import Partition
+from qlevy.subcoalg import conv_exp
 
 X, XS, Y = 0, 1, 2
 
@@ -311,31 +312,43 @@ def test_azema_wiener_q1_exact():
 # -- the term-pair and per-interval loops the array kernels replaced --------
 
 def _cross_path_oracle(triple, b, B, psi, partition, particle_cap):
-    """cross_path_report as one Python loop over term pairs and slots."""
-    from qlevy.gram import _factor_value
+    """cross_path_report as one Python loop over term pairs and slots, each
+    Gram factor one conv_exp of its own product."""
+    alg = B.algebra
+    gvals_memo = {}
+
+    def gram_factor(dt, u, v):
+        if (dt, u, v) not in gvals_memo:
+            gvals_memo[dt, u, v] = conv_exp(psi, dt, multiply(
+                involute(NcPoly.word(u), alg), NcPoly.word(v), alg), B)
+        return gvals_memo[dt, u, v]
 
     n = partition.n_intervals()
     steps = partition.steps()
     times = partition.times
+    # steps equal to 15 decimals are one step, taken from its first interval
+    first = {}
+    for r, dt in enumerate(steps):
+        first.setdefault(round(dt, 15), r)
+    rep = [first[round(dt, 15)] for dt in steps]
     factor = FockFactor(triple.k_dim, particle_cap)
     om = factor.vacuum()
-    vecs = {}     # (word, rounded step) -> I(word) Omega on the first such slot
+    vecs = {}     # (word, first interval of its step) -> I(word) Omega there
     terms = []
     for legs, c in B.iterated_coproduct(b, n).terms.items():
         for r, w in enumerate(legs):
-            if (w, round(steps[r], 15)) not in vecs:
-                vecs[w, round(steps[r], 15)] = generator_process(
-                    triple, NcPoly.word(w), (times[r], times[r + 1]), factor).apply(om)
-        terms.append((c, tuple(vecs[w, round(steps[r], 15)] for r, w in enumerate(legs)),
-                      tuple((NcPoly.word(w), NcPoly.word(w).key()) for w in legs)))
+            if (w, rep[r]) not in vecs:
+                vecs[w, rep[r]] = generator_process(
+                    triple, NcPoly.word(w), (times[rep[r]], times[rep[r] + 1]),
+                    factor).apply(om)
+        terms.append((c, tuple(vecs[w, rep[r]] for r, w in enumerate(legs)), legs))
     fock_total = gram_total = 0.0 + 0.0j
     bound = 0.0
     for ca, va, pa in terms:
         for cb, vb, pb in terms:
             z = complex(ca).conjugate() * cb
             fvals = [complex(np.vdot(a, bb)) for a, bb in zip(va, vb)]
-            gvals = [_factor_value(psi, B, dt, ka, kb, a, bb)
-                     for (a, ka), (bb, kb), dt in zip(pa, pb, steps)]
+            gvals = [gram_factor(steps[q], a, bb) for a, bb, q in zip(pa, pb, rep)]
             fock_total += z * np.prod(fvals)
             gram_total += z * np.prod(gvals)
             mx = [max(abs(f), abs(g)) for f, g in zip(fvals, gvals)]
@@ -359,6 +372,9 @@ def test_cross_path_report_matches_term_pair_oracle(azema2, azema_triple):
         (azema_triple, random_poly(B.algebra, rng, 2, n_terms=3), B, psi, (1, 4)),
         (u1, NcPoly.word((0,)), u1.B, u1.psi, (1, 4, 8)),
         (u2, NcPoly({(1,): 1.0, (2,): 0.5j}), u2.B, u2.psi, (1, 3, 5)),
+        # 0.8 x11 x22 + 0.3i x12: each slot table closes one subcoalgebra
+        # over 309 words of the products of its leg words
+        (u2, NcPoly({(0, 3): 0.8, (1,): 0.3j}), u2.B, u2.psi, (1, 2)),
     ]
     for triple, b, carrier, phi, ns in cases:
         for n in ns:
@@ -382,6 +398,16 @@ def test_cross_path_degree_two_at_n16(azema2, azema_triple):
     assert rep["defect"] <= 10.0 * rep["bound"] + 1e-12
     ref = product_vacuum_gram(azema_triple, b, b, B, alpha, 5)
     assert abs(rep["fock_value"] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_cross_path_slot_table_names_step_and_size_above_dim_cap():
+    # x11 x21* x12 at n = 1: the products of its leg words close to 1 093
+    # words, above DIM_CAP = 512
+    from qlevy.gns import unitary_triple
+
+    u2 = unitary_triple(U2_PARAMS)
+    with pytest.raises(DimCapExceeded, match=r"step 1: .* reached 513 words, above cap 512"):
+        cross_path_report(u2, NcPoly.word((0, 6, 1)), u2.B, u2.psi, Partition([0, 1]), 5)
 
 
 def _vacuum_amplitude_oracle(evo):

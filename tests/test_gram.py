@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qlevy.gram import (
     FactorizedVectorSum,
     convergence_sweep,
     gram,
+    gram_matrix,
     identity_morphism,
     limit_value,
     reverse_check,
@@ -224,6 +227,21 @@ def test_reverse_unit(chain):
                          0.0, 1.0, [2, 4])
     for r in rows:
         assert r.defect < 1e-12
+
+
+def test_zero_element_sweep_and_reverse_are_zero(chain):
+    # the subcoalgebra of 0 has no basis: its powers have no block values
+    B, psi, _G, kappa, kappa_tilde = chain
+    x, zero = NcPoly.word((X,)), NcPoly.word((X,)).scale(0.0)
+    assert not zero.terms
+    for row in reverse_check(zero, x, kappa_tilde, psi, 0.0, 1.0, [2, 4]):
+        assert row.norm_sq == 0.0 and row.cross == 0.0
+    for row in reverse_check(x, zero, kappa_tilde, psi, 0.0, 1.0, [2]):
+        assert row.cross == 0.0
+    for row in convergence_sweep(x, zero, identity_morphism(B), psi, 0.0, 1.0, [2, 4]):
+        assert row.cross == 0.0
+    assert gram_matrix([], [FactorizedVectorSum.singleton(x, 0.0, 1.0)],
+                       psi, B).shape == (0, 1)
 
 
 def test_reverse_azema_x(chain):
@@ -530,3 +548,48 @@ def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):
     monkeypatch.setattr(qlevy.subcoalg, "TERM_BUDGET", 100)
     with pytest.raises(TermBudgetExceeded, match="doubled coalgebra"):
         convergence_sweep(c, c, identity_morphism(B), psi, 0.0, 1.0, [4])
+
+
+def test_gram_sum_is_accurate_on_many_pairs(chain):
+    # 39 360 term pairs: gram must stay within a few ulp of the exact sum of
+    # the same pair terms, each factor here one conv_exp of its product
+    B, _psi, _G, kappa, kappa_tilde = chain
+    alg = B.algebra
+    c = kappa_tilde.apply(NcPoly({(XS,): 1.0, (X,): 0.5j}))
+    u = theta_expand(c, kappa, Partition.uniform(0.0, 1.0, 16))
+    v = theta_expand(c, kappa, Partition.uniform(0.0, 1.0, 8))
+    got = gram(u, v, PSI_SKEW, B)
+    v = v.refine(u.partition, B)
+    terms = np.multiply.outer(np.conj(list(u.terms.values())), list(v.terms.values()))
+    for r, dt in enumerate(u.partition.steps()):
+        ue = list(dict.fromkeys(keys[r] for keys in u.terms))
+        ve = list(dict.fromkeys(keys[r] for keys in v.terms))
+        factors = np.array([[conv_exp(PSI_SKEW, dt, multiply(
+            involute(u.registry[a], alg), v.registry[b], alg), B) for b in ve] for a in ue])
+        terms *= factors[np.ix_([ue.index(keys[r]) for keys in u.terms],
+                                [ve.index(keys[r]) for keys in v.terms])]
+    terms = terms.ravel()
+    assert terms.size == 39360
+    exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    assert abs(got - exact) <= 1e-14 * np.abs(terms).sum()
+
+
+def test_step_classes_group_equal_steps():
+    # np.linspace leaves the steps of a uniform partition a few ulp apart
+    alpha = Partition.uniform(0.0, 1.0, 10)
+    assert len(set(alpha.steps())) > 1
+    assert alpha.step_classes() == ([0], [0] * 10)
+    # round(dt, 15) splits steps an ulp apart across a rounding boundary
+    gamma = Partition.uniform(0.0, 1.0, 14)
+    assert max(gamma.steps()) - min(gamma.steps()) < 2e-16
+    assert gamma.step_classes() == ([0, 10], [0] * 10 + [1, 0, 0, 1])
+    # steps 1e-13 apart are two steps
+    beta = Partition([0.0, 0.1, 0.2 + 1e-13, 0.3 + 1e-13, 0.4 + 1e-13])
+    assert beta.step_classes() == ([0, 1], [0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0], [0.0, float("inf")],
+                                   [-float("inf"), 0.0, 1.0]])
+def test_partition_rejects_non_finite_times(times):
+    with pytest.raises(InvalidParameter, match="partition times must be finite"):
+        Partition(times)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlevy.bialg import LinearFunctional, counit_functional
-from qlevy.constructions import make_azema
+from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse
 from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
 from qlevy.partition import Partition
@@ -15,6 +15,7 @@ from qlevy.subcoalg import (
     coalgebra_product_check,
     conv_exp,
     conv_exp_series,
+    factor_table,
     subcoalgebra_of,
     transfer_matrix,
 )
@@ -366,3 +367,38 @@ def test_coalgebra_check_true_semigroup(azema2):
         if prev is not None and prev > 1e-13:
             assert rep["lhs_max"] <= prev
         prev = rep["lhs_max"]
+
+
+def _carrier_cases():
+    for q in (1e-3, 2.0, 1e3):
+        B, _, psi = make_azema(q)
+        yield f"azema q={q:g}", B, psi
+    for d in (1, 2):
+        B = make_unitary_bialgebra(d)
+        # a generic functional: the table must match conv_exp for any psi
+        psi = LinearFunctional(f"psi-u{d}", lambda w: (0.3 - 0.2j * len(w))
+                               / (1.0 + sum(w)) if w else 0.0)
+        yield f"U<{d}>", B, psi
+
+
+def test_factor_table_matches_per_pair_conv_exp():
+    rng = np.random.default_rng(48)
+    for name, B, psi in _carrier_cases():
+        alg = B.algebra
+        left = [B.random_element(rng, 2) for _ in range(3)] + [NcPoly.one()]
+        right = [B.random_element(rng, 2) for _ in range(2)]
+        for dt in (0.05, 0.3, 1.0):
+            table = factor_table(psi, dt, left, right, B)
+            assert table.shape == (len(left), len(right))
+            for i, a in enumerate(left):
+                for j, b in enumerate(right):
+                    want = conv_exp(psi, dt, multiply(involute(a, alg), b, alg), B)
+                    assert abs(table[i, j] - want) <= 1e-13 * max(1.0, abs(want)), \
+                        (name, dt, i, j)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_conv_exp_rejects_non_finite_t(azema2, t):
+    B, _, psi = azema2
+    with pytest.raises(InvalidParameter, match="t must be finite"):
+        conv_exp(psi, t, NcPoly.word((X,)), B)
