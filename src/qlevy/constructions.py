@@ -3,7 +3,9 @@
 Shipped structures: the Azema bialgebra for parameter q (plus the companion
 structure with x, x* primitive and y group-like), the unitary-matrix
 bialgebra U<d>, the primitive and induced tensor bialgebras over the counit
-kernel, and the group-like carrier spanned by counit-one elements.
+kernel, and the group-like carrier spanned by counit-one elements.  The
+kernel letters come one or two per involution orbit of normal words, and
+as normal words are a basis, their coordinates are exact (no linear solve).
 
 A Morphism maps between two carriers that answer one protocol, so it never
 asks which carrier it holds: a BialgebraSpec (keys are normal-form words) or
@@ -25,17 +27,16 @@ from .bialg import (
     complete_by_involution,
 )
 from .errors import DegreeCapExceeded, InvalidParameter
-from .linalg import LinearSpan
 from .ncpoly import (
     AlgebraSpec,
     GeneratorSymbol,
     NcPoly,
     RewriteRule,
+    _find_redex,
     involute,
 )
 
-COORD_CUT = 1e-13     # kernel-letter coordinates at or below this are dropped
-COUNIT_TOL = 1e-10    # largest |counit - 1| of a group-like key
+COUNIT_TOL = 1e-10    # absolute: largest |counit - 1| of a group-like key
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,6 @@ def make_unitary_bialgebra(d):
 
 def normal_words(alg, max_degree):
     """All normal-form words of degree <= max_degree, in deg-lex order."""
-    from .ncpoly import _find_redex
-
     out = [()]
     layer = [()]
     for _ in range(max_degree):
@@ -172,31 +171,58 @@ def normal_words(alg, max_degree):
 
 def b0_basis(B, max_degree):
     """Basis {w - counit(w) 1 : w != 1 normal form} of ker(counit), truncated."""
-    basis = []
-    for w in normal_words(B.algebra, max_degree):
-        if w == ():
-            continue
-        basis.append((w, NcPoly({w: 1.0, (): -B.key_counit(w)})))
-    return basis
+    return [(w, NcPoly({w: 1.0, (): -B.key_counit(w)}))
+            for w in normal_words(B.algebra, max_degree)[1:]]
 
 
 def selfadjoint_b0_basis(B, max_degree):
-    """Self-adjoint spanning basis of the truncated counit kernel.
+    """Self-adjoint basis of the truncated counit kernel, one or two letters
+    per involution orbit of normal words, with exact letter coordinates.
 
-    Each involution orbit of {w - counit(w) 1} is split into hermitian and
-    antihermitian parts; dependent directions are dropped.
+    With e_w = w - counit(w) 1, the star of each normal word w must be
+    c e_v + tail, v one normal word of w's degree and the tail over lower
+    words; otherwise InvalidParameter names w.  The orbit {w, v} gives
+    h = (e_w + e_w*)/2 and a = (e_w - e_w*)/2i, an orbit v = w gives h, or a
+    when Re c < 0.  As normal words are a basis, the letter coordinates of
+    each e_w follow in closed form (_kernel_letters).
     """
+    return _kernel_letters(B, max_degree)[0]
+
+
+def _kernel_letters(B, max_degree):
+    """selfadjoint_b0_basis and coords[w] = {letter index: coeff} of each e_w."""
     alg = B.algebra
-    span = LinearSpan()
-    letters = []
-    for _w, p in b0_basis(B, max_degree):
+    letters, coords = [], {}
+    for w, p in b0_basis(B, max_degree):
+        if w in coords:
+            continue
         ps = involute(p, alg)
-        herm = p.add(ps).scale(0.5)
-        anti = p.sub(ps).scale(-0.5j)
-        for h in (herm, anti):
-            if h and span.add(h.terms):
-                letters.append(h)
-    return letters
+        top = [(u, c) for u, c in ps.terms.items() if len(u) == len(w)]
+        if len(top) != 1:
+            word = " ".join(alg.alphabet[g].name for g in w)
+            raise InvalidParameter(
+                f"the star of {word!r} has {len(top)} normal words of degree "
+                f"{len(w)}; kernel letters need exactly one")
+        (v, c), = top
+        herm, anti = p.add(ps).scale(0.5), p.sub(ps).scale(-0.5j)
+        i = len(letters)
+        # e: letter coordinates of c_v e_v + tail; tail words are lower, so known
+        if v != w:              # e_w = h + i a, e_w* = h - i a
+            letters += [herm, anti]
+            coords[w] = {i: 1.0, i + 1: 1j}
+            e, c_v = {i: 1.0, i + 1: -1j}, c
+        elif c.real >= 0:       # 2 h = e_w + e_w*
+            letters.append(herm)
+            e, c_v = {i: 2.0}, 1.0 + c
+        else:                   # -2i a = e_w* - e_w
+            letters.append(anti)
+            e, c_v = {i: -2j}, c - 1.0
+        for u, z in ps.terms.items():
+            if 0 < len(u) < len(w):
+                for j, x in coords[u].items():
+                    e[j] = e.get(j, 0.0) - z * x
+        coords[v] = {j: x / c_v for j, x in e.items()}
+    return letters, coords
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +280,8 @@ def check_counit_preserving(m, n_samples=100, sample_degree=3, rng=None):
 
 def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
     """Tensor bialgebra on the kernel letters with coproduct delta, plus kappa."""
+    if degree_cap < 1:
+        raise InvalidParameter("degree_cap must be >= 1")
     alphabet = [GeneratorSymbol(f"v{i}", i) for i in range(len(letters))]
     alg = AlgebraSpec(alphabet, [], name=f"{alg_name}[{B.name}]")
     T = BialgebraSpec(alg, delta, {i: 0.0 for i in range(len(letters))},
@@ -267,8 +295,6 @@ def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
 
 def make_primitive_tensor(B, degree_cap):
     """Tensor bialgebra on the counit kernel with every letter primitive."""
-    if degree_cap < 1:
-        raise InvalidParameter("degree_cap must be >= 1")
     letters = selfadjoint_b0_basis(B, degree_cap)
     delta = {i: TensorPoly({((i,), ()): 1.0, ((), (i,)): 1.0}) for i in range(len(letters))}
     return _kernel_tensor(B, degree_cap, letters, delta, "T0", "primitive-tensor")
@@ -280,36 +306,28 @@ def make_induced_tensor(B, degree_cap):
     The coproduct of a letter h is h(x)1 + 1(x)h plus the reduced coproduct
     of h re-expressed over letters.
     """
-    if degree_cap < 1:
-        raise InvalidParameter("degree_cap must be >= 1")
-    letters = selfadjoint_b0_basis(B, degree_cap)
-    span = LinearSpan()
-    for h in letters:
-        span.add(h.terms)
+    letters, coords = _kernel_letters(B, degree_cap)
 
-    def letter_coords(p):
-        x, _ = span.coords(p.terms)
-        if x is None:
+    def letter_coords(w):
+        got = coords.get(w)
+        if got is None:
+            word = " ".join(B.algebra.alphabet[g].name for g in w)
             raise DegreeCapExceeded(
-                f"element outside the degree-{degree_cap} truncated kernel")
-        return x
+                f"word {word!r} is outside the degree-{degree_cap} truncated kernel")
+        return got
 
     delta = {}
     for i, h in enumerate(letters):
-        red = B.coproduct(h).sub(TensorPoly.simple(h, NcPoly.one())).sub(
-            TensorPoly.simple(NcPoly.one(), h))
         terms = {((i,), ()): 1.0, ((), (i,)): 1.0}
-        # reduced part lives in ker x ker; non-unit word-pair coefficients
-        # carry over unchanged to the kernel basis
-        for (a, b), z in red.terms.items():
+        # Delta h - h (x) 1 - 1 (x) h is in ker (x) ker: a word pair (a, b) of
+        # Delta h with no unit leg carries its coefficient over to e_a (x) e_b
+        for (a, b), z in B.coproduct(h).terms.items():
             if a == () or b == ():
                 continue
-            ca = letter_coords(NcPoly({a: 1.0, (): -B.key_counit(a)}))
-            cb = letter_coords(NcPoly({b: 1.0, (): -B.key_counit(b)}))
-            for j in np.nonzero(np.abs(ca) > COORD_CUT)[0]:
-                for k in np.nonzero(np.abs(cb) > COORD_CUT)[0]:
-                    kk = ((int(j),), (int(k),))
-                    terms[kk] = terms.get(kk, 0.0) + z * ca[j] * cb[k]
+            for j, x in letter_coords(a).items():
+                for k, y in letter_coords(b).items():
+                    kk = ((j,), (k,))
+                    terms[kk] = terms.get(kk, 0.0) + z * x * y
         delta[i] = TensorPoly(terms)
     return _kernel_tensor(B, degree_cap, letters, delta, "Tind0", "induced-tensor")
 

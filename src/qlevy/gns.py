@@ -26,8 +26,13 @@ from .errors import (
 )
 from .ncpoly import NcPoly, involute, multiply, normal_form
 
-NULL_TOL = 1e-9
-RHO_RESIDUAL_TOL = 1e-6
+NULL_TOL = 1e-9            # relative to max(1, top Gram eigenvalue): null directions
+NEGATIVE_EIG_TOL = 1e-8    # relative, same scale: gns_construct rejects a lower eigenvalue
+POSITIVITY_TOL = 1e-10     # relative, same scale: conditional positivity admits no lower one
+HERMITICITY_TOL = 1e-10    # absolute: largest |psi(a*) - conj psi(a)| of a hermitian psi
+PHASE_PIVOT_TOL = 1e-10    # absolute: the first eta coordinate above it fixes the phase
+PARAM_TOL = 1e-12          # absolute: largest entry of W*W - 1 and of H - H*
+RHO_RESIDUAL_TOL = 1e-6    # absolute: a larger rho least-squares residual warns
 
 
 def _inner(a, b):
@@ -152,15 +157,15 @@ def check_conditional_positivity(psi, B, degree_cap=3):
         "hermiticity_residual": herm_res,
         "dim": len(basis),
         "psi_unit": complex(psi(NcPoly.one())),
-        "passed": bool((eig.size == 0 or eig.min() >= -1e-10 * max(1.0, eig.max()))
-                       and herm_res <= 1e-10),
+        "passed": bool((eig.size == 0 or eig.min() >= -POSITIVITY_TOL * max(1.0, eig.max()))
+                       and herm_res <= HERMITICITY_TOL),
     }
 
 
-def gns_construct(psi, B, degree_cap=3, null_tol=NULL_TOL):
+def gns_construct(psi, B, degree_cap=3):
     """Levy triple from a generator by eigen-quotient of the Gram matrix.
 
-    K is spanned by the eigenvectors above null_tol * (max eigenvalue);
+    K is spanned by the eigenvectors above NULL_TOL * max(1, top eigenvalue);
     eta of a kernel-basis word is its rescaled eigen-coordinate row, with
     the phase gauge fixed so the first significant coordinate entry of each
     eigendirection is real positive.  rho is obtained by least squares from
@@ -175,10 +180,10 @@ def gns_construct(psi, B, degree_cap=3, null_tol=NULL_TOL):
     else:
         eig, vec = np.zeros(0), np.zeros((0, 0))
     scale = max(1.0, float(eig.max()) if eig.size else 0.0)
-    if eig.size and eig.min() < -1e-8 * scale:
+    if eig.size and eig.min() < -NEGATIVE_EIG_TOL * scale:
         raise PositivityViolation(
             f"Gram matrix has eigenvalue {eig.min():.3e} < 0 at cap {degree_cap}")
-    keep = [i for i in range(eig.size) if eig[i] > null_tol * scale]
+    keep = [i for i in range(eig.size) if eig[i] > NULL_TOL * scale]
     keep.sort(key=lambda i: -eig[i])
     k_dim = len(keep)
 
@@ -186,7 +191,7 @@ def gns_construct(psi, B, degree_cap=3, null_tol=NULL_TOL):
     coords = np.zeros((len(basis), k_dim), dtype=complex)
     for col, i in enumerate(keep):
         coords[:, col] = np.sqrt(eig[i]) * vec[:, i].conj()
-        nz = np.nonzero(np.abs(coords[:, col]) > 1e-10)[0]
+        nz = np.nonzero(np.abs(coords[:, col]) > PHASE_PIVOT_TOL)[0]
         if nz.size:
             pivot = coords[nz[0], col]
             coords[:, col] *= abs(pivot) / pivot
@@ -234,8 +239,7 @@ def gns_construct(psi, B, degree_cap=3, null_tol=NULL_TOL):
     eta1 = {gen: eta_words.get((gen,), np.zeros(k_dim, dtype=complex))
             for gen in range(alg.ngen())}
     psi1 = {gen: complex(psi(NcPoly.word((gen,)))) for gen in range(alg.ngen())}
-    t = LevyTriple(B, k_dim, eta1, rho1, psi1=psi1, psi=psi,
-                   tol_used=null_tol, name=f"gns[{B.name}]")
+    t = LevyTriple(B, k_dim, eta1, rho1, psi1=psi1, psi=psi, name=f"gns[{B.name}]")
     # seed the memo with the exact Gram-quotient values on all basis words
     for w, v in eta_words.items():
         t._eta_memo[w] = v
@@ -262,9 +266,9 @@ class UnitaryTripleParams:
             raise InvalidParameter(f"L must have shape ({self.d},{self.d},{self.m})")
         if self.H.shape != (self.d, self.d):
             raise InvalidParameter("H must be d x d")
-        if np.abs(self.W.conj().T @ self.W - np.eye(self.d * self.m)).max() > 1e-12:
+        if np.abs(self.W.conj().T @ self.W - np.eye(self.d * self.m)).max() > PARAM_TOL:
             raise InvalidParameter("W must be unitary")
-        if np.abs(self.H - self.H.conj().T).max() > 1e-12:
+        if np.abs(self.H - self.H.conj().T).max() > PARAM_TOL:
             raise InvalidParameter("H must be self-adjoint")
 
     def w_block(self, k, l):

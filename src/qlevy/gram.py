@@ -41,7 +41,7 @@ from .partition import TIME_TOL, Partition
 from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
 
 PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by term_pair_sums
-DEFECT_FLOOR = 1e-13   # a sweep defect at or below this fits no rate constant
+DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate constant
 
 
 class FactorizedVectorSum:

@@ -24,8 +24,8 @@ from .errors import (
     UnknownGenerator,
 )
 
-DROP_TOL = 1e-14
-CONFLUENCE_TOL = 1e-12   # relative gap allowed between two normal forms of one word
+DROP_TOL = 1e-14         # absolute: NcPoly and TensorPoly drop coefficients at or below it
+CONFLUENCE_TOL = 1e-12   # relative: gap allowed between two normal forms of one word
 REWRITE_BUDGET = 10 ** 6
 
 Word = tuple  # tuple of generator indices; () is the unit

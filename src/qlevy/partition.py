@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import InvalidParameter
 
-TIME_TOL = 1e-12   # two partition times closer than this are the same point
+TIME_TOL = 1e-12   # absolute: two partition times closer than this are the same point
+STEP_ULPS = 4      # relative: steps within STEP_ULPS * eps * max|t| are one step
 
 
 class Partition:
@@ -48,13 +51,19 @@ class Partition:
 
     def step_classes(self):
         """(first, of): first[k] is the first interval of the k-th distinct
-        step, of[r] the step class of interval r.  Two steps are one when
-        they are equal after round(dt, 15); steps a few ulp apart are one
-        unless they straddle a rounding boundary, as some of
-        Partition.uniform(0, 1, 14) do."""
+        step, of[r] the step class of interval r.  In sorted order, a run of
+        steps takes every step within STEP_ULPS * eps * max|t_i| of its
+        smallest, the rounding of the times themselves (np.linspace spreads
+        the steps of a uniform partition by at most 2 eps * max|t_i|)."""
+        steps = self.steps()
+        tol = STEP_ULPS * np.finfo(float).eps * max(abs(self.s), abs(self.t))
+        lows = []               # the smallest step of each run, ascending
+        for dt in sorted(steps):
+            if not lows or dt - lows[-1] > tol:
+                lows.append(dt)
         first, of, seen = [], [], {}
-        for r, dt in enumerate(self.steps()):
-            k = seen.setdefault(round(dt, 15), len(first))
+        for r, dt in enumerate(steps):
+            k = seen.setdefault(bisect.bisect_right(lows, dt), len(first))
             if k == len(first):
                 first.append(r)
             of.append(k)

@@ -37,6 +37,7 @@ from .ncpoly import NcPoly, involute, multiply
 
 DIM_CAP = 512   # most normal words in one subcoalgebra
 SERIES_MAX_TERMS = 64
+BOUND_SLACK = 1e-12   # absolute: a product check passes up to this far above its bound
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
     return complex(sub.counit_vector @ y)
 
 
-def conv_exp_series(psi, t, p, B, tol=1e-12, max_terms=SERIES_MAX_TERMS):
+def conv_exp_series(psi, t, p, B, tol=1e-12):
     """Independent oracle: partial sums of sum_n t^n psi^{*n}(p) / n!."""
     from .bialg import convolve_eval
 
@@ -234,7 +235,7 @@ def conv_exp_series(psi, t, p, B, tol=1e-12, max_terms=SERIES_MAX_TERMS):
     total = complex(B.counit(p))
     fact = 1.0
     recent = []
-    for n in range(1, max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         fact *= n
         term = (t ** n) / fact * convolve_eval([psi] * n, p, B)
         total += term
@@ -242,7 +243,7 @@ def conv_exp_series(psi, t, p, B, tol=1e-12, max_terms=SERIES_MAX_TERMS):
         if len(recent) >= 3 and all(r < tol for r in recent[-3:]):
             return total, n + 1
     raise NonConvergence(
-        f"convolution-exponential series did not settle in {max_terms} terms")
+        f"convolution-exponential series did not settle in {SERIES_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,11 @@ def _opnorm(m):
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
+def _product_bound(mesh, span, norm, c):
+    return (mesh * span * np.exp(span * max(norm, c))
+            * (c ** 2 + norm ** 2 * np.exp(mesh * norm)) / 2.0)
+
+
 def banach_product_check(spec, partition, draws=100, rng=None):
     """Check the Banach-algebra product bound on random mu-choices.
 
@@ -304,8 +310,7 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     span = partition.t - partition.s
     target, norm_g = spec.target(span)
     c = float(spec.C) if spec.C is not None else 0.0
-    bound = (mesh * span * np.exp(span * max(norm_g, c))
-             * (c ** 2 + norm_g ** 2 * np.exp(mesh * norm_g)) / 2.0)
+    bound = _product_bound(mesh, span, norm_g, c)
     eye = np.eye(n, dtype=complex)
     base = {r: eye + r * g for r in set(steps)}    # shared, never written to
     worst = 0.0
@@ -321,7 +326,7 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     return {
         "lhs_max": worst,
         "bound": float(bound),
-        "passed": bool(worst <= bound + 1e-12),
+        "passed": bool(worst <= bound + BOUND_SLACK),
         "mesh": mesh,
         "draws": draws,
         "norm_G": norm_g,
@@ -329,8 +334,7 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     }
 
 
-def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
-                            dim_cap=DIM_CAP):
+def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
     """Coalgebra version of the product bound, on the subcoalgebra of p.
 
     The functional product f^{(mu_1)} * ... * f^{(mu_n)}(p) is evaluated
@@ -344,7 +348,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     if mesh > spec.R:
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
     rng = rng if rng is not None else np.random.default_rng(20080131)
-    sub = _cached_sub(p, B, dim_cap)
+    sub = _cached_sub(p, B, DIM_CAP)
     psi = spec.baseline
     g = transfer_matrix(psi, sub)
     steps = partition.steps()
@@ -366,9 +370,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     # |delta(v)| <= ||counit_vector||_1 ||v||_inf and ||coords(p)||_inf scale
     delta_norm = float(np.abs(sub.counit_vector).sum())
     p_norm = float(np.abs(x).max()) if x.size else 0.0
-    bound = (mesh * span * np.exp(span * max(psi_c, c_c))
-             * (c_c ** 2 + psi_c ** 2 * np.exp(mesh * psi_c)) / 2.0
-             * delta_norm * p_norm)
+    bound = _product_bound(mesh, span, psi_c, c_c) * delta_norm * p_norm
     worst = 0.0
     eye = np.eye(sub.dim(), dtype=complex)
     for _ in range(draws):
@@ -384,7 +386,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None,
     return {
         "lhs_max": worst,
         "bound": float(bound),
-        "passed": bool(worst <= bound + 1e-12),
+        "passed": bool(worst <= bound + BOUND_SLACK),
         "mesh": mesh,
         "draws": draws,
         "Psi_c": psi_c,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlevy.bialg import TensorPoly, check_bialgebra_axioms
+from qlevy.bialg import BialgebraSpec, TensorPoly, check_bialgebra_axioms
 from qlevy.constructions import (
     Morphism,
     b0_basis,
@@ -15,7 +15,15 @@ from qlevy.constructions import (
     selfadjoint_b0_basis,
 )
 from qlevy.errors import DegreeCapExceeded, InvalidParameter
-from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
+from qlevy.ncpoly import (
+    AlgebraSpec,
+    GeneratorSymbol,
+    NcPoly,
+    RewriteRule,
+    involute,
+    multiply,
+    random_poly,
+)
 
 X, XS, Y = 0, 1, 2
 
@@ -93,6 +101,57 @@ def test_induced_tensor_coassociative(azema2):
     assert rep["coassociativity"] <= 1e-12
     assert rep["counit_law"] <= 1e-12
     assert rep["delta_multiplicative"] <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-9, 1e11])
+def test_induced_tensor_at_extreme_q(q):
+    Tind, _k = make_induced_tensor(make_azema(q)[0], 2)
+    assert len(Tind.letters) == 10
+    rep = check_bialgebra_axioms(Tind, sample_degree=2, n_samples=10)
+    assert rep["coassociativity"] <= 1e-12
+    assert rep["delta_multiplicative"] <= 1e-12
+
+
+def _two_letter_bialgebra(rule_rhs, extra_delta=None):
+    """Self-adjoint primitive x, y with the rule yx -> rule_rhs."""
+    alg = AlgebraSpec([GeneratorSymbol("x", 0), GeneratorSymbol("y", 1)],
+                      [RewriteRule((1, 0), NcPoly(rule_rhs))])
+    delta = {g: TensorPoly({((g,), ()): 1.0, ((), (g,)): 1.0}) for g in (0, 1)}
+    if extra_delta:
+        delta[0] = delta[0].add(TensorPoly(extra_delta))
+    return BialgebraSpec(alg, delta, {0: 0.0, 1: 0.0})
+
+
+def test_selfadjoint_basis_with_star_tails():
+    # enveloping algebra of [y, x] = i x: (x y)* = y x = x y + i x
+    B = _two_letter_bialgebra({(0, 1): 1.0, (0,): 1j})
+    letters = [h.terms for h in selfadjoint_b0_basis(B, 2)]
+    assert letters == [{(0,): 1.0}, {(1,): 1.0}, {(0, 0): 1.0},
+                       {(0, 1): 1.0, (0,): 0.5j}, {(1, 1): 1.0}]
+    # kappa (x) kappa takes the induced coproduct of each letter to its
+    # coproduct in B; degree 3 reads the coordinates of x y through its tail
+    Tind, _k = make_induced_tensor(B, 3)
+    leg = [NcPoly.one()] + Tind.letters
+    for i, h in enumerate(Tind.letters):
+        back = TensorPoly()
+        for (a, b), z in Tind.delta_on_gen[i].terms.items():
+            back = back.add(TensorPoly.simple(leg[a[0] + 1 if a else 0],
+                                              leg[b[0] + 1 if b else 0], z))
+        assert back.sub(B.coproduct(h)).max_abs() <= 1e-12
+
+
+def test_selfadjoint_basis_needs_one_top_word():
+    # (x y)* = y x = x y + x x has two words at degree 2
+    B = _two_letter_bialgebra({(0, 1): 1.0, (0, 0): 1.0})
+    with pytest.raises(InvalidParameter, match="'x y'"):
+        selfadjoint_b0_basis(B, 2)
+
+
+def test_induced_tensor_names_a_word_beyond_the_cap():
+    # a coproduct leg x x above the cap 1 has no kernel letter
+    B = _two_letter_bialgebra({(0, 1): 1.0}, {((0, 0), (0,)): 1.0})
+    with pytest.raises(DegreeCapExceeded, match="'x x'"):
+        make_induced_tensor(B, 1)
 
 
 def test_grouplike_registry(azema2):

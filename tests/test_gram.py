@@ -579,13 +579,32 @@ def test_step_classes_group_equal_steps():
     alpha = Partition.uniform(0.0, 1.0, 10)
     assert len(set(alpha.steps())) > 1
     assert alpha.step_classes() == ([0], [0] * 10)
-    # round(dt, 15) splits steps an ulp apart across a rounding boundary
+    # steps an ulp apart are one step, wherever their decimals fall
     gamma = Partition.uniform(0.0, 1.0, 14)
     assert max(gamma.steps()) - min(gamma.steps()) < 2e-16
-    assert gamma.step_classes() == ([0, 10], [0] * 10 + [1, 0, 0, 1])
+    assert gamma.step_classes() == ([0], [0] * 14)
     # steps 1e-13 apart are two steps
     beta = Partition([0.0, 0.1, 0.2 + 1e-13, 0.3 + 1e-13, 0.4 + 1e-13])
     assert beta.step_classes() == ([0, 1], [0, 1, 0, 0])
+
+
+def test_step_classes_number_by_first_appearance_and_do_not_chain():
+    assert Partition([0.0, 0.2, 0.3, 0.4]).step_classes() == ([0, 1], [0, 1, 1])
+    # steps 3e-16 apart, each within reach of the next, span more than one class
+    drift = Partition(np.concatenate([[0.0], np.cumsum(0.1 + 3e-16 * np.arange(10))]))
+    steps = np.array(drift.steps())
+    first, of = drift.step_classes()
+    assert len(first) > 1
+    for k in range(len(first)):
+        run = steps[np.array(of) == k]
+        assert run.max() - run.min() <= 4 * np.finfo(float).eps * drift.t
+
+
+@pytest.mark.parametrize("t", [1.0, 0.4])
+def test_step_classes_one_class_for_uniform_partitions(t):
+    split = [n for n in range(1, 2049)
+             if Partition.uniform(0.0, t, n).step_classes()[0] != [0]]
+    assert split == []
 
 
 @pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0], [0.0, float("inf")],
