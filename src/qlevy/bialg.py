@@ -18,7 +18,7 @@ counit, iterated_coproduct and random_element.
 
 from __future__ import annotations
 
-from .errors import TermBudgetExceeded
+from .errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
 from .ncpoly import DROP_TOL, NcPoly, check_confluent, involute, multiply, random_poly
 
 TERM_BUDGET = 10 ** 6
@@ -29,11 +29,8 @@ class TensorPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, prune=True):
-        t = dict(terms) if terms else {}
-        if prune:
-            t = {k: c for k, c in t.items() if abs(c) > DROP_TOL}
-        self.terms = t
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if abs(c) > DROP_TOL} if terms else {}
 
     @classmethod
     def unit(cls):
@@ -128,7 +125,8 @@ class BialgebraSpec:
         self.name = name
         missing = set(range(algebra.ngen())) - set(self.delta_on_gen)
         if missing:
-            raise ValueError(f"no coproduct for generators {sorted(missing)}")
+            names = [algebra.alphabet[g].name for g in sorted(missing)]
+            raise InvalidParameter(f"no coproduct for generators {names}")
         self._delta_word = {(): TensorPoly.unit()}
         self._sweedler = {}
         self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
@@ -207,7 +205,7 @@ class BialgebraSpec:
 
     def iterated_coproduct(self, p, n):
         if n < 1:
-            raise ValueError("arity must be >= 1")
+            raise InvalidParameter("arity must be >= 1")
         out = {}
         for w, c in p.terms.items():
             for legs, z in self._sweedler_word(w, n).items():
@@ -257,7 +255,7 @@ def counit_functional(B):
 def convolve_eval(fs, p, B):
     """(f_1 * ... * f_n)(p) = sum over Delta_n legs of the value products."""
     if not fs:
-        raise ValueError("need at least one functional")
+        raise InvalidParameter("need at least one functional")
     if len(fs) == 1:
         return fs[0](p)
     exp = B.iterated_coproduct(p, len(fs))
@@ -387,27 +385,40 @@ def bialgebra_to_json(B):
 
 
 def bialgebra_from_json(doc):
-    """Build a spec from JSON; raises InvalidParameter for non-confluent rules."""
+    """Build a spec from JSON.
+
+    Raises UnknownGenerator for a name outside the alphabet and
+    InvalidParameter for any other malformed or non-confluent spec."""
     from .ncpoly import AlgebraSpec, GeneratorSymbol, RewriteRule
 
     names = [g["name"] for g in doc["alphabet"]]
-    idx = {n: i for i, n in enumerate(names)}
-    alphabet = [GeneratorSymbol(g["name"], idx[g["adjoint"]]) for g in doc["alphabet"]]
+    idx = {}
+    for i, n in enumerate(names):
+        if idx.setdefault(n, i) != i:
+            raise InvalidParameter(f"generator name {n!r} is repeated")
+
+    def index(n):
+        try:
+            return idx[n]
+        except KeyError:
+            raise UnknownGenerator(f"unknown generator {n!r}") from None
+
+    alphabet = [GeneratorSymbol(g["name"], index(g["adjoint"])) for g in doc["alphabet"]]
 
     def names2word(ws):
-        return tuple(idx[n] for n in ws)
+        return tuple(index(n) for n in ws)
 
     def j2poly(items):
         return NcPoly({names2word(t["word"]): _j2c(t["coeff"]) for t in items})
 
     rules = [RewriteRule(names2word(r["lhs"]), j2poly(r["rhs"])) for r in doc["rules"]]
-    order = [idx[n] for n in doc.get("letter_order", names)]
+    order = [index(n) for n in doc.get("letter_order", names)]
     alg = AlgebraSpec(alphabet, rules, letter_order=order, name=doc.get("name", ""))
     check_confluent(alg)
     delta = {
-        idx[g]: TensorPoly({(names2word(t["left"]), names2word(t["right"])): _j2c(t["coeff"])
-                            for t in items})
+        index(g): TensorPoly({(names2word(t["left"]), names2word(t["right"])):
+                              _j2c(t["coeff"]) for t in items})
         for g, items in doc["delta_on_gen"].items()
     }
-    counit = {idx[g]: _j2c(v) for g, v in doc["counit_on_gen"].items()}
+    counit = {index(g): _j2c(v) for g, v in doc["counit_on_gen"].items()}
     return BialgebraSpec(alg, delta, counit, name=doc.get("name", ""))

@@ -562,7 +562,7 @@ def main(argv=None):
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+            os.environ[var] = threads
 
     ap = argparse.ArgumentParser(
         prog="qlevy",

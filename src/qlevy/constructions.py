@@ -199,9 +199,8 @@ def _kernel_letters(B, max_degree):
         ps = involute(p, alg)
         top = [(u, c) for u, c in ps.terms.items() if len(u) == len(w)]
         if len(top) != 1:
-            word = " ".join(alg.alphabet[g].name for g in w)
             raise InvalidParameter(
-                f"the star of {word!r} has {len(top)} normal words of degree "
+                f"the star of {alg.spell(w)!r} has {len(top)} normal words of degree "
                 f"{len(w)}; kernel letters need exactly one")
         (v, c), = top
         herm, anti = p.add(ps).scale(0.5), p.sub(ps).scale(-0.5j)
@@ -311,9 +310,9 @@ def make_induced_tensor(B, degree_cap):
     def letter_coords(w):
         got = coords.get(w)
         if got is None:
-            word = " ".join(B.algebra.alphabet[g].name for g in w)
             raise DegreeCapExceeded(
-                f"word {word!r} is outside the degree-{degree_cap} truncated kernel")
+                f"word {B.algebra.spell(w)!r} is outside the degree-{degree_cap} "
+                "truncated kernel")
         return got
 
     delta = {}

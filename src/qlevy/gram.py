@@ -2,9 +2,10 @@
 
 The Levy process j is never materialized as operators here.  A vector of
 the form j_{t0,t1}(b_1) ... j_{tn-1,tn}(b_n) Omega is identified with the
-elementary tensor of its per-interval factors, and every inner product of
-two such sums reduces -- after passing to the common refinement of the two
-partitions -- to products of one-interval vacuum values
+elementary tensor of its per-interval entries b_r (each NcPoly its own key:
+it hashes by value), and every inner product of two such sums reduces --
+after passing to the common refinement of the two partitions -- to products
+of one-interval vacuum values
 
     <j_{u,v}(a) Omega, j_{u,v}(b) Omega> = e_*^{(v-u) psi}(a* b),
 
@@ -28,6 +29,8 @@ gram_matrix call supplies all the one-block values of a power.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 
@@ -45,25 +48,21 @@ DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate 
 
 
 class FactorizedVectorSum:
-    """Sum of elementary tensors of per-interval vectors j_{.}(b) Omega."""
+    """Sum of elementary tensors of per-interval vectors j_{.}(b) Omega.
+
+    terms maps each tuple of entries b (NcPolys of B, one per interval, each
+    its own key) to its coefficient, in first-seen order."""
 
     def __init__(self, partition):
         self.partition = partition
-        self.terms = {}       # tuple of entry keys -> coefficient
-        self.registry = {}    # entry key -> NcPoly
+        self.terms = {}       # tuple of entry NcPolys -> coefficient
 
-    def add_term(self, polys, coeff):
-        if len(polys) != self.partition.n_intervals():
+    def add_term(self, entries, coeff):
+        if len(entries) != self.partition.n_intervals():
             raise InvalidParameter("one entry per subinterval required")
-        keys = []
-        for p in polys:
-            k = p.key()
-            self.registry.setdefault(k, p)
-            keys.append(k)
-        keys = tuple(keys)
-        self.terms[keys] = self.terms.get(keys, 0.0) + coeff
-        if abs(self.terms[keys]) <= DROP_TOL:
-            del self.terms[keys]
+        self.terms[entries] = self.terms.get(entries, 0.0) + coeff
+        if abs(self.terms[entries]) <= DROP_TOL:
+            del self.terms[entries]
         if len(self.terms) > TERM_BUDGET:
             raise TermBudgetExceeded(f"more than {TERM_BUDGET} factorized terms")
 
@@ -80,23 +79,32 @@ class FactorizedVectorSum:
         """Re-expand over a finer partition using iterated coproducts.
 
         Legitimate because the process satisfies j_{r,s} * j_{s,t} = j_{r,t};
-        Gram values are unchanged by refinement.
+        Gram values are unchanged by refinement.  Each distinct entry is
+        split once per sub-interval count, into one leg NcPoly per word.
         """
         if not gamma.refines(self.partition):
             raise InvalidParameter("target partition does not refine the source")
-        counts = []   # gamma sub-intervals per slot
-        gi = 0
-        for t in self.partition.times[1:]:
-            m = 0
-            while gi + 1 < len(gamma.times) and gamma.times[gi + 1] <= t + TIME_TOL:
-                m += 1
-                gi += 1
-            counts.append(m)
+        ends = [bisect.bisect_right(gamma.times, t + TIME_TOL) - 1
+                for t in self.partition.times[1:]]
+        counts = [b - a for a, b in zip([0] + ends, ends)]    # sub-intervals per slot
+        leg, splits = functools.cache(NcPoly.word), {}   # one NcPoly per word
         out = FactorizedVectorSum(gamma)
-        for keys, z in self.terms.items():
-            polys = tuple(self.registry[k] for k in keys)
-            for legs, c in _expand_slots(B, polys, counts):
-                out.add_term(legs, z * c)
+        for entries, z in self.terms.items():
+            options = []
+            for p, m in zip(entries, counts):
+                opts = splits.get((p, m))
+                if opts is None:
+                    opts = splits[p, m] = [((p,), 1.0)] if m == 1 else [
+                        (tuple(leg(w) for w in legs), c)
+                        for legs, c in B.iterated_coproduct(p, m).terms.items()]
+                options.append(opts)
+            for combo in itertools.product(*options):
+                coeff = 1.0
+                legs = []
+                for ls, c in combo:
+                    coeff *= c
+                    legs.extend(ls)
+                out.add_term(tuple(legs), z * coeff)
         return out
 
 
@@ -115,9 +123,11 @@ def theta_expand(c, kappa, alpha):
     source = kappa.source
     n = alpha.n_intervals()
     exp = source.iterated_coproduct(c, n)
+    keys = dict.fromkeys(itertools.chain.from_iterable(exp.terms))
+    images = {k: kappa.map_key(k) for k in keys}     # each distinct key once
     out = FactorizedVectorSum(alpha)
     for key_tuple, z in exp.terms.items():
-        out.add_term(tuple(kappa.map_key(k) for k in key_tuple), z)
+        out.add_term(tuple(images[k] for k in key_tuple), z)
     return out
 
 
@@ -162,32 +172,6 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
 # gram evaluation
 # ---------------------------------------------------------------------------
 
-def _expand_slots(B, polys, counts):
-    """Sweedler-expand a run of slots over their sub-interval counts.
-
-    Returns a list of (leg polys across all sub-intervals, coefficient).
-    """
-    options = []
-    for p, m in zip(polys, counts):
-        if m == 1:
-            options.append([((p,), 1.0)])
-        else:
-            exp = B.iterated_coproduct(p, m)
-            options.append([(tuple(NcPoly.word(w) for w in legs), z)
-                            for legs, z in exp.terms.items()])
-    out = []
-    for combo in itertools.product(*options):
-        coeff = 1.0
-        legs = []
-        for ls, z in combo:
-            coeff *= z
-            legs.extend(ls)
-        out.append((tuple(legs), coeff))
-        if len(out) > TERM_BUDGET:
-            raise TermBudgetExceeded("slot expansion exceeds the term budget")
-    return out
-
-
 def term_pair_sums(tables, slot_class, left, right):
     """(left owners) x (right owners) matrix of the sums over term pairs of
     conj(z_a) z_b prod_r tables[slot_class[r]][i_ar, i_br].
@@ -225,19 +209,17 @@ def term_pair_sums(tables, slot_class, left, right):
 def _index_terms(sums, slot_class, n_classes):
     """The terms of sums in term_pair_sums form, and per step class the
     distinct entries its index refers to."""
-    seen = [{} for _ in range(n_classes)]    # per class: entry key -> index
-    registry, coeffs, index, owner = {}, [], [], []
+    seen = [{} for _ in range(n_classes)]    # per class: entry -> index
+    coeffs, index, owner = [], [], []
     for o, s in enumerate(sums):
-        registry.update(s.registry)
-        for ks, z in s.terms.items():
-            index.append([seen[k].setdefault(key, len(seen[k]))
-                          for k, key in zip(slot_class, ks)])
+        for entries, z in s.terms.items():
+            index.append([seen[k].setdefault(e, len(seen[k]))
+                          for k, e in zip(slot_class, entries)])
             coeffs.append(z)
             owner.append(o)
     return (np.array(coeffs, dtype=complex),
             np.array(index, dtype=np.intp).reshape(len(coeffs), len(slot_class)),
-            np.array(owner, dtype=np.intp), len(sums)), \
-        [[registry[key] for key in d] for d in seen]
+            np.array(owner, dtype=np.intp), len(sums)), [list(d) for d in seen]
 
 
 def gram_matrix(us, vs, psi, B):
@@ -246,9 +228,11 @@ def gram_matrix(us, vs, psi, B):
 
     Both lists are re-expanded over the common refinement of the partitions
     (legitimate because j_{r,s} * j_{s,t} = j_{r,t}); each step class of it
-    gets one factor_table over the entries of its slots.  The cost is the
-    product of the term counts, so gram serves user partitions and the
-    one-block values of _convolution_power, never an n-interval sweep.
+    gets one factor_table over the distinct entries of its slots, in
+    first-seen order, and each term indexes its entries into those tables.
+    The cost is the product of the term counts, so gram serves user
+    partitions and the one-block values of _convolution_power, never an
+    n-interval sweep.
     """
     if not (us and vs):     # e.g. the empty basis of the zero element
         return np.zeros((len(us), len(vs)), dtype=complex)
@@ -368,6 +352,12 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
     mesh, with zeta over one interval as the block of b and, since
     j_{s,t}(d) Omega = theta^id_alpha(d) Omega, j over one interval as the
     block of d.
+
+    At inner_mesh_factor = 1 each zeta slot sums back to its leg w, since
+    kappa(kappa-tilde(w) + counit(w) hat(1)) = w and Gram values are linear
+    in each entry; zeta_alpha(b) Omega is then j_{s,t}(b) Omega and the
+    cross defect is at rounding level for every b, d and psi.  Only an
+    inner_mesh_factor above 1 tests the reverse transformation.
     """
     B = kappa_tilde.source
     tau = t - s

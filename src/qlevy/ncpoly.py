@@ -40,17 +40,11 @@ class GeneratorSymbol:
 class NcPoly:
     """Sparse noncommutative polynomial: finite mapping Word -> complex."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms=None, prune=True):
-        t = dict(terms) if terms else {}
-        if prune:
-            t = {w: c for w, c in t.items() if abs(c) > DROP_TOL}
-        self.terms = t
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    def __init__(self, terms=None):
+        self.terms = {w: c for w, c in terms.items() if abs(c) > DROP_TOL} if terms else {}
+        self._hash = None
 
     @classmethod
     def one(cls):
@@ -67,14 +61,10 @@ class NcPoly:
         return isinstance(other, NcPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        """Canonical hashable identity (exact coefficients, sorted words)."""
-        return tuple(sorted((w, complex(c)) for w, c in self.terms.items()))
-
-    def coeff(self, w):
-        return self.terms.get(tuple(w), 0.0)
+        # by value, as __eq__; computed once, since no code changes .terms
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
@@ -107,7 +97,7 @@ class NcPoly:
         bits = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             c = complex(self.terms[w])
-            mono = " ".join(alg.alphabet[i].name for i in w) or "1"
+            mono = alg.spell(w) or "1"
             bits.append(f"({c.real:+g}{c.imag:+g}i)*{mono}")
         return " + ".join(bits)
 
@@ -128,21 +118,26 @@ class AlgebraSpec:
         n = len(self.alphabet)
         self.letter_order = list(letter_order) if letter_order is not None else list(range(n))
         if sorted(self.letter_order) != list(range(n)):
-            raise ValueError("letter_order must be a permutation of generator indices")
+            raise InvalidParameter("letter_order must be a permutation of generator indices")
         self._rank = {g: r for r, g in enumerate(self.letter_order)}
         names = [g.name for g in self.alphabet]
         if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
+            raise InvalidParameter("generator names must be unique")
         self._by_name = {g.name: i for i, g in enumerate(self.alphabet)}
         for i, g in enumerate(self.alphabet):
             if self.alphabet[g.adjoint].adjoint != i:
-                raise ValueError("adjoint pairing is not an involution")
+                raise InvalidParameter("adjoint pairing is not an involution")
         for rule in self.rules:
             for w in rule.rhs.terms:
                 if not self._deglex_less(w, rule.lhs):
-                    raise ValueError(
-                        f"rule rhs word {w} not below lhs {rule.lhs} in deg-lex order")
+                    raise InvalidParameter(
+                        f"rule rhs word {self.spell(w)!r} not below lhs "
+                        f"{self.spell(rule.lhs)!r} in deg-lex order")
         self._nf = {}           # word -> {normal word: coeff}, coefficient-1 input
+
+    def spell(self, w):
+        """The word w as its generator names, space-separated."""
+        return " ".join(self.alphabet[g].name for g in w)
 
     def _deglex_key(self, w):
         return (len(w), tuple(self._rank[g] for g in w))
@@ -263,9 +258,8 @@ def check_confluent(alg):
         na, nb = normal_form(a, alg), normal_form(b, alg)
         gap = na.sub(nb).norm1() / max(1.0, na.norm1(), nb.norm1())
         if gap > CONFLUENCE_TOL:
-            word = " ".join(alg.alphabet[g].name for g in w)
             raise InvalidParameter(
-                f"rewriting system {alg.name!r} is not confluent: {word!r} has "
+                f"rewriting system {alg.name!r} is not confluent: {alg.spell(w)!r} has "
                 f"normal forms {na.pretty(alg)} and {nb.pretty(alg)}")
         n_pairs += 1
         worst = max(worst, gap)

@@ -12,7 +12,7 @@ from qlevy.bialg import (
     counit_functional,
 )
 from qlevy.constructions import make_azema, make_unitary_bialgebra
-from qlevy.errors import InvalidParameter
+from qlevy.errors import InvalidParameter, UnknownGenerator
 from qlevy.ncpoly import NcPoly, random_poly
 
 X, XS, Y = 0, 1, 2
@@ -180,6 +180,53 @@ def test_non_confluent_spec_rejected():
     }
     with pytest.raises(InvalidParameter, match="'a b c'"):
         bialgebra_from_json(doc)
+
+
+def _azema_doc_with(azema2, edit):
+    doc = bialgebra_to_json(azema2[0])
+    edit(doc)
+    return doc
+
+
+def test_json_repeated_generator_name_is_named(azema2):
+    doc = _azema_doc_with(azema2, lambda d: d["alphabet"][2].update(name="x*"))
+    with pytest.raises(InvalidParameter, match="'x\\*' is repeated"):
+        bialgebra_from_json(doc)
+
+
+def test_json_missing_coproduct_is_named(azema2):
+    doc = _azema_doc_with(azema2, lambda d: d["delta_on_gen"].pop("y"))
+    with pytest.raises(InvalidParameter, match=r"no coproduct for generators \['y'\]"):
+        bialgebra_from_json(doc)
+
+
+def test_json_rule_rhs_not_below_lhs(azema2):
+    # x y -> y x points upward in deg-lex order (x < y), so rewriting
+    # would not terminate
+    doc = _azema_doc_with(azema2, lambda d: d["rules"][0].update(
+        lhs=["x", "y"], rhs=[{"word": ["y", "x"], "coeff": [0.5, 0.0]}]))
+    with pytest.raises(InvalidParameter, match="'y x' not below lhs 'x y'"):
+        bialgebra_from_json(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["alphabet"][0].update(adjoint="z"),
+    lambda d: d["rules"][0].update(lhs=["y", "z"]),
+    lambda d: d["letter_order"].append("z"),
+    lambda d: d["delta_on_gen"]["y"][0].update(left=["z"]),
+    lambda d: d["counit_on_gen"].update(z=[1.0, 0.0]),
+], ids=["adjoint", "rule", "letter_order", "delta", "counit"])
+def test_json_unknown_name_is_named(azema2, edit):
+    with pytest.raises(UnknownGenerator, match="'z'"):
+        bialgebra_from_json(_azema_doc_with(azema2, edit))
+
+
+def test_misuse_raises_invalid_parameter(azema2):
+    B = azema2[0]
+    with pytest.raises(InvalidParameter, match="arity"):
+        B.iterated_coproduct(NcPoly.one(), 0)
+    with pytest.raises(InvalidParameter, match="at least one functional"):
+        convolve_eval([], NcPoly.one(), B)
 
 
 def test_hermitian_spotcheck(azema2):

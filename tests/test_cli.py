@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,23 @@ def test_schema_rejects_unknown_key(tmp_path):
     })
     with pytest.raises(SchemaError):
         load_config(path)
+
+
+def test_schema_rejects_dim_cap(tmp_path):
+    # no code reads a dim_cap from a config, so one must not be accepted
+    cfg = json.loads(builtin_config_path("convexp_azema_q2.json").read_text(encoding="utf-8"))
+    cfg["caps"]["dim_cap"] = 1
+    with pytest.raises(SchemaError, match="/caps"):
+        load_config(_write(tmp_path, "dim_cap.json", cfg))
+
+
+def test_qlevy_threads_overrides_blas_variables(monkeypatch):
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.setenv(var, "4")
+    monkeypatch.setenv("QLEVY_THREADS", "1")
+    assert main(["list-builtins"]) == 0
+    assert [os.environ[var] for var in blas] == ["1", "1", "1"]
 
 
 def test_parse_error_reports_position(tmp_path):

@@ -17,7 +17,7 @@ from qlevy.gram import (
     theta_expand,
     zeta_expand,
 )
-from qlevy.ncpoly import NcPoly, involute, multiply, normal_form, random_poly
+from qlevy.ncpoly import DROP_TOL, NcPoly, involute, multiply, normal_form, random_poly
 from qlevy.partition import TIME_TOL, Partition, common_points
 from qlevy.subcoalg import conv_exp
 
@@ -47,9 +47,9 @@ def test_theta_grouplike_single_term(chain):
     ghat = G.hat(NcPoly.word((Y,)))
     u = theta_expand(ghat, kappa, Partition.uniform(0, 1, 4))
     assert u.n_terms() == 1
-    (keys, z), = u.terms.items()
+    (entries, z), = u.terms.items()
     assert z == 1.0
-    assert all(u.registry[k].terms == {(Y,): 1.0} for k in keys)
+    assert all(e.terms == {(Y,): 1.0} for e in entries)
 
 
 def test_limit_value_grouplike_closed_form(chain):
@@ -71,8 +71,8 @@ def test_theta_primitive_letter(azema2):
     u = theta_expand(NcPoly.word((X,)), identity_morphism(prim),
                      Partition.uniform(0, 1, 2))
     want = {
-        (NcPoly.word((X,)).key(), NcPoly.one().key()): 1.0,
-        (NcPoly.one().key(), NcPoly.word((X,)).key()): 1.0,
+        (NcPoly.word((X,)), NcPoly.one()): 1.0,
+        (NcPoly.one(), NcPoly.word((X,))): 1.0,
     }
     assert u.terms == want
 
@@ -81,7 +81,7 @@ def test_theta_azema_x_three(azema2):
     B, _, _ = azema2
     u = theta_expand(NcPoly.word((X,)), identity_morphism(B),
                      Partition.uniform(0, 1, 3))
-    kx, ky, k1 = NcPoly.word((X,)).key(), NcPoly.word((Y,)).key(), NcPoly.one().key()
+    kx, ky, k1 = NcPoly.word((X,)), NcPoly.word((Y,)), NcPoly.one()
     assert u.terms == {(kx, ky, ky): 1.0, (k1, kx, ky): 1.0, (k1, k1, kx): 1.0}
 
 
@@ -140,7 +140,7 @@ def test_refinement_invariance(azema2):
 
 
 def test_gram_entries_differing_only_by_coefficient(azema2):
-    # entry keys of one slot may share their words; gram must not order them
+    # entries of one slot may share their words; gram must not order them
     B, _, psi = azema2
     u = FactorizedVectorSum(Partition([0.0, 1.0]))
     u.add_term((NcPoly.word((XS,), 2.0),), 1.0)
@@ -149,6 +149,26 @@ def test_gram_entries_differing_only_by_coefficient(azema2):
     want = 5.0 * conv_exp(psi, 1.0, NcPoly.word((X, XS)), B)
     assert abs(want) > 0.1
     assert abs(gram(u, v, psi, B) - want) < 1e-12
+
+
+def test_add_term_merges_equal_entries_and_drops_cancelled_terms():
+    # entries built separately with coefficients 1, 1.0 and 1+0j are one key
+    entries = [NcPoly({(X,): c, (): 0.5}) for c in (1, 1.0, 1 + 0j)]
+    assert all(e == entries[0] and hash(e) == hash(entries[0]) for e in entries)
+    assert NcPoly({(): 0.5, (X,): 1.0}) == entries[0]
+    assert NcPoly({(X,): 1.0}) not in (NcPoly({(X,): 1.0 + 1e-12}), NcPoly({(Y,): 1.0}))
+    u = FactorizedVectorSum(Partition.uniform(0.0, 1.0, 2))
+    for e in entries:
+        u.add_term((e, NcPoly.one()), 0.5)
+    assert list(u.terms.values()) == [1.5]
+    (kept, _z), = u.terms.items()
+    assert kept[0].terms == {(X,): 1, (): 0.5}     # the first-seen entry
+    u.add_term((NcPoly({(): 0.5, (X,): 1 + 0j}), NcPoly({(): 1 + 0j})), -1.5 + DROP_TOL / 2)
+    assert u.n_terms() == 0
+    u.add_term((NcPoly.one(), NcPoly.one()), DROP_TOL)
+    assert u.n_terms() == 0
+    u.add_term((NcPoly.one(), NcPoly.one()), 2 * DROP_TOL)
+    assert list(u.terms.values()) == [2 * DROP_TOL]
 
 
 def test_hermitian_symmetry_and_positivity(azema2):
@@ -205,9 +225,9 @@ def test_zeta_unit(chain):
     B, psi, G, _kappa, kappa_tilde = chain
     u = zeta_expand(NcPoly.one(), kappa_tilde, Partition.uniform(0, 1, 3))
     assert u.n_terms() == 1
-    (keys, z), = u.terms.items()
+    (entries, z), = u.terms.items()
     assert z == pytest.approx(1.0)
-    assert all(u.registry[k].terms == {(): 1.0} for k in keys)
+    assert all(e.terms == {(): 1.0} for e in entries)
 
 
 def test_zeta_grouplike_reduces(chain):
@@ -217,8 +237,8 @@ def test_zeta_grouplike_reduces(chain):
                     inner_mesh_factor=2)
     assert u.partition.n_intervals() == 4
     assert u.n_terms() == 1
-    (keys, z), = u.terms.items()
-    assert all(u.registry[k].terms == {(Y,): 1.0} for k in keys)
+    (entries, z), = u.terms.items()
+    assert all(e.terms == {(Y,): 1.0} for e in entries)
 
 
 def test_reverse_unit(chain):
@@ -362,19 +382,18 @@ def _brute_gram_singleton(u, d, psi, B):
     legs = B.iterated_coproduct(d, len(steps)).terms
     factors = {}
 
-    def factor(dt, k, w):
-        if (dt, k, w) not in factors:
-            a = u.registry[k]
-            factors[dt, k, w] = conv_exp(
+    def factor(dt, a, w):
+        if (dt, a, w) not in factors:
+            factors[dt, a, w] = conv_exp(
                 psi, dt, multiply(involute(a, alg), NcPoly.word(w), alg), B)
-        return factors[dt, k, w]
+        return factors[dt, a, w]
 
     total = 0.0 + 0.0j
-    for keys, z in u.terms.items():
+    for entries, z in u.terms.items():
         for ws, c in legs.items():
             prod = np.conj(z) * c
-            for dt, k, w in zip(steps, keys, ws):
-                prod *= factor(dt, k, w)
+            for dt, a, w in zip(steps, entries, ws):
+                prod *= factor(dt, a, w)
             total += prod
     return total
 
@@ -562,12 +581,12 @@ def test_gram_sum_is_accurate_on_many_pairs(chain):
     v = v.refine(u.partition, B)
     terms = np.multiply.outer(np.conj(list(u.terms.values())), list(v.terms.values()))
     for r, dt in enumerate(u.partition.steps()):
-        ue = list(dict.fromkeys(keys[r] for keys in u.terms))
-        ve = list(dict.fromkeys(keys[r] for keys in v.terms))
+        ue = list(dict.fromkeys(entries[r] for entries in u.terms))
+        ve = list(dict.fromkeys(entries[r] for entries in v.terms))
         factors = np.array([[conv_exp(PSI_SKEW, dt, multiply(
-            involute(u.registry[a], alg), v.registry[b], alg), B) for b in ve] for a in ue])
-        terms *= factors[np.ix_([ue.index(keys[r]) for keys in u.terms],
-                                [ve.index(keys[r]) for keys in v.terms])]
+            involute(a, alg), b, alg), B) for b in ve] for a in ue])
+        terms *= factors[np.ix_([ue.index(entries[r]) for entries in u.terms],
+                                [ve.index(entries[r]) for entries in v.terms])]
     terms = terms.ravel()
     assert terms.size == 39360
     exact = complex(math.fsum(terms.real), math.fsum(terms.imag))

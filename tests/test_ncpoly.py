@@ -225,3 +225,15 @@ def test_check_confluent_rejects_an_overlap():
     alg = AlgebraSpec(alphabet, rules, name="overlap")
     with pytest.raises(InvalidParameter, match="'a b c'"):
         check_confluent(alg)
+
+
+@pytest.mark.parametrize("alphabet, rules, order, match", [
+    ([GeneratorSymbol("a", 0), GeneratorSymbol("a", 1)], [], None, "unique"),
+    ([GeneratorSymbol("a", 1), GeneratorSymbol("b", 0)], [], [0, 0], "permutation"),
+    ([GeneratorSymbol("a", 1), GeneratorSymbol("b", 1)], [], None, "involution"),
+    ([GeneratorSymbol("a", 0), GeneratorSymbol("b", 1)],
+     [RewriteRule((0,), NcPoly.word((1,)))], None, "'b' not below lhs 'a'"),
+], ids=["names", "letter_order", "adjoint", "rule"])
+def test_malformed_algebra_spec_raises_invalid_parameter(alphabet, rules, order, match):
+    with pytest.raises(InvalidParameter, match=match):
+        AlgebraSpec(alphabet, rules, letter_order=order)
