@@ -3,10 +3,16 @@
 A BialgebraSpec stores the coproduct and counit on generators only; both are
 extended to arbitrary polynomials as *-algebra homomorphisms.  Iterated
 coproducts use the recursion D_n = (D_{n-1} (x) id) o D and are memoized per
-normal-form word.  Every memo table derived from a BialgebraSpec (coproducts,
-Sweedler expansions, subcoalgebras, Gram factors) is held by the spec itself
-and freed with it; the normal forms of words are memoized on its AlgebraSpec
-(ncpoly), which TensorPoly.mul reads for both legs.
+normal-form word; they serve the callers that need the legs themselves.  Every
+memo table derived from a BialgebraSpec (coproducts, Sweedler expansions,
+subcoalgebras) is held by the spec itself and freed with it; the normal forms
+of words are memoized on its AlgebraSpec (ncpoly), which TensorPoly.mul reads
+for both legs.
+
+Convolution products never expand D_n: transfer_apply(f, terms, B) applies
+the transfer map T_f = (id (x) f) o D to an element, and convolve_eval
+evaluates (f_1 * ... * f_n)(p) = f_1(T_{f_2} ... T_{f_n} p), one transfer
+image per factor, reading only key_delta of the carrier.
 
 A BialgebraSpec is one of the two carriers a Morphism maps between (the other
 is constructions.GroupLikeBialgebra).  Both answer one protocol: elements are
@@ -252,22 +258,42 @@ def counit_functional(B):
     return LinearFunctional(f"counit[{B.name}]", B.key_counit, hermitian=True)
 
 
+def transfer_apply(f, terms, B):
+    """(id (x) f) Delta on an element of the carrier B given as key -> coeff.
+
+    Returns the key -> coeff map of sum c z f(b) a over the legs (a, b, z) of
+    key_delta(w) for each term (w, c); legs with f(b) == 0 are skipped and
+    exact zeros dropped, nothing is pruned at DROP_TOL.
+    """
+    out = {}
+    for w, c in terms.items():
+        for (a, b), z in B.key_delta(w).items():
+            fb = f.on_word(b)
+            if fb != 0.0:
+                out[a] = out.get(a, 0.0) + c * z * fb
+        if len(out) > TERM_BUDGET:
+            raise TermBudgetExceeded(
+                f"(id (x) {f.name}) Delta image has more than {TERM_BUDGET} terms")
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
 def convolve_eval(fs, p, B):
-    """(f_1 * ... * f_n)(p) = sum over Delta_n legs of the value products."""
+    """(f_1 * ... * f_n)(p) = f_1(T_{f_2} ... T_{f_n} p), T_f = (id (x) f) Delta.
+
+    The factors are applied right to left, one transfer image per factor:
+    the sum over the legs of Delta_n(p), factored like Horner's rule, so no
+    Sweedler expansion is built or memoized.
+    """
     if not fs:
         raise InvalidParameter("need at least one functional")
-    if len(fs) == 1:
-        return fs[0](p)
-    exp = B.iterated_coproduct(p, len(fs))
-    total = complex(0.0)
-    for legs, c in exp.terms.items():
-        z = complex(c)
-        for f, leg in zip(fs, legs):
-            z *= f.on_word(leg)
-            if z == 0.0:
-                break
-        total += z
-    return total
+    v = p.terms
+    for k in range(len(fs) - 1, 0, -1):
+        try:
+            v = transfer_apply(fs[k], v, B)
+        except TermBudgetExceeded as err:
+            raise TermBudgetExceeded(f"convolution factor {k + 1} of {len(fs)}: {err}") from None
+    f = fs[0]
+    return sum((c * f.on_word(w) for w, c in v.items()), complex(0.0))
 
 
 def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .bialg import TERM_BUDGET
+from .bialg import TERM_BUDGET, transfer_apply
 from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence,
                      TermBudgetExceeded)
 from .ncpoly import NcPoly, involute, multiply
@@ -227,20 +227,35 @@ def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
 
 
 def conv_exp_series(psi, t, p, B, tol=1e-12):
-    """Independent oracle: partial sums of sum_n t^n psi^{*n}(p) / n!."""
-    from .bialg import convolve_eval
+    """Independent oracle: partial sums of sum_n t^n psi^{*n}(p) / n!.
 
+    psi^{*n} = psi o T^{n-1} for T = (id (x) psi) o Delta, so the series
+    applies T once per term: v_0 = p, v_n = T v_{n-1}, and term n is
+    t^n / n! psi(v_{n-1}).  It stops when v_n is exactly empty (the series
+    is then finite and the sum exact), or after three consecutive n with
+    |t|^n / n! ||v_n||_1 < tol.  It shares nothing with conv_exp but the
+    carrier's key_delta and counit: no subcoalgebra, coordinates, transfer
+    matrix or matrix exponential.  Returns (value, terms summed).
+    """
     if tol <= 0:
         raise InvalidParameter("tol must be positive")
     total = complex(B.counit(p))
     fact = 1.0
-    recent = []
+    small = 0
+    v = p.terms
     for n in range(1, SERIES_MAX_TERMS + 1):
         fact *= n
-        term = (t ** n) / fact * convolve_eval([psi] * n, p, B)
-        total += term
-        recent.append(abs(term))
-        if len(recent) >= 3 and all(r < tol for r in recent[-3:]):
+        total += (t ** n) / fact * sum((c * psi.on_word(w) for w, c in v.items()),
+                                       complex(0.0))
+        try:
+            v = transfer_apply(psi, v, B)
+        except TermBudgetExceeded as err:
+            raise TermBudgetExceeded(
+                f"convolution-exponential series, term {n + 1}: {err}") from None
+        if not v:
+            return total, n + 1
+        small = small + 1 if abs(t) ** n / fact * sum(abs(c) for c in v.values()) < tol else 0
+        if small == 3:
             return total, n + 1
     raise NonConvergence(
         f"convolution-exponential series did not settle in {SERIES_MAX_TERMS} terms")

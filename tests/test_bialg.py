@@ -11,8 +11,9 @@ from qlevy.bialg import (
     convolve_eval,
     counit_functional,
 )
-from qlevy.constructions import make_azema, make_unitary_bialgebra
+from qlevy.constructions import make_azema, make_grouplike, make_unitary_bialgebra
 from qlevy.errors import InvalidParameter, UnknownGenerator
+from qlevy.gns import UnitaryTripleParams, unitary_triple
 from qlevy.ncpoly import NcPoly, random_poly
 
 X, XS, Y = 0, 1, 2
@@ -104,6 +105,54 @@ def test_convolve_associative(azema2):
         pf = LinearFunctional("pf", lambda w: convolve_eval([psi, f], NcPoly.word(w), B))
         v2 = convolve_eval([pf, delta], p, B)
         assert abs(v1 - v2) < 1e-12
+
+
+def _leg_sum(fs, p, B):
+    # the explicit Sweedler sum over the legs of Delta_n(p)
+    total = complex(0.0)
+    for legs, c in B.iterated_coproduct(p, len(fs)).terms.items():
+        z = complex(c)
+        for f, leg in zip(fs, legs):
+            z *= f.on_word(leg)
+        total += z
+    return total
+
+
+def _convolve_carrier(name):
+    if name.startswith("azema"):
+        B, _, psi = make_azema(float(name[len("azema-"):]))
+        return B, psi
+    if name == "unitary2":
+        t = unitary_triple(UnitaryTripleParams(
+            2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
+        return t.B, t.psi
+    B, _, psi = make_azema(2.0)
+    G, _, _ = make_grouplike(B, 3)
+    return G, LinearFunctional("psi.kappa", lambda k: psi(G.poly(k)))
+
+
+@pytest.mark.parametrize("name", [
+    "azema-0.001", "azema-2", "azema-1000", "unitary2", "grouplike"])
+def test_convolve_eval_matches_sweedler_legs(name):
+    # convolve_eval applies one transfer image per factor; the oracle sums
+    # the value products over the legs of Delta_n
+    B, psi = _convolve_carrier(name)
+    rng = np.random.default_rng(41)
+    drawn = {}
+
+    def table(k):
+        # a complex table functional, one seeded draw per key on first use
+        if k not in drawn:
+            drawn[k] = complex(rng.normal(), rng.normal())
+        return drawn[k]
+
+    pool = [psi, counit_functional(B), LinearFunctional("table", table)]
+    for _ in range(4):
+        p = B.random_element(rng, 3)
+        for n in range(1, 6):
+            fs = [pool[i] for i in rng.integers(len(pool), size=n)]
+            want = _leg_sum(fs, p, B)
+            assert abs(convolve_eval(fs, p, B) - want) <= 1e-12 * abs(want)
 
 
 def test_axioms_azema(azema2):

@@ -4,10 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlevy.bialg import LinearFunctional, counit_functional
+import qlevy.bialg
+from qlevy.bialg import LinearFunctional, convolve_eval, counit_functional
 from qlevy.constructions import make_azema, make_unitary_bialgebra
-from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse
-from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
+from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, TermBudgetExceeded
+from qlevy.gns import UnitaryTripleParams, unitary_triple
+from qlevy.ncpoly import NcPoly, involute, multiply, parse_poly, random_poly
 from qlevy.partition import Partition
 from qlevy.subcoalg import (
     ProductFamilySpec,
@@ -171,6 +173,58 @@ def test_series_unit(azema2):
     assert v == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("q", [1e-3, 2.0])
+@pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
+def test_series_reaches_first_nonzero_power(q, t):
+    # psi, psi^{*2} and psi^{*3} vanish on (x x*)^4 and psi^{*4} = 24, so
+    # e_*^{t psi} = t^4 there; the series must not stop on the zero terms
+    B, _, psi = make_azema(q)
+    v, _n = conv_exp_series(psi, t, NcPoly.word((X, XS) * 4), B)
+    assert abs(v - t ** 4) <= 1e-12 * t ** 4
+
+
+@pytest.mark.xfail(strict=True, reason="conv_exp loses accuracy at q = 1e3 on degree 8")
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_conv_exp_matches_series_at_q1e3_degree8(t):
+    # over the coproduct as stored, psi^{*4}((x x*)^4) = 18 and every other
+    # power is 0, which the series sums exactly; conv_exp reads 0.7500250526
+    # at t = 1 (3.3e-5 relative).  At q = 2 and 1e-3 the power is 24: at
+    # q = 1e3 the stored coproduct has lost legs at or below DROP_TOL
+    B, _, psi = make_azema(1e3)
+    p = NcPoly.word((X, XS) * 4)
+    v, _n = conv_exp_series(psi, t, p, B)
+    assert abs(conv_exp(psi, t, p, B) - v) <= 1e-10 * abs(v)
+
+
+@pytest.mark.parametrize("word", ["x11 x21^*", "x12 x22^* x21", "x11 x21^* x12 x22"])
+def test_series_matches_matrix_on_unitary2(word):
+    # degree-3 and -4 words of U<2>: Delta_n has 8^(n-1) legs and more, the
+    # series only ever holds a subset of the subcoalgebra's words
+    t = unitary_triple(UnitaryTripleParams(
+        2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
+    B, psi = t.B, t.psi
+    p = parse_poly(word, B.algebra)
+    for s in (0.1, 1.0, 2.0):
+        v, _n = conv_exp_series(psi, s, p, B)
+        assert abs(conv_exp(psi, s, p, B) - v) <= 1e-10 * abs(v)
+
+
+def test_series_and_convolve_eval_leave_no_sweedler_memo():
+    B, _, psi = make_azema(2.0)
+    p = NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0})
+    for t in (0.1, 1.0, 2.0):
+        conv_exp_series(psi, t, p, B)
+    convolve_eval([psi] * 4, p, B)
+    assert B._sweedler == {}
+
+
+def test_series_budget_names_the_term(azema2, monkeypatch):
+    B, _, psi = azema2
+    monkeypatch.setattr(qlevy.bialg, "TERM_BUDGET", 2)
+    with pytest.raises(TermBudgetExceeded, match="series, term 2: .* more than 2 terms"):
+        conv_exp_series(psi, 1.0, NcPoly.word((X, XS) * 3), B)
+
+
 def test_conv_exp_zero_time(azema2):
     B, _, psi = azema2
     rng = np.random.default_rng(22)
@@ -187,7 +241,6 @@ def test_semigroup_law(azema2):
         s, t = rng.uniform(0.0, 1.0, size=2)
         phi_s = LinearFunctional("phi_s", lambda w: conv_exp(psi, s, NcPoly.word(w), B))
         phi_t = LinearFunctional("phi_t", lambda w: conv_exp(psi, t, NcPoly.word(w), B))
-        from qlevy.bialg import convolve_eval
         lhs = convolve_eval([phi_s, phi_t], p, B)
         rhs = conv_exp(psi, s + t, p, B)
         assert abs(lhs - rhs) < 1e-10
