@@ -2,12 +2,12 @@
 
 A BialgebraSpec stores the coproduct and counit on generators only; both are
 extended to arbitrary polynomials as *-algebra homomorphisms.  Iterated
-coproducts use the recursion D_n = (D_{n-1} (x) id) o D and are memoized per
-normal-form word; they serve the callers that need the legs themselves.  Every
-memo table derived from a BialgebraSpec (coproducts, Sweedler expansions,
-subcoalgebras) is held by the spec itself and freed with it; the normal forms
-of words are memoized on its AlgebraSpec (ncpoly), which TensorPoly.mul reads
-for both legs.
+coproducts D_n = (D (x) id^{n-2}) o D_{n-1} split the first leg n - 1 times,
+unmemoized, for the callers that need the legs themselves.  Every memo table
+derived from a BialgebraSpec (coproducts of words, subcoalgebras) is held by
+the spec itself and freed with it; TensorPoly.mul and star read the normal
+forms of words memoized on its AlgebraSpec (ncpoly).  Every coefficient map
+here, like NcPoly, drops a coefficient only when it equals 0.
 
 Convolution products never expand D_n: transfer_apply(f, terms, B) applies
 the transfer map T_f = (id (x) f) o D to an element, and convolve_eval
@@ -25,7 +25,7 @@ counit, iterated_coproduct and random_element.
 from __future__ import annotations
 
 from .errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
-from .ncpoly import DROP_TOL, NcPoly, check_confluent, involute, multiply, random_poly
+from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
 
 TERM_BUDGET = 10 ** 6
 
@@ -36,7 +36,7 @@ class TensorPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if abs(c) > DROP_TOL} if terms else {}
+        self.terms = {k: c for k, c in terms.items() if c != 0.0} if terms else {}
 
     @classmethod
     def unit(cls):
@@ -83,12 +83,10 @@ class TensorPoly:
         starred = {}
 
         def leg(w):
-            # normal form of the reversed, letter-starred word, pruned as an
-            # NcPoly prunes
+            # normal form of the reversed, letter-starred word
             hit = starred.get(w)
             if hit is None:
-                sw = tuple(alg.adjoint_of(g) for g in reversed(w))
-                hit = starred[w] = [(x, c) for x, c in nf(sw).items() if abs(c) > DROP_TOL]
+                hit = starred[w] = nf(tuple(alg.adjoint_of(g) for g in reversed(w))).items()
             return hit
 
         out = {}
@@ -118,7 +116,7 @@ class SweedlerExpansion:
 
     def __init__(self, arity, terms):
         self.arity = arity
-        self.terms = {k: c for k, c in terms.items() if abs(c) > DROP_TOL}
+        self.terms = {k: c for k, c in terms.items() if c != 0.0}
 
 
 class BialgebraSpec:
@@ -134,7 +132,6 @@ class BialgebraSpec:
             names = [algebra.alphabet[g].name for g in sorted(missing)]
             raise InvalidParameter(f"no coproduct for generators {names}")
         self._delta_word = {(): TensorPoly.unit()}
-        self._sweedler = {}
         self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
 
     # -- carrier protocol (shared with the group-like carrier) --------------
@@ -192,21 +189,17 @@ class BialgebraSpec:
         return sum((c * self.key_counit(w) for w, c in p.terms.items()), complex(0.0))
 
     def _sweedler_word(self, w, n):
-        got = self._sweedler.get((w, n))
-        if got is not None:
-            return got
-        if n == 1:
-            got = {(w,): 1.0}
-        else:
-            got = {}
-            for (a, b), z in self.coproduct_word(w).terms.items():
-                for legs, z2 in self._sweedler_word(a, n - 1).items():
-                    k = legs + (b,)
-                    got[k] = got.get(k, 0.0) + z * z2
-            got = {k: c for k, c in got.items() if abs(c) > DROP_TOL}
-        if len(got) > TERM_BUDGET:
-            raise TermBudgetExceeded(f"Sweedler expansion of arity {n} too large")
-        self._sweedler[(w, n)] = got
+        # Delta_n(w): the first leg split n - 1 times
+        got = {(w,): 1.0}
+        for _ in range(n - 1):
+            out = {}
+            for legs, z in got.items():
+                for (a, b), z2 in self.coproduct_word(legs[0]).terms.items():
+                    k = (a, b) + legs[1:]
+                    out[k] = out.get(k, 0.0) + z * z2
+            if len(out) > TERM_BUDGET:
+                raise TermBudgetExceeded(f"Sweedler expansion of arity {n} too large")
+            got = {k: c for k, c in out.items() if c != 0.0}
         return got
 
     def iterated_coproduct(self, p, n):
@@ -263,7 +256,7 @@ def transfer_apply(f, terms, B):
 
     Returns the key -> coeff map of sum c z f(b) a over the legs (a, b, z) of
     key_delta(w) for each term (w, c); legs with f(b) == 0 are skipped and
-    exact zeros dropped, nothing is pruned at DROP_TOL.
+    exact zeros dropped.
     """
     out = {}
     for w, c in terms.items():

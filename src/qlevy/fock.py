@@ -45,6 +45,9 @@ class FockFactor:
     """
 
     def __init__(self, m, cap):
+        for name, v in (("mode count m", m), ("particle cap", cap)):
+            if not math.isfinite(v):
+                raise InvalidParameter(f"{name} must be finite, got {v}")
         self.m = int(m)
         self.cap = int(cap)
         if self.m < 0 or self.cap < 0:
@@ -106,6 +109,13 @@ class FockOperator:
         return complex(np.vdot(om, self.mat @ om))
 
 
+def _interval(interval):
+    s, t = float(interval[0]), float(interval[1])
+    if not (math.isfinite(s) and math.isfinite(t) and s < t):
+        raise InvalidParameter(f"interval must be finite with positive length, got ({s}, {t})")
+    return s, t
+
+
 def quantum_noise_op(kind, arg, interval, factor):
     """A_{s,t}, Lambda_{s,t}, A*_{s,t} on a truncated factor.
 
@@ -113,9 +123,7 @@ def quantum_noise_op(kind, arg, interval, factor):
     exact adjoint (conjugated coefficients, same sqrt(t-s) scaling);
     preservation for a matrix T: sum_{jl} T_jl a_j^* a_l, no time scaling.
     """
-    s, t = float(interval[0]), float(interval[1])
-    if t <= s:
-        raise InvalidParameter("interval must have positive length")
+    s, t = _interval(interval)
     m = factor.m
     if kind in ("creation", "annihilation"):
         k = np.asarray(arg, dtype=complex).reshape(-1)
@@ -194,9 +202,7 @@ def exponential_vector(k, interval, factor):
     The heuristic precondition |k|^2 (t-s) <= ln(10) cap / 3 keeps that tail
     controlled; its violation raises TailBoundExceeded.
     """
-    s, t = float(interval[0]), float(interval[1])
-    if t <= s:
-        raise InvalidParameter("interval must have positive length")
+    s, t = _interval(interval)
     k = np.asarray(k, dtype=complex).reshape(-1)
     if k.shape != (factor.m,):
         raise DimensionMismatch(f"profile vector must have length {factor.m}")

@@ -39,7 +39,7 @@ import numpy as np
 from .bialg import TERM_BUDGET, LinearFunctional
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
-from .ncpoly import DROP_TOL, NcPoly, involute, multiply
+from .ncpoly import NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
 from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
 
@@ -61,7 +61,7 @@ class FactorizedVectorSum:
         if len(entries) != self.partition.n_intervals():
             raise InvalidParameter("one entry per subinterval required")
         self.terms[entries] = self.terms.get(entries, 0.0) + coeff
-        if abs(self.terms[entries]) <= DROP_TOL:
+        if self.terms[entries] == 0.0:
             del self.terms[entries]
         if len(self.terms) > TERM_BUDGET:
             raise TermBudgetExceeded(f"more than {TERM_BUDGET} factorized terms")

@@ -6,9 +6,9 @@ every right-hand-side word is strictly smaller in degree-lexicographic order,
 which guarantees termination.
 
 An AlgebraSpec owns one memo table, word -> the terms of its normal form
-with coefficient 1; it is filled on demand and freed with the spec.  The
-normal form of a polynomial is the coefficient-weighted sum of the memo
-entries of its words, pruned once at the end.
+with coefficient 1, filled on demand and freed with the spec.  A coefficient
+is dropped only when it equals 0: normal words are a basis, so a q^-k-small
+coefficient is still an exact one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     UnknownGenerator,
 )
 
-DROP_TOL = 1e-14         # absolute: NcPoly and TensorPoly drop coefficients at or below it
 CONFLUENCE_TOL = 1e-12   # relative: gap allowed between two normal forms of one word
 REWRITE_BUDGET = 10 ** 6
 
@@ -43,7 +42,7 @@ class NcPoly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in terms.items() if abs(c) > DROP_TOL} if terms else {}
+        self.terms = {w: c for w, c in terms.items() if c != 0.0} if terms else {}
         self._hash = None
 
     @classmethod
@@ -213,7 +212,8 @@ def _find_redex(w, rules):
 
 
 def normal_form(p, alg):
-    """Rewrite p to its unique fixed point under leftmost-first rewriting."""
+    """Unique fixed point of p under leftmost-first rewriting, the coefficient-
+    weighted sum of the memo entries of its words; exact zeros are dropped."""
     nf = alg.word_normal_form
     out = {}
     for w, c in p.terms.items():

@@ -164,14 +164,20 @@ def test_axioms_azema(azema2):
 
 
 @pytest.mark.parametrize("q, seed", [
-    (1e3, None), (1e3, 1), (1e3, 5), (1e-3, 1), (1e-3, 5),
+    (1e3, None), (1e3, 1), (1e3, 5), (1e-3, None), (1e-3, 1), (1e-3, 5),
 ])
 def test_axioms_at_extreme_q(q, seed):
     # words rewrite with coefficients near q^k; their normal forms are kept
-    # at coefficient 1 and scaled afterwards, so no product term is pruned
+    # at coefficient 1 and scaled afterwards, and only exact zeros are
+    # dropped, so no small but exact leg of a product is lost
     rng = None if seed is None else np.random.default_rng(seed)
     rep = check_bialgebra_axioms(make_azema(q)[0], rng=rng)
     assert rep["max_residual"] <= 1e-12
+
+
+def test_tensor_poly_keeps_nan_coefficient():
+    t = TensorPoly({((X,), ()): float("nan"), ((), (X,)): 0.0})
+    assert list(t.terms) == [((X,), ())] and np.isnan(t.terms[(X,), ()])
 
 
 def test_axioms_unitary_d2():
@@ -291,8 +297,7 @@ def test_hermitian_spotcheck(azema2):
 def test_tensor_star_matches_legwise_involute(q):
     # TensorPoly.star reads the starred legs from the normal-form memo; the
     # reference involutes each leg as a one-term polynomial.  At degree 6 some
-    # legs carry normal-form coefficients at or below DROP_TOL, which both
-    # must prune
+    # legs carry coefficients down to 1e-21 at q = 1e3, which both must keep
     from qlevy.ncpoly import involute
 
     B, _, _ = make_azema(q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlevy.constructions import make_azema
-from qlevy.errors import DimCapExceeded, DimensionMismatch, TailBoundExceeded
+from qlevy.errors import DimCapExceeded, DimensionMismatch, InvalidParameter, TailBoundExceeded
 from qlevy.fock import (
     FockFactor,
     UnitaryEvolution,
@@ -93,6 +93,29 @@ def test_noise_op_dimension_checks():
         quantum_noise_op("creation", [1.0], (0.0, 1.0), f)
     with pytest.raises(DimensionMismatch):
         quantum_noise_op("preservation", np.eye(3), (0.0, 1.0), f)
+
+
+@pytest.mark.parametrize("interval", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)])
+def test_noise_op_and_generator_reject_non_finite_interval(azema_triple, interval):
+    f = FockFactor(1, 3)
+    for build in (lambda: quantum_noise_op("creation", [1.0], interval, f),
+                  lambda: quantum_noise_op("preservation", np.eye(1), interval, f),
+                  lambda: generator_process(azema_triple, NcPoly.word((X,)), interval, f),
+                  lambda: exponential_vector([1.0], interval, f)):
+        with pytest.raises(InvalidParameter, match="interval must be finite"):
+            build()
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_fock_factor_rejects_non_finite_mode_count(m):
+    with pytest.raises(InvalidParameter, match="mode count m must be finite"):
+        FockFactor(m, 3)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf])
+def test_fock_factor_rejects_non_finite_cap(cap):
+    with pytest.raises(InvalidParameter, match="particle cap must be finite"):
+        FockFactor(1, cap)
 
 
 def test_exponential_vector_zero_is_vacuum():

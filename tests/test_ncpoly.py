@@ -5,7 +5,6 @@ import qlevy.ncpoly
 from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import InvalidParameter, LengthMismatch, ParseError, RewriteBudgetExceeded
 from qlevy.ncpoly import (
-    DROP_TOL,
     AlgebraSpec,
     GeneratorSymbol,
     NcPoly,
@@ -118,7 +117,7 @@ def test_linear_combine():
     assert not linear_combine([1.0, -1.0], [p, p]).terms
     assert linear_combine([2.0, 3.0], [p, p]).terms == {(X,): 5.0}
     q = NcPoly({(Y,): 1.0})
-    assert linear_combine([1.0, 1e-16], [p, q]).terms == {(X,): 1.0}
+    assert linear_combine([1.0, 1e-16], [p, q]).terms == {(X,): 1.0, (Y,): 1e-16}
     with pytest.raises(LengthMismatch):
         linear_combine([1.0], [p, q])
 
@@ -149,12 +148,12 @@ class TestParser:
 
 def _pending_normal_form(p, alg):
     # oracle: leftmost-first rewriting of every term on a pending list, with
-    # no memo; scaled coefficients at or below DROP_TOL are dropped per branch
+    # no memo; exact zeros are dropped per branch
     out = {}
     pending = list(p.terms.items())
     while pending:
         w, c = pending.pop()
-        if abs(c) <= DROP_TOL:
+        if c == 0.0:
             continue
         hit = _find_redex(w, alg.rules)
         if hit is None:
@@ -237,3 +236,10 @@ def test_check_confluent_rejects_an_overlap():
 def test_malformed_algebra_spec_raises_invalid_parameter(alphabet, rules, order, match):
     with pytest.raises(InvalidParameter, match=match):
         AlgebraSpec(alphabet, rules, letter_order=order)
+
+
+def test_nan_coefficient_is_kept():
+    # only a coefficient equal to 0 is dropped; NaN is not 0
+    p = NcPoly({(X,): float("nan"), (Y,): 0.0, (): 0j})
+    assert list(p.terms) == [(X,)] and np.isnan(p.terms[(X,)])
+    assert list(linear_combine([1.0], [p]).terms) == [(X,)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,10 +188,9 @@ def test_series_reaches_first_nonzero_power(q, t):
 @pytest.mark.xfail(strict=True, reason="conv_exp loses accuracy at q = 1e3 on degree 8")
 @pytest.mark.parametrize("t", [0.1, 1.0])
 def test_conv_exp_matches_series_at_q1e3_degree8(t):
-    # over the coproduct as stored, psi^{*4}((x x*)^4) = 18 and every other
-    # power is 0, which the series sums exactly; conv_exp reads 0.7500250526
-    # at t = 1 (3.3e-5 relative).  At q = 2 and 1e-3 the power is 24: at
-    # q = 1e3 the stored coproduct has lost legs at or below DROP_TOL
+    # psi^{*4}((x x*)^4) = 24 and every other power is 0, which the series
+    # sums exactly to t^4; conv_exp reads 0.9999874603 at t = 1 (1.3e-5
+    # relative), where q = 2 and 1e-3 agree to rounding
     B, _, psi = make_azema(1e3)
     p = NcPoly.word((X, XS) * 4)
     v, _n = conv_exp_series(psi, t, p, B)
@@ -209,13 +210,36 @@ def test_series_matches_matrix_on_unitary2(word):
         assert abs(conv_exp(psi, s, p, B) - v) <= 1e-10 * abs(v)
 
 
-def test_series_and_convolve_eval_leave_no_sweedler_memo():
+def test_coproduct_series_and_convolve_eval_retain_little_memory():
+    # Delta_n is built without a memo, and the series and convolve_eval
+    # never build it: what the spec holds afterwards is its coproducts of
+    # words, subcoalgebras and normal forms
     B, _, psi = make_azema(2.0)
     p = NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0})
-    for t in (0.1, 1.0, 2.0):
-        conv_exp_series(psi, t, p, B)
-    convolve_eval([psi] * 4, p, B)
-    assert B._sweedler == {}
+    tracemalloc.start()
+    try:
+        exp = B.iterated_coproduct(NcPoly.word((X,)), 256)
+        assert len(exp.terms) == 256
+        del exp
+        for t in (0.1, 1.0, 2.0):
+            conv_exp_series(psi, t, p, B)
+        convolve_eval([psi] * 4, p, B)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2e6
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.013, 49.0, 1e3])
+def test_coproduct_keeps_every_leg_across_q(q):
+    # normal words are a basis, so a leg with a q^-k-small coefficient is
+    # exact: Delta((x x*)^4) has 177 legs at every q, and psi^{*4} reads 24
+    B, _, psi = make_azema(q)
+    dims = [len(subcoalgebra_of(NcPoly.word((X, XS) * k), B).basis) for k in (1, 2, 3, 4)]
+    assert dims == [8, 34, 117, 368]
+    w = (X, XS) * 4
+    assert len(B.key_delta(w)) == 177
+    assert abs(convolve_eval([psi] * 4, NcPoly.word(w), B) - 24.0) <= 1e-12 * 24.0
 
 
 def test_series_budget_names_the_term(azema2, monkeypatch):
