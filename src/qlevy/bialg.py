@@ -14,6 +14,13 @@ the transfer map T_f = (id (x) f) o D to an element, and convolve_eval
 evaluates (f_1 * ... * f_n)(p) = f_1(T_{f_2} ... T_{f_n} p), one transfer
 image per factor, reading only key_delta of the carrier.
 
+certify_bialgebra proves the *-bialgebra axioms of a spec exactly, in
+order: its rewriting system is confluent, Delta, the counit and the
+involution respect every rule, and the coalgebra and involution laws hold
+on every generator, which the homomorphic extension carries to the whole
+algebra.  check_bialgebra_axioms measures the same laws on random samples;
+it is the axioms experiment and the certificate's test oracle.
+
 A BialgebraSpec is one of the two carriers a Morphism maps between (the other
 is constructions.GroupLikeBialgebra).  Both answer one protocol: elements are
 NcPoly over the carrier's basis keys (here normal-form words); at key level
@@ -23,6 +30,9 @@ counit, iterated_coproduct and random_element.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 from .errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
 from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
@@ -364,6 +374,95 @@ def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):
 
     report["max_residual"] = max(v for v in report.values())
     return report
+
+
+def _gap(a, b):
+    # largest |a - b| over two key -> coeff maps, relative to the largest
+    # coefficient of either (at least 1); inf where a coefficient is not
+    # finite, since max() would pass over a NaN
+    diff = dict(a)
+    for k, c in b.items():
+        diff[k] = diff.get(k, 0.0) - c
+    if not all(cmath.isfinite(c) for c in diff.values()):
+        return math.inf
+    top = max([1.0] + [abs(c) for c in a.values()] + [abs(c) for c in b.values()])
+    return max((abs(c) for c in diff.values()), default=0.0) / top
+
+
+def certify_bialgebra(B):
+    """Residuals of the *-bialgebra axioms of B, computed on its rules and generators.
+
+    B is presented by generators and rewrite rules, with Delta and the counit
+    given on generators and extended as homomorphisms of the free algebra.
+    The argument has three steps, and each holds only once the ones before
+    it pass:
+
+    1. Confluence.  check_confluent(B.algebra) raises InvalidParameter,
+       naming the ambiguous word, before any residual is computed.  Once it
+       passes, normal words are a basis (Bergman's diamond lemma), so B is
+       the free algebra modulo the ideal I generated by the rules lhs - rhs.
+    2. Rules.  A map defined on the free algebra passes to B iff it respects
+       every rule: `rule_delta` compares Delta(lhs) with Delta(rhs) in
+       B (x) B, `rule_counit` their counits, and `rule_star` the normal forms
+       of lhs* and rhs* (so I* = I and the involution is defined on B).
+    3. Generators.  (Delta (x) id)Delta and (id (x) Delta)Delta are algebra
+       maps, as are (eps (x) id)Delta, (id (x) eps)Delta and id; Delta o *
+       and (* (x) *) o Delta are antilinear anti-homomorphisms, as are
+       eps o * and conj o eps.  Two such maps agree on B once they agree on
+       its generators, so each generator g is checked for
+       `coassociativity`, `counit_law` (both sides),
+       `involution_compatibility` (Delta(g*) against Delta(g)*) and
+       `counit_star` (eps(g*) against conj eps(g)).  These checks mean
+       nothing while a rule check fails.
+
+    Each residual is the largest coefficient gap between the two sides,
+    relative to their largest coefficient (at least 1), so exact arithmetic
+    reads 0.0.  Returns `residuals` (check -> residual), their
+    `max_residual`, the `confluence` report, and `where`: for each nonzero
+    residual, the rule (its lhs, spelled) or generator at which it is
+    largest.
+    """
+    alg = B.algebra
+    confluence = check_confluent(alg)
+    residuals = {"rule_delta": 0.0, "rule_counit": 0.0, "rule_star": 0.0,
+                 "coassociativity": 0.0, "counit_law": 0.0,
+                 "involution_compatibility": 0.0, "counit_star": 0.0}
+    where = {}
+
+    def note(check, r, at):
+        if r > residuals[check]:
+            residuals[check] = r
+            where[check] = at
+
+    for rule in alg.rules:
+        at = f"rule {alg.spell(rule.lhs)!r}"
+        lhs = NcPoly({rule.lhs: 1.0})
+        note("rule_delta", _gap(B.coproduct(lhs).terms, B.coproduct(rule.rhs).terms), at)
+        note("rule_counit", _gap({(): B.counit(lhs)}, {(): B.counit(rule.rhs)}), at)
+        note("rule_star", _gap(involute(lhs, alg).terms, involute(rule.rhs, alg).terms), at)
+
+    for g in range(alg.ngen()):
+        at = f"generator {alg.spell((g,))!r}"
+        dg = B.coproduct_word((g,))
+        left, right, eps_left, eps_right = {}, {}, {}, {}
+        for (a, b), z in dg.terms.items():
+            for (u, v), z2 in B.coproduct_word(a).terms.items():
+                left[u, v, b] = left.get((u, v, b), 0.0) + z * z2
+            for (u, v), z2 in B.coproduct_word(b).terms.items():
+                right[a, u, v] = right.get((a, u, v), 0.0) + z * z2
+            eps_left[b] = eps_left.get(b, 0.0) + z * B.key_counit(a)
+            eps_right[a] = eps_right.get(a, 0.0) + z * B.key_counit(b)
+        note("coassociativity", _gap(left, right), at)
+        word = alg.word_normal_form((g,))
+        note("counit_law", max(_gap(eps_left, word), _gap(eps_right, word)), at)
+        gs = (alg.adjoint_of(g),)
+        note("involution_compatibility",
+             _gap(B.coproduct_word(gs).terms, dg.star(alg).terms), at)
+        note("counit_star",
+             _gap({(): B.key_counit(gs)}, {(): B.key_counit((g,)).conjugate()}), at)
+
+    return {"residuals": residuals, "max_residual": max(residuals.values()),
+            "confluence": confluence, "where": where}
 
 
 # ---------------------------------------------------------------------------

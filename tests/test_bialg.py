@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlevy.bialg import (
     BialgebraSpec,
@@ -7,14 +9,22 @@ from qlevy.bialg import (
     TensorPoly,
     bialgebra_from_json,
     bialgebra_to_json,
+    certify_bialgebra,
     check_bialgebra_axioms,
+    complete_by_involution,
     convolve_eval,
     counit_functional,
 )
-from qlevy.constructions import make_azema, make_grouplike, make_unitary_bialgebra
+from qlevy.constructions import (
+    make_azema,
+    make_grouplike,
+    make_induced_tensor,
+    make_primitive_tensor,
+    make_unitary_bialgebra,
+)
 from qlevy.errors import InvalidParameter, UnknownGenerator
 from qlevy.gns import UnitaryTripleParams, unitary_triple
-from qlevy.ncpoly import NcPoly, random_poly
+from qlevy.ncpoly import AlgebraSpec, GeneratorSymbol, NcPoly, RewriteRule, random_poly
 
 X, XS, Y = 0, 1, 2
 
@@ -194,6 +204,145 @@ def test_corrupted_spec_reports(azema2):
     bad = BialgebraSpec(alg, bad_delta, B.counit_on_gen, name="corrupted")
     rep = check_bialgebra_axioms(bad, sample_degree=2, n_samples=20)
     assert rep["counit_law"] >= 0.5
+
+
+def _grouplike_x_mutant(B):
+    # Delta(x) = x (x) x and eps(x) = 1, completed to x* by the *-law: the
+    # rules yx -> q^-1 xy and yx* -> q x*y no longer respect Delta or eps
+    delta, counit = complete_by_involution(
+        B.algebra, {X: TensorPoly({((X,), (X,)): 1.0}), Y: B.delta_on_gen[Y]},
+        {X: 1.0, Y: 1.0})
+    return BialgebraSpec(B.algebra, delta, counit, name="grouplike-x")
+
+
+def test_certificate_names_the_rule_delta_breaks(azema2):
+    # Delta(y x*) = y x* (x) y x* -> 4 x*y (x) x*y against Delta(2 x*y) =
+    # 2 x*y (x) x*y; eps(y x) = 1 against eps(q^-1 x y) = 1/2
+    rep = certify_bialgebra(_grouplike_x_mutant(azema2[0]))
+    assert rep["residuals"]["rule_delta"] == 0.5
+    assert rep["where"]["rule_delta"] == "rule 'y x*'"
+    assert rep["residuals"]["rule_counit"] == 0.5
+    assert rep["where"]["rule_counit"] == "rule 'y x'"
+    assert rep["max_residual"] > 1e-9
+
+
+def test_certificate_names_the_rule_the_counit_breaks(azema2):
+    # eps(x) = 1 while eps(x*) stays 0: eps(y x) = 1 against eps(q^-1 x y) =
+    # 1/2, and eps(x*) against conj eps(x)
+    B = azema2[0]
+    bad = BialgebraSpec(B.algebra, B.delta_on_gen, {**B.counit_on_gen, X: 1.0})
+    rep = certify_bialgebra(bad)
+    assert rep["residuals"]["rule_delta"] == 0.0
+    assert rep["residuals"]["rule_counit"] == 0.5
+    assert rep["where"]["rule_counit"] == "rule 'y x'"
+    assert rep["residuals"]["counit_star"] == 1.0
+    assert rep["where"]["counit_star"] == "generator 'x'"
+
+
+def test_certificate_names_a_rule_the_involution_breaks(azema2):
+    # beside y x -> q^-1 x y, the rule y x* -> 2q x*y: (y x)* = x* y, but
+    # (q^-1 x y)* = q^-1 y x* -> 2 x*y.  Delta and eps respect both rules
+    B = azema2[0]
+    alg = AlgebraSpec(B.algebra.alphabet, [
+        RewriteRule((Y, X), NcPoly({(X, Y): 0.5})),
+        RewriteRule((Y, XS), NcPoly({(XS, Y): 4.0})),
+    ], name="azema-mutant")
+    rep = certify_bialgebra(BialgebraSpec(alg, B.delta_on_gen, B.counit_on_gen))
+    assert rep["residuals"]["rule_star"] == 0.5
+    assert rep["where"] == {"rule_star": "rule 'y x'"}
+
+
+def _scaled_delta(B, g, s):
+    return BialgebraSpec(B.algebra, {**B.delta_on_gen, g: B.delta_on_gen[g].scale(s)},
+                         B.counit_on_gen)
+
+
+@pytest.mark.parametrize("mutate, want", [
+    # (Delta (x) id) Delta(x) ends in x (x) y (x) y, (id (x) Delta) Delta(x)
+    # in 1.01 x (x) y (x) y; (eps (x) id) Delta(y) = 1.01 y
+    (lambda B: _scaled_delta(B, Y, 1.01),
+     {"coassociativity": (0.01 / 1.01, "generator 'x'"),
+      "counit_law": (0.01 / 1.01, "generator 'y'")}),
+    # Delta(x) = 1.5 (x (x) y + 1 (x) x) while Delta(x*) stays unscaled
+    (lambda B: _scaled_delta(B, X, 1.5),
+     {"coassociativity": (0.5 / 1.5, "generator 'x'"),
+      "counit_law": (0.5 / 1.5, "generator 'x'"),
+      "involution_compatibility": (0.5 / 1.5, "generator 'x'")}),
+    # Delta(x) = x (x) y + 1 (x) x + x (x) 1: the left counit law holds, the
+    # right one reads 2x
+    (lambda B: BialgebraSpec(B.algebra, {**B.delta_on_gen, X: B.delta_on_gen[X].add(
+        TensorPoly({((X,), ()): 1.0}))}, B.counit_on_gen),
+     {"coassociativity": (1.0, "generator 'x'"), "counit_law": (0.5, "generator 'x'"),
+      "involution_compatibility": (1.0, "generator 'x'")}),
+    # a NaN coefficient proves nothing: each check it reaches reads inf
+    (lambda B: _scaled_delta(B, X, float("nan")),
+     {"rule_delta": (np.inf, "rule 'y x'"), "coassociativity": (np.inf, "generator 'x'"),
+      "counit_law": (np.inf, "generator 'x'"),
+      "involution_compatibility": (np.inf, "generator 'x'")}),
+], ids=["delta-y", "delta-x", "right-counit-x", "nan-delta-x"])
+def test_certificate_names_the_generator_a_law_fails_on(azema2, mutate, want):
+    rep = certify_bialgebra(mutate(azema2[0]))
+    for check, r in rep["residuals"].items():
+        value, at = want.get(check, (0.0, None))
+        assert r == pytest.approx(value, rel=1e-12), check
+        assert rep["where"].get(check) == at, check
+
+
+_SMALL_SAMPLE = {"sample_degree": 3, "n_samples": 10}
+
+
+@pytest.mark.parametrize("build, sampling", [
+    pytest.param(lambda: make_azema(2.0)[0], {}, id="azema-2"),
+    pytest.param(lambda: make_azema(1e-3)[0], {}, id="azema-1e-3"),
+    pytest.param(lambda: make_azema(1e3)[0], {}, id="azema-1e3"),
+    pytest.param(lambda: make_azema(2.0)[1], {}, id="azema-primitive"),
+    pytest.param(lambda: make_unitary_bialgebra(1), {}, id="unitary1"),
+    pytest.param(lambda: make_unitary_bialgebra(2), _SMALL_SAMPLE, id="unitary2"),
+    pytest.param(lambda: make_primitive_tensor(make_azema(2.0)[0], 2)[0], _SMALL_SAMPLE,
+                 id="primitive-tensor"),
+    pytest.param(lambda: make_induced_tensor(make_azema(2.0)[0], 2)[0], _SMALL_SAMPLE,
+                 id="induced-tensor"),
+])
+def test_certificate_agrees_with_sampled_axioms(build, sampling):
+    B = build()
+    cert = certify_bialgebra(B)
+    sampled = check_bialgebra_axioms(B, **sampling)
+    assert cert["max_residual"] == 0.0 and cert["where"] == {}
+    assert sampled["max_residual"] <= 1e-12
+
+
+def test_certificate_and_sampled_axioms_flag_the_same_mutant(azema2):
+    bad = _grouplike_x_mutant(azema2[0])
+    assert certify_bialgebra(bad)["max_residual"] > 1e-9
+    assert check_bialgebra_axioms(bad, sample_degree=2, n_samples=20)["max_residual"] > 1e-9
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log_q=st.floats(-3.0, 3.0))
+def test_certificate_exact_across_q(log_q):
+    # every check is exact; the one rounding is that of the stored rule
+    # coefficients, q^-1 and q, whose product the involution check forms
+    q = 10.0 ** log_q
+    rep = certify_bialgebra(make_azema(q)[0])
+    want = dict.fromkeys(rep["residuals"], 0.0)
+    want["rule_star"] = abs(1.0 - (1.0 / q) * q)
+    assert rep["residuals"] == want
+
+
+def test_certificate_rejects_non_confluent_rules_first():
+    # ab -> c and bc -> a overlap on abc, which rewrites to cc and to aa
+    alphabet = [GeneratorSymbol(n, i) for i, n in enumerate("abc")]
+    alg = AlgebraSpec(alphabet, [RewriteRule((0, 1), NcPoly({(2,): 1.0})),
+                                 RewriteRule((1, 2), NcPoly({(0,): 1.0}))], name="overlap")
+    B = BialgebraSpec(alg, {g: TensorPoly({((g,), (g,)): 1.0}) for g in range(3)},
+                      {g: 1.0 for g in range(3)})
+
+    def residual(*args):
+        raise AssertionError("a residual was computed before confluence")
+
+    B.coproduct_word = B.counit = B.key_counit = residual
+    with pytest.raises(InvalidParameter, match="'a b c'"):
+        certify_bialgebra(B)
 
 
 def test_json_roundtrip(azema2):

@@ -139,6 +139,34 @@ def test_check_defs_catches_corrupt_coproduct(tmp_path):
     assert report["max_residual"] > report["tolerance"]
 
 
+def test_check_names_where_the_certificate_fails(tmp_path, capsys):
+    # Delta(x) scaled by 1.5: (eps (x) id) Delta(x) = 1.5 x, relative gap 1/3
+    path = _write(tmp_path, "corrupt_x.json", {
+        "name": "corrupt_x", "experiment": "axioms",
+        "bialgebra": {"builder": "azema", "q": 2.0,
+                      "corrupt_delta": {"generator": "x", "scale": 1.5}},
+    })
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "axioms/counit_law: 3.333e-01 at generator 'x'" in out
+    assert "axioms/rule_delta: 0.000e+00\n" in out
+
+
+def test_shipped_configs_run_without_sampling_the_axioms(tmp_path, monkeypatch):
+    # check_defs certifies the bialgebra exactly; only the axioms experiment
+    # (azema_q2) draws the sampled check
+    import qlevy.bialg
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("the sampled axiom check ran")
+
+    monkeypatch.setattr(qlevy.bialg, "check_bialgebra_axioms", sampled)
+    for name in builtin_configs():
+        if name != "azema_q2.json":
+            _csv, _json, summary = run_experiment(builtin_config_path(name), str(tmp_path))
+            assert summary["check_report"]["ok"], name
+
+
 def test_check_defs_reverse_without_chain_checks_its_morphism(tmp_path):
     # a reverse config that names no chain runs the grouplike chain
     with open(builtin_config_path("reverse_azema_x.json"), encoding="utf-8") as fh:
