@@ -9,9 +9,10 @@ as normal words are a basis, their coordinates are exact (no linear solve).
 
 A Morphism maps between two carriers that answer one protocol, so it never
 asks which carrier it holds: a BialgebraSpec (keys are normal-form words) or
-a GroupLikeBialgebra (keys are interned counit-one polynomials of its base).
-Elements of either carrier are NcPoly over its keys.  kappa (hat(b) -> b) is
-an algebra homomorphism given per key, and kappa-tilde is a linear-section
+a GroupLikeBialgebra (each key is the counit-one NcPoly b of its base that
+the basis element hat(b) stands for).  Elements of either carrier are NcPoly
+over its keys.  A Morphism is given by the image of each key: kappa
+(hat(b) -> b) maps each key to itself, and kappa-tilde is a linear-section
 Morphism whose key map lifts one word of B into the group-like carrier.
 """
 
@@ -231,29 +232,18 @@ def _kernel_letters(B, max_degree):
 class Morphism:
     """Counit-preserving map between two carriers of the shared protocol.
 
-    Source and target elements are NcPoly over the carriers' keys.
-    kind 'algebra-homomorphism': a key's image is key_map(key), or the
-    product in the target of gen_images over the key's letters.
-    kind 'linear-section': key_map gives each key's image, extended linearly
-    only (the section kappa-tilde).
+    Source and target elements are NcPoly over the carriers' keys, and
+    key_map gives the image of each source key (map_key), extended linearly
+    (apply).  kind names what the map is: 'algebra-homomorphism', or
+    'linear-section' (the section kappa-tilde, linear only).
     """
 
-    def __init__(self, source, target, kind, gen_images=None, key_map=None, name=""):
+    def __init__(self, source, target, kind, key_map, name=""):
         self.source = source
         self.target = target
         self.kind = kind
-        self.gen_images = gen_images   # generator index -> target element
-        self.key_map = key_map         # source key -> target element
+        self.map_key = key_map         # source key -> target element
         self.name = name
-
-    def map_key(self, key):
-        """Image of a single source basis key."""
-        if self.key_map is not None:
-            return self.key_map(key)
-        img = self.target.one()
-        for g in key:
-            img = self.target.mul(img, self.gen_images[g])
-        return img
 
     def apply(self, elem):
         """Image of a source element."""
@@ -287,7 +277,14 @@ def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
                       name=f"{name}[{B.name}]")
     T.degree_cap = degree_cap
     T.letters = letters
-    kappa = Morphism(T, B, "algebra-homomorphism", gen_images=dict(enumerate(letters)),
+
+    def product_of_letters(w):
+        img = B.one()
+        for g in w:
+            img = B.mul(img, letters[g])
+        return img
+
+    kappa = Morphism(T, B, "algebra-homomorphism", key_map=product_of_letters,
                      name=f"kappa[{T.name}]")
     return T, kappa
 
@@ -335,17 +332,12 @@ def make_induced_tensor(B, degree_cap):
 # group-like carrier
 # ---------------------------------------------------------------------------
 
-def _poly_key(p):
-    return tuple(sorted(
-        (w, round(complex(c).real, 12), round(complex(c).imag, 12))
-        for w, c in p.terms.items()))
-
-
 class GroupLikeBialgebra:
     """Span of the counit-one monoid of B; every basis key is group-like.
 
-    A key is an interned counit-one polynomial of B; register interns one and
-    poly returns it.  Elements are NcPoly over keys, as for any carrier.
+    The key of the basis element hat(b) is the counit-one NcPoly b itself
+    (NcPoly hashes by value); register checks a polynomial and returns it.
+    Elements are NcPoly over keys, as for any carrier.
     """
 
     def __init__(self, B, degree_cap):
@@ -354,28 +346,18 @@ class GroupLikeBialgebra:
         self.base = B
         self.degree_cap = degree_cap
         self.name = f"grouplike[{B.name}]"
-        self._registry = {}
         self._subs = {}         # frozenset of keys -> Subcoalgebra (subcoalg)
-        self._unit = self.register(NcPoly.one())
 
     def register(self, p):
-        """Intern a counit-one polynomial and return its key."""
+        """Check that p is a counit-one polynomial within the cap; p is its key."""
         if abs(self.base.counit(p) - 1.0) > COUNIT_TOL:
             raise InvalidParameter("group-like keys must have counit 1")
         if p.degree() > self.degree_cap:
             raise DegreeCapExceeded(
                 f"degree {p.degree()} exceeds group-like cap {self.degree_cap}")
-        k = _poly_key(p)
-        self._registry.setdefault(k, p)
-        return k
-
-    def poly(self, key):
-        return self._registry[key]
+        return p
 
     # -- carrier protocol (shared with BialgebraSpec) ------------------------
-
-    def unit_key(self):
-        return self._unit
 
     def key_delta(self, key):
         return {(key, key): 1.0}
@@ -383,17 +365,14 @@ class GroupLikeBialgebra:
     def key_counit(self, key):
         return complex(1.0)
 
-    def key_star(self, key):
-        return {self.register(self.base.star(self.poly(key))): 1.0}
-
     def key_order(self, key):
-        return key
+        return sorted((w, complex(c).real, complex(c).imag) for w, c in key.terms.items())
 
     def key_mul(self, k1, k2):
-        return self.register(self.base.mul(self.poly(k1), self.poly(k2)))
+        return self.register(self.base.mul(k1, k2))
 
     def one(self):
-        return NcPoly({self._unit: 1.0})
+        return NcPoly({NcPoly.one(): 1.0})
 
     def mul(self, a, b):
         out = {}
@@ -406,15 +385,15 @@ class GroupLikeBialgebra:
     def star(self, a):
         out = {}
         for k, c in a.terms.items():
-            for k2, z in self.key_star(k).items():
-                out[k2] = out.get(k2, 0.0) + complex(c).conjugate() * z
+            k2 = self.register(self.base.star(k))
+            out[k2] = out.get(k2, 0.0) + complex(c).conjugate()
         return NcPoly(out)
 
     def counit(self, a):
         return sum(complex(c) for c in a.terms.values())
 
     def iterated_coproduct(self, a, n):
-        return SweedlerExpansion(n, {(k,) * n: c for k, c in a.terms.items()})
+        return SweedlerExpansion({(k,) * n: c for k, c in a.terms.items()})
 
     def random_element(self, rng, degree):
         """Three keys hat(p - counit(p) + 1), p random in B, complex coefficients."""
@@ -436,14 +415,14 @@ class GroupLikeBialgebra:
         if w == ():
             return NcPoly()
         shifted = NcPoly({w: 1.0, (): 1.0 - self.base.key_counit(w)})
-        return NcPoly({self.register(shifted): 1.0, self._unit: -1.0})
+        return NcPoly({self.register(shifted): 1.0, NcPoly.one(): -1.0})
 
 
 def make_grouplike(B, degree_cap):
     """Group-like carrier over B plus kappa (hat(b) -> b) and kappa-tilde."""
     G = GroupLikeBialgebra(B, degree_cap)
     kappa = Morphism(G, B, "algebra-homomorphism",
-                     key_map=G.poly, name=f"kappa[{G.name}]")
+                     key_map=lambda key: key, name=f"kappa[{G.name}]")
     kappa_tilde = Morphism(B, G, "linear-section",
                            key_map=G.lift_key, name=f"kappaTilde[{G.name}]")
     return G, kappa, kappa_tilde

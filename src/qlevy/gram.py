@@ -138,7 +138,7 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     with inner_mesh_factor equal pieces.
 
     A leg w becomes kappa-tilde(w) + counit(w) hat(1), which is hat(w) when
-    w has counit 1."""
+    w has counit 1; each group-like key, a polynomial of B, is an entry."""
     if inner_mesh_factor < 1:
         raise InvalidParameter("inner_mesh_factor must be >= 1")
     G = kappa_tilde.target
@@ -157,7 +157,7 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
         leg_options = []
         for w in word_tuple:
             lifted = kappa_tilde.map_key(w).add(G.one().scale(B.key_counit(w)))
-            leg_options.append([(G.poly(k), c) for k, c in lifted.terms.items()])
+            leg_options.append(list(lifted.terms.items()))
         for combo in itertools.product(*leg_options):
             coeff = z
             entries = []

@@ -58,7 +58,7 @@ class Subcoalgebra:
     """
 
     def __init__(self, B, words):
-        self.basis = [NcPoly.word(w) for w in words]
+        self.basis = [NcPoly({w: 1.0}) for w in words]
         self._words = words
         self._index = {w: i for i, w in enumerate(words)}
         j, u, v, c = [], [], [], []

@@ -1,0 +1,87 @@
+"""Sampled *-bialgebra axioms: the test oracle of bialg.certify_bialgebra.
+
+check_bialgebra_axioms measures the coalgebra and compatibility laws on
+random elements, by a route the certificate does not take: it builds the
+coproducts of whole products and Sweedler expansions, not of generators and
+rules.  Each residual is a gap relative to the sides' magnitudes (at least
+1), and a non-finite gap reads inf, since max() would pass over a NaN.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from qlevy.ncpoly import NcPoly, involute, multiply
+
+
+def _rel(diffs, *sides):
+    # largest |d| over diffs relative to the largest side (at least 1)
+    diffs = list(diffs)
+    if not all(cmath.isfinite(d) for d in diffs):
+        return math.inf
+    return max((abs(d) for d in diffs), default=0.0) / max([1.0, *sides])
+
+
+def _diff(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) - c
+    return out.values()
+
+
+def _top(terms):
+    return max((abs(c) for c in terms.values()), default=0.0)
+
+
+def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):
+    """Max residuals of the coalgebra and compatibility axioms on samples."""
+    rng = rng if rng is not None else np.random.default_rng(20080131)
+    alg = B.algebra
+    samples = [B.random_element(rng, sample_degree) for _ in range(n_samples)]
+    report = dict.fromkeys(["coassociativity", "counit_law", "delta_multiplicative",
+                            "counit_multiplicative", "rule_compatibility",
+                            "involution_compatibility"], 0.0)
+
+    def note(check, r):
+        report[check] = max(report[check], r)
+
+    def tensor_gap(s, t):
+        return _rel(_diff(s.terms, t.terms), _top(s.terms), _top(t.terms))
+
+    deltas = [B.coproduct(p) for p in samples]
+    for p, dp in zip(samples, deltas):
+        # coassociativity: (Delta (x) id) Delta  vs  (id (x) Delta) Delta
+        left = B.iterated_coproduct(p, 3).terms
+        right = {}
+        for (a, b), z in dp.terms.items():
+            for (u, v), z2 in B.coproduct_word(b).terms.items():
+                k = (a, u, v)
+                right[k] = right.get(k, 0.0) + z * z2
+        note("coassociativity", _rel(_diff(left, right), _top(left), _top(right)))
+
+        # counit law, both sides
+        lhs, rhs = {}, {}
+        for (a, b), z in dp.terms.items():
+            lhs[b] = lhs.get(b, 0.0) + z * B.key_counit(a)
+            rhs[a] = rhs.get(a, 0.0) + z * B.key_counit(b)
+        note("counit_law", _rel([NcPoly(lhs).sub(p).norm1(), NcPoly(rhs).sub(p).norm1()],
+                                p.norm1()))
+
+        # involution compatibility: Delta(p*) = Delta(p)* legwise
+        note("involution_compatibility",
+             tensor_gap(B.coproduct(involute(p, alg)), dp.star(alg)))
+
+    for p, q, dp, dq in zip(samples[::2], samples[1::2], deltas[::2], deltas[1::2]):
+        pq = multiply(p, q, alg)
+        note("delta_multiplicative", tensor_gap(B.coproduct(pq), dp.mul(dq, alg)))
+        e_pq, e_p_e_q = B.counit(pq), B.counit(p) * B.counit(q)
+        note("counit_multiplicative", _rel([e_pq - e_p_e_q], abs(e_pq), abs(e_p_e_q)))
+
+    for rule in alg.rules:
+        lhs_p = NcPoly({rule.lhs: 1.0})
+        r = tensor_gap(B.coproduct(lhs_p), B.coproduct(rule.rhs))
+        note("rule_compatibility", max(r, _rel([B.counit(lhs_p) - B.counit(rule.rhs)])))
+
+    report["max_residual"] = max(report.values())
+    return report

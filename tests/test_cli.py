@@ -152,19 +152,46 @@ def test_check_names_where_the_certificate_fails(tmp_path, capsys):
     assert "axioms/rule_delta: 0.000e+00\n" in out
 
 
-def test_shipped_configs_run_without_sampling_the_axioms(tmp_path, monkeypatch):
-    # check_defs certifies the bialgebra exactly; only the axioms experiment
-    # (azema_q2) draws the sampled check
-    import qlevy.bialg
+def test_axioms_csv_is_the_certificate_whatever_the_samples(tmp_path):
+    # the axioms experiment writes certify_bialgebra's residuals and draws no
+    # samples, so its CSV cannot depend on the config's samples field
+    from qlevy.bialg import certify_bialgebra
+    from qlevy.constructions import make_azema
 
-    def sampled(*args, **kwargs):
-        raise AssertionError("the sampled axiom check ran")
+    with open(builtin_config_path("azema_q2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    written = []
+    for samples in (1, 30):
+        cfg["samples"] = samples
+        csv_path, _, summary = run_experiment(
+            _write(tmp_path, f"azema_q2_{samples}.json", cfg), str(tmp_path / str(samples)))
+        assert summary["assertions"] == {"max_residual_within_tol": True}
+        written.append(open(csv_path, "rb").read())
+    assert written[0] == written[1]
+    rows = [line.split(",") for line in written[0].decode().splitlines()]
+    residuals = certify_bialgebra(make_azema(2.0)[0])["residuals"]
+    assert rows == [["check", "residual"]] + [[k, "0"] for k in sorted(residuals)]
+    assert set(residuals.values()) == {0.0}
 
-    monkeypatch.setattr(qlevy.bialg, "check_bialgebra_axioms", sampled)
-    for name in builtin_configs():
-        if name != "azema_q2.json":
-            _csv, _json, summary = run_experiment(builtin_config_path(name), str(tmp_path))
-            assert summary["check_report"]["ok"], name
+
+@pytest.mark.parametrize("experiment, edit, field", [
+    ("fock_unitary_d1", {"builder": "azema", "q": 2.0}, "/bialgebra/builder"),
+    ("fock_unitary_d1", {"builder": "unitary", "d": 2}, "/bialgebra/d"),
+    ("azema_wiener_q2", {"builder": "unitary"}, "/bialgebra/builder"),
+], ids=["fock-unitary-on-azema", "fock-unitary-on-u2", "azema-wiener-on-unitary"])
+def test_config_bialgebra_must_be_the_one_the_experiment_runs(tmp_path, capsys,
+                                                              experiment, edit, field):
+    # fock-unitary builds U<unitary.d> and azema-wiener Azema at bialgebra.q;
+    # check_defs certifies the config's bialgebra, so the two must agree
+    with open(builtin_config_path(f"{experiment}.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["bialgebra"] = edit
+    path = _write(tmp_path, "mismatch.json", cfg)
+    for call in (check_defs, lambda p: run_experiment(p, str(tmp_path))):
+        with pytest.raises(SchemaError, match=field):
+            call(path)
+    assert main(["check", path]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_check_defs_reverse_without_chain_checks_its_morphism(tmp_path):
@@ -229,13 +256,8 @@ def test_run_experiment_builds_objects_once(name, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["sweep_azema_x", "sweep_grouplike_xstar",
-                                  "reverse_azema_x", "azema_wiener_q2"])
-def test_gram_driven_configs_match_golden_csvs(name, tmp_path):
-    # tests/golden holds these CSVs as written by term-by-term pairings: of
-    # whole-mesh Sweedler expansions for the sweep and reverse configs, of
-    # Fock elementary tensors for the azema_wiener_q2 norm rows; its qsde rows
-    # are residuals taken in the last slot, at the rounding floor
+def _assert_matches_golden(name, tmp_path):
+    # every cell equal to tests/golden/<name>.csv within 1e-12 relative
     csv_path, _, _ = run_experiment(builtin_config_path(f"{name}.json"), str(tmp_path))
     got = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()]
     golden = Path(__file__).parent / "golden" / f"{name}.csv"
@@ -244,10 +266,31 @@ def test_gram_driven_configs_match_golden_csvs(name, tmp_path):
     assert [len(row) for row in got] == [len(row) for row in want]
     for row, ref in zip(got[1:], want[1:]):
         for cell, expected in zip(row, ref):
-            if cell == expected:   # also the quantity labels of azema_wiener_q2
+            if cell == expected:   # also labels: quantities, checks
                 continue
             x, y = float(cell), float(expected)
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+_GRAM_DRIVEN = ["sweep_azema_x", "sweep_grouplike_xstar", "reverse_azema_x", "azema_wiener_q2"]
+
+
+@pytest.mark.parametrize("name", _GRAM_DRIVEN)
+def test_gram_driven_configs_match_golden_csvs(name, tmp_path):
+    # tests/golden holds these CSVs as written by term-by-term pairings: of
+    # whole-mesh Sweedler expansions for the sweep and reverse configs, of
+    # Fock elementary tensors for the azema_wiener_q2 norm rows; its qsde rows
+    # are residuals taken in the last slot, at the rounding floor
+    _assert_matches_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", [Path(n).stem for n in builtin_configs()
+                                  if Path(n).stem not in _GRAM_DRIVEN])
+def test_other_shipped_configs_match_golden_snapshots(name, tmp_path):
+    # with the test above, every shipped CSV is compared; these goldens are
+    # snapshots of the program's own output, not independent oracles, and
+    # only show that the CSVs did not move
+    _assert_matches_golden(name, tmp_path)
 
 
 def test_outputs_deterministic(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlevy.bialg import BialgebraSpec, TensorPoly, check_bialgebra_axioms
+from qlevy.bialg import BialgebraSpec, TensorPoly
 from qlevy.constructions import (
     Morphism,
     b0_basis,
@@ -24,6 +24,7 @@ from qlevy.ncpoly import (
     multiply,
     random_poly,
 )
+from sampled_axioms import check_bialgebra_axioms
 
 X, XS, Y = 0, 1, 2
 
@@ -161,9 +162,20 @@ def test_grouplike_registry(azema2):
     assert G.key_counit(ky) == 1.0
     assert G.key_delta(ky) == {(ky, ky): 1.0}
     kyy = G.key_mul(ky, ky)
-    assert G.poly(kyy).terms == {(Y, Y): 1.0}
+    assert kyy.terms == {(Y, Y): 1.0}
     rep = check_counit_preserving(kappa, n_samples=50)
     assert rep["max_residual"] <= 1e-12
+
+
+def test_grouplike_keys_are_their_polynomials(azema2):
+    # two keys 4e-13 apart stay two keys, and kappa returns each exactly
+    B = azema2[0]
+    G, kappa, _kt = make_grouplike(B, 3)
+    p1 = NcPoly({(): 1.0, (X,): 0.3})
+    p2 = NcPoly({(): 1.0, (X,): 0.3 + 4e-13})
+    assert G.register(p1) != G.register(p2)
+    assert kappa.apply(G.hat(p2)) == p2
+    assert kappa.apply(G.hat(p1).add(G.hat(p2))) == p1.add(p2)
 
 
 def test_grouplike_rejects(azema2):
@@ -171,6 +183,8 @@ def test_grouplike_rejects(azema2):
     G, _k, _kt = make_grouplike(B, 2)
     with pytest.raises(InvalidParameter):
         G.register(NcPoly.word((X,)))     # counit 0
+    with pytest.raises(InvalidParameter):
+        G.register(NcPoly({(): 1.0 + 1e-9}))     # beyond COUNIT_TOL
     with pytest.raises(DegreeCapExceeded):
         G.register(NcPoly.word((Y, Y, Y)))
 
@@ -205,17 +219,16 @@ def test_unitary_monomials_grouplike():
     assert G.key_delta(k) == {(k, k): 1.0}
     # x x* rewrites to 1
     assert G.key_mul(G.register(NcPoly.word((0,))), G.register(NcPoly.word((1,)))) \
-        == G.unit_key()
+        == NcPoly.one()
 
 
 def test_grouplike_star(azema2):
     B = azema2[0]
     G, _k, _kt = make_grouplike(B, 3)
     k = G.register(NcPoly({(X,): 1.0, (): 1.0}))
-    ks = G.key_star(k)
-    (k2, c), = ks.items()
+    (k2, c), = G.star(G.hat(k)).terms.items()
     assert c == 1.0
-    assert G.poly(k2).terms == {(XS,): 1.0, (): 1.0}
+    assert k2.terms == {(XS,): 1.0, (): 1.0}
 
 
 @pytest.fixture(scope="module", params=["azema", "grouplike"])
@@ -252,7 +265,14 @@ def test_broken_morphism_detected(azema2):
     # shift one generator image off the counit kernel
     bad_images = {i: h for i, h in enumerate(T.letters)}
     bad_images[0] = bad_images[0].add(NcPoly.one())
-    bad = Morphism(T, B, "algebra-homomorphism", gen_images=bad_images, name="bad")
+
+    def product_of_images(w):
+        img = B.one()
+        for g in w:
+            img = B.mul(img, bad_images[g])
+        return img
+
+    bad = Morphism(T, B, "algebra-homomorphism", key_map=product_of_images, name="bad")
     rep = check_counit_preserving(bad, n_samples=50, sample_degree=2)
     assert rep["max_residual"] >= 0.5
 
