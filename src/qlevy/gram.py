@@ -21,9 +21,10 @@ the reverse transformation, defects against the limiting convolution
 exponential, and Cauchy increments between uniform meshes.  On a uniform
 mesh each of their Gram values is an infinitesimal convolution product of
 g identical blocks, i.e. the g-th convolution power of one block
-functional on the doubled coalgebra conj(C) (x) C, taken as g sparse
-matrix-vector products on the subcoalgebras of the two elements by
-subcoalg.doubled_product, the path fock's vacuum values take too; one
+functional on the doubled coalgebra conj(C) (x) C of the subcoalgebras of
+the two elements, taken by subcoalg.doubled_product (by repeated squaring,
+O(log g) dense products, on small doubled coalgebras), the path fock's
+vacuum values take too; one
 gram_matrix call supplies all the one-block values of a power.
 """
 
@@ -262,7 +263,9 @@ def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
 
     This is the g-th convolution power of the one-block functional
     Psi(a (x) b) = gram(block_c(a), block_d(b)) on the doubled coalgebra
-    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product; one
+    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product (by
+    repeated squaring, O(log g) dense products, up to its DENSE_POWER_DIM
+    doubled dimensions; g sparse matrix-vector products above); one
     gram_matrix call gives all values of Psi on the two bases.
     """
     subc = _cached_sub(c, S, DIM_CAP)

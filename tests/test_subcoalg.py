@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ from qlevy.gns import UnitaryTripleParams, unitary_triple
 from qlevy.ncpoly import NcPoly, involute, multiply, parse_poly, random_poly
 from qlevy.partition import Partition
 from qlevy.subcoalg import (
+    DENSE_POWER_DIM,
     ProductFamilySpec,
     banach_product_check,
     coalgebra_product_check,
     conv_exp,
     conv_exp_series,
+    doubled_product,
     factor_table,
     subcoalgebra_of,
     transfer_matrix,
@@ -479,3 +482,113 @@ def test_conv_exp_rejects_non_finite_t(azema2, t):
     B, _, psi = azema2
     with pytest.raises(InvalidParameter, match="t must be finite"):
         conv_exp(psi, t, NcPoly.word((X,)), B)
+
+
+# -- doubled_product against an explicit step product -------------------------
+
+# (left, right) subcoalgebra words: doubled dimensions 9, 24, 51, 64 and 136,
+# on both sides of DENSE_POWER_DIM; Delta(x x* x) has two legs with the same
+# left word, so two constants of the doubled step land on one entry
+_DOUBLED_PAIRS = [((X,), (X,)), ((XS,), (X, XS)), ((X,), (X, XS, X)), ((X, XS), (X, XS)),
+                  ((X, XS, X), (X, XS))]
+
+
+def _doubled_step(B, subc, subd, values):
+    """T(Psi) on conj(subc) (x) subd, entry by entry from the coproducts of
+    the basis words: column (j1, j2) gets conj(z1) z2 Psi[v1, v2] at row
+    (u1, u2) for each leg pair z1 u1 (x) v1 of Delta j1 and z2 u2 (x) v2 of
+    Delta j2."""
+    wc = [next(iter(b.terms)) for b in subc.basis]
+    wd = [next(iter(b.terms)) for b in subd.basis]
+    ic = {w: i for i, w in enumerate(wc)}
+    idd = {w: i for i, w in enumerate(wd)}
+    q = len(wd)
+    t = np.zeros((len(wc) * q, len(wc) * q), dtype=complex)
+    for j1, w1 in enumerate(wc):
+        for (a1, b1), z1 in B.key_delta(w1).items():
+            for j2, w2 in enumerate(wd):
+                for (a2, b2), z2 in B.key_delta(w2).items():
+                    t[ic[a1] * q + idd[a2], j1 * q + j2] += (
+                        np.conj(z1) * z2 * values[ic[b1], idd[b2]])
+    return t
+
+
+def _explicit_product(B, subc, subd, c, d, factors):
+    # delta T_1^{g_1} ... T_k^{g_k} applied to conj(c) (x) d, one step at a time
+    m = np.eye(subc.dim() * subd.dim(), dtype=complex)
+    for values, g in factors:
+        t = _doubled_step(B, subc, subd, values)
+        for _ in range(g):
+            m = m @ t
+    counit = np.kron([np.conj(B.key_counit(next(iter(b.terms)))) for b in subc.basis],
+                     [B.key_counit(next(iter(b.terms))) for b in subd.basis])
+    return complex(counit @ m @ np.kron(subc.coords(c).conj(), subd.coords(d)))
+
+
+def _near_counit(rng, subc, subd, g):
+    # Psi = conj(delta) (x) delta + O(1/g), so Psi^{*g} stays of order one
+    noise = rng.normal(size=(subc.dim(), subd.dim())) + 1j * rng.normal(
+        size=(subc.dim(), subd.dim()))
+    return np.outer(subc.counit_vector.conj(), subd.counit_vector) + noise / max(g, 1)
+
+
+def test_doubled_pairs_cover_both_routes(azema2):
+    B, _, _ = azema2
+    sizes = [subcoalgebra_of(NcPoly.word(a), B).dim() * subcoalgebra_of(NcPoly.word(b), B).dim()
+             for a, b in _DOUBLED_PAIRS]
+    assert sizes == [9, 24, 51, 64, 136]
+    assert min(sizes) <= DENSE_POWER_DIM < max(sizes)
+
+
+@pytest.mark.parametrize("pair", _DOUBLED_PAIRS, ids=lambda p: f"{len(p[0])}x{len(p[1])}")
+def test_doubled_product_matches_explicit_step_product(azema2, pair):
+    B, _, _ = azema2
+    rng = np.random.default_rng(18)
+    subc, subd = (subcoalgebra_of(NcPoly.word(w), B) for w in pair)
+    c = NcPoly({next(iter(b.terms)): complex(rng.normal(), rng.normal()) for b in subc.basis})
+    d = NcPoly({next(iter(b.terms)): complex(rng.normal(), rng.normal()) for b in subd.basis})
+    for g in (0, 1, 2, 3, 7, 64, 512):
+        factors = [(_near_counit(rng, subc, subd, g), g)]
+        got = doubled_product(subc, subd, c, d, factors)
+        want = _explicit_product(B, subc, subd, c, d, factors)
+        assert abs(got - want) <= 1e-12 * abs(want), (g, got, want)
+    # several factors in interval order, one of them the identity
+    factors = [(_near_counit(rng, subc, subd, 9), g) for g in (3, 0, 5, 1)]
+    got = doubled_product(subc, subd, c, d, factors)
+    want = _explicit_product(B, subc, subd, c, d, factors)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_doubled_product_grouplike_power_in_closed_form(azema2):
+    # sub(y) is one group-like word, so Psi^{*g}(conj(y) (x) y) = v^g; at
+    # g = 10^6 only repeated squaring finishes quickly.  v -> v^g has
+    # condition number g, so rounding in the squarings may reach g eps.
+    B, _, _ = azema2
+    sub = subcoalgebra_of(NcPoly.word((Y,)), B)
+    g = 10 ** 6
+    v = np.exp((-0.5 + 2j) / g)
+    got = doubled_product(sub, sub, NcPoly.word((Y,)), NcPoly.word((Y,)),
+                          [(np.array([[v]]), g)])
+    want = complex(v) ** g
+    assert abs(got - want) <= 4 * g * np.finfo(float).eps * abs(want)
+    assert abs(want - np.exp(-0.5 + 2j)) <= 1e-9
+
+
+def test_doubled_product_power_zero_is_the_counit(azema2):
+    B, _, _ = azema2
+    sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
+    c = NcPoly({(X, XS): 2.0, (): 0.5 - 1j})
+    d = NcPoly({(X, XS): 1.0, (): 3.0})
+    values = np.ones((sub.dim(), sub.dim()), dtype=complex)
+    got = doubled_product(sub, sub, c, d, [(values, 0)])
+    assert got == pytest.approx(np.conj(B.counit(c)) * B.counit(d), abs=1e-15)
+
+
+@pytest.mark.parametrize("g", [-1, -7, 2.0, 1.5, "3"])
+def test_doubled_product_rejects_a_power_that_is_not_a_natural_number(azema2, g):
+    B, _, _ = azema2
+    sub = subcoalgebra_of(NcPoly.word((X,)), B)
+    x = NcPoly.word((X,))
+    values = np.ones((sub.dim(), sub.dim()), dtype=complex)
+    with pytest.raises(InvalidParameter, match=r"power g of factor 1 .*" + re.escape(repr(g))):
+        doubled_product(sub, sub, x, x, [(values, 2), (values, g)])
