@@ -3,7 +3,10 @@
 Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 (Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
-matrix T(psi) = (id (x) psi) o Delta.
+matrix T(psi) = (id (x) psi) o Delta.  Each counit row delta e^{t T} takes
+one of two routes: a T with no nonzero entry on or below the diagonal (Azema's,
+psi being 0 on group-likes) is nilpotent, and its Taylor sum ends, exact up to
+rounding; any other T takes dense scipy.linalg.expm.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
 p, closed under taking either leg of key_delta, sorted by key_order.  On a
@@ -15,10 +18,8 @@ solve.  On a group-like carrier every key is group-like, so the span of p's
 keys is closed already and T(psi) is diagonal.  factor_table reads the
 one-interval Gram factors of a step off one exponential, and doubled_product
 evaluates the Gram and Fock vacuum values of infinitesimal products on the
-doubled coalgebra conj(C) (x) C of two subcoalgebras; a convolution power
-Psi^{*g} there is T(Psi)^g, taken by repeated squaring (O(log g) dense
-products) up to DENSE_POWER_DIM doubled dimensions, where it measured
-faster, and by g sparse matrix-vector products above.  The module also ships
+doubled coalgebra conj(C) (x) C of two subcoalgebras as convolution powers
+Psi^{*g} = T(Psi)^g.  The module also ships
 the checkers for the two infinitesimal-product error bounds used in the
 convergence experiments: a Banach-algebra version on matrices and the
 coalgebra version phrased through functionals.  A ProductFamilySpec owns the
@@ -38,7 +39,7 @@ from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConverg
                      TermBudgetExceeded)
 from .ncpoly import NcPoly, involute, multiply
 
-DIM_CAP = 512   # most normal words in one subcoalgebra
+DIM_CAP = 512   # most normal words in one subcoalgebra, the side of its dense T(psi)
 SERIES_MAX_TERMS = 64
 BOUND_SLACK = 1e-12   # absolute: a product check passes up to this far above its bound
 # largest doubled dimension whose convolution powers doubled_product takes by
@@ -126,7 +127,7 @@ def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
         if len(words) > dim_cap:
             raise DimCapExceeded(
                 f"subcoalgebra of a {len(p.terms)}-term element reached "
-                f"{len(words)} words, above cap {dim_cap}")
+                f"{len(words)} words, above cap {dim_cap} on a dense T(psi)'s side")
         for legs in B.key_delta(w):
             pending.extend(legs)
     return Subcoalgebra(B, sorted(words, key=B.key_order))
@@ -163,8 +164,30 @@ def _cached_sub(p, B, dim_cap):
     elif sub.dim() > dim_cap:
         raise DimCapExceeded(
             f"subcoalgebra of a {len(p.terms)}-term element has {sub.dim()} words, "
-            f"above cap {dim_cap}")
+            f"above cap {dim_cap} on a dense T(psi)'s side")
     return sub
+
+
+def _counit_row(delta, m, t):
+    """delta e^{t m}.  A strictly upper triangular m (m^d = 0 at side d) sums
+    v_k = (t / k) v_{k-1} m from v_0 = delta until v_k is exactly zero, at most
+    d terms even where an overflow makes NaN; any other m takes dense expm."""
+    if not np.isfinite(t):
+        raise InvalidParameter(f"t must be finite, got {t}")
+    if np.tril(m).any():
+        row = delta @ scipy.linalg.expm(t * m)
+    else:
+        row = v = delta
+        for k in range(1, len(delta)):
+            v = (t / k) * (v @ m)
+            if not v.any():
+                break
+            row = row + v
+    if not np.isfinite(row).all():
+        raise InvalidParameter(
+            f"e^{{t T(psi)}} at t = {t:.15g} overflowed" if np.isfinite(m).all()
+            else "T(psi) has a non-finite entry")
+    return row
 
 
 def factor_table(psi, dt, left, right, B):
@@ -172,19 +195,18 @@ def factor_table(psi, dt, left, right, B):
 
     Delta is multiplicative, so the words of all products left[i]* right[j]
     close to one subcoalgebra S (owned by B); each value is the counit row
-    delta e^{dt T_S(psi)}, held by S per psi and dt, read against coords_S
-    of its product: one exponential per step, not one per pair.
+    delta e^{dt T_S(psi)} (exact sum if nilpotent, else dense expm), held by S
+    per psi and dt, read against coords_S of its product: one per step.
     """
     prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
     try:
         sub = _cached_sub(NcPoly({w: 1.0 for p in prods for w in p.terms}), B, DIM_CAP)
-    except DimCapExceeded as err:
-        raise DimCapExceeded(f"Gram factor table at step {dt:.15g}: {err}") from None
-    rows = sub._rows.setdefault(psi, {})
-    row = rows.get(dt)
-    if row is None:
-        row = rows[dt] = sub.counit_vector @ scipy.linalg.expm(
-            dt * transfer_matrix(psi, sub))
+        rows = sub._rows.setdefault(psi, {})
+        row = rows.get(dt)
+        if row is None:
+            row = rows[dt] = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), dt)
+    except (DimCapExceeded, InvalidParameter) as err:
+        raise type(err)(f"Gram factor table at step {dt:.15g}: {err}") from None
     at = sub._index
     return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in prods],
                     dtype=complex).reshape(len(left), len(right))
@@ -236,17 +258,12 @@ def doubled_product(subc, subd, c, d, factors):
 
 
 def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
-    """delta o expm(t T(psi)) applied to p; Eq.-style semigroup value."""
-    if not np.isfinite(t):
-        raise InvalidParameter(f"conv_exp: t must be finite, got {t}")
+    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p): exact sum if T(psi) is
+    nilpotent, else dense expm."""
     if sub is None:
         sub = _cached_sub(p, B, dim_cap)
-    m = transfer_matrix(psi, sub)
-    x = sub.coords(p)
-    if t == 0.0:
-        return complex(sub.counit_vector @ x)
-    y = scipy.linalg.expm(t * m) @ x
-    return complex(sub.counit_vector @ y)
+    row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), t)
+    return complex(row @ sub.coords(p))
 
 
 def conv_exp_series(psi, t, p, B, tol=1e-12):
@@ -260,8 +277,10 @@ def conv_exp_series(psi, t, p, B, tol=1e-12):
     carrier's key_delta and counit: no subcoalgebra, coordinates, transfer
     matrix or matrix exponential.  Returns (value, terms summed).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameter("tol must be positive")
+    if not np.isfinite(t):
+        raise InvalidParameter(f"conv_exp_series: t must be finite, got {t}")
     total = complex(B.counit(p))
     fact = 1.0
     small = 0
@@ -314,8 +333,9 @@ class ProductFamilySpec:
         got = self._targets.get(span)
         if got is None:
             g = np.asarray(self.baseline, dtype=complex)
-            got = (scipy.linalg.expm(span * g), _opnorm(g))
-            self._targets[span] = got
+            if not np.isfinite(g).all():
+                raise InvalidParameter("matrix-family baseline G is not finite")
+            got = self._targets[span] = (scipy.linalg.expm(span * g), _opnorm(g))
         return got
 
 
@@ -327,6 +347,29 @@ def _opnorm(m):
 def _product_bound(mesh, span, norm, c):
     return (mesh * span * np.exp(span * max(norm, c))
             * (c ** 2 + norm ** 2 * np.exp(mesh * norm)) / 2.0)
+
+
+def _draw_products(spec, partition, g, remainder_matrix, draws, rng, who):
+    """Yield each draw's product of I + r g + remainder_matrix(remainder(r, mu)),
+    mu random per step.  It is checked once per draw: a product that is not
+    finite raises, naming the first non-finite step by its interval and mu."""
+    times, steps, eye = partition.times, partition.steps(), np.eye(len(g), dtype=complex)
+    base = {r: eye + r * g for r in set(steps)}    # shared, never written to
+    for _ in range(draws):
+        prod, taken = eye, []
+        for r in steps:
+            a, mu = base[r], None
+            if spec.remainder is not None:
+                mu = int(rng.integers(spec.n_choices))
+                a = a + remainder_matrix(spec.remainder(r, mu))
+            taken.append((a, mu))
+            prod = prod @ a
+        if not np.isfinite(prod).all():
+            k = next((k for k, (a, _) in enumerate(taken) if not np.isfinite(a).all()), None)
+            where = "overflowed" if k is None else (
+                f"is not finite on [{times[k]:.15g}, {times[k + 1]:.15g}] at mu = {taken[k][1]}")
+            raise InvalidParameter(f"{who}: the step product {where}")
+        yield prod
 
 
 def banach_product_check(spec, partition, draws=100, rng=None):
@@ -342,25 +385,13 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     if mesh > spec.R:
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
     rng = rng if rng is not None else np.random.default_rng(20080131)
-    g = np.asarray(spec.baseline, dtype=complex)
-    n = g.shape[0]
-    steps = partition.steps()
     span = partition.t - partition.s
     target, norm_g = spec.target(span)
     c = float(spec.C) if spec.C is not None else 0.0
     bound = _product_bound(mesh, span, norm_g, c)
-    eye = np.eye(n, dtype=complex)
-    base = {r: eye + r * g for r in set(steps)}    # shared, never written to
-    worst = 0.0
-    for _ in range(draws):
-        prod = eye
-        for r in steps:
-            a = base[r]
-            if spec.remainder is not None:
-                mu = int(rng.integers(spec.n_choices))
-                a = a + np.asarray(spec.remainder(r, mu), dtype=complex)
-            prod = prod @ a
-        worst = max(worst, _opnorm(prod - target))
+    g = np.asarray(spec.baseline, dtype=complex)
+    prods = _draw_products(spec, partition, g, np.asarray, draws, rng, "banach_product_check")
+    worst = max((_opnorm(prod - target) for prod in prods), default=0.0)
     return {
         "lhs_max": worst,
         "bound": float(bound),
@@ -387,12 +418,10 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
     rng = rng if rng is not None else np.random.default_rng(20080131)
     sub = _cached_sub(p, B, DIM_CAP)
-    psi = spec.baseline
-    g = transfer_matrix(psi, sub)
-    steps = partition.steps()
+    g = transfer_matrix(spec.baseline, sub)
     span = partition.t - partition.s
     x = sub.coords(p)
-    target = complex(sub.counit_vector @ (scipy.linalg.expm(span * g) @ x))
+    target = complex(_counit_row(sub.counit_vector, g, span) @ x)
 
     # operator infinity-norm = max-abs coordinate operator norm
     def inf_norm(m):
@@ -401,26 +430,21 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
     psi_c = inf_norm(g)
     c_c = 0.0
     if spec.remainder is not None:
-        for r in set(steps):
+        for r in set(partition.steps()):
             for mu in range(spec.n_choices):
                 s_norm = inf_norm(_transfer(spec.remainder(r, mu), sub))
+                if not np.isfinite(s_norm):
+                    raise InvalidParameter(f"coalgebra_product_check: remainder at step "
+                                           f"r = {r:.15g}, mu = {mu} is not finite")
                 c_c = max(c_c, np.sqrt(2.0 * s_norm) / r)
     # |delta(v)| <= ||counit_vector||_1 ||v||_inf and ||coords(p)||_inf scale
     delta_norm = float(np.abs(sub.counit_vector).sum())
     p_norm = float(np.abs(x).max()) if x.size else 0.0
     bound = _product_bound(mesh, span, psi_c, c_c) * delta_norm * p_norm
-    worst = 0.0
-    eye = np.eye(sub.dim(), dtype=complex)
-    for _ in range(draws):
-        prod = eye
-        for r in steps:
-            a = eye + r * g
-            if spec.remainder is not None:
-                mu = int(rng.integers(spec.n_choices))
-                a = a + _transfer(spec.remainder(r, mu), sub)
-            prod = prod @ a
-        val = complex(sub.counit_vector @ (prod @ x))
-        worst = max(worst, abs(val - target))
+    prods = _draw_products(spec, partition, g, lambda f: _transfer(f, sub), draws, rng,
+                           "coalgebra_product_check")
+    worst = max((abs(complex(sub.counit_vector @ (prod @ x)) - target) for prod in prods),
+                default=0.0)
     return {
         "lhs_max": worst,
         "bound": float(bound),

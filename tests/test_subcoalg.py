@@ -17,6 +17,8 @@ from qlevy.partition import Partition
 from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
+    _cached_sub,
+    _counit_row,
     banach_product_check,
     coalgebra_product_check,
     conv_exp,
@@ -188,16 +190,95 @@ def test_series_reaches_first_nonzero_power(q, t):
     assert abs(v - t ** 4) <= 1e-12 * t ** 4
 
 
-@pytest.mark.xfail(strict=True, reason="conv_exp loses accuracy at q = 1e3 on degree 8")
-@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
 def test_conv_exp_matches_series_at_q1e3_degree8(t):
     # psi^{*4}((x x*)^4) = 24 and every other power is 0, which the series
-    # sums exactly to t^4; conv_exp reads 0.9999874603 at t = 1 (1.3e-5
-    # relative), where q = 2 and 1e-3 agree to rounding
+    # sums exactly to t^4; T(psi) is nilpotent, so conv_exp sums it exactly
+    # too, where dense expm read 0.9999874603 at t = 1 (1.3e-5 relative)
     B, _, psi = make_azema(1e3)
     p = NcPoly.word((X, XS) * 4)
     v, _n = conv_exp_series(psi, t, p, B)
     assert abs(conv_exp(psi, t, p, B) - v) <= 1e-10 * abs(v)
+
+
+# -- the counit-row route: terminating sum on nilpotent T, dense expm otherwise --
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Every matrix handed to scipy.linalg.expm while the test runs."""
+    seen = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: seen.append(np.array(m)) or expm(m))
+    return seen
+
+
+@pytest.mark.parametrize("q", [1e-3, 2.0, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nilpotent_row_matches_dense_oracle_on_azema(q, k, expm_calls):
+    # T(psi) is strictly upper triangular in key order on c (x x*)^k + 1
+    B, _, psi = make_azema(q)
+    p = NcPoly({(X, XS) * k: 0.7 - 0.4j, (): 1.0})
+    sub = _cached_sub(p, B, 512)
+    m = transfer_matrix(psi, sub)
+    assert not np.tril(m).any()
+    for t in (0.1, 1.0, 2.0):
+        oracle = sub.counit_vector @ scipy.linalg.expm(t * m)
+        del expm_calls[:]
+        value = conv_exp(psi, t, p, B)
+        want = oracle @ sub.coords(p)
+        assert abs(value - want) <= 1e-13 * abs(want), (t, value, want)
+        table = factor_table(psi, t, [NcPoly.one()], [p], B)
+        assert table[0, 0] == value
+        row = sub._rows[psi][t]
+        assert np.abs(row - oracle).max() <= 1e-13 * np.abs(oracle).max(), t
+        assert expm_calls == []
+
+
+def test_nilpotent_row_keeps_every_term_of_a_full_jordan_block(expm_calls):
+    # the shift N on C^4 has N^3 != 0 = N^4: e_0 e^{tN} = (1, t, t^2/2, t^3/6),
+    # so every one of the d terms counts and each carries its own 1/k!
+    n = np.diag(np.ones(3, dtype=complex), 1)
+    delta = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    for t in (0.1, 1.0, 2.0, -3.0):
+        row = _counit_row(delta, n, t)
+        want = np.array([1.0, t, t ** 2 / 2.0, t ** 3 / 6.0])
+        assert np.abs(row - want).max() <= 1e-15 * np.abs(want).max(), t
+    assert expm_calls == []
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2)])
+def test_one_nonzero_on_the_diagonal_takes_dense_expm(entry, expm_calls):
+    m = np.zeros((3, 3), dtype=complex)
+    m[entry] = 1.0
+    m[0, 2] = 0.5
+    delta = np.ones(3, dtype=complex)
+    row = _counit_row(delta, m, 2.0)
+    assert len(expm_calls) == 1
+    want = delta @ scipy.linalg.expm(2.0 * m)
+    assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_unitary2_transfer_with_a_diagonal_takes_dense_expm(expm_calls):
+    t = unitary_triple(UnitaryTripleParams(
+        2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
+    B, psi = t.B, t.psi
+    p = parse_poly("x11 x21^*", B.algebra).scale(0.6 + 0.2j).add(NcPoly.one())
+    assert np.diag(transfer_matrix(psi, _cached_sub(p, B, 512))).any()
+    for s in (0.1, 1.0, 2.0):
+        del expm_calls[:]
+        got = conv_exp(psi, s, p, B)
+        assert len(expm_calls) == 1
+        v, _n = conv_exp_series(psi, s, p, B)
+        assert abs(got - v) <= 1e-10 * abs(v)
+
+
+def test_shipped_convexp_config_hands_no_nilpotent_matrix_to_expm(tmp_path, expm_calls):
+    from qlevy.cli import builtin_config_path, run_experiment
+
+    _csv, _json, summary = run_experiment(builtin_config_path("convexp_azema_q2.json"),
+                                          str(tmp_path))
+    assert summary["assertions"] and all(summary["assertions"].values()), summary
+    assert all(np.tril(m).any() for m in expm_calls)
 
 
 @pytest.mark.parametrize("word", ["x11 x21^*", "x12 x22^* x21", "x11 x21^* x12 x22"])
@@ -482,6 +563,98 @@ def test_conv_exp_rejects_non_finite_t(azema2, t):
     B, _, psi = azema2
     with pytest.raises(InvalidParameter, match="t must be finite"):
         conv_exp(psi, t, NcPoly.word((X,)), B)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_conv_exp_series_rejects_non_finite_t(azema2, t):
+    B, _, psi = azema2
+    with pytest.raises(InvalidParameter, match=f"t must be finite, got {t}"):
+        conv_exp_series(psi, t, NcPoly.word((X, XS)), B)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_factor_table_rejects_non_finite_dt(azema2, dt):
+    B, _, psi = azema2
+    x = NcPoly.word((X,))
+    with pytest.raises(InvalidParameter, match=f"at step {dt}: t must be finite, got {dt}"):
+        factor_table(psi, dt, [x], [x], B)
+
+
+def test_conv_exp_names_an_overflowing_t():
+    # e_*^{t psi}((x x*)^4) = t^4 at q = 1e3 overflows at t = 1e300
+    B, _, psi = make_azema(1e3)
+    with np.errstate(all="ignore"), \
+            pytest.raises(InvalidParameter, match=r"at t = 1e\+300 overflowed"):
+        conv_exp(psi, 1e300, NcPoly.word((X, XS) * 4), B)
+
+
+def test_nilpotent_sum_stops_after_the_side_of_the_matrix_on_nan():
+    # every v_k past the first is NaN; the sum still ends after d terms
+    n = np.diag(np.full(3, 1e300, dtype=complex), 1)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameter, match="overflowed"):
+        _counit_row(np.ones(4, dtype=complex), n, 1e300)
+    with pytest.raises(InvalidParameter, match="non-finite entry"):
+        _counit_row(np.ones(2, dtype=complex), np.array([[0, np.nan], [0, 0]]), 1.0)
+
+
+def _nan_at(mu_bad, calls_before_nan=0):
+    """Remainder functional reading NaN at choice mu_bad, after that many
+    finite calls at it."""
+    calls = []
+
+    def remainder(r, mu):
+        if mu == mu_bad:
+            calls.append(r)
+        z = float("nan") if mu == mu_bad and len(calls) > calls_before_nan else 1e-3 * r * r
+        return LinearFunctional(f"rem{r},{mu}", lambda w: z if w == (X, XS) else 0.0)
+
+    return remainder
+
+
+def test_coalgebra_check_rejects_a_nan_remainder(azema2):
+    # at the parent lhs_max read 0.0 and the check passed: max() skips NaN
+    B, _, psi = azema2
+    spec = ProductFamilySpec("functional-family", psi, remainder=_nan_at(1), n_choices=2)
+    with pytest.raises(InvalidParameter, match=r"remainder at step r = 0.25, mu = 1 is not"):
+        coalgebra_product_check(spec, NcPoly.word((X, XS)), B, Partition.uniform(0.0, 1.0, 4))
+
+
+def test_coalgebra_check_rejects_a_nan_step_product(azema2):
+    # finite for the constants (one call: both steps are 0.5) and the first
+    # step of the draw, NaN from the second step on
+    B, _, psi = azema2
+    spec = ProductFamilySpec("functional-family", psi, remainder=_nan_at(0, 2), n_choices=1)
+    with pytest.raises(InvalidParameter, match=r"coalgebra_product_check: the step product "
+                       r"is not finite on \[0.5, 1\] at mu = 0"):
+        coalgebra_product_check(spec, NcPoly.word((X, XS)), B, Partition.uniform(0.0, 1.0, 2))
+
+
+def test_banach_check_rejects_a_nan_remainder():
+    g = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def remainder(r, mu):
+        return np.full((2, 2), np.nan if mu == 1 else r * r)
+
+    spec = ProductFamilySpec("matrix-family", g, remainder=remainder, n_choices=2, C=1.0)
+    with pytest.raises(InvalidParameter, match=r"banach_product_check: the step product is "
+                       r"not finite on \[[0-9.]+, [0-9.]+\] at mu = 1"):
+        banach_product_check(spec, Partition.uniform(0.0, 1.0, 8), draws=5)
+
+
+def test_banach_check_names_an_overflowing_product():
+    spec = ProductFamilySpec("matrix-family", np.zeros((2, 2)), n_choices=1, C=1.0,
+                             remainder=lambda r, mu: np.full((2, 2), 1e200))
+    with np.errstate(all="ignore"), \
+            pytest.raises(InvalidParameter, match="the step product overflowed"):
+        banach_product_check(spec, Partition.uniform(0.0, 1.0, 4), draws=1)
+
+
+def test_matrix_family_rejects_a_nan_baseline():
+    spec = ProductFamilySpec("matrix-family", np.array([[0.0, np.nan], [0.0, 0.0]]), C=0.0)
+    with pytest.raises(InvalidParameter, match="baseline G is not finite"):
+        spec.target(1.0)
+    with pytest.raises(InvalidParameter, match="baseline G is not finite"):
+        banach_product_check(spec, Partition.uniform(0.0, 1.0, 4), draws=1)
 
 
 # -- doubled_product against an explicit step product -------------------------
