@@ -88,6 +88,7 @@ def build_objects(cfg):
     """Bialgebra, companion structures and generator functional for cfg."""
     from .bialg import LinearFunctional
     from .constructions import make_azema, make_unitary_bialgebra
+    from .ncpoly import NcPoly
 
     spec = cfg["bialgebra"]
     builder = spec["builder"]
@@ -109,11 +110,14 @@ def build_objects(cfg):
     gen_cfg = cfg.get("generator", {})
     psi = None
     if "table" in gen_cfg:
-        names = {g.name: i for i, g in enumerate(B.algebra.alphabet)}
+        # psi is read on normal words only: an entry on another word is never read
         table = {}
         for mono, pair in gen_cfg["table"].items():
-            word = tuple(names[nm] if nm in names else B.algebra.index(nm)
-                         for nm in mono.split())
+            word = tuple(B.algebra.index(nm) for nm in mono.split())
+            nf = B.algebra.word_normal_form(word)
+            if nf != {word: 1.0}:
+                raise SchemaError(f"/generator/table/{mono}: not a normal word, its normal "
+                                  f"form is {NcPoly(nf).pretty(B.algebra)}")
             table[word] = complex(pair[0], pair[1])
         psi = LinearFunctional("psi[table]", lambda w: table.get(w, 0.0),
                                hermitian=gen_cfg.get("hermitian", True))
@@ -182,15 +186,18 @@ def _check_bialgebra_matches_experiment(cfg):
 
 
 class _Run:
-    """A loaded config and the objects it describes, built once per run."""
+    """A loaded config, its objects and its bialgebra's certificate, built once per run."""
 
     def __init__(self, cfg):
+        from .bialg import certify_bialgebra
+
         _check_bialgebra_matches_experiment(cfg)
         self.cfg = cfg
         self.B, self.psi, self.ctx = build_objects(cfg)
         self.chain = None
         if cfg["experiment"] in ("sweep", "reverse"):
             self.chain = _build_chain(cfg, self.B, self.ctx)
+        self.certificate = certify_bialgebra(self.B)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +218,12 @@ def check_defs(config_path, built=None):
     report (critical pairs and their worst relative gap) sits beside them.
     The config's `samples` reach only the morphism's sampled counit check.
     """
-    from .bialg import certify_bialgebra
     from .constructions import check_counit_preserving
     from .ncpoly import NcPoly
 
     run = built if built is not None else _Run(load_config(config_path))
-    cfg, B, psi = run.cfg, run.B, run.psi
+    cfg, psi, cert = run.cfg, run.psi, run.certificate
     tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
-    cert = certify_bialgebra(B)
     checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
     if _chain_name(cfg) != "identity" and run.chain is not None:
         rep = check_counit_preserving(run.chain[0], n_samples=cfg.get("samples", 30))
@@ -264,11 +269,8 @@ def _interval(cfg):
 
 
 def _exp_axioms(run, rng):
-    from .bialg import certify_bialgebra
-
-    cfg = run.cfg
-    report = certify_bialgebra(run.B)
-    tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
+    report = run.certificate
+    tol = run.cfg.get("tolerances", {}).get("axioms", 1e-9)
     rows = [[check, _fmt(res)] for check, res in sorted(report["residuals"].items())]
     assertions = {"max_residual_within_tol": bool(report["max_residual"] <= tol)}
     return ["check", "residual"], rows, assertions, {"report": report}
@@ -307,7 +309,7 @@ def _exp_gns(run, rng):
     tol = cfg.get("tolerances", {}).get("gns", 1e-10)
     cap = cfg.get("caps", {}).get("degree_cap", 3)
     triple = gns_construct(psi, B, degree_cap=cap)
-    rep = levy_triple_residuals(triple, B, n_samples=cfg.get("samples", 40),
+    rep = levy_triple_residuals(triple, n_samples=cfg.get("samples", 40),
                                 sample_degree=cap, rng=rng)
     rows = [[check, _fmt(res)] for check, res in sorted(rep.items())]
     assertions = {"triple_residuals_within_tol": bool(rep["max_residual"] <= tol)}

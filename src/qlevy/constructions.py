@@ -54,8 +54,8 @@ def make_azema(q):
     q = float(q)
     if not np.isfinite(q):
         raise InvalidParameter(f"q must be finite, got {q}")
-    if q == 0.0:
-        raise InvalidParameter("q = 0 degenerates the rule orientation yx -> q^-1 xy")
+    if q == 0.0 or not np.isfinite(1.0 / q):
+        raise InvalidParameter(f"q = {q:g} degenerates the rule yx -> q^-1 xy: q^-1 is not finite")
     X, XS, Y = 0, 1, 2
     alphabet = [GeneratorSymbol("x", XS), GeneratorSymbol("x*", X), GeneratorSymbol("y", Y)]
     rules = [

@@ -1,8 +1,8 @@
 """Truncated Boson Fock space numerics.
 
-Creation / annihilation / preservation operators on an occupation-number
-truncation of the one-interval Fock factor, exponential vectors, the
-first-order generator processes
+Creation / annihilation / preservation operators as plain matrices on an
+occupation-number truncation of the one-interval Fock factor, exponential
+vectors, the first-order generator processes
 
     I_{s,t}(b) = delta(b) I + A(eta(b*)) + Lambda(rho(b) - delta(b))
                  + A*(eta(b)) + psi(b - delta(b) 1) (t - s),
@@ -24,6 +24,7 @@ to the exact one-interval semigroup values of the gram module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -32,9 +33,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, TailBoundExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import Partition
-from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
+from .subcoalg import conv_exp, doubled_product, factor_table, subcoalgebra_of
 
 DEFAULT_CAP = 8
+FACTOR_DIM_CAP = 4096   # most basis states of one factor, the side of its dense operators
 
 
 class FockFactor:
@@ -52,12 +54,17 @@ class FockFactor:
         self.cap = int(cap)
         if self.m < 0 or self.cap < 0:
             raise InvalidParameter("mode count and particle cap must be >= 0")
-        basis = [occ for occ in itertools.product(range(self.cap + 1), repeat=self.m)
-                 if sum(occ) <= self.cap]
-        basis.sort(key=lambda occ: (sum(occ), occ))
-        self.basis = basis
-        self.index = {occ: i for i, occ in enumerate(basis)}
-        self.dim = len(basis)
+        big = max(self.m, self.cap) >= FACTOR_DIM_CAP   # too big; math.comb would be slow
+        if big or math.comb(self.m + self.cap, self.m) > FACTOR_DIM_CAP:
+            raise InvalidParameter(f"mode count m = {m:g} at particle cap {cap:g} "
+                                   f"gives more than {FACTOR_DIM_CAP} basis states")
+        # a p-particle state is a multiset of p modes
+        multisets = (itertools.combinations_with_replacement(range(self.m), p)
+                     for p in range(self.cap + 1))
+        self.basis = sorted((tuple(map(ms.count, range(self.m)))
+                             for ms in itertools.chain(*multisets)), key=lambda o: (sum(o), o))
+        self.index = {occ: i for i, occ in enumerate(self.basis)}
+        self.dim = len(self.basis)
         self._create = {}
 
     def vacuum(self):
@@ -80,44 +87,22 @@ class FockFactor:
                 if sum(occ) < self.cap:
                     up = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
                     mat[self.index[up], i] = math.sqrt(occ[j] + 1)
-            self._create[j] = mat
-            hit = mat
+            hit = self._create[j] = mat
         return hit
 
     def annihilation(self, j):
         return self.creation(j).conj().T
 
 
-class FockOperator:
-    """A matrix on a single FockFactor tagged with its time interval."""
-
-    def __init__(self, factor, interval, mat):
-        self.factor = factor
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.mat = np.asarray(mat, dtype=complex)
-        if self.mat.shape != (factor.dim, factor.dim):
-            raise DimensionMismatch("operator matrix does not fit the factor")
-
-    def adjoint(self):
-        return FockOperator(self.factor, self.interval, self.mat.conj().T)
-
-    def apply(self, vec):
-        return self.mat @ np.asarray(vec, dtype=complex)
-
-    def vacuum_expectation(self):
-        om = self.factor.vacuum()
-        return complex(np.vdot(om, self.mat @ om))
-
-
 def _interval(interval):
     s, t = float(interval[0]), float(interval[1])
-    if not (math.isfinite(s) and math.isfinite(t) and s < t):
+    if not (math.isfinite(t - s) and s < t):
         raise InvalidParameter(f"interval must be finite with positive length, got ({s}, {t})")
     return s, t
 
 
 def quantum_noise_op(kind, arg, interval, factor):
-    """A_{s,t}, Lambda_{s,t}, A*_{s,t} on a truncated factor.
+    """A_{s,t}, Lambda_{s,t}, A*_{s,t} on a truncated factor, as its matrix.
 
     Creation for a vector k: sqrt(t-s) sum_j k_j a_j^*; annihilation is its
     exact adjoint (conjugated coefficients, same sqrt(t-s) scaling);
@@ -134,9 +119,7 @@ def quantum_noise_op(kind, arg, interval, factor):
             if abs(k[j]) > 0.0:
                 mat = mat + k[j] * factor.creation(j)
         mat = math.sqrt(t - s) * mat
-        if kind == "annihilation":
-            mat = mat.conj().T
-        return FockOperator(factor, (s, t), mat)
+        return mat.conj().T if kind == "annihilation" else mat
     if kind == "preservation":
         T = np.asarray(arg, dtype=complex)
         if T.shape != (m, m):
@@ -146,7 +129,7 @@ def quantum_noise_op(kind, arg, interval, factor):
             for l in range(m):
                 if abs(T[j, l]) > 0.0:
                     mat = mat + T[j, l] * (factor.creation(j) @ factor.annihilation(l))
-        return FockOperator(factor, (s, t), mat)
+        return mat
     raise InvalidParameter(f"unknown noise operator kind {kind!r}")
 
 
@@ -226,11 +209,11 @@ def exponential_vector(k, interval, factor):
 # ---------------------------------------------------------------------------
 
 def generator_process(triple, b, interval, factor):
-    """I_{s,t}(b) for a Levy triple, as a single-factor operator."""
+    """I_{s,t}(b) for a Levy triple, as a matrix on one factor."""
     if factor.m != triple.k_dim:
         raise DimensionMismatch(
             f"factor has {factor.m} modes but the triple has kDim {triple.k_dim}")
-    s, t = float(interval[0]), float(interval[1])
+    s, t = _interval(interval)
     B = triple.B
     delta = complex(B.counit(b))
     eta_b = triple.eta(b)
@@ -238,11 +221,11 @@ def generator_process(triple, b, interval, factor):
     rho_b = triple.rho(b) - delta * np.eye(triple.k_dim)
     psi0 = complex(triple.psi(b.sub(NcPoly.one().scale(delta))))
     mat = (delta + psi0 * (t - s)) * np.eye(factor.dim, dtype=complex)
-    mat = mat + quantum_noise_op("annihilation", eta_bs, (s, t), factor).mat
-    mat = mat + quantum_noise_op("creation", eta_b, (s, t), factor).mat
+    mat = mat + quantum_noise_op("annihilation", eta_bs, (s, t), factor)
+    mat = mat + quantum_noise_op("creation", eta_b, (s, t), factor)
     if np.abs(rho_b).max() if rho_b.size else 0.0:
-        mat = mat + quantum_noise_op("preservation", rho_b, (s, t), factor).mat
-    return FockOperator(factor, (s, t), mat)
+        mat = mat + quantum_noise_op("preservation", rho_b, (s, t), factor)
+    return mat
 
 
 def _vacuum_factors(triple, subc, subd, partition, factor, vec):
@@ -253,7 +236,7 @@ def _vacuum_factors(triple, subc, subd, partition, factor, vec):
     values = []
     for r in first:
         va, vb = (np.array([generator_process(triple, a, (times[r], times[r + 1]), factor)
-                            .apply(vec) for a in sub.basis]) for sub in (subc, subd))
+                            @ vec for a in sub.basis]) for sub in (subc, subd))
         values.append(va.conj() @ vb.T)
     return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
 
@@ -271,8 +254,8 @@ def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP,
     """
     if factor is None:
         factor = FockFactor(triple.k_dim, particle_cap)
-    subc = _cached_sub(c, B, DIM_CAP)
-    subd = _cached_sub(d, B, DIM_CAP)
+    subc = subcoalgebra_of(c, B)
+    subd = subcoalgebra_of(d, B)
     return doubled_product(subc, subd, c, d, _vacuum_factors(
         triple, subc, subd, partition, factor, factor.vacuum()))
 
@@ -309,7 +292,7 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     ftab, gtab = np.zeros((2, len(first), width, width), dtype=complex)
     for k, (r, words) in enumerate(zip(first, class_words)):
         polys, m = [NcPoly.word(w) for w in words], len(words)
-        vecs = [generator_process(triple, p, (times[r], times[r + 1]), factor).apply(om)
+        vecs = [generator_process(triple, p, (times[r], times[r + 1]), factor) @ om
                 for p in polys]
         ftab[k, :m, :m] = [[np.vdot(va, vb) for vb in vecs] for va in vecs]
         gtab[k, :m, :m] = factor_table(psi, steps[r], polys, polys, B)
@@ -358,9 +341,8 @@ class UnitaryEvolution:
     paths.
     """
 
-    def __init__(self, params, partition, factor, blocks, block_of):
+    def __init__(self, params, factor, blocks, block_of):
         self.params = params
-        self.partition = partition
         self.factor = factor
         self.blocks = blocks
         self.block_of = block_of
@@ -387,44 +369,18 @@ class UnitaryEvolution:
         n = len(self.block_of)
         if probe_slots is None:
             probe_slots = sorted({0, n // 2, n - 1})
-        variants = [self.factor.vacuum()]
-        for mu in range(m):
-            occ = (0,) * mu + (1,) + (0,) * (m - mu - 1)
-            e = np.zeros(self.factor.dim, dtype=complex)
-            e[self.factor.index[occ]] = 1.0
-            variants.append(e)
+        # the vacuum, then one particle in each mode
+        one = [self.factor.index[(0,) * mu + (1,) + (0,) * (m - mu - 1)] for mu in range(m)]
+        variants = [self.factor.vacuum()] + list(np.eye(self.factor.dim, dtype=complex)[one])
 
-        # per block, per variant pair: transfer matrix
-        # P[(k, k'), (l, l')] = <B_{kl} u, B_{k'l'} v>
-        applied_cache = {}
-
-        def applied(b, v):
-            key = (b, v)
-            hit = applied_cache.get(key)
-            if hit is None:
-                blk = self.blocks[b]
-                hit = [[blk[i][j] @ variants[v] for j in range(d)]
-                       for i in range(d)]
-                applied_cache[key] = hit
-            return hit
-
-        transfer_cache = {}
-
+        @functools.cache
         def transfer(b, u, v):
-            key = (b, u, v)
-            hit = transfer_cache.get(key)
-            if hit is None:
-                au, av = applied(b, u), applied(b, v)
-                p = np.empty((d * d, d * d), dtype=complex)
-                for k in range(d):
-                    for kp in range(d):
-                        for l in range(d):
-                            for lp in range(d):
-                                p[k * d + kp, l * d + lp] = np.vdot(
-                                    au[k][l], av[kp][lp])
-                transfer_cache[key] = p
-                hit = p
-            return hit
+            # P[(k, k'), (l, l')] = <B_{kl} u, B_{k'l'} v> for block b, variants u, v
+            blk = self.blocks[b]
+            au = [[blk[k][l] @ variants[u] for l in range(d)] for k in range(d)]
+            av = [[blk[k][l] @ variants[v] for l in range(d)] for k in range(d)]
+            return np.array([[np.vdot(au[k][l], av[kp][lp]) for l in range(d) for lp in range(d)]
+                             for k in range(d) for kp in range(d)])
 
         probes = [None] + [(r, v) for r in probe_slots
                            for v in range(1, len(variants))]
@@ -465,10 +421,10 @@ def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
     for r in first:
         blocks.append([[generator_process(
             triple, NcPoly.word(((i - 1) * params.d + (j - 1),)),
-            (times[r], times[r + 1]), factor).mat
+            (times[r], times[r + 1]), factor)
             for j in range(1, params.d + 1)]
             for i in range(1, params.d + 1)])
-    evo = UnitaryEvolution(params, partition, factor, blocks, block_of)
+    evo = UnitaryEvolution(params, factor, blocks, block_of)
     return evo, evo.unitarity_defect(probe_slots)
 
 
@@ -518,17 +474,17 @@ def azema_wiener_experiment(q, partition, cap=DEFAULT_CAP):
     if n >= 2:
         tail = (times[-2], times[-1])
         ident = np.eye(factor.dim, dtype=complex)
-        lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor).mat
-        ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor).mat
+        lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor)
+        ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor)
         # the QSDE operator of each basis word of sub(x) = {1, x, y}
         qsde_op = {(): ident, (0,): ann, (2,): ident + (q - 1.0) * lam}
         probe = factor.vacuum()
         for mu in range(factor.m):
             occ = (0,) * mu + (1,) + (0,) * (factor.m - mu - 1)
             probe[factor.index[occ]] = 0.5
-        sub = _cached_sub(x, B, DIM_CAP)
+        sub = subcoalgebra_of(x, B)
         factors = _vacuum_factors(triple, sub, sub, Partition(times[:-1]), factor, probe)
-        last = np.array([(generator_process(triple, a, tail, factor).mat
+        last = np.array([(generator_process(triple, a, tail, factor)
                           - qsde_op[next(iter(a.terms))]) @ probe for a in sub.basis])
         factors.append((last.conj() @ last.T, 1))
         qsde_residual = math.sqrt(max(doubled_product(sub, sub, x, x, factors).real, 0.0))

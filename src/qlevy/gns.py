@@ -49,8 +49,7 @@ class LevyTriple:
     is built from the recursion.
     """
 
-    def __init__(self, B, k_dim, eta1, rho1, psi1=None, psi=None,
-                 tol_used=NULL_TOL, name="levy-triple"):
+    def __init__(self, B, k_dim, eta1, rho1, psi1=None, psi=None, name="levy-triple"):
         self.B = B
         self.k_dim = int(k_dim)
         self.eta1 = {g: np.asarray(v, dtype=complex).reshape(self.k_dim)
@@ -58,7 +57,6 @@ class LevyTriple:
         self.rho1 = {g: np.asarray(m, dtype=complex).reshape(self.k_dim, self.k_dim)
                      for g, m in rho1.items()}
         self.psi1 = dict(psi1) if psi1 is not None else None
-        self.tol_used = float(tol_used)
         self.name = name
         self._eta_memo = {(): np.zeros(self.k_dim, dtype=complex)}
         self._rho_memo = {(): np.eye(self.k_dim, dtype=complex)}
@@ -117,7 +115,7 @@ class LevyTriple:
         return {
             "name": self.name,
             "k_dim": self.k_dim,
-            "tol_used": self.tol_used,
+            "tol_used": NULL_TOL,
             "eta_on_gen": {str(g): [_c2j(z) for z in v] for g, v in self.eta1.items()},
             "rho_on_gen": {str(g): [[_c2j(z) for z in row] for row in m]
                            for g, m in self.rho1.items()},
@@ -277,7 +275,7 @@ class UnitaryTripleParams:
         return self.W[(k - 1) * m:k * m, (l - 1) * m:l * m]
 
 
-def unitary_triple(params, B=None):
+def unitary_triple(params):
     """Levy triple on U<d> from (W, L, H).
 
     rho(x_kl) = W_kl, eta(x_kl) = L_kl, psi(x_kl) = -1/2 (L L*)_kl + i H_kl;
@@ -287,8 +285,6 @@ def unitary_triple(params, B=None):
     from .constructions import make_unitary_bialgebra
 
     d, m = params.d, params.m
-    if B is None:
-        B = make_unitary_bialgebra(d)
 
     def p(k, l):
         return (k - 1) * d + (l - 1)
@@ -316,7 +312,7 @@ def unitary_triple(params, B=None):
             z = -0.5 * ll[k - 1, l - 1] + 1j * params.H[k - 1, l - 1]
             psi1[p(k, l)] = z
             psi1[s(k, l)] = complex(z).conjugate()
-    return LevyTriple(B, m, eta1, rho1, psi1=psi1,
+    return LevyTriple(make_unitary_bialgebra(d), m, eta1, rho1, psi1=psi1,
                       name=f"unitary-triple(d={d},m={m})")
 
 
@@ -324,11 +320,11 @@ def unitary_triple(params, B=None):
 # residual checker
 # ---------------------------------------------------------------------------
 
-def levy_triple_residuals(t, B=None, n_samples=50, sample_degree=3, rng=None):
-    """Max residuals of Eq-2.1-style identities on random sample pairs."""
+def levy_triple_residuals(t, n_samples=50, sample_degree=3, rng=None):
+    """Max residuals of Eq-2.1-style identities on random sample pairs of t.B."""
     from .ncpoly import random_poly
 
-    B = B if B is not None else t.B
+    B = t.B
     alg = B.algebra
     rng = rng if rng is not None else np.random.default_rng(20080131)
     rep = {"eq21": 0.0, "cocycle": 0.0, "rho_multiplicative": 0.0, "rho_star": 0.0}

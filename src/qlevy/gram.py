@@ -42,7 +42,7 @@ from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
-from .subcoalg import DIM_CAP, _cached_sub, conv_exp, doubled_product, factor_table
+from .subcoalg import conv_exp, doubled_product, factor_table, subcoalgebra_of
 
 PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by term_pair_sums
 DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate constant
@@ -268,8 +268,8 @@ def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
     doubled dimensions; g sparse matrix-vector products above); one
     gram_matrix call gives all values of Psi on the two bases.
     """
-    subc = _cached_sub(c, S, DIM_CAP)
-    subd = _cached_sub(d, S, DIM_CAP)
+    subc = subcoalgebra_of(c, S)
+    subd = subcoalgebra_of(d, S)
     values = gram_matrix([block_c(a) for a in subc.basis],
                          [block_d(b) for b in subd.basis], psi, B)
     return doubled_product(subc, subd, c, d, [(values, g)])

@@ -20,8 +20,10 @@ class Partition:
         times = tuple(float(u) for u in times)
         if len(times) < 2:
             raise InvalidParameter("a partition needs at least two points")
-        if not np.isfinite(times).all():
-            raise InvalidParameter(f"partition times must be finite, got {list(times)}")
+        # with finite ends and increasing times, every step is finite too
+        if not (np.isfinite(times).all() and abs(times[-1] - times[0]) < np.inf):
+            raise InvalidParameter(
+                f"partition times must be finite and span a finite length, got {list(times)}")
         if any(b - a <= TIME_TOL for a, b in zip(times, times[1:])):
             raise InvalidParameter(
                 f"partition times must increase by more than TIME_TOL = {TIME_TOL:g}; "

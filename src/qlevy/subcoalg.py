@@ -9,7 +9,9 @@ psi being 0 on group-likes) is nilpotent, and its Taylor sum ends, exact up to
 rounding; any other T takes dense scipy.linalg.expm.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
-p, closed under taking either leg of key_delta, sorted by key_order.  On a
+p, closed under taking either leg of key_delta, sorted by key_order.
+subcoalgebra_of is the one entry to it: the carrier holds one subcoalgebra
+per word set, and DIM_CAP bounds its words when it is first closed.  On a
 BialgebraSpec the keys are normal-form words; this relies on the algebra's
 rewriting system being confluent, so that its normal words form a basis
 (Bergman's diamond lemma); the legs of key_delta(w) are then basis
@@ -113,24 +115,25 @@ class Subcoalgebra:
         return worst
 
 
-def subcoalgebra_of(p, B, dim_cap=DIM_CAP):
-    """Span of p's keys closed under taking legs of key_delta."""
-    if dim_cap < 1:
-        raise InvalidParameter("dim_cap must be >= 1")
-    words = set()
-    pending = list(p.terms)
-    while pending:
-        w = pending.pop()
-        if w in words:
-            continue
-        words.add(w)
-        if len(words) > dim_cap:
-            raise DimCapExceeded(
-                f"subcoalgebra of a {len(p.terms)}-term element reached "
-                f"{len(words)} words, above cap {dim_cap} on a dense T(psi)'s side")
-        for legs in B.key_delta(w):
-            pending.extend(legs)
-    return Subcoalgebra(B, sorted(words, key=B.key_order))
+def subcoalgebra_of(p, B):
+    """Span of p's keys closed under taking legs of key_delta, held by B: one
+    subcoalgebra per word set, since the closure depends on p's words only."""
+    key = frozenset(p.terms)
+    if key not in B._subs:
+        words, pending = set(), list(p.terms)
+        while pending:
+            w = pending.pop()
+            if w in words:
+                continue
+            words.add(w)
+            if len(words) > DIM_CAP:
+                raise DimCapExceeded(
+                    f"subcoalgebra of a {len(p.terms)}-term element reached "
+                    f"{len(words)} words, above cap {DIM_CAP} on a dense T(psi)'s side")
+            for legs in B.key_delta(w):
+                pending.extend(legs)
+        B._subs[key] = Subcoalgebra(B, sorted(words, key=B.key_order))
+    return B._subs[key]
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +156,6 @@ def transfer_matrix(psi, sub):
     if m is None:
         m = sub._transfers[psi] = _transfer(psi, sub)
     return m
-
-
-def _cached_sub(p, B, dim_cap):
-    # the closure depends on p's words only
-    key = frozenset(p.terms)
-    sub = B._subs.get(key)
-    if sub is None:
-        sub = B._subs[key] = subcoalgebra_of(p, B, dim_cap)
-    elif sub.dim() > dim_cap:
-        raise DimCapExceeded(
-            f"subcoalgebra of a {len(p.terms)}-term element has {sub.dim()} words, "
-            f"above cap {dim_cap} on a dense T(psi)'s side")
-    return sub
 
 
 def _counit_row(delta, m, t):
@@ -200,7 +190,7 @@ def factor_table(psi, dt, left, right, B):
     """
     prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
     try:
-        sub = _cached_sub(NcPoly({w: 1.0 for p in prods for w in p.terms}), B, DIM_CAP)
+        sub = subcoalgebra_of(NcPoly({w: 1.0 for p in prods for w in p.terms}), B)
         rows = sub._rows.setdefault(psi, {})
         row = rows.get(dt)
         if row is None:
@@ -257,11 +247,10 @@ def doubled_product(subc, subd, c, d, factors):
     return complex(np.kron(subc.counit_vector.conj(), subd.counit_vector) @ x)
 
 
-def conv_exp(psi, t, p, B, sub=None, dim_cap=DIM_CAP):
-    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p): exact sum if T(psi) is
-    nilpotent, else dense expm."""
-    if sub is None:
-        sub = _cached_sub(p, B, dim_cap)
+def conv_exp(psi, t, p, B):
+    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p:
+    exact sum if T(psi) is nilpotent, else dense expm."""
+    sub = subcoalgebra_of(p, B)
     row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), t)
     return complex(row @ sub.coords(p))
 
@@ -277,8 +266,8 @@ def conv_exp_series(psi, t, p, B, tol=1e-12):
     carrier's key_delta and counit: no subcoalgebra, coordinates, transfer
     matrix or matrix exponential.  Returns (value, terms summed).
     """
-    if not tol > 0:
-        raise InvalidParameter("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InvalidParameter(f"conv_exp_series: tol must be positive and finite, got {tol}")
     if not np.isfinite(t):
         raise InvalidParameter(f"conv_exp_series: t must be finite, got {t}")
     total = complex(B.counit(p))
@@ -287,8 +276,13 @@ def conv_exp_series(psi, t, p, B, tol=1e-12):
     v = p.terms
     for n in range(1, SERIES_MAX_TERMS + 1):
         fact *= n
-        total += (t ** n) / fact * sum((c * psi.on_word(w) for w, c in v.items()),
-                                       complex(0.0))
+        try:
+            term = (t ** n) / fact * sum((c * psi.on_word(w) for w, c in v.items()), complex(0.0))
+        except OverflowError:
+            term = complex(np.inf)
+        if not np.isfinite(term):
+            raise InvalidParameter(f"conv_exp_series: term {n} at t = {t:.15g} is not finite")
+        total += term
         try:
             v = transfer_apply(psi, v, B)
         except TermBudgetExceeded as err:
@@ -417,7 +411,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
     if mesh > spec.R:
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
     rng = rng if rng is not None else np.random.default_rng(20080131)
-    sub = _cached_sub(p, B, DIM_CAP)
+    sub = subcoalgebra_of(p, B)
     g = transfer_matrix(spec.baseline, sub)
     span = partition.t - partition.s
     x = sub.coords(p)

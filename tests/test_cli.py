@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlevy.cli import (
@@ -355,3 +356,116 @@ def test_run_names_a_non_finite_q(tmp_path, capsys):
     assert "NaN" in Path(path).read_text(encoding="utf-8")
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert "q must be finite, got nan" in capsys.readouterr().err
+
+
+def test_run_experiment_certifies_the_bialgebra_once(tmp_path, monkeypatch):
+    # check_defs and the axioms experiment read one certificate per run
+    import qlevy.bialg
+
+    calls = []
+    certify = qlevy.bialg.certify_bialgebra
+
+    def counted(B):
+        calls.append(B.name)
+        return certify(B)
+
+    monkeypatch.setattr(qlevy.bialg, "certify_bialgebra", counted)
+    _, _, summary = run_experiment(builtin_config_path("azema_q2.json"), str(tmp_path))
+    assert len(calls) == 1
+    checks = summary["check_report"]["checks"]
+    assert summary["results"]["report"]["residuals"] == {
+        k[len("axioms/"):]: v for k, v in checks.items() if k.startswith("axioms/")}
+
+
+def test_generator_table_rejects_a_non_normal_word(tmp_path, capsys):
+    # y x rewrites to q^-1 x y, and psi is read on normal words only, so the
+    # entry would never be read
+    cfg = {"name": "table_yx", "experiment": "convexp",
+           "bialgebra": {"builder": "azema", "q": 2.0},
+           "generator": {"table": {"y x": [1.0, 0.0]}}, "samples": 1}
+    path = _write(tmp_path, "table_yx.json", cfg)
+    for call in (check_defs, lambda p: run_experiment(p, str(tmp_path))):
+        with pytest.raises(SchemaError, match=r"^/generator/table/y x: .* \(\+0\.5\+0i\)\*x y$"):
+            call(path)
+    assert main(["check", path]) == 1
+    assert "/generator/table/y x" in capsys.readouterr().err
+
+
+# -- config fields that no shipped config sets: one small run each --
+
+def _sweep(tmp_path, name, **fields):
+    cfg = {"name": name, "experiment": "sweep", "bialgebra": {"builder": "azema", "q": 2.0},
+           "morphism": {"chain": "grouplike", "degree_cap": 6}, "element": "x^*",
+           "interval": [0.0, 1.0], "partition": {"ns": [2, 4]}}
+    cfg.update(fields)
+    csv_path, _, summary = run_experiment(_write(tmp_path, f"{name}.json", cfg),
+                                          str(tmp_path))
+    rows = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()]
+    assert rows[0] == ["mesh", "n", "norm_sq", "re_cross", "im_cross", "defect", "bound"]
+    return [{k: float(v) for k, v in zip(rows[0], row)} for row in rows[1:]], summary
+
+
+def test_lift_false_takes_the_group_like_hat(tmp_path):
+    # hat(1 + x*) is one group-like key; lifted, 1 + x* is kappa-tilde(1 + x*),
+    # whose norm is 1 lower at every n, with the same defect
+    lifted, _ = _sweep(tmp_path, "lifted", element="1 + x^*")
+    hat, _ = _sweep(tmp_path, "hat", element="1 + x^*", lift=False)
+    assert [r["n"] for r in hat] == [2, 4]
+    for a, b in zip(lifted, hat):
+        assert b["norm_sq"] - a["norm_sq"] == pytest.approx(1.0, abs=1e-12)
+        assert b["defect"] == a["defect"]
+
+
+def test_partition_n_writes_one_row(tmp_path):
+    ns, _ = _sweep(tmp_path, "ns")
+    (row,), _ = _sweep(tmp_path, "n", partition={"n": 4})
+    assert row["n"] == 4
+    # the bound of a later row reads the rows before it
+    assert {k: v for k, v in row.items() if k != "bound"} == \
+        {k: v for k, v in ns[1].items() if k != "bound"}
+
+
+def test_element_d_is_the_right_argument(tmp_path):
+    rows, _ = _sweep(tmp_path, "element_d", element_d="0.5 x^*")
+    for r in rows:
+        assert r["re_cross"] == pytest.approx(0.5 * r["norm_sq"], rel=1e-12)
+        assert r["im_cross"] == 0.0
+
+
+def test_generator_table_is_psi(tmp_path):
+    # psi(x x*) = 2 and 0 on every other normal word: on the identity chain
+    # the Gram value is e_*^{psi}(x x*) = 2 (the shipped psi gives 1) at every n
+    rows, summary = _sweep(tmp_path, "table", morphism={"chain": "identity"},
+                           generator={"table": {"x x*": [2.0, 0.0]}})
+    assert [r["norm_sq"] for r in rows] == [pytest.approx(2.0, rel=1e-12)] * 2
+    assert all(summary["assertions"].values())
+
+
+def test_generator_builtin_zero_is_the_counit(tmp_path):
+    # e_*^{t 0} is the counit, whatever t
+    from qlevy.constructions import make_azema
+    from qlevy.ncpoly import random_poly
+
+    cfg = {"name": "zero", "experiment": "convexp", "bialgebra": {"builder": "azema", "q": 2.0},
+           "generator": {"builtin": "zero"}, "samples": 3, "caps": {"degree_cap": 2},
+           "rng_seed": 5}
+    csv_path, _, summary = run_experiment(_write(tmp_path, "zero.json", cfg), str(tmp_path))
+    assert summary["assertions"] == {"oracle_equivalence": True}
+    B = make_azema(2.0)[0]
+    rng = np.random.default_rng(5)
+    counits = [B.counit(random_poly(B.algebra, rng, 2, n_terms=3)) for _ in range(3)]
+    rows = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()[1:]]
+    assert len(rows) == 9
+    for index, _t, re, im, *_ in rows:
+        assert complex(float(re), float(im)) == pytest.approx(counits[int(index)], abs=1e-15)
+
+
+def test_output_names_the_files(tmp_path):
+    with open(builtin_config_path("trotter_nilpotent.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["output"] = {"csv": "table.csv", "json": "summary.json"}
+    csv_path, json_path, _ = run_experiment(_write(tmp_path, "named.json", cfg),
+                                            str(tmp_path / "out"))
+    assert (csv_path, json_path) == (str(tmp_path / "out" / "table.csv"),
+                                     str(tmp_path / "out" / "summary.json"))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.json", "table.csv"]

@@ -48,7 +48,7 @@ def test_factor_dimensions():
 def test_creation_on_vacuum():
     f = FockFactor(1, 4)
     op = quantum_noise_op("creation", [1.0], (0.0, 1.0), f)
-    v = op.apply(f.vacuum())
+    v = op @ f.vacuum()
     assert abs(v[f.index[(1,)]] - 1.0) < 1e-14
     assert np.abs(np.delete(v, f.index[(1,)])).max() < 1e-14
 
@@ -56,7 +56,7 @@ def test_creation_on_vacuum():
 def test_annihilation_kills_vacuum():
     f = FockFactor(2, 3)
     op = quantum_noise_op("annihilation", [1.0, 0.5j], (0.0, 0.5), f)
-    assert np.abs(op.apply(f.vacuum())).max() == 0.0
+    assert np.abs(op @ f.vacuum()).max() == 0.0
 
 
 def test_ccr_below_cap():
@@ -76,13 +76,13 @@ def test_adjoint_consistency():
     k = np.array([0.3 - 0.2j, 1.1 + 0.4j])
     cr = quantum_noise_op("creation", k, (0.0, 0.7), f)
     an = quantum_noise_op("annihilation", k, (0.0, 0.7), f)
-    assert np.abs(cr.adjoint().mat - an.mat).max() < 1e-14
+    assert np.abs(cr.conj().T - an).max() < 1e-14
 
 
 def test_preservation_number_operator():
     f = FockFactor(2, 3)
     num = quantum_noise_op("preservation", np.eye(2), (0.0, 2.0), f)
-    diag = np.diag(num.mat).real
+    diag = np.diag(num).real
     for i in range(f.dim):
         assert diag[i] == pytest.approx(f.total(i))
 
@@ -149,7 +149,7 @@ def test_exponential_vector_tail_guard():
 def test_generator_process_unit(azema_triple):
     f = FockFactor(1, 5)
     op = generator_process(azema_triple, NcPoly.one(), (0.0, 0.4), f)
-    assert np.abs(op.mat - np.eye(f.dim)).max() < 1e-14
+    assert np.abs(op - np.eye(f.dim)).max() < 1e-14
 
 
 def test_generator_process_y(azema_triple):
@@ -157,12 +157,13 @@ def test_generator_process_y(azema_triple):
     f = FockFactor(1, 5)
     op = generator_process(azema_triple, NcPoly.word((Y,)), (0.0, 0.3), f)
     lam = quantum_noise_op("preservation", np.eye(1), (0.0, 0.3), f)
-    assert np.abs(op.mat - np.eye(f.dim) - 1.0 * lam.mat).max() < 1e-12
+    assert np.abs(op - np.eye(f.dim) - 1.0 * lam).max() < 1e-12
 
 
 def test_generator_vacuum_expectation(azema2, azema_triple):
     B, _, _ = azema2
     f = FockFactor(1, 5)
+    om = f.vacuum()
     rng = np.random.default_rng(7)
     for _ in range(100):
         b = random_poly(B.algebra, rng, 3, n_terms=3)
@@ -171,7 +172,7 @@ def test_generator_vacuum_expectation(azema2, azema_triple):
         delta = B.counit(b)
         want = delta + azema_triple.psi(
             b.sub(NcPoly.one().scale(delta))) * dt
-        assert abs(op.vacuum_expectation() - want) < 1e-12
+        assert abs(np.vdot(om, op @ om) - want) < 1e-12
 
 
 def test_product_process_x_kills_vacuum(azema2, azema_triple):
@@ -364,7 +365,7 @@ def _cross_path_oracle(triple, b, B, psi, partition, particle_cap):
             if (w, rep[r]) not in vecs:
                 vecs[w, rep[r]] = generator_process(
                     triple, NcPoly.word(w), (times[rep[r]], times[rep[r] + 1]),
-                    factor).apply(om)
+                    factor) @ om
         terms.append((c, tuple(vecs[w, rep[r]] for r, w in enumerate(legs)), legs))
     fock_total = gram_total = 0.0 + 0.0j
     bound = 0.0

@@ -90,9 +90,8 @@ def test_gram_reproduction(azema2, azema_triple):
             assert abs(lhs - rhs) < 1e-10
 
 
-def test_azema_residuals(azema2, azema_triple):
-    B, _, _ = azema2
-    rep = levy_triple_residuals(azema_triple, B, n_samples=40, sample_degree=3)
+def test_azema_residuals(azema_triple):
+    rep = levy_triple_residuals(azema_triple, n_samples=40, sample_degree=3)
     assert rep["max_residual"] <= 1e-10
 
 
@@ -103,7 +102,7 @@ def test_corrupted_rho_detected(azema2, azema_triple):
     rho1 = {g: m.copy() for g, m in t.rho1.items()}
     rho1[Y] = rho1[Y] + 1.0
     bad = LevyTriple(B, t.k_dim, t.eta1, rho1, psi1=t.psi1, psi=psi)
-    rep = levy_triple_residuals(bad, B, n_samples=40, sample_degree=3)
+    rep = levy_triple_residuals(bad, n_samples=40, sample_degree=3)
     assert rep["cocycle"] > 0.1
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlevy.bialg
+import qlevy.subcoalg
 from qlevy.bialg import LinearFunctional, convolve_eval, counit_functional
 from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, TermBudgetExceeded
@@ -17,7 +18,6 @@ from qlevy.partition import Partition
 from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
-    _cached_sub,
     _counit_row,
     banach_product_check,
     coalgebra_product_check,
@@ -67,37 +67,43 @@ def test_sub_of_xxstar(azema2):
     assert sub.check(B) < 1e-10
 
 
-def test_dim_cap(azema2):
-    B, _, _ = azema2
+def test_dim_cap(monkeypatch):
+    # the cap is checked when a subcoalgebra is first closed: a fresh carrier
+    B, _, _ = make_azema(2.0)
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", 4)
     with pytest.raises(DimCapExceeded):
-        subcoalgebra_of(NcPoly.word((X, XS)), B, dim_cap=4)
+        subcoalgebra_of(NcPoly.word((X, XS)), B)
+    assert not B._subs
 
 
-def test_cached_subcoalgebra_respects_dim_cap():
+def test_subcoalgebra_of_is_held_once_per_word_set():
     B, _, psi = make_azema(2.0)
     p = NcPoly.word((X, XS))
+    sub = subcoalgebra_of(p, B)
     conv_exp(psi, 1.0, p, B)
-    with pytest.raises(DimCapExceeded):
-        conv_exp(psi, 1.0, p, B, dim_cap=4)
-    conv_exp(psi, 1.0, p.scale(2.0), B)
+    assert subcoalgebra_of(p.scale(2.0), B) is sub
     assert len(B._subs) == 1        # the closure depends on the words only
 
 
-def test_dim_cap_boundary():
+def test_dim_cap_boundary(monkeypatch):
     # (x x*)^2 closes at exactly dim words: a cap of dim passes, dim - 1 fails,
     # both when extracting and on a fresh carrier's first conv_exp
     p = NcPoly.word((X, XS, X, XS))
     B, _, psi = make_azema(2.0)
     dim = subcoalgebra_of(p, B).dim()
-    assert subcoalgebra_of(p, B, dim_cap=dim).dim() == dim
-    with pytest.raises(DimCapExceeded):
-        subcoalgebra_of(p, B, dim_cap=dim - 1)
     want = conv_exp(psi, 0.5, p, B)
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim)
     B, _, psi = make_azema(2.0)
-    assert conv_exp(psi, 0.5, p, B, dim_cap=dim) == want
+    assert subcoalgebra_of(p, B).dim() == dim
+    B, _, psi = make_azema(2.0)
+    assert conv_exp(psi, 0.5, p, B) == want
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim - 1)
     B, _, psi = make_azema(2.0)
     with pytest.raises(DimCapExceeded):
-        conv_exp(psi, 0.5, p, B, dim_cap=dim - 1)
+        subcoalgebra_of(p, B)
+    B, _, psi = make_azema(2.0)
+    with pytest.raises(DimCapExceeded):
+        conv_exp(psi, 0.5, p, B)
 
 
 def test_transfer_counit_identity(azema2):
@@ -218,7 +224,7 @@ def test_nilpotent_row_matches_dense_oracle_on_azema(q, k, expm_calls):
     # T(psi) is strictly upper triangular in key order on c (x x*)^k + 1
     B, _, psi = make_azema(q)
     p = NcPoly({(X, XS) * k: 0.7 - 0.4j, (): 1.0})
-    sub = _cached_sub(p, B, 512)
+    sub = subcoalgebra_of(p, B)
     m = transfer_matrix(psi, sub)
     assert not np.tril(m).any()
     for t in (0.1, 1.0, 2.0):
@@ -263,7 +269,7 @@ def test_unitary2_transfer_with_a_diagonal_takes_dense_expm(expm_calls):
         2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
     B, psi = t.B, t.psi
     p = parse_poly("x11 x21^*", B.algebra).scale(0.6 + 0.2j).add(NcPoly.one())
-    assert np.diag(transfer_matrix(psi, _cached_sub(p, B, 512))).any()
+    assert np.diag(transfer_matrix(psi, subcoalgebra_of(p, B))).any()
     for s in (0.1, 1.0, 2.0):
         del expm_calls[:]
         got = conv_exp(psi, s, p, B)
@@ -363,9 +369,10 @@ def test_choice_independence(azema2):
         big = subcoalgebra_of(p.add(q), B)
         # enlarge so that p itself is inside
         try:
-            v = conv_exp(psi, 0.9, p, B, sub=big)
+            x = big.coords(p)
         except InvalidParameter:
             continue   # p need not lie in the subcoalgebra of p + q
+        v = complex(_counit_row(big.counit_vector, transfer_matrix(psi, big), 0.9) @ x)
         assert abs(v - conv_exp(psi, 0.9, p, B)) < 1e-12
 
 
@@ -586,6 +593,21 @@ def test_conv_exp_names_an_overflowing_t():
     with np.errstate(all="ignore"), \
             pytest.raises(InvalidParameter, match=r"at t = 1e\+300 overflowed"):
         conv_exp(psi, 1e300, NcPoly.word((X, XS) * 4), B)
+
+
+def test_conv_exp_series_names_an_overflowing_t():
+    # t ** 2 overflows a float at t = 1e300: a typed error naming t and the
+    # term, not a bare OverflowError
+    B, _, psi = make_azema(2.0)
+    with pytest.raises(InvalidParameter, match=r"term 2 at t = 1e\+300 is not finite"):
+        conv_exp_series(psi, 1e300, NcPoly.word((X, XS) * 2), B)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_conv_exp_series_rejects_a_tol_that_is_not_positive_and_finite(azema2, tol):
+    B, _, psi = azema2
+    with pytest.raises(InvalidParameter, match=f"tol must be positive and finite, got {tol}"):
+        conv_exp_series(psi, 1.0, NcPoly.word((X, XS)), B, tol=tol)
 
 
 def test_nilpotent_sum_stops_after_the_side_of_the_matrix_on_nan():
