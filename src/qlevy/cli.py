@@ -138,7 +138,8 @@ def _chain_name(cfg):
 
 
 def _build_chain(cfg, B, ctx):
-    """(kappa, kappa_tilde or None, c, d) for sweep / reverse experiments."""
+    """(kappa, kappa_tilde or None, c, d, gens) for sweep / reverse experiments;
+    gens are source keys of kappa generating what the experiment maps."""
     from .constructions import Morphism, make_grouplike
     from .gram import identity_morphism
     from .ncpoly import NcPoly, parse_poly
@@ -150,7 +151,7 @@ def _build_chain(cfg, B, ctx):
     c_poly = parse_poly(c_text, B.algebra)
     d_poly = parse_poly(d_text, B.algebra)
     if chain == "identity":
-        return identity_morphism(B), None, c_poly, d_poly
+        return identity_morphism(B), None, c_poly, d_poly, ()
     if chain == "grouplike":
         G, kappa, kappa_tilde = make_grouplike(B, cap)
         if cfg.get("lift", True):
@@ -158,7 +159,7 @@ def _build_chain(cfg, B, ctx):
             d = kappa_tilde.apply(d_poly)
         else:
             c, d = G.hat(c_poly), G.hat(d_poly)
-        return kappa, kappa_tilde, c, d
+        return kappa, kappa_tilde, c, d, [*c.terms, *d.terms]
     if chain in ("azema-to-primitive", "primitive-to-azema"):
         if "azema" not in ctx:
             raise SchemaError(f"/morphism/chain: {chain} requires an azema builder")
@@ -166,19 +167,23 @@ def _build_chain(cfg, B, ctx):
         src, tgt = pair if chain == "azema-to-primitive" else pair[::-1]
         kappa = Morphism(src, tgt, "algebra-homomorphism",
                          key_map=lambda k: NcPoly.word(k), name=chain)
-        return kappa, None, c_poly, d_poly
+        return kappa, None, c_poly, d_poly, [(g,) for g in range(src.algebra.ngen())]
     raise SchemaError(f"/morphism/chain: unknown chain {chain!r}")
 
 
 def _check_bialgebra_matches_experiment(cfg):
-    """Two experiments build their bialgebra themselves: fock-unitary U<d> at
-    unitary.d, azema-wiener Azema at bialgebra.q.  The config's bialgebra,
-    which check_defs certifies, must be that one."""
+    """fock-unitary builds U<d> at unitary.d, and azema-wiener runs on the
+    config's Azema objects with the Azema psi.  The config's bialgebra,
+    which check_defs certifies, must be that one, and its psi Azema's."""
     spec, experiment = cfg["bialgebra"], cfg["experiment"]
     want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
     if want is not None and spec["builder"] != want:
         raise SchemaError(f"/bialgebra/builder: {experiment} runs the {want!r} "
                           f"bialgebra, not {spec['builder']!r}")
+    gen = cfg.get("generator", {})
+    foreign = "table" in gen or gen.get("builtin", "azema-psi") != "azema-psi"
+    if experiment == "azema-wiener" and foreign:
+        raise SchemaError(f"/generator: azema-wiener runs the Azema psi, not {gen}")
     d = cfg.get("unitary", {}).get("d")
     if experiment == "fock-unitary" and d is not None and spec.get("d", 1) != d:
         raise SchemaError(f"/bialgebra/d: fock-unitary runs U<{d}> (unitary.d), "
@@ -216,9 +221,11 @@ def check_defs(config_path, built=None):
     whole bialgebra.  Its residuals are the `axioms/...` checks, `where`
     names the rule or generator of each nonzero one, and the confluence
     report (critical pairs and their worst relative gap) sits beside them.
-    The config's `samples` reach only the morphism's sampled counit check.
+    `morphism/counit_preservation` is exact: the residual of the sweep or
+    reverse homomorphism on the generating keys _build_chain returns.  No
+    check draws a random sample; the config's `samples` reach none of them.
     """
-    from .constructions import check_counit_preserving
+    from .constructions import counit_residual
     from .ncpoly import NcPoly
 
     run = built if built is not None else _Run(load_config(config_path))
@@ -226,8 +233,8 @@ def check_defs(config_path, built=None):
     tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
     checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
     if _chain_name(cfg) != "identity" and run.chain is not None:
-        rep = check_counit_preserving(run.chain[0], n_samples=cfg.get("samples", 30))
-        checks["morphism/counit_preservation"] = rep["max_residual"]
+        kappa, *_rest, gens = run.chain
+        checks["morphism/counit_preservation"] = counit_residual(kappa, gens)
     if psi is not None and psi.hermitian:
         checks["generator/psi_unit"] = abs(psi(NcPoly.one()))
     worst = max(checks.values())
@@ -321,7 +328,7 @@ def _exp_sweep(run, rng):
     from .gram import convergence_sweep
 
     cfg = run.cfg
-    kappa, _kt, c, d = run.chain
+    kappa, _kt, c, d, _gens = run.chain
     s, t = _interval(cfg)
     ns = _partition_ns(cfg)
     rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, ns)
@@ -354,7 +361,7 @@ def _exp_reverse(run, rng):
     cfg, B, psi = run.cfg, run.B, run.psi
     if _chain_name(cfg) != "grouplike":
         raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
-    _kappa, kappa_tilde, _c, _d = run.chain
+    _kappa, kappa_tilde, *_rest = run.chain
     b = parse_poly(cfg.get("element", "x"), B.algebra)
     d = parse_poly(cfg.get("element_d", cfg.get("element", "x")), B.algebra)
     s, t = _interval(cfg)
@@ -417,40 +424,35 @@ def _exp_fock_unitary(run, rng):
 
 
 def _exp_azema_wiener(run, rng):
-    from .fock import azema_wiener_experiment
+    from .fock import azema_wiener_mesh
+    from .gns import gns_construct
     from .partition import Partition
 
-    cfg = run.cfg
+    cfg, B, psi = run.cfg, run.B, run.psi
     q = cfg["bialgebra"].get("q", 2.0)
     s, t = _interval(cfg)
     ns = _partition_ns(cfg, default=(2, 4, 8, 16))
     cap = cfg.get("caps", {}).get("particle_cap", 5)
+    # B and psi are the run's Azema objects (_check_bialgebra_matches_experiment)
+    triple = gns_construct(psi, B, degree_cap=3)
     rows = []
     reports = []
     for n in ns:
-        rep = azema_wiener_experiment(q, Partition.uniform(s, t, n), cap)
+        rep = azema_wiener_mesh(q, B, run.ctx["primitive"], psi, triple,
+                                Partition.uniform(s, t, n), cap)
         reports.append(rep)
-        mesh = _fmt(rep["mesh"])
-        rows.append([mesh, str(n), "wiener_norm_sq", _fmt(rep["wiener_norm_sq"]),
-                     "0", _fmt(rep["wiener_target"]), "0",
-                     _fmt(rep["wiener_defect"])])
-        rows.append([mesh, str(n), "azema_norm_sq", _fmt(rep["azema_norm_sq"]),
-                     "0", _fmt(rep["azema_target"]), "0",
-                     _fmt(rep["azema_defect"])])
-        rows.append([mesh, str(n), "x_vacuum_norm_sq",
-                     _fmt(rep["x_vacuum_norm_sq"]), "0", "0", "0",
-                     _fmt(rep["x_vacuum_norm_sq"])])
-        rows.append([mesh, str(n), "qsde_residual", _fmt(rep["qsde_residual"]),
-                     "0", "0", "0", _fmt(rep["qsde_residual"])])
+        for name, target, defect in (("wiener_norm_sq", "wiener_target", "wiener_defect"),
+                                     ("azema_norm_sq", "azema_target", "azema_defect"),
+                                     ("x_vacuum_norm_sq", None, "x_vacuum_norm_sq"),
+                                     ("qsde_residual", None, "qsde_residual")):
+            rows.append([_fmt(rep["mesh"]), str(n), name, _fmt(rep[name]), "0",
+                         _fmt(rep[target]) if target else "0", "0", _fmt(rep[defect])])
     assertions = {
-        "wiener_exact": bool(all(r["wiener_defect"] <= 1e-10 for r in reports)),
-        "x_kills_vacuum": bool(all(r["x_vacuum_norm_sq"] <= 1e-20
-                                   for r in reports)),
-        "qsde_residual_small": bool(all(r["qsde_residual"] <= 1e-6
-                                        for r in reports)),
-        "azema_defect_nonincreasing": bool(
-            all(b["azema_defect"] <= a["azema_defect"] + 1e-12
-                for a, b in zip(reports, reports[1:]))),
+        "wiener_exact": all(r["wiener_defect"] <= 1e-10 for r in reports),
+        "x_kills_vacuum": all(r["x_vacuum_norm_sq"] <= 1e-20 for r in reports),
+        "qsde_residual_small": all(r["qsde_residual"] <= 1e-6 for r in reports),
+        "azema_defect_nonincreasing": all(b["azema_defect"] <= a["azema_defect"] + 1e-12
+                                          for a, b in zip(reports, reports[1:])),
     }
     return FOCK_HEADER, rows, assertions, {"final": reports[-1]}
 

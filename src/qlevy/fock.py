@@ -48,8 +48,8 @@ class FockFactor:
 
     def __init__(self, m, cap):
         for name, v in (("mode count m", m), ("particle cap", cap)):
-            if not math.isfinite(v):
-                raise InvalidParameter(f"{name} must be finite, got {v}")
+            if not math.isfinite(v) or v != int(v):
+                raise InvalidParameter(f"{name} must be finite and an integer, got {v}")
         self.m = int(m)
         self.cap = int(cap)
         if self.m < 0 or self.cap < 0:
@@ -446,8 +446,14 @@ def azema_wiener_experiment(q, partition, cap=DEFAULT_CAP):
     from .gns import gns_construct
 
     B, primitive, psi = make_azema(q)
-    alg = B.algebra
     triple = gns_construct(psi, B, degree_cap=3)
+    return azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap)
+
+
+def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
+    """azema_wiener_experiment on make_azema(q)'s (B, primitive, psi) and
+    the GNS triple of (psi, B), built once for every mesh of a run."""
+    alg = B.algebra
     factor = FockFactor(triple.k_dim, cap)
     n = partition.n_intervals()
     times = partition.times

@@ -13,6 +13,7 @@ coefficient is still an exact one.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 
@@ -162,8 +163,8 @@ class AlgebraSpec:
         A miss rewrites leftmost-first with an explicit stack, so long words
         need no recursion: a word is stored once every word its first
         rewrite produces is stored.  Each fresh rule application counts
-        against REWRITE_BUDGET; a word whose rewrite hits it is not stored.
-        Callers must not mutate the returned dict.
+        against REWRITE_BUDGET; a word whose rewrite hits it, or whose normal
+        form overflows, is not stored.  Callers must not mutate the returned dict.
         """
         memo = self._nf
         got = memo.get(w)
@@ -197,7 +198,10 @@ class AlgebraSpec:
             for u, rc in kids:
                 for x, c in memo[u].items():
                     out[x] = out.get(x, 0.0) + rc * c
-            memo[v] = {x: c for x, c in out.items() if c != 0.0}
+            nf = {x: c for x, c in out.items() if c != 0.0}
+            if not all(map(cmath.isfinite, nf.values())):
+                raise InvalidParameter(f"{self.name}: normal form of {self.spell(v)!r} overflows")
+            memo[v] = nf
         return memo[w]
 
 

@@ -1,10 +1,13 @@
-"""Sampled *-bialgebra axioms: the test oracle of bialg.certify_bialgebra.
+"""Sampled oracles of the exact checks: the *-bialgebra axioms
+(bialg.certify_bialgebra) and counit preservation (constructions.counit_residual).
 
 check_bialgebra_axioms measures the coalgebra and compatibility laws on
 random elements, by a route the certificate does not take: it builds the
 coproducts of whole products and Sweedler expansions, not of generators and
 rules.  Each residual is a gap relative to the sides' magnitudes (at least
 1), and a non-finite gap reads inf, since max() would pass over a NaN.
+check_counit_preserving compares the two counits on random elements of the
+source, mapped whole, where counit_residual reads generating keys only.
 """
 
 import cmath
@@ -85,3 +88,13 @@ def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):
 
     report["max_residual"] = max(report.values())
     return report
+
+
+def check_counit_preserving(m, n_samples=100, sample_degree=3, rng=None):
+    """Max |counit_target(m(p)) - counit_source(p)| over random samples."""
+    rng = rng if rng is not None else np.random.default_rng(20080131)
+    worst = 0.0
+    for _ in range(n_samples):
+        elem = m.source.random_element(rng, sample_degree)
+        worst = max(worst, abs(m.target.counit(m.apply(elem)) - m.source.counit(elem)))
+    return {"max_residual": worst, "n_samples": n_samples}

@@ -195,6 +195,79 @@ def test_config_bialgebra_must_be_the_one_the_experiment_runs(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator", [
+    {"table": {"x x*": [1.0, 0.0]}},
+    {"builtin": "zero"},
+], ids=["table", "zero"])
+def test_azema_wiener_generator_must_be_the_azema_psi(tmp_path, capsys, generator):
+    # azema-wiener runs the run's psi against Azema targets and the Azema
+    # QSDE operator, so any other generator is an error, not ignored
+    with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["generator"] = generator
+    path = _write(tmp_path, "foreign_psi.json", cfg)
+    for call in (check_defs, lambda p: run_experiment(p, str(tmp_path))):
+        with pytest.raises(SchemaError, match="/generator"):
+            call(path)
+    assert main(["check", path]) == 1
+    assert "/generator" in capsys.readouterr().err
+
+
+def test_azema_wiener_builds_its_objects_once(tmp_path, monkeypatch):
+    # one make_azema (build_objects') and one GNS triple serve every mesh,
+    # and each mesh's report is the public experiment's, bit for bit
+    import qlevy.constructions
+    import qlevy.fock
+    import qlevy.gns
+    from qlevy.fock import azema_wiener_experiment
+    from qlevy.partition import Partition
+
+    cfg = load_config(builtin_config_path("azema_wiener_q2.json"))
+    ns = cfg["partition"]["ns"]
+    public = [azema_wiener_experiment(2.0, Partition.uniform(0, 1, n), 5) for n in ns]
+    calls = {"make_azema": 0, "gns_construct": 0}
+    reports = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    mesh = qlevy.fock.azema_wiener_mesh
+
+    def recorded(*args):
+        reports.append(mesh(*args))
+        return reports[-1]
+
+    counted(qlevy.constructions, "make_azema")
+    counted(qlevy.gns, "gns_construct")
+    monkeypatch.setattr(qlevy.fock, "azema_wiener_mesh", recorded)
+    _, _, summary = run_experiment(builtin_config_path("azema_wiener_q2.json"), str(tmp_path))
+    assert calls == {"make_azema": 1, "gns_construct": 1}
+    assert all(summary["assertions"].values())
+    assert reports == public
+
+
+def test_check_defs_draws_no_random_sample(monkeypatch):
+    # every check is exact: with random polynomials unavailable, each shipped
+    # config still checks clean
+    import qlevy.bialg
+    import qlevy.ncpoly
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("check_defs drew a random polynomial")
+
+    for module in (qlevy.ncpoly, qlevy.bialg):
+        monkeypatch.setattr(module, "random_poly", no_draw)
+    names = builtin_configs()
+    assert len(names) == 9
+    for name in names:
+        assert check_defs(builtin_config_path(name))["ok"], name
+
+
 def test_check_defs_reverse_without_chain_checks_its_morphism(tmp_path):
     # a reverse config that names no chain runs the grouplike chain
     with open(builtin_config_path("reverse_azema_x.json"), encoding="utf-8") as fh:

@@ -5,7 +5,7 @@ from qlevy.bialg import BialgebraSpec, TensorPoly
 from qlevy.constructions import (
     Morphism,
     b0_basis,
-    check_counit_preserving,
+    counit_residual,
     make_azema,
     make_grouplike,
     make_induced_tensor,
@@ -24,7 +24,7 @@ from qlevy.ncpoly import (
     multiply,
     random_poly,
 )
-from sampled_axioms import check_bialgebra_axioms
+from sampled_axioms import check_bialgebra_axioms, check_counit_preserving
 
 X, XS, Y = 0, 1, 2
 
@@ -275,6 +275,29 @@ def test_broken_morphism_detected(azema2):
     bad = Morphism(T, B, "algebra-homomorphism", key_map=product_of_images, name="bad")
     rep = check_counit_preserving(bad, n_samples=50, sample_degree=2)
     assert rep["max_residual"] >= 0.5
+    # the exact check reads it off the generators, with no sample
+    letters = [(g,) for g in range(T.algebra.ngen())]
+    assert counit_residual(bad, letters) >= 0.5
+
+
+def _chain_of(name):
+    # the chain and its generating keys, as qlevy run builds them
+    import json
+
+    from qlevy.cli import _Run, builtin_config_path
+
+    cfg = json.loads(builtin_config_path("sweep_grouplike_xstar.json").read_text())
+    cfg["morphism"]["chain"] = name
+    return _Run(cfg).chain
+
+
+@pytest.mark.parametrize("chain", ["grouplike", "azema-to-primitive", "primitive-to-azema"])
+def test_exact_counit_check_agrees_with_the_sampled_oracle(chain):
+    kappa, _kt, _c, _d, gens = _chain_of(chain)
+    assert gens
+    exact = counit_residual(kappa, gens)
+    sampled = check_counit_preserving(kappa, n_samples=30)["max_residual"]
+    assert exact <= 1e-12 and sampled <= 1e-12
 
 
 @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf")])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlevy.constructions import make_azema
-from qlevy.errors import QLevyError
+from qlevy.errors import InvalidParameter, QLevyError
 from qlevy.fock import FockFactor, exponential_vector, generator_process, quantum_noise_op
 from qlevy.gns import gns_construct
 from qlevy.ncpoly import NcPoly
@@ -79,3 +79,21 @@ def test_failures_outside_the_envelope_are_typed_and_named(name, data):
     else:
         assert math.isfinite(value), f"{name} accepted {value}"
         assert np.isfinite(np.asarray(got, dtype=complex)).all(), (name, value, got)
+
+
+@pytest.mark.parametrize("m, cap, pattern", [(2.5, 3, "mode count"), (1, 3.5, "particle cap")])
+def test_fock_factor_rejects_a_fractional_size(m, cap, pattern):
+    # int() would truncate 2.5 modes to a two-mode factor without a word
+    with pytest.raises(InvalidParameter, match=pattern):
+        FockFactor(m, cap)
+
+
+def test_normal_form_overflow_names_q():
+    # y y x* -> q^2 x* y y overflows at q = 1e300; the algebra's name carries q
+    alg = make_azema(1e300)[0].algebra
+    with pytest.raises(InvalidParameter, match=r"\bq\b"):
+        alg.word_normal_form((2, 2, 1))
+    assert alg.word_normal_form((2, 1)) == {(1, 2): 1e300}
+    big, _, psi = make_azema(1e300)
+    with pytest.raises(InvalidParameter, match=r"\bq\b"):
+        conv_exp(psi, 1.0, NcPoly.word((2, 2, 1)), big)
