@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
-`qlevy check <config.json>` validates a configuration (schema + structural
-residual checks) and exits 0/1; `qlevy run <config.json>` executes the
-configured experiment and writes a CSV table plus a JSON summary; CSV
+`qlevy check <config.json>` validates a configuration (schema, pre-flight,
+bialgebra certificate) and exits 0/1; `qlevy run <config.json>` runs the same
+validation, executes the configured experiment and writes a CSV table plus a
+JSON summary, writing nothing unless the summary serializes; CSV
 numbers use 17 significant digits and outputs are byte-deterministic for a
 fixed config and seed (the JSON summary additionally records the wall
 time).  Complex values are serialized as [re, im] pairs.
@@ -13,21 +14,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .bialg import _c2j
-from .errors import ParseError, QLevyError, SchemaError
+from .bialg import _c2j  # noqa: F401  (the [re, im] writer, beside _carr the reader)
+from .errors import InvalidParameter, ParseError, QLevyError, SchemaError
 
 DEFAULT_SEED = 20080131
-
-EXPERIMENTS = ("axioms", "convexp", "gns", "sweep", "reverse",
-               "fock-unitary", "azema-wiener", "trotter")
-BUILDERS = ("azema", "azema-primitive", "unitary")
-CHAINS = ("identity", "grouplike", "azema-to-primitive", "primitive-to-azema")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,6 @@ def build_objects(cfg):
         B.delta_on_gen[idx] = B.delta_on_gen[idx].scale(corrupt["scale"])
 
     gen_cfg = cfg.get("generator", {})
-    psi = None
     if "table" in gen_cfg:
         # psi is read on normal words only: an entry on another word is never read
         table = {}
@@ -123,12 +119,9 @@ def build_objects(cfg):
                                hermitian=gen_cfg.get("hermitian", True))
     elif gen_cfg.get("builtin") == "zero":
         psi = LinearFunctional("psi[zero]", lambda w: 0.0, hermitian=True)
-    elif gen_cfg.get("builtin") == "azema-psi" or ("builtin" not in gen_cfg
-                                                   and "azema_psi" in ctx):
+    else:
+        # None on U<d>, which _preflight admits only where no psi is read
         psi = ctx.get("azema_psi")
-        if psi is None:
-            raise SchemaError(
-                "/generator/builtin: azema-psi requires an azema builder")
     return B, psi, ctx
 
 
@@ -160,22 +153,29 @@ def _build_chain(cfg, B, ctx):
         else:
             c, d = G.hat(c_poly), G.hat(d_poly)
         return kappa, kappa_tilde, c, d, [*c.terms, *d.terms]
-    if chain in ("azema-to-primitive", "primitive-to-azema"):
-        if "azema" not in ctx:
-            raise SchemaError(f"/morphism/chain: {chain} requires an azema builder")
-        pair = (ctx["azema"], ctx["primitive"])
-        src, tgt = pair if chain == "azema-to-primitive" else pair[::-1]
-        kappa = Morphism(src, tgt, "algebra-homomorphism",
-                         key_map=lambda k: NcPoly.word(k), name=chain)
-        return kappa, None, c_poly, d_poly, [(g,) for g in range(src.algebra.ngen())]
-    raise SchemaError(f"/morphism/chain: unknown chain {chain!r}")
+    # _preflight admits these two chains on the Azema builders only
+    pair = (ctx["azema"], ctx["primitive"])
+    src, tgt = pair if chain == "azema-to-primitive" else pair[::-1]
+    kappa = Morphism(src, tgt, "algebra-homomorphism",
+                     key_map=lambda k: NcPoly.word(k), name=chain)
+    return kappa, None, c_poly, d_poly, [(g,) for g in range(src.algebra.ngen())]
 
 
-def _check_bialgebra_matches_experiment(cfg):
-    """fock-unitary builds U<d> at unitary.d, and azema-wiener runs on the
-    config's Azema objects with the Azema psi.  The config's bialgebra,
-    which check_defs certifies, must be that one, and its psi Azema's."""
+def _preflight(cfg):
+    """Every check of a schema-valid config that needs no built object; each
+    failure is a SchemaError naming its JSON pointer.  The bialgebra that
+    check_defs certifies must be the one the experiment runs: fock-unitary
+    builds U<unitary.d>, azema-wiener runs Azema with the Azema psi.  An
+    experiment that reads psi needs one (U<d> has none by default).
+    Draft-07 cannot exclude NaN or Infinity, so tolerances are checked here.
+    """
     spec, experiment = cfg["bialgebra"], cfg["experiment"]
+    for name, tol in cfg.get("tolerances", {}).items():
+        if not math.isfinite(tol):
+            raise SchemaError(f"/tolerances/{name}: must be finite, got {tol}")
+    s, t = cfg.get("interval", [0.0, 1.0])
+    if not t > s:
+        raise SchemaError("/interval: must be increasing")
     want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
     if want is not None and spec["builder"] != want:
         raise SchemaError(f"/bialgebra/builder: {experiment} runs the {want!r} "
@@ -184,69 +184,90 @@ def _check_bialgebra_matches_experiment(cfg):
     foreign = "table" in gen or gen.get("builtin", "azema-psi") != "azema-psi"
     if experiment == "azema-wiener" and foreign:
         raise SchemaError(f"/generator: azema-wiener runs the Azema psi, not {gen}")
-    d = cfg.get("unitary", {}).get("d")
-    if experiment == "fock-unitary" and d is not None and spec.get("d", 1) != d:
-        raise SchemaError(f"/bialgebra/d: fock-unitary runs U<{d}> (unitary.d), "
-                          f"not U<{spec.get('d', 1)}>")
+    if experiment == "fock-unitary":
+        if "unitary" not in cfg:
+            raise SchemaError("/unitary: required for the fock-unitary experiment")
+        d = cfg["unitary"]["d"]
+        if spec.get("d", 1) != d:
+            raise SchemaError(f"/bialgebra/d: fock-unitary runs U<{d}> (unitary.d), "
+                              f"not U<{spec.get('d', 1)}>")
+    if experiment == "reverse" and _chain_name(cfg) != "grouplike":
+        raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
+    if spec["builder"] == "unitary":
+        if gen.get("builtin") == "azema-psi":
+            raise SchemaError("/generator/builtin: azema-psi requires an azema builder")
+        if experiment in ("convexp", "gns", "sweep", "reverse") and not (
+                "table" in gen or "builtin" in gen):
+            raise SchemaError(f"/generator: {experiment} reads a psi, and the unitary "
+                              "builder has none; give a table or a builtin")
+        if experiment == "sweep" and _chain_name(cfg) not in ("identity", "grouplike"):
+            raise SchemaError(f"/morphism/chain: {_chain_name(cfg)} requires an azema builder")
 
 
 class _Run:
-    """A loaded config, its objects and its bialgebra's certificate, built once per run."""
+    """A config judged whole (_preflight, fock-unitary's W, L and H), then its
+    objects, its bialgebra's certificate and its check report, built once."""
 
     def __init__(self, cfg):
         from .bialg import certify_bialgebra
+        from .constructions import counit_residual
+        from .gns import UnitaryTripleParams
+        from .ncpoly import NcPoly
 
-        _check_bialgebra_matches_experiment(cfg)
-        self.cfg = cfg
+        _preflight(cfg)
+        self.cfg, self.unitary = cfg, None
+        if cfg["experiment"] == "fock-unitary":
+            u = cfg["unitary"]
+            try:
+                self.unitary = UnitaryTripleParams(u["d"], *(_carr(u[k]) for k in "WLH"))
+            except (ValueError, QLevyError) as e:
+                raise SchemaError(f"/unitary: {e}") from None
         self.B, self.psi, self.ctx = build_objects(cfg)
         self.chain = None
         if cfg["experiment"] in ("sweep", "reverse"):
             self.chain = _build_chain(cfg, self.B, self.ctx)
-        self.certificate = certify_bialgebra(self.B)
+        cert = self.certificate = certify_bialgebra(self.B)
+        tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
+        checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
+        if _chain_name(cfg) != "identity" and self.chain is not None:
+            kappa, *_rest, gens = self.chain
+            checks["morphism/counit_preservation"] = counit_residual(kappa, gens)
+        if self.psi is not None and self.psi.hermitian:
+            checks["generator/psi_unit"] = abs(self.psi(NcPoly.one()))
+        worst = max(checks.values())
+        self.report = {
+            "config": cfg["name"],
+            "checks": checks,
+            "where": {f"axioms/{k}": v for k, v in cert["where"].items()},
+            "confluence": cert["confluence"],
+            "max_residual": worst,
+            "tolerance": tol,
+            "ok": bool(worst <= tol),
+        }
 
 
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def check_defs(config_path, built=None):
-    """Validation report for a config: schema, bialgebra certificate, counit preservation.
+def check_defs(config_path):
+    """Validation report for a config, from the checks `qlevy run` applies first.
 
-    `built` is the config already loaded and built by the caller; without
-    it the config is loaded and built here.  The bialgebra is checked by
-    bialg.certify_bialgebra, exactly and in order: the rewriting system is
-    confluent (else InvalidParameter naming the ambiguous word), Delta, the
-    counit and the involution respect every rule, and then the coalgebra
-    and involution laws hold on each generator, which proves them on the
-    whole bialgebra.  Its residuals are the `axioms/...` checks, `where`
-    names the rule or generator of each nonzero one, and the confluence
-    report (critical pairs and their worst relative gap) sits beside them.
+    The schema, then _preflight and fock-unitary's (W, L, H), each failure a
+    SchemaError naming its JSON pointer; only then is anything built.  The
+    bialgebra is checked by bialg.certify_bialgebra, exactly and in order:
+    the rewriting system is confluent (else InvalidParameter naming the
+    ambiguous word), Delta, the counit and the involution respect every
+    rule, and then the coalgebra and involution laws hold on each
+    generator, which proves them on the whole bialgebra.  Its residuals
+    are the `axioms/...` checks, `where` names the rule or generator of
+    each nonzero one, and the confluence report (critical pairs and their
+    worst relative gap) sits beside them.
     `morphism/counit_preservation` is exact: the residual of the sweep or
     reverse homomorphism on the generating keys _build_chain returns.  No
     check draws a random sample; the config's `samples` reach none of them.
     """
-    from .constructions import counit_residual
-    from .ncpoly import NcPoly
-
-    run = built if built is not None else _Run(load_config(config_path))
-    cfg, psi, cert = run.cfg, run.psi, run.certificate
-    tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
-    checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
-    if _chain_name(cfg) != "identity" and run.chain is not None:
-        kappa, *_rest, gens = run.chain
-        checks["morphism/counit_preservation"] = counit_residual(kappa, gens)
-    if psi is not None and psi.hermitian:
-        checks["generator/psi_unit"] = abs(psi(NcPoly.one()))
-    worst = max(checks.values())
-    return {
-        "config": cfg["name"],
-        "checks": checks,
-        "where": {f"axioms/{k}": v for k, v in cert["where"].items()},
-        "confluence": cert["confluence"],
-        "max_residual": worst,
-        "tolerance": tol,
-        "ok": bool(worst <= tol),
-    }
+    return _Run(load_config(config_path)).report
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +290,14 @@ def _partition_ns(cfg, default=(2, 4, 8, 16, 32, 64)):
 
 
 def _interval(cfg):
-    s, t = cfg.get("interval", [0.0, 1.0])
-    if not t > s:
-        raise SchemaError("/interval: must be increasing")
+    s, t = cfg.get("interval", [0.0, 1.0])   # increasing (_preflight)
     return float(s), float(t)
+
+
+def _gram_rows(rows_obj):
+    """CSV rows (SWEEP_HEADER) of gram's sweep or reverse rows."""
+    return [[_fmt(r.mesh), str(r.n), _fmt(r.norm_sq), _fmt(r.cross.real),
+             _fmt(r.cross.imag), _fmt(r.defect), _fmt(r.bound)] for r in rows_obj]
 
 
 def _exp_axioms(run, rng):
@@ -332,9 +357,6 @@ def _exp_sweep(run, rng):
     s, t = _interval(cfg)
     ns = _partition_ns(cfg)
     rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, ns)
-    rows = [[_fmt(r.mesh), str(r.n), _fmt(r.norm_sq), _fmt(r.cross.real),
-             _fmt(r.cross.imag), _fmt(r.defect), _fmt(r.bound)]
-            for r in rows_obj]
     defects = [r.defect for r in rows_obj]
     floor = cfg.get("tolerances", {}).get("defect_floor", 1e-12)
     live = [x for x in defects if x > floor]
@@ -350,7 +372,7 @@ def _exp_sweep(run, rng):
             and all(b < a for a, b in zip(defects, defects[1:])))
     else:
         assertions["defect_identically_zero"] = True
-    return SWEEP_HEADER, rows, assertions, \
+    return SWEEP_HEADER, _gram_rows(rows_obj), assertions, \
         {"defects": defects, "limit_degenerate": not live}
 
 
@@ -359,20 +381,15 @@ def _exp_reverse(run, rng):
     from .ncpoly import parse_poly
 
     cfg, B, psi = run.cfg, run.B, run.psi
-    if _chain_name(cfg) != "grouplike":
-        raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
-    _kappa, kappa_tilde, *_rest = run.chain
+    _kappa, kappa_tilde, *_rest = run.chain   # the grouplike chain (_preflight)
     b = parse_poly(cfg.get("element", "x"), B.algebra)
     d = parse_poly(cfg.get("element_d", cfg.get("element", "x")), B.algebra)
     s, t = _interval(cfg)
     ns = _partition_ns(cfg)
     rows_obj = reverse_check(b, d, kappa_tilde, psi, s, t, ns)
-    rows = [[_fmt(r.mesh), str(r.n), _fmt(r.norm_sq), _fmt(r.cross.real),
-             _fmt(r.cross.imag), _fmt(r.defect), _fmt(r.bound)]
-            for r in rows_obj]
     tol = cfg.get("tolerances", {}).get("reverse", 1e-2)
     assertions = {"final_defect_within_tol": bool(rows_obj[-1].defect <= tol)}
-    return SWEEP_HEADER, rows, assertions, \
+    return SWEEP_HEADER, _gram_rows(rows_obj), assertions, \
         {"defects": [r.defect for r in rows_obj]}
 
 
@@ -381,15 +398,9 @@ def _exp_fock_unitary(run, rng):
     import scipy.linalg
 
     from .fock import unitary_product_evolution
-    from .gns import UnitaryTripleParams
     from .partition import Partition
 
-    cfg = run.cfg
-    u = cfg.get("unitary")
-    if u is None:
-        raise SchemaError("/unitary: required for the fock-unitary experiment")
-    params = UnitaryTripleParams(u["d"], _carr(u["W"]), _carr(u["L"]),
-                                 _carr(u["H"]))
+    cfg, params = run.cfg, run.unitary
     s, t = _interval(cfg)
     ns = _partition_ns(cfg, default=(4, 8, 16, 32))
     cap = cfg.get("caps", {}).get("particle_cap", 8)
@@ -520,7 +531,7 @@ def run_experiment(config_path, out_dir="."):
     import numpy as np
 
     run = _Run(load_config(config_path))
-    report = check_defs(config_path, run)
+    report = run.report
     if not report["ok"]:
         raise QLevyError(
             f"config checks failed (max residual {report['max_residual']:.3e})")
@@ -531,6 +542,20 @@ def run_experiment(config_path, out_dir="."):
     header, rows, assertions, extra = _DISPATCH[cfg["experiment"]](run, rng)
     wall = time.perf_counter() - start
 
+    summary = {
+        "config": cfg,
+        "library_version": __version__,
+        "rng_seed": seed,
+        "assertions": assertions,
+        "results": extra,
+        "check_report": report,
+        "wall_time_s": wall,
+    }
+    try:
+        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise InvalidParameter(f"{cfg['name']}: the summary does not serialize, "
+                               f"so nothing is written ({e})") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = cfg.get("output", {})
@@ -538,37 +563,8 @@ def run_experiment(config_path, out_dir="."):
     json_path = out / names.get("json", f"{cfg['name']}.json")
     lines = [",".join(header)] + [",".join(r) for r in rows]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    summary = {
-        "config": cfg,
-        "library_version": __version__,
-        "rng_seed": seed,
-        "assertions": assertions,
-        "results": _jsonable(extra),
-        "check_report": _jsonable(report),
-        "wall_time_s": wall,
-    }
-    json_path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8")
+    json_path.write_text(text, encoding="utf-8")
     return str(csv_path), str(json_path), summary
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return _c2j(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
-        return obj
-    return str(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +600,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     if args.command == "list-builtins":
-        print("experiments: " + ", ".join(EXPERIMENTS))
-        print("bialgebra builders: " + ", ".join(BUILDERS))
-        print("morphism chains: " + ", ".join(CHAINS))
-        print("generators: azema-psi, zero, table")
+        props = _validator().schema["properties"]
+        bialg, morph, gen = (props[k]["properties"] for k in ("bialgebra", "morphism", "generator"))
+        for label, enum in (("experiments", props["experiment"]["enum"]),
+                            ("bialgebra builders", bialg["builder"]["enum"]),
+                            ("morphism chains", morph["chain"]["enum"]),
+                            ("generators", gen["builtin"]["enum"] + ["table"])):
+            print(f"{label}: " + ", ".join(enum))
         print("shipped configs (" + str(builtin_config_path("")) + "):")
         for name in builtin_configs():
             print("  " + name)

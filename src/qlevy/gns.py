@@ -257,7 +257,7 @@ class UnitaryTripleParams:
         self.W = np.asarray(W, dtype=complex)
         self.L = np.asarray(L, dtype=complex)
         self.H = np.asarray(H, dtype=complex)
-        if self.W.shape[0] != self.W.shape[1] or self.W.shape[0] % self.d:
+        if self.W.ndim != 2 or self.W.shape[0] != self.W.shape[1] or self.W.shape[0] % self.d:
             raise InvalidParameter("W must be square of size d * m")
         self.m = self.W.shape[0] // self.d
         if self.L.shape != (self.d, self.d, self.m):

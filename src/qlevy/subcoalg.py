@@ -18,7 +18,8 @@ rewriting system being confluent, so that its normal words form a basis
 coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
 keys is closed already and T(psi) is diagonal.  factor_table reads the
-one-interval Gram factors of a step off one exponential, and doubled_product
+one-interval Gram factors of a step off one exponential, taken on each call
+(a subcoalgebra holds T(psi) per functional, no row per step), and doubled_product
 evaluates the Gram and Fock vacuum values of infinitesimal products on the
 doubled coalgebra conj(C) (x) C of two subcoalgebras as convolution powers
 Psi^{*g} = T(Psi)^g.  The module also ships
@@ -66,8 +67,9 @@ class Subcoalgebra:
     they are exact because the keys are a basis of the carrier.
 
     The carrier holds its subcoalgebras, so a subcoalgebra keeps no
-    reference to it, and its transfer matrices and counit rows are dropped
-    with their functionals: neither may keep the carrier alive.
+    reference to it, and its transfer matrices are dropped with their
+    functionals: neither may keep the carrier alive.  It holds no counit
+    row, since a partition with random times never repeats a step.
     """
 
     def __init__(self, B, words):
@@ -85,7 +87,6 @@ class Subcoalgebra:
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
         self._transfers = weakref.WeakKeyDictionary()   # functional -> matrix
-        self._rows = weakref.WeakKeyDictionary()   # functional -> {dt: delta e^{dt T}}
 
     def dim(self):
         return len(self.basis)
@@ -185,16 +186,14 @@ def factor_table(psi, dt, left, right, B):
 
     Delta is multiplicative, so the words of all products left[i]* right[j]
     close to one subcoalgebra S (owned by B); each value is the counit row
-    delta e^{dt T_S(psi)} (exact sum if nilpotent, else dense expm), held by S
-    per psi and dt, read against coords_S of its product: one per step.
+    delta e^{dt T_S(psi)} (exact sum if nilpotent, else dense expm), taken
+    once per call and read against coords_S of its product.  S holds T_S(psi),
+    not the row: a partition with random times never repeats a step.
     """
     prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
     try:
         sub = subcoalgebra_of(NcPoly({w: 1.0 for p in prods for w in p.terms}), B)
-        rows = sub._rows.setdefault(psi, {})
-        row = rows.get(dt)
-        if row is None:
-            row = rows[dt] = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), dt)
+        row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), dt)
     except (DimCapExceeded, InvalidParameter) as err:
         raise type(err)(f"Gram factor table at step {dt:.15g}: {err}") from None
     at = sub._index

@@ -13,7 +13,7 @@ from qlevy.cli import (
     main,
     run_experiment,
 )
-from qlevy.errors import ParseError, SchemaError
+from qlevy.errors import ParseError, QLevyError, SchemaError
 
 
 def _write(tmp_path, name, obj):
@@ -367,8 +367,11 @@ def test_other_shipped_configs_match_golden_snapshots(name, tmp_path):
     _assert_matches_golden(name, tmp_path)
 
 
-def test_outputs_deterministic(tmp_path):
-    cfg = builtin_config_path("trotter_nilpotent.json")
+@pytest.mark.parametrize("name", [Path(n).stem for n in builtin_configs()])
+def test_outputs_deterministic(name, tmp_path):
+    # the summary is written as the experiments return it: two runs agree
+    # byte for byte on the CSV and value for value on the JSON
+    cfg = builtin_config_path(f"{name}.json")
     a = tmp_path / "a"
     b = tmp_path / "b"
     csv_a, json_a, _ = run_experiment(cfg, str(a))
@@ -404,10 +407,21 @@ def test_main_run(tmp_path, capsys):
 
 
 def test_main_list_builtins(capsys):
+    from qlevy.cli import _validator
+
     assert main(["list-builtins"]) == 0
     out = capsys.readouterr().out
     assert "experiments:" in out
     assert "azema_q2.json" in out
+    # each listed vocabulary is the schema's enum, in its order
+    props = _validator().schema["properties"]
+    listed = dict(line.split(": ") for line in out.splitlines()[:4])
+    assert listed == {
+        "experiments": ", ".join(props["experiment"]["enum"]),
+        "bialgebra builders": ", ".join(props["bialgebra"]["properties"]["builder"]["enum"]),
+        "morphism chains": ", ".join(props["morphism"]["properties"]["chain"]["enum"]),
+        "generators": ", ".join(props["generator"]["properties"]["builtin"]["enum"] + ["table"]),
+    }
 
 
 def test_complex_serialization_roundtrip():
@@ -448,6 +462,57 @@ def test_run_experiment_certifies_the_bialgebra_once(tmp_path, monkeypatch):
     checks = summary["check_report"]["checks"]
     assert summary["results"]["report"]["residuals"] == {
         k[len("axioms/"):]: v for k, v in checks.items() if k.startswith("axioms/")}
+
+
+_NOT_UNITARY = {"d": 1, "W": [[[0.5, 0.0]]], "L": [[[[0.3, 0.0]]]], "H": [[[0.5, 0.0]]]}
+_FLAT_W = dict(_NOT_UNITARY, W=[[1.0, 0.0]])   # one [re, im] pair, not a matrix
+
+
+@pytest.mark.parametrize("name, edit, pointer", [
+    ("reverse_azema_x", {"morphism": {"chain": "identity"}}, "/morphism/chain"),
+    ("fock_unitary_d1", {"unitary": None}, "/unitary"),
+    ("fock_unitary_d1", {"unitary": _NOT_UNITARY}, "/unitary: W must be unitary"),
+    ("fock_unitary_d1", {"unitary": _FLAT_W}, "/unitary: W must be square"),
+    ("sweep_azema_x", {"interval": [1.0, 0.0]}, "/interval"),
+    ("convexp_azema_q2", {"bialgebra": {"builder": "unitary", "d": 1}, "generator": None},
+     "/generator"),
+    ("azema_q2", {"tolerances": {"axioms": float("inf")}}, "/tolerances/axioms"),
+], ids=["reverse-identity-chain", "fock-unitary-no-unitary", "fock-unitary-w-not-unitary",
+        "fock-unitary-w-flat", "decreasing-interval", "unitary-convexp-no-psi",
+        "infinite-tolerance"])
+def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, pointer):
+    # qlevy check applies the pre-flight qlevy run applies: each config is
+    # refused by both, with its JSON pointer, and nothing is written
+    with open(builtin_config_path(f"{name}.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    for key, value in edit.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    path = _write(tmp_path, f"{name}.json", cfg)
+    out = tmp_path / "out"
+    for argv in (["check", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert pointer in captured.err
+        assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+def test_run_writes_nothing_unless_the_summary_serializes(tmp_path):
+    # at interval [0, 1e308] a value of the azema-wiener summary is NaN,
+    # which JSON cannot hold: the run fails typed and leaves no partial CSV
+    with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["interval"] = [0.0, 1e308]
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(QLevyError, match="azema_wiener_q2: .*not JSON compliant"):
+        run_experiment(_write(tmp_path, "huge.json", cfg), str(out))
+    assert list(out.iterdir()) == []
 
 
 def test_generator_table_rejects_a_non_normal_word(tmp_path, capsys):
@@ -531,6 +596,20 @@ def test_generator_builtin_zero_is_the_counit(tmp_path):
     assert len(rows) == 9
     for index, _t, re, im, *_ in rows:
         assert complex(float(re), float(im)) == pytest.approx(counits[int(index)], abs=1e-15)
+
+
+def test_trotter_perturbed_checks_the_bound_only(tmp_path):
+    # a perturbed family has a genuine remainder, so only the bound is asserted
+    cfg = {"name": "perturbed", "experiment": "trotter",
+           "bialgebra": {"builder": "azema", "q": 2.0},
+           "trotter": {"kind": "perturbed", "size": 4, "draws": 3},
+           "partition": {"ns": [2, 4]}}
+    csv_path, _, summary = run_experiment(_write(tmp_path, "perturbed.json", cfg),
+                                          str(tmp_path))
+    assert summary["assertions"] == {"lhs_within_bound": True}
+    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    assert lines[0] == "mesh,n,lhs_max,bound,defect"
+    assert [line.split(",")[1] for line in lines[1:]] == ["2", "4"]
 
 
 def test_output_names_the_files(tmp_path):
