@@ -140,8 +140,10 @@ class BialgebraSpec:
             if missing:
                 names = [algebra.alphabet[g].name for g in sorted(missing)]
                 raise InvalidParameter(f"no {what} for generators {names}")
+        # word -> Delta(word), and frozenset of words -> Subcoalgebra (subcoalg):
+        # one entry per word or word set reached, freed with this bialgebra
         self._delta_word = {(): TensorPoly.unit()}
-        self._subs = {}         # frozenset of words -> Subcoalgebra (subcoalg)
+        self._subs = {}
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 
@@ -232,10 +234,9 @@ def complete_by_involution(algebra, delta_on_gen, counit_on_gen):
 class LinearFunctional:
     """Linear functional given by its values on normal-form basis keys."""
 
-    def __init__(self, name, on_key, hermitian=False):
+    def __init__(self, name, on_key):
         self.name = name
         self._fn = on_key
-        self.hermitian = hermitian
         self._memo = {}
 
     def on_word(self, key):
@@ -250,7 +251,7 @@ class LinearFunctional:
 
 
 def counit_functional(B):
-    return LinearFunctional(f"counit[{B.name}]", B.key_counit, hermitian=True)
+    return LinearFunctional(f"counit[{B.name}]", B.key_counit)
 
 
 def transfer_apply(f, terms, B):

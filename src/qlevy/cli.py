@@ -21,7 +21,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bialg import _c2j  # noqa: F401  (the [re, im] writer, beside _carr the reader)
 from .errors import InvalidParameter, ParseError, QLevyError, SchemaError
 
 DEFAULT_SEED = 20080131
@@ -115,10 +114,9 @@ def build_objects(cfg):
                 raise SchemaError(f"/generator/table/{mono}: not a normal word, its normal "
                                   f"form is {NcPoly(nf).pretty(B.algebra)}")
             table[word] = complex(pair[0], pair[1])
-        psi = LinearFunctional("psi[table]", lambda w: table.get(w, 0.0),
-                               hermitian=gen_cfg.get("hermitian", True))
+        psi = LinearFunctional("psi[table]", lambda w: table.get(w, 0.0))
     elif gen_cfg.get("builtin") == "zero":
-        psi = LinearFunctional("psi[zero]", lambda w: 0.0, hermitian=True)
+        psi = LinearFunctional("psi[zero]", lambda w: 0.0)
     else:
         # None on U<d>, which _preflight admits only where no psi is read
         psi = ctx.get("azema_psi")
@@ -161,18 +159,25 @@ def _build_chain(cfg, B, ctx):
     return kappa, None, c_poly, d_poly, [(g,) for g in range(src.algebra.ngen())]
 
 
+def _check_finite(node, pointer=""):
+    """Raise SchemaError naming the first number under node that is not finite."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise SchemaError(f"{pointer} must be finite, got {node}")
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            _check_finite(child, f"{pointer}/{key}")
+
+
 def _preflight(cfg):
     """Every check of a schema-valid config that needs no built object; each
-    failure is a SchemaError naming its JSON pointer.  The bialgebra that
-    check_defs certifies must be the one the experiment runs: fock-unitary
-    builds U<unitary.d>, azema-wiener runs Azema with the Azema psi.  An
-    experiment that reads psi needs one (U<d> has none by default).
-    Draft-07 cannot exclude NaN or Infinity, so tolerances are checked here.
+    failure is a SchemaError naming its JSON pointer.  Draft-07 cannot
+    exclude NaN or Infinity, so every number must first be finite.  The
+    bialgebra that check_defs certifies must be the one the experiment runs:
+    fock-unitary builds U<unitary.d>, azema-wiener runs Azema with the Azema
+    psi.  An experiment that reads psi needs one (U<d> has none by default).
     """
+    _check_finite(cfg)
     spec, experiment = cfg["bialgebra"], cfg["experiment"]
-    for name, tol in cfg.get("tolerances", {}).items():
-        if not math.isfinite(tol):
-            raise SchemaError(f"/tolerances/{name}: must be finite, got {tol}")
     s, t = cfg.get("interval", [0.0, 1.0])
     if not t > s:
         raise SchemaError("/interval: must be increasing")
@@ -206,7 +211,8 @@ def _preflight(cfg):
 
 class _Run:
     """A config judged whole (_preflight, fock-unitary's W, L and H), then its
-    objects, its bialgebra's certificate and its check report, built once."""
+    tolerances (the schema's defaults under the config's values), objects,
+    bialgebra certificate and check report, built once."""
 
     def __init__(self, cfg):
         from .bialg import certify_bialgebra
@@ -216,6 +222,8 @@ class _Run:
 
         _preflight(cfg)
         self.cfg, self.unitary = cfg, None
+        tols = _validator().schema["properties"]["tolerances"]["properties"]
+        self.tol = {k: v["default"] for k, v in tols.items()} | cfg.get("tolerances", {})
         if cfg["experiment"] == "fock-unitary":
             u = cfg["unitary"]
             try:
@@ -227,12 +235,11 @@ class _Run:
         if cfg["experiment"] in ("sweep", "reverse"):
             self.chain = _build_chain(cfg, self.B, self.ctx)
         cert = self.certificate = certify_bialgebra(self.B)
-        tol = cfg.get("tolerances", {}).get("axioms", 1e-9)
         checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
         if _chain_name(cfg) != "identity" and self.chain is not None:
             kappa, *_rest, gens = self.chain
             checks["morphism/counit_preservation"] = counit_residual(kappa, gens)
-        if self.psi is not None and self.psi.hermitian:
+        if self.psi is not None:
             checks["generator/psi_unit"] = abs(self.psi(NcPoly.one()))
         worst = max(checks.values())
         self.report = {
@@ -241,8 +248,8 @@ class _Run:
             "where": {f"axioms/{k}": v for k, v in cert["where"].items()},
             "confluence": cert["confluence"],
             "max_residual": worst,
-            "tolerance": tol,
-            "ok": bool(worst <= tol),
+            "tolerance": self.tol["axioms"],
+            "ok": bool(worst <= self.tol["axioms"]),
         }
 
 
@@ -302,9 +309,8 @@ def _gram_rows(rows_obj):
 
 def _exp_axioms(run, rng):
     report = run.certificate
-    tol = run.cfg.get("tolerances", {}).get("axioms", 1e-9)
     rows = [[check, _fmt(res)] for check, res in sorted(report["residuals"].items())]
-    assertions = {"max_residual_within_tol": bool(report["max_residual"] <= tol)}
+    assertions = {"max_residual_within_tol": bool(report["max_residual"] <= run.tol["axioms"])}
     return ["check", "residual"], rows, assertions, {"report": report}
 
 
@@ -313,7 +319,6 @@ def _exp_convexp(run, rng):
     from .subcoalg import conv_exp, conv_exp_series
 
     cfg, B, psi = run.cfg, run.B, run.psi
-    tol = cfg.get("tolerances", {}).get("convexp", 1e-10)
     ts = cfg.get("ts", [0.1, 1.0, 2.0])
     n_samples = cfg.get("samples", 50)
     degree = cfg.get("caps", {}).get("degree_cap", 4)
@@ -330,7 +335,7 @@ def _exp_convexp(run, rng):
                          _fmt(series.real), _fmt(series.imag), _fmt(defect)])
     header = ["index", "t", "value_re", "value_im",
               "series_re", "series_im", "defect"]
-    assertions = {"oracle_equivalence": bool(worst <= tol)}
+    assertions = {"oracle_equivalence": bool(worst <= run.tol["convexp"])}
     return header, rows, assertions, {"max_defect": worst}
 
 
@@ -338,19 +343,18 @@ def _exp_gns(run, rng):
     from .gns import gns_construct, levy_triple_residuals
 
     cfg, B, psi = run.cfg, run.B, run.psi
-    tol = cfg.get("tolerances", {}).get("gns", 1e-10)
     cap = cfg.get("caps", {}).get("degree_cap", 3)
     triple = gns_construct(psi, B, degree_cap=cap)
     rep = levy_triple_residuals(triple, n_samples=cfg.get("samples", 40),
                                 sample_degree=cap, rng=rng)
     rows = [[check, _fmt(res)] for check, res in sorted(rep.items())]
-    assertions = {"triple_residuals_within_tol": bool(rep["max_residual"] <= tol)}
+    assertions = {"triple_residuals_within_tol": bool(rep["max_residual"] <= run.tol["gns"])}
     return ["check", "residual"], rows, assertions, \
         {"triple": triple.to_json(), "residuals": rep}
 
 
 def _exp_sweep(run, rng):
-    from .gram import convergence_sweep
+    from .gram import DEFECT_FLOOR, convergence_sweep
 
     cfg = run.cfg
     kappa, _kt, c, d, _gens = run.chain
@@ -358,12 +362,11 @@ def _exp_sweep(run, rng):
     ns = _partition_ns(cfg)
     rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, ns)
     defects = [r.defect for r in rows_obj]
-    floor = cfg.get("tolerances", {}).get("defect_floor", 1e-12)
-    live = [x for x in defects if x > floor]
+    live = [x for x in defects if x > DEFECT_FLOOR]
     assertions = {
-        "defect_nonincreasing": bool(all(b <= a + floor for a, b in
+        "defect_nonincreasing": bool(all(b <= a + DEFECT_FLOOR for a, b in
                                          zip(defects, defects[1:]))),
-        "defect_quarter": bool(defects[-1] <= max(defects[0] / 4.0, floor)),
+        "defect_quarter": bool(defects[-1] <= max(defects[0] / 4.0, DEFECT_FLOOR)),
     }
     if live:
         # only meaningful when the chain has a genuine discretization defect
@@ -387,8 +390,7 @@ def _exp_reverse(run, rng):
     s, t = _interval(cfg)
     ns = _partition_ns(cfg)
     rows_obj = reverse_check(b, d, kappa_tilde, psi, s, t, ns)
-    tol = cfg.get("tolerances", {}).get("reverse", 1e-2)
-    assertions = {"final_defect_within_tol": bool(rows_obj[-1].defect <= tol)}
+    assertions = {"final_defect_within_tol": bool(rows_obj[-1].defect <= run.tol["reverse"])}
     return SWEEP_HEADER, _gram_rows(rows_obj), assertions, \
         {"defects": [r.defect for r in rows_obj]}
 
@@ -422,9 +424,8 @@ def _exp_fock_unitary(run, rng):
                      _fmt(amp_defect)])
         rows.append([_fmt(mesh), str(n), "unitarity_defect",
                      _fmt(defect), "0", "0", "0", _fmt(defect)])
-    tol = cfg.get("tolerances", {}).get("amplitude", 1e-3)
     assertions = {
-        "amplitude_defect_within_tol": bool(amp_defects[-1] <= tol),
+        "amplitude_defect_within_tol": bool(amp_defects[-1] <= run.tol["amplitude"]),
         "amplitude_defect_decreasing": bool(
             all(b < a for a, b in zip(amp_defects, amp_defects[1:]))),
         "unitarity_defect_decreasing": bool(
@@ -437,6 +438,7 @@ def _exp_fock_unitary(run, rng):
 def _exp_azema_wiener(run, rng):
     from .fock import azema_wiener_mesh
     from .gns import gns_construct
+    from .gram import DEFECT_FLOOR
     from .partition import Partition
 
     cfg, B, psi = run.cfg, run.B, run.psi
@@ -444,7 +446,7 @@ def _exp_azema_wiener(run, rng):
     s, t = _interval(cfg)
     ns = _partition_ns(cfg, default=(2, 4, 8, 16))
     cap = cfg.get("caps", {}).get("particle_cap", 5)
-    # B and psi are the run's Azema objects (_check_bialgebra_matches_experiment)
+    # B and psi are the run's Azema objects (_preflight)
     triple = gns_construct(psi, B, degree_cap=3)
     rows = []
     reports = []
@@ -462,7 +464,7 @@ def _exp_azema_wiener(run, rng):
         "wiener_exact": all(r["wiener_defect"] <= 1e-10 for r in reports),
         "x_kills_vacuum": all(r["x_vacuum_norm_sq"] <= 1e-20 for r in reports),
         "qsde_residual_small": all(r["qsde_residual"] <= 1e-6 for r in reports),
-        "azema_defect_nonincreasing": all(b["azema_defect"] <= a["azema_defect"] + 1e-12
+        "azema_defect_nonincreasing": all(b["azema_defect"] <= a["azema_defect"] + DEFECT_FLOOR
                                           for a, b in zip(reports, reports[1:])),
     }
     return FOCK_HEADER, rows, assertions, {"final": reports[-1]}
@@ -471,6 +473,7 @@ def _exp_azema_wiener(run, rng):
 def _exp_trotter(run, rng):
     import numpy as np
 
+    from .gram import DEFECT_FLOOR
     from .partition import Partition
     from .subcoalg import ProductFamilySpec, banach_product_check
 
@@ -505,7 +508,7 @@ def _exp_trotter(run, rng):
         rep = banach_product_check(spec, Partition.uniform(s, t, n),
                                    draws=draws, rng=rng)
         all_passed = all_passed and rep["passed"]
-        exact = exact and rep["lhs_max"] <= 1e-13
+        exact = exact and rep["lhs_max"] <= DEFECT_FLOOR
         rows.append([_fmt(rep["mesh"]), str(n), _fmt(rep["lhs_max"]),
                      _fmt(rep["bound"]), _fmt(rep["lhs_max"])])
     assertions = {"lhs_within_bound": bool(all_passed)}

@@ -88,7 +88,7 @@ def make_azema(q):
             k -= 1
         return 1.0 if w[:k] == (X, XS) else 0.0
 
-    psi = LinearFunctional(f"psi-azema(q={q:g})", psi_word, hermitian=True)
+    psi = LinearFunctional(f"psi-azema(q={q:g})", psi_word)
     return azema, primitive, psi
 
 
@@ -343,7 +343,9 @@ class GroupLikeBialgebra:
         self.base = B
         self.degree_cap = degree_cap
         self.name = f"grouplike[{B.name}]"
-        self._subs = {}         # frozenset of keys -> Subcoalgebra (subcoalg)
+        # frozenset of keys -> Subcoalgebra (subcoalg): one per key set reached,
+        # freed with this carrier
+        self._subs = {}
 
     def register(self, p):
         """Check that p is a counit-one polynomial within the cap; p is its key."""

@@ -241,8 +241,7 @@ def _vacuum_factors(triple, subc, subd, partition, factor, vec):
     return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
 
 
-def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP,
-                        factor=None):
+def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP):
     """<P_alpha(c) Omega, P_alpha(d) Omega> for the infinitesimal convolution
     product P_alpha(b) = sum over Delta_n(b) of I(b_(1)) (x) ... (x) I(b_(n)).
 
@@ -252,8 +251,7 @@ def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP,
     the coproduct only, so it may be any coproduct on the triple's algebra
     (the primitive one sums the increments I(b) per interval).
     """
-    if factor is None:
-        factor = FockFactor(triple.k_dim, particle_cap)
+    factor = FockFactor(triple.k_dim, particle_cap)
     subc = subcoalgebra_of(c, B)
     subd = subcoalgebra_of(d, B)
     return doubled_product(subc, subd, c, d, _vacuum_factors(
@@ -405,8 +403,7 @@ class UnitaryEvolution:
         return float(np.abs(rows - want).max())
 
 
-def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
-                              probe_slots=None):
+def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP):
     """Product evolution U_alpha = I_{t0,t1} ... I_{tn-1,tn} of generator
     blocks for the (W, L, H) triple, plus its unitarity defect."""
     from .gns import unitary_triple
@@ -425,7 +422,7 @@ def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP,
             for j in range(1, params.d + 1)]
             for i in range(1, params.d + 1)])
     evo = UnitaryEvolution(params, factor, blocks, block_of)
-    return evo, evo.unitarity_defect(probe_slots)
+    return evo, evo.unitarity_defect()
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +451,6 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
     """azema_wiener_experiment on make_azema(q)'s (B, primitive, psi) and
     the GNS triple of (psi, B), built once for every mesh of a run."""
     alg = B.algebra
-    factor = FockFactor(triple.k_dim, cap)
     n = partition.n_intervals()
     times = partition.times
     tau = partition.t - partition.s
@@ -464,14 +460,13 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
 
     # Wiener from Azema increments: x + x* is primitive in the primitive
     # coproduct, so sum_j Z_{t_j, t_{j+1}} is its convolution product there
-    wiener_norm = product_vacuum_gram(triple, w, w, primitive, partition,
-                                      factor=factor).real
+    wiener_norm = product_vacuum_gram(triple, w, w, primitive, partition, cap).real
     wiener_target = complex(conv_exp(psi, tau, wsq, primitive)).real
 
     # Azema from Wiener increments: the infinitesimal convolution product
-    azema_norm = product_vacuum_gram(triple, w, w, B, partition, factor=factor).real
+    azema_norm = product_vacuum_gram(triple, w, w, B, partition, cap).real
     azema_target = complex(conv_exp(psi, tau, wsq, B)).real
-    x_vacuum_norm = product_vacuum_gram(triple, x, x, B, partition, factor=factor).real
+    x_vacuum_norm = product_vacuum_gram(triple, x, x, B, partition, cap).real
 
     # discrete QSDE residual over the last subinterval: Delta x = x (x) y + 1 (x) x
     # makes r = X_{n-1}(x) (x) (I(y) - 1 - (q-1) Lambda) + 1 (x) (I(x) - A), a
@@ -479,6 +474,7 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
     qsde_residual = None
     if n >= 2:
         tail = (times[-2], times[-1])
+        factor = FockFactor(triple.k_dim, cap)
         ident = np.eye(factor.dim, dtype=complex)
         lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor)
         ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor)

@@ -26,9 +26,9 @@ from .errors import (
 )
 from .ncpoly import NcPoly, involute, multiply, normal_form
 
-NULL_TOL = 1e-9            # relative to max(1, top Gram eigenvalue): null directions
-NEGATIVE_EIG_TOL = 1e-8    # relative, same scale: gns_construct rejects a lower eigenvalue
-POSITIVITY_TOL = 1e-10     # relative, same scale: conditional positivity admits no lower one
+# relative to max(1, top Gram eigenvalue): an eigenvalue within +-NULL_TOL of 0
+# counts as 0, one above spans a direction of K, one below violates positivity
+NULL_TOL = 1e-9
 HERMITICITY_TOL = 1e-10    # absolute: largest |psi(a*) - conj psi(a)| of a hermitian psi
 PHASE_PIVOT_TOL = 1e-10    # absolute: the first eta coordinate above it fixes the phase
 PARAM_TOL = 1e-12          # absolute: largest entry of W*W - 1 and of H - H*
@@ -49,20 +49,19 @@ class LevyTriple:
     is built from the recursion.
     """
 
-    def __init__(self, B, k_dim, eta1, rho1, psi1=None, psi=None, name="levy-triple"):
+    def __init__(self, B, k_dim, eta1, rho1, psi1, psi=None, name="levy-triple"):
         self.B = B
         self.k_dim = int(k_dim)
         self.eta1 = {g: np.asarray(v, dtype=complex).reshape(self.k_dim)
                      for g, v in eta1.items()}
         self.rho1 = {g: np.asarray(m, dtype=complex).reshape(self.k_dim, self.k_dim)
                      for g, m in rho1.items()}
-        self.psi1 = dict(psi1) if psi1 is not None else None
+        self.psi1 = dict(psi1)
         self.name = name
         self._eta_memo = {(): np.zeros(self.k_dim, dtype=complex)}
         self._rho_memo = {(): np.eye(self.k_dim, dtype=complex)}
         self._psi_memo = {(): 0.0 + 0.0j}
-        self.psi = psi if psi is not None else LinearFunctional(
-            f"psi[{name}]", self._psi_word, hermitian=True)
+        self.psi = psi if psi is not None else LinearFunctional(f"psi[{name}]", self._psi_word)
 
     # word-level recursion -------------------------------------------------
 
@@ -85,8 +84,6 @@ class LevyTriple:
     def _psi_word(self, w):
         hit = self._psi_memo.get(w)
         if hit is None:
-            if self.psi1 is None:
-                raise InvalidParameter("triple carries no generator psi data")
             g, rest = w[0], w[1:]
             gstar = (self.B.algebra.adjoint_of(g),)
             hit = (self.B.key_counit((g,)) * self._psi_word(rest)
@@ -119,8 +116,7 @@ class LevyTriple:
             "eta_on_gen": {str(g): [_c2j(z) for z in v] for g, v in self.eta1.items()},
             "rho_on_gen": {str(g): [[_c2j(z) for z in row] for row in m]
                            for g, m in self.rho1.items()},
-            "psi_on_gen": ({str(g): _c2j(z) for g, z in self.psi1.items()}
-                           if self.psi1 is not None else None),
+            "psi_on_gen": {str(g): _c2j(z) for g, z in self.psi1.items()},
         }
 
 
@@ -128,60 +124,54 @@ class LevyTriple:
 # conditional positivity and the GNS quotient
 # ---------------------------------------------------------------------------
 
-def _gram_matrix(psi, B, basis):
+def _kernel_spectrum(psi, B, degree_cap):
+    """(basis, g, eig, vec, null): the counit-kernel basis at degree_cap, its
+    Gram matrix g = [psi(v_i* v_j)], the eigenpairs of the hermitian part of
+    g, and NULL_TOL times their scale max(1, top eigenvalue)."""
     alg = B.algebra
-    n = len(basis)
-    g = np.zeros((n, n), dtype=complex)
-    for i, (_wi, vi) in enumerate(basis):
-        vi_star = involute(vi, alg)
-        for j, (_wj, vj) in enumerate(basis):
-            g[i, j] = psi(multiply(vi_star, vj, alg))
-    return g
+    basis = b0_basis(B, degree_cap)
+    stars = [involute(v, alg) for _w, v in basis]
+    g = np.array([[psi(multiply(vs, v, alg)) for _w, v in basis] for vs in stars],
+                 dtype=complex).reshape(len(basis), len(basis))
+    eig, vec = np.linalg.eigh((g + g.conj().T) / 2.0)
+    return basis, g, eig, vec, NULL_TOL * float(eig.max(initial=1.0))
 
 
 def check_conditional_positivity(psi, B, degree_cap=3):
-    """Minimal Gram eigenvalue and hermiticity residual on the counit kernel."""
-    basis = b0_basis(B, degree_cap)
-    g = _gram_matrix(psi, B, basis)
+    """Gram spectrum and hermiticity residual of psi on the counit kernel; it
+    passes exactly when psi is hermitian and gns_construct builds a triple."""
+    basis, g, eig, _vec, null = _kernel_spectrum(psi, B, degree_cap)
     herm_res = float(np.abs(g - g.conj().T).max())
     for w, _v in basis:
         p = NcPoly.word(w)
         herm_res = max(herm_res, abs(psi(involute(p, B.algebra))
                                      - complex(psi(p)).conjugate()))
-    eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     return {
         "min_eigenvalue": float(eig.min()) if eig.size else 0.0,
         "max_eigenvalue": float(eig.max()) if eig.size else 0.0,
         "hermiticity_residual": herm_res,
         "dim": len(basis),
         "psi_unit": complex(psi(NcPoly.one())),
-        "passed": bool((eig.size == 0 or eig.min() >= -POSITIVITY_TOL * max(1.0, eig.max()))
-                       and herm_res <= HERMITICITY_TOL),
+        "passed": bool(eig.min(initial=0.0) >= -null and herm_res <= HERMITICITY_TOL),
     }
 
 
 def gns_construct(psi, B, degree_cap=3):
     """Levy triple from a generator by eigen-quotient of the Gram matrix.
 
-    K is spanned by the eigenvectors above NULL_TOL * max(1, top eigenvalue);
+    K is spanned by the eigenvectors above NULL_TOL * max(1, top eigenvalue),
+    and an eigenvalue below minus that raises PositivityViolation;
     eta of a kernel-basis word is its rescaled eigen-coordinate row, with
     the phase gauge fixed so the first significant coordinate entry of each
     eigendirection is real positive.  rho is obtained by least squares from
     rho(g) eta(w) = eta(g w).
     """
     alg = B.algebra
-    basis = b0_basis(B, degree_cap)
-    g = _gram_matrix(psi, B, basis)
-    gh = (g + g.conj().T) / 2.0
-    if g.size:
-        eig, vec = np.linalg.eigh(gh)
-    else:
-        eig, vec = np.zeros(0), np.zeros((0, 0))
-    scale = max(1.0, float(eig.max()) if eig.size else 0.0)
-    if eig.size and eig.min() < -NEGATIVE_EIG_TOL * scale:
+    basis, _g, eig, vec, null = _kernel_spectrum(psi, B, degree_cap)
+    if eig.min(initial=0.0) < -null:
         raise PositivityViolation(
             f"Gram matrix has eigenvalue {eig.min():.3e} < 0 at cap {degree_cap}")
-    keep = [i for i in range(eig.size) if eig[i] > NULL_TOL * scale]
+    keep = [i for i in range(eig.size) if eig[i] > null]
     keep.sort(key=lambda i: -eig[i])
     k_dim = len(keep)
 

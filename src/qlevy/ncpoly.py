@@ -133,7 +133,9 @@ class AlgebraSpec:
                     raise InvalidParameter(
                         f"rule rhs word {self.spell(w)!r} not below lhs "
                         f"{self.spell(rule.lhs)!r} in deg-lex order")
-        self._nf = {}           # word -> {normal word: coeff}, coefficient-1 input
+        # word -> {normal word: coeff}, coefficient-1 input: one entry per word
+        # rewritten, so bounded by the words reached; freed with this algebra
+        self._nf = {}
 
     def spell(self, w):
         """The word w as its generator names, space-separated."""

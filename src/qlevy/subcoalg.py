@@ -86,7 +86,8 @@ class Subcoalgebra:
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
-        self._transfers = weakref.WeakKeyDictionary()   # functional -> matrix
+        # functional -> T(functional): one per live functional, freed with it or with self
+        self._transfers = weakref.WeakKeyDictionary()
 
     def dim(self):
         return len(self.basis)

@@ -425,7 +425,8 @@ def test_main_list_builtins(capsys):
 
 
 def test_complex_serialization_roundtrip():
-    from qlevy.cli import _c2j, _carr
+    from qlevy.bialg import _c2j
+    from qlevy.cli import _carr
 
     assert _c2j(1.5 - 2j) == [1.5, -2.0]
     arr = _carr([[[1.0, 2.0], [0.0, -1.0]]])
@@ -466,6 +467,7 @@ def test_run_experiment_certifies_the_bialgebra_once(tmp_path, monkeypatch):
 
 _NOT_UNITARY = {"d": 1, "W": [[[0.5, 0.0]]], "L": [[[[0.3, 0.0]]]], "H": [[[0.5, 0.0]]]}
 _FLAT_W = dict(_NOT_UNITARY, W=[[1.0, 0.0]])   # one [re, im] pair, not a matrix
+_NAN = float("nan")
 
 
 @pytest.mark.parametrize("name, edit, pointer", [
@@ -477,9 +479,20 @@ _FLAT_W = dict(_NOT_UNITARY, W=[[1.0, 0.0]])   # one [re, im] pair, not a matrix
     ("convexp_azema_q2", {"bialgebra": {"builder": "unitary", "d": 1}, "generator": None},
      "/generator"),
     ("azema_q2", {"tolerances": {"axioms": float("inf")}}, "/tolerances/axioms"),
+    ("fock_unitary_d1", {"unitary": dict(_NOT_UNITARY, W=[[[_NAN, 0.0]]])},
+     "/unitary/W/0/0/0 must be finite"),
+    ("trotter_nilpotent", {"trotter": {"kind": "perturbed", "size": 4, "draws": 5, "C": _NAN}},
+     "/trotter/C must be finite"),
+    ("convexp_azema_q2", {"ts": [_NAN]}, "/ts/0 must be finite"),
+    ("sweep_azema_x", {"interval": [0.0, float("inf")]}, "/interval/1 must be finite"),
+    ("convexp_azema_q2", {"generator": {"table": {"x x*": [_NAN, 0.0]}}},
+     "/generator/table/x x*/0 must be finite"),
+    ("azema_q2", {"tolerances": {"axiom": 1e-9}}, "/tolerances"),
+    ("sweep_grouplike_xstar", {"tolerances": {"defect_floor": 1e-12}}, "/tolerances"),
 ], ids=["reverse-identity-chain", "fock-unitary-no-unitary", "fock-unitary-w-not-unitary",
         "fock-unitary-w-flat", "decreasing-interval", "unitary-convexp-no-psi",
-        "infinite-tolerance"])
+        "infinite-tolerance", "nan-unitary-w", "nan-trotter-c", "nan-ts", "infinite-interval-end",
+        "nan-generator-table", "unknown-tolerance-axiom", "unknown-tolerance-defect-floor"])
 def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, pointer):
     # qlevy check applies the pre-flight qlevy run applies: each config is
     # refused by both, with its JSON pointer, and nothing is written
@@ -513,6 +526,18 @@ def test_run_writes_nothing_unless_the_summary_serializes(tmp_path):
     with pytest.raises(QLevyError, match="azema_wiener_q2: .*not JSON compliant"):
         run_experiment(_write(tmp_path, "huge.json", cfg), str(out))
     assert list(out.iterdir()) == []
+
+
+def test_check_reads_psi_unit_on_every_psi(tmp_path, capsys):
+    # psi(1) = 1 is not a generator; no config field turns that check off
+    cfg = {"name": "table_unit", "experiment": "convexp",
+           "bialgebra": {"builder": "azema", "q": 2.0},
+           "generator": {"table": {"": [1.0, 0.0], "x x*": [1.0, 0.0]}}, "samples": 1}
+    assert main(["check", _write(tmp_path, "table_unit.json", cfg)]) == 1
+    assert "generator/psi_unit: 1.000e+00" in capsys.readouterr().out
+    cfg["generator"]["hermitian"] = False
+    assert main(["check", _write(tmp_path, "table_unit.json", cfg)]) == 1
+    assert "/generator: Additional properties" in capsys.readouterr().err
 
 
 def test_generator_table_rejects_a_non_normal_word(tmp_path, capsys):

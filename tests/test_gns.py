@@ -37,7 +37,7 @@ def test_positivity_azema(azema2):
 
 def test_positivity_zero(azema2):
     B, _, _ = azema2
-    zero = LinearFunctional("zero", lambda w: 0.0, hermitian=True)
+    zero = LinearFunctional("zero", lambda w: 0.0)
     rep = check_conditional_positivity(zero, B, degree_cap=2)
     assert rep["min_eigenvalue"] == pytest.approx(0.0, abs=1e-14)
     assert rep["max_eigenvalue"] == pytest.approx(0.0, abs=1e-14)
@@ -52,12 +52,31 @@ def test_positivity_violation_detected(azema2):
             k -= 1
         return -1.0 if w[:k] == (X, XS) else 0.0
 
-    bad = LinearFunctional("bad", bad_word, hermitian=True)
+    bad = LinearFunctional("bad", bad_word)
     rep = check_conditional_positivity(bad, B, degree_cap=2)
     assert rep["min_eigenvalue"] <= -1.0
     assert not rep["passed"]
     with pytest.raises(PositivityViolation):
         gns_construct(bad, B, degree_cap=2)
+
+
+def test_positivity_check_passes_exactly_when_gns_builds(azema2):
+    # psi - eps [y y] has one eigenvalue near -1.3 eps; the check and the
+    # construction read it against one threshold, NULL_TOL * max(1, 2)
+    B, _, psi = azema2
+    outcomes = set()
+    for eps in (1e-11, 5e-10, 2e-9, 5e-9, 2e-8):
+        f = LinearFunctional(f"psi-{eps:g}[y y]",
+                             lambda w, eps=eps: psi.on_word(w) - (eps if w == (Y, Y) else 0.0))
+        passed = check_conditional_positivity(f, B, degree_cap=2)["passed"]
+        try:
+            gns_construct(f, B, degree_cap=2)
+            built = True
+        except PositivityViolation:
+            built = False
+        assert passed == built, eps
+        outcomes.add(built)
+    assert outcomes == {True, False}
 
 
 def test_gns_azema_values(azema_triple):
@@ -72,7 +91,7 @@ def test_gns_azema_values(azema_triple):
 
 def test_gns_zero_generator(azema2):
     B, _, _ = azema2
-    zero = LinearFunctional("zero", lambda w: 0.0, hermitian=True)
+    zero = LinearFunctional("zero", lambda w: 0.0)
     t = gns_construct(zero, B, degree_cap=2)
     assert t.k_dim == 0
     assert t.eta(NcPoly.word((X,))).shape == (0,)
