@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -77,37 +78,124 @@ def _carr(obj):
 
 
 # ---------------------------------------------------------------------------
+# the config fields each run reads
+# ---------------------------------------------------------------------------
+
+# The fields a run reads, by JSON pointer, with the default of each: every
+# run's, then its bialgebra builder's, then its experiment's.  A default is
+# a value or a function of the fields resolved before it; None is no
+# default: the schema requires /name, /experiment, /bialgebra/builder and
+# the three /unitary arrays, _preflight requires /unitary of fock-unitary,
+# and a generator holds a builtin or a table.  _preflight refuses every
+# other config field.
+_AZEMA = {"/bialgebra/q": 2.0}
+_PSI = {"/generator/builtin": "azema-psi", "/generator/table": None}
+_INTERVAL = {"/interval": (0.0, 1.0)}
+_GRAM = {**_PSI, **_INTERVAL, "/element": "x", "/element_d": lambda f: f["/element"],
+         "/partition/ns": (2, 4, 8, 16, 32, 64), "/morphism/degree_cap": 6}
+FIELDS = {
+    "run": {"/name": None, "/experiment": None, "/bialgebra/builder": None,
+            "/rng_seed": DEFAULT_SEED, "/tolerances/axioms": 1e-9,
+            "/output/csv": lambda f: f"{f['/name']}.csv",
+            "/output/json": lambda f: f"{f['/name']}.json"},
+    "azema": _AZEMA,
+    "azema-primitive": _AZEMA,
+    "unitary": {"/bialgebra/d": 1},
+    "axioms": {},
+    "convexp": {**_PSI, "/samples": 50, "/ts": (0.1, 1.0, 2.0), "/caps/degree_cap": 4,
+                "/tolerances/convexp": 1e-10},
+    "gns": {**_PSI, "/samples": 40, "/caps/degree_cap": 3, "/tolerances/gns": 1e-10},
+    "sweep": {**_GRAM, "/morphism/chain": "identity", "/lift": True},
+    "reverse": {**_GRAM, "/tolerances/reverse": 1e-2},
+    "fock-unitary": {**_INTERVAL, "/unitary/W": None, "/unitary/L": None,
+                     "/unitary/H": None, "/partition/ns": (4, 8, 16, 32),
+                     "/caps/particle_cap": 8, "/tolerances/amplitude": 1e-3},
+    "azema-wiener": {**_INTERVAL, "/partition/ns": (2, 4, 8, 16),
+                     "/caps/particle_cap": 5},
+    "trotter": {**_INTERVAL, "/trotter/kind": "nilpotent", "/trotter/size": 4,
+                "/trotter/draws": 20, "/trotter/C": 1.0, "/partition/ns": (2, 4, 8, 16)},
+}
+
+
+def _check_fields(node, may, where, pointer=""):
+    """Raise SchemaError naming the first pointer under node that is not in
+    may, or the first number that is not finite (draft-07 cannot exclude NaN
+    or Infinity).  may maps a pointer to True where the run reads its value,
+    False above such a pointer; None admits every pointer."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise SchemaError(f"{pointer} must be finite, got {node}")
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            at = f"{pointer}/{key}"
+            if may is not None and at not in may:
+                raise SchemaError(f"{at}: not read by {where}")
+            _check_fields(child, None if may is None or may[at] else may, where, at)
+
+
+def _preflight(cfg):
+    """The fields cfg's run reads (FIELDS), each the config's value or its
+    default, after every check of a schema-valid config that needs no built
+    object; each failure is a SchemaError naming its JSON pointer.  The
+    bialgebra that check_defs certifies must be the one the experiment runs:
+    fock-unitary runs U<d>, azema-wiener Azema with the Azema psi.  An
+    experiment that reads psi needs one (U<d> has none).
+    """
+    experiment, builder = cfg["experiment"], cfg["bialgebra"]["builder"]
+    entry = FIELDS["run"] | FIELDS[builder] | FIELDS[experiment]
+    may = {p[:i]: False for p in entry for i in range(1, len(p)) if p[i] == "/"}
+    _check_fields(cfg, may | dict.fromkeys(entry, True),
+                  f"the {experiment} experiment on the {builder} builder")
+    if len(cfg.get("generator", {})) > 1:
+        raise SchemaError("/generator: give a builtin or a table, not both")
+    if experiment == "fock-unitary" and "unitary" not in cfg:
+        raise SchemaError("/unitary: required by the fock-unitary experiment")
+    f = {}
+    for pointer, default in entry.items():
+        try:
+            f[pointer] = functools.reduce(operator.getitem, pointer.split("/")[1:], cfg)
+        except KeyError:
+            f[pointer] = default(f) if callable(default) else default
+    if "/interval" in f and not f["/interval"][1] > f["/interval"][0]:
+        raise SchemaError("/interval: must be increasing")
+    want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
+    if want is not None and builder != want:
+        raise SchemaError(f"/bialgebra/builder: {experiment} runs the {want!r} "
+                          f"bialgebra, not {builder!r}")
+    if builder == "unitary":
+        if f.get("/generator/builtin") == "azema-psi" and f["/generator/table"] is None:
+            raise SchemaError(f"/generator: {experiment} reads a psi, and the unitary "
+                              "builder has none; give a table or builtin zero")
+        if f.get("/morphism/chain") in ("azema-to-primitive", "primitive-to-azema"):
+            raise SchemaError(f"/morphism/chain: {f['/morphism/chain']} requires an azema builder")
+    return f
+
+
+# ---------------------------------------------------------------------------
 # object construction from a config
 # ---------------------------------------------------------------------------
 
-def build_objects(cfg):
-    """Bialgebra, companion structures and generator functional for cfg."""
+def build_objects(f):
+    """Bialgebra, companion structures and generator functional for the
+    fields f of a run (_preflight)."""
     from .bialg import LinearFunctional
     from .constructions import make_azema, make_unitary_bialgebra
     from .ncpoly import NcPoly
 
-    spec = cfg["bialgebra"]
-    builder = spec["builder"]
+    builder = f["/bialgebra/builder"]
     ctx = {}
-    if builder in ("azema", "azema-primitive"):
-        q = spec.get("q", 2.0)
-        azema, primitive, psi = make_azema(q)
-        ctx["azema"] = azema
-        ctx["primitive"] = primitive
-        ctx["azema_psi"] = psi
-        B = azema if builder == "azema" else primitive
+    if builder == "unitary":
+        B = make_unitary_bialgebra(f["/bialgebra/d"])
     else:
-        B = make_unitary_bialgebra(spec.get("d", 1))
-    corrupt = spec.get("corrupt_delta")
-    if corrupt:
-        idx = B.algebra.index(corrupt["generator"])
-        B.delta_on_gen[idx] = B.delta_on_gen[idx].scale(corrupt["scale"])
+        azema, primitive, psi = make_azema(f["/bialgebra/q"])
+        ctx = {"azema": azema, "primitive": primitive, "azema_psi": psi}
+        B = azema if builder == "azema" else primitive
 
-    gen_cfg = cfg.get("generator", {})
-    if "table" in gen_cfg:
+    # a generator is one builtin or one table (_preflight); only the
+    # experiments that read psi take one, the others run the builder's psi
+    if f.get("/generator/table") is not None:
         # psi is read on normal words only: an entry on another word is never read
         table = {}
-        for mono, pair in gen_cfg["table"].items():
+        for mono, pair in f["/generator/table"].items():
             word = tuple(B.algebra.index(nm) for nm in mono.split())
             nf = B.algebra.word_normal_form(word)
             if nf != {word: 1.0}:
@@ -115,7 +203,7 @@ def build_objects(cfg):
                                   f"form is {NcPoly(nf).pretty(B.algebra)}")
             table[word] = complex(pair[0], pair[1])
         psi = LinearFunctional("psi[table]", lambda w: table.get(w, 0.0))
-    elif gen_cfg.get("builtin") == "zero":
+    elif f.get("/generator/builtin") == "zero":
         psi = LinearFunctional("psi[zero]", lambda w: 0.0)
     else:
         # None on U<d>, which _preflight admits only where no psi is read
@@ -123,33 +211,25 @@ def build_objects(cfg):
     return B, psi, ctx
 
 
-def _chain_name(cfg):
-    default = "grouplike" if cfg["experiment"] == "reverse" else "identity"
-    return cfg.get("morphism", {}).get("chain", default)
-
-
-def _build_chain(cfg, B, ctx):
+def _build_chain(chain, lift, f, B, ctx):
     """(kappa, kappa_tilde or None, c, d, gens) for sweep / reverse experiments;
     gens are source keys of kappa generating what the experiment maps."""
     from .constructions import Morphism, make_grouplike
     from .gram import identity_morphism
     from .ncpoly import NcPoly, parse_poly
 
-    chain = _chain_name(cfg)
-    cap = cfg.get("morphism", {}).get("degree_cap", 6)
-    c_text = cfg.get("element", "x")
-    d_text = cfg.get("element_d", c_text)
-    c_poly = parse_poly(c_text, B.algebra)
-    d_poly = parse_poly(d_text, B.algebra)
+    c_poly = parse_poly(f["/element"], B.algebra)
+    d_poly = parse_poly(f["/element_d"], B.algebra)
     if chain == "identity":
         return identity_morphism(B), None, c_poly, d_poly, ()
     if chain == "grouplike":
-        G, kappa, kappa_tilde = make_grouplike(B, cap)
-        if cfg.get("lift", True):
+        G, kappa, kappa_tilde = make_grouplike(B, f["/morphism/degree_cap"])
+        if lift:
             c = kappa_tilde.apply(c_poly)
             d = kappa_tilde.apply(d_poly)
         else:
-            c, d = G.hat(c_poly), G.hat(d_poly)
+            c = G.hat(c_poly)
+            d = G.hat(d_poly)
         return kappa, kappa_tilde, c, d, [*c.terms, *d.terms]
     # _preflight admits these two chains on the Azema builders only
     pair = (ctx["azema"], ctx["primitive"])
@@ -159,60 +239,10 @@ def _build_chain(cfg, B, ctx):
     return kappa, None, c_poly, d_poly, [(g,) for g in range(src.algebra.ngen())]
 
 
-def _check_finite(node, pointer=""):
-    """Raise SchemaError naming the first number under node that is not finite."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise SchemaError(f"{pointer} must be finite, got {node}")
-    if isinstance(node, (dict, list)):
-        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            _check_finite(child, f"{pointer}/{key}")
-
-
-def _preflight(cfg):
-    """Every check of a schema-valid config that needs no built object; each
-    failure is a SchemaError naming its JSON pointer.  Draft-07 cannot
-    exclude NaN or Infinity, so every number must first be finite.  The
-    bialgebra that check_defs certifies must be the one the experiment runs:
-    fock-unitary builds U<unitary.d>, azema-wiener runs Azema with the Azema
-    psi.  An experiment that reads psi needs one (U<d> has none by default).
-    """
-    _check_finite(cfg)
-    spec, experiment = cfg["bialgebra"], cfg["experiment"]
-    s, t = cfg.get("interval", [0.0, 1.0])
-    if not t > s:
-        raise SchemaError("/interval: must be increasing")
-    want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
-    if want is not None and spec["builder"] != want:
-        raise SchemaError(f"/bialgebra/builder: {experiment} runs the {want!r} "
-                          f"bialgebra, not {spec['builder']!r}")
-    gen = cfg.get("generator", {})
-    foreign = "table" in gen or gen.get("builtin", "azema-psi") != "azema-psi"
-    if experiment == "azema-wiener" and foreign:
-        raise SchemaError(f"/generator: azema-wiener runs the Azema psi, not {gen}")
-    if experiment == "fock-unitary":
-        if "unitary" not in cfg:
-            raise SchemaError("/unitary: required for the fock-unitary experiment")
-        d = cfg["unitary"]["d"]
-        if spec.get("d", 1) != d:
-            raise SchemaError(f"/bialgebra/d: fock-unitary runs U<{d}> (unitary.d), "
-                              f"not U<{spec.get('d', 1)}>")
-    if experiment == "reverse" and _chain_name(cfg) != "grouplike":
-        raise SchemaError("/morphism/chain: reverse requires the grouplike chain")
-    if spec["builder"] == "unitary":
-        if gen.get("builtin") == "azema-psi":
-            raise SchemaError("/generator/builtin: azema-psi requires an azema builder")
-        if experiment in ("convexp", "gns", "sweep", "reverse") and not (
-                "table" in gen or "builtin" in gen):
-            raise SchemaError(f"/generator: {experiment} reads a psi, and the unitary "
-                              "builder has none; give a table or a builtin")
-        if experiment == "sweep" and _chain_name(cfg) not in ("identity", "grouplike"):
-            raise SchemaError(f"/morphism/chain: {_chain_name(cfg)} requires an azema builder")
-
-
 class _Run:
     """A config judged whole (_preflight, fock-unitary's W, L and H), then its
-    tolerances (the schema's defaults under the config's values), objects,
-    bialgebra certificate and check report, built once."""
+    objects, bialgebra certificate and check report, built once.  `fields`
+    holds the values the run reads, by JSON pointer."""
 
     def __init__(self, cfg):
         from .bialg import certify_bialgebra
@@ -220,36 +250,40 @@ class _Run:
         from .gns import UnitaryTripleParams
         from .ncpoly import NcPoly
 
-        _preflight(cfg)
+        f = self.fields = _preflight(cfg)
         self.cfg, self.unitary = cfg, None
-        tols = _validator().schema["properties"]["tolerances"]["properties"]
-        self.tol = {k: v["default"] for k, v in tols.items()} | cfg.get("tolerances", {})
-        if cfg["experiment"] == "fock-unitary":
-            u = cfg["unitary"]
+        experiment = f["/experiment"]
+        if experiment == "fock-unitary":
             try:
-                self.unitary = UnitaryTripleParams(u["d"], *(_carr(u[k]) for k in "WLH"))
+                self.unitary = UnitaryTripleParams(
+                    f["/bialgebra/d"], *(_carr(f[f"/unitary/{k}"]) for k in "WLH"))
             except (ValueError, QLevyError) as e:
                 raise SchemaError(f"/unitary: {e}") from None
-        self.B, self.psi, self.ctx = build_objects(cfg)
-        self.chain = None
-        if cfg["experiment"] in ("sweep", "reverse"):
-            self.chain = _build_chain(cfg, self.B, self.ctx)
+        self.B, self.psi, self.ctx = build_objects(f)
+        self.chain = chain = None
+        if experiment == "sweep":
+            chain = f["/morphism/chain"]
+            self.chain = _build_chain(chain, f["/lift"], f, self.B, self.ctx)
+        elif experiment == "reverse":
+            # reverse runs the lifted grouplike chain
+            chain = "grouplike"
+            self.chain = _build_chain(chain, True, f, self.B, self.ctx)
         cert = self.certificate = certify_bialgebra(self.B)
         checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
-        if _chain_name(cfg) != "identity" and self.chain is not None:
+        if chain not in (None, "identity"):
             kappa, *_rest, gens = self.chain
             checks["morphism/counit_preservation"] = counit_residual(kappa, gens)
         if self.psi is not None:
             checks["generator/psi_unit"] = abs(self.psi(NcPoly.one()))
         worst = max(checks.values())
         self.report = {
-            "config": cfg["name"],
+            "config": f["/name"],
             "checks": checks,
             "where": {f"axioms/{k}": v for k, v in cert["where"].items()},
             "confluence": cert["confluence"],
             "max_residual": worst,
-            "tolerance": self.tol["axioms"],
-            "ok": bool(worst <= self.tol["axioms"]),
+            "tolerance": f["/tolerances/axioms"],
+            "ok": bool(worst <= f["/tolerances/axioms"]),
         }
 
 
@@ -272,7 +306,7 @@ def check_defs(config_path):
     worst relative gap) sits beside them.
     `morphism/counit_preservation` is exact: the residual of the sweep or
     reverse homomorphism on the generating keys _build_chain returns.  No
-    check draws a random sample; the config's `samples` reach none of them.
+    check draws a random sample.
     """
     return _Run(load_config(config_path)).report
 
@@ -287,20 +321,6 @@ SWEEP_HEADER = ["mesh", "n", "norm_sq", "re_cross", "im_cross",
                 "defect", "bound"]
 
 
-def _partition_ns(cfg, default=(2, 4, 8, 16, 32, 64)):
-    part = cfg.get("partition", {})
-    if "ns" in part:
-        return list(part["ns"])
-    if "n" in part:
-        return [part["n"]]
-    return list(default)
-
-
-def _interval(cfg):
-    s, t = cfg.get("interval", [0.0, 1.0])   # increasing (_preflight)
-    return float(s), float(t)
-
-
 def _gram_rows(rows_obj):
     """CSV rows (SWEEP_HEADER) of gram's sweep or reverse rows."""
     return [[_fmt(r.mesh), str(r.n), _fmt(r.norm_sq), _fmt(r.cross.real),
@@ -310,7 +330,8 @@ def _gram_rows(rows_obj):
 def _exp_axioms(run, rng):
     report = run.certificate
     rows = [[check, _fmt(res)] for check, res in sorted(report["residuals"].items())]
-    assertions = {"max_residual_within_tol": bool(report["max_residual"] <= run.tol["axioms"])}
+    assertions = {"max_residual_within_tol":
+                  bool(report["max_residual"] <= run.fields["/tolerances/axioms"])}
     return ["check", "residual"], rows, assertions, {"report": report}
 
 
@@ -318,15 +339,12 @@ def _exp_convexp(run, rng):
     from .ncpoly import random_poly
     from .subcoalg import conv_exp, conv_exp_series
 
-    cfg, B, psi = run.cfg, run.B, run.psi
-    ts = cfg.get("ts", [0.1, 1.0, 2.0])
-    n_samples = cfg.get("samples", 50)
-    degree = cfg.get("caps", {}).get("degree_cap", 4)
+    f, B, psi = run.fields, run.B, run.psi
     rows = []
     worst = 0.0
-    for i in range(n_samples):
-        p = random_poly(B.algebra, rng, degree, n_terms=3)
-        for t in ts:
+    for i in range(f["/samples"]):
+        p = random_poly(B.algebra, rng, f["/caps/degree_cap"], n_terms=3)
+        for t in f["/ts"]:
             val = conv_exp(psi, t, p, B)
             series, _terms = conv_exp_series(psi, t, p, B)
             defect = abs(val - series)
@@ -335,20 +353,20 @@ def _exp_convexp(run, rng):
                          _fmt(series.real), _fmt(series.imag), _fmt(defect)])
     header = ["index", "t", "value_re", "value_im",
               "series_re", "series_im", "defect"]
-    assertions = {"oracle_equivalence": bool(worst <= run.tol["convexp"])}
+    assertions = {"oracle_equivalence": bool(worst <= f["/tolerances/convexp"])}
     return header, rows, assertions, {"max_defect": worst}
 
 
 def _exp_gns(run, rng):
     from .gns import gns_construct, levy_triple_residuals
 
-    cfg, B, psi = run.cfg, run.B, run.psi
-    cap = cfg.get("caps", {}).get("degree_cap", 3)
-    triple = gns_construct(psi, B, degree_cap=cap)
-    rep = levy_triple_residuals(triple, n_samples=cfg.get("samples", 40),
-                                sample_degree=cap, rng=rng)
+    f = run.fields
+    cap = f["/caps/degree_cap"]
+    triple = gns_construct(run.psi, run.B, degree_cap=cap)
+    rep = levy_triple_residuals(triple, n_samples=f["/samples"], sample_degree=cap, rng=rng)
     rows = [[check, _fmt(res)] for check, res in sorted(rep.items())]
-    assertions = {"triple_residuals_within_tol": bool(rep["max_residual"] <= run.tol["gns"])}
+    assertions = {"triple_residuals_within_tol":
+                  bool(rep["max_residual"] <= f["/tolerances/gns"])}
     return ["check", "residual"], rows, assertions, \
         {"triple": triple.to_json(), "residuals": rep}
 
@@ -356,11 +374,9 @@ def _exp_gns(run, rng):
 def _exp_sweep(run, rng):
     from .gram import DEFECT_FLOOR, convergence_sweep
 
-    cfg = run.cfg
     kappa, _kt, c, d, _gens = run.chain
-    s, t = _interval(cfg)
-    ns = _partition_ns(cfg)
-    rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, ns)
+    s, t = run.fields["/interval"]
+    rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, run.fields["/partition/ns"])
     defects = [r.defect for r in rows_obj]
     live = [x for x in defects if x > DEFECT_FLOOR]
     assertions = {
@@ -383,14 +399,14 @@ def _exp_reverse(run, rng):
     from .gram import reverse_check
     from .ncpoly import parse_poly
 
-    cfg, B, psi = run.cfg, run.B, run.psi
-    _kappa, kappa_tilde, *_rest = run.chain   # the grouplike chain (_preflight)
-    b = parse_poly(cfg.get("element", "x"), B.algebra)
-    d = parse_poly(cfg.get("element_d", cfg.get("element", "x")), B.algebra)
-    s, t = _interval(cfg)
-    ns = _partition_ns(cfg)
-    rows_obj = reverse_check(b, d, kappa_tilde, psi, s, t, ns)
-    assertions = {"final_defect_within_tol": bool(rows_obj[-1].defect <= run.tol["reverse"])}
+    f, alg = run.fields, run.B.algebra
+    _kappa, kappa_tilde, *_rest = run.chain   # the grouplike chain (_Run)
+    b = parse_poly(f["/element"], alg)
+    d = parse_poly(f["/element_d"], alg)
+    s, t = f["/interval"]
+    rows_obj = reverse_check(b, d, kappa_tilde, run.psi, s, t, f["/partition/ns"])
+    assertions = {"final_defect_within_tol":
+                  bool(rows_obj[-1].defect <= f["/tolerances/reverse"])}
     return SWEEP_HEADER, _gram_rows(rows_obj), assertions, \
         {"defects": [r.defect for r in rows_obj]}
 
@@ -402,17 +418,15 @@ def _exp_fock_unitary(run, rng):
     from .fock import unitary_product_evolution
     from .partition import Partition
 
-    cfg, params = run.cfg, run.unitary
-    s, t = _interval(cfg)
-    ns = _partition_ns(cfg, default=(4, 8, 16, 32))
-    cap = cfg.get("caps", {}).get("particle_cap", 8)
+    f, params = run.fields, run.unitary
+    s, t = f["/interval"]
     ll = np.einsum("ikm,ilm->kl", params.L.conj(), params.L)
     target = scipy.linalg.expm((t - s) * (1j * params.H - 0.5 * ll))
     rows = []
     amp_defects, uni_defects = [], []
-    for n in ns:
+    for n in f["/partition/ns"]:
         evo, defect = unitary_product_evolution(
-            params, params.d, Partition.uniform(s, t, n), cap)
+            params, params.d, Partition.uniform(s, t, n), f["/caps/particle_cap"])
         amp = evo.vacuum_amplitude()
         amp_defect = float(np.abs(amp - target).max())
         amp_defects.append(amp_defect)
@@ -425,7 +439,7 @@ def _exp_fock_unitary(run, rng):
         rows.append([_fmt(mesh), str(n), "unitarity_defect",
                      _fmt(defect), "0", "0", "0", _fmt(defect)])
     assertions = {
-        "amplitude_defect_within_tol": bool(amp_defects[-1] <= run.tol["amplitude"]),
+        "amplitude_defect_within_tol": bool(amp_defects[-1] <= f["/tolerances/amplitude"]),
         "amplitude_defect_decreasing": bool(
             all(b < a for a, b in zip(amp_defects, amp_defects[1:]))),
         "unitarity_defect_decreasing": bool(
@@ -441,18 +455,15 @@ def _exp_azema_wiener(run, rng):
     from .gram import DEFECT_FLOOR
     from .partition import Partition
 
-    cfg, B, psi = run.cfg, run.B, run.psi
-    q = cfg["bialgebra"].get("q", 2.0)
-    s, t = _interval(cfg)
-    ns = _partition_ns(cfg, default=(2, 4, 8, 16))
-    cap = cfg.get("caps", {}).get("particle_cap", 5)
+    f, B, psi = run.fields, run.B, run.psi
+    s, t = f["/interval"]
     # B and psi are the run's Azema objects (_preflight)
     triple = gns_construct(psi, B, degree_cap=3)
     rows = []
     reports = []
-    for n in ns:
-        rep = azema_wiener_mesh(q, B, run.ctx["primitive"], psi, triple,
-                                Partition.uniform(s, t, n), cap)
+    for n in f["/partition/ns"]:
+        rep = azema_wiener_mesh(f["/bialgebra/q"], B, run.ctx["primitive"], psi, triple,
+                                Partition.uniform(s, t, n), f["/caps/particle_cap"])
         reports.append(rep)
         for name, target, defect in (("wiener_norm_sq", "wiener_target", "wiener_defect"),
                                      ("azema_norm_sq", "azema_target", "azema_defect"),
@@ -477,13 +488,9 @@ def _exp_trotter(run, rng):
     from .partition import Partition
     from .subcoalg import ProductFamilySpec, banach_product_check
 
-    cfg = run.cfg
-    t_cfg = cfg.get("trotter", {})
-    kind = t_cfg.get("kind", "nilpotent")
-    size = t_cfg.get("size", 4)
-    draws = t_cfg.get("draws", 20)
-    s, t = _interval(cfg)
-    ns = _partition_ns(cfg, default=(2, 4, 8, 16))
+    f = run.fields
+    kind, size = f["/trotter/kind"], f["/trotter/size"]
+    s, t = f["/interval"]
     g = np.zeros((size, size), dtype=complex)
     # index-2 nilpotent baseline: rows 0, 2, ... feed from odd columns only
     for i in range(0, size, 2):
@@ -492,7 +499,7 @@ def _exp_trotter(run, rng):
     if kind == "nilpotent":
         spec = ProductFamilySpec("matrix-family", g, remainder=None, R=t - s)
     else:
-        c = t_cfg.get("C", 1.0)
+        c = f["/trotter/C"]
 
         def remainder(r, mu):
             m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
@@ -501,19 +508,14 @@ def _exp_trotter(run, rng):
 
         spec = ProductFamilySpec("matrix-family", g, remainder=remainder,
                                  n_choices=8, R=t - s, C=c)
-    rows = []
-    all_passed = True
-    exact = True
-    for n in ns:
-        rep = banach_product_check(spec, Partition.uniform(s, t, n),
-                                   draws=draws, rng=rng)
-        all_passed = all_passed and rep["passed"]
-        exact = exact and rep["lhs_max"] <= DEFECT_FLOOR
-        rows.append([_fmt(rep["mesh"]), str(n), _fmt(rep["lhs_max"]),
-                     _fmt(rep["bound"]), _fmt(rep["lhs_max"])])
-    assertions = {"lhs_within_bound": bool(all_passed)}
+    ns = f["/partition/ns"]
+    reports = [banach_product_check(spec, Partition.uniform(s, t, n),
+                                    draws=f["/trotter/draws"], rng=rng) for n in ns]
+    rows = [[_fmt(rep["mesh"]), str(n), _fmt(rep["lhs_max"]), _fmt(rep["bound"]),
+             _fmt(rep["lhs_max"])] for n, rep in zip(ns, reports)]
+    assertions = {"lhs_within_bound": all(rep["passed"] for rep in reports)}
     if kind == "nilpotent":
-        assertions["exactness"] = bool(exact)
+        assertions["exactness"] = all(rep["lhs_max"] <= DEFECT_FLOOR for rep in reports)
     return ["mesh", "n", "lhs_max", "bound", "defect"], rows, assertions, {}
 
 
@@ -538,15 +540,15 @@ def run_experiment(config_path, out_dir="."):
     if not report["ok"]:
         raise QLevyError(
             f"config checks failed (max residual {report['max_residual']:.3e})")
-    cfg = run.cfg
-    seed = cfg.get("rng_seed", DEFAULT_SEED)
+    f = run.fields
+    seed = f["/rng_seed"]
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    header, rows, assertions, extra = _DISPATCH[cfg["experiment"]](run, rng)
+    header, rows, assertions, extra = _DISPATCH[f["/experiment"]](run, rng)
     wall = time.perf_counter() - start
 
     summary = {
-        "config": cfg,
+        "config": run.cfg,
         "library_version": __version__,
         "rng_seed": seed,
         "assertions": assertions,
@@ -557,13 +559,17 @@ def run_experiment(config_path, out_dir="."):
     try:
         text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as e:
-        raise InvalidParameter(f"{cfg['name']}: the summary does not serialize, "
+        raise InvalidParameter(f"{f['/name']}: the summary does not serialize, "
                                f"so nothing is written ({e})") from None
+    for i, row in enumerate(rows, 1):
+        for column, cell in zip(header, row):
+            if cell.lstrip("-") in ("inf", "nan"):
+                raise InvalidParameter(f"{f['/name']}: CSV row {i}, column {column} is "
+                                       f"{cell}, so nothing is written")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = cfg.get("output", {})
-    csv_path = out / names.get("csv", f"{cfg['name']}.csv")
-    json_path = out / names.get("json", f"{cfg['name']}.json")
+    csv_path = out / f["/output/csv"]
+    json_path = out / f["/output/json"]
     lines = [",".join(header)] + [",".join(r) for r in rows]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     json_path.write_text(text, encoding="utf-8")

@@ -231,7 +231,6 @@ def gns_construct(psi, B, degree_cap=3):
     # seed the memo with the exact Gram-quotient values on all basis words
     for w, v in eta_words.items():
         t._eta_memo[w] = v
-    t.rho_residual = worst
     return t
 
 

@@ -13,7 +13,7 @@ from qlevy.cli import (
     main,
     run_experiment,
 )
-from qlevy.errors import ParseError, QLevyError, SchemaError
+from qlevy.errors import InvalidParameter, ParseError, QLevyError, SchemaError
 
 
 def _write(tmp_path, name, obj):
@@ -118,7 +118,7 @@ def test_check_defs_reports_confluence_beside_the_checks(tmp_path, capsys):
     assert report["confluence"] == {"critical_pairs": 0, "worst_gap": 0.0}
     assert "confluence" not in report["checks"]
     path = _write(tmp_path, "unitary2.json", {
-        "name": "unitary2", "experiment": "axioms", "samples": 4,
+        "name": "unitary2", "experiment": "axioms",
         "bialgebra": {"builder": "unitary", "d": 2},
     })
     report = check_defs(path)
@@ -129,25 +129,32 @@ def test_check_defs_reports_confluence_beside_the_checks(tmp_path, capsys):
     assert "confluence: 8 critical pairs, worst gap" in capsys.readouterr().out
 
 
-def test_check_defs_catches_corrupt_coproduct(tmp_path):
-    path = _write(tmp_path, "corrupt.json", {
-        "name": "corrupt", "experiment": "axioms",
-        "bialgebra": {"builder": "azema", "q": 2.0,
-                      "corrupt_delta": {"generator": "y", "scale": 1.01}},
-    })
-    report = check_defs(path)
+def _corrupt_delta(monkeypatch, generator, scale):
+    # every Azema bialgebra a run builds gets Delta(generator) scaled
+    import qlevy.constructions
+
+    make_azema = qlevy.constructions.make_azema
+
+    def corrupted(q):
+        azema, primitive, psi = make_azema(q)
+        idx = azema.algebra.index(generator)
+        azema.delta_on_gen[idx] = azema.delta_on_gen[idx].scale(scale)
+        return azema, primitive, psi
+
+    monkeypatch.setattr(qlevy.constructions, "make_azema", corrupted)
+
+
+def test_check_defs_catches_corrupt_coproduct(monkeypatch):
+    _corrupt_delta(monkeypatch, "y", 1.01)
+    report = check_defs(builtin_config_path("azema_q2.json"))
     assert not report["ok"]
     assert report["max_residual"] > report["tolerance"]
 
 
-def test_check_names_where_the_certificate_fails(tmp_path, capsys):
+def test_check_names_where_the_certificate_fails(monkeypatch, capsys):
     # Delta(x) scaled by 1.5: (eps (x) id) Delta(x) = 1.5 x, relative gap 1/3
-    path = _write(tmp_path, "corrupt_x.json", {
-        "name": "corrupt_x", "experiment": "axioms",
-        "bialgebra": {"builder": "azema", "q": 2.0,
-                      "corrupt_delta": {"generator": "x", "scale": 1.5}},
-    })
-    assert main(["check", path]) == 1
+    _corrupt_delta(monkeypatch, "x", 1.5)
+    assert main(["check", "azema_q2"]) == 1
     out = capsys.readouterr().out
     assert "axioms/counit_law: 3.333e-01 at generator 'x'" in out
     assert "axioms/rule_delta: 0.000e+00\n" in out
@@ -155,21 +162,20 @@ def test_check_names_where_the_certificate_fails(tmp_path, capsys):
 
 def test_axioms_csv_is_the_certificate_whatever_the_samples(tmp_path):
     # the axioms experiment writes certify_bialgebra's residuals and draws no
-    # samples, so its CSV cannot depend on the config's samples field
+    # samples, so a config's samples field is refused, not ignored
     from qlevy.bialg import certify_bialgebra
     from qlevy.constructions import make_azema
 
     with open(builtin_config_path("azema_q2.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
-    written = []
-    for samples in (1, 30):
-        cfg["samples"] = samples
-        csv_path, _, summary = run_experiment(
-            _write(tmp_path, f"azema_q2_{samples}.json", cfg), str(tmp_path / str(samples)))
-        assert summary["assertions"] == {"max_residual_within_tol": True}
-        written.append(open(csv_path, "rb").read())
-    assert written[0] == written[1]
-    rows = [line.split(",") for line in written[0].decode().splitlines()]
+    csv_path, _, summary = run_experiment(_write(tmp_path, "azema_q2.json", cfg),
+                                          str(tmp_path / "out"))
+    assert summary["assertions"] == {"max_residual_within_tol": True}
+    cfg["samples"] = 30
+    with pytest.raises(SchemaError, match="^/samples: not read by the axioms experiment"):
+        run_experiment(_write(tmp_path, "azema_q2_30.json", cfg), str(tmp_path / "30"))
+    assert not (tmp_path / "30").exists()
+    rows = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()]
     residuals = certify_bialgebra(make_azema(2.0)[0])["residuals"]
     assert rows == [["check", "residual"]] + [[k, "0"] for k in sorted(residuals)]
     assert set(residuals.values()) == {0.0}
@@ -177,12 +183,11 @@ def test_axioms_csv_is_the_certificate_whatever_the_samples(tmp_path):
 
 @pytest.mark.parametrize("experiment, edit, field", [
     ("fock_unitary_d1", {"builder": "azema", "q": 2.0}, "/bialgebra/builder"),
-    ("fock_unitary_d1", {"builder": "unitary", "d": 2}, "/bialgebra/d"),
     ("azema_wiener_q2", {"builder": "unitary"}, "/bialgebra/builder"),
-], ids=["fock-unitary-on-azema", "fock-unitary-on-u2", "azema-wiener-on-unitary"])
+], ids=["fock-unitary-on-azema", "azema-wiener-on-unitary"])
 def test_config_bialgebra_must_be_the_one_the_experiment_runs(tmp_path, capsys,
                                                               experiment, edit, field):
-    # fock-unitary builds U<unitary.d> and azema-wiener Azema at bialgebra.q;
+    # fock-unitary builds U<bialgebra.d> and azema-wiener Azema at bialgebra.q;
     # check_defs certifies the config's bialgebra, so the two must agree
     with open(builtin_config_path(f"{experiment}.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -198,10 +203,11 @@ def test_config_bialgebra_must_be_the_one_the_experiment_runs(tmp_path, capsys,
 @pytest.mark.parametrize("generator", [
     {"table": {"x x*": [1.0, 0.0]}},
     {"builtin": "zero"},
-], ids=["table", "zero"])
+    {"builtin": "azema-psi"},
+], ids=["table", "zero", "azema-psi"])
 def test_azema_wiener_generator_must_be_the_azema_psi(tmp_path, capsys, generator):
-    # azema-wiener runs the run's psi against Azema targets and the Azema
-    # QSDE operator, so any other generator is an error, not ignored
+    # azema-wiener runs the Azema psi against Azema targets and the Azema
+    # QSDE operator, so it reads no generator: any is an error, not ignored
     with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg["generator"] = generator
@@ -269,7 +275,7 @@ def test_check_defs_draws_no_random_sample(monkeypatch):
 
 
 def test_check_defs_reverse_without_chain_checks_its_morphism(tmp_path):
-    # a reverse config that names no chain runs the grouplike chain
+    # reverse runs the grouplike chain, whatever its morphism fields
     with open(builtin_config_path("reverse_azema_x.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     del cfg["morphism"]
@@ -321,9 +327,9 @@ def test_run_experiment_builds_objects_once(name, tmp_path, monkeypatch):
     calls = []
     build = cli.build_objects
 
-    def counted(cfg):
-        calls.append(cfg["name"])
-        return build(cfg)
+    def counted(fields):
+        calls.append(fields["/name"])
+        return build(fields)
 
     monkeypatch.setattr(cli, "build_objects", counted)
     run_experiment(builtin_config_path(name), str(tmp_path))
@@ -439,7 +445,7 @@ def test_run_names_a_non_finite_q(tmp_path, capsys):
     # JSON takes a NaN literal, and draft-07 cannot exclude it
     path = _write(tmp_path, "nan_q.json", {
         "name": "nan_q", "experiment": "axioms",
-        "bialgebra": {"builder": "azema", "q": float("nan")}, "samples": 5,
+        "bialgebra": {"builder": "azema", "q": float("nan")},
     })
     assert "NaN" in Path(path).read_text(encoding="utf-8")
     assert main(["run", path, "--out", str(tmp_path)]) == 1
@@ -465,7 +471,7 @@ def test_run_experiment_certifies_the_bialgebra_once(tmp_path, monkeypatch):
         k[len("axioms/"):]: v for k, v in checks.items() if k.startswith("axioms/")}
 
 
-_NOT_UNITARY = {"d": 1, "W": [[[0.5, 0.0]]], "L": [[[[0.3, 0.0]]]], "H": [[[0.5, 0.0]]]}
+_NOT_UNITARY = {"W": [[[0.5, 0.0]]], "L": [[[[0.3, 0.0]]]], "H": [[[0.5, 0.0]]]}
 _FLAT_W = dict(_NOT_UNITARY, W=[[1.0, 0.0]])   # one [re, im] pair, not a matrix
 _NAN = float("nan")
 
@@ -489,13 +495,29 @@ _NAN = float("nan")
      "/generator/table/x x*/0 must be finite"),
     ("azema_q2", {"tolerances": {"axiom": 1e-9}}, "/tolerances"),
     ("sweep_grouplike_xstar", {"tolerances": {"defect_floor": 1e-12}}, "/tolerances"),
+    ("azema_wiener_q2", {"samples": 7}, "/samples: not read"),
+    ("azema_wiener_q2", {"caps": {"particle_cap": 5, "degree_cap": 1}},
+     "/caps/degree_cap: not read"),
+    ("sweep_grouplike_xstar", {"samples": 3}, "/samples: not read"),
+    ("sweep_grouplike_xstar", {"caps": {"degree_cap": 1}}, "/caps: not read"),
+    ("azema_q2", {"samples": 4}, "/samples: not read"),
+    ("azema_q2", {"bialgebra": {"builder": "azema", "q": 2.0, "d": 1}}, "/bialgebra/d: not read"),
+    ("convexp_azema_q2", {"generator": {"builtin": "zero", "table": {"x x*": [1.0, 0.0]}}},
+     "/generator: give a builtin or a table, not both"),
+    ("convexp_azema_q2", {"bialgebra": {"builder": "unitary", "d": 1},
+                          "generator": {"builtin": "azema-psi", "table": {}}},
+     "/generator: give a builtin or a table, not both"),
 ], ids=["reverse-identity-chain", "fock-unitary-no-unitary", "fock-unitary-w-not-unitary",
         "fock-unitary-w-flat", "decreasing-interval", "unitary-convexp-no-psi",
         "infinite-tolerance", "nan-unitary-w", "nan-trotter-c", "nan-ts", "infinite-interval-end",
-        "nan-generator-table", "unknown-tolerance-axiom", "unknown-tolerance-defect-floor"])
+        "nan-generator-table", "unknown-tolerance-axiom", "unknown-tolerance-defect-floor",
+        "azema-wiener-samples", "azema-wiener-degree-cap", "sweep-samples", "sweep-degree-cap",
+        "axioms-samples", "azema-d", "generator-builtin-and-table",
+        "unitary-azema-psi-and-table"])
 def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, pointer):
     # qlevy check applies the pre-flight qlevy run applies: each config is
-    # refused by both, with its JSON pointer, and nothing is written
+    # refused by both, with its JSON pointer, and nothing is written; a field
+    # the experiment does not read is refused, not ignored
     with open(builtin_config_path(f"{name}.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     for key, value in edit.items():
@@ -526,6 +548,50 @@ def test_run_writes_nothing_unless_the_summary_serializes(tmp_path):
     with pytest.raises(QLevyError, match="azema_wiener_q2: .*not JSON compliant"):
         run_experiment(_write(tmp_path, "huge.json", cfg), str(out))
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_run_writes_nothing_unless_every_csv_cell_is_finite(tmp_path):
+    # at interval [0, 1000] the trotter product bound overflows to inf in
+    # every row while the summary holds no number: the CSV is checked too
+    with open(builtin_config_path("trotter_nilpotent.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["interval"] = [0, 1000]
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(InvalidParameter,
+                       match="^trotter_nilpotent: CSV row 1, column bound is inf, so nothing"):
+        run_experiment(_write(tmp_path, "wide.json", cfg), str(out))
+    assert list(out.iterdir()) == []
+
+
+def test_shipped_configs_check_with_a_seed(tmp_path):
+    # the benchmark stamps every shipped config with an rng_seed, and a
+    # refused config would fail every one of its tasks
+    for name in builtin_configs():
+        cfg = json.loads(builtin_config_path(name).read_text(encoding="utf-8"))
+        cfg["rng_seed"] = 12345
+        assert check_defs(_write(tmp_path, name, cfg))["ok"], name
+
+
+def _schema_leaves(node, pointer=""):
+    if "properties" not in node:
+        return {pointer}
+    return set().union(*(_schema_leaves(child, f"{pointer}/{key}")
+                         for key, child in node["properties"].items()))
+
+
+def test_schema_and_field_table_name_the_same_fields():
+    # every settable field is read by some run, and every field a run reads
+    # is settable; each default is written in the table, none in the schema
+    from qlevy.cli import FIELDS, _validator
+
+    schema = _validator().schema
+    read = set().union(*FIELDS.values())
+    assert _schema_leaves(schema) == read
+    assert "default" not in json.dumps(schema)
+    assert set(FIELDS) == {"run", *schema["properties"]["experiment"]["enum"],
+                           *schema["properties"]["bialgebra"]["properties"]["builder"]["enum"]}
 
 
 def test_check_reads_psi_unit_on_every_psi(tmp_path, capsys):
@@ -577,15 +643,6 @@ def test_lift_false_takes_the_group_like_hat(tmp_path):
     for a, b in zip(lifted, hat):
         assert b["norm_sq"] - a["norm_sq"] == pytest.approx(1.0, abs=1e-12)
         assert b["defect"] == a["defect"]
-
-
-def test_partition_n_writes_one_row(tmp_path):
-    ns, _ = _sweep(tmp_path, "ns")
-    (row,), _ = _sweep(tmp_path, "n", partition={"n": 4})
-    assert row["n"] == 4
-    # the bound of a later row reads the rows before it
-    assert {k: v for k, v in row.items() if k != "bound"} == \
-        {k: v for k, v in ns[1].items() if k != "bound"}
 
 
 def test_element_d_is_the_right_argument(tmp_path):
