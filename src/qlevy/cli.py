@@ -82,17 +82,19 @@ def _carr(obj):
 # ---------------------------------------------------------------------------
 
 # The fields a run reads, by JSON pointer, with the default of each: every
-# run's, then its bialgebra builder's, then its experiment's.  A default is
-# a value or a function of the fields resolved before it; None is no
-# default: the schema requires /name, /experiment, /bialgebra/builder and
-# the three /unitary arrays, _preflight requires /unitary of fock-unitary,
-# and a generator holds a builtin or a table.  _preflight refuses every
-# other config field.
+# run's, then its bialgebra builder's, then its experiment's, then those of
+# the entry that the value of a _VARIANTS field names (a sweep's morphism
+# chain, a trotter run's kind).  A default is a value or a function of the
+# fields resolved before it; None is no default: the schema requires /name,
+# /experiment, /bialgebra/builder and the three /unitary arrays, _preflight
+# requires /unitary of fock-unitary, and a generator holds a builtin or a
+# table.  _preflight refuses every other config field.
 _AZEMA = {"/bialgebra/q": 2.0}
 _PSI = {"/generator/builtin": "azema-psi", "/generator/table": None}
 _INTERVAL = {"/interval": (0.0, 1.0)}
 _GRAM = {**_PSI, **_INTERVAL, "/element": "x", "/element_d": lambda f: f["/element"],
-         "/partition/ns": (2, 4, 8, 16, 32, 64), "/morphism/degree_cap": 6}
+         "/partition/ns": (2, 4, 8, 16, 32, 64)}
+_GROUPLIKE = {"/morphism/degree_cap": 6}
 FIELDS = {
     "run": {"/name": None, "/experiment": None, "/bialgebra/builder": None,
             "/rng_seed": DEFAULT_SEED, "/tolerances/axioms": 1e-9,
@@ -105,16 +107,31 @@ FIELDS = {
     "convexp": {**_PSI, "/samples": 50, "/ts": (0.1, 1.0, 2.0), "/caps/degree_cap": 4,
                 "/tolerances/convexp": 1e-10},
     "gns": {**_PSI, "/samples": 40, "/caps/degree_cap": 3, "/tolerances/gns": 1e-10},
-    "sweep": {**_GRAM, "/morphism/chain": "identity", "/lift": True},
-    "reverse": {**_GRAM, "/tolerances/reverse": 1e-2},
+    "sweep": {**_GRAM, "/morphism/chain": "identity"},
+    "reverse": {**_GRAM, **_GROUPLIKE, "/tolerances/reverse": 1e-2},
     "fock-unitary": {**_INTERVAL, "/unitary/W": None, "/unitary/L": None,
                      "/unitary/H": None, "/partition/ns": (4, 8, 16, 32),
                      "/caps/particle_cap": 8, "/tolerances/amplitude": 1e-3},
     "azema-wiener": {**_INTERVAL, "/partition/ns": (2, 4, 8, 16),
                      "/caps/particle_cap": 5},
     "trotter": {**_INTERVAL, "/trotter/kind": "nilpotent", "/trotter/size": 4,
-                "/trotter/draws": 20, "/trotter/C": 1.0, "/partition/ns": (2, 4, 8, 16)},
+                "/trotter/draws": 20, "/partition/ns": (2, 4, 8, 16)},
+    "identity": {},
+    "grouplike": {**_GROUPLIKE, "/lift": True},
+    "azema-to-primitive": {},
+    "primitive-to-azema": {},
+    "nilpotent": {},
+    "perturbed": {"/trotter/C": 1.0},
 }
+_VARIANTS = ("/morphism/chain", "/trotter/kind")
+
+
+def _value(cfg, pointer, default):
+    """cfg's value at a JSON pointer, else default."""
+    try:
+        return functools.reduce(operator.getitem, pointer.split("/")[1:], cfg)
+    except KeyError:
+        return default
 
 
 def _check_fields(node, may, where, pointer=""):
@@ -142,19 +159,21 @@ def _preflight(cfg):
     """
     experiment, builder = cfg["experiment"], cfg["bialgebra"]["builder"]
     entry = FIELDS["run"] | FIELDS[builder] | FIELDS[experiment]
+    where = f"the {experiment} experiment"
+    for pointer in _VARIANTS:
+        if pointer in entry:
+            variant = _value(cfg, pointer, entry[pointer])
+            entry |= FIELDS[variant]
+            where += f" ({pointer.rsplit('/', 1)[1]} {variant})"
     may = {p[:i]: False for p in entry for i in range(1, len(p)) if p[i] == "/"}
-    _check_fields(cfg, may | dict.fromkeys(entry, True),
-                  f"the {experiment} experiment on the {builder} builder")
+    _check_fields(cfg, may | dict.fromkeys(entry, True), f"{where} on the {builder} builder")
     if len(cfg.get("generator", {})) > 1:
         raise SchemaError("/generator: give a builtin or a table, not both")
     if experiment == "fock-unitary" and "unitary" not in cfg:
         raise SchemaError("/unitary: required by the fock-unitary experiment")
     f = {}
     for pointer, default in entry.items():
-        try:
-            f[pointer] = functools.reduce(operator.getitem, pointer.split("/")[1:], cfg)
-        except KeyError:
-            f[pointer] = default(f) if callable(default) else default
+        f[pointer] = _value(cfg, pointer, default(f) if callable(default) else default)
     if "/interval" in f and not f["/interval"][1] > f["/interval"][0]:
         raise SchemaError("/interval: must be increasing")
     want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
@@ -263,7 +282,7 @@ class _Run:
         self.chain = chain = None
         if experiment == "sweep":
             chain = f["/morphism/chain"]
-            self.chain = _build_chain(chain, f["/lift"], f, self.B, self.ctx)
+            self.chain = _build_chain(chain, f.get("/lift"), f, self.B, self.ctx)
         elif experiment == "reverse":
             # reverse runs the lifted grouplike chain
             chain = "grouplike"

@@ -18,6 +18,8 @@ Morphism whose key map lifts one word of B into the group-like carrier.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bialg import (
@@ -96,17 +98,19 @@ def make_azema(q):
 # U<d>
 # ---------------------------------------------------------------------------
 
+def unitary_letter(d, k, l, star=False):
+    """Generator index of x_kl, or of x_kl* if star, in U<d> (1 <= k, l <= d):
+    the d^2 plain letters row by row, then the d^2 starred ones."""
+    return (d * d if star else 0) + (k - 1) * d + (l - 1)
+
+
 def make_unitary_bialgebra(d):
     """U<d>: 2 d^2 generators x_kl, x_kl* with xx* = 1 and x*x = 1."""
     if d < 1:
         raise InvalidParameter("d must be >= 1")
     d = int(d)
-
-    def p(k, l):       # index of x_kl
-        return (k - 1) * d + (l - 1)
-
-    def s(k, l):       # index of x_kl*
-        return d * d + (k - 1) * d + (l - 1)
+    p = functools.partial(unitary_letter, d)               # index of x_kl
+    s = functools.partial(unitary_letter, d, star=True)    # index of x_kl*
 
     alphabet = []
     for k in range(1, d + 1):

@@ -9,10 +9,6 @@ class RewriteBudgetExceeded(QLevyError):
     """Rewriting did not terminate within the rule-application budget."""
 
 
-class LengthMismatch(QLevyError):
-    pass
-
-
 class ParseError(QLevyError):
     def __init__(self, message, position):
         super().__init__(f"{message} (offset {position})")

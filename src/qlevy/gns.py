@@ -13,12 +13,13 @@ recursively; this is how the U<d> triple built from (W, L, H) is evaluated.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 
 from .bialg import LinearFunctional, _c2j
-from .constructions import b0_basis
+from .constructions import b0_basis, unitary_letter
 from .errors import (
     InvalidParameter,
     PositivityViolation,
@@ -274,12 +275,8 @@ def unitary_triple(params):
     from .constructions import make_unitary_bialgebra
 
     d, m = params.d, params.m
-
-    def p(k, l):
-        return (k - 1) * d + (l - 1)
-
-    def s(k, l):
-        return d * d + (k - 1) * d + (l - 1)
+    p = functools.partial(unitary_letter, d)
+    s = functools.partial(unitary_letter, d, star=True)
 
     # (L L*)_kl = sum_i <L_ik, L_il>; (W* L)_kl = sum_i (W_ik)* L_il
     ll = np.einsum("ikm,ilm->kl", params.L.conj(), params.L)

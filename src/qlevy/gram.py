@@ -12,8 +12,8 @@ of one-interval vacuum values
 read for all entries of one step off one exponential by
 subcoalg.factor_table.  This makes the engine exact up to matrix-exponential
 precision and immune to Fock truncation error.  term_pair_sums, the one
-term-pair kernel (fock's cross-path report uses it too), pairs the terms of
-such sums in gram_matrix, and gram is its 1 x 1 case.
+term-pair kernel (fock's cross-path report uses it and index_terms too),
+pairs the terms of such sums in gram_matrix, and gram is its 1 x 1 case.
 
 Convergence sweeps realize the transformation theorem numerically: the
 theta_alpha products of a transported process, the zeta_alpha products of
@@ -207,9 +207,10 @@ def term_pair_sums(tables, slot_class, left, right):
     return out
 
 
-def _index_terms(sums, slot_class, n_classes):
-    """The terms of sums in term_pair_sums form, and per step class the
-    distinct entries its index refers to."""
+def index_terms(sums, slot_class, n_classes):
+    """The terms of sums (each with .terms: entry tuple -> coefficient) in
+    term_pair_sums form, and per step class the distinct entries its index
+    refers to."""
     seen = [{} for _ in range(n_classes)]    # per class: entry -> index
     coeffs, index, owner = [], [], []
     for o, s in enumerate(sums):
@@ -244,8 +245,8 @@ def gram_matrix(us, vs, psi, B):
         raise InvalidParameter("expansions cover different intervals")
     gamma = pu.common_refinement(pv)
     first, slot_class = gamma.step_classes()
-    left, lents = _index_terms([u.refine(gamma, B) for u in us], slot_class, len(first))
-    right, rents = _index_terms([v.refine(gamma, B) for v in vs], slot_class, len(first))
+    left, lents = index_terms([u.refine(gamma, B) for u in us], slot_class, len(first))
+    right, rents = index_terms([v.refine(gamma, B) for v in vs], slot_class, len(first))
     steps = gamma.steps()
     tables = [factor_table(psi, steps[r], a, b, B) for r, a, b in zip(first, lents, rents)]
     return term_pair_sums(tables, slot_class, left, right)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InvalidParameter,
-    LengthMismatch,
     ParseError,
     RewriteBudgetExceeded,
     UnknownGenerator,
@@ -80,10 +79,6 @@ class NcPoly:
 
     def sub(self, other):
         return self.add(other.scale(-1.0))
-
-    def conjugate(self):
-        """Coefficient-wise complex conjugation (conjugate vector space)."""
-        return NcPoly({w: complex(c).conjugate() for w, c in self.terms.items()})
 
     def norm1(self):
         return sum(abs(c) for c in self.terms.values())
@@ -289,16 +284,6 @@ def involute(p, alg):
         sw = tuple(alg.adjoint_of(g) for g in reversed(w))
         out[sw] = out.get(sw, 0.0) + complex(c).conjugate()
     return normal_form(NcPoly(out), alg)
-
-
-def linear_combine(coeffs, polys):
-    if len(coeffs) != len(polys):
-        raise LengthMismatch(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
-    out = {}
-    for z, p in zip(coeffs, polys):
-        for w, c in p.terms.items():
-            out[w] = out.get(w, 0.0) + z * c
-    return NcPoly(out)
 
 
 def random_poly(alg, rng, max_degree, n_terms=4, normal=True):

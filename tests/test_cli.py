@@ -507,13 +507,20 @@ _NAN = float("nan")
     ("convexp_azema_q2", {"bialgebra": {"builder": "unitary", "d": 1},
                           "generator": {"builtin": "azema-psi", "table": {}}},
      "/generator: give a builtin or a table, not both"),
+    # fields read by one morphism chain or trotter kind only
+    ("sweep_azema_x", {"lift": False}, "/lift: not read by the sweep experiment (chain identity)"),
+    ("sweep_azema_x", {"morphism": {"chain": "identity", "degree_cap": 1}},
+     "/morphism/degree_cap: not read"),
+    ("trotter_nilpotent", {"trotter": {"kind": "nilpotent", "size": 4, "draws": 5, "C": 7}},
+     "/trotter/C: not read by the trotter experiment (kind nilpotent)"),
 ], ids=["reverse-identity-chain", "fock-unitary-no-unitary", "fock-unitary-w-not-unitary",
         "fock-unitary-w-flat", "decreasing-interval", "unitary-convexp-no-psi",
         "infinite-tolerance", "nan-unitary-w", "nan-trotter-c", "nan-ts", "infinite-interval-end",
         "nan-generator-table", "unknown-tolerance-axiom", "unknown-tolerance-defect-floor",
         "azema-wiener-samples", "azema-wiener-degree-cap", "sweep-samples", "sweep-degree-cap",
         "axioms-samples", "azema-d", "generator-builtin-and-table",
-        "unitary-azema-psi-and-table"])
+        "unitary-azema-psi-and-table", "identity-chain-lift", "identity-chain-degree-cap",
+        "nilpotent-trotter-c"])
 def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, pointer):
     # qlevy check applies the pre-flight qlevy run applies: each config is
     # refused by both, with its JSON pointer, and nothing is written; a field
@@ -590,8 +597,11 @@ def test_schema_and_field_table_name_the_same_fields():
     read = set().union(*FIELDS.values())
     assert _schema_leaves(schema) == read
     assert "default" not in json.dumps(schema)
-    assert set(FIELDS) == {"run", *schema["properties"]["experiment"]["enum"],
-                           *schema["properties"]["bialgebra"]["properties"]["builder"]["enum"]}
+    props = schema["properties"]
+    assert set(FIELDS) == {"run", *props["experiment"]["enum"],
+                           *props["bialgebra"]["properties"]["builder"]["enum"],
+                           *props["morphism"]["properties"]["chain"]["enum"],
+                           *props["trotter"]["properties"]["kind"]["enum"]}
 
 
 def test_check_reads_psi_unit_on_every_psi(tmp_path, capsys):

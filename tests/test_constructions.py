@@ -287,7 +287,10 @@ def _chain_of(name):
     from qlevy.cli import _Run, builtin_config_path
 
     cfg = json.loads(builtin_config_path("sweep_grouplike_xstar.json").read_text())
-    cfg["morphism"]["chain"] = name
+    if name != "grouplike":
+        # lift and morphism.degree_cap are read by the grouplike chain only
+        del cfg["lift"]
+        cfg["morphism"] = {"chain": name}
     return _Run(cfg).chain
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import qlevy.ncpoly
 from qlevy.constructions import make_azema, make_unitary_bialgebra
-from qlevy.errors import InvalidParameter, LengthMismatch, ParseError, RewriteBudgetExceeded
+from qlevy.errors import InvalidParameter, ParseError, RewriteBudgetExceeded
 from qlevy.ncpoly import (
     AlgebraSpec,
     GeneratorSymbol,
@@ -12,7 +12,6 @@ from qlevy.ncpoly import (
     _find_redex,
     check_confluent,
     involute,
-    linear_combine,
     multiply,
     normal_form,
     parse_poly,
@@ -110,16 +109,6 @@ def test_multiply_associative(azema2):
         a = multiply(multiply(p, q, alg), r, alg)
         b = multiply(p, multiply(q, r, alg), alg)
         assert a.sub(b).norm1() < 1e-12
-
-
-def test_linear_combine():
-    p = NcPoly({(X,): 1.0})
-    assert not linear_combine([1.0, -1.0], [p, p]).terms
-    assert linear_combine([2.0, 3.0], [p, p]).terms == {(X,): 5.0}
-    q = NcPoly({(Y,): 1.0})
-    assert linear_combine([1.0, 1e-16], [p, q]).terms == {(X,): 1.0, (Y,): 1e-16}
-    with pytest.raises(LengthMismatch):
-        linear_combine([1.0], [p, q])
 
 
 class TestParser:
@@ -242,4 +231,3 @@ def test_nan_coefficient_is_kept():
     # only a coefficient equal to 0 is dropped; NaN is not 0
     p = NcPoly({(X,): float("nan"), (Y,): 0.0, (): 0j})
     assert list(p.terms) == [(X,)] and np.isnan(p.terms[(X,)])
-    assert list(linear_combine([1.0], [p]).terms) == [(X,)]
