@@ -35,7 +35,6 @@ from .ncpoly import (
     GeneratorSymbol,
     NcPoly,
     RewriteRule,
-    _find_redex,
     involute,
 )
 
@@ -159,6 +158,7 @@ def make_unitary_bialgebra(d):
 
 def normal_words(alg, max_degree):
     """All normal-form words of degree <= max_degree, in deg-lex order."""
+    lhs = [rule.lhs for rule in alg.rules]
     out = [()]
     layer = [()]
     for _ in range(max_degree):
@@ -166,7 +166,8 @@ def normal_words(alg, max_degree):
         for w in layer:
             for g in range(alg.ngen()):
                 cand = w + (g,)
-                if _find_redex(cand, alg.rules) is None:
+                # w is normal, so a redex of cand ends at its last letter
+                if not any(cand[len(cand) - len(l):] == l for l in lhs):
                     nxt.append(cand)
         nxt.sort(key=alg._deglex_key)
         out.extend(nxt)

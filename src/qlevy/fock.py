@@ -231,9 +231,11 @@ def generator_process(triple, b, interval, factor):
 
 def _vacuum_table(triple, left, right, interval, factor, vec):
     """values[a, b] = <I(left[a]) vec, I(right[b]) vec> on one interval."""
-    va, vb = (np.array([generator_process(triple, p, interval, factor) @ vec for p in ps])
-              for ps in (left, right))
-    return va.conj() @ vb.T
+    def vectors(ps):
+        return np.array([generator_process(triple, p, interval, factor) @ vec for p in ps])
+
+    va = vectors(left)
+    return va.conj() @ (va if right is left else vectors(right)).T
 
 
 def _vacuum_factors(triple, subc, subd, partition, factor, vec):

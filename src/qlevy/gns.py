@@ -126,33 +126,36 @@ class LevyTriple:
 # ---------------------------------------------------------------------------
 
 def _kernel_spectrum(psi, B, degree_cap):
-    """(basis, g, eig, vec, null): the counit-kernel basis at degree_cap, its
-    Gram matrix g = [psi(v_i* v_j)], the eigenpairs of the hermitian part of
-    g, and NULL_TOL times their scale max(1, top eigenvalue)."""
-    alg = B.algebra
+    """(basis, g, eig, vec, null, p): the counit-kernel basis at degree_cap,
+    its Gram matrix g = [psi(v_i* v_j)], the eigenpairs of the hermitian part
+    of g, NULL_TOL times their scale max(1, top eigenvalue), and the table
+    p[a, b] = psi(a* b) on the normal words up to degree_cap, unit first,
+    from which g = E^H p E, column j of E being w_j - delta(w_j) 1."""
+    alg, nf, on_word = B.algebra, B.algebra.word_normal_form, psi.on_word
     basis = b0_basis(B, degree_cap)
-    stars = [involute(v, alg) for _w, v in basis]
-    g = np.array([[psi(multiply(vs, v, alg)) for _w, v in basis] for vs in stars],
-                 dtype=complex).reshape(len(basis), len(basis))
+    words = [()] + [w for w, _v in basis]
+    stars = [tuple(alg.adjoint_of(x) for x in reversed(a)) for a in words]
+    p = np.array([[sum((c * on_word(x) for x, c in nf(a + b).items()), complex(0.0))
+                   for b in words] for a in stars], dtype=complex)
+    e = np.vstack([[-B.key_counit(w) for w in words[1:]], np.eye(len(basis))])
+    g = e.conj().T @ p @ e
     eig, vec = np.linalg.eigh((g + g.conj().T) / 2.0)
-    return basis, g, eig, vec, NULL_TOL * float(eig.max(initial=1.0))
+    return basis, g, eig, vec, NULL_TOL * float(eig.max(initial=1.0)), p
 
 
 def check_conditional_positivity(psi, B, degree_cap=3):
     """Gram spectrum and hermiticity residual of psi on the counit kernel; it
     passes exactly when psi is hermitian and gns_construct builds a triple."""
-    basis, g, eig, _vec, null = _kernel_spectrum(psi, B, degree_cap)
-    herm_res = float(np.abs(g - g.conj().T).max())
-    for w, _v in basis:
-        p = NcPoly.word(w)
-        herm_res = max(herm_res, abs(psi(involute(p, B.algebra))
-                                     - complex(psi(p)).conjugate()))
+    basis, g, eig, _vec, null, p = _kernel_spectrum(psi, B, degree_cap)
+    # below the unit, column 0 holds psi(w*) and row 0 holds psi(w)
+    herm_res = max(float(np.abs(g - g.conj().T).max(initial=0.0)),
+                   float(np.abs(p[1:, 0] - p[0, 1:].conj()).max(initial=0.0)))
     return {
         "min_eigenvalue": float(eig.min()) if eig.size else 0.0,
         "max_eigenvalue": float(eig.max()) if eig.size else 0.0,
         "hermiticity_residual": herm_res,
         "dim": len(basis),
-        "psi_unit": complex(psi(NcPoly.one())),
+        "psi_unit": complex(p[0, 0]),
         "passed": bool(eig.min(initial=0.0) >= -null and herm_res <= HERMITICITY_TOL),
     }
 
@@ -168,7 +171,7 @@ def gns_construct(psi, B, degree_cap=3):
     rho(g) eta(w) = eta(g w).
     """
     alg = B.algebra
-    basis, _g, eig, vec, null = _kernel_spectrum(psi, B, degree_cap)
+    basis, _g, eig, vec, null, _p = _kernel_spectrum(psi, B, degree_cap)
     if eig.min(initial=0.0) < -null:
         raise PositivityViolation(
             f"Gram matrix has eigenvalue {eig.min():.3e} < 0 at cap {degree_cap}")

@@ -6,9 +6,12 @@ every right-hand-side word is strictly smaller in degree-lexicographic order,
 which guarantees termination.
 
 An AlgebraSpec owns one memo table, word -> the terms of its normal form
-with coefficient 1, filled on demand and freed with the spec.  A coefficient
-is dropped only when it equals 0: normal words are a basis, so a q^-k-small
-coefficient is still an exact one.
+with coefficient 1, filled on demand by left multiplication and freed with
+the spec.  Confluent rules give one normal form whatever the rewrite order,
+so this route is sound for them, and check_confluent is sound under any
+order; rules not certified confluent may normalize differently from
+leftmost-first rewriting.  A coefficient is dropped only when a sum cancels
+exactly; a word whose normal form underflows or overflows raises.
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ class AlgebraSpec:
                         f"rule rhs word {self.spell(w)!r} not below lhs "
                         f"{self.spell(rule.lhs)!r} in deg-lex order")
         # word -> {normal word: coeff}, coefficient-1 input: one entry per word
-        # rewritten, so bounded by the words reached; freed with this algebra
-        self._nf = {}
+        # asked for, suffix folded or letter times a normal word; freed with this algebra
+        self._nf = {(): {(): 1.0}}
 
     def spell(self, w):
         """The word w as its generator names, space-separated."""
@@ -157,64 +160,74 @@ class AlgebraSpec:
     def word_normal_form(self, w):
         """Normal form of the word w as a shared dict normal word -> coeff.
 
-        A miss rewrites leftmost-first with an explicit stack, so long words
-        need no recursion: a word is stored once every word its first
-        rewrite produces is stored.  Each fresh rule application counts
-        against REWRITE_BUDGET; a word whose rewrite hits it, or whose normal
-        form overflows, is not stored.  Callers must not mutate the returned dict.
+        By left multiplication: a miss takes the longest suffix of w in the
+        memo and folds the other letters onto it, right to left.  A letter
+        times a normal word has a redex only at its front, and each such
+        product goes into the same memo, so words that share a suffix share
+        their work.  This is the unique normal form for confluent rules
+        (check_confluent); rules not certified confluent may normalize
+        differently from leftmost-first rewriting.  An explicit stack
+        replaces recursion.  Each rule application counts against
+        REWRITE_BUDGET; a word whose rewrite hits it, or whose normal form
+        overflows or underflows, is not stored.  Callers must not mutate
+        the returned dict.
         """
         memo = self._nf
         got = memo.get(w)
         if got is not None:
             return got
         budget = REWRITE_BUDGET
-        stack = [(w, None)]     # (word, its one-step rewrite once applied)
+        # a frame (v, i) folds v[:j] onto v[j:], the longest suffix of v[i:] in the memo
+        stack = [(w, 0)]
         while stack:
-            v, kids = stack.pop()
-            if v in memo:
-                continue
-            if kids is None:
-                hit = _find_redex(v, self.rules)
-                if hit is None:
-                    memo[v] = {v: 1.0}
-                    continue
-                budget -= 1
-                if budget < 0:
-                    raise RewriteBudgetExceeded(
-                        f"more than {REWRITE_BUDGET} rule applications in "
-                        f"algebra {self.name!r}")
-                pos, rule = hit
-                k = len(rule.lhs)
-                kids = [(v[:pos] + rw + v[pos + k:], rc) for rw, rc in rule.rhs.terms.items()]
-                missing = [(u, None) for u, _ in kids if u not in memo]
+            v, i = stack.pop()
+            while v[i:] not in memo:
+                i += 1
+            while i:
+                t, u = v[i - 1:], v[i:]
+                rule, parts = None, ()
+                if t not in memo:
+                    if u not in memo[u]:    # the letter times each word of nf(u)
+                        parts = [(t[:1] + x, c) for x, c in memo[u].items()]
+                    else:                   # u is normal, so a redex of t lies at its front
+                        for rule in self.rules:
+                            if t[:len(rule.lhs)] == rule.lhs:
+                                rest = t[len(rule.lhs):]
+                                parts = [(rw + rest, rc) for rw, rc in rule.rhs.terms.items()]
+                                break
+                        else:
+                            memo[t] = {t: 1.0}
+                missing = [(x, 0) for x, _ in parts if x not in memo]
                 if missing:
-                    stack.append((v, kids))
+                    stack.append((v, i))
                     stack.extend(missing)
-                    continue
-            out = {}
-            for u, rc in kids:
-                for x, c in memo[u].items():
-                    out[x] = out.get(x, 0.0) + rc * c
-            nf = {x: c for x, c in out.items() if c != 0.0}
-            if not all(map(cmath.isfinite, nf.values())):
-                raise InvalidParameter(f"{self.name}: normal form of {self.spell(v)!r} overflows")
-            memo[v] = nf
+                    break
+                if t not in memo:
+                    budget -= rule is not None
+                    if budget < 0:
+                        raise RewriteBudgetExceeded(f"more than {REWRITE_BUDGET} rule "
+                                                    f"applications in algebra {self.name!r}")
+                    out = {}
+                    for x, c in parts:
+                        for y, z in memo[x].items():
+                            cz = c * z
+                            if not cz:
+                                raise InvalidParameter(
+                                    f"{self.name}: normal form of {self.spell(w)!r} underflows")
+                            out[y] = out.get(y, 0.0) + cz
+                    nf = {y: c for y, c in out.items() if c != 0.0}
+                    if not all(map(cmath.isfinite, nf.values())):
+                        raise InvalidParameter(
+                            f"{self.name}: normal form of {self.spell(w)!r} overflows")
+                    memo[t] = nf
+                i -= 1
         return memo[w]
 
 
-def _find_redex(w, rules):
-    # leftmost position wins; at equal position, declaration order wins
-    for pos in range(len(w)):
-        for rule in rules:
-            k = len(rule.lhs)
-            if w[pos:pos + k] == rule.lhs:
-                return pos, rule
-    return None
-
-
 def normal_form(p, alg):
-    """Unique fixed point of p under leftmost-first rewriting, the coefficient-
-    weighted sum of the memo entries of its words; exact zeros are dropped."""
+    """Normal form of p, the coefficient-weighted sum of the memo entries of
+    its words (word_normal_form, by left multiplication), unique when the
+    rules are confluent; exact zeros are dropped."""
     nf = alg.word_normal_form
     out = {}
     for w, c in p.terms.items():

@@ -414,6 +414,27 @@ def test_cross_path_report_matches_term_pair_oracle(azema2, azema_triple):
                 assert got["defect"] <= 10.0 * got["bound"] + 1e-12
 
 
+def test_cross_path_report_builds_each_vacuum_vector_once(azema2, azema_triple, monkeypatch):
+    # the Fock table of a step pairs its leg words with themselves, so each
+    # I(u) Omega is one generator_process call per step class
+    import qlevy.fock
+
+    B, _, psi = azema2
+    b = NcPoly({(XS,): 0.7 - 0.2j, (X, XS): 0.4})
+    alpha = Partition([0.0, 0.25, 0.5, 1.0])       # steps 1/4, 1/4, 1/2: two classes
+    legs = B.iterated_coproduct(b, 3).terms
+    want = len({(w, r > 1) for words in legs for r, w in enumerate(words)})
+    ref = _cross_path_oracle(azema_triple, b, B, psi, alpha, 5)
+    calls = []
+    real = qlevy.fock.generator_process
+    monkeypatch.setattr(qlevy.fock, "generator_process",
+                        lambda *args: calls.append(args[1:3]) or real(*args))
+    got = cross_path_report(azema_triple, b, B, psi, alpha, 5)
+    assert len(calls) == want
+    for key in ("fock_value", "gram_value", "bound"):
+        assert abs(got[key] - ref[key]) <= 1e-13 * abs(ref[key]), key
+
+
 def test_cross_path_degree_two_at_n16(azema2, azema_triple):
     # 257 Sweedler terms, about 66 000 term pairs; the per-pair loop took
     # minutes here

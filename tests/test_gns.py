@@ -109,6 +109,35 @@ def test_gram_reproduction(azema2, azema_triple):
             assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4])
+@pytest.mark.parametrize("q", [1e-3, 2.0, 1e3, None], ids=["azema_q0.001", "azema_q2",
+                                                         "azema_q1000", "unitary1"])
+def test_table_gram_matches_term_by_term_gram(q, cap):
+    # E^H p E against one psi(v_i* v_j) per pair, each on a fresh algebra; at
+    # q = 2 every coefficient is a power of 2, so the sums are exact
+    from qlevy.constructions import b0_basis
+    from qlevy.gns import _kernel_spectrum
+
+    def build():
+        if q is None:
+            t = unitary_triple(UnitaryTripleParams(1, [[1.0]], [[[0.3]]], [[0.5]]))
+            return t.B, t.psi
+        B, _, psi = make_azema(q)
+        return B, psi
+
+    B, psi = build()
+    alg = B.algebra
+    basis = b0_basis(B, cap)
+    want = np.array([[psi(multiply(involute(vi, alg), vj, alg)) for _w, vj in basis]
+                     for _w, vi in basis])
+    fresh_B, fresh_psi = build()
+    got = _kernel_spectrum(fresh_psi, fresh_B, cap)[1]
+    if q == 2.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
 def test_azema_residuals(azema_triple):
     rep = levy_triple_residuals(azema_triple, n_samples=40, sample_degree=3)
     assert rep["max_residual"] <= 1e-10

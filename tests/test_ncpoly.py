@@ -5,11 +5,11 @@ import qlevy.ncpoly
 from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import InvalidParameter, ParseError, RewriteBudgetExceeded
 from qlevy.ncpoly import (
+    CONFLUENCE_TOL,
     AlgebraSpec,
     GeneratorSymbol,
     NcPoly,
     RewriteRule,
-    _find_redex,
     check_confluent,
     involute,
     multiply,
@@ -135,6 +135,16 @@ class TestParser:
         assert p.terms == {(X, Y): 1.0, (XS, Y): -4.0}
 
 
+def _find_redex(w, rules):
+    # leftmost position wins; at equal position, declaration order wins
+    for pos in range(len(w)):
+        for rule in rules:
+            k = len(rule.lhs)
+            if w[pos:pos + k] == rule.lhs:
+                return pos, rule
+    return None
+
+
 def _pending_normal_form(p, alg):
     # oracle: leftmost-first rewriting of every term on a pending list, with
     # no memo; exact zeros are dropped per branch
@@ -173,23 +183,65 @@ def test_memoized_normal_form_matches_pending_list_oracle(build, degree):
         assert normal_form(p, alg) == got
 
 
+@pytest.mark.parametrize("q", [1e-3, 2.0, 1e3, None], ids=["azema_q0.001", "azema_q2",
+                                                         "azema_q1000", "unitary2"])
+def test_left_multiplication_matches_leftmost_first_rewriting_on_words(q):
+    # the rules are confluent, so both routes reach the one normal form and
+    # differ at most by rounding; U<2> has multi-term right-hand sides
+    alg = (make_unitary_bialgebra(2) if q is None else make_azema(q)[0]).algebra
+    rng = np.random.default_rng(43)
+    for k in range(8):
+        for _ in range(40):
+            w = tuple(int(g) for g in rng.integers(0, alg.ngen(), k))
+            got = NcPoly(alg.word_normal_form(w))
+            want = _pending_normal_form(NcPoly.word(w), alg)
+            assert got.terms.keys() == want.terms.keys()
+            assert got.sub(want).norm1() <= CONFLUENCE_TOL * max(1.0, want.norm1())
+
+
 def test_long_words_normalize_without_recursion():
-    # y^k x^k takes k^2 rewrites in one chain; at q = 2 each one halves
+    # y^k x^k takes k^2 rewrites in one chain; at q = 2 each one halves, and
+    # a coefficient below the smallest subnormal raises
     alg = make_azema(2.0)[0].algebra
     for k in range(40, -1, -1):
-        got = alg.word_normal_form((Y,) * k + (X,) * k)
+        w = (Y,) * k + (X,) * k
         c = 2.0 ** (-k * k)
-        assert got == ({(X,) * k + (Y,) * k: c} if c else {})
+        if c:
+            assert alg.word_normal_form(w) == {(X,) * k + (Y,) * k: c}
+        else:
+            with pytest.raises(InvalidParameter, match="underflows"):
+                alg.word_normal_form(w)
     alg = make_azema(1.0)[0].algebra
     got = normal_form(NcPoly.word((Y,) * 40 + (XS,) * 40 + (X,) * 40), alg)
     assert got.terms == {(XS,) * 40 + (X,) * 40 + (Y,) * 40: 1.0}
+    assert alg.word_normal_form((Y,) + (X,) * 2000) == {(X,) * 2000 + (Y,): 1.0}
+
+
+def test_underflow_raises_naming_the_word_and_a_cancellation_drops():
+    # y x^k -> 2^-k x^k y at q = 2: 2^-1000 is kept, 2^-1100 is below the
+    # smallest subnormal, so a product of nonzero coefficients came out 0
+    alg = make_azema(2.0)[0].algebra
+    assert alg.word_normal_form((Y,) + (X,) * 1000) == {(X,) * 1000 + (Y,): 2.0 ** -1000}
+    w = (Y,) + (X,) * 1100
+    with pytest.raises(InvalidParameter, match=r"azema\(q=2\): normal form of 'y x x [x ]*x' underflows"):
+        alg.word_normal_form(w)
+    assert w not in alg._nf
+    # c -> a + b and b a -> -a a: c a rewrites to a a - a a, an exact 0
+    A, _B, C = 0, 1, 2
+    alphabet = [GeneratorSymbol(n, i) for i, n in enumerate("abc")]
+    rules = [RewriteRule((C,), NcPoly({(A,): 1.0, (_B,): 1.0})),
+             RewriteRule((_B, A), NcPoly.word((A, A), -1.0))]
+    assert AlgebraSpec(alphabet, rules, name="cancel").word_normal_form((C, A)) == {}
+    # a rule a a -> 0 stores the empty normal form
+    nil = AlgebraSpec(alphabet[:1], [RewriteRule((A, A), NcPoly())], name="nil")
+    assert nil.word_normal_form((A, A, A)) == {} and nil.word_normal_form((A,)) == {(A,): 1.0}
 
 
 def test_rewrite_budget_leaves_no_memo_entry(monkeypatch):
     alg = make_azema(2.0)[0].algebra
     w = (Y, Y, Y, X, X, X)       # nine rule applications
     monkeypatch.setattr(qlevy.ncpoly, "REWRITE_BUDGET", 5)
-    with pytest.raises(RewriteBudgetExceeded):
+    with pytest.raises(RewriteBudgetExceeded, match=r"algebra 'azema\(q=2\)'"):
         normal_form(NcPoly.word(w), alg)
     assert w not in alg._nf
     monkeypatch.setattr(qlevy.ncpoly, "REWRITE_BUDGET", 9)
