@@ -1,13 +1,13 @@
 """Coalgebra layer: coproducts, counits, Sweedler expansions, convolution.
 
 A BialgebraSpec stores the coproduct and counit on generators only; both are
-extended to arbitrary polynomials as *-algebra homomorphisms.  Iterated
-coproducts D_n = (D (x) id^{n-2}) o D_{n-1} split the first leg n - 1 times,
-unmemoized, for the callers that need the legs themselves.  Every memo table
-derived from a BialgebraSpec (coproducts of words, subcoalgebras) is held by
-the spec itself and freed with it; TensorPoly.mul and star read the normal
-forms of words memoized on its AlgebraSpec (ncpoly).  Every coefficient map
-here, like NcPoly, drops a coefficient only when it equals 0.
+extended to arbitrary polynomials as *-algebra homomorphisms.  For callers
+that need the legs, iterated_coproduct expands D_n = (D_a (x) D_{n-a}) o D
+on either carrier by halving n; coproduct is its n = 2 case.  Every memo
+table derived from a BialgebraSpec (coproducts of words, subcoalgebras) is
+held by the spec itself and freed with it; TensorPoly.mul and star read the
+normal forms of words memoized on its AlgebraSpec (ncpoly).  Every
+coefficient map here, like NcPoly, drops a coefficient only when it equals 0.
 
 Convolution products never expand D_n: transfer_apply(f, terms, B) applies
 the transfer map T_f = (id (x) f) o D to an element, and convolve_eval
@@ -24,14 +24,15 @@ A BialgebraSpec is one of the two carriers a Morphism maps between (the other
 is constructions.GroupLikeBialgebra).  Both answer one protocol: elements are
 NcPoly over the carrier's basis keys (here normal-form words); at key level
 key_delta, key_counit and key_order (the sort key that keeps subcoalgebra
-bases deterministic); at element level one, mul, star, counit,
-iterated_coproduct and random_element.
+bases deterministic); at element level one, mul, star, counit and
+random_element.  iterated_coproduct and transfer_apply read key_delta only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 from .errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
 from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
@@ -118,15 +119,6 @@ class TensorPoly:
         return f"TensorPoly({self.terms!r})"
 
 
-class SweedlerExpansion:
-    """Arity-n Sweedler expansion: finite mapping n-tuple of keys -> complex."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {k: c for k, c in terms.items() if c != 0.0}
-
-
 class BialgebraSpec:
     """Generators, coproduct/counit on generators, homomorphic extension."""
 
@@ -181,41 +173,10 @@ class BialgebraSpec:
         return got
 
     def coproduct(self, p):
-        out = {}
-        for w, c in p.terms.items():
-            for k, z in self.coproduct_word(w).terms.items():
-                out[k] = out.get(k, 0.0) + c * z
-            if len(out) > TERM_BUDGET:
-                raise TermBudgetExceeded("coproduct expansion too large")
-        return TensorPoly(out)
+        return TensorPoly(iterated_coproduct(p, 2, self))
 
     def counit(self, p):
         return sum((c * self.key_counit(w) for w, c in p.terms.items()), complex(0.0))
-
-    def _sweedler_word(self, w, n):
-        # Delta_n(w): the first leg split n - 1 times
-        got = {(w,): 1.0}
-        for _ in range(n - 1):
-            out = {}
-            for legs, z in got.items():
-                for (a, b), z2 in self.coproduct_word(legs[0]).terms.items():
-                    k = (a, b) + legs[1:]
-                    out[k] = out.get(k, 0.0) + z * z2
-            if len(out) > TERM_BUDGET:
-                raise TermBudgetExceeded(f"Sweedler expansion of arity {n} too large")
-            got = {k: c for k, c in out.items() if c != 0.0}
-        return got
-
-    def iterated_coproduct(self, p, n):
-        if n < 1:
-            raise InvalidParameter("arity must be >= 1")
-        out = {}
-        for w, c in p.terms.items():
-            for legs, z in self._sweedler_word(w, n).items():
-                out[legs] = out.get(legs, 0.0) + c * z
-            if len(out) > TERM_BUDGET:
-                raise TermBudgetExceeded("Sweedler expansion too large")
-        return SweedlerExpansion(out)
 
 
 def complete_by_involution(algebra, delta_on_gen, counit_on_gen):
@@ -252,6 +213,45 @@ class LinearFunctional:
 
 def counit_functional(B):
     return LinearFunctional(f"counit[{B.name}]", B.key_counit)
+
+
+def iterated_coproduct(p, n, B):
+    """Delta_n(p) as legs -> coeff, legs an n-tuple of keys of the carrier B.
+
+    Delta_n(w) = sum Delta_a(w1) (x) Delta_{n-a}(w2) over the legs (w1, w2, z) of
+    key_delta(w), a = n // 2 (valid by coassociativity), each (key, arity)
+    expanded once per call; TERM_BUDGET bounds each block before it is built."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidParameter(f"arity must be an integer >= 1, got {n!r}")
+    memo, out = {}, {}
+    for w, c in p.terms.items():
+        _add_products(out, c, {(): 1.0}, _iterated_key(w, n, B, memo), n)
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def _iterated_key(key, n, B, memo):
+    # module level, as a self-calling closure would hold B in a cycle; key_delta is only read
+    if n <= 2:
+        return {(key,): 1.0} if n == 1 else B.key_delta(key)
+    got = memo.get((key, n))
+    if got is None:
+        out = {}
+        for (u, v), z in B.key_delta(key).items():
+            _add_products(out, z, _iterated_key(u, n // 2, B, memo),
+                          _iterated_key(v, n - n // 2, B, memo), n)
+        got = memo[key, n] = {k: c for k, c in out.items() if c != 0.0}
+    return got
+
+
+def _add_products(out, z, left, right, n):
+    # out += z left (x) right, legs concatenated; refused before it is built
+    size = len(out) + len(left) * len(right)
+    if size > TERM_BUDGET:
+        raise TermBudgetExceeded(f"arity {n}: Delta_n would reach {size} terms > {TERM_BUDGET}")
+    for lk, lz in left.items():
+        for rk, rz in right.items():
+            k = lk + rk
+            out[k] = out.get(k, 0.0) + z * lz * rz
 
 
 def transfer_apply(f, terms, B):
@@ -360,14 +360,13 @@ def certify_bialgebra(B):
     for g in range(alg.ngen()):
         at = f"generator {alg.spell((g,))!r}"
         dg = B.coproduct_word((g,))
-        left, right, eps_left, eps_right = {}, {}, {}, {}
+        left, eps_left, eps_right = {}, {}, {}
         for (a, b), z in dg.terms.items():
             for (u, v), z2 in B.coproduct_word(a).terms.items():
                 left[u, v, b] = left.get((u, v, b), 0.0) + z * z2
-            for (u, v), z2 in B.coproduct_word(b).terms.items():
-                right[a, u, v] = right.get((a, u, v), 0.0) + z * z2
             eps_left[b] = eps_left.get(b, 0.0) + z * B.key_counit(a)
             eps_right[a] = eps_right.get(a, 0.0) + z * B.key_counit(b)
+        right = iterated_coproduct(NcPoly.word((g,)), 3, B)     # (id (x) Delta) Delta
         note("coassociativity", _gap(left, right), at)
         word = alg.word_normal_form((g,))
         note("counit_law", max(_gap(eps_left, word), _gap(eps_right, word)), at)

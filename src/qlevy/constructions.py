@@ -11,9 +11,10 @@ A Morphism maps between two carriers that answer one protocol, so it never
 asks which carrier it holds: a BialgebraSpec (keys are normal-form words) or
 a GroupLikeBialgebra (each key is the counit-one NcPoly b of its base that
 the basis element hat(b) stands for).  Elements of either carrier are NcPoly
-over its keys.  A Morphism is given by the image of each key: kappa
-(hat(b) -> b) maps each key to itself, and kappa-tilde is a linear-section
-Morphism whose key map lifts one word of B into the group-like carrier.
+over its keys; bialg.iterated_coproduct expands either from key_delta.  A
+Morphism is given by the image of each key: kappa (hat(b) -> b) maps each
+key to itself, and kappa-tilde is a linear-section Morphism whose key map
+lifts one word of B into the group-like carrier.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .bialg import (
     BialgebraSpec,
     LinearFunctional,
-    SweedlerExpansion,
     TensorPoly,
     complete_by_involution,
 )
@@ -395,9 +395,6 @@ class GroupLikeBialgebra:
 
     def counit(self, a):
         return sum(complex(c) for c in a.terms.values())
-
-    def iterated_coproduct(self, a, n):
-        return SweedlerExpansion({(k,) * n: c for k, c in a.terms.items()})
 
     def random_element(self, rng, degree):
         """Three keys hat(p - counit(p) + 1), p random in B, complex coefficients."""

@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from .bialg import iterated_coproduct
 from .errors import DimensionMismatch, InvalidParameter, TailBoundExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import Partition
@@ -286,7 +287,7 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     times = partition.times
     first, slot_class = partition.step_classes()
     factor = FockFactor(triple.k_dim, particle_cap)
-    terms, words = index_terms([B.iterated_coproduct(b, n)], slot_class, len(first))
+    terms, words = index_terms([iterated_coproduct(b, n, B)], slot_class, len(first))
     polys = [[NcPoly.word(w) for w in ws] for ws in words]
     ftabs = [_vacuum_table(triple, ps, ps, (times[r], times[r + 1]), factor, factor.vacuum())
              for r, ps in zip(first, polys)]

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .bialg import TERM_BUDGET, LinearFunctional
+from .bialg import TERM_BUDGET, LinearFunctional, iterated_coproduct
 from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, involute, multiply
@@ -77,7 +77,7 @@ class FactorizedVectorSum:
         return out
 
     def refine(self, gamma, B):
-        """Re-expand over a finer partition using iterated coproducts.
+        """Re-expand over a finer partition by bialg.iterated_coproduct.
 
         Legitimate because the process satisfies j_{r,s} * j_{s,t} = j_{r,t};
         Gram values are unchanged by refinement.  Each distinct entry is
@@ -97,7 +97,7 @@ class FactorizedVectorSum:
                 if opts is None:
                     opts = splits[p, m] = [((p,), 1.0)] if m == 1 else [
                         (tuple(leg(w) for w in legs), c)
-                        for legs, c in B.iterated_coproduct(p, m).terms.items()]
+                        for legs, c in iterated_coproduct(p, m, B).items()]
                 options.append(opts)
             for combo in itertools.product(*options):
                 coeff = 1.0
@@ -121,13 +121,11 @@ def identity_morphism(B):
 def theta_expand(c, kappa, alpha):
     """theta_alpha(c): Sweedler-expand the n-fold coproduct of c in the
     source carrier and push every leg through kappa into B."""
-    source = kappa.source
-    n = alpha.n_intervals()
-    exp = source.iterated_coproduct(c, n)
-    keys = dict.fromkeys(itertools.chain.from_iterable(exp.terms))
+    exp = iterated_coproduct(c, alpha.n_intervals(), kappa.source)
+    keys = dict.fromkeys(itertools.chain.from_iterable(exp))
     images = {k: kappa.map_key(k) for k in keys}     # each distinct key once
     out = FactorizedVectorSum(alpha)
-    for key_tuple, z in exp.terms.items():
+    for key_tuple, z in exp.items():
         out.add_term(tuple(images[k] for k in key_tuple), z)
     return out
 
@@ -146,15 +144,14 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     if not isinstance(G, GroupLikeBialgebra):
         raise InvalidParameter("kappa_tilde must map into a group-like carrier")
     B = kappa_tilde.source
-    n = alpha.n_intervals()
-    exp = B.iterated_coproduct(b, n)
+    exp = iterated_coproduct(b, alpha.n_intervals(), B)
     times = []
     for a, t1 in zip(alpha.times, alpha.times[1:]):
         times.extend(np.linspace(a, t1, inner_mesh_factor + 1)[:-1])
     times.append(alpha.times[-1])
     gamma = Partition(times)
     out = FactorizedVectorSum(gamma)
-    for word_tuple, z in exp.terms.items():
+    for word_tuple, z in exp.items():
         leg_options = []
         for w in word_tuple:
             lifted = kappa_tilde.map_key(w).add(G.one().scale(B.key_counit(w)))
@@ -208,13 +205,13 @@ def term_pair_sums(tables, slot_class, left, right):
 
 
 def index_terms(sums, slot_class, n_classes):
-    """The terms of sums (each with .terms: entry tuple -> coefficient) in
-    term_pair_sums form, and per step class the distinct entries its index
-    refers to."""
+    """The terms of sums (each a dict: entry tuple -> coefficient, such as
+    FactorizedVectorSum.terms or an iterated_coproduct) in term_pair_sums
+    form, and per step class the distinct entries its index refers to."""
     seen = [{} for _ in range(n_classes)]    # per class: entry -> index
     coeffs, index, owner = [], [], []
     for o, s in enumerate(sums):
-        for entries, z in s.terms.items():
+        for entries, z in s.items():
             index.append([seen[k].setdefault(e, len(seen[k]))
                           for k, e in zip(slot_class, entries)])
             coeffs.append(z)
@@ -245,8 +242,8 @@ def gram_matrix(us, vs, psi, B):
         raise InvalidParameter("expansions cover different intervals")
     gamma = pu.common_refinement(pv)
     first, slot_class = gamma.step_classes()
-    left, lents = index_terms([u.refine(gamma, B) for u in us], slot_class, len(first))
-    right, rents = index_terms([v.refine(gamma, B) for v in vs], slot_class, len(first))
+    left, lents = index_terms([u.refine(gamma, B).terms for u in us], slot_class, len(first))
+    right, rents = index_terms([v.refine(gamma, B).terms for v in vs], slot_class, len(first))
     steps = gamma.steps()
     tables = [factor_table(psi, steps[r], a, b, B) for r, a, b in zip(first, lents, rents)]
     return term_pair_sums(tables, slot_class, left, right)

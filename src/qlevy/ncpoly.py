@@ -227,12 +227,15 @@ class AlgebraSpec:
 def normal_form(p, alg):
     """Normal form of p, the coefficient-weighted sum of the memo entries of
     its words (word_normal_form, by left multiplication), unique when the
-    rules are confluent; exact zeros are dropped."""
+    rules are confluent; exact zeros are dropped, and an underflow raises."""
     nf = alg.word_normal_form
     out = {}
     for w, c in p.terms.items():
         for x, z in nf(w).items():
-            out[x] = out.get(x, 0.0) + c * z
+            cz = c * z
+            if not cz:
+                raise InvalidParameter(f"{alg.name}: the term {c} {alg.spell(w)!r} underflows")
+            out[x] = out.get(x, 0.0) + cz
     return NcPoly(out)
 
 

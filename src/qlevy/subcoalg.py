@@ -318,6 +318,8 @@ class ProductFamilySpec:
         self.baseline = baseline
         self.remainder = remainder
         self.n_choices = int(n_choices)
+        if self.n_choices < 1:
+            raise InvalidParameter(f"n_choices must be >= 1, got {n_choices}")
         self.R = float(R)
         self.C = C
         self._targets = {}      # span -> (e^{span G}, ||G||_2), matrix case
@@ -347,6 +349,8 @@ def _draw_products(spec, partition, g, remainder_matrix, draws, rng, who):
     """Yield each draw's product of I + r g + remainder_matrix(remainder(r, mu)),
     mu random per step.  It is checked once per draw: a product that is not
     finite raises, naming the first non-finite step by its interval and mu."""
+    if draws < 1:
+        raise InvalidParameter(f"{who}: draws must be >= 1, got {draws}")
     times, steps, eye = partition.times, partition.steps(), np.eye(len(g), dtype=complex)
     base = {r: eye + r * g for r in set(steps)}    # shared, never written to
     for _ in range(draws):
@@ -385,7 +389,7 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     bound = _product_bound(mesh, span, norm_g, c)
     g = np.asarray(spec.baseline, dtype=complex)
     prods = _draw_products(spec, partition, g, np.asarray, draws, rng, "banach_product_check")
-    worst = max((_opnorm(prod - target) for prod in prods), default=0.0)
+    worst = max(_opnorm(prod - target) for prod in prods)
     return {
         "lhs_max": worst,
         "bound": float(bound),
@@ -437,8 +441,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
     bound = _product_bound(mesh, span, psi_c, c_c) * delta_norm * p_norm
     prods = _draw_products(spec, partition, g, lambda f: _transfer(f, sub), draws, rng,
                            "coalgebra_product_check")
-    worst = max((abs(complex(sub.counit_vector @ (prod @ x)) - target) for prod in prods),
-                default=0.0)
+    worst = max(abs(complex(sub.counit_vector @ (prod @ x)) - target) for prod in prods)
     return {
         "lhs_max": worst,
         "bound": float(bound),

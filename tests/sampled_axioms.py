@@ -8,6 +8,8 @@ rules.  Each residual is a gap relative to the sides' magnitudes (at least
 1), and a non-finite gap reads inf, since max() would pass over a NaN.
 check_counit_preserving compares the two counits on random elements of the
 source, mapped whole, where counit_residual reads generating keys only.
+first_leg_coproduct is the oracle of bialg.iterated_coproduct: Delta_n by
+splitting the first leg n - 1 times, not memoized.
 """
 
 import cmath
@@ -15,7 +17,26 @@ import math
 
 import numpy as np
 
+from qlevy.bialg import iterated_coproduct
 from qlevy.ncpoly import NcPoly, involute, multiply
+
+
+def first_leg_coproduct(p, n, B):
+    """Delta_n(p) = (Delta (x) id^{n-2}) o Delta_{n-1}(p) as legs -> coeff,
+    read from key_delta of either carrier; exact zeros are dropped."""
+    out = {}
+    for w, c in p.terms.items():
+        got = {(w,): 1.0}
+        for _ in range(n - 1):
+            split = {}
+            for legs, z in got.items():
+                for (a, b), z2 in B.key_delta(legs[0]).items():
+                    k = (a, b) + legs[1:]
+                    split[k] = split.get(k, 0.0) + z * z2
+            got = {k: z for k, z in split.items() if z != 0.0}
+        for legs, z in got.items():
+            out[legs] = out.get(legs, 0.0) + c * z
+    return {k: c for k, c in out.items() if c != 0.0}
 
 
 def _rel(diffs, *sides):
@@ -54,13 +75,14 @@ def check_bialgebra_axioms(B, sample_degree=4, n_samples=50, rng=None):
 
     deltas = [B.coproduct(p) for p in samples]
     for p, dp in zip(samples, deltas):
-        # coassociativity: (Delta (x) id) Delta  vs  (id (x) Delta) Delta
-        left = B.iterated_coproduct(p, 3).terms
-        right = {}
+        # coassociativity: (Delta (x) id) Delta  vs  (id (x) Delta) Delta,
+        # which is what iterated_coproduct builds at arity 3
+        right = iterated_coproduct(p, 3, B)
+        left = {}
         for (a, b), z in dp.terms.items():
-            for (u, v), z2 in B.coproduct_word(b).terms.items():
-                k = (a, u, v)
-                right[k] = right.get(k, 0.0) + z * z2
+            for (u, v), z2 in B.coproduct_word(a).terms.items():
+                k = (u, v, b)
+                left[k] = left.get(k, 0.0) + z * z2
         note("coassociativity", _rel(_diff(left, right), _top(left), _top(right)))
 
         # counit law, both sides

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import qlevy.bialg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from qlevy.bialg import (
     complete_by_involution,
     convolve_eval,
     counit_functional,
+    iterated_coproduct,
 )
 from qlevy.constructions import (
     make_azema,
@@ -21,7 +23,7 @@ from qlevy.constructions import (
     make_primitive_tensor,
     make_unitary_bialgebra,
 )
-from qlevy.errors import InvalidParameter, UnknownGenerator
+from qlevy.errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
 from qlevy.gns import UnitaryTripleParams, unitary_triple
 from qlevy.ncpoly import AlgebraSpec, GeneratorSymbol, NcPoly, RewriteRule, random_poly
 from sampled_axioms import check_bialgebra_axioms
@@ -66,14 +68,14 @@ def test_counit_values(azema2):
 
 def test_iterated_grouplike(azema2):
     B, _, _ = azema2
-    e = B.iterated_coproduct(NcPoly.word((Y,)), 3)
-    assert e.terms == {((Y,), (Y,), (Y,)): 1.0}
+    e = iterated_coproduct(NcPoly.word((Y,)), 3, B)
+    assert e == {((Y,), (Y,), (Y,)): 1.0}
 
 
 def test_iterated_x(azema2):
     B, _, _ = azema2
-    e = B.iterated_coproduct(NcPoly.word((X,)), 3)
-    assert e.terms == {
+    e = iterated_coproduct(NcPoly.word((X,)), 3, B)
+    assert e == {
         ((X,), (Y,), (Y,)): 1.0,
         ((), (X,), (Y,)): 1.0,
         ((), (), (X,)): 1.0,
@@ -82,8 +84,20 @@ def test_iterated_x(azema2):
 
 def test_iterated_unit(azema2):
     B, _, _ = azema2
-    e = B.iterated_coproduct(NcPoly.one(), 5)
-    assert e.terms == {((),) * 5: 1.0}
+    e = iterated_coproduct(NcPoly.one(), 5, B)
+    assert e == {((),) * 5: 1.0}
+
+
+def test_iterated_coproduct_refuses_a_block_before_building_it(azema2, monkeypatch):
+    # Delta_128(x): the blocks x (x) y^64 and 1 (x) Delta_64(x) reach 128 > 100
+    # terms; x + x* at arity 64 reaches it in the sum over words
+    B, _, _ = azema2
+    monkeypatch.setattr(qlevy.bialg, "TERM_BUDGET", 100)
+    assert len(iterated_coproduct(NcPoly.word((X,)), 64, B)) == 64
+    with pytest.raises(TermBudgetExceeded, match=r"arity 128: Delta_n would reach 128 terms > 100"):
+        iterated_coproduct(NcPoly.word((X,)), 128, B)
+    with pytest.raises(TermBudgetExceeded, match=r"arity 64: Delta_n would reach 128 terms"):
+        iterated_coproduct(NcPoly({(X,): 1.0, (XS,): 1.0}), 64, B)
 
 
 def test_counit_is_convolution_unit(azema2):
@@ -120,7 +134,7 @@ def test_convolve_associative(azema2):
 def _leg_sum(fs, p, B):
     # the explicit Sweedler sum over the legs of Delta_n(p)
     total = complex(0.0)
-    for legs, c in B.iterated_coproduct(p, len(fs)).terms.items():
+    for legs, c in iterated_coproduct(p, len(fs), B).items():
         z = complex(c)
         for f, leg in zip(fs, legs):
             z *= f.on_word(leg)
@@ -435,7 +449,9 @@ def test_json_unknown_name_is_named(azema2, edit):
 def test_misuse_raises_invalid_parameter(azema2):
     B = azema2[0]
     with pytest.raises(InvalidParameter, match="arity"):
-        B.iterated_coproduct(NcPoly.one(), 0)
+        iterated_coproduct(NcPoly.one(), 0, B)
+    with pytest.raises(InvalidParameter, match="arity must be an integer >= 1, got 2.0"):
+        iterated_coproduct(NcPoly.one(), 2.0, B)
     with pytest.raises(InvalidParameter, match="at least one functional"):
         convolve_eval([], NcPoly.one(), B)
 

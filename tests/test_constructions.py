@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlevy.bialg import BialgebraSpec, TensorPoly
+from qlevy.bialg import BialgebraSpec, TensorPoly, iterated_coproduct
 from qlevy.constructions import (
     Morphism,
     b0_basis,
@@ -24,7 +24,7 @@ from qlevy.ncpoly import (
     multiply,
     random_poly,
 )
-from sampled_axioms import check_bialgebra_axioms, check_counit_preserving
+from sampled_axioms import check_bialgebra_axioms, check_counit_preserving, first_leg_coproduct
 
 X, XS, Y = 0, 1, 2
 
@@ -257,6 +257,48 @@ def test_carrier_star_is_an_involution(carrier):
         assert not carrier.star(carrier.star(a)).sub(a).terms
         want = np.conj(carrier.counit(a))
         assert abs(carrier.counit(carrier.star(a)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _oracle_arities(degree):
+    return (1, 2, 3, 7, 16) + {1: (64,), 2: (32,)}.get(degree, ())
+
+
+def _assert_matches_first_leg_oracle(B, p, n):
+    got, want = iterated_coproduct(p, n, B), first_leg_coproduct(p, n, B)
+    assert got.keys() == want.keys(), n
+    for legs, c in want.items():
+        assert abs(got[legs] - c) <= 4 * np.finfo(float).eps * abs(c), (n, legs)
+
+
+def test_carrier_iterated_coproduct_matches_first_leg_oracle(carrier):
+    # Delta_n by halving against the first leg split n - 1 times
+    rng = np.random.default_rng(33)
+    for degree in (1, 2, 3):
+        p = carrier.random_element(rng, degree)
+        for n in _oracle_arities(degree):
+            _assert_matches_first_leg_oracle(carrier, p, n)
+
+
+@pytest.mark.parametrize("q", [1e-3, 2.0, 1e3])
+def test_azema_iterated_coproduct_matches_first_leg_oracle(q):
+    # x, x x* and x x* x have no group-like letter: the most legs per arity
+    B = make_azema(q)[0]
+    rng = np.random.default_rng(34)
+    for degree in (1, 2, 3):
+        p = NcPoly.word((X, XS, X)[:degree]).add(B.random_element(rng, degree))
+        for n in _oracle_arities(degree):
+            _assert_matches_first_leg_oracle(B, p, n)
+
+
+def test_unitary_iterated_coproduct_matches_first_leg_oracle():
+    # Delta_n of a degree-d word of U<2> has 2^(d (n - 1)) legs, so the
+    # arities stop where that stays in the thousands
+    B = make_unitary_bialgebra(2)
+    rng = np.random.default_rng(35)
+    for degree, arities in ((1, (1, 2, 3, 7)), (2, (1, 2, 3, 7)), (3, (1, 2, 3))):
+        p = B.random_element(rng, degree)
+        for n in arities:
+            _assert_matches_first_leg_oracle(B, p, n)
 
 
 def test_broken_morphism_detected(azema2):

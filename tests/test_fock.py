@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qlevy.bialg import iterated_coproduct
 from qlevy.constructions import make_azema
 from qlevy.errors import DimCapExceeded, DimensionMismatch, InvalidParameter, TailBoundExceeded
 from qlevy.fock import (
@@ -360,7 +361,7 @@ def _cross_path_oracle(triple, b, B, psi, partition, particle_cap):
     om = factor.vacuum()
     vecs = {}     # (word, first interval of its step) -> I(word) Omega there
     terms = []
-    for legs, c in B.iterated_coproduct(b, n).terms.items():
+    for legs, c in iterated_coproduct(b, n, B).items():
         for r, w in enumerate(legs):
             if (w, rep[r]) not in vecs:
                 vecs[w, rep[r]] = generator_process(
@@ -422,7 +423,7 @@ def test_cross_path_report_builds_each_vacuum_vector_once(azema2, azema_triple, 
     B, _, psi = azema2
     b = NcPoly({(XS,): 0.7 - 0.2j, (X, XS): 0.4})
     alpha = Partition([0.0, 0.25, 0.5, 1.0])       # steps 1/4, 1/4, 1/2: two classes
-    legs = B.iterated_coproduct(b, 3).terms
+    legs = iterated_coproduct(b, 3, B)
     want = len({(w, r > 1) for words in legs for r, w in enumerate(words)})
     ref = _cross_path_oracle(azema_triple, b, B, psi, alpha, 5)
     calls = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlevy.bialg import LinearFunctional
+from qlevy.bialg import LinearFunctional, iterated_coproduct
 from qlevy.constructions import Morphism, make_azema, make_grouplike, make_primitive_tensor
 from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
@@ -380,7 +380,7 @@ def _brute_gram_singleton(u, d, psi, B):
     Sweedler legs of d, each factor one conv_exp."""
     alg = B.algebra
     steps = u.partition.steps()
-    legs = B.iterated_coproduct(d, len(steps)).terms
+    legs = iterated_coproduct(d, len(steps), B)
     factors = {}
 
     def factor(dt, a, w):

@@ -237,6 +237,17 @@ def test_underflow_raises_naming_the_word_and_a_cancellation_drops():
     assert nil.word_normal_form((A, A, A)) == {} and nil.word_normal_form((A,)) == {(A,): 1.0}
 
 
+def test_normal_form_of_a_polynomial_refuses_an_underflowing_term():
+    # y x -> x y / 2 at q = 2: 5e-324 / 2 rounds to 0, which dropped the term
+    alg = make_azema(2.0)[0].algebra
+    assert alg.word_normal_form((Y, X)) == {(X, Y): 0.5}
+    with pytest.raises(InvalidParameter, match=r"azema\(q=2\): the term 5e-324 'y x' underflows"):
+        normal_form(NcPoly({(Y, X): 5e-324}), alg)
+    with pytest.raises(InvalidParameter, match="'y x' underflows"):
+        multiply(NcPoly.word((Y,), 5e-324), NcPoly.word((X,)), alg)
+    assert normal_form(NcPoly({(Y, X): 1e-323}), alg).terms == {(X, Y): 5e-324}
+
+
 def test_rewrite_budget_leaves_no_memo_entry(monkeypatch):
     alg = make_azema(2.0)[0].algebra
     w = (Y, Y, Y, X, X, X)       # nine rule applications

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qlevy.bialg
 import qlevy.subcoalg
-from qlevy.bialg import LinearFunctional, convolve_eval, counit_functional
+from qlevy.bialg import LinearFunctional, convolve_eval, counit_functional, iterated_coproduct
 from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, TermBudgetExceeded
 from qlevy.gns import UnitaryTripleParams, unitary_triple
@@ -301,15 +301,15 @@ def test_series_matches_matrix_on_unitary2(word):
 
 
 def test_coproduct_series_and_convolve_eval_retain_little_memory():
-    # Delta_n is built without a memo, and the series and convolve_eval
-    # never build it: what the spec holds afterwards is its coproducts of
-    # words, subcoalgebras and normal forms
+    # Delta_n memoizes only within one call, and the series and
+    # convolve_eval never build it: what the spec holds afterwards is its
+    # coproducts of words, subcoalgebras and normal forms
     B, _, psi = make_azema(2.0)
     p = NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0})
     tracemalloc.start()
     try:
-        exp = B.iterated_coproduct(NcPoly.word((X,)), 256)
-        assert len(exp.terms) == 256
+        exp = iterated_coproduct(NcPoly.word((X,)), 256, B)
+        assert len(exp) == 256
         del exp
         for t in (0.1, 1.0, 2.0):
             conv_exp_series(psi, t, p, B)
@@ -687,6 +687,21 @@ def test_banach_check_names_an_overflowing_product():
     with np.errstate(all="ignore"), \
             pytest.raises(InvalidParameter, match="the step product overflowed"):
         banach_product_check(spec, Partition.uniform(0.0, 1.0, 4), draws=1)
+
+
+def test_product_checks_refuse_no_draws_and_no_choices(azema2):
+    # with no draw, lhs_max read 0 and both checks passed; with no choice, a
+    # remainder family died in numpy's rng.integers(0)
+    B, _, psi = azema2
+    partition = Partition.uniform(0.0, 1.0, 4)
+    matrix = ProductFamilySpec("matrix-family", np.zeros((2, 2)), C=0.0)
+    with pytest.raises(InvalidParameter, match="banach_product_check: draws must be >= 1, got 0"):
+        banach_product_check(matrix, partition, draws=0)
+    functional = ProductFamilySpec("functional-family", psi)
+    with pytest.raises(InvalidParameter, match="coalgebra_product_check: draws must be >= 1"):
+        coalgebra_product_check(functional, NcPoly.word((X, XS)), B, partition, draws=0)
+    with pytest.raises(InvalidParameter, match="n_choices must be >= 1, got 0"):
+        ProductFamilySpec("functional-family", psi, remainder=_nan_at(1), n_choices=0)
 
 
 def test_matrix_family_rejects_a_nan_baseline():
