@@ -3,11 +3,13 @@
 A BialgebraSpec stores the coproduct and counit on generators only; both are
 extended to arbitrary polynomials as *-algebra homomorphisms.  For callers
 that need the legs, iterated_coproduct expands D_n = (D_a (x) D_{n-a}) o D
-on either carrier by halving n; coproduct is its n = 2 case.  Every memo
-table derived from a BialgebraSpec (coproducts of words, subcoalgebras) is
-held by the spec itself and freed with it; TensorPoly.mul and star read the
-normal forms of words memoized on its AlgebraSpec (ncpoly).  Every
-coefficient map here, like NcPoly, drops a coefficient only when it equals 0.
+on either carrier by halving n; coproduct is its n = 2 case.  An element
+of B (x) B is a dict (left word, right word) -> coeff: delta_on_gen holds one
+per generator, and key_delta(w) multiplies them leg by leg on the normal
+forms of words memoized on its AlgebraSpec (ncpoly).  Every memo table
+derived from a BialgebraSpec (coproducts of words, subcoalgebras) is held by
+the spec itself and freed with it.  Every coefficient map here, like NcPoly,
+drops a coefficient only when it equals 0.
 
 Convolution products never expand D_n: transfer_apply(f, terms, B) applies
 the transfer map T_f = (id (x) f) o D to an element, and convolve_eval
@@ -40,91 +42,14 @@ from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
 TERM_BUDGET = 10 ** 6
 
 
-class TensorPoly:
-    """Element of B (x) B: finite mapping (word, word) -> complex."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c != 0.0} if terms else {}
-
-    @classmethod
-    def unit(cls):
-        return cls({((), ()): 1.0})
-
-    @classmethod
-    def simple(cls, left, right, coeff=1.0):
-        """coeff * left (x) right for NcPoly legs."""
-        out = {}
-        for a, ca in left.terms.items():
-            for b, cb in right.terms.items():
-                out[(a, b)] = out.get((a, b), 0.0) + coeff * ca * cb
-        return cls(out)
-
-    def add(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return TensorPoly(out)
-
-    def scale(self, z):
-        return TensorPoly({k: z * c for k, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.scale(-1.0))
-
-    def mul(self, other, alg):
-        """(a (x) b)(c (x) d) = ac (x) bd, each leg re-normalized."""
-        nf = alg.word_normal_form
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (u, v), c2 in other.terms.items():
-                right = nf(b + v)
-                z = c1 * c2
-                for wl, cl in nf(a + u).items():
-                    for wr, cr in right.items():
-                        k = (wl, wr)
-                        out[k] = out.get(k, 0.0) + z * cl * cr
-        return TensorPoly(out)
-
-    def star(self, alg):
-        """(a (x) b)* = a* (x) b* extended antilinearly."""
-        nf = alg.word_normal_form
-        starred = {}
-
-        def leg(w):
-            # normal form of the reversed, letter-starred word
-            hit = starred.get(w)
-            if hit is None:
-                hit = starred[w] = nf(tuple(alg.adjoint_of(g) for g in reversed(w))).items()
-            return hit
-
-        out = {}
-        for (a, b), c in self.terms.items():
-            right = leg(b)
-            z = complex(c).conjugate()
-            for wl, cl in leg(a):
-                for wr, cr in right:
-                    k = (wl, wr)
-                    out[k] = out.get(k, 0.0) + z * cl * cr
-        return TensorPoly(out)
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPoly) and not self.sub(other).terms
-
-    def __repr__(self):
-        return f"TensorPoly({self.terms!r})"
-
-
 class BialgebraSpec:
     """Generators, coproduct/counit on generators, homomorphic extension."""
 
     def __init__(self, algebra, delta_on_gen, counit_on_gen, name=""):
         self.algebra = algebra
-        self.delta_on_gen = dict(delta_on_gen)
+        # exact zeros dropped, a NaN kept for the certificate to read as inf
+        self.delta_on_gen = {g: {k: c for k, c in d.items() if c != 0.0}
+                             for g, d in delta_on_gen.items()}
         self.counit_on_gen = {g: complex(v) for g, v in counit_on_gen.items()}
         self.name = name
         for what, given in (("coproduct", self.delta_on_gen), ("counit", self.counit_on_gen)):
@@ -132,15 +57,28 @@ class BialgebraSpec:
             if missing:
                 names = [algebra.alphabet[g].name for g in sorted(missing)]
                 raise InvalidParameter(f"no {what} for generators {names}")
+        # key_delta and every subcoalgebra take the legs for basis keys
+        nf = algebra.word_normal_form
+        for g, d in self.delta_on_gen.items():
+            for w in {w for legs in d for w in legs}:
+                if w not in nf(w):
+                    raise InvalidParameter(
+                        f"coproduct of {algebra.spell((g,))!r} has the leg "
+                        f"{algebra.spell(w)!r}, which is not a normal word")
         # word -> Delta(word), and frozenset of words -> Subcoalgebra (subcoalg):
         # one entry per word or word set reached, freed with this bialgebra
-        self._delta_word = {(): TensorPoly.unit()}
+        self._delta_word = {(): {((), ()): 1.0}}
         self._subs = {}
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 
     def key_delta(self, w):
-        return self.coproduct_word(w).terms
+        """Delta(w) of a normal word as legs -> coeff, memoized; not to be mutated."""
+        got = self._delta_word.get(w)
+        if got is None:
+            got = self._delta_word[w] = _tensor_mul(
+                self.key_delta(w[:-1]), self.delta_on_gen[w[-1]], self.algebra)
+        return got
 
     def key_counit(self, w):
         z = complex(1.0)
@@ -165,18 +103,49 @@ class BialgebraSpec:
 
     # ----------------------------------------------------------------------
 
-    def coproduct_word(self, w):
-        got = self._delta_word.get(w)
-        if got is None:
-            got = self.coproduct_word(w[:-1]).mul(self.delta_on_gen[w[-1]], self.algebra)
-            self._delta_word[w] = got
-        return got
-
     def coproduct(self, p):
-        return TensorPoly(iterated_coproduct(p, 2, self))
+        return iterated_coproduct(p, 2, self)
 
     def counit(self, p):
         return sum((c * self.key_counit(w) for w, c in p.terms.items()), complex(0.0))
+
+
+def _tensor_mul(s, t, alg):
+    # (a (x) b)(c (x) d) = ac (x) bd over legs -> coeff maps, each leg re-normalized
+    nf = alg.word_normal_form
+    out = {}
+    for (a, b), c1 in s.items():
+        for (u, v), c2 in t.items():
+            right = nf(b + v)
+            z = c1 * c2
+            for wl, cl in nf(a + u).items():
+                for wr, cr in right.items():
+                    k = (wl, wr)
+                    out[k] = out.get(k, 0.0) + z * cl * cr
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def _tensor_star(s, alg):
+    # (a (x) b)* = a* (x) b* extended antilinearly over a legs -> coeff map
+    nf = alg.word_normal_form
+    starred = {}
+
+    def leg(w):
+        # normal form of the reversed, letter-starred word
+        hit = starred.get(w)
+        if hit is None:
+            hit = starred[w] = nf(tuple(alg.adjoint_of(g) for g in reversed(w))).items()
+        return hit
+
+    out = {}
+    for (a, b), c in s.items():
+        right = leg(b)
+        z = complex(c).conjugate()
+        for wl, cl in leg(a):
+            for wr, cr in right:
+                k = (wl, wr)
+                out[k] = out.get(k, 0.0) + z * cl * cr
+    return {k: c for k, c in out.items() if c != 0.0}
 
 
 def complete_by_involution(algebra, delta_on_gen, counit_on_gen):
@@ -186,7 +155,7 @@ def complete_by_involution(algebra, delta_on_gen, counit_on_gen):
     for i, g in enumerate(algebra.alphabet):
         j = g.adjoint
         if j not in dg and i in dg:
-            dg[j] = dg[i].star(algebra)
+            dg[j] = _tensor_star(dg[i], algebra)
         if j not in cg and i in cg:
             cg[j] = complex(cg[i]).conjugate()
     return dg, cg
@@ -353,16 +322,16 @@ def certify_bialgebra(B):
     for rule in alg.rules:
         at = f"rule {alg.spell(rule.lhs)!r}"
         lhs = NcPoly({rule.lhs: 1.0})
-        note("rule_delta", _gap(B.coproduct(lhs).terms, B.coproduct(rule.rhs).terms), at)
+        note("rule_delta", _gap(B.coproduct(lhs), B.coproduct(rule.rhs)), at)
         note("rule_counit", _gap({(): B.counit(lhs)}, {(): B.counit(rule.rhs)}), at)
         note("rule_star", _gap(involute(lhs, alg).terms, involute(rule.rhs, alg).terms), at)
 
     for g in range(alg.ngen()):
         at = f"generator {alg.spell((g,))!r}"
-        dg = B.coproduct_word((g,))
+        dg = B.key_delta((g,))
         left, eps_left, eps_right = {}, {}, {}
-        for (a, b), z in dg.terms.items():
-            for (u, v), z2 in B.coproduct_word(a).terms.items():
+        for (a, b), z in dg.items():
+            for (u, v), z2 in B.key_delta(a).items():
                 left[u, v, b] = left.get((u, v, b), 0.0) + z * z2
             eps_left[b] = eps_left.get(b, 0.0) + z * B.key_counit(a)
             eps_right[a] = eps_right.get(a, 0.0) + z * B.key_counit(b)
@@ -372,7 +341,7 @@ def certify_bialgebra(B):
         note("counit_law", max(_gap(eps_left, word), _gap(eps_right, word)), at)
         gs = (alg.adjoint_of(g),)
         note("involution_compatibility",
-             _gap(B.coproduct_word(gs).terms, dg.star(alg).terms), at)
+             _gap(B.key_delta(gs), _tensor_star(dg, alg)), at)
         note("counit_star",
              _gap({(): B.key_counit(gs)}, {(): B.key_counit((g,)).conjugate()}), at)
 
@@ -410,15 +379,15 @@ def bialgebra_to_json(B):
         "rules": [{"lhs": word2names(r.lhs), "rhs": poly2j(r.rhs)} for r in alg.rules],
         "delta_on_gen": {
             names[g]: [{"left": word2names(a), "right": word2names(b), "coeff": _c2j(c)}
-                       for (a, b), c in sorted(tp.terms.items())]
-            for g, tp in B.delta_on_gen.items()
+                       for (a, b), c in sorted(d.items())]
+            for g, d in B.delta_on_gen.items()
         },
         "counit_on_gen": {names[g]: _c2j(v) for g, v in B.counit_on_gen.items()},
     }
 
 
 def bialgebra_from_json(doc):
-    """Build a spec from JSON.
+    """Build a spec from JSON; repeated entries of a rule or coproduct are summed.
 
     Raises UnknownGenerator for a name outside the alphabet and
     InvalidParameter for any other malformed or non-confluent spec."""
@@ -441,17 +410,22 @@ def bialgebra_from_json(doc):
     def names2word(ws):
         return tuple(index(n) for n in ws)
 
+    def summed(items, key):
+        # key -> coeff, the coefficients of repeated entries added
+        out = {}
+        for t in items:
+            k, c = key(t), _j2c(t["coeff"])
+            out[k] = out[k] + c if k in out else c
+        return out
+
     def j2poly(items):
-        return NcPoly({names2word(t["word"]): _j2c(t["coeff"]) for t in items})
+        return NcPoly(summed(items, lambda t: names2word(t["word"])))
 
     rules = [RewriteRule(names2word(r["lhs"]), j2poly(r["rhs"])) for r in doc["rules"]]
     order = [index(n) for n in doc.get("letter_order", names)]
     alg = AlgebraSpec(alphabet, rules, letter_order=order, name=doc.get("name", ""))
     check_confluent(alg)
-    delta = {
-        index(g): TensorPoly({(names2word(t["left"]), names2word(t["right"])):
-                              _j2c(t["coeff"]) for t in items})
-        for g, items in doc["delta_on_gen"].items()
-    }
+    delta = {index(g): summed(items, lambda t: (names2word(t["left"]), names2word(t["right"])))
+             for g, items in doc["delta_on_gen"].items()}
     counit = {index(g): _j2c(v) for g, v in doc["counit_on_gen"].items()}
     return BialgebraSpec(alg, delta, counit, name=doc.get("name", ""))

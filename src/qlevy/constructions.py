@@ -26,7 +26,6 @@ import numpy as np
 from .bialg import (
     BialgebraSpec,
     LinearFunctional,
-    TensorPoly,
     complete_by_involution,
 )
 from .errors import DegreeCapExceeded, InvalidParameter
@@ -66,16 +65,16 @@ def make_azema(q):
     alg = AlgebraSpec(alphabet, rules, name=f"azema(q={q:g})")
 
     azema_delta = {
-        X: TensorPoly({((X,), (Y,)): 1.0, ((), (X,)): 1.0}),
-        Y: TensorPoly({((Y,), (Y,)): 1.0}),
+        X: {((X,), (Y,)): 1.0, ((), (X,)): 1.0},
+        Y: {((Y,), (Y,)): 1.0},
     }
     azema_counit = {X: 0.0, Y: 1.0}
     azema_delta, azema_counit = complete_by_involution(alg, azema_delta, azema_counit)
     azema = BialgebraSpec(alg, azema_delta, azema_counit, name=f"azema(q={q:g})")
 
     prim_delta = {
-        X: TensorPoly({((X,), ()): 1.0, ((), (X,)): 1.0}),
-        Y: TensorPoly({((Y,), (Y,)): 1.0}),
+        X: {((X,), ()): 1.0, ((), (X,)): 1.0},
+        Y: {((Y,), (Y,)): 1.0},
     }
     prim_counit = {X: 0.0, Y: 1.0}
     prim_delta, prim_counit = complete_by_involution(alg, prim_delta, prim_counit)
@@ -145,8 +144,7 @@ def make_unitary_bialgebra(d):
     counit = {}
     for k in range(1, d + 1):
         for l in range(1, d + 1):
-            delta[p(k, l)] = TensorPoly(
-                {((p(k, i),), (p(i, l),)): 1.0 for i in range(1, d + 1)})
+            delta[p(k, l)] = {((p(k, i),), (p(i, l),)): 1.0 for i in range(1, d + 1)}
             counit[p(k, l)] = 1.0 if k == l else 0.0
     delta, counit = complete_by_involution(alg, delta, counit)
     return BialgebraSpec(alg, delta, counit, name=f"unitary({d})")
@@ -294,7 +292,7 @@ def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
 def make_primitive_tensor(B, degree_cap):
     """Tensor bialgebra on the counit kernel with every letter primitive."""
     letters = selfadjoint_b0_basis(B, degree_cap)
-    delta = {i: TensorPoly({((i,), ()): 1.0, ((), (i,)): 1.0}) for i in range(len(letters))}
+    delta = {i: {((i,), ()): 1.0, ((), (i,)): 1.0} for i in range(len(letters))}
     return _kernel_tensor(B, degree_cap, letters, delta, "T0", "primitive-tensor")
 
 
@@ -316,17 +314,16 @@ def make_induced_tensor(B, degree_cap):
 
     delta = {}
     for i, h in enumerate(letters):
-        terms = {((i,), ()): 1.0, ((), (i,)): 1.0}
+        terms = delta[i] = {((i,), ()): 1.0, ((), (i,)): 1.0}
         # Delta h - h (x) 1 - 1 (x) h is in ker (x) ker: a word pair (a, b) of
         # Delta h with no unit leg carries its coefficient over to e_a (x) e_b
-        for (a, b), z in B.coproduct(h).terms.items():
+        for (a, b), z in B.coproduct(h).items():
             if a == () or b == ():
                 continue
             for j, x in letter_coords(a).items():
                 for k, y in letter_coords(b).items():
                     kk = ((j,), (k,))
                     terms[kk] = terms.get(kk, 0.0) + z * x * y
-        delta[i] = TensorPoly(terms)
     return _kernel_tensor(B, degree_cap, letters, delta, "Tind0", "induced-tensor")
 
 

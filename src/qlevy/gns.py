@@ -61,7 +61,6 @@ class LevyTriple:
         self.name = name
         self._eta_memo = {(): np.zeros(self.k_dim, dtype=complex)}
         self._rho_memo = {(): np.eye(self.k_dim, dtype=complex)}
-        self._psi_memo = {(): 0.0 + 0.0j}
         self.psi = psi if psi is not None else LinearFunctional(f"psi[{name}]", self._psi_word)
 
     # word-level recursion -------------------------------------------------
@@ -83,15 +82,14 @@ class LevyTriple:
         return hit
 
     def _psi_word(self, w):
-        hit = self._psi_memo.get(w)
-        if hit is None:
-            g, rest = w[0], w[1:]
-            gstar = (self.B.algebra.adjoint_of(g),)
-            hit = (self.B.key_counit((g,)) * self._psi_word(rest)
-                   + self.psi1[g] * self.B.key_counit(rest)
-                   + _inner(self.eta_word(gstar), self.eta_word(rest)))
-            self._psi_memo[w] = hit
-        return hit
+        # the recursion on psi; values are memoized by self.psi.on_word
+        if not w:
+            return 0.0
+        g, rest = w[0], w[1:]
+        gstar = (self.B.algebra.adjoint_of(g),)
+        return (self.B.key_counit((g,)) * self.psi.on_word(rest)
+                + self.psi1[g] * self.B.key_counit(rest)
+                + _inner(self.eta_word(gstar), self.eta_word(rest)))
 
     # linear / affine extensions -------------------------------------------
 

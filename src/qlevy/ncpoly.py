@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InvalidParameter,
@@ -284,12 +284,17 @@ def check_confluent(alg):
 
 
 def multiply(p, q, alg):
-    """Normal form of the concatenation-bilinear product."""
+    """Normal form of the concatenation-bilinear product; a product of two
+    coefficients that underflows to 0 raises."""
     out = {}
     for wp, cp in p.terms.items():
         for wq, cq in q.terms.items():
             w = wp + wq
-            out[w] = out.get(w, 0.0) + cp * cq
+            c = cp * cq
+            if not c:
+                raise InvalidParameter(
+                    f"{alg.name}: the term {cp} * {cq} {alg.spell(w)!r} underflows")
+            out[w] = out.get(w, 0.0) + c
     return normal_form(NcPoly(out), alg)
 
 

@@ -138,7 +138,7 @@ def _corrupt_delta(monkeypatch, generator, scale):
     def corrupted(q):
         azema, primitive, psi = make_azema(q)
         idx = azema.algebra.index(generator)
-        azema.delta_on_gen[idx] = azema.delta_on_gen[idx].scale(scale)
+        azema.delta_on_gen[idx] = {k: scale * c for k, c in azema.delta_on_gen[idx].items()}
         return azema, primitive, psi
 
     monkeypatch.setattr(qlevy.constructions, "make_azema", corrupted)

@@ -248,6 +248,16 @@ def test_normal_form_of_a_polynomial_refuses_an_underflowing_term():
     assert normal_form(NcPoly({(Y, X): 1e-323}), alg).terms == {(X, Y): 5e-324}
 
 
+def test_multiply_refuses_a_coefficient_product_that_underflows():
+    # 1e-200 * 1e-200 rounds to 0, which dropped the word x x; 1e-320 is kept
+    alg = make_azema(2.0)[0].algebra
+    with pytest.raises(InvalidParameter,
+                       match=r"azema\(q=2\): the term 1e-200 \* 1e-200 'x x' underflows"):
+        multiply(NcPoly.word((X,), 1e-200), NcPoly.word((X,), 1e-200), alg)
+    got = multiply(NcPoly.word((X,), 1e-160), NcPoly.word((X,), 1e-160), alg)
+    assert got.terms == {(X, X): 1e-160 * 1e-160} and 0.0 < got.terms[X, X] < 1e-300
+
+
 def test_rewrite_budget_leaves_no_memo_entry(monkeypatch):
     alg = make_azema(2.0)[0].algebra
     w = (Y, Y, Y, X, X, X)       # nine rule applications
