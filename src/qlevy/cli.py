@@ -230,15 +230,24 @@ def build_objects(f):
     return B, psi, ctx
 
 
-def _build_chain(chain, lift, f, B, ctx):
-    """(kappa, kappa_tilde or None, c, d, gens) for sweep / reverse experiments;
-    gens are source keys of kappa generating what the experiment maps."""
+def _parse_element(f, pointer, alg):
+    """The polynomial of a sweep or reverse element; an error names its field."""
+    from .ncpoly import parse_poly
+
+    try:
+        return parse_poly(f[pointer], alg)
+    except QLevyError as e:
+        raise SchemaError(f"{pointer}: {e}") from None
+
+
+def _build_chain(chain, lift, f, B, ctx, c_poly, d_poly):
+    """(kappa, kappa_tilde or None, c, d, gens) for sweep / reverse experiments
+    on the parsed elements c_poly and d_poly; gens are source keys of kappa
+    generating what the experiment maps."""
     from .constructions import Morphism, make_grouplike
     from .gram import identity_morphism
-    from .ncpoly import NcPoly, parse_poly
+    from .ncpoly import NcPoly
 
-    c_poly = parse_poly(f["/element"], B.algebra)
-    d_poly = parse_poly(f["/element_d"], B.algebra)
     if chain == "identity":
         return identity_morphism(B), None, c_poly, d_poly, ()
     if chain == "grouplike":
@@ -260,8 +269,8 @@ def _build_chain(chain, lift, f, B, ctx):
 
 class _Run:
     """A config judged whole (_preflight, fock-unitary's W, L and H), then its
-    objects, bialgebra certificate and check report, built once.  `fields`
-    holds the values the run reads, by JSON pointer."""
+    objects, elements, bialgebra certificate and check report, built once.
+    `fields` holds the values the run reads, by JSON pointer."""
 
     def __init__(self, cfg):
         from .bialg import certify_bialgebra
@@ -279,14 +288,15 @@ class _Run:
             except (ValueError, QLevyError) as e:
                 raise SchemaError(f"/unitary: {e}") from None
         self.B, self.psi, self.ctx = build_objects(f)
-        self.chain = chain = None
-        if experiment == "sweep":
-            chain = f["/morphism/chain"]
-            self.chain = _build_chain(chain, f.get("/lift"), f, self.B, self.ctx)
-        elif experiment == "reverse":
-            # reverse runs the lifted grouplike chain
-            chain = "grouplike"
-            self.chain = _build_chain(chain, True, f, self.B, self.ctx)
+        self.chain = self.elements = chain = None
+        if experiment in ("sweep", "reverse"):
+            self.elements = [_parse_element(f, p, self.B.algebra)
+                             for p in ("/element", "/element_d")]
+            if experiment == "sweep":
+                chain, lift = f["/morphism/chain"], f.get("/lift")
+            else:   # reverse runs the lifted grouplike chain
+                chain, lift = "grouplike", True
+            self.chain = _build_chain(chain, lift, f, self.B, self.ctx, *self.elements)
         cert = self.certificate = certify_bialgebra(self.B)
         checks = {f"axioms/{k}": v for k, v in cert["residuals"].items()}
         if chain not in (None, "identity"):
@@ -416,12 +426,9 @@ def _exp_sweep(run, rng):
 
 def _exp_reverse(run, rng):
     from .gram import reverse_check
-    from .ncpoly import parse_poly
 
-    f, alg = run.fields, run.B.algebra
+    f, (b, d) = run.fields, run.elements
     _kappa, kappa_tilde, *_rest = run.chain   # the grouplike chain (_Run)
-    b = parse_poly(f["/element"], alg)
-    d = parse_poly(f["/element_d"], alg)
     s, t = f["/interval"]
     rows_obj = reverse_check(b, d, kappa_tilde, run.psi, s, t, f["/partition/ns"])
     assertions = {"final_defect_within_tol":

@@ -275,7 +275,6 @@ def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
     alg = AlgebraSpec(alphabet, [], name=f"{alg_name}[{B.name}]")
     T = BialgebraSpec(alg, delta, {i: 0.0 for i in range(len(letters))},
                       name=f"{name}[{B.name}]")
-    T.degree_cap = degree_cap
     T.letters = letters
 
     def product_of_letters(w):

@@ -109,30 +109,34 @@ def quantum_noise_op(kind, arg, interval, factor):
     Creation for a vector k: sqrt(t-s) sum_j k_j a_j^*; annihilation is its
     exact adjoint (conjugated coefficients, same sqrt(t-s) scaling);
     preservation for a matrix T: sum_{jl} T_jl a_j^* a_l, no time scaling.
+    A non-finite entry of k or T, or an operator that overflows, raises.
     """
     s, t = _interval(interval)
     m = factor.m
     if kind in ("creation", "annihilation"):
-        k = np.asarray(arg, dtype=complex).reshape(-1)
+        name, k = "vector k", np.asarray(arg, dtype=complex).reshape(-1)
         if k.shape != (m,):
             raise DimensionMismatch(f"vector argument must have length {m}")
         mat = np.zeros((factor.dim, factor.dim), dtype=complex)
         for j in range(m):
-            if abs(k[j]) > 0.0:
+            if k[j] != 0.0:   # NaN included, for the check below
                 mat = mat + k[j] * factor.creation(j)
         mat = math.sqrt(t - s) * mat
-        return mat.conj().T if kind == "annihilation" else mat
-    if kind == "preservation":
-        T = np.asarray(arg, dtype=complex)
+        mat = mat.conj().T if kind == "annihilation" else mat
+    elif kind == "preservation":
+        name, T = "matrix T", np.asarray(arg, dtype=complex)
         if T.shape != (m, m):
             raise DimensionMismatch(f"matrix argument must be {m} x {m}")
         mat = np.zeros((factor.dim, factor.dim), dtype=complex)
         for j in range(m):
             for l in range(m):
-                if abs(T[j, l]) > 0.0:
+                if T[j, l] != 0.0:
                     mat = mat + T[j, l] * (factor.creation(j) @ factor.annihilation(l))
-        return mat
-    raise InvalidParameter(f"unknown noise operator kind {kind!r}")
+    else:
+        raise InvalidParameter(f"unknown noise operator kind {kind!r}")
+    if not np.isfinite(mat).all():
+        raise InvalidParameter(f"the {kind} {name} = {arg!r} gives a non-finite operator")
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +167,28 @@ def fock_inner(u, v):
 
 
 def exp_tail_bound(z, cap):
-    """sum_{p > cap} |z|^p / p!  (analytic truncation tail)."""
+    """sum_{p > cap} |z|^p / p!  (analytic truncation tail), summed from its
+    first term until the terms past p = |z|, which fall at least
+    geometrically, add nothing at double precision.  A non-finite z, or a
+    tail that overflows, raises InvalidParameter."""
     z = abs(z)
-    term = z ** (cap + 1) / math.factorial(cap + 1)
-    acc = 0.0
+    if not math.isfinite(z):
+        raise InvalidParameter(f"exp_tail_bound: z must be finite, got {z}")
     p = cap + 1
-    while term > 1e-300 and p < cap + 400:
+    try:   # z^p / p! by logarithms: z^p alone may overflow where the tail does not
+        term = math.exp(p * math.log(z) - math.lgamma(p + 1)) if z else 0.0
+    except OverflowError:
+        term = math.inf
+    acc = 0.0
+    while True:
         acc += term
+        if acc == math.inf:
+            raise InvalidParameter(f"exp_tail_bound: the tail at z = {z:g} overflows")
+        # the terms after p sum to at most term * z / (p + 1 - z)
+        if p + 1 > z and term * z <= 1e-17 * acc * (p + 1 - z):
+            return acc
         p += 1
         term *= z / p
-        if term < 1e-30 * max(acc, 1e-30):
-            acc += term
-            break
-    return acc
 
 
 def exponential_vector(k, interval, factor):
@@ -191,6 +204,8 @@ def exponential_vector(k, interval, factor):
     k = np.asarray(k, dtype=complex).reshape(-1)
     if k.shape != (factor.m,):
         raise DimensionMismatch(f"profile vector must have length {factor.m}")
+    if not np.isfinite(k).all():
+        raise InvalidParameter(f"profile vector k must be finite, got {k}")
     z = float(np.vdot(k, k).real) * (t - s)
     if z > math.log(10.0) * factor.cap / 3.0:
         raise TailBoundExceeded(

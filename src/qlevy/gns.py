@@ -185,18 +185,9 @@ def gns_construct(psi, B, degree_cap=3):
         if nz.size:
             pivot = coords[nz[0], col]
             coords[:, col] *= abs(pivot) / pivot
-    eta_words = {w: coords[i] for i, (w, _v) in enumerate(basis)}
-
-    def eta_poly(p):
-        out = np.zeros(k_dim, dtype=complex)
-        for w, c in p.terms.items():
-            if w == ():
-                continue
-            if w not in eta_words:
-                raise InvalidParameter(
-                    f"word of degree {len(w)} outside the cap-{degree_cap} kernel")
-            out = out + c * eta_words[w]
-        return out
+    # the eta table: the unit and every normal word up to the cap
+    eta_words = {(): np.zeros(k_dim, dtype=complex)}
+    eta_words.update((w, coords[i]) for i, (w, _v) in enumerate(basis))
 
     # rho(g) from least squares over words staying inside the cap
     rho1 = {}
@@ -210,7 +201,8 @@ def gns_construct(psi, B, degree_cap=3):
                 continue
             lhs_cols.append(eta_words[w])
             # cocycle: rho(g) eta(w) = eta(g w) - eta(g) delta(w)
-            rhs_cols.append(eta_poly(gw) - eta_g * B.key_counit(w))
+            eta_gw = sum(c * eta_words[x] for x, c in gw.terms.items())
+            rhs_cols.append(eta_gw - eta_g * B.key_counit(w))
         if k_dim == 0 or not lhs_cols:
             rho1[gen] = np.zeros((k_dim, k_dim), dtype=complex)
             continue
@@ -255,6 +247,9 @@ class UnitaryTripleParams:
             raise InvalidParameter(f"L must have shape ({self.d},{self.d},{self.m})")
         if self.H.shape != (self.d, self.d):
             raise InvalidParameter("H must be d x d")
+        for name, a in (("W", self.W), ("L", self.L), ("H", self.H)):
+            if not np.isfinite(a).all():   # NaN would pass the two tests below
+                raise InvalidParameter(f"{name} must be finite")
         if np.abs(self.W.conj().T @ self.W - np.eye(self.d * self.m)).max() > PARAM_TOL:
             raise InvalidParameter("W must be unitary")
         if np.abs(self.H - self.H.conj().T).max() > PARAM_TOL:

@@ -319,133 +319,102 @@ def random_poly(alg, rng, max_degree, n_terms=4, normal=True):
 
 
 # ---------------------------------------------------------------------------
-# expression parser
+# expression parser: one pass, one reader per token kind
 #
-# poly   := signed-term (('+'|'-') term)*
+# poly   := sign? term (('+'|'-') term)*
 # term   := scalar factor* | factor+
 # factor := ident ('^*')? ('^' uint)?
-# scalar := real | '(' real ('+'|'-') real 'i' ')'
+# scalar := real | '(' sign? real ('+'|'-') real 'i' ')'
 # ---------------------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _REAL = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+_SPACE = re.compile(r"\s*")
 
 
-class _Parser:
-    def __init__(self, text, alg):
-        self.text = text
-        self.alg = alg
-        self.pos = 0
+def _space(text, pos):
+    # a match would clamp a pos past the end of the text (_sign) back to it
+    return _SPACE.match(text, pos).end() if pos < len(text) else pos
 
-    def _ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _sign(text, pos):
+    """(-1.0 or 1.0, end) of an optional sign; the end of the text reads as
+    '+' and is stepped over, so "(1" reports expected number at offset 3."""
+    c = text[pos:pos + 1]
+    return (-1.0 if c == "-" else 1.0), pos + (c in "+-")
 
-    def _real(self):
-        m = _REAL.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected number", self.pos)
-        self.pos = m.end()
-        return float(m.group())
 
-    def _signed_real(self):
-        sign = 1.0
-        if self._peek() in "+-":
-            sign = -1.0 if self._peek() == "-" else 1.0
-            self.pos += 1
-        return sign * self._real()
+def _real(text, pos):
+    """(value, end) of the unsigned real at pos.  A literal that overflows
+    is refused: its inf would make a coefficient NaN."""
+    m = _REAL.match(text, pos)
+    if not m:
+        raise ParseError("expected number", pos)
+    x = float(m.group())
+    if not cmath.isfinite(x):
+        raise ParseError(f"number {m.group()!r} is not finite", pos)
+    return x, m.end()
 
-    def _scalar(self):
-        if self._peek() == "(":
-            self.pos += 1
-            self._ws()
-            re_part = self._signed_real()
-            self._ws()
-            if self._peek() not in "+-":
-                raise ParseError("expected '+' or '-' in complex literal", self.pos)
-            sign = -1.0 if self._peek() == "-" else 1.0
-            self.pos += 1
-            self._ws()
-            im_part = sign * self._real()
-            if self._peek() != "i":
-                raise ParseError("expected 'i' in complex literal", self.pos)
-            self.pos += 1
-            self._ws()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return complex(re_part, im_part)
-        return complex(self._real())
 
-    def _factor(self):
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected generator name", self.pos)
-        idx = self.alg.index(m.group())
-        self.pos = m.end()
-        if self._peek() == "^":
-            caret = self.pos
-            self.pos += 1
-            if self._peek() == "*":
-                self.pos += 1
-                idx = self.alg.adjoint_of(idx)
-                if self._peek() == "^":
-                    self.pos += 1
-                    m = _REAL.match(self.text, self.pos)
-                    if not m or "." in m.group() or "e" in m.group().lower():
-                        raise ParseError("expected integer exponent", self.pos)
-                    self.pos = m.end()
-                    return (idx,) * int(m.group())
-                return (idx,)
-            m = _REAL.match(self.text, self.pos)
-            if not m or "." in m.group() or "e" in m.group().lower():
-                raise ParseError("expected '*' or integer exponent after '^'", caret)
-            self.pos = m.end()
-            return (idx,) * int(m.group())
-        return (idx,)
+def _scalar(text, pos):
+    """(value, end) of the real or complex literal at pos."""
+    if text[pos] != "(":
+        x, pos = _real(text, pos)
+        return complex(x), pos
+    sign, pos = _sign(text, _space(text, pos + 1))
+    re_part, pos = _real(text, pos)
+    pos = _space(text, pos)
+    if text[pos:pos + 1] not in "+-":
+        raise ParseError("expected '+' or '-' in complex literal", pos)
+    im_sign, pos = _sign(text, pos)
+    im_part, pos = _real(text, _space(text, pos))
+    if not text.startswith("i", pos):
+        raise ParseError("expected 'i' in complex literal", pos)
+    pos = _space(text, pos + 1)
+    if not text.startswith(")", pos):
+        raise ParseError("expected ')'", pos)
+    return complex(sign * re_part, im_sign * im_part), pos + 1
 
-    def _term(self):
-        coeff = complex(1.0)
-        word = ()
-        self._ws()
-        if self._peek() == "(" or self._peek().isdigit():
-            coeff = self._scalar()
-            self._ws()
-        else:
-            word = self._factor()
-            self._ws()
-        while self.pos < len(self.text) and self._peek() not in "+-":
-            if self._peek() == "^":
-                raise ParseError("expected generator name", self.pos)
-            word = word + self._factor()
-            self._ws()
-        return coeff, word
 
-    def parse(self):
-        self._ws()
-        if self.pos >= len(self.text):
-            raise ParseError("empty expression", self.pos)
-        terms = {}
-        sign = 1.0
-        if self._peek() in "+-":
-            sign = -1.0 if self._peek() == "-" else 1.0
-            self.pos += 1
-        while True:
-            coeff, word = self._term()
-            terms[word] = terms.get(word, 0.0) + sign * coeff
-            self._ws()
-            if self.pos >= len(self.text):
-                break
-            if self._peek() not in "+-":
-                raise ParseError("expected '+' or '-'", self.pos)
-            sign = -1.0 if self._peek() == "-" else 1.0
-            self.pos += 1
-        return NcPoly(terms)
+def _factor(text, pos, alg):
+    """(word, end) of name, name^*, name^k or name^*^k at pos."""
+    m = _IDENT.match(text, pos)
+    if not m:
+        raise ParseError("expected generator name", pos)
+    idx, pos = alg.index(m.group()), m.end()
+    star = text.startswith("^*", pos)
+    if star:
+        idx, pos = alg.adjoint_of(idx), pos + 2
+    if not text.startswith("^", pos):
+        return (idx,), pos
+    m = _REAL.match(text, pos + 1)
+    if m and m.group().isdigit():
+        return (idx,) * int(m.group()), m.end()
+    if star:
+        raise ParseError("expected integer exponent", pos + 1)
+    raise ParseError("expected '*' or integer exponent after '^'", pos)
 
 
 def parse_poly(text, alg):
-    """Parse an expression over alg's alphabet and return its normal form."""
-    return normal_form(_Parser(text, alg).parse(), alg)
+    """Parse an expression over alg's alphabet and return its normal form.
+    ParseError gives the offset of the first token that does not fit, a
+    non-finite literal included; UnknownGenerator names an unknown name."""
+    pos = _space(text, 0)
+    if pos == len(text):
+        raise ParseError("empty expression", pos)
+    terms = {}
+    while True:
+        sign, pos = _sign(text, pos)
+        pos = _space(text, pos)
+        coeff, word = complex(1.0), ()
+        if text[pos:pos + 1] == "(" or text[pos:pos + 1].isdigit():
+            coeff, pos = _scalar(text, pos)
+        else:
+            word, pos = _factor(text, pos, alg)
+        # a term runs to the next sign or the end of the text
+        while (pos := _space(text, pos)) < len(text) and text[pos] not in "+-":
+            more, pos = _factor(text, pos, alg)
+            word += more
+        terms[word] = terms.get(word, 0.0) + sign * coeff
+        if pos == len(text):
+            return normal_form(NcPoly(terms), alg)

@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 from qlevy.constructions import make_azema
 from qlevy.errors import InvalidParameter, QLevyError
-from qlevy.fock import FockFactor, exponential_vector, generator_process, quantum_noise_op
-from qlevy.gns import gns_construct
+from qlevy.fock import (
+    FockFactor,
+    exp_tail_bound,
+    exponential_vector,
+    generator_process,
+    quantum_noise_op,
+)
+from qlevy.gns import UnitaryTripleParams, gns_construct
 from qlevy.ncpoly import NcPoly
 from qlevy.partition import Partition
 from qlevy.subcoalg import conv_exp, conv_exp_series, factor_table
@@ -62,6 +68,19 @@ CASES = {
     "exponential_vector interval": (
         lambda v: exponential_vector([1.0], (-v, v), FACTOR).terms[0][1],
         NON_FINITE | HUGE, r"interval|\(t-s\)"),
+    "exponential_vector k": (lambda v: exponential_vector([v], (0.0, 1.0), FACTOR).terms[0][1],
+                             NON_FINITE | HUGE, r"\bk\b"),
+    "quantum_noise_op k": (lambda v: quantum_noise_op("creation", [v], (0.0, 1.0), FACTOR),
+                           NON_FINITE | HUGE, r"\bk\b"),
+    "quantum_noise_op T": (lambda v: quantum_noise_op("preservation", [[v]], (0.0, 1.0), FACTOR),
+                           NON_FINITE | HUGE, r"\bT\b"),
+    "exp_tail_bound z": (lambda v: exp_tail_bound(v, 3), NON_FINITE | HUGE, r"\bz\b"),
+    "UnitaryTripleParams W": (lambda v: UnitaryTripleParams(1, [[v]], [[[0.3]]], [[0.5]]).W,
+                              NON_FINITE | HUGE, r"\bW\b"),
+    "UnitaryTripleParams L": (lambda v: UnitaryTripleParams(1, [[1.0]], [[[v]]], [[0.5]]).L,
+                              NON_FINITE | HUGE, r"\bL\b"),
+    "UnitaryTripleParams H": (lambda v: UnitaryTripleParams(1, [[1.0]], [[[0.3]]], [[v]]).H,
+                              NON_FINITE | HUGE, r"\bH\b"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_exponential_vector_pair():
     eg = exponential_vector([2.0], (0.0, 1.0), f)
     val = fock_inner(ef, eg)
     assert abs(val - math.e ** 2) <= exp_tail_bound(2.0, 10)
+
+
+@pytest.mark.parametrize("z, cap", [(500.0, 3), (2.0, 10), (0.7, 4), (30.0, 60)])
+def test_exp_tail_bound_sums_the_whole_tail(z, cap):
+    # against the exact rational sum; the terms past p = 3 z + 100 add nothing
+    exact = sum(Fraction(z) ** p / math.factorial(p)
+                for p in range(cap + 1, cap + 101 + 3 * int(z)))
+    assert exp_tail_bound(z, cap) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [800.0, -800.0, 1e100])
+def test_exp_tail_bound_refuses_a_tail_that_overflows(z):
+    with pytest.raises(InvalidParameter, match=r"\bz = .* overflows"):
+        exp_tail_bound(z, 3)
 
 
 def test_exponential_vector_tail_guard():

@@ -1,9 +1,20 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qlevy.ncpoly
 from qlevy.constructions import make_azema, make_unitary_bialgebra
-from qlevy.errors import InvalidParameter, ParseError, RewriteBudgetExceeded
+from qlevy.errors import (
+    InvalidParameter,
+    ParseError,
+    QLevyError,
+    RewriteBudgetExceeded,
+    UnknownGenerator,
+)
 from qlevy.ncpoly import (
     CONFLUENCE_TOL,
     AlgebraSpec,
@@ -133,6 +144,205 @@ class TestParser:
         p = parse_poly("x y - 2 y x^*", alg)
         # y x* -> q x* y = 2 x* y
         assert p.terms == {(X, Y): 1.0, (XS, Y): -4.0}
+
+
+
+# The recursive-descent parser that parse_poly replaced, kept unchanged as
+# its oracle: both must give the same terms, or the same exception class,
+# message and offset.  The one intended difference is a literal that
+# overflows, which the oracle turns into a NaN coefficient.
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_REAL = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+
+
+class _Parser:
+    def __init__(self, text, alg):
+        self.text = text
+        self.alg = alg
+        self.pos = 0
+
+    def _ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _real(self):
+        m = _REAL.match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected number", self.pos)
+        self.pos = m.end()
+        return float(m.group())
+
+    def _signed_real(self):
+        sign = 1.0
+        if self._peek() in "+-":
+            sign = -1.0 if self._peek() == "-" else 1.0
+            self.pos += 1
+        return sign * self._real()
+
+    def _scalar(self):
+        if self._peek() == "(":
+            self.pos += 1
+            self._ws()
+            re_part = self._signed_real()
+            self._ws()
+            if self._peek() not in "+-":
+                raise ParseError("expected '+' or '-' in complex literal", self.pos)
+            sign = -1.0 if self._peek() == "-" else 1.0
+            self.pos += 1
+            self._ws()
+            im_part = sign * self._real()
+            if self._peek() != "i":
+                raise ParseError("expected 'i' in complex literal", self.pos)
+            self.pos += 1
+            self._ws()
+            if self._peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return complex(re_part, im_part)
+        return complex(self._real())
+
+    def _factor(self):
+        m = _IDENT.match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected generator name", self.pos)
+        idx = self.alg.index(m.group())
+        self.pos = m.end()
+        if self._peek() == "^":
+            caret = self.pos
+            self.pos += 1
+            if self._peek() == "*":
+                self.pos += 1
+                idx = self.alg.adjoint_of(idx)
+                if self._peek() == "^":
+                    self.pos += 1
+                    m = _REAL.match(self.text, self.pos)
+                    if not m or "." in m.group() or "e" in m.group().lower():
+                        raise ParseError("expected integer exponent", self.pos)
+                    self.pos = m.end()
+                    return (idx,) * int(m.group())
+                return (idx,)
+            m = _REAL.match(self.text, self.pos)
+            if not m or "." in m.group() or "e" in m.group().lower():
+                raise ParseError("expected '*' or integer exponent after '^'", caret)
+            self.pos = m.end()
+            return (idx,) * int(m.group())
+        return (idx,)
+
+    def _term(self):
+        coeff = complex(1.0)
+        word = ()
+        self._ws()
+        if self._peek() == "(" or self._peek().isdigit():
+            coeff = self._scalar()
+            self._ws()
+        else:
+            word = self._factor()
+            self._ws()
+        while self.pos < len(self.text) and self._peek() not in "+-":
+            if self._peek() == "^":
+                raise ParseError("expected generator name", self.pos)
+            word = word + self._factor()
+            self._ws()
+        return coeff, word
+
+    def parse(self):
+        self._ws()
+        if self.pos >= len(self.text):
+            raise ParseError("empty expression", self.pos)
+        terms = {}
+        sign = 1.0
+        if self._peek() in "+-":
+            sign = -1.0 if self._peek() == "-" else 1.0
+            self.pos += 1
+        while True:
+            coeff, word = self._term()
+            terms[word] = terms.get(word, 0.0) + sign * coeff
+            self._ws()
+            if self.pos >= len(self.text):
+                break
+            if self._peek() not in "+-":
+                raise ParseError("expected '+' or '-'", self.pos)
+            sign = -1.0 if self._peek() == "-" else 1.0
+            self.pos += 1
+        return NcPoly(terms)
+
+
+def _parse_outcome(parse, text, alg):
+    """The terms parse gives, sorted and as text so that NaN equals NaN, or
+    its exception's class, message and offset."""
+    try:
+        p = parse(text, alg)
+    except QLevyError as err:
+        return type(err), str(err), getattr(err, "position", None)
+    return repr(sorted(p.terms.items()))
+
+
+def _oracle_parse(text, alg):
+    return normal_form(_Parser(text, alg).parse(), alg)
+
+
+_PIECES = [" ", "\t", "(", ")", "i", "^", "*", "^*", "^2", "^*^3", ".", "e", "E", "e-3", "_",
+           "+", "-", "w", "1e400", "1.e502", "1e-400"]
+_TERMS = [" + ", " - ", "2 ", "0", "10", "0.5", "1.5e1 ", "(2+1i) ", "(-1 - 0.5i)", "( 1e-3 +2i )"]
+_NAMES = {"azema": ["x", " y ", " x^* ", "y^2 ", " x^*^2 "],
+          "unitary2": ["x11", " x12 ", " x21^* ", "x22^2 ", " x11^*^2 "]}
+_ALGEBRAS = {"azema": lambda: make_azema(2.0)[0].algebra,
+             "unitary2": lambda: make_unitary_bialgebra(2).algebra}
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_poly_matches_the_recursive_descent_oracle(name, data):
+    alg = _ALGEBRAS[name]()
+    tokens = st.sampled_from(_PIECES) | st.sampled_from(_TERMS) | st.sampled_from(_NAMES[name])
+    text = data.draw(st.lists(tokens, max_size=12).map("".join), label="text")
+    assume(not re.search(r"\^\d{3}", text))   # x^100 and up: long words, slow to normalize
+    got = _parse_outcome(parse_poly, text, alg)
+    overflow = isinstance(got, tuple) and got[0] is ParseError and \
+        re.fullmatch(r"number '(.*)' is not finite \(offset (\d+)\)", got[1])
+    if overflow:
+        literal, at = overflow.group(1), int(overflow.group(2))
+        assert text.startswith(literal, at) and float(literal) == math.inf, (text, got)
+    else:
+        assert got == _parse_outcome(_oracle_parse, text, alg), text
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "empty expression", 0),
+    ("  \t", "empty expression", 3),
+    ("x + 2 x - ", "expected generator name", 10),
+    ("x ^2", "expected generator name", 2),
+    ("2 (1+1i)", "expected generator name", 2),
+    ("x^1.5", "expected '*' or integer exponent after '^'", 1),
+    ("x^ 2", "expected '*' or integer exponent after '^'", 1),
+    ("x^*^2e1", "expected integer exponent", 4),
+    ("(1 2i)", "expected '+' or '-' in complex literal", 3),
+    ("(1+2)", "expected 'i' in complex literal", 4),
+    ("(1+2i x", "expected ')'", 6),
+    ("x + (", "expected number", 6),
+    ("(1", "expected number", 3),
+    ("(+ 1+2i)", "expected number", 2),
+    ("1e400 x", "number '1e400' is not finite", 0),
+    ("(1+1e400i) x", "number '1e400' is not finite", 3),
+    ("-1e400", "number '1e400' is not finite", 1),
+    ("x - 1.e502", "number '1.e502' is not finite", 4),
+])
+def test_parse_errors_name_their_offset(azema2, text, message, offset):
+    # the end of the text reads as a sign and is stepped over, so "(1" and
+    # "x + (" report their missing number one past the end
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, azema2[0].algebra)
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.position == offset
+
+
+def test_parse_unknown_generator(azema2):
+    with pytest.raises(UnknownGenerator, match="unknown generator 'w'"):
+        parse_poly("x^* w^2", azema2[0].algebra)
 
 
 def _find_redex(w, rules):
