@@ -315,16 +315,15 @@ def levy_triple_residuals(t, n_samples=50, sample_degree=3, rng=None):
         b = random_poly(alg, rng, sample_degree, n_terms=3)
         ab = multiply(a, b, alg)
         a_star = involute(a, alg)
-        lhs = B.counit(a) * t.psi(b) - t.psi(ab) + t.psi(a) * B.counit(b)
-        rep["eq21"] = max(rep["eq21"], abs(lhs + _inner(t.eta(a_star), t.eta(b))))
-        coc = t.eta(ab) - t.rho(a) @ t.eta(b) - t.eta(a) * B.counit(b)
-        rep["cocycle"] = max(rep["cocycle"],
-                             float(np.abs(coc).max()) if coc.size else 0.0)
-        dm = t.rho(ab) - t.rho(a) @ t.rho(b)
-        rep["rho_multiplicative"] = max(rep["rho_multiplicative"],
-                                        float(np.abs(dm).max()) if dm.size else 0.0)
-        ds = t.rho(a_star) - t.rho(a).conj().T
-        rep["rho_star"] = max(rep["rho_star"],
-                              float(np.abs(ds).max()) if ds.size else 0.0)
+        rho_a, eta_b, eps_b = t.rho(a), t.eta(b), B.counit(b)
+        lhs = B.counit(a) * t.psi(b) - t.psi(ab) + t.psi(a) * eps_b
+        rep["eq21"] = max(rep["eq21"], abs(lhs + _inner(t.eta(a_star), eta_b)))
+        residuals = {
+            "cocycle": t.eta(ab) - rho_a @ eta_b - t.eta(a) * eps_b,
+            "rho_multiplicative": t.rho(ab) - rho_a @ t.rho(b),
+            "rho_star": t.rho(a_star) - rho_a.conj().T,
+        }
+        for name, r in residuals.items():
+            rep[name] = max(rep[name], float(np.abs(r).max(initial=0.0)))
     rep["max_residual"] = max(rep.values())
     return rep

@@ -346,13 +346,17 @@ def _sign(text, pos):
 
 def _real(text, pos):
     """(value, end) of the unsigned real at pos.  A literal that overflows
-    is refused: its inf would make a coefficient NaN."""
+    is refused, as its inf would make a coefficient NaN, and so is one with
+    a nonzero digit that underflows, as its term would silently vanish."""
     m = _REAL.match(text, pos)
     if not m:
         raise ParseError("expected number", pos)
-    x = float(m.group())
+    literal = m.group()
+    x = float(literal)
     if not cmath.isfinite(x):
-        raise ParseError(f"number {m.group()!r} is not finite", pos)
+        raise ParseError(f"number {literal!r} is not finite", pos)
+    if x == 0.0 and literal.lower().partition("e")[0].strip("0."):
+        raise ParseError(f"number {literal!r} underflows to 0", pos)
     return x, m.end()
 
 
@@ -398,7 +402,9 @@ def _factor(text, pos, alg):
 def parse_poly(text, alg):
     """Parse an expression over alg's alphabet and return its normal form.
     ParseError gives the offset of the first token that does not fit, a
-    non-finite literal included; UnknownGenerator names an unknown name."""
+    literal that overflows or underflows included; UnknownGenerator names an
+    unknown name, and InvalidParameter a coefficient that finite literals
+    combine to a non-finite one."""
     pos = _space(text, 0)
     if pos == len(text):
         raise ParseError("empty expression", pos)
@@ -417,4 +423,9 @@ def parse_poly(text, alg):
             word += more
         terms[word] = terms.get(word, 0.0) + sign * coeff
         if pos == len(text):
-            return normal_form(NcPoly(terms), alg)
+            p = normal_form(NcPoly(terms), alg)
+            for w, c in p.terms.items():
+                if not cmath.isfinite(c):
+                    raise InvalidParameter(
+                        f"{alg.name}: the coefficient of {alg.spell(w)!r} overflows")
+            return p

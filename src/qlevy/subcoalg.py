@@ -4,9 +4,12 @@ Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 (Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
 matrix T(psi) = (id (x) psi) o Delta.  Each counit row delta e^{t T} takes
-one of two routes: a T with no nonzero entry on or below the diagonal (Azema's,
-psi being 0 on group-likes) is nilpotent, and its Taylor sum ends, exact up to
-rounding; any other T takes dense scipy.linalg.expm.
+one of three routes: a T with no nonzero entry on or below the diagonal
+(Azema's, psi being 0 on group-likes) is nilpotent, and its Taylor sum ends,
+exact up to rounding; a diagonal T (every group-like carrier's) takes exp of
+its diagonal; any other T takes dense scipy.linalg.expm.  scipy is imported
+by the routes that call it, so a run that never needs dense expm, a sparse
+power or a matrix-family target never loads it.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
 p, closed under taking either leg of key_delta, sorted by key_order.
@@ -34,8 +37,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .bialg import TERM_BUDGET, transfer_apply
 from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConvergence,
@@ -163,18 +164,22 @@ def transfer_matrix(psi, sub):
 def _counit_row(delta, m, t):
     """delta e^{t m}.  A strictly upper triangular m (m^d = 0 at side d) sums
     v_k = (t / k) v_{k-1} m from v_0 = delta until v_k is exactly zero, at most
-    d terms even where an overflow makes NaN; any other m takes dense expm."""
+    d terms even where an overflow makes NaN; a diagonal m takes exp of its
+    diagonal, as expm does for one; any other m takes dense expm."""
     if not np.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t}")
-    if np.tril(m).any():
-        row = delta @ scipy.linalg.expm(t * m)
-    else:
+    if not np.tril(m).any():
         row = v = delta
         for k in range(1, len(delta)):
             v = (t / k) * (v @ m)
             if not v.any():
                 break
             row = row + v
+    elif np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        row = delta @ np.diag(np.exp(np.diag(t * m)))
+    else:
+        import scipy.linalg
+        row = delta @ scipy.linalg.expm(t * m)
     if not np.isfinite(row).all():
         raise InvalidParameter(
             f"e^{{t T(psi)}} at t = {t:.15g} overflowed" if np.isfinite(m).all()
@@ -187,9 +192,9 @@ def factor_table(psi, dt, left, right, B):
 
     Delta is multiplicative, so the words of all products left[i]* right[j]
     close to one subcoalgebra S (owned by B); each value is the counit row
-    delta e^{dt T_S(psi)} (exact sum if nilpotent, else dense expm), taken
-    once per call and read against coords_S of its product.  S holds T_S(psi),
-    not the row: a partition with random times never repeats a step.
+    delta e^{dt T_S(psi)} (by one of _counit_row's routes), taken once per
+    call and read against coords_S of its product.  S holds T_S(psi), not
+    the row: a partition with random times never repeats a step.
     """
     prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
     try:
@@ -241,6 +246,7 @@ def doubled_product(subc, subd, c, d, factors):
             np.add.at(t, (rows, cols), vals)
             x = np.linalg.matrix_power(t, g) @ x
         else:
+            import scipy.sparse
             t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
             for _ in range(g):
                 x = t @ x
@@ -248,8 +254,8 @@ def doubled_product(subc, subd, c, d, factors):
 
 
 def conv_exp(psi, t, p, B):
-    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p:
-    exact sum if T(psi) is nilpotent, else dense expm."""
+    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p,
+    the row taken by one of _counit_row's routes."""
     sub = subcoalgebra_of(p, B)
     row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), t)
     return complex(row @ sub.coords(p))
@@ -331,6 +337,7 @@ class ProductFamilySpec:
             g = np.asarray(self.baseline, dtype=complex)
             if not np.isfinite(g).all():
                 raise InvalidParameter("matrix-family baseline G is not finite")
+            import scipy.linalg
             got = self._targets[span] = (scipy.linalg.expm(span * g), _opnorm(g))
         return got
 

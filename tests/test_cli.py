@@ -513,10 +513,15 @@ _NAN = float("nan")
      "/morphism/degree_cap: not read"),
     ("trotter_nilpotent", {"trotter": {"kind": "nilpotent", "size": 4, "draws": 5, "C": 7}},
      "/trotter/C: not read by the trotter experiment (kind nilpotent)"),
-    # an element that does not parse, names an unknown generator or overflows
+    # an element that does not parse, names an unknown generator, overflows or
+    # underflows, or whose terms sum to an overflow
     ("sweep_azema_x", {"element": "x ^"}, "/element: expected generator name (offset 2)"),
     ("sweep_azema_x", {"element": "w"}, "/element: unknown generator 'w'"),
     ("sweep_azema_x", {"element": "1e400 x"}, "/element: number '1e400' is not finite"),
+    ("sweep_azema_x", {"element": "1e-400 x"},
+     "/element: number '1e-400' underflows to 0 (offset 0)"),
+    ("sweep_azema_x", {"element": "1e308 x + 1e308 x"},
+     "/element: azema(q=2): the coefficient of 'x' overflows"),
     ("reverse_azema_x", {"element_d": "x +"}, "/element_d: expected generator name (offset 3)"),
 ], ids=["reverse-identity-chain", "fock-unitary-no-unitary", "fock-unitary-w-not-unitary",
         "fock-unitary-w-flat", "decreasing-interval", "unitary-convexp-no-psi",
@@ -526,7 +531,8 @@ _NAN = float("nan")
         "axioms-samples", "azema-d", "generator-builtin-and-table",
         "unitary-azema-psi-and-table", "identity-chain-lift", "identity-chain-degree-cap",
         "nilpotent-trotter-c", "element-malformed", "element-unknown-generator",
-        "element-overflow", "element-d-malformed"])
+        "element-overflow", "element-underflow", "element-sum-overflow",
+        "element-d-malformed"])
 def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, pointer):
     # qlevy check applies the pre-flight qlevy run applies: each config is
     # refused by both, with its JSON pointer, and nothing is written; a field

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -149,8 +150,10 @@ class TestParser:
 
 # The recursive-descent parser that parse_poly replaced, kept unchanged as
 # its oracle: both must give the same terms, or the same exception class,
-# message and offset.  The one intended difference is a literal that
-# overflows, which the oracle turns into a NaN coefficient.
+# message and offset.  The intended differences are a literal that overflows,
+# which the oracle turns into a NaN coefficient, a literal with a nonzero
+# digit that underflows, whose term the oracle drops, and finite literals
+# whose coefficient overflows, which the oracle keeps as inf or NaN.
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _REAL = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 
@@ -302,11 +305,14 @@ def test_parse_poly_matches_the_recursive_descent_oracle(name, data):
     text = data.draw(st.lists(tokens, max_size=12).map("".join), label="text")
     assume(not re.search(r"\^\d{3}", text))   # x^100 and up: long words, slow to normalize
     got = _parse_outcome(parse_poly, text, alg)
-    overflow = isinstance(got, tuple) and got[0] is ParseError and \
-        re.fullmatch(r"number '(.*)' is not finite \(offset (\d+)\)", got[1])
-    if overflow:
-        literal, at = overflow.group(1), int(overflow.group(2))
-        assert text.startswith(literal, at) and float(literal) == math.inf, (text, got)
+    refused = isinstance(got, tuple) and got[0] is ParseError and \
+        re.fullmatch(r"number '(.*)' (is not finite|underflows to 0) \(offset (\d+)\)", got[1])
+    if refused:
+        literal, why, at = refused.group(1), refused.group(2), int(refused.group(3))
+        want = math.inf if why == "is not finite" else 0.0
+        assert text.startswith(literal, at) and float(literal) == want, (text, got)
+    elif isinstance(got, tuple) and got[0] is InvalidParameter and "coefficient" in got[1]:
+        assert not all(map(cmath.isfinite, _oracle_parse(text, alg).terms.values())), text
     else:
         assert got == _parse_outcome(_oracle_parse, text, alg), text
 
@@ -330,6 +336,9 @@ def test_parse_poly_matches_the_recursive_descent_oracle(name, data):
     ("(1+1e400i) x", "number '1e400' is not finite", 3),
     ("-1e400", "number '1e400' is not finite", 1),
     ("x - 1.e502", "number '1.e502' is not finite", 4),
+    ("1e-400 x", "number '1e-400' underflows to 0", 0),
+    ("x + (1+1e-400i)", "number '1e-400' underflows to 0", 7),
+    ("(-0.0001e-999 - 2i) y", "number '0.0001e-999' underflows to 0", 2),
 ])
 def test_parse_errors_name_their_offset(azema2, text, message, offset):
     # the end of the text reads as a sign and is stepped over, so "(1" and
@@ -338,6 +347,18 @@ def test_parse_errors_name_their_offset(azema2, text, message, offset):
         parse_poly(text, azema2[0].algebra)
     assert str(err.value) == f"{message} (offset {offset})"
     assert err.value.position == offset
+
+
+def test_parse_keeps_zero_literals_and_refuses_a_sum_that_overflows(azema2):
+    alg = azema2[0].algebra
+    for zero in ("0", "0.0", "0e5", "00.000e-999", "(0-0.0i)"):
+        assert parse_poly(f"{zero} x + y", alg).terms == {(Y,): 1.0}, zero
+    assert parse_poly("1e308 x - 1e308 x + y", alg).terms == {(Y,): 1.0}
+    with pytest.raises(InvalidParameter, match=r"^azema\(q=2\): the coefficient of 'x' overflows$"):
+        parse_poly("1e308 x + 1e308 x", alg)
+    # y x* -> 2 x* y: one finite literal, a coefficient that overflows in the normal form
+    with pytest.raises(InvalidParameter, match=r"the coefficient of 'x\* y' overflows"):
+        parse_poly("1e308 y x^*", alg)
 
 
 def test_parse_unknown_generator(azema2):

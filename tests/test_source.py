@@ -1,7 +1,11 @@
-"""Checks on the source of the qlevy package itself, read with the stdlib ast."""
+"""Checks on the qlevy package itself: its source, read with the stdlib ast,
+and the modules a fresh interpreter loads to run it."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +40,38 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Every qlevy module is imported, then a group-like sweep (diagonal T(psi))
+# and an Azema conv_exp (nilpotent T(psi)) run without loading scipy; a U<2>
+# conv_exp, whose T(psi) is neither, then takes dense expm and loads it.
+_COLD_RUN = """
+import importlib, pathlib, sys
+import numpy as np
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
+    importlib.import_module("qlevy" if path.stem == "__init__" else "qlevy." + path.stem)
+from qlevy.constructions import make_azema, make_grouplike
+from qlevy.gns import UnitaryTripleParams, unitary_triple
+from qlevy.gram import convergence_sweep
+from qlevy.ncpoly import parse_poly
+from qlevy.subcoalg import conv_exp
+
+B, _, psi = make_azema(2.0)
+_G, kappa, kappa_tilde = make_grouplike(B, 6)
+c = kappa_tilde.apply(parse_poly("x^*", B.algebra))
+convergence_sweep(c, c, kappa, psi, 0.0, 1.0, [2, 4])
+conv_exp(psi, 1.0, parse_poly("(0.7-0.4i) x x^* x x^* + 1", B.algebra), B)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+t = unitary_triple(UnitaryTripleParams(
+    2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
+conv_exp(t.psi, 1.0, parse_poly("x11 x21^*", t.B.algebra), t.B)
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_on_the_routes_that_call_it():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN, str(SRC)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]

@@ -278,6 +278,35 @@ def test_unitary2_transfer_with_a_diagonal_takes_dense_expm(expm_calls):
         assert abs(got - v) <= 1e-10 * abs(v)
 
 
+@pytest.mark.parametrize("side", [1, 2, 7, 40])
+def test_diagonal_row_is_bitwise_dense_expm(side, expm_calls):
+    # expm of a diagonal input is exp of its diagonal, so the route changes no bit
+    rng = np.random.default_rng(side)
+    m = np.diag(rng.normal(size=side) + 1j * rng.normal(size=side))
+    delta = rng.normal(size=side) + 1j * rng.normal(size=side)
+    for t in (0.1, 1.0, -2.0):
+        oracle = delta @ scipy.linalg.expm(t * m)
+        del expm_calls[:]
+        assert np.array_equal(_counit_row(delta, m, t), oracle), t
+        assert expm_calls == []
+
+
+def test_diagonal_row_that_overflows_raises_as_dense_expm_did():
+    m = np.diag(np.array([1.0, 800.0 + 0.5j], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidParameter, match=r"^e\^\{t T\(psi\)\} at t = 1 overflowed$"):
+        _counit_row(np.ones(2, dtype=complex), m, 1.0)
+
+
+def test_zero_transfer_takes_the_nilpotent_sum(monkeypatch, expm_calls):
+    exp_calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: exp_calls.append(x) or exp(x))
+    delta = np.array([1.0, -2.0, 0.5j])
+    assert np.array_equal(_counit_row(delta, np.zeros((3, 3), dtype=complex), 2.0), delta)
+    assert exp_calls == [] and expm_calls == []
+
+
 def test_shipped_convexp_config_hands_no_nilpotent_matrix_to_expm(tmp_path, expm_calls):
     from qlevy.cli import builtin_config_path, run_experiment
 
