@@ -1,12 +1,13 @@
 """Configuration-driven experiment runner.
 
-`qlevy check <config.json>` validates a configuration (schema, pre-flight,
+`qlevy check <config.json>` validates a configuration (field types, pre-flight,
 bialgebra certificate) and exits 0/1; `qlevy run <config.json>` runs the same
 validation, executes the configured experiment and writes a CSV table plus a
 JSON summary, writing nothing unless the summary serializes; CSV
 numbers use 17 significant digits and outputs are byte-deterministic for a
 fixed config and seed (the JSON summary additionally records the wall
-time).  Complex values are serialized as [re, im] pairs.
+time).  Complex values are serialized as [re, im] pairs.  FIELDS is the
+config contract: each field's type, default and the runs that read it.
 """
 
 from __future__ import annotations
@@ -31,20 +32,8 @@ DEFAULT_SEED = 20080131
 # config loading
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _validator():
-    """The config schema's validator, its schema checked once per process."""
-    import jsonschema
-
-    path = Path(__file__).with_name("config_schema.json")
-    with open(path, encoding="utf-8") as fh:
-        schema = json.load(fh)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def load_config(config_path):
+    """The JSON config at config_path, refused with a SchemaError unless FIELDS admits it."""
     try:
         text = Path(config_path).read_text(encoding="utf-8")
     except OSError as e:
@@ -53,13 +42,12 @@ def load_config(config_path):
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
-    from jsonschema.exceptions import best_match
-
-    # the error jsonschema.validate would raise
-    error = best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
-        raise SchemaError(f"{pointer}: {error.message}")
+    every = _fields(FIELDS)
+    _check_fields(cfg, every, "any run")
+    for pointer, (_type, default) in every.items():
+        needed = pointer in FIELDS or _value(cfg, pointer.rsplit("/", 1)[0], None) is not None
+        if default is ... and needed and _value(cfg, pointer, None) is None:
+            raise SchemaError(f"{pointer}: required")
     return cfg
 
 
@@ -81,49 +69,102 @@ def _carr(obj):
 # the config fields each run reads
 # ---------------------------------------------------------------------------
 
-# The fields a run reads, by JSON pointer, with the default of each: every
-# run's, then its bialgebra builder's, then its experiment's, then those of
-# the entry that the value of a _VARIANTS field names (a sweep's morphism
-# chain, a trotter run's kind).  A default is a value or a function of the
-# fields resolved before it; None is no default: the schema requires /name,
-# /experiment, /bialgebra/builder and the three /unitary arrays, _preflight
-# requires /unitary of fock-unitary, and a generator holds a builtin or a
-# table.  _preflight refuses every other config field.
-_AZEMA = {"/bialgebra/q": 2.0}
-_PSI = {"/generator/builtin": "azema-psi", "/generator/table": None}
-_INTERVAL = {"/interval": (0.0, 1.0)}
-_GRAM = {**_PSI, **_INTERVAL, "/element": "x", "/element_d": lambda f: f["/element"],
-         "/partition/ns": (2, 4, 8, 16, 32, 64)}
-_GROUPLIKE = {"/morphism/degree_cap": 6}
-FIELDS = {
-    "run": {"/name": None, "/experiment": None, "/bialgebra/builder": None,
-            "/rng_seed": DEFAULT_SEED, "/tolerances/axioms": 1e-9,
-            "/output/csv": lambda f: f"{f['/name']}.csv",
-            "/output/json": lambda f: f"{f['/name']}.json"},
-    "azema": _AZEMA,
-    "azema-primitive": _AZEMA,
-    "unitary": {"/bialgebra/d": 1},
+def _kind(what, test, item=None):
+    """A field type: check(x, at) is x (an array's items resolved by the type
+    item) if test(x) holds and each item of x is of type item, else a SchemaError."""
+    def check(x, at):
+        if not test(x):
+            raise SchemaError(f"{at or 'the config'}: must be {what}, not {json.dumps(x)}")
+        pairs = () if item is None else x.items() if isinstance(x, dict) else enumerate(x)
+        items = [item(v, f"{at}/{k}") for k, v in pairs]
+        return items if item and isinstance(x, list) else x
+    return check
+
+
+def _integer(least):
+    # draft-07's integer (no fractional part), read as an int; type(x), as True is an int
+    check = _kind(f"an integer >= {least}",
+                  lambda x: type(x) in (int, float) and x % 1 == 0 and x >= least)
+    return lambda x, at: int(check(x, at))
+
+
+def _array(least, most=math.inf):
+    return lambda x: isinstance(x, list) and least <= len(x) <= most
+
+
+def _typed(kind, x, at):
+    """x at pointer at, resolved by kind: a _kind, or an enum's names (a tuple, or a dict)."""
+    check = kind if callable(kind) else _kind(
+        "one of " + ", ".join(kind), lambda x: isinstance(x, str) and x in kind)
+    return check(x, at)
+
+
+# The fields a run reads, by JSON pointer, each with its type and default:
+# every run's, then those the value of each enum field adds (the builder's,
+# the experiment's, a sweep's morphism chain's, a trotter run's kind's).  A
+# default is a value or a function of the fields resolved before it; None is
+# no value (a generator holds a builtin or a table), and ... no default: every
+# config gives the run's own such fields, and each /unitary its W, L and H.
+# config_schema.json documents this contract; a test holds it to FIELDS.
+_NUMBER, _COUNT = _kind("a number", lambda x: type(x) in (int, float)), _integer(1)
+_STRING = _kind("a string", lambda x: isinstance(x, str))
+_OBJECT = _kind("an object", lambda x: isinstance(x, dict))
+_PAIR = _kind("a pair of numbers", _array(2, 2), _NUMBER)
+_NS = _kind("a non-empty array of integers >= 1", _array(1), _COUNT)
+_AZEMA = {"/bialgebra/q": (
+    _kind("a nonzero number", lambda x: type(x) in (int, float) and x != 0), 2.0)}
+_PSI = {"/generator/builtin": (("azema-psi", "zero"), "azema-psi"), "/generator/table": (
+    _kind("an object of [re, im] pairs", lambda x: isinstance(x, dict), _PAIR), None)}
+_INTERVAL = {"/interval": (_PAIR, (0.0, 1.0))}
+_GRAM = {**_PSI, **_INTERVAL, "/element": (_STRING, "x"),
+         "/element_d": (_STRING, lambda f: f["/element"]),
+         "/partition/ns": (_NS, (2, 4, 8, 16, 32, 64))}
+_GROUPLIKE = {"/morphism/degree_cap": (_COUNT, 6)}
+_CHAINS = {"identity": {}, "grouplike": {
+    **_GROUPLIKE, "/lift": (_kind("true or false", lambda x: isinstance(x, bool)), True)},
+    "azema-to-primitive": {}, "primitive-to-azema": {}}
+_KINDS = {"nilpotent": {}, "perturbed": {
+    "/trotter/C": (_kind("a number >= 0", lambda x: type(x) in (int, float) and not x < 0), 1.0)}}
+_EXPERIMENTS = {
     "axioms": {},
-    "convexp": {**_PSI, "/samples": 50, "/ts": (0.1, 1.0, 2.0), "/caps/degree_cap": 4,
-                "/tolerances/convexp": 1e-10},
-    "gns": {**_PSI, "/samples": 40, "/caps/degree_cap": 3, "/tolerances/gns": 1e-10},
-    "sweep": {**_GRAM, "/morphism/chain": "identity"},
-    "reverse": {**_GRAM, **_GROUPLIKE, "/tolerances/reverse": 1e-2},
-    "fock-unitary": {**_INTERVAL, "/unitary/W": None, "/unitary/L": None,
-                     "/unitary/H": None, "/partition/ns": (4, 8, 16, 32),
-                     "/caps/particle_cap": 8, "/tolerances/amplitude": 1e-3},
-    "azema-wiener": {**_INTERVAL, "/partition/ns": (2, 4, 8, 16),
-                     "/caps/particle_cap": 5},
-    "trotter": {**_INTERVAL, "/trotter/kind": "nilpotent", "/trotter/size": 4,
-                "/trotter/draws": 20, "/partition/ns": (2, 4, 8, 16)},
-    "identity": {},
-    "grouplike": {**_GROUPLIKE, "/lift": True},
-    "azema-to-primitive": {},
-    "primitive-to-azema": {},
-    "nilpotent": {},
-    "perturbed": {"/trotter/C": 1.0},
+    "convexp": {**_PSI, "/samples": (_COUNT, 50), "/caps/degree_cap": (_COUNT, 4),
+                "/ts": (_kind("a non-empty array of numbers", _array(1), _NUMBER), (0.1, 1.0, 2.0)),
+                "/tolerances/convexp": (_NUMBER, 1e-10)},
+    "gns": {**_PSI, "/samples": (_COUNT, 40), "/caps/degree_cap": (_COUNT, 3),
+            "/tolerances/gns": (_NUMBER, 1e-10)},
+    "sweep": {**_GRAM, "/morphism/chain": (_CHAINS, "identity")},
+    "reverse": {**_GRAM, **_GROUPLIKE, "/tolerances/reverse": (_NUMBER, 1e-2)},
+    "fock-unitary": {**_INTERVAL, **dict.fromkeys(("/unitary/W", "/unitary/L", "/unitary/H"),
+                                                  (_kind("an array", _array(0)), ...)),
+                     "/partition/ns": (_NS, (4, 8, 16, 32)), "/caps/particle_cap": (_COUNT, 8),
+                     "/tolerances/amplitude": (_NUMBER, 1e-3)},
+    "azema-wiener": {**_INTERVAL, "/partition/ns": (_NS, (2, 4, 8, 16)),
+                     "/caps/particle_cap": (_COUNT, 5)},
+    "trotter": {**_INTERVAL, "/trotter/kind": (_KINDS, "nilpotent"),
+                "/trotter/size": (_integer(2), 4), "/trotter/draws": (_COUNT, 20),
+                "/partition/ns": (_NS, (2, 4, 8, 16))},
 }
-_VARIANTS = ("/morphism/chain", "/trotter/kind")
+FIELDS = {
+    "/name": (_kind("a non-empty string", lambda x: isinstance(x, str) and x != ""), ...),
+    "/bialgebra/builder": ({"azema": _AZEMA, "azema-primitive": _AZEMA,
+                            "unitary": {"/bialgebra/d": (_COUNT, 1)}}, ...),
+    "/experiment": (_EXPERIMENTS, ...),
+    "/rng_seed": (_integer(0), DEFAULT_SEED),
+    "/tolerances/axioms": (_NUMBER, 1e-9),
+    "/output/csv": (_STRING, lambda f: f"{f['/name']}.csv"),
+    "/output/json": (_STRING, lambda f: f"{f['/name']}.json"),
+}
+
+
+def _fields(fields, cfg=None):
+    """fields, then those of the entry that each enum field's value in cfg
+    selects, or of every entry when cfg is None."""
+    out = dict(fields)
+    for pointer, (kind, default) in fields.items():
+        if isinstance(kind, dict):
+            for name in (kind if cfg is None else [_value(cfg, pointer, default)]):
+                out |= _fields(kind[name], cfg)
+    return out
 
 
 def _value(cfg, pointer, default):
@@ -134,46 +175,48 @@ def _value(cfg, pointer, default):
         return default
 
 
-def _check_fields(node, may, where, pointer=""):
-    """Raise SchemaError naming the first pointer under node that is not in
-    may, or the first number that is not finite (draft-07 cannot exclude NaN
-    or Infinity).  may maps a pointer to True where the run reads its value,
-    False above such a pointer; None admits every pointer."""
+def _check_fields(node, fields, where, pointer=""):
+    """Raise SchemaError naming the first pointer under node that is neither in
+    fields nor above one, whose value is not of its type (an object above one),
+    or whose number is not finite (JSON takes NaN); fields None admits any."""
     if isinstance(node, float) and not math.isfinite(node):
         raise SchemaError(f"{pointer} must be finite, got {node}")
+    if fields is not None:
+        _OBJECT(node, pointer)
     if isinstance(node, (dict, list)):
         for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
             at = f"{pointer}/{key}"
-            if may is not None and at not in may:
+            leaf = fields is not None and at in fields
+            if leaf:
+                _typed(fields[at][0], child, at)
+            elif fields is not None and not any(p.startswith(at + "/") for p in fields):
                 raise SchemaError(f"{at}: not read by {where}")
-            _check_fields(child, None if may is None or may[at] else may, where, at)
+            _check_fields(child, None if leaf else fields, where, at)
 
 
 def _preflight(cfg):
-    """The fields cfg's run reads (FIELDS), each the config's value or its
-    default, after every check of a schema-valid config that needs no built
-    object; each failure is a SchemaError naming its JSON pointer.  The
-    bialgebra that check_defs certifies must be the one the experiment runs:
-    fock-unitary runs U<d>, azema-wiener Azema with the Azema psi.  An
-    experiment that reads psi needs one (U<d> has none).
+    """The fields cfg's run reads (FIELDS), each the config's value resolved
+    by its type or its default, after every check of a config load_config
+    accepts that needs no built object; each failure is a SchemaError naming
+    its JSON pointer.  The bialgebra that check_defs certifies must be the
+    one the experiment runs: fock-unitary runs U<d>, azema-wiener Azema with
+    the Azema psi.  An experiment that reads psi needs one (U<d> has none).
     """
-    experiment, builder = cfg["experiment"], cfg["bialgebra"]["builder"]
-    entry = FIELDS["run"] | FIELDS[builder] | FIELDS[experiment]
-    where = f"the {experiment} experiment"
-    for pointer in _VARIANTS:
-        if pointer in entry:
-            variant = _value(cfg, pointer, entry[pointer])
-            entry |= FIELDS[variant]
-            where += f" ({pointer.rsplit('/', 1)[1]} {variant})"
-    may = {p[:i]: False for p in entry for i in range(1, len(p)) if p[i] == "/"}
-    _check_fields(cfg, may | dict.fromkeys(entry, True), f"{where} on the {builder} builder")
+    entry = _fields(FIELDS, cfg)
+    f = {}
+    for pointer, (kind, default) in entry.items():
+        value = _value(cfg, pointer, None)
+        if value is None and default is ...:
+            raise SchemaError(f"{pointer}: required by the {f['/experiment']} experiment")
+        f[pointer] = ((default(f) if callable(default) else default) if value is None
+                      else _typed(kind, value, pointer))
+    experiment, builder = f["/experiment"], f["/bialgebra/builder"]
+    where = f"the {experiment} experiment" + "".join(
+        f" ({p.rsplit('/', 1)[1]} {f[p]})" for p, (kind, _default) in entry.items()
+        if isinstance(kind, dict) and p not in FIELDS)
+    _check_fields(cfg, entry, f"{where} on the {builder} builder")
     if len(cfg.get("generator", {})) > 1:
         raise SchemaError("/generator: give a builtin or a table, not both")
-    if experiment == "fock-unitary" and "unitary" not in cfg:
-        raise SchemaError("/unitary: required by the fock-unitary experiment")
-    f = {}
-    for pointer, default in entry.items():
-        f[pointer] = _value(cfg, pointer, default(f) if callable(default) else default)
     if "/interval" in f and not f["/interval"][1] > f["/interval"][0]:
         raise SchemaError("/interval: must be increasing")
     want = {"fock-unitary": "unitary", "azema-wiener": "azema"}.get(experiment)
@@ -323,7 +366,7 @@ class _Run:
 def check_defs(config_path):
     """Validation report for a config, from the checks `qlevy run` applies first.
 
-    The schema, then _preflight and fock-unitary's (W, L, H), each failure a
+    load_config, then _preflight and fock-unitary's (W, L, H), each failure a
     SchemaError naming its JSON pointer; only then is anything built.  The
     bialgebra is checked by bialg.certify_bialgebra, exactly and in order:
     the rewriting system is confluent (else InvalidParameter naming the
@@ -635,13 +678,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     if args.command == "list-builtins":
-        props = _validator().schema["properties"]
-        bialg, morph, gen = (props[k]["properties"] for k in ("bialgebra", "morphism", "generator"))
-        for label, enum in (("experiments", props["experiment"]["enum"]),
-                            ("bialgebra builders", bialg["builder"]["enum"]),
-                            ("morphism chains", morph["chain"]["enum"]),
-                            ("generators", gen["builtin"]["enum"] + ["table"])):
-            print(f"{label}: " + ", ".join(enum))
+        every = _fields(FIELDS)
+        for label, pointer, more in (("experiments", "/experiment", []),
+                                     ("bialgebra builders", "/bialgebra/builder", []),
+                                     ("morphism chains", "/morphism/chain", []),
+                                     ("generators", "/generator/builtin", ["table"])):
+            print(f"{label}: " + ", ".join([*every[pointer][0], *more]))
         print("shipped configs (" + str(builtin_config_path("")) + "):")
         for name in builtin_configs():
             print("  " + name)

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -40,27 +43,93 @@ def test_schema_rejects_q_zero(tmp_path):
     assert "/bialgebra/q" in str(exc.value)
 
 
+def _schema():
+    with open(builtin_config_path("").with_name("config_schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_DROP = object()
+
+
+def _edits(schema, node, value, path=()):
+    """(path, new value or _DROP) of one-fault edits at and below value, the
+    part of a config that the schema's node describes: a wrong type, a value
+    below the minimum or outside the enum, an array of the wrong length, an
+    unknown key, a missing required key, and an integer written as a float
+    with and without a fractional part."""
+    if "$ref" in node:
+        node = schema["definitions"][node["$ref"].rsplit("/", 1)[1]]
+    yield from ((path, v) for v in (True, "1"))
+    if "enum" in node:
+        yield path, "frobnicate"
+    if "minimum" in node:
+        yield path, node["minimum"] - 1
+    if "not" in node:
+        yield path, node["not"]["const"]
+    if "minLength" in node:
+        yield path, ""
+    if node.get("type") == "integer":
+        yield from ((path, v) for v in (float(value), value + 0.5))
+    if isinstance(value, list):
+        yield path, value[:node.get("minItems", 1) - 1]
+        yield path, value + value[:1]
+        if value and "items" in node:
+            yield from _edits(schema, node["items"], value[0], (*path, 0))
+    if isinstance(value, dict):
+        yield (*path, "bogus"), 1
+        yield from (((*path, key), _DROP) for key in node.get("required", ()))
+        for key, child in value.items():
+            sub = node.get("properties", {}).get(key, node.get("additionalProperties"))
+            yield from _edits(schema, sub, child, (*path, key))
+
+
+def _edited(cfg, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(cfg)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, out)
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return out
+
+
 def test_schema_errors_name_the_best_match(tmp_path):
-    # load_config reuses one validator; its message is the one
-    # jsonschema.validate raises
+    # config_schema.json is the oracle of FIELDS: for each one-fault edit of
+    # each shipped config, a top-level array and a few configs with several
+    # faults, load_config and jsonschema agree on accept or reject, and a
+    # SchemaError begins with best_match's pointer (jsonschema names the
+    # object above an unknown or missing key)
     import jsonschema
+    from jsonschema.exceptions import best_match
 
-    from qlevy.cli import _validator
-
-    bad = [
+    schema = _schema()
+    validator = jsonschema.Draft7Validator(schema)
+    configs = [
         {"name": "bad", "experiment": "axioms", "bialgebra": {"builder": "azema", "q": 0}},
         {"name": "bad", "experiment": "frobnicate", "bialgebra": {"builder": "azema"}},
         {"experiment": "axioms"},
         {"name": 3, "experiment": "sweep", "bialgebra": {"builder": "nope"}, "extra": 1},
     ]
-    for i, cfg in enumerate(bad):
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(cfg, _validator().schema)
+    for name in builtin_configs():
+        cfg = json.loads(builtin_config_path(name).read_text(encoding="utf-8"))
+        configs += [_edited(cfg, at, value) for at, value in _edits(schema, schema, cfg)]
+        configs.append([cfg])
+    path, refused = tmp_path / "edited.json", 0
+    for edited in configs:
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        want = best_match(validator.iter_errors(edited))
+        if want is None:
+            load_config(path)
+            continue
         with pytest.raises(SchemaError) as got:
-            load_config(_write(tmp_path, f"bad{i}.json", cfg))
-        pointer = "/" + "/".join(str(p) for p in want.value.absolute_path)
-        assert str(got.value) == f"{pointer}: {want.value.message}"
-    assert _validator() is _validator()
+            load_config(path)
+        pointer = "".join(f"/{p}" for p in want.absolute_path)
+        assert str(got.value).startswith(pointer), (edited, want.message)
+        refused += 1
+    assert refused > 400
 
 
 def test_schema_rejects_unknown_experiment(tmp_path):
@@ -413,14 +482,12 @@ def test_main_run(tmp_path, capsys):
 
 
 def test_main_list_builtins(capsys):
-    from qlevy.cli import _validator
-
     assert main(["list-builtins"]) == 0
     out = capsys.readouterr().out
     assert "experiments:" in out
     assert "azema_q2.json" in out
     # each listed vocabulary is the schema's enum, in its order
-    props = _validator().schema["properties"]
+    props = _schema()["properties"]
     listed = dict(line.split(": ") for line in out.splitlines()[:4])
     assert listed == {
         "experiments": ", ".join(props["experiment"]["enum"]),
@@ -555,6 +622,28 @@ def test_check_and_run_refuse_before_building(tmp_path, capsys, name, edit, poin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("convexp_azema_q2", {"samples": 2.0}),
+    ("azema_q2", {"rng_seed": 7.0}),
+    ("sweep_azema_x", {"partition": {"ns": [2.0, 4.0]}}),
+    ("trotter_nilpotent", {"trotter": {"kind": "nilpotent", "size": 4.0, "draws": 3.0}}),
+    ("gns_azema_q2", {"caps": {"degree_cap": 2.0}}),
+], ids=["samples", "rng-seed", "partition-ns", "trotter-size-draws", "degree-cap"])
+def test_integer_fields_read_a_float_with_no_fraction_as_an_int(tmp_path, name, edit):
+    # draft-07's integer is any number whose fractional part is zero, so
+    # check passes 2.0; run reads it as 2 and writes the same CSV
+    with open(builtin_config_path(f"{name}.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    csvs = []
+    for as_int in (False, True):
+        cfg.update(json.loads(json.dumps(edit), parse_float=lambda t: int(float(t)))
+                   if as_int else edit)
+        csv_path, _, _ = run_experiment(_write(tmp_path, f"{name}.json", cfg),
+                                        str(tmp_path / str(as_int)))
+        csvs.append(Path(csv_path).read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
 def test_run_writes_nothing_unless_the_summary_serializes(tmp_path):
     # at interval [0, 1e308] a value of the azema-wiener summary is NaN,
@@ -595,25 +684,31 @@ def test_shipped_configs_check_with_a_seed(tmp_path):
 
 def _schema_leaves(node, pointer=""):
     if "properties" not in node:
-        return {pointer}
-    return set().union(*(_schema_leaves(child, f"{pointer}/{key}")
-                         for key, child in node["properties"].items()))
+        return {pointer: node}
+    return functools.reduce(operator.or_, (_schema_leaves(child, f"{pointer}/{key}")
+                                           for key, child in node["properties"].items()))
 
 
 def test_schema_and_field_table_name_the_same_fields():
     # every settable field is read by some run, and every field a run reads
-    # is settable; each default is written in the table, none in the schema
-    from qlevy.cli import FIELDS, _validator
+    # is settable; each default is written in the table, none in the schema;
+    # each enum is the names of its FIELDS entries, or the schema's enum
+    from qlevy.cli import _DISPATCH, FIELDS, _fields
 
-    schema = _validator().schema
-    read = set().union(*FIELDS.values())
-    assert _schema_leaves(schema) == read
+    schema = _schema()
+    leaves, every = _schema_leaves(schema), _fields(FIELDS)
+    assert set(leaves) == set(every)
     assert "default" not in json.dumps(schema)
-    props = schema["properties"]
-    assert set(FIELDS) == {"run", *props["experiment"]["enum"],
-                           *props["bialgebra"]["properties"]["builder"]["enum"],
-                           *props["morphism"]["properties"]["chain"]["enum"],
-                           *props["trotter"]["properties"]["kind"]["enum"]}
+    for pointer, (kind, _default) in every.items():
+        if "enum" in leaves[pointer]:
+            assert list(kind) == leaves[pointer]["enum"], pointer
+        else:
+            assert not isinstance(kind, (tuple, dict)), pointer
+    assert list(_DISPATCH) == leaves["/experiment"]["enum"]
+    # a field with no default is one the schema requires
+    required = {f"{p}/{key}" for p, node in [("", schema), *(
+        (f"/{k}", v) for k, v in schema["properties"].items())] for key in node.get("required", ())}
+    assert required == {"/bialgebra"} | {p for p, (_k, d) in every.items() if d is ...}
 
 
 def test_check_reads_psi_unit_on_every_psi(tmp_path, capsys):
@@ -625,7 +720,7 @@ def test_check_reads_psi_unit_on_every_psi(tmp_path, capsys):
     assert "generator/psi_unit: 1.000e+00" in capsys.readouterr().out
     cfg["generator"]["hermitian"] = False
     assert main(["check", _write(tmp_path, "table_unit.json", cfg)]) == 1
-    assert "/generator: Additional properties" in capsys.readouterr().err
+    assert "/generator/hermitian: not read by any run" in capsys.readouterr().err
 
 
 def test_generator_table_rejects_a_non_normal_word(tmp_path, capsys):

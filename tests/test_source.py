@@ -69,9 +69,29 @@ print("scipy" in sys.modules)
 """
 
 
-def test_scipy_loads_only_on_the_routes_that_call_it():
+def _cold(script, arg):
+    """The lines script prints in a fresh interpreter, with arg as sys.argv[1]."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _COLD_RUN, str(SRC)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "True"]
+    return subprocess.run([sys.executable, "-c", script, str(arg)], env=env,
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_scipy_loads_only_on_the_routes_that_call_it():
+    assert _cold(_COLD_RUN, SRC) == ["[]", "True"]
+
+
+# qlevy check and run of a shipped config, in a fresh interpreter; jsonschema
+# reads config_schema.json in the tests only
+_COLD_CLI = """
+import sys
+from qlevy.cli import builtin_config_path, check_defs, run_experiment
+for name in ("azema_q2.json", "fock_unitary_d1.json"):
+    check_defs(builtin_config_path(name))
+    run_experiment(builtin_config_path(name), sys.argv[1])
+print("jsonschema" in sys.modules)
+"""
+
+
+def test_check_and_run_leave_jsonschema_unloaded(tmp_path):
+    assert _cold(_COLD_CLI, tmp_path) == ["False"]
