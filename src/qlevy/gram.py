@@ -24,8 +24,8 @@ g identical blocks, i.e. the g-th convolution power of one block
 functional on the doubled coalgebra conj(C) (x) C of the subcoalgebras of
 the two elements, taken by subcoalg.doubled_product (by repeated squaring,
 O(log g) dense products, on small doubled coalgebras), the path fock's
-vacuum values take too; one
-gram_matrix call supplies all the one-block values of a power.
+vacuum values take too; one gram_matrix call supplies the one-block values
+of every power that shares a left element, a mesh and g.
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ class FactorizedVectorSum:
         """Re-expand over a finer partition by bialg.iterated_coproduct.
 
         Legitimate because the process satisfies j_{r,s} * j_{s,t} = j_{r,t};
-        Gram values are unchanged by refinement.  Each distinct entry is
-        split once per sub-interval count, into one leg NcPoly per word.
+        Gram values are unchanged by refinement.  A sum on gamma is itself;
+        otherwise each distinct entry is split once per sub-interval count,
+        into one leg NcPoly per word.
         """
+        if gamma.times == self.partition.times:
+            return self
         if not gamma.refines(self.partition):
             raise InvalidParameter("target partition does not refine the source")
         ends = [bisect.bisect_right(gamma.times, t + TIME_TOL) - 1
@@ -230,8 +233,8 @@ def gram_matrix(us, vs, psi, B):
     gets one factor_table over the distinct entries of its slots, in
     first-seen order, and each term indexes its entries into those tables.
     The cost is the product of the term counts, so gram serves user
-    partitions and the one-block values of _convolution_power, never an
-    n-interval sweep.
+    partitions and the one-block values of _convolution_powers, never an
+    n-interval sweep.  A sum already on the refinement is used as it is.
     """
     if not (us and vs):     # e.g. the empty basis of the zero element
         return np.zeros((len(us), len(vs)), dtype=complex)
@@ -255,22 +258,27 @@ def gram(u, v, psi, B):
     return complex(gram_matrix([u], [v], psi, B)[0, 0])
 
 
-def _convolution_power(S, c, d, block_c, block_d, g, psi, B):
-    """<U, V> for U = sum over Delta_g(c) of block_c(c_(1)) (x) ... (x)
-    block_c(c_(g)), with c and d in the carrier S, and V likewise for d.
+def _convolution_powers(S, c, block_c, rights, g, psi, B):
+    """[<U, V_e> for (e, block_e) in rights]: U = sum over Delta_g(c) of
+    block_c(c_(1)) (x) ... (x) block_c(c_(g)), c and each e in the carrier S,
+    V_e likewise for e, all blocks on one partition.
 
-    This is the g-th convolution power of the one-block functional
-    Psi(a (x) b) = gram(block_c(a), block_d(b)) on the doubled coalgebra
-    conj(sub(c)) (x) sub(d), taken by subcoalg.doubled_product (by
-    repeated squaring, O(log g) dense products, up to its DENSE_POWER_DIM
-    doubled dimensions; g sparse matrix-vector products above); one
-    gram_matrix call gives all values of Psi on the two bases.
+    Each value is the g-th convolution power of Psi(a (x) b) =
+    gram(block_c(a), block_e(b)) on conj(sub(c)) (x) sub(e), taken by
+    subcoalg.doubled_product (repeated squaring, O(log g) dense products, up to
+    its DENSE_POWER_DIM doubled dimensions; g sparse matrix-vector products
+    above) on e's column slice of one gram_matrix call, whose right side
+    reuses the left blocks for a right with c's block and subcoalgebra.
     """
     subc = subcoalgebra_of(c, S)
-    subd = subcoalgebra_of(d, S)
-    values = gram_matrix([block_c(a) for a in subc.basis],
-                         [block_d(b) for b in subd.basis], psi, B)
-    return doubled_product(subc, subd, c, d, [(values, g)])
+    lefts = [block_c(a) for a in subc.basis]
+    subs = [subcoalgebra_of(e, S) for e, _ in rights]
+    vs = [v for (_, block), sub in zip(rights, subs)
+          for v in (lefts if block is block_c and sub is subc else map(block, sub.basis))]
+    values = gram_matrix(lefts, vs, psi, B)
+    ends = np.cumsum([0] + [sub.dim() for sub in subs])
+    return [doubled_product(subc, sub, c, e, [(values[:, a:b], g)])
+            for (e, _), sub, a, b in zip(rights, subs, ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
 
     Every Gram value is a convolution power over g identical blocks of
     length (t-s)/g (the increments are stationary): g = n for norm_sq and
-    cross, and g = gcd(n, previous n) for the Cauchy increment, whose block
-    holds theta over n/g pieces against theta over (previous n)/g pieces.
+    cross, off one gram_matrix call, and g = gcd(n, previous n) for the
+    Cauchy increment: theta over n/g pieces against (previous n)/g pieces.
 
     The reported bound is mesh * (t-s) * C with C fitted from the coarsest
     mesh with nonzero defect (the theorem's constant is existential).
@@ -316,30 +324,28 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     tau = t - s
     limit = limit_value(psi, kappa, tau, source.mul(source.star(c), d))
 
-    def theta_gram(x, y, n, m):
-        """<theta_{alpha_n}(x), theta_{alpha_m}(y)> on uniform meshes."""
+    def theta_powers(n, m, ys):
+        """[<theta_{alpha_n}(c), theta_{alpha_m}(y)> for y in ys] on uniform meshes."""
         g = math.gcd(n, m)
-        alpha_n = Partition.uniform(0.0, tau / g, n // g)
-        alpha_m = Partition.uniform(0.0, tau / g, m // g)
-        return _convolution_power(source, x, y,
-                                  lambda a: theta_expand(a, kappa, alpha_n),
-                                  lambda b: theta_expand(b, kappa, alpha_m), g, psi, B)
+        block = {k: functools.partial(theta_expand, kappa=kappa,
+                                      alpha=Partition.uniform(0.0, tau / g, k // g))
+                 for k in {n, m}}
+        return _convolution_powers(source, c, block[n], [(y, block[m]) for y in ys], g, psi, B)
 
     rows = []
     prev_n = prev_norm = None
     c_fit = None
     for n in ns:
         alpha = Partition.uniform(s, t, n)
-        cc = theta_gram(c, c, n, n)
-        norm_sq = cc.real
-        cross = theta_gram(c, d, n, n) if c.sub(d).terms else cc
+        powers = theta_powers(n, n, [c, d] if c.sub(d).terms else [c])
+        norm_sq, cross = powers[0].real, powers[-1]
         defect = abs(cross - limit)
         if c_fit is None and defect > DEFECT_FLOOR:
             c_fit = defect * n / tau
         bound = (alpha.mesh() * tau * c_fit) if c_fit is not None else 0.0
         inc = None
         if prev_n is not None:
-            inc = abs(norm_sq + prev_norm - 2.0 * theta_gram(c, c, n, prev_n).real)
+            inc = abs(norm_sq + prev_norm - 2.0 * theta_powers(n, prev_n, [c])[0].real)
         rows.append(ConvergenceRow(n, alpha.mesh(), norm_sq, cross, defect,
                                    bound, inc))
         prev_n, prev_norm = n, norm_sq
@@ -351,8 +357,8 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
 
     Both Gram values are convolution powers over the n intervals of the
     mesh, with zeta over one interval as the block of b and, since
-    j_{s,t}(d) Omega = theta^id_alpha(d) Omega, j over one interval as the
-    block of d.
+    j_{s,t}(d) Omega = theta^id_alpha(d) Omega, j over one interval, on
+    zeta's sub-partition, as the block of d; one gram_matrix call gives both.
 
     At inner_mesh_factor = 1 each zeta slot sums back to its leg w, since
     kappa(kappa-tilde(w) + counit(w) hat(1)) = w and Gram values are linear
@@ -368,16 +374,15 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
     for n in ns:
         alpha = Partition.uniform(s, t, n)
         dt = tau / n
+        gamma = Partition.uniform(0.0, dt, inner_mesh_factor)   # zeta's sub-partition
 
         def zeta(a):
             return zeta_expand(a, kappa_tilde, Partition([0.0, dt]), inner_mesh_factor)
 
         def j(e):
-            return FactorizedVectorSum.singleton(e, 0.0, dt)
+            return FactorizedVectorSum.singleton(e, 0.0, dt).refine(gamma, B)
 
-        norm_sq = _convolution_power(B, b, b, zeta, zeta, n, psi, B).real
-        cross = _convolution_power(B, b, d, zeta, j, n, psi, B)
+        norm, cross = _convolution_powers(B, b, zeta, [(b, zeta), (d, j)], n, psi, B)
         defect = abs(cross - limit)
-        rows.append(ConvergenceRow(n, alpha.mesh(), norm_sq, cross, defect,
-                                   defect))
+        rows.append(ConvergenceRow(n, alpha.mesh(), norm.real, cross, defect, defect))
     return rows

@@ -7,9 +7,9 @@ matrix T(psi) = (id (x) psi) o Delta.  Each counit row delta e^{t T} takes
 one of three routes: a T with no nonzero entry on or below the diagonal
 (Azema's, psi being 0 on group-likes) is nilpotent, and its Taylor sum ends,
 exact up to rounding; a diagonal T (every group-like carrier's) takes exp of
-its diagonal; any other T takes dense scipy.linalg.expm.  scipy is imported
-by the routes that call it, so a run that never needs dense expm, a sparse
-power or a matrix-family target never loads it.
+its diagonal; any other T, and a matrix-family G whose Taylor sum does not
+end, takes dense scipy.linalg.expm.  scipy is imported by the routes that
+call it, so a run needing neither dense expm nor a sparse power never loads it.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
 p, closed under taking either leg of key_delta, sorted by key_order.
@@ -161,20 +161,26 @@ def transfer_matrix(psi, sub):
     return m
 
 
+def _taylor(v, m, t):
+    """(v e^{t m}, ended): v_k = (t / k) v_{k-1} m from v_0 = v (a row or a
+    matrix), summed until v_k is exactly zero (ended: exact up to rounding),
+    at most d terms (d the side of m) even where an overflow makes NaN."""
+    total = v
+    for k in range(1, len(m) + 1):
+        v = (t / k) * (v @ m)
+        if not v.any():
+            return total, True
+        total = total + v
+    return total, False
+
+
 def _counit_row(delta, m, t):
-    """delta e^{t m}.  A strictly upper triangular m (m^d = 0 at side d) sums
-    v_k = (t / k) v_{k-1} m from v_0 = delta until v_k is exactly zero, at most
-    d terms even where an overflow makes NaN; a diagonal m takes exp of its
-    diagonal, as expm does for one; any other m takes dense expm."""
+    """delta e^{t m}: _taylor's sum for a strictly upper triangular m (m^d = 0
+    at side d), exp of the diagonal of a diagonal m, as expm does; else expm."""
     if not np.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t}")
     if not np.tril(m).any():
-        row = v = delta
-        for k in range(1, len(delta)):
-            v = (t / k) * (v @ m)
-            if not v.any():
-                break
-            row = row + v
+        row, _ = _taylor(delta, m, t)
     elif np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
         row = delta @ np.diag(np.exp(np.diag(t * m)))
     else:
@@ -238,7 +244,7 @@ def doubled_product(subc, subd, c, d, factors):
     cols = np.add.outer(jc * q, jd).ravel()
     coeffs = np.multiply.outer(zc.conj(), zd)
     size = subc.dim() * q
-    x = np.kron(subc.coords(c).conj(), subd.coords(d))
+    x = np.multiply.outer(subc.coords(c).conj(), subd.coords(d)).ravel()
     for values, g in reversed(factors):
         vals = (coeffs * values[np.ix_(vc, vd)]).ravel()
         if size <= DENSE_POWER_DIM:
@@ -250,7 +256,7 @@ def doubled_product(subc, subd, c, d, factors):
             t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
             for _ in range(g):
                 x = t @ x
-    return complex(np.kron(subc.counit_vector.conj(), subd.counit_vector) @ x)
+    return complex(np.multiply.outer(subc.counit_vector.conj(), subd.counit_vector).ravel() @ x)
 
 
 def conv_exp(psi, t, p, B):
@@ -331,14 +337,18 @@ class ProductFamilySpec:
         self._targets = {}      # span -> (e^{span G}, ||G||_2), matrix case
 
     def target(self, span):
-        """e^{span G} and the operator norm of G, memoized per span."""
+        """e^{span G} (_taylor's sum where it ends, else dense expm) and the
+        operator norm of G, memoized per span."""
         got = self._targets.get(span)
         if got is None:
             g = np.asarray(self.baseline, dtype=complex)
             if not np.isfinite(g).all():
                 raise InvalidParameter("matrix-family baseline G is not finite")
-            import scipy.linalg
-            got = self._targets[span] = (scipy.linalg.expm(span * g), _opnorm(g))
+            exp, ended = _taylor(np.eye(len(g), dtype=complex), g, span)
+            if not ended:
+                import scipy.linalg
+                exp = scipy.linalg.expm(span * g)
+            got = self._targets[span] = (exp, _opnorm(g))
         return got
 
 

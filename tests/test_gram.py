@@ -19,7 +19,7 @@ from qlevy.gram import (
 )
 from qlevy.ncpoly import NcPoly, involute, multiply, normal_form, random_poly
 from qlevy.partition import TIME_TOL, Partition, common_points
-from qlevy.subcoalg import conv_exp
+from qlevy.subcoalg import conv_exp, doubled_product, subcoalgebra_of
 
 X, XS, Y = 0, 1, 2
 
@@ -558,6 +558,80 @@ def test_reverse_rows_match_explicit_zeta_expansions(chain, ns, inner_mesh_facto
                             inner_mesh_factor)
             assert _close(row.norm_sq, gram(u, u, psi, B).real)
             assert _close(row.cross, gram(u, v, psi, B))
+
+
+def _reverse_two_calls(b, d, kappa_tilde, psi, ns, inner_mesh_factor):
+    """(norm_sq, cross) per mesh of reverse_check on [0, 1] by two powers,
+    each with its own zeta blocks and its own gram_matrix call."""
+    B = kappa_tilde.source
+
+    def power(c, e, block_c, block_e, n):
+        subc, sube = subcoalgebra_of(c, B), subcoalgebra_of(e, B)
+        values = gram_matrix([block_c(a) for a in subc.basis],
+                             [block_e(a) for a in sube.basis], psi, B)
+        return doubled_product(subc, sube, c, e, [(values, n)])
+
+    rows = []
+    for n in ns:
+        dt = 1.0 / n
+
+        def zeta(a):
+            return zeta_expand(a, kappa_tilde, Partition([0.0, dt]), inner_mesh_factor)
+
+        def j(e):
+            return FactorizedVectorSum.singleton(e, 0.0, dt)
+
+        rows.append((power(b, b, zeta, zeta, n).real, power(b, d, zeta, j, n)))
+    return rows
+
+
+@pytest.mark.parametrize("inner_mesh_factor", [1, 2])
+@pytest.mark.parametrize("ns", [[2, 4, 8, 16], [2, 3, 5]])
+def test_reverse_rows_equal_the_two_call_route_bit_for_bit(chain, ns, inner_mesh_factor):
+    # one gram_matrix call over zeta(sub b) and zeta(sub b) + j(sub d) changes no bit
+    B, psi_azema, _G, _kappa, kappa_tilde = chain
+    x = NcPoly.word((X,))
+    d = NcPoly({(X,): 0.7j, (XS,): 0.5 - 0.25j, (XS, Y): 1.0, (): 0.3})
+    zero = x.scale(0.0)
+    cases = [(x, x), (NcPoly.word((XS,)), d), (x.add(NcPoly.word((XS,), 0.5j)), d),
+             (zero, x), (x, zero)]
+    for i, (b, e) in enumerate(cases):
+        psi = (psi_azema, PSI_SKEW)[i % 2]
+        rows = reverse_check(b, e, kappa_tilde, psi, 0.0, 1.0, ns, inner_mesh_factor)
+        want = _reverse_two_calls(b, e, kappa_tilde, psi, ns, inner_mesh_factor)
+        assert [(r.norm_sq, r.cross) for r in rows] == want, (i, b, e)
+
+
+def _count_calls(monkeypatch, *names):
+    """Counters of the calls to each named function of qlevy.gram."""
+    import qlevy.gram
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _f=getattr(qlevy.gram, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(qlevy.gram, name, counted)
+    return counts
+
+
+def test_shipped_reverse_run_builds_each_zeta_block_once(monkeypatch, tmp_path):
+    # six meshes, one gram_matrix call each over the zeta blocks of the three
+    # basis words of sub(x); 12 and 54 with a call per power
+    from qlevy.cli import builtin_config_path, run_experiment
+
+    counts = _count_calls(monkeypatch, "gram_matrix", "zeta_expand")
+    run_experiment(builtin_config_path("reverse_azema_x.json"), tmp_path)
+    assert counts == {"gram_matrix": 6, "zeta_expand": 18}
+
+
+def test_sweep_takes_norm_and_cross_off_one_gram_matrix(azema2, monkeypatch):
+    # c != d: one call per mesh for both powers, one per Cauchy increment
+    B, _, psi = azema2
+    c, d = NcPoly({(X, XS): 1.0, (): 0.3}), NcPoly({(XS,): 1.0, (X,): 0.5j})
+    counts = _count_calls(monkeypatch, "gram_matrix")
+    convergence_sweep(c, d, identity_morphism(B), psi, 0.0, 1.0, [2, 4, 8])
+    assert counts == {"gram_matrix": 3 + 2}
 
 
 def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):

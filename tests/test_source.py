@@ -42,11 +42,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Every qlevy module is imported, then a group-like sweep (diagonal T(psi))
-# and an Azema conv_exp (nilpotent T(psi)) run without loading scipy; a U<2>
-# conv_exp, whose T(psi) is neither, then takes dense expm and loads it.
+# Every qlevy module is imported, then a group-like sweep (diagonal T(psi)),
+# an Azema conv_exp (nilpotent T(psi)) and the trotter_nilpotent run (G^2 = 0)
+# run without loading scipy; a U<2> conv_exp, whose T(psi) is neither, then
+# takes dense expm and loads it.
 _COLD_RUN = """
-import importlib, pathlib, sys
+import importlib, pathlib, sys, tempfile
 import numpy as np
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
     importlib.import_module("qlevy" if path.stem == "__init__" else "qlevy." + path.stem)
@@ -61,6 +62,9 @@ _G, kappa, kappa_tilde = make_grouplike(B, 6)
 c = kappa_tilde.apply(parse_poly("x^*", B.algebra))
 convergence_sweep(c, c, kappa, psi, 0.0, 1.0, [2, 4])
 conv_exp(psi, 1.0, parse_poly("(0.7-0.4i) x x^* x x^* + 1", B.algebra), B)
+from qlevy.cli import builtin_config_path, run_experiment
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(builtin_config_path("trotter_nilpotent.json"), out)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 t = unitary_triple(UnitaryTripleParams(
     2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))

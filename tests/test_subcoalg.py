@@ -489,6 +489,37 @@ def test_banach_targets_memoized_per_span(monkeypatch):
     assert all(rep["norm_G"] == norm_g for rep in reps)
 
 
+@pytest.mark.parametrize("size", [1, 2, 4, 7])
+def test_nilpotent_target_is_exactly_its_two_term_sum(size, expm_calls):
+    # G^2 = 0 by parity, not by triangularity (G[2, 1] sits below the
+    # diagonal), as cli._exp_trotter builds it: e^{span G} = I + span G with
+    # no rounding, where dense expm is off by ulps on most such G
+    rng = np.random.default_rng(size)
+    for _ in range(25):
+        g = np.zeros((size, size), dtype=complex)
+        g[::2, 1::2] = (rng.normal(size=g[::2, 1::2].shape)
+                        + 1j * rng.normal(size=g[::2, 1::2].shape))
+        assert not (g @ g).any()
+        span = float(rng.uniform(0.1, 3.0))
+        target, _norm = ProductFamilySpec("matrix-family", g, C=0.0).target(span)
+        assert np.array_equal(target, np.eye(size) + span * g)
+    assert expm_calls == []
+
+
+def test_target_of_a_g_whose_taylor_sum_does_not_end_takes_dense_expm(expm_calls):
+    # the shift N on C^4 ends at N^4 = 0; N plus a corner entry never ends
+    n = np.diag(np.ones(3, dtype=complex), 1)
+    ended, _norm = ProductFamilySpec("matrix-family", n, C=0.0).target(2.0)
+    assert expm_calls == []
+    n[3, 0] = 0.5
+    dense, _norm = ProductFamilySpec("matrix-family", n, C=0.0).target(2.0)
+    assert len(expm_calls) == 1
+    assert np.array_equal(dense, scipy.linalg.expm(2.0 * n))
+    n[3, 0] = 0.0
+    want = scipy.linalg.expm(2.0 * n)
+    assert np.abs(ended - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def _banach_oracle(spec, partition, draws, rng):
     """banach_product_check with I + rG built afresh at every step."""
     g = np.asarray(spec.baseline, dtype=complex)
