@@ -22,10 +22,14 @@ exponential, and Cauchy increments between uniform meshes.  On a uniform
 mesh each of their Gram values is an infinitesimal convolution product of
 g identical blocks, i.e. the g-th convolution power of one block
 functional on the doubled coalgebra conj(C) (x) C of the subcoalgebras of
-the two elements, taken by subcoalg.doubled_product (by repeated squaring,
-O(log g) dense products, on small doubled coalgebras), the path fock's
-vacuum values take too; one gram_matrix call supplies the one-block values
-of every power that shares a left element, a mesh and g.
+the two elements, taken by subcoalg.doubled_product's layout (by repeated
+squaring, O(log g) dense products, on small doubled coalgebras), the path
+fock's vacuum values take too.  On uniform meshes the one-block values of
+two meshes differ only through the step, so a sweep keeps one layout per
+sweep, evaluated per mesh: the expansions, their term indices, the factor
+tables' products and coordinates and the doubled structure are built once
+(_ConvolutionPowers), and each mesh pays one counit row per step class,
+the table sums, term_pair_sums and its matrix power.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .constructions import GroupLikeBialgebra, Morphism
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
-from .subcoalg import conv_exp, doubled_product, factor_table, subcoalgebra_of
+from .subcoalg import _DoubledLayout, _FactorLayout, conv_exp, subcoalgebra_of
 
 PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by term_pair_sums
 DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate constant
@@ -224,17 +228,48 @@ def index_terms(sums, slot_class, n_classes):
             np.array(owner, dtype=np.intp), len(sums)), [list(d) for d in seen]
 
 
+class _GramLayout:
+    """The part of gram_matrix(us, vs, psi, B) that does not depend on the
+    steps, given gamma, the common refinement of the two sides' partitions:
+    its step classes, index_terms of both sides and one _FactorLayout per
+    class.  values(gamma) evaluates it at the steps of gamma, a refinement
+    with the same step classes."""
+
+    def __init__(self, us, vs, gamma, psi, B):
+        self.shape = (len(us), len(vs))
+        self.first, self.slot_class = self.classes = gamma.step_classes()
+        self.tables = None
+        if not (us and vs):     # e.g. the empty basis of the zero element
+            return
+        self.left, lents = index_terms([u.refine(gamma, B).terms for u in us],
+                                       self.slot_class, len(self.first))
+        self.right, rents = index_terms([v.refine(gamma, B).terms for v in vs],
+                                        self.slot_class, len(self.first))
+        steps = gamma.steps()
+        self.tables = [_FactorLayout(psi, a, b, B, steps[r])
+                       for r, a, b in zip(self.first, lents, rents)]
+
+    def values(self, gamma):
+        if self.tables is None:
+            return np.zeros(self.shape, dtype=complex)
+        steps = gamma.steps()
+        return term_pair_sums([t.table(steps[r]) for r, t in zip(self.first, self.tables)],
+                              self.slot_class, self.left, self.right)
+
+
 def gram_matrix(us, vs, psi, B):
     """[[<u, v> for v in vs] for u in us], left arguments conjugate-starred
     entrywise; the sums of each list share one partition.
 
     Both lists are re-expanded over the common refinement of the partitions
     (legitimate because j_{r,s} * j_{s,t} = j_{r,t}); each step class of it
-    gets one factor_table over the distinct entries of its slots, in
+    gets one factor table over the distinct entries of its slots, in
     first-seen order, and each term indexes its entries into those tables.
-    The cost is the product of the term counts, so gram serves user
-    partitions and the one-block values of _convolution_powers, never an
-    n-interval sweep.  A sum already on the refinement is used as it is.
+    This is a _GramLayout evaluated at its own steps; a sweep builds one
+    layout and evaluates it per mesh.  The cost is the product of the term
+    counts, so the layout serves user partitions and the one-block values of
+    _ConvolutionPowers, never an n-interval sweep.  A sum already on the
+    refinement is used as it is.
     """
     if not (us and vs):     # e.g. the empty basis of the zero element
         return np.zeros((len(us), len(vs)), dtype=complex)
@@ -244,12 +279,7 @@ def gram_matrix(us, vs, psi, B):
     if abs(pu.s - pv.s) > TIME_TOL or abs(pu.t - pv.t) > TIME_TOL:
         raise InvalidParameter("expansions cover different intervals")
     gamma = pu.common_refinement(pv)
-    first, slot_class = gamma.step_classes()
-    left, lents = index_terms([u.refine(gamma, B).terms for u in us], slot_class, len(first))
-    right, rents = index_terms([v.refine(gamma, B).terms for v in vs], slot_class, len(first))
-    steps = gamma.steps()
-    tables = [factor_table(psi, steps[r], a, b, B) for r, a, b in zip(first, lents, rents)]
-    return term_pair_sums(tables, slot_class, left, right)
+    return _GramLayout(us, vs, gamma, psi, B).values(gamma)
 
 
 def gram(u, v, psi, B):
@@ -258,27 +288,54 @@ def gram(u, v, psi, B):
     return complex(gram_matrix([u], [v], psi, B)[0, 0])
 
 
-def _convolution_powers(S, c, block_c, rights, g, psi, B):
-    """[<U, V_e> for (e, block_e) in rights]: U = sum over Delta_g(c) of
-    block_c(c_(1)) (x) ... (x) block_c(c_(g)), c and each e in the carrier S,
-    V_e likewise for e, all blocks on one partition.
+class _ConvolutionPowers:
+    """[<U, V_e> for (e, block_e) in rights] on uniform meshes: U = sum over
+    Delta_g(c) of block_c(c_(1)) (x) ... (x) block_c(c_(g)), c and each e in
+    the carrier S, V_e likewise for e.  A block maps an element a and a
+    partition p to the sums of a on p; their terms depend on p's number of
+    intervals, never on its times.
 
     Each value is the g-th convolution power of Psi(a (x) b) =
-    gram(block_c(a), block_e(b)) on conj(sub(c)) (x) sub(e), taken by
-    subcoalg.doubled_product (repeated squaring, O(log g) dense products, up to
-    its DENSE_POWER_DIM doubled dimensions; g sparse matrix-vector products
-    above) on e's column slice of one gram_matrix call, whose right side
-    reuses the left blocks for a right with c's block and subcoalgebra.
+    gram(block_c(a), block_e(b)) on conj(sub(c)) (x) sub(e), taken by a
+    _DoubledLayout (repeated squaring, O(log g) dense products, up to
+    DENSE_POWER_DIM doubled dimensions; g sparse matrix-vector products
+    above) on e's column slice of one _GramLayout, whose right side reuses
+    the left blocks for a right with c's block, subcoalgebra and partition.
+    One layout per sweep, evaluated per mesh: it is built at the first call
+    and rebuilt only for blocks with other interval counts or a common
+    refinement with other step classes, and each call evaluates it at the
+    steps of its own partitions.  The object lives for one sweep call.
     """
-    subc = subcoalgebra_of(c, S)
-    lefts = [block_c(a) for a in subc.basis]
-    subs = [subcoalgebra_of(e, S) for e, _ in rights]
-    vs = [v for (_, block), sub in zip(rights, subs)
-          for v in (lefts if block is block_c and sub is subc else map(block, sub.basis))]
-    values = gram_matrix(lefts, vs, psi, B)
-    ends = np.cumsum([0] + [sub.dim() for sub in subs])
-    return [doubled_product(subc, sub, c, e, [(values[:, a:b], g)])
-            for (e, _), sub, a, b in zip(rights, subs, ends, ends[1:])]
+
+    def __init__(self, S, c, block_c, rights, psi, B):
+        self.S, self.c, self.block_c, self.rights = S, c, block_c, rights
+        self.psi, self.B = psi, B
+        self._pieces = self._layout = None
+
+    def _build(self, pu, pv, gamma):
+        S, c, block_c = self.S, self.c, self.block_c
+        subc = subcoalgebra_of(c, S)
+        lefts = [block_c(a, pu) for a in subc.basis]
+        subs = [subcoalgebra_of(e, S) for e, _ in self.rights]
+        same = pu.times == pv.times
+        vs = [v for (_, block), sub in zip(self.rights, subs)
+              for v in (lefts if same and block is block_c and sub is subc
+                        else [block(a, pv) for a in sub.basis])]
+        ends = np.cumsum([0] + [sub.dim() for sub in subs])
+        return _GramLayout(lefts, vs, gamma, self.psi, self.B), [
+            (_DoubledLayout(subc, sub, c, e), a, b)
+            for (e, _), sub, a, b in zip(self.rights, subs, ends, ends[1:])]
+
+    def __call__(self, pu, pv, g):
+        """The powers g with c's blocks on pu and the rights' blocks on pv."""
+        gamma = pu.common_refinement(pv)
+        pieces = (pu.n_intervals(), pv.n_intervals())
+        if (self._layout is None or pieces != self._pieces
+                or gamma.step_classes() != self._layout[0].classes):
+            self._pieces, self._layout = pieces, self._build(pu, pv, gamma)
+        gram_layout, doubled = self._layout
+        values = gram_layout.values(gamma)
+        return [power([(values[:, a:b], g)]) for power, a, b in doubled]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +370,10 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
 
     Every Gram value is a convolution power over g identical blocks of
     length (t-s)/g (the increments are stationary): g = n for norm_sq and
-    cross, off one gram_matrix call, and g = gcd(n, previous n) for the
-    Cauchy increment: theta over n/g pieces against (previous n)/g pieces.
+    cross, and g = gcd(n, previous n) for the Cauchy increment: theta over
+    n/g pieces against (previous n)/g pieces.  One layout per sweep,
+    evaluated per mesh: norm and cross share one _ConvolutionPowers, the
+    Cauchy increments another, so a doubling sweep builds two layouts.
 
     The reported bound is mesh * (t-s) * C with C fitted from the coarsest
     mesh with nonzero defect (the theorem's constant is existential).
@@ -324,20 +383,25 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     tau = t - s
     limit = limit_value(psi, kappa, tau, source.mul(source.star(c), d))
 
-    def theta_powers(n, m, ys):
-        """[<theta_{alpha_n}(c), theta_{alpha_m}(y)> for y in ys] on uniform meshes."""
+    def theta(a, p):
+        return theta_expand(a, kappa, p)
+
+    norm_cross = _ConvolutionPowers(source, c, theta, [(y, theta) for y in (
+        [c, d] if c.sub(d).terms else [c])], psi, B)
+    increments = _ConvolutionPowers(source, c, theta, [(c, theta)], psi, B)
+
+    def theta_powers(powers, n, m):
+        """powers at theta_{alpha_n}(c) against theta_{alpha_m}(y) on uniform meshes."""
         g = math.gcd(n, m)
-        block = {k: functools.partial(theta_expand, kappa=kappa,
-                                      alpha=Partition.uniform(0.0, tau / g, k // g))
-                 for k in {n, m}}
-        return _convolution_powers(source, c, block[n], [(y, block[m]) for y in ys], g, psi, B)
+        return powers(Partition.uniform(0.0, tau / g, n // g),
+                      Partition.uniform(0.0, tau / g, m // g), g)
 
     rows = []
     prev_n = prev_norm = None
     c_fit = None
     for n in ns:
         alpha = Partition.uniform(s, t, n)
-        powers = theta_powers(n, n, [c, d] if c.sub(d).terms else [c])
+        powers = theta_powers(norm_cross, n, n)
         norm_sq, cross = powers[0].real, powers[-1]
         defect = abs(cross - limit)
         if c_fit is None and defect > DEFECT_FLOOR:
@@ -345,7 +409,7 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
         bound = (alpha.mesh() * tau * c_fit) if c_fit is not None else 0.0
         inc = None
         if prev_n is not None:
-            inc = abs(norm_sq + prev_norm - 2.0 * theta_powers(n, prev_n, [c])[0].real)
+            inc = abs(norm_sq + prev_norm - 2.0 * theta_powers(increments, n, prev_n)[0].real)
         rows.append(ConvergenceRow(n, alpha.mesh(), norm_sq, cross, defect,
                                    bound, inc))
         prev_n, prev_norm = n, norm_sq
@@ -358,7 +422,9 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
     Both Gram values are convolution powers over the n intervals of the
     mesh, with zeta over one interval as the block of b and, since
     j_{s,t}(d) Omega = theta^id_alpha(d) Omega, j over one interval, on
-    zeta's sub-partition, as the block of d; one gram_matrix call gives both.
+    zeta's sub-partition, as the block of d.  One layout per sweep,
+    evaluated per mesh: one _ConvolutionPowers gives both values at every
+    mesh, so each zeta block is built once.
 
     At inner_mesh_factor = 1 each zeta slot sums back to its leg w, since
     kappa(kappa-tilde(w) + counit(w) hat(1)) = w and Gram values are linear
@@ -370,19 +436,19 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
     tau = t - s
     bd = multiply(involute(b, B.algebra), d, B.algebra)
     limit = conv_exp(psi, tau, bd, B)
+
+    def zeta(a, p):
+        return zeta_expand(a, kappa_tilde, Partition([0.0, p.t]), inner_mesh_factor)
+
+    def j(e, p):
+        return FactorizedVectorSum.singleton(e, 0.0, p.t).refine(p, B)
+
+    powers = _ConvolutionPowers(B, b, zeta, [(b, zeta), (d, j)], psi, B)
     rows = []
     for n in ns:
         alpha = Partition.uniform(s, t, n)
-        dt = tau / n
-        gamma = Partition.uniform(0.0, dt, inner_mesh_factor)   # zeta's sub-partition
-
-        def zeta(a):
-            return zeta_expand(a, kappa_tilde, Partition([0.0, dt]), inner_mesh_factor)
-
-        def j(e):
-            return FactorizedVectorSum.singleton(e, 0.0, dt).refine(gamma, B)
-
-        norm, cross = _convolution_powers(B, b, zeta, [(b, zeta), (d, j)], n, psi, B)
+        gamma = Partition.uniform(0.0, tau / n, inner_mesh_factor)   # zeta's sub-partition
+        norm, cross = powers(gamma, gamma, n)
         defect = abs(cross - limit)
         rows.append(ConvergenceRow(n, alpha.mesh(), norm.real, cross, defect, defect))
     return rows

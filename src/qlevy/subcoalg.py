@@ -22,10 +22,12 @@ coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
 keys is closed already and T(psi) is diagonal.  factor_table reads the
 one-interval Gram factors of a step off one exponential, taken on each call
-(a subcoalgebra holds T(psi) per functional, no row per step), and doubled_product
-evaluates the Gram and Fock vacuum values of infinitesimal products on the
-doubled coalgebra conj(C) (x) C of two subcoalgebras as convolution powers
-Psi^{*g} = T(Psi)^g.  The module also ships
+(a subcoalgebra holds T(psi) and its route per functional, no row per step),
+and doubled_product evaluates the Gram and Fock vacuum values of
+infinitesimal products on the doubled coalgebra conj(C) (x) C of two
+subcoalgebras as convolution powers Psi^{*g} = T(Psi)^g.  Each of the two is
+a layout, the part that does not depend on the step or the factors, then
+its evaluation, so a sweep builds the layout once.  The module also ships
 the checkers for the two infinitesimal-product error bounds used in the
 convergence experiments: a Banach-algebra version on matrices and the
 coalgebra version phrased through functionals.  A ProductFamilySpec owns the
@@ -87,7 +89,8 @@ class Subcoalgebra:
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
-        # functional -> T(functional): one per live functional, freed with it or with self
+        # functional -> (T(functional), its _counit_row route): one per live
+        # functional, freed with it or with self
         self._transfers = weakref.WeakKeyDictionary()
 
     def dim(self):
@@ -153,12 +156,30 @@ def _transfer(f, sub):
     return m
 
 
+def _route(m):
+    """_counit_row's route for m, read off the positions of its nonzero (or
+    NaN) entries: "taylor" for a strictly upper triangular m (m^d = 0 at
+    side d), "diagonal" for a diagonal m, else "expm"."""
+    rows, cols = np.nonzero(m)
+    if (rows < cols).all():
+        return "taylor"
+    if (rows == cols).all():
+        return "diagonal"
+    return "expm"
+
+
+def _transfer_route(psi, sub):
+    """(T(psi), its _route) on the basis of sub, held by sub."""
+    got = sub._transfers.get(psi)
+    if got is None:
+        m = _transfer(psi, sub)
+        got = sub._transfers[psi] = (m, _route(m))
+    return got
+
+
 def transfer_matrix(psi, sub):
     """Matrix of T(psi) on the basis of sub, held by sub."""
-    m = sub._transfers.get(psi)
-    if m is None:
-        m = sub._transfers[psi] = _transfer(psi, sub)
-    return m
+    return _transfer_route(psi, sub)[0]
 
 
 def _taylor(v, m, t):
@@ -174,14 +195,15 @@ def _taylor(v, m, t):
     return total, False
 
 
-def _counit_row(delta, m, t):
-    """delta e^{t m}: _taylor's sum for a strictly upper triangular m (m^d = 0
-    at side d), exp of the diagonal of a diagonal m, as expm does; else expm."""
+def _counit_row(delta, m, t, route=None):
+    """delta e^{t m} by m's _route (taken here when not given): _taylor's sum,
+    exp of the diagonal, as expm does, or expm."""
     if not np.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t}")
-    if not np.tril(m).any():
+    route = route or _route(m)
+    if route == "taylor":
         row, _ = _taylor(delta, m, t)
-    elif np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+    elif route == "diagonal":
         row = delta @ np.diag(np.exp(np.diag(t * m)))
     else:
         import scipy.linalg
@@ -193,24 +215,97 @@ def _counit_row(delta, m, t):
     return row
 
 
+def _at_step(err, dt):
+    """err again, its message naming the step of the factor table it stopped."""
+    return type(err)(f"Gram factor table at step {dt:.15g}: {err}")
+
+
+class _FactorLayout:
+    """The part of factor_table(psi, ., left, right, B) that does not depend
+    on the step: the products left[i]* right[j], the subcoalgebra S their
+    words close to, with T_S(psi) and its route, and the basis index of
+    each word of S, the products' coordinates.  A DimCapExceeded names dt,
+    the step it is built for."""
+
+    def __init__(self, psi, left, right, B, dt):
+        prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
+        try:
+            sub = subcoalgebra_of(NcPoly({w: 1.0 for p in prods for w in p.terms}), B)
+            self.m, self.route = _transfer_route(psi, sub)
+        except (DimCapExceeded, InvalidParameter) as err:
+            raise _at_step(err, dt) from None
+        self.prods, self.at, self.delta = prods, sub._index, sub.counit_vector
+        self.shape = (len(left), len(right))
+
+    def table(self, dt):
+        """The factor table at step dt: one counit row, read against each
+        product's coordinates."""
+        try:
+            row = _counit_row(self.delta, self.m, dt, self.route)
+        except InvalidParameter as err:
+            raise _at_step(err, dt) from None
+        at = self.at
+        return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in self.prods],
+                        dtype=complex).reshape(self.shape)
+
+
 def factor_table(psi, dt, left, right, B):
     """Table [i, j] = e_*^{dt psi}(left[i]* right[j]) for one step dt.
 
     Delta is multiplicative, so the words of all products left[i]* right[j]
     close to one subcoalgebra S (owned by B); each value is the counit row
-    delta e^{dt T_S(psi)} (by one of _counit_row's routes), taken once per
-    call and read against coords_S of its product.  S holds T_S(psi), not
-    the row: a partition with random times never repeats a step.
+    delta e^{dt T_S(psi)} (by the route held with T_S(psi)) read against
+    coords_S of its product.  A _FactorLayout holds the step-free part, so a
+    sweep builds it once and evaluates it per mesh; this is its one-step
+    case.  S holds T_S(psi), not the row: a partition with random times
+    never repeats a step.
     """
-    prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
-    try:
-        sub = subcoalgebra_of(NcPoly({w: 1.0 for p in prods for w in p.terms}), B)
-        row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), dt)
-    except (DimCapExceeded, InvalidParameter) as err:
-        raise type(err)(f"Gram factor table at step {dt:.15g}: {err}") from None
-    at = sub._index
-    return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in prods],
-                    dtype=complex).reshape(len(left), len(right))
+    return _FactorLayout(psi, left, right, B, dt).table(dt)
+
+
+class _DoubledLayout:
+    """The part of doubled_product(subc, subd, c, d, .) that does not depend
+    on the factors: the doubled structure constants' rows, columns and
+    coefficients conj(c_1) c_2, conj coords(c) (x) coords(d), and the counit
+    pair."""
+
+    def __init__(self, subc, subd, c, d):
+        q = subd.dim()
+        jc, uc, vc, zc = subc.constants
+        jd, ud, vd, zd = subd.constants
+        if zc.size * zd.size > TERM_BUDGET:
+            raise TermBudgetExceeded(
+                f"doubled coalgebra of dimension {subc.dim()} x {q} has "
+                f"{zc.size * zd.size} structure constants, more than {TERM_BUDGET}")
+        # (id (x) Psi) Delta of the pair (j1, j2): sum conj(c1) c2 Psi[v1, v2] (u1, u2)
+        self.rows = np.add.outer(uc * q, ud).ravel()
+        self.cols = np.add.outer(jc * q, jd).ravel()
+        self.coeffs = np.multiply.outer(zc.conj(), zd)
+        self.pick = np.ix_(vc, vd)
+        self.size = subc.dim() * q
+        self.x = np.multiply.outer(subc.coords(c).conj(), subd.coords(d)).ravel()
+        self.counit = np.multiply.outer(subc.counit_vector.conj(), subd.counit_vector).ravel()
+
+    def __call__(self, factors):
+        for k, (_, g) in enumerate(factors):
+            if not isinstance(g, (int, np.integer)) or g < 0:
+                raise InvalidParameter(
+                    f"doubled_product: power g of factor {k} must be a non-negative "
+                    f"integer, got {g!r}")
+        x = self.x
+        for values, g in reversed(factors):
+            vals = (self.coeffs * values[self.pick]).ravel()
+            if self.size <= DENSE_POWER_DIM:
+                t = np.zeros((self.size, self.size), dtype=complex)
+                np.add.at(t, (self.rows, self.cols), vals)
+                x = np.linalg.matrix_power(t, g) @ x
+            else:
+                import scipy.sparse
+                t = scipy.sparse.csr_matrix((vals, (self.rows, self.cols)),
+                                            shape=(self.size, self.size))
+                for _ in range(g):
+                    x = t @ x
+        return complex(self.counit @ x)
 
 
 def doubled_product(subc, subd, c, d, factors):
@@ -225,45 +320,18 @@ def doubled_product(subc, subd, c, d, factors):
     (conj coords(c) (x) coords(d)).  Convolution is associative, so up to
     DENSE_POWER_DIM doubled dimensions each T(Psi)^g is a dense matrix taken
     by repeated squaring, O(log g) products; above it each factor is g
-    sparse matrix-vector products.
+    sparse matrix-vector products.  A _DoubledLayout holds the part that
+    does not depend on the factors, so a sweep builds it once.
     """
-    for k, (_, g) in enumerate(factors):
-        if not isinstance(g, (int, np.integer)) or g < 0:
-            raise InvalidParameter(
-                f"doubled_product: power g of factor {k} must be a non-negative "
-                f"integer, got {g!r}")
-    q = subd.dim()
-    jc, uc, vc, zc = subc.constants
-    jd, ud, vd, zd = subd.constants
-    if zc.size * zd.size > TERM_BUDGET:
-        raise TermBudgetExceeded(
-            f"doubled coalgebra of dimension {subc.dim()} x {q} has "
-            f"{zc.size * zd.size} structure constants, more than {TERM_BUDGET}")
-    # (id (x) Psi) Delta of the pair (j1, j2): sum conj(c1) c2 Psi[v1, v2] (u1, u2)
-    rows = np.add.outer(uc * q, ud).ravel()
-    cols = np.add.outer(jc * q, jd).ravel()
-    coeffs = np.multiply.outer(zc.conj(), zd)
-    size = subc.dim() * q
-    x = np.multiply.outer(subc.coords(c).conj(), subd.coords(d)).ravel()
-    for values, g in reversed(factors):
-        vals = (coeffs * values[np.ix_(vc, vd)]).ravel()
-        if size <= DENSE_POWER_DIM:
-            t = np.zeros((size, size), dtype=complex)
-            np.add.at(t, (rows, cols), vals)
-            x = np.linalg.matrix_power(t, g) @ x
-        else:
-            import scipy.sparse
-            t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-            for _ in range(g):
-                x = t @ x
-    return complex(np.multiply.outer(subc.counit_vector.conj(), subd.counit_vector).ravel() @ x)
+    return _DoubledLayout(subc, subd, c, d)(factors)
 
 
 def conv_exp(psi, t, p, B):
     """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p,
     the row taken by one of _counit_row's routes."""
     sub = subcoalgebra_of(p, B)
-    row = _counit_row(sub.counit_vector, transfer_matrix(psi, sub), t)
+    m, route = _transfer_route(psi, sub)
+    row = _counit_row(sub.counit_vector, m, t, route)
     return complex(row @ sub.coords(p))
 
 
@@ -433,10 +501,10 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
     rng = rng if rng is not None else np.random.default_rng(20080131)
     sub = subcoalgebra_of(p, B)
-    g = transfer_matrix(spec.baseline, sub)
+    g, route = _transfer_route(spec.baseline, sub)
     span = partition.t - partition.s
     x = sub.coords(p)
-    target = complex(_counit_row(sub.counit_vector, g, span) @ x)
+    target = complex(_counit_row(sub.counit_vector, g, span, route) @ x)
 
     # operator infinity-norm = max-abs coordinate operator norm
     def inf_norm(m):

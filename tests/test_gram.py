@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from qlevy.bialg import LinearFunctional, iterated_coproduct
 from qlevy.constructions import Morphism, make_azema, make_grouplike, make_primitive_tensor
 from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
+    DEFECT_FLOOR,
     FactorizedVectorSum,
     convergence_sweep,
     gram,
@@ -560,6 +562,63 @@ def test_reverse_rows_match_explicit_zeta_expansions(chain, ns, inner_mesh_facto
             assert _close(row.cross, gram(u, v, psi, B))
 
 
+def _sweep_per_mesh(c, d, kappa, psi, ns):
+    """(norm_sq, cross, defect, bound, cauchy_increment) per mesh of
+    convergence_sweep on [0, 1], by the route with no layout across meshes:
+    fresh theta blocks, one gram_matrix call and one doubled_product per
+    right at every mesh and every Cauchy increment."""
+    B, S, tau = kappa.target, kappa.source, 1.0
+    limit = limit_value(psi, kappa, tau, S.mul(S.star(c), d))
+
+    def powers(n, m, ys):
+        g = math.gcd(n, m)
+        block = {k: functools.partial(theta_expand, kappa=kappa,
+                                      alpha=Partition.uniform(0.0, tau / g, k // g))
+                 for k in {n, m}}
+        subc = subcoalgebra_of(c, S)
+        lefts = [block[n](a) for a in subc.basis]
+        subs = [subcoalgebra_of(y, S) for y in ys]
+        vs = [v for sub in subs
+              for v in (lefts if n == m and sub is subc else map(block[m], sub.basis))]
+        values = gram_matrix(lefts, vs, psi, B)
+        ends = np.cumsum([0] + [sub.dim() for sub in subs])
+        return [doubled_product(subc, sub, c, y, [(values[:, a:b], g)])
+                for y, sub, a, b in zip(ys, subs, ends, ends[1:])]
+
+    rows = []
+    prev_n = prev_norm = c_fit = None
+    for n in ns:
+        mesh = Partition.uniform(0.0, tau, n).mesh()
+        norm_cross = powers(n, n, [c, d] if c.sub(d).terms else [c])
+        norm_sq, cross = norm_cross[0].real, norm_cross[-1]
+        defect = abs(cross - limit)
+        if c_fit is None and defect > DEFECT_FLOOR:
+            c_fit = defect * n / tau
+        bound = (mesh * tau * c_fit) if c_fit is not None else 0.0
+        inc = None
+        if prev_n is not None:
+            inc = abs(norm_sq + prev_norm - 2.0 * powers(n, prev_n, [c])[0].real)
+        rows.append((norm_sq, cross, defect, bound, inc))
+        prev_n, prev_norm = n, norm_sq
+    return rows
+
+
+@pytest.mark.parametrize("ns", [[2, 4, 8, 16], [2, 3, 5], [3, 6, 12]])
+def test_sweep_rows_equal_the_per_mesh_route_bit_for_bit(chain, ns):
+    # one layout per sweep, evaluated at each mesh's own steps, changes no bit
+    B, psi_azema, _G, kappa, kappa_tilde = chain
+    c = NcPoly({(X, XS): 1.0, (): 0.3})
+    d = NcPoly({(XS,): 1.0, (X,): 0.5j})
+    cs, ds = kappa_tilde.apply(d), kappa_tilde.apply(NcPoly.word((X,)))
+    cases = [(identity_morphism(B), c, c), (identity_morphism(B), c, d),
+             (kappa, cs, cs), (kappa, cs, ds)]
+    for i, (morphism, a, e) in enumerate(cases):
+        psi = (psi_azema, PSI_SKEW)[i % 2]
+        rows = convergence_sweep(a, e, morphism, psi, 0.0, 1.0, ns)
+        got = [(r.norm_sq, r.cross, r.defect, r.bound, r.cauchy_increment) for r in rows]
+        assert repr(got) == repr(_sweep_per_mesh(a, e, morphism, psi, ns)), i
+
+
 def _reverse_two_calls(b, d, kappa_tilde, psi, ns, inner_mesh_factor):
     """(norm_sq, cross) per mesh of reverse_check on [0, 1] by two powers,
     each with its own zeta blocks and its own gram_matrix call."""
@@ -585,10 +644,11 @@ def _reverse_two_calls(b, d, kappa_tilde, psi, ns, inner_mesh_factor):
     return rows
 
 
-@pytest.mark.parametrize("inner_mesh_factor", [1, 2])
+@pytest.mark.parametrize("inner_mesh_factor", [1, 2, 3])
 @pytest.mark.parametrize("ns", [[2, 4, 8, 16], [2, 3, 5]])
 def test_reverse_rows_equal_the_two_call_route_bit_for_bit(chain, ns, inner_mesh_factor):
-    # one gram_matrix call over zeta(sub b) and zeta(sub b) + j(sub d) changes no bit
+    # one layout over zeta(sub b) and zeta(sub b) + j(sub d), evaluated per
+    # mesh, changes no bit
     B, psi_azema, _G, _kappa, kappa_tilde = chain
     x = NcPoly.word((X,))
     d = NcPoly({(X,): 0.7j, (XS,): 0.5 - 0.25j, (XS, Y): 1.0, (): 0.3})
@@ -616,22 +676,47 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_shipped_reverse_run_builds_each_zeta_block_once(monkeypatch, tmp_path):
-    # six meshes, one gram_matrix call each over the zeta blocks of the three
-    # basis words of sub(x); 12 and 54 with a call per power
+    # one layout for all six meshes, over the zeta blocks of the three basis
+    # words of sub(x); 6 gram_matrix and 18 zeta_expand calls with one
+    # gram_matrix call per mesh
     from qlevy.cli import builtin_config_path, run_experiment
 
-    counts = _count_calls(monkeypatch, "gram_matrix", "zeta_expand")
+    counts = _count_calls(monkeypatch, "gram_matrix", "_GramLayout", "zeta_expand")
     run_experiment(builtin_config_path("reverse_azema_x.json"), tmp_path)
-    assert counts == {"gram_matrix": 6, "zeta_expand": 18}
+    assert counts == {"gram_matrix": 0, "_GramLayout": 1, "zeta_expand": 3}
 
 
 def test_sweep_takes_norm_and_cross_off_one_gram_matrix(azema2, monkeypatch):
-    # c != d: one call per mesh for both powers, one per Cauchy increment
+    # c != d: one layout for norm and cross, one for the Cauchy increments,
+    # each over the theta blocks of sub(c) (8 words) and sub(d) (4 words);
+    # 3 + 2 gram_matrix and 68 theta_expand calls with one layout per mesh
+    # and increment
     B, _, psi = azema2
     c, d = NcPoly({(X, XS): 1.0, (): 0.3}), NcPoly({(XS,): 1.0, (X,): 0.5j})
-    counts = _count_calls(monkeypatch, "gram_matrix")
+    counts = _count_calls(monkeypatch, "gram_matrix", "_GramLayout", "theta_expand")
     convergence_sweep(c, d, identity_morphism(B), psi, 0.0, 1.0, [2, 4, 8])
-    assert counts == {"gram_matrix": 3 + 2}
+    assert counts == {"gram_matrix": 0, "_GramLayout": 2, "theta_expand": (8 + 4) + (8 + 8)}
+
+
+def test_layout_work_does_not_grow_with_the_meshes(chain, monkeypatch):
+    # a reverse check and a sweep expand and lay out their blocks once:
+    # six meshes cost as much of that work as two
+    B, psi, _G, kappa, kappa_tilde = chain
+    c = NcPoly({(X, XS): 1.0, (): 0.3})
+    cs = kappa_tilde.apply(NcPoly({(XS,): 1.0, (X,): 0.5j}))
+
+    def work(ns):
+        counts = _count_calls(monkeypatch, "zeta_expand", "theta_expand", "index_terms")
+        reverse_check(c, c, kappa_tilde, psi, 0.0, 1.0, ns, 2)
+        convergence_sweep(c, NcPoly.word((XS,)), identity_morphism(B), psi, 0.0, 1.0, ns)
+        convergence_sweep(cs, cs, kappa, psi, 0.0, 1.0, ns)
+        monkeypatch.undo()
+        return counts
+
+    few, many = work([2, 4]), work([2, 4, 8, 16, 32, 64])
+    assert few == many
+    assert few["zeta_expand"] > 0 and few["theta_expand"] > 0
+    assert few["index_terms"] == 2 * 5     # two per layout: 1 reverse + 2 per sweep
 
 
 def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):

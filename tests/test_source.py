@@ -42,6 +42,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def id_calls(source):
+    """Lines of the calls to the builtin id() in a module's source."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"]
+
+
+def test_id_calls_are_found():
+    assert id_calls("key = id(B)\nx = f(id)\ncache[id(psi), 2] = 1\n") == [1, 3]
+
+
+# an id() outlives its object, so a cache keyed by it can serve a new object
+# the stale entry of a freed one; caches belong to the objects they describe
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_id_calls(path):
+    assert id_calls(path.read_text(encoding="utf-8")) == []
+
+
 # Every qlevy module is imported, then a group-like sweep (diagonal T(psi)),
 # an Azema conv_exp (nilpotent T(psi)) and the trotter_nilpotent run (G^2 = 0)
 # run without loading scipy; a U<2> conv_exp, whose T(psi) is neither, then
