@@ -73,11 +73,17 @@ class BialgebraSpec:
     # -- carrier protocol (shared with the group-like carrier) --------------
 
     def key_delta(self, w):
-        """Delta(w) of a normal word as legs -> coeff, memoized; not to be mutated."""
-        got = self._delta_word.get(w)
+        """Delta(w) of a normal word as legs -> coeff, memoized from its longest
+        memoized prefix up, one letter at a time; not to be mutated."""
+        memo = self._delta_word
+        got = memo.get(w)
         if got is None:
-            got = self._delta_word[w] = _tensor_mul(
-                self.key_delta(w[:-1]), self.delta_on_gen[w[-1]], self.algebra)
+            k = len(w) - 1
+            while w[:k] not in memo:
+                k -= 1
+            got = memo[w[:k]]
+            for i in range(k, len(w)):
+                got = memo[w[:i + 1]] = _tensor_mul(got, self.delta_on_gen[w[i]], self.algebra)
         return got
 
     def key_counit(self, w):

@@ -26,6 +26,9 @@ from . import __version__
 from .errors import InvalidParameter, ParseError, QLevyError, SchemaError
 
 DEFAULT_SEED = 20080131
+WIENER_TOL = 1e-10     # absolute: largest azema-wiener Wiener defect of an exact run
+X_VACUUM_TOL = 1e-20   # absolute: largest vacuum norm of x, which kills the vacuum
+QSDE_TOL = 1e-6        # absolute: largest discrete QSDE residual of an azema-wiener run
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +544,9 @@ def _exp_azema_wiener(run, rng):
             rows.append([_fmt(rep["mesh"]), str(n), name, _fmt(rep[name]), "0",
                          _fmt(rep[target]) if target else "0", "0", _fmt(rep[defect])])
     assertions = {
-        "wiener_exact": all(r["wiener_defect"] <= 1e-10 for r in reports),
-        "x_kills_vacuum": all(r["x_vacuum_norm_sq"] <= 1e-20 for r in reports),
-        "qsde_residual_small": all(r["qsde_residual"] <= 1e-6 for r in reports),
+        "wiener_exact": all(r["wiener_defect"] <= WIENER_TOL for r in reports),
+        "x_kills_vacuum": all(r["x_vacuum_norm_sq"] <= X_VACUUM_TOL for r in reports),
+        "qsde_residual_small": all(r["qsde_residual"] <= QSDE_TOL for r in reports),
         "azema_defect_nonincreasing": all(b["azema_defect"] <= a["azema_defect"] + DEFECT_FLOOR
                                           for a, b in zip(reports, reports[1:])),
     }

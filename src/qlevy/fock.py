@@ -2,7 +2,7 @@
 
 Creation / annihilation / preservation operators as plain matrices on an
 occupation-number truncation of the one-interval Fock factor, exponential
-vectors, the first-order generator processes
+vectors as plain amplitude vectors on it, the first-order generator processes
 
     I_{s,t}(b) = delta(b) I + A(eta(b*)) + Lambda(rho(b) - delta(b))
                  + A*(eta(b)) + psi(b - delta(b) 1) (t - s),
@@ -140,30 +140,12 @@ def quantum_noise_op(kind, arg, interval, factor):
 
 
 # ---------------------------------------------------------------------------
-# factorized vectors
+# exponential vectors
 # ---------------------------------------------------------------------------
 
-class FockVectorSum:
-    """Sum of elementary tensors over a shared partition."""
-
-    def __init__(self, partition, factor, terms=None):
-        self.partition = partition
-        self.factor = factor
-        self.terms = list(terms) if terms is not None else []
-
-
 def fock_inner(u, v):
-    """<u, v>, conjugate-linear in u; inner products factorize per interval."""
-    total = 0.0 + 0.0j
-    for cu, uv in u.terms:
-        for cv, vv in v.terms:
-            z = complex(cu).conjugate() * cv
-            for a, b in zip(uv, vv):
-                z *= np.vdot(a, b)
-                if z == 0.0:
-                    break
-            total += z
-    return complex(total)
+    """<u, v>, conjugate-linear in u."""
+    return complex(np.vdot(u, v))
 
 
 def exp_tail_bound(z, cap):
@@ -192,8 +174,7 @@ def exp_tail_bound(z, cap):
 
 
 def exponential_vector(k, interval, factor):
-    """Truncated exponential vector of the profile k (x) 1_{[s,t]}, as a
-    one-term FockVectorSum over the single interval.
+    """Truncated exponential vector of the profile k (x) 1_{[s,t]} on one factor.
 
     Occupation amplitudes prod_j c_j^{n_j} / sqrt(n_j!) with c = k sqrt(t-s),
     so <E(f), E(g)> = exp((t-s) <k, k'>) up to the tail sum_{p>cap} |.|^p/p!.
@@ -218,7 +199,7 @@ def exponential_vector(k, interval, factor):
             if n:
                 amp *= c[j] ** n / math.sqrt(math.factorial(n))
         vec[i] = amp
-    return FockVectorSum(Partition([s, t]), factor, [(complex(1.0), (vec,))])
+    return vec
 
 
 # ---------------------------------------------------------------------------

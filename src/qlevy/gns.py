@@ -41,6 +41,17 @@ def _inner(a, b):
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
+def _from_suffixes(memo, w, value):
+    """memo[w], filled from the longest suffix of w that memo holds down, one
+    letter at a time: memo[w[j:]] = value(w[j], w[j + 1:], memo[w[j + 1:]])."""
+    i = 0
+    while w[i:] not in memo:
+        i += 1
+    for j in reversed(range(i)):
+        memo[w[j:]] = value(w[j], w[j + 1:], memo[w[j + 1:]])
+    return memo[w]
+
+
 class LevyTriple:
     """Levy triple specified on generators and extended recursively.
 
@@ -63,33 +74,27 @@ class LevyTriple:
         self._rho_memo = {(): np.eye(self.k_dim, dtype=complex)}
         self.psi = psi if psi is not None else LinearFunctional(f"psi[{name}]", self._psi_word)
 
-    # word-level recursion -------------------------------------------------
+    # word-level recurrence on the first letter -----------------------------
 
     def eta_word(self, w):
         hit = self._eta_memo.get(w)
         if hit is None:
-            g, rest = w[0], w[1:]
-            hit = self.rho1[g] @ self.eta_word(rest) \
-                + self.eta1[g] * self.B.key_counit(rest)
-            self._eta_memo[w] = hit
+            hit = _from_suffixes(self._eta_memo, w, lambda g, rest, eta: self.rho1[g] @ eta
+                                 + self.eta1[g] * self.B.key_counit(rest))
         return hit
 
     def rho_word(self, w):
         hit = self._rho_memo.get(w)
         if hit is None:
-            hit = self.rho1[w[0]] @ self.rho_word(w[1:])
-            self._rho_memo[w] = hit
+            hit = _from_suffixes(self._rho_memo, w, lambda g, _rest, rho: self.rho1[g] @ rho)
         return hit
 
     def _psi_word(self, w):
-        # the recursion on psi; values are memoized by self.psi.on_word
-        if not w:
-            return 0.0
-        g, rest = w[0], w[1:]
-        gstar = (self.B.algebra.adjoint_of(g),)
-        return (self.B.key_counit((g,)) * self.psi.on_word(rest)
-                + self.psi1[g] * self.B.key_counit(rest)
-                + _inner(self.eta_word(gstar), self.eta_word(rest)))
+        # the recursion on psi, into the memo of self.psi.on_word, whose on_key this is
+        self.psi._memo.setdefault((), complex(0.0))
+        return _from_suffixes(self.psi._memo, w, lambda g, rest, psi: complex(
+            self.B.key_counit((g,)) * psi + self.psi1[g] * self.B.key_counit(rest)
+            + _inner(self.eta_word((self.B.algebra.adjoint_of(g),)), self.eta_word(rest))))
 
     # linear / affine extensions -------------------------------------------
 

@@ -26,9 +26,9 @@ the two elements, taken by subcoalg.doubled_product's layout (by repeated
 squaring, O(log g) dense products, on small doubled coalgebras), the path
 fock's vacuum values take too.  On uniform meshes the one-block values of
 two meshes differ only through the step, so a sweep keeps one layout per
-sweep, evaluated per mesh: the expansions, their term indices, the factor
-tables' products and coordinates and the doubled structure are built once
-(_ConvolutionPowers), and each mesh pays one counit row per step class,
+piece-count pair, evaluated per mesh: the expansions, their term indices,
+the factor tables' products and coordinates and the doubled structure are
+built once (_ConvolutionPowers), and each mesh pays one counit row per step class,
 the table sums, term_pair_sums and its matrix power.
 """
 
@@ -81,7 +81,7 @@ class FactorizedVectorSum:
         return out
 
     def refine(self, gamma, B):
-        """Re-expand over a finer partition by bialg.iterated_coproduct.
+        """Re-expand by bialg.iterated_coproduct over gamma, a refinement with the same ends.
 
         Legitimate because the process satisfies j_{r,s} * j_{s,t} = j_{r,t};
         Gram values are unchanged by refinement.  A sum on gamma is itself;
@@ -90,11 +90,11 @@ class FactorizedVectorSum:
         """
         if gamma.times == self.partition.times:
             return self
-        if not gamma.refines(self.partition):
+        at = [bisect.bisect_right(gamma.times, t + TIME_TOL) - 1 for t in self.partition.times]
+        if at[0] != 0 or at[-1] != gamma.n_intervals() or any(
+                abs(gamma.times[i] - t) > TIME_TOL for i, t in zip(at, self.partition.times)):
             raise InvalidParameter("target partition does not refine the source")
-        ends = [bisect.bisect_right(gamma.times, t + TIME_TOL) - 1
-                for t in self.partition.times[1:]]
-        counts = [b - a for a, b in zip([0] + ends, ends)]    # sub-intervals per slot
+        counts = [b - a for a, b in zip(at, at[1:])]    # sub-intervals per slot
         leg, splits = functools.cache(NcPoly.word), {}   # one NcPoly per word
         out = FactorizedVectorSum(gamma)
         for entries, z in self.terms.items():
@@ -106,14 +106,18 @@ class FactorizedVectorSum:
                         (tuple(leg(w) for w in legs), c)
                         for legs, c in iterated_coproduct(p, m, B).items()]
                 options.append(opts)
-            for combo in itertools.product(*options):
-                coeff = 1.0
-                legs = []
-                for ls, c in combo:
-                    coeff *= c
-                    legs.extend(ls)
-                out.add_term(tuple(legs), z * coeff)
+            out._add_products(z, options)
         return out
+
+    def _add_products(self, z, options):
+        """Add z * prod c on the joined ens of each choice of one (ens, c) per slot."""
+        for combo in itertools.product(*options):
+            coeff = 1.0
+            entries = []
+            for ens, c in combo:
+                coeff *= c
+                entries.extend(ens)
+            self.add_term(tuple(entries), z * coeff)
 
 
 def identity_morphism(B):
@@ -159,17 +163,11 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
     gamma = Partition(times)
     out = FactorizedVectorSum(gamma)
     for word_tuple, z in exp.items():
-        leg_options = []
+        options = []
         for w in word_tuple:
             lifted = kappa_tilde.map_key(w).add(G.one().scale(B.key_counit(w)))
-            leg_options.append(list(lifted.terms.items()))
-        for combo in itertools.product(*leg_options):
-            coeff = z
-            entries = []
-            for g, c in combo:
-                coeff *= c
-                entries.extend([g] * inner_mesh_factor)
-            out.add_term(tuple(entries), coeff)
+            options.append([((g,) * inner_mesh_factor, c) for g, c in lifted.terms.items()])
+        out._add_products(z, options)
     return out
 
 
@@ -237,7 +235,7 @@ class _GramLayout:
 
     def __init__(self, us, vs, gamma, psi, B):
         self.shape = (len(us), len(vs))
-        self.first, self.slot_class = self.classes = gamma.step_classes()
+        self.first, self.slot_class = gamma.step_classes()
         self.tables = None
         if not (us and vs):     # e.g. the empty basis of the zero element
             return
@@ -301,16 +299,16 @@ class _ConvolutionPowers:
     DENSE_POWER_DIM doubled dimensions; g sparse matrix-vector products
     above) on e's column slice of one _GramLayout, whose right side reuses
     the left blocks for a right with c's block, subcoalgebra and partition.
-    One layout per sweep, evaluated per mesh: it is built at the first call
-    and rebuilt only for blocks with other interval counts or a common
-    refinement with other step classes, and each call evaluates it at the
-    steps of its own partitions.  The object lives for one sweep call.
+    One layout per piece-count pair, evaluated per mesh: pu and pv run
+    uniformly from 0, so their common refinement's step classes depend on
+    the piece counts only.  Each call evaluates the layout of its counts at
+    its own steps.  The object lives for one sweep call.
     """
 
     def __init__(self, S, c, block_c, rights, psi, B):
         self.S, self.c, self.block_c, self.rights = S, c, block_c, rights
         self.psi, self.B = psi, B
-        self._pieces = self._layout = None
+        self._layouts = {}    # (pu's pieces, pv's pieces) -> (_GramLayout, doubled)
 
     def _build(self, pu, pv, gamma):
         S, c, block_c = self.S, self.c, self.block_c
@@ -330,10 +328,9 @@ class _ConvolutionPowers:
         """The powers g with c's blocks on pu and the rights' blocks on pv."""
         gamma = pu.common_refinement(pv)
         pieces = (pu.n_intervals(), pv.n_intervals())
-        if (self._layout is None or pieces != self._pieces
-                or gamma.step_classes() != self._layout[0].classes):
-            self._pieces, self._layout = pieces, self._build(pu, pv, gamma)
-        gram_layout, doubled = self._layout
+        if pieces not in self._layouts:
+            self._layouts[pieces] = self._build(pu, pv, gamma)
+        gram_layout, doubled = self._layouts[pieces]
         values = gram_layout.values(gamma)
         return [power([(values[:, a:b], g)]) for power, a, b in doubled]
 
@@ -371,9 +368,9 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     Every Gram value is a convolution power over g identical blocks of
     length (t-s)/g (the increments are stationary): g = n for norm_sq and
     cross, and g = gcd(n, previous n) for the Cauchy increment: theta over
-    n/g pieces against (previous n)/g pieces.  One layout per sweep,
-    evaluated per mesh: norm and cross share one _ConvolutionPowers, the
-    Cauchy increments another, so a doubling sweep builds two layouts.
+    n/g pieces against (previous n)/g pieces.  One layout per piece-count
+    pair, evaluated per mesh: norm and cross share one _ConvolutionPowers,
+    the Cauchy increments another, so a doubling sweep builds two layouts.
 
     The reported bound is mesh * (t-s) * C with C fitted from the coarsest
     mesh with nonzero defect (the theorem's constant is existential).

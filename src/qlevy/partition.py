@@ -71,10 +71,6 @@ class Partition:
             of.append(k)
         return first, of
 
-    def refines(self, other):
-        """True if self contains all points of other (up to TIME_TOL)."""
-        return len(common_points(other.times, self.times)) == len(other.times)
-
     def common_refinement(self, other):
         pts = sorted(set(self.times) | set(other.times))
         merged = [pts[0]]
@@ -85,18 +81,3 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({list(self.times)})"
-
-
-def common_points(times, other):
-    """The points of times within TIME_TOL of a point of other.
-
-    Both arguments are strictly increasing, so one merge pass finds them.
-    """
-    out = []
-    j = 0
-    for u in times:
-        while j < len(other) and other[j] < u and u - other[j] > TIME_TOL:
-            j += 1
-        if j < len(other) and abs(u - other[j]) <= TIME_TOL:
-            out.append(u)
-    return out

@@ -25,6 +25,7 @@ from qlevy.constructions import (
 from qlevy.errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
 from qlevy.gns import UnitaryTripleParams, unitary_triple
 from qlevy.ncpoly import AlgebraSpec, GeneratorSymbol, NcPoly, RewriteRule, random_poly
+from qlevy.subcoalg import conv_exp
 from sampled_axioms import check_bialgebra_axioms, star_legs
 
 X, XS, Y = 0, 1, 2
@@ -85,6 +86,37 @@ def test_iterated_unit(azema2):
     B, _, _ = azema2
     e = iterated_coproduct(NcPoly.one(), 5, B)
     assert e == {((),) * 5: 1.0}
+
+
+def _prefix_delta(B, w, memo):
+    """Delta(w) by the recursion on prefixes: Delta(w[:-1]) Delta(w[-1])."""
+    got = memo.get(w)
+    if got is None:
+        got = memo[w] = qlevy.bialg._tensor_mul(
+            _prefix_delta(B, w[:-1], memo), B.delta_on_gen[w[-1]], B.algebra)
+    return got
+
+
+@pytest.mark.parametrize("build", [lambda: make_azema(1e-3)[0], lambda: make_azema(2.0)[0],
+                                   lambda: make_azema(1e3)[0],
+                                   lambda: make_unitary_bialgebra(2)],
+                         ids=["azema-1e-3", "azema-2", "azema-1e3", "U2"])
+def test_key_delta_equals_the_prefix_recursion(build):
+    # random words share prefixes, so key_delta starts from memoized
+    # prefixes of every length
+    B = build()
+    rng = np.random.default_rng(53)
+    memo = {(): {((), ()): 1.0}}
+    for _ in range(60):
+        for w in B.random_element(rng, 7).terms:
+            assert B.key_delta(w) == _prefix_delta(B, w, memo), w
+
+
+def test_conv_exp_of_a_long_grouplike_word_is_exact():
+    # Delta(y^1500) = y^1500 (x) y^1500, found one letter at a time, with no
+    # call per letter
+    B, _, psi = make_azema(2.0)
+    assert conv_exp(psi, 1.0, NcPoly.word((Y,) * 1500), B) == 1.0
 
 
 def test_iterated_coproduct_refuses_a_block_before_building_it(azema2, monkeypatch):

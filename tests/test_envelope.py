@@ -66,9 +66,9 @@ CASES = {
         lambda v: generator_process(TRIPLE, NcPoly.word((X,)), (-v, v), FACTOR),
         NON_FINITE | HUGE, "interval"),
     "exponential_vector interval": (
-        lambda v: exponential_vector([1.0], (-v, v), FACTOR).terms[0][1],
+        lambda v: exponential_vector([1.0], (-v, v), FACTOR),
         NON_FINITE | HUGE, r"interval|\(t-s\)"),
-    "exponential_vector k": (lambda v: exponential_vector([v], (0.0, 1.0), FACTOR).terms[0][1],
+    "exponential_vector k": (lambda v: exponential_vector([v], (0.0, 1.0), FACTOR),
                              NON_FINITE | HUGE, r"\bk\b"),
     "quantum_noise_op k": (lambda v: quantum_noise_op("creation", [v], (0.0, 1.0), FACTOR),
                            NON_FINITE | HUGE, r"\bk\b"),

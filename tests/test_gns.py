@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qlevy.bialg import LinearFunctional
-from qlevy.constructions import make_azema, make_unitary_bialgebra
+from qlevy.constructions import make_azema, make_unitary_bialgebra, unitary_letter
 from qlevy.errors import InvalidParameter, PositivityViolation
 from qlevy.gns import (
     UnitaryTripleParams,
@@ -196,6 +196,50 @@ def test_unitary_triple_d2_random():
     t = unitary_triple(UnitaryTripleParams(2, w, 0.4 * L, h))
     rep = levy_triple_residuals(t, n_samples=60, sample_degree=3)
     assert rep["max_residual"] <= 1e-10
+
+
+def _per_letter_recursion(t):
+    """eta, rho and psi on words by the recursion on the first letter, one
+    call per letter, on memos of their own."""
+    B = t.B
+    eta = {(): np.zeros(t.k_dim, dtype=complex)}
+    rho = {(): np.eye(t.k_dim, dtype=complex)}
+    psi = {(): complex(0.0)}
+
+    def eta_word(w):
+        if w not in eta:
+            eta[w] = t.rho1[w[0]] @ eta_word(w[1:]) + t.eta1[w[0]] * B.key_counit(w[1:])
+        return eta[w]
+
+    def rho_word(w):
+        if w not in rho:
+            rho[w] = t.rho1[w[0]] @ rho_word(w[1:])
+        return rho[w]
+
+    def psi_word(w):
+        if w not in psi:
+            g, rest = w[0], w[1:]
+            gstar = (B.algebra.adjoint_of(g),)
+            psi[w] = complex(B.key_counit((g,)) * psi_word(rest)
+                             + t.psi1[g] * B.key_counit(rest)
+                             + complex(np.vdot(eta_word(gstar), eta_word(rest))))
+        return psi[w]
+
+    return eta_word, rho_word, psi_word
+
+
+def test_long_words_equal_the_per_letter_recursion():
+    # the fock_unitary_d1 triple on x11^1500, which the per-letter
+    # recursion reaches only in 500-letter steps
+    t = unitary_triple(UnitaryTripleParams(1, [[1.0]], [[[0.3]]], [[0.5]]))
+    eta, rho, psi = _per_letter_recursion(t)
+    x11 = unitary_letter(1, 1, 1)
+    for k in (500, 1000, 1500):
+        want = eta((x11,) * k), rho((x11,) * k), psi((x11,) * k)
+    w = (x11,) * 1500
+    assert np.array_equal(t.eta_word(w), want[0])
+    assert np.array_equal(t.rho_word(w), want[1])
+    assert t.psi.on_word(w) == want[2]
 
 
 def test_unitary_params_validation():

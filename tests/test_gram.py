@@ -20,7 +20,7 @@ from qlevy.gram import (
     zeta_expand,
 )
 from qlevy.ncpoly import NcPoly, involute, multiply, normal_form, random_poly
-from qlevy.partition import TIME_TOL, Partition, common_points
+from qlevy.partition import TIME_TOL, Partition
 from qlevy.subcoalg import conv_exp, doubled_product, subcoalgebra_of
 
 X, XS, Y = 0, 1, 2
@@ -416,21 +416,45 @@ def test_transfer_route_grouplike_zeta(chain, n):
             assert abs(gram(v, u, psi, B) - np.conj(want)) <= tol
 
 
-def test_common_points_match_the_quadratic_scan():
+def test_refine_accepts_exactly_the_targets_of_the_quadratic_scan(azema2):
+    # a sum on b refines onto a when every point of b is within TIME_TOL of
+    # a point of a, and the ends of a are within TIME_TOL of those of b
+    B = azema2[0]
+    x = NcPoly.word((X,))
     rng = np.random.default_rng(46)
-    for _ in range(200):
-        a = np.sort(rng.choice(np.linspace(0.0, 1.0, 13), size=6, replace=False))
-        b = np.sort(rng.choice(np.linspace(0.0, 1.0, 13), size=5, replace=False))
+    grid = np.linspace(0.0, 1.0, 13)
+    decisions = []
+    for k in range(200):
+        a = np.sort(rng.choice(grid, size=6, replace=False))
+        # every other b is drawn from the points of a, so that some refine
+        b = np.sort(rng.choice(a, size=rng.integers(2, 7), replace=False) if k % 2
+                    else rng.choice(grid, size=5, replace=False))
         # shift some points of b by just under or just over the tolerance
         b = b + rng.choice([0.0, 0.5, 2.0, -0.5, -2.0], size=b.size) * TIME_TOL
         b = np.sort(b)
         if np.any(np.diff(b) <= 0):
             continue
-        want = [t for t in a if min(abs(t - w) for w in b) <= TIME_TOL]
-        assert common_points(tuple(a), tuple(b)) == want
-        pa, pb = Partition(a), Partition(b)
-        assert pa.refines(pb) == all(
-            min(abs(u - w) for w in pa.times) <= TIME_TOL for u in pb.times)
+        want = (all(min(abs(u - w) for w in a) <= TIME_TOL for u in b)
+                and abs(a[0] - b[0]) <= TIME_TOL and abs(a[-1] - b[-1]) <= TIME_TOL)
+        u = FactorizedVectorSum(Partition(b))
+        u.add_term((x,) * (b.size - 1), 1.0)
+        try:
+            u.refine(Partition(a), B)
+        except InvalidParameter:
+            decisions.append(False)
+        else:
+            decisions.append(True)
+        assert decisions[-1] == want, (a, b)
+    assert set(decisions) == {True, False}
+
+
+def test_refine_refuses_a_partition_of_another_interval(azema2):
+    # every point of [0.5, 1] is a point of each target, whose ends differ
+    B = azema2[0]
+    u = FactorizedVectorSum.singleton(NcPoly.word((X,)), 0.5, 1.0)
+    for target in ([0.0, 0.5, 1.0], [0.5, 0.75, 1.0, 2.0], [0.25, 0.5, 1.0, 1.5]):
+        with pytest.raises(InvalidParameter, match="does not refine"):
+            u.refine(Partition(target), B)
 
 
 def test_bialgebras_freed_without_the_cycle_collector():
@@ -696,6 +720,31 @@ def test_sweep_takes_norm_and_cross_off_one_gram_matrix(azema2, monkeypatch):
     counts = _count_calls(monkeypatch, "gram_matrix", "_GramLayout", "theta_expand")
     convergence_sweep(c, d, identity_morphism(B), psi, 0.0, 1.0, [2, 4, 8])
     assert counts == {"gram_matrix": 0, "_GramLayout": 2, "theta_expand": (8 + 4) + (8 + 8)}
+
+
+def test_sweep_builds_one_layout_per_piece_count_pair(azema2, monkeypatch):
+    # norm and cross on (1, 1) pieces; Cauchy increments on (3, 2) and
+    # (2, 3), the second (3, 2) mesh evaluating the first one's layout
+    B, _, psi = azema2
+    c = NcPoly({(X, XS): 1.0, (): 0.3})
+    ns = [2, 3, 2, 3]
+    counts = _count_calls(monkeypatch, "_GramLayout")
+    rows = convergence_sweep(c, c, identity_morphism(B), psi, 0.0, 1.0, ns)
+    assert counts == {"_GramLayout": 3}
+    got = [(r.norm_sq, r.cross, r.defect, r.bound, r.cauchy_increment) for r in rows]
+    assert repr(got) == repr(_sweep_per_mesh(c, c, identity_morphism(B), psi, ns))
+
+
+def test_uniform_refinements_have_the_step_classes_of_their_piece_counts():
+    # the step classes of the common refinement of uniform(0, dt, a) and
+    # uniform(0, dt, b) depend on (a, b) only, so _ConvolutionPowers keys
+    # its layouts by piece counts
+    dts = [tau / g for tau in (0.5, 1.0, 3.0) for g in (1, 2, 7, 64, 256)]
+    for a in range(1, 25):
+        for b in range(1, 25):
+            classes = {repr(Partition.uniform(0.0, dt, a).common_refinement(
+                Partition.uniform(0.0, dt, b)).step_classes()) for dt in dts}
+            assert len(classes) == 1, (a, b, classes)
 
 
 def test_layout_work_does_not_grow_with_the_meshes(chain, monkeypatch):

@@ -2,6 +2,7 @@
 and the modules a fresh interpreter loads to run it."""
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -57,6 +58,50 @@ def test_id_calls_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_id_calls(path):
     assert id_calls(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(sources):
+    """Every identifier and attribute name that the sources read."""
+    read = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return read
+
+
+def unread_definitions(source, read):
+    """(line, name) of each function, class and method that a module
+    defines, dunders excepted, whose name is not in read."""
+    defs = ast.walk(ast.parse(source))
+    return sorted((n.lineno, n.name) for n in defs
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (n.name.startswith("__") and n.name.endswith("__"))
+                  and n.name not in read)
+
+
+def test_unread_definitions_are_found():
+    source = ("class A:\n    def __init__(self):\n        self.x = helper()\n"
+              "    def method(self):\n        pass\n    def spare(self):\n        pass\n"
+              "def helper():\n    return 1\ndef unused():\n    pass\n")
+    reader = "from m import A\nA().method()\n"
+    assert unread_definitions(source, names_read([source, reader])) == [(6, "spare"),
+                                                                      (10, "unused")]
+
+
+@functools.cache
+def _names_read_in_the_repo():
+    root = SRC.parents[1]
+    return names_read(p.read_text(encoding="utf-8")
+                      for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py")))
+
+
+# a definition that nothing reads by name is code that nothing needs
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_read(path):
+    assert unread_definitions(path.read_text(encoding="utf-8"), _names_read_in_the_repo()) == []
 
 
 # Every qlevy module is imported, then a group-like sweep (diagonal T(psi)),
