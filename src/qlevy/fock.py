@@ -14,7 +14,7 @@ convolution product of the one-interval values <I(a) Omega, I(b) Omega> on
 the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
 module's powers are; neither the n-fold tensor space nor Delta_n is
 expanded, except in cross_path_report, an independent check that lays out
-the Sweedler terms by gram.index_terms and pairs them by gram.term_pair_sums
+the Sweedler terms by gram.index_terms and pairs them by one gram._TermPairs
 over per-step tables of one-interval values.  Intervals of equal steps
 (Partition.step_classes) share those values.  A unitary product evolution
 holds each distinct generator block once and advances all its unitarity
@@ -270,13 +270,13 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     e_*^{dt psi}(a* b) of subcoalg.factor_table.  gram.index_terms lays out
     the Sweedler terms of Delta_n(b) over one table per step, on the
     distinct leg words of its slots, and each sum over every pair of terms
-    is one gram.term_pair_sums call.  The reported per-instance bound
-    telescopes the per-interval deviations |<I(a) Omega, I(b) Omega> -
-    phi_dt(a* b)| through the term-pair products and adds the (here zero: a
-    single application of I creates at most one particle per slot)
-    truncation tail.
+    is one call of the gram._TermPairs the three sums share.  The reported
+    per-instance bound telescopes the per-interval deviations
+    |<I(a) Omega, I(b) Omega> - phi_dt(a* b)| through the term-pair
+    products and adds the (here zero: a single application of I creates at
+    most one particle per slot) truncation tail.
     """
-    from .gram import index_terms, term_pair_sums
+    from .gram import _TermPairs, index_terms
 
     n = partition.n_intervals()
     steps = partition.steps()
@@ -288,8 +288,10 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     ftabs = [_vacuum_table(triple, ps, ps, (times[r], times[r + 1]), factor, factor.vacuum())
              for r, ps in zip(first, polys)]
     gtabs = [factor_table(psi, steps[r], ps, ps, B) for r, ps in zip(first, polys)]
-    fock_total = complex(term_pair_sums(ftabs, slot_class, terms, terms)[0, 0])
-    gram_total = complex(term_pair_sums(gtabs, slot_class, terms, terms)[0, 0])
+    pairs = _TermPairs([t.shape for t in ftabs], slot_class, terms, terms)
+    coeffs = terms[0]
+    fock_total = complex(pairs(ftabs, coeffs, coeffs)[0, 0])
+    gram_total = complex(pairs(gtabs, coeffs, coeffs)[0, 0])
 
     # bound = sum_pairs |z_a z_b| sum_r |f_r - g_r| prod_{s != r} max(|f_s|, |g_s|)
     # is the h-derivative at 0 of prod_r (max(|f_r|, |g_r|) + i h |f_r - g_r|),
@@ -297,10 +299,9 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
     # is exact to rounding: |f - g| <= 2 max(|f|, |g|) keeps the h^3 terms of Im
     # below 1e-55 relative, and the h^2 terms land in Re, where they vanish.
     h = 1e-30
-    coeffs, index, owner, n_owners = terms
-    moduli = (np.abs(coeffs).astype(complex), index, owner, n_owners)
+    moduli = np.abs(coeffs).astype(complex)
     btabs = [np.maximum(abs(f), abs(g)) + 1j * h * abs(f - g) for f, g in zip(ftabs, gtabs)]
-    bound = term_pair_sums(btabs, slot_class, moduli, moduli)[0, 0].imag / h
+    bound = pairs(btabs, moduli, moduli)[0, 0].imag / h
     return {
         "n": n,
         "mesh": partition.mesh(),

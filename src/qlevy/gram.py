@@ -11,7 +11,7 @@ of one-interval vacuum values
 
 read for all entries of one step off one exponential by
 subcoalg.factor_table.  This makes the engine exact up to matrix-exponential
-precision and immune to Fock truncation error.  term_pair_sums, the one
+precision and immune to Fock truncation error.  _TermPairs, the one
 term-pair kernel (fock's cross-path report uses it and index_terms too),
 pairs the terms of such sums in gram_matrix, and gram is its 1 x 1 case.
 
@@ -27,9 +27,10 @@ squaring, O(log g) dense products, on small doubled coalgebras), the path
 fock's vacuum values take too.  On uniform meshes the one-block values of
 two meshes differ only through the step, so a sweep keeps one layout per
 piece-count pair, evaluated per mesh: the expansions, their term indices,
-the factor tables' products and coordinates and the doubled structure are
-built once (_ConvolutionPowers), and each mesh pays one counit row per step class,
-the table sums, term_pair_sums and its matrix power.
+the factor tables' products and coordinates, the term pairs' index work
+and the doubled structure are built once (_ConvolutionPowers), and each
+mesh pays one counit row per step class, the table sums, the pair products
+and its matrix power.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .ncpoly import NcPoly, involute, multiply
 from .partition import TIME_TOL, Partition
 from .subcoalg import _DoubledLayout, _FactorLayout, conv_exp, subcoalgebra_of
 
-PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by term_pair_sums
+PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by _TermPairs
 DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate constant
 
 
@@ -175,43 +176,54 @@ def zeta_expand(b, kappa_tilde, alpha, inner_mesh_factor=1):
 # gram evaluation
 # ---------------------------------------------------------------------------
 
-def term_pair_sums(tables, slot_class, left, right):
+class _TermPairs:
     """(left owners) x (right owners) matrix of the sums over term pairs of
-    conj(z_a) z_b prod_r tables[slot_class[r]][i_ar, i_br].
+    conj(z_a) z_b prod_r tables[slot_class[r]][i_ar, i_br], split into the
+    part that does not depend on the tables' values or the coefficients,
+    built here, and its evaluation, a call on tables of the given shapes and
+    the two sides' coefficients z.
 
-    left and right are (coeffs, index, owner, n_owners), terms grouped by
-    ascending owner, index[t, r] the table row (left) or column (right) of
-    term t in slot r.  A pair's product is formed in slot order after its
-    coefficient; numpy's pairwise summation adds the pairs of one left term
-    and one right owner, then (pairwise again) those sums over the left
-    terms of one owner, so rounding grows with log(terms), not the pairs.
+    left and right are (coeffs, index, owner, n_owners) (coeffs not read
+    here), terms grouped by ascending owner, index[t, r] the table row
+    (left) or column (right) of term t in slot r.  A pair's product is
+    formed in slot order after its coefficient; numpy's pairwise summation
+    adds the pairs of one left term and one right owner, then (pairwise
+    again) those sums over the left terms of one owner, so rounding grows
+    with log(terms), not the pairs.
     """
-    (zl, il, ol, nl), (zr, ir, orr, nr) = left, right
-    out = np.zeros((nl, nr), dtype=complex)
-    if not (zl.size and zr.size):
+
+    def __init__(self, shapes, slot_class, left, right):
+        (_, il, ol, nl), (_, ir, orr, nr) = left, right
+        self.shape = (nl, nr)
+        self.cls = np.asarray(slot_class, dtype=np.intp)
+        widths = np.array([w for _, w in shapes], dtype=np.intp)
+        base = np.cumsum([0] + [h * w for h, w in shapes])[:-1]
+        self.lrow = base[self.cls] + il * widths[self.cls]   # flat start of each left entry's row
+        self.ir = ir
+        self.lown, self.lstart = np.unique(ol, return_index=True)
+        self.rown, self.rstart = np.unique(orr, return_index=True)
+
+    def __call__(self, tables, zl, zr):
+        out = np.zeros(self.shape, dtype=complex)
+        if not (zl.size and zr.size):
+            return out
+        lrow, ir = self.lrow, self.ir
+        flat = np.concatenate([np.ravel(t) for t in tables])
+        rowsums = np.empty((zl.size, self.rown.size), dtype=complex)
+        step = max(1, PAIR_BLOCK // zr.size)
+        for a in range(0, zl.size, step):
+            acc = np.multiply.outer(zl[a:a + step].conj(), zr)
+            for r in range(self.cls.size):
+                acc *= flat[lrow[a:a + step, r, None] + ir[:, r]]
+            rowsums[a:a + step] = np.add.reduceat(acc, self.rstart, axis=1)
+        out[np.ix_(self.lown, self.rown)] = np.add.reduceat(
+            np.ascontiguousarray(rowsums.T), self.lstart, axis=1).T
         return out
-    cls = np.asarray(slot_class, dtype=np.intp)
-    widths = np.array([t.shape[1] for t in tables], dtype=np.intp)
-    base = np.cumsum([0] + [t.size for t in tables])[:-1]
-    flat = np.concatenate([np.ravel(t) for t in tables])
-    lrow = base[cls] + il * widths[cls]     # flat start of each left entry's row
-    lown, lstart = np.unique(ol, return_index=True)
-    rown, rstart = np.unique(orr, return_index=True)
-    rowsums = np.empty((zl.size, rown.size), dtype=complex)
-    step = max(1, PAIR_BLOCK // zr.size)
-    for a in range(0, zl.size, step):
-        acc = np.multiply.outer(zl[a:a + step].conj(), zr)
-        for r in range(cls.size):
-            acc *= flat[lrow[a:a + step, r, None] + ir[:, r]]
-        rowsums[a:a + step] = np.add.reduceat(acc, rstart, axis=1)
-    out[np.ix_(lown, rown)] = np.add.reduceat(
-        np.ascontiguousarray(rowsums.T), lstart, axis=1).T
-    return out
 
 
 def index_terms(sums, slot_class, n_classes):
     """The terms of sums (each a dict: entry tuple -> coefficient, such as
-    FactorizedVectorSum.terms or an iterated_coproduct) in term_pair_sums
+    FactorizedVectorSum.terms or an iterated_coproduct) in _TermPairs
     form, and per step class the distinct entries its index refers to."""
     seen = [{} for _ in range(n_classes)]    # per class: entry -> index
     coeffs, index, owner = [], [], []
@@ -229,9 +241,9 @@ def index_terms(sums, slot_class, n_classes):
 class _GramLayout:
     """The part of gram_matrix(us, vs, psi, B) that does not depend on the
     steps, given gamma, the common refinement of the two sides' partitions:
-    its step classes, index_terms of both sides and one _FactorLayout per
-    class.  values(gamma) evaluates it at the steps of gamma, a refinement
-    with the same step classes."""
+    its step classes, index_terms of both sides, one _FactorLayout per class
+    and the _TermPairs of the two sides.  values(gamma) evaluates it at the
+    steps of gamma, a refinement with the same step classes."""
 
     def __init__(self, us, vs, gamma, psi, B):
         self.shape = (len(us), len(vs))
@@ -246,13 +258,15 @@ class _GramLayout:
         steps = gamma.steps()
         self.tables = [_FactorLayout(psi, a, b, B, steps[r])
                        for r, a, b in zip(self.first, lents, rents)]
+        self.pairs = _TermPairs([t.shape for t in self.tables], self.slot_class,
+                                self.left, self.right)
 
     def values(self, gamma):
         if self.tables is None:
             return np.zeros(self.shape, dtype=complex)
         steps = gamma.steps()
-        return term_pair_sums([t.table(steps[r]) for r, t in zip(self.first, self.tables)],
-                              self.slot_class, self.left, self.right)
+        return self.pairs([t.table(steps[r]) for r, t in zip(self.first, self.tables)],
+                          self.left[0], self.right[0])
 
 
 def gram_matrix(us, vs, psi, B):
@@ -350,6 +364,15 @@ def limit_value(psi, kappa, tau, elem):
 # sweeps
 # ---------------------------------------------------------------------------
 
+def _uniform_mesh(s, t, n):
+    """Partition.uniform(s, t, n).mesh(), read off the same np.linspace
+    steps with no partition built; the sweep's own partitions refuse a bad
+    interval."""
+    if n < 1:
+        raise InvalidParameter(f"a uniform mesh needs n >= 1 intervals, got {n}")
+    return float(np.diff(np.linspace(s, t, n + 1)).max())
+
+
 class ConvergenceRow:
     def __init__(self, n, mesh, norm_sq, cross, defect, bound,
                  cauchy_increment=None):
@@ -397,18 +420,17 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     prev_n = prev_norm = None
     c_fit = None
     for n in ns:
-        alpha = Partition.uniform(s, t, n)
+        mesh = _uniform_mesh(s, t, n)
         powers = theta_powers(norm_cross, n, n)
         norm_sq, cross = powers[0].real, powers[-1]
         defect = abs(cross - limit)
         if c_fit is None and defect > DEFECT_FLOOR:
             c_fit = defect * n / tau
-        bound = (alpha.mesh() * tau * c_fit) if c_fit is not None else 0.0
+        bound = (mesh * tau * c_fit) if c_fit is not None else 0.0
         inc = None
         if prev_n is not None:
             inc = abs(norm_sq + prev_norm - 2.0 * theta_powers(increments, n, prev_n)[0].real)
-        rows.append(ConvergenceRow(n, alpha.mesh(), norm_sq, cross, defect,
-                                   bound, inc))
+        rows.append(ConvergenceRow(n, mesh, norm_sq, cross, defect, bound, inc))
         prev_n, prev_norm = n, norm_sq
     return rows
 
@@ -443,9 +465,9 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
     powers = _ConvolutionPowers(B, b, zeta, [(b, zeta), (d, j)], psi, B)
     rows = []
     for n in ns:
-        alpha = Partition.uniform(s, t, n)
+        mesh = _uniform_mesh(s, t, n)
         gamma = Partition.uniform(0.0, tau / n, inner_mesh_factor)   # zeta's sub-partition
         norm, cross = powers(gamma, gamma, n)
         defect = abs(cross - limit)
-        rows.append(ConvergenceRow(n, alpha.mesh(), norm.real, cross, defect, defect))
+        rows.append(ConvergenceRow(n, mesh, norm.real, cross, defect, defect))
     return rows

@@ -3,13 +3,16 @@
 Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 (Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
-matrix T(psi) = (id (x) psi) o Delta.  Each counit row delta e^{t T} takes
-one of three routes: a T with no nonzero entry on or below the diagonal
-(Azema's, psi being 0 on group-likes) is nilpotent, and its Taylor sum ends,
-exact up to rounding; a diagonal T (every group-like carrier's) takes exp of
-its diagonal; any other T, and a matrix-family G whose Taylor sum does not
-end, takes dense scipy.linalg.expm.  scipy is imported by the routes that
-call it, so a run needing neither dense expm nor a sparse power never loads it.
+matrix T(psi) = (id (x) psi) o Delta.  _routed_exp is the one matrix
+exponential v e^{tM}, v a row or a matrix, and it takes one of three
+routes: an M with no nonzero entry on or below the diagonal (Azema's T,
+psi being 0 on group-likes) is nilpotent, and its Taylor sum ends, exact up
+to rounding; a diagonal M (every group-like carrier's T, and the d = 1
+Fock unitary target's iH - LL*/2) takes exp of its diagonal; any other M
+takes dense scipy.linalg.expm.  It serves the counit rows delta e^{tT},
+the Fock unitary target and a matrix-family G whose Taylor sum does not
+end.  scipy is imported by the branches that call it, so a run needing
+neither dense expm nor a sparse power never loads it.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
 p, closed under taking either leg of key_delta, sorted by key_order.
@@ -89,7 +92,7 @@ class Subcoalgebra:
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
-        # functional -> (T(functional), its _counit_row route): one per live
+        # functional -> (T(functional), its _routed_exp route): one per live
         # functional, freed with it or with self
         self._transfers = weakref.WeakKeyDictionary()
 
@@ -157,7 +160,7 @@ def _transfer(f, sub):
 
 
 def _route(m):
-    """_counit_row's route for m, read off the positions of its nonzero (or
+    """_routed_exp's route for m, read off the positions of its nonzero (or
     NaN) entries: "taylor" for a strictly upper triangular m (m^d = 0 at
     side d), "diagonal" for a diagonal m, else "expm"."""
     rows, cols = np.nonzero(m)
@@ -195,24 +198,24 @@ def _taylor(v, m, t):
     return total, False
 
 
-def _counit_row(delta, m, t, route=None):
-    """delta e^{t m} by m's _route (taken here when not given): _taylor's sum,
-    exp of the diagonal, as expm does, or expm."""
+def _routed_exp(v, m, t, route=None):
+    """v e^{t m}, v a row or a matrix, by m's _route (taken here when not
+    given): _taylor's sum, exp of the diagonal, as expm does, or expm."""
     if not np.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t}")
     route = route or _route(m)
     if route == "taylor":
-        row, _ = _taylor(delta, m, t)
+        out, _ = _taylor(v, m, t)
     elif route == "diagonal":
-        row = delta @ np.diag(np.exp(np.diag(t * m)))
+        out = v @ np.diag(np.exp(np.diag(t * m)))
     else:
         import scipy.linalg
-        row = delta @ scipy.linalg.expm(t * m)
-    if not np.isfinite(row).all():
+        out = v @ scipy.linalg.expm(t * m)
+    if not np.isfinite(out).all():
         raise InvalidParameter(
-            f"e^{{t T(psi)}} at t = {t:.15g} overflowed" if np.isfinite(m).all()
-            else "T(psi) has a non-finite entry")
-    return row
+            f"e^{{tM}} at t = {t:.15g} overflowed" if np.isfinite(m).all()
+            else "e^{tM}: M has a non-finite entry")
+    return out
 
 
 def _at_step(err, dt):
@@ -241,7 +244,7 @@ class _FactorLayout:
         """The factor table at step dt: one counit row, read against each
         product's coordinates."""
         try:
-            row = _counit_row(self.delta, self.m, dt, self.route)
+            row = _routed_exp(self.delta, self.m, dt, self.route)
         except InvalidParameter as err:
             raise _at_step(err, dt) from None
         at = self.at
@@ -328,10 +331,10 @@ def doubled_product(subc, subd, c, d, factors):
 
 def conv_exp(psi, t, p, B):
     """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p,
-    the row taken by one of _counit_row's routes."""
+    the row taken by one of _routed_exp's routes."""
     sub = subcoalgebra_of(p, B)
     m, route = _transfer_route(psi, sub)
-    row = _counit_row(sub.counit_vector, m, t, route)
+    row = _routed_exp(sub.counit_vector, m, t, route)
     return complex(row @ sub.coords(p))
 
 
@@ -405,17 +408,17 @@ class ProductFamilySpec:
         self._targets = {}      # span -> (e^{span G}, ||G||_2), matrix case
 
     def target(self, span):
-        """e^{span G} (_taylor's sum where it ends, else dense expm) and the
+        """e^{span G} (_taylor's sum where it ends, else _routed_exp) and the
         operator norm of G, memoized per span."""
         got = self._targets.get(span)
         if got is None:
             g = np.asarray(self.baseline, dtype=complex)
             if not np.isfinite(g).all():
                 raise InvalidParameter("matrix-family baseline G is not finite")
-            exp, ended = _taylor(np.eye(len(g), dtype=complex), g, span)
+            eye = np.eye(len(g), dtype=complex)
+            exp, ended = _taylor(eye, g, span)
             if not ended:
-                import scipy.linalg
-                exp = scipy.linalg.expm(span * g)
+                exp = _routed_exp(eye, g, span)
             got = self._targets[span] = (exp, _opnorm(g))
         return got
 
@@ -504,7 +507,7 @@ def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
     g, route = _transfer_route(spec.baseline, sub)
     span = partition.t - partition.s
     x = sub.coords(p)
-    target = complex(_counit_row(sub.counit_vector, g, span, route) @ x)
+    target = complex(_routed_exp(sub.counit_vector, g, span, route) @ x)
 
     # operator infinity-norm = max-abs coordinate operator norm
     def inf_norm(m):

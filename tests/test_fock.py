@@ -450,6 +450,30 @@ def test_cross_path_report_builds_each_vacuum_vector_once(azema2, azema_triple, 
         assert abs(got[key] - ref[key]) <= 1e-13 * abs(ref[key]), key
 
 
+def test_cross_path_report_lays_out_its_term_pairs_once(azema2, azema_triple, monkeypatch):
+    # the Fock value, the Gram value and the bound pair the same terms:
+    # one _TermPairs, called three times
+    import qlevy.gram
+
+    B, _, psi = azema2
+    built, called = [], []
+    real = qlevy.gram._TermPairs
+
+    class Counted(real):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+        def __call__(self, *args):
+            called.append(1)
+            return super().__call__(*args)
+
+    monkeypatch.setattr(qlevy.gram, "_TermPairs", Counted)
+    cross_path_report(azema_triple, NcPoly({(XS,): 0.7 - 0.2j, (X, XS): 0.4}), B, psi,
+                      Partition([0.0, 0.25, 0.5, 1.0]), 5)
+    assert (len(built), len(called)) == (1, 3)
+
+
 def test_cross_path_degree_two_at_n16(azema2, azema_triple):
     # 257 Sweedler terms, about 66 000 term pairs; the per-pair loop took
     # minutes here

@@ -10,6 +10,7 @@ from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
     DEFECT_FLOOR,
     FactorizedVectorSum,
+    _uniform_mesh,
     convergence_sweep,
     gram,
     gram_matrix,
@@ -755,7 +756,8 @@ def test_layout_work_does_not_grow_with_the_meshes(chain, monkeypatch):
     cs = kappa_tilde.apply(NcPoly({(XS,): 1.0, (X,): 0.5j}))
 
     def work(ns):
-        counts = _count_calls(monkeypatch, "zeta_expand", "theta_expand", "index_terms")
+        counts = _count_calls(monkeypatch, "zeta_expand", "theta_expand", "index_terms",
+                              "_TermPairs")
         reverse_check(c, c, kappa_tilde, psi, 0.0, 1.0, ns, 2)
         convergence_sweep(c, NcPoly.word((XS,)), identity_morphism(B), psi, 0.0, 1.0, ns)
         convergence_sweep(cs, cs, kappa, psi, 0.0, 1.0, ns)
@@ -765,7 +767,52 @@ def test_layout_work_does_not_grow_with_the_meshes(chain, monkeypatch):
     few, many = work([2, 4]), work([2, 4, 8, 16, 32, 64])
     assert few == many
     assert few["zeta_expand"] > 0 and few["theta_expand"] > 0
-    assert few["index_terms"] == 2 * 5     # two per layout: 1 reverse + 2 per sweep
+    # two index_terms and one _TermPairs per layout: 1 reverse + 2 per sweep
+    assert few["index_terms"] == 2 * 5 and few["_TermPairs"] == 5
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.3, 1.7), (-2.0, 5.0), (1e3, 1e3 + 0.4)])
+def test_sweep_meshes_are_the_uniform_partitions_bit_for_bit(s, t):
+    for n in (1, 2, 3, 7, 64, 72, 512):
+        mesh = _uniform_mesh(s, t, n)
+        assert type(mesh) is float and mesh == Partition.uniform(s, t, n).mesh(), n
+
+
+def test_sweeps_build_no_partition_of_the_interval(chain, monkeypatch):
+    # each mesh reads its step off np.linspace; the partitions a sweep
+    # builds all start at 0
+    B, psi, _G, kappa, kappa_tilde = chain
+    c = NcPoly({(X, XS): 1.0, (): 0.3})
+    starts = []
+    init = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__",
+                        lambda self, times: starts.append(float(times[0])) or init(self, times))
+    rows = reverse_check(c, c, kappa_tilde, psi, 0.25, 1.25, [2, 4], 2)
+    rows += convergence_sweep(c, c, identity_morphism(B), psi, 0.25, 1.25, [2, 4])
+    assert starts and set(starts) == {0.0}
+    assert [r.mesh for r in rows] == [0.5, 0.25] * 2
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 1.0), (1.0, 0.5), (0.0, float("nan")),
+                                  (0.0, float("inf"))])
+def test_sweeps_refuse_an_empty_or_non_finite_interval(chain, s, t):
+    # the limit refuses a non-finite span, the sweep's partitions the rest
+    B, psi, _G, _kappa, kappa_tilde = chain
+    x = NcPoly.word((X,))
+    why = "partition times|t must be finite"
+    with pytest.raises(InvalidParameter, match=why):
+        reverse_check(x, x, kappa_tilde, psi, s, t, [2])
+    with pytest.raises(InvalidParameter, match=why):
+        convergence_sweep(x, x, identity_morphism(B), psi, s, t, [2])
+
+
+def test_sweeps_refuse_a_mesh_of_no_intervals(chain):
+    B, psi, _G, _kappa, kappa_tilde = chain
+    x = NcPoly.word((X,))
+    with pytest.raises(InvalidParameter, match="n >= 1 intervals, got 0"):
+        reverse_check(x, x, kappa_tilde, psi, 0.0, 1.0, [2, 0])
+    with pytest.raises(InvalidParameter, match="n >= 1 intervals, got 0"):
+        convergence_sweep(x, x, identity_morphism(B), psi, 0.0, 1.0, [0])
 
 
 def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):

@@ -3,6 +3,7 @@ and the modules a fresh interpreter loads to run it."""
 
 import ast
 import functools
+import json
 import os
 import pathlib
 import subprocess
@@ -135,11 +136,11 @@ print("scipy" in sys.modules)
 """
 
 
-def _cold(script, arg):
-    """The lines script prints in a fresh interpreter, with arg as sys.argv[1]."""
+def _cold(script, *args):
+    """The lines script prints in a fresh interpreter, with args as sys.argv[1:]."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, str(arg)], env=env,
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
 
@@ -147,17 +148,109 @@ def test_scipy_loads_only_on_the_routes_that_call_it():
     assert _cold(_COLD_RUN, SRC) == ["[]", "True"]
 
 
-# qlevy check and run of a shipped config, in a fresh interpreter; jsonschema
-# reads config_schema.json in the tests only
+# qlevy check and run of every shipped config, then of a U<2> fock-unitary
+# config whose iH - LL*/2 is not diagonal, in one fresh interpreter
 _COLD_CLI = """
 import sys
-from qlevy.cli import builtin_config_path, check_defs, run_experiment
-for name in ("azema_q2.json", "fock_unitary_d1.json"):
+from qlevy.cli import builtin_config_path, builtin_configs, check_defs, run_experiment
+out, extra = sys.argv[1:]
+for name in builtin_configs():
     check_defs(builtin_config_path(name))
-    run_experiment(builtin_config_path(name), sys.argv[1])
+    run_experiment(builtin_config_path(name), out)
+print(len(builtin_configs()))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+check_defs(extra)
+run_experiment(extra, out)
+print("scipy.linalg" in sys.modules)
 print("jsonschema" in sys.modules)
 """
 
+_FOCK_UNITARY_D2 = {
+    "name": "fock_unitary_d2",
+    "experiment": "fock-unitary",
+    "bialgebra": {"builder": "unitary", "d": 2},
+    "unitary": {
+        "W": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "L": [[[[0.3, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.2, 0.0]]]],
+        "H": [[[0.2, 0.0], [0.0, 0.1]], [[0.0, -0.1], [-0.3, 0.0]]],
+    },
+    "interval": [0.0, 0.4],
+    "partition": {"ns": [2, 4]},
+    "caps": {"particle_cap": 2},
+}
 
-def test_check_and_run_leave_jsonschema_unloaded(tmp_path):
-    assert _cold(_COLD_CLI, tmp_path) == ["False"]
+
+@pytest.fixture(scope="module")
+def cold_cli(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cold_cli")
+    extra = out / "fock_unitary_d2.config.json"
+    extra.write_text(json.dumps(_FOCK_UNITARY_D2), encoding="utf-8")
+    return _cold(_COLD_CLI, out, extra)
+
+
+# jsonschema reads config_schema.json in the tests only
+def test_check_and_run_leave_jsonschema_unloaded(cold_cli):
+    assert cold_cli[3] == "False"
+
+
+# every shipped exponential takes the Taylor or the diagonal route; only a
+# dense one, here U<2>'s Fock unitary target, loads scipy.linalg
+def test_shipped_checks_and_runs_load_no_scipy(cold_cli):
+    assert cold_cli[:3] == ["9", "[]", "True"]
+
+
+def scipy_imports(source):
+    """(scope, branch, module) of each import of a scipy module in a module's
+    source: scope is the dotted name of the enclosing classes and functions
+    ("" at module level), branch the guard of the nearest enclosing if
+    branch, "not (test)" in its else ("" outside any if)."""
+    found = []
+
+    def visit(node, scope, branch):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), "")
+            elif isinstance(child, ast.If):
+                test = ast.unparse(child.test)
+                for stmt in child.body:
+                    visit(ast.Module([stmt], []), scope, test)
+                for stmt in child.orelse:
+                    visit(ast.Module([stmt], []), scope, f"not ({test})")
+            else:
+                if isinstance(child, ast.Import):
+                    mods = [a.name for a in child.names]
+                elif isinstance(child, ast.ImportFrom) and not child.level:
+                    mods = [child.module]
+                else:
+                    mods = []
+                found.extend((".".join(scope), branch, m)
+                             for m in mods if m.split(".")[0] == "scipy")
+                visit(child, scope, branch)
+
+    visit(ast.parse(source), (), "")
+    return found
+
+
+def test_scipy_imports_are_found():
+    source = ("import scipy\nimport numpy, scipy.sparse as sp\n"
+              "class A:\n    def f(self, x):\n        if x:\n            pass\n"
+              "        elif x > 1:\n            from scipy.linalg import expm\n"
+              "        else:\n            import scipy.linalg\n"
+              "def g():\n    import os\n    with open('f'):\n        import scipy.special\n")
+    assert scipy_imports(source) == [("", "", "scipy"), ("", "", "scipy.sparse"),
+                                     ("A.f", "x > 1", "scipy.linalg"),
+                                     ("A.f", "not (x > 1)", "scipy.linalg"),
+                                     ("g", "", "scipy.special")]
+
+
+# scipy is imported in two branches only: the dense one of the routed
+# exponential and the sparse one of the doubled convolution power; a new
+# import on a shipped route fails here, not in a memory benchmark
+def test_scipy_is_imported_at_two_sites():
+    sites = {(path.name, *site) for path in sorted(SRC.glob("*.py"))
+             for site in scipy_imports(path.read_text(encoding="utf-8"))}
+    assert sites == {
+        ("subcoalg.py", "_routed_exp", "not (route == 'diagonal')", "scipy.linalg"),
+        ("subcoalg.py", "_DoubledLayout.__call__", "not (self.size <= DENSE_POWER_DIM)",
+         "scipy.sparse"),
+    }

@@ -18,7 +18,7 @@ from qlevy.partition import Partition
 from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
-    _counit_row,
+    _routed_exp,
     banach_product_check,
     coalgebra_product_check,
     conv_exp,
@@ -235,7 +235,7 @@ def test_nilpotent_row_matches_dense_oracle_on_azema(q, k, expm_calls):
         assert abs(value - want) <= 1e-13 * abs(want), (t, value, want)
         table = factor_table(psi, t, [NcPoly.one()], [p], B)
         assert table[0, 0] == value
-        row = _counit_row(sub.counit_vector, m, t)
+        row = _routed_exp(sub.counit_vector, m, t)
         assert np.abs(row - oracle).max() <= 1e-13 * np.abs(oracle).max(), t
         assert expm_calls == []
 
@@ -246,7 +246,7 @@ def test_nilpotent_row_keeps_every_term_of_a_full_jordan_block(expm_calls):
     n = np.diag(np.ones(3, dtype=complex), 1)
     delta = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     for t in (0.1, 1.0, 2.0, -3.0):
-        row = _counit_row(delta, n, t)
+        row = _routed_exp(delta, n, t)
         want = np.array([1.0, t, t ** 2 / 2.0, t ** 3 / 6.0])
         assert np.abs(row - want).max() <= 1e-15 * np.abs(want).max(), t
     assert expm_calls == []
@@ -258,7 +258,7 @@ def test_one_nonzero_on_the_diagonal_takes_dense_expm(entry, expm_calls):
     m[entry] = 1.0
     m[0, 2] = 0.5
     delta = np.ones(3, dtype=complex)
-    row = _counit_row(delta, m, 2.0)
+    row = _routed_exp(delta, m, 2.0)
     assert len(expm_calls) == 1
     want = delta @ scipy.linalg.expm(2.0 * m)
     assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
@@ -287,15 +287,71 @@ def test_diagonal_row_is_bitwise_dense_expm(side, expm_calls):
     for t in (0.1, 1.0, -2.0):
         oracle = delta @ scipy.linalg.expm(t * m)
         del expm_calls[:]
-        assert np.array_equal(_counit_row(delta, m, t), oracle), t
+        assert np.array_equal(_routed_exp(delta, m, t), oracle), t
         assert expm_calls == []
+
+
+def _fock_unitary_generator(d, m, rng, diagonal=False):
+    """iH - LL*/2 of seeded random U<d> parameters (W, L, H) with m noise
+    modes, as cli._exp_fock_unitary builds it; diagonal: L_kl = 0 for k != l
+    and a real diagonal H, so the matrix is diagonal."""
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    w, _ = np.linalg.qr(normal(d * m, d * m))
+    L, h = 0.4 * normal(d, d, m), normal(d, d)
+    if diagonal:
+        L *= np.eye(d)[:, :, None]
+        h = np.diag(rng.normal(size=d))
+    params = UnitaryTripleParams(d, w, L, (h + h.conj().T) / 2.0)
+    ll = np.einsum("ikm,ilm->kl", params.L.conj(), params.L)
+    return 1j * params.H - 0.5 * ll
+
+
+@pytest.mark.parametrize("d, diagonal", [(1, False), (2, False), (3, False), (2, True)])
+def test_fock_unitary_target_is_bitwise_dense_expm(d, diagonal, expm_calls):
+    # v = I: the target e^{t(iH - LL*/2)} keeps the bits expm gave it, and at
+    # d = 1 or on a diagonal generator it takes exp of the diagonal, no expm
+    rng = np.random.default_rng(350 + d)
+    for m in (1, 2):
+        gen = _fock_unitary_generator(d, m, rng, diagonal)
+        assert diagonal or d == 1 or np.count_nonzero(gen - np.diag(np.diag(gen)))
+        for t in (0.4, 1.0, 2.5):
+            oracle = scipy.linalg.expm(t * gen)
+            del expm_calls[:]
+            assert np.array_equal(_routed_exp(np.eye(d, dtype=complex), gen, t), oracle), (m, t)
+            assert len(expm_calls) == (0 if diagonal or d == 1 else 1)
+
+
+def test_product_target_keeps_its_bits(tmp_path, monkeypatch, expm_calls):
+    # trotter_nilpotent's G ends its Taylor sum at I + span G; a dense G
+    # takes the routed exponential's expm branch, the bits of expm itself
+    from qlevy.cli import builtin_config_path, run_experiment
+
+    seen = []
+    target = ProductFamilySpec.target
+    monkeypatch.setattr(ProductFamilySpec, "target",
+                        lambda self, span: seen.append((self.baseline, span)) or target(self, span))
+    run_experiment(builtin_config_path("trotter_nilpotent.json"), str(tmp_path))
+    g, span = seen[0]
+    assert g.shape == (4, 4) and not (g @ g).any()
+    got, _norm = ProductFamilySpec("matrix-family", g, C=0.0).target(span)
+    assert np.array_equal(got, np.eye(4) + span * g)
+    assert expm_calls == []
+    rng = np.random.default_rng(35)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for span in (0.3, 1.0, 2.0):
+        oracle = scipy.linalg.expm(span * g)
+        del expm_calls[:]
+        got, _norm = ProductFamilySpec("matrix-family", g, C=0.0).target(span)
+        assert np.array_equal(got, oracle) and len(expm_calls) == 1, span
 
 
 def test_diagonal_row_that_overflows_raises_as_dense_expm_did():
     m = np.diag(np.array([1.0, 800.0 + 0.5j], dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(InvalidParameter, match=r"^e\^\{t T\(psi\)\} at t = 1 overflowed$"):
-        _counit_row(np.ones(2, dtype=complex), m, 1.0)
+            pytest.raises(InvalidParameter, match=r"^e\^\{tM\} at t = 1 overflowed$"):
+        _routed_exp(np.ones(2, dtype=complex), m, 1.0)
 
 
 def test_zero_transfer_takes_the_nilpotent_sum(monkeypatch, expm_calls):
@@ -303,7 +359,7 @@ def test_zero_transfer_takes_the_nilpotent_sum(monkeypatch, expm_calls):
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: exp_calls.append(x) or exp(x))
     delta = np.array([1.0, -2.0, 0.5j])
-    assert np.array_equal(_counit_row(delta, np.zeros((3, 3), dtype=complex), 2.0), delta)
+    assert np.array_equal(_routed_exp(delta, np.zeros((3, 3), dtype=complex), 2.0), delta)
     assert exp_calls == [] and expm_calls == []
 
 
@@ -419,7 +475,7 @@ def test_choice_independence(azema2):
             x = big.coords(p)
         except InvalidParameter:
             continue   # p need not lie in the subcoalgebra of p + q
-        v = complex(_counit_row(big.counit_vector, transfer_matrix(psi, big), 0.9) @ x)
+        v = complex(_routed_exp(big.counit_vector, transfer_matrix(psi, big), 0.9) @ x)
         assert abs(v - conv_exp(psi, 0.9, p, B)) < 1e-12
 
 
@@ -692,9 +748,9 @@ def test_nilpotent_sum_stops_after_the_side_of_the_matrix_on_nan():
     # every v_k past the first is NaN; the sum still ends after d terms
     n = np.diag(np.full(3, 1e300, dtype=complex), 1)
     with np.errstate(all="ignore"), pytest.raises(InvalidParameter, match="overflowed"):
-        _counit_row(np.ones(4, dtype=complex), n, 1e300)
+        _routed_exp(np.ones(4, dtype=complex), n, 1e300)
     with pytest.raises(InvalidParameter, match="non-finite entry"):
-        _counit_row(np.ones(2, dtype=complex), np.array([[0, np.nan], [0, 0]]), 1.0)
+        _routed_exp(np.ones(2, dtype=complex), np.array([[0, np.nan], [0, 0]]), 1.0)
 
 
 def _nan_at(mu_bad, calls_before_nan=0):
