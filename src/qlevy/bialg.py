@@ -36,7 +36,7 @@ import cmath
 import math
 import numbers
 
-from .errors import InvalidParameter, TermBudgetExceeded, UnknownGenerator
+from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
 
 TERM_BUDGET = 10 ** 6
@@ -184,10 +184,6 @@ class LinearFunctional:
 
     def __call__(self, p):
         return sum((c * self.on_word(w) for w, c in p.terms.items()), complex(0.0))
-
-
-def counit_functional(B):
-    return LinearFunctional(f"counit[{B.name}]", B.key_counit)
 
 
 def iterated_coproduct(p, n, B):
@@ -354,84 +350,3 @@ def certify_bialgebra(B):
     return {"residuals": residuals, "max_residual": max(residuals.values()),
             "confluence": confluence, "where": where}
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization of a BialgebraSpec
-# ---------------------------------------------------------------------------
-
-def _c2j(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _j2c(v):
-    return complex(v[0], v[1])
-
-
-def bialgebra_to_json(B):
-    alg = B.algebra
-    names = [g.name for g in alg.alphabet]
-
-    def word2names(w):
-        return [names[i] for i in w]
-
-    def poly2j(p):
-        return [{"word": word2names(w), "coeff": _c2j(c)} for w, c in sorted(p.terms.items())]
-
-    return {
-        "name": B.name,
-        "alphabet": [{"name": g.name, "adjoint": names[g.adjoint]} for g in alg.alphabet],
-        "letter_order": [names[i] for i in alg.letter_order],
-        "rules": [{"lhs": word2names(r.lhs), "rhs": poly2j(r.rhs)} for r in alg.rules],
-        "delta_on_gen": {
-            names[g]: [{"left": word2names(a), "right": word2names(b), "coeff": _c2j(c)}
-                       for (a, b), c in sorted(d.items())]
-            for g, d in B.delta_on_gen.items()
-        },
-        "counit_on_gen": {names[g]: _c2j(v) for g, v in B.counit_on_gen.items()},
-    }
-
-
-def bialgebra_from_json(doc):
-    """Build a spec from JSON; repeated entries of a rule or coproduct are summed.
-
-    Raises UnknownGenerator for a name outside the alphabet and
-    InvalidParameter for any other malformed or non-confluent spec."""
-    from .ncpoly import AlgebraSpec, GeneratorSymbol, RewriteRule
-
-    names = [g["name"] for g in doc["alphabet"]]
-    idx = {}
-    for i, n in enumerate(names):
-        if idx.setdefault(n, i) != i:
-            raise InvalidParameter(f"generator name {n!r} is repeated")
-
-    def index(n):
-        try:
-            return idx[n]
-        except KeyError:
-            raise UnknownGenerator(f"unknown generator {n!r}") from None
-
-    alphabet = [GeneratorSymbol(g["name"], index(g["adjoint"])) for g in doc["alphabet"]]
-
-    def names2word(ws):
-        return tuple(index(n) for n in ws)
-
-    def summed(items, key):
-        # key -> coeff, the coefficients of repeated entries added
-        out = {}
-        for t in items:
-            k, c = key(t), _j2c(t["coeff"])
-            out[k] = out[k] + c if k in out else c
-        return out
-
-    def j2poly(items):
-        return NcPoly(summed(items, lambda t: names2word(t["word"])))
-
-    rules = [RewriteRule(names2word(r["lhs"]), j2poly(r["rhs"])) for r in doc["rules"]]
-    order = [index(n) for n in doc.get("letter_order", names)]
-    alg = AlgebraSpec(alphabet, rules, letter_order=order, name=doc.get("name", ""))
-    check_confluent(alg)
-    delta = {index(g): summed(items, lambda t: (names2word(t["left"]), names2word(t["right"])))
-             for g, items in doc["delta_on_gen"].items()}
-    counit = {index(g): _j2c(v) for g, v in doc["counit_on_gen"].items()}
-    return BialgebraSpec(alg, delta, counit, name=doc.get("name", ""))

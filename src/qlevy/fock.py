@@ -74,10 +74,6 @@ class FockFactor:
         v[self.index[(0,) * self.m]] = 1.0
         return v
 
-    def total(self, i):
-        """Particle number of the i-th basis state."""
-        return sum(self.basis[i])
-
     def creation(self, j):
         """Matrix of a_j^* truncated at the cap (top level is annihilated)."""
         hit = self._create.get(j)

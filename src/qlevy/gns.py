@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .bialg import LinearFunctional, _c2j
+from .bialg import LinearFunctional
 from .constructions import b0_basis, unitary_letter
 from .errors import (
     InvalidParameter,
@@ -39,6 +39,12 @@ RHO_RESIDUAL_TOL = 1e-6    # absolute: a larger rho least-squares residual warns
 def _inner(a, b):
     """Sesquilinear inner product, conjugate-linear in the first slot."""
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
+
+
+def _c2j(z):
+    # a complex number as the JSON pair [real, imag]
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _from_suffixes(memo, w, value):

@@ -72,9 +72,6 @@ class FactorizedVectorSum:
         if len(self.terms) > TERM_BUDGET:
             raise TermBudgetExceeded(f"more than {TERM_BUDGET} factorized terms")
 
-    def n_terms(self):
-        return len(self.terms)
-
     @classmethod
     def singleton(cls, b, s, t):
         out = cls(Partition([s, t]))

@@ -31,10 +31,12 @@ infinitesimal products on the doubled coalgebra conj(C) (x) C of two
 subcoalgebras as convolution powers Psi^{*g} = T(Psi)^g.  Each of the two is
 a layout, the part that does not depend on the step or the factors, then
 its evaluation, so a sweep builds the layout once.  The module also ships
-the checkers for the two infinitesimal-product error bounds used in the
-convergence experiments: a Banach-algebra version on matrices and the
-coalgebra version phrased through functionals.  A ProductFamilySpec owns the
-memo of its matrix-case targets e^{span G} and ||G||_2, one entry per span.
+banach_product_check, the infinitesimal-product error bound on matrices.
+The coalgebra version needs no checker of its own: T is a homomorphism of
+the convolution algebra into matrices, so f_1 * ... * f_n(p) =
+delta T(f_1) ... T(f_n) coords(p) on a finite subcoalgebra, and its bound is
+the matrix bound on the T(f).  A ProductFamilySpec owns the memo of its
+targets e^{span G} and ||G||_2, one entry per span.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class Subcoalgebra:
 
     def __init__(self, B, words):
         self.basis = [NcPoly({w: 1.0}) for w in words]
-        self._words = words
         self._index = {w: i for i, w in enumerate(words)}
         j, u, v, c = [], [], [], []
         for i, w in enumerate(words):
@@ -109,20 +110,6 @@ class Subcoalgebra:
             x[i] = c
         return x
 
-    def check(self, B):
-        """Residual of the structure constants against the coproduct of
-        the carrier B."""
-        rebuilt = [{} for _ in self.basis]
-        for j, u, v, c in zip(*self.constants):
-            key = (self._words[u], self._words[v])
-            rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
-        worst = 0.0
-        for got, w in zip(rebuilt, self._words):
-            for key, c in B.key_delta(w).items():
-                got[key] = got.get(key, 0.0) - c
-            worst = max(worst, max((abs(c) for c in got.values()), default=0.0))
-        return worst
-
 
 def subcoalgebra_of(p, B):
     """Span of p's keys closed under taking legs of key_delta, held by B: one
@@ -149,16 +136,6 @@ def subcoalgebra_of(p, B):
 # transfer matrix and convolution exponential
 # ---------------------------------------------------------------------------
 
-def _transfer(f, sub):
-    """Matrix of T(f) = (id (x) f) o Delta on the basis of sub."""
-    j, u, v, c = sub.constants
-    vals = np.array([f(b) for b in sub.basis], dtype=complex)
-    m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
-    # (id (x) f) Delta b_j = sum c f(b_v) b_u
-    np.add.at(m, (u, j), c * vals[v])
-    return m
-
-
 def _route(m):
     """_routed_exp's route for m, read off the positions of its nonzero (or
     NaN) entries: "taylor" for a strictly upper triangular m (m^d = 0 at
@@ -175,14 +152,13 @@ def _transfer_route(psi, sub):
     """(T(psi), its _route) on the basis of sub, held by sub."""
     got = sub._transfers.get(psi)
     if got is None:
-        m = _transfer(psi, sub)
+        j, u, v, c = sub.constants
+        vals = np.array([psi(b) for b in sub.basis], dtype=complex)
+        m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
+        # T(psi) = (id (x) psi) o Delta: T(psi) b_j = sum c psi(b_v) b_u
+        np.add.at(m, (u, j), c * vals[v])
         got = sub._transfers[psi] = (m, _route(m))
     return got
-
-
-def transfer_matrix(psi, sub):
-    """Matrix of T(psi) on the basis of sub, held by sub."""
-    return _transfer_route(psi, sub)[0]
 
 
 def _taylor(v, m, t):
@@ -385,19 +361,20 @@ def conv_exp_series(psi, t, p, B, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 class ProductFamilySpec:
-    """Family A_r^{(mu)} = I + r G + S_r^{(mu)} (matrix case) or
-    f_r^{(mu)} = delta + r psi + R_r^{(mu)} (functional case).
+    """Matrix family A_r^{(mu)} = I + r G + S_r^{(mu)}, kind "matrix-family".
 
-    remainder(r, mu) returns the perturbation for interval length r and
-    choice index mu in range(n_choices); it may be None for the exact family.
-    Constants: R bounds the admissible mesh, C the matrix-case remainder
-    constant (||S_r|| <= r^2 C^2 / 2).
+    remainder(r, mu) returns S_r^{(mu)} for interval length r and choice
+    index mu in range(n_choices); it may be None for the exact family.
+    Constants: R bounds the admissible mesh, C the remainder constant
+    (||S_r|| <= r^2 C^2 / 2).  A family of functionals delta + r psi + R_r
+    on a coalgebra is checked through this one: on a finite subcoalgebra the
+    transfer map T is a homomorphism of the convolution algebra into
+    matrices, so G = T(psi) and S_r = T(R_r).
     """
 
     def __init__(self, kind, baseline, remainder=None, n_choices=1, R=1.0, C=None):
-        if kind not in ("matrix-family", "functional-family"):
+        if kind != "matrix-family":
             raise InvalidParameter(f"unknown family kind {kind!r}")
-        self.kind = kind
         self.baseline = baseline
         self.remainder = remainder
         self.n_choices = int(n_choices)
@@ -405,7 +382,7 @@ class ProductFamilySpec:
             raise InvalidParameter(f"n_choices must be >= 1, got {n_choices}")
         self.R = float(R)
         self.C = C
-        self._targets = {}      # span -> (e^{span G}, ||G||_2), matrix case
+        self._targets = {}      # span -> (e^{span G}, ||G||_2)
 
     def target(self, span):
         """e^{span G} (_taylor's sum where it ends, else _routed_exp) and the
@@ -433,40 +410,17 @@ def _product_bound(mesh, span, norm, c):
             * (c ** 2 + norm ** 2 * np.exp(mesh * norm)) / 2.0)
 
 
-def _draw_products(spec, partition, g, remainder_matrix, draws, rng, who):
-    """Yield each draw's product of I + r g + remainder_matrix(remainder(r, mu)),
-    mu random per step.  It is checked once per draw: a product that is not
-    finite raises, naming the first non-finite step by its interval and mu."""
-    if draws < 1:
-        raise InvalidParameter(f"{who}: draws must be >= 1, got {draws}")
-    times, steps, eye = partition.times, partition.steps(), np.eye(len(g), dtype=complex)
-    base = {r: eye + r * g for r in set(steps)}    # shared, never written to
-    for _ in range(draws):
-        prod, taken = eye, []
-        for r in steps:
-            a, mu = base[r], None
-            if spec.remainder is not None:
-                mu = int(rng.integers(spec.n_choices))
-                a = a + remainder_matrix(spec.remainder(r, mu))
-            taken.append((a, mu))
-            prod = prod @ a
-        if not np.isfinite(prod).all():
-            k = next((k for k, (a, _) in enumerate(taken) if not np.isfinite(a).all()), None)
-            where = "overflowed" if k is None else (
-                f"is not finite on [{times[k]:.15g}, {times[k + 1]:.15g}] at mu = {taken[k][1]}")
-            raise InvalidParameter(f"{who}: the step product {where}")
-        yield prod
-
-
 def banach_product_check(spec, partition, draws=100, rng=None):
     """Check the Banach-algebra product bound on random mu-choices.
 
     LHS is the operator norm (largest singular value) of the infinitesimal
-    product minus e^{(t-s)G}; RHS is the proved bound
+    product minus e^{(t-s)G}, the largest over the draws, each the product
+    of I + r G + remainder(r, mu) over the steps with mu random per step;
+    RHS is the proved bound
     ||alpha|| (t-s) e^{(t-s) max(||G||, C)} (C^2 + ||G||^2 e^{||alpha|| ||G||}) / 2.
+    A product that is not finite raises, naming the first non-finite step by
+    its interval and mu.
     """
-    if spec.kind != "matrix-family":
-        raise InvalidParameter("banach_product_check needs a matrix family")
     mesh = partition.mesh()
     if mesh > spec.R:
         raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
@@ -475,9 +429,28 @@ def banach_product_check(spec, partition, draws=100, rng=None):
     target, norm_g = spec.target(span)
     c = float(spec.C) if spec.C is not None else 0.0
     bound = _product_bound(mesh, span, norm_g, c)
+    if draws < 1:
+        raise InvalidParameter(f"banach_product_check: draws must be >= 1, got {draws}")
     g = np.asarray(spec.baseline, dtype=complex)
-    prods = _draw_products(spec, partition, g, np.asarray, draws, rng, "banach_product_check")
-    worst = max(_opnorm(prod - target) for prod in prods)
+    times, steps, eye = partition.times, partition.steps(), np.eye(len(g), dtype=complex)
+    base = {r: eye + r * g for r in set(steps)}    # shared, never written to
+    gaps = []
+    for _ in range(draws):
+        prod, taken = eye, []
+        for r in steps:
+            a, mu = base[r], None
+            if spec.remainder is not None:
+                mu = int(rng.integers(spec.n_choices))
+                a = a + np.asarray(spec.remainder(r, mu))
+            taken.append((a, mu))
+            prod = prod @ a
+        if not np.isfinite(prod).all():
+            k = next((k for k, (a, _) in enumerate(taken) if not np.isfinite(a).all()), None)
+            where = "overflowed" if k is None else (
+                f"is not finite on [{times[k]:.15g}, {times[k + 1]:.15g}] at mu = {taken[k][1]}")
+            raise InvalidParameter(f"banach_product_check: the step product {where}")
+        gaps.append(_opnorm(prod - target))
+    worst = max(gaps)
     return {
         "lhs_max": worst,
         "bound": float(bound),
@@ -486,57 +459,4 @@ def banach_product_check(spec, partition, draws=100, rng=None):
         "draws": draws,
         "norm_G": norm_g,
         "C": c,
-    }
-
-
-def coalgebra_product_check(spec, p, B, partition, draws=20, rng=None):
-    """Coalgebra version of the product bound, on the subcoalgebra of p.
-
-    The functional product f^{(mu_1)} * ... * f^{(mu_n)}(p) is evaluated
-    through transfer matrices (T is a homomorphism from the convolution
-    algebra); the constants are computed, not assumed, as operator norms in
-    the max-abs coordinate norm on the extracted subcoalgebra.
-    """
-    if spec.kind != "functional-family":
-        raise InvalidParameter("coalgebra_product_check needs a functional family")
-    mesh = partition.mesh()
-    if mesh > spec.R:
-        raise MeshTooCoarse(f"mesh {mesh:g} exceeds admissible R = {spec.R:g}")
-    rng = rng if rng is not None else np.random.default_rng(20080131)
-    sub = subcoalgebra_of(p, B)
-    g, route = _transfer_route(spec.baseline, sub)
-    span = partition.t - partition.s
-    x = sub.coords(p)
-    target = complex(_routed_exp(sub.counit_vector, g, span, route) @ x)
-
-    # operator infinity-norm = max-abs coordinate operator norm
-    def inf_norm(m):
-        return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
-
-    psi_c = inf_norm(g)
-    c_c = 0.0
-    if spec.remainder is not None:
-        for r in set(partition.steps()):
-            for mu in range(spec.n_choices):
-                s_norm = inf_norm(_transfer(spec.remainder(r, mu), sub))
-                if not np.isfinite(s_norm):
-                    raise InvalidParameter(f"coalgebra_product_check: remainder at step "
-                                           f"r = {r:.15g}, mu = {mu} is not finite")
-                c_c = max(c_c, np.sqrt(2.0 * s_norm) / r)
-    # |delta(v)| <= ||counit_vector||_1 ||v||_inf and ||coords(p)||_inf scale
-    delta_norm = float(np.abs(sub.counit_vector).sum())
-    p_norm = float(np.abs(x).max()) if x.size else 0.0
-    bound = _product_bound(mesh, span, psi_c, c_c) * delta_norm * p_norm
-    prods = _draw_products(spec, partition, g, lambda f: _transfer(f, sub), draws, rng,
-                           "coalgebra_product_check")
-    worst = max(abs(complex(sub.counit_vector @ (prod @ x)) - target) for prod in prods)
-    return {
-        "lhs_max": worst,
-        "bound": float(bound),
-        "passed": bool(worst <= bound + BOUND_SLACK),
-        "mesh": mesh,
-        "draws": draws,
-        "Psi_c": psi_c,
-        "C_c": c_c,
-        "dim": sub.dim(),
     }

@@ -498,7 +498,7 @@ def test_main_list_builtins(capsys):
 
 
 def test_complex_serialization_roundtrip():
-    from qlevy.bialg import _c2j
+    from qlevy.gns import _c2j
     from qlevy.cli import _carr
 
     assert _c2j(1.5 - 2j) == [1.5, -2.0]

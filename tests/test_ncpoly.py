@@ -510,8 +510,7 @@ def test_check_confluent_reports_pairs_and_gap():
 
 
 def test_check_confluent_rejects_an_overlap():
-    # the rules of a non-confluent JSON spec: ab -> c and bc -> a overlap on
-    # abc, which rewrites to cc and to aa
+    # ab -> c and bc -> a overlap on abc, which rewrites to cc and to aa
     alphabet = [GeneratorSymbol(n, i) for i, n in enumerate("abc")]
     rules = [RewriteRule((0, 1), NcPoly.word((2,))), RewriteRule((1, 2), NcPoly.word((0,)))]
     alg = AlgebraSpec(alphabet, rules, name="overlap")

@@ -3,9 +3,12 @@ and the modules a fresh interpreter loads to run it."""
 
 import ast
 import functools
+import hashlib
 import json
 import os
 import pathlib
+import platform
+import re
 import subprocess
 import sys
 
@@ -105,6 +108,35 @@ def test_every_definition_is_read(path):
     assert unread_definitions(path.read_text(encoding="utf-8"), _names_read_in_the_repo()) == []
 
 
+# What runs reach: a definition that only tests read is not needed by qlevy.
+# Each one kept anyway is named here with its reason.
+KEPT_UNREACHED = {
+    "make_primitive_tensor": "the paper's primitive tensor *-bialgebra; a run that "
+                             "builds it would be a new experiment family",
+    "make_induced_tensor": "the tensor *-bialgebra whose coproduct the primitive "
+                           "one induces, the other half of the same construction",
+    "check_conditional_positivity": "the certificate that a generator is conditionally "
+                                    "positive, to be wired into check and run",
+}
+
+
+@functools.cache
+def _names_read_by_runs():
+    root = SRC.parents[1]
+    paths = [p for d in ("src", "bench") for p in sorted((root / d).rglob("*.py"))]
+    return names_read(p.read_text(encoding="utf-8")
+                      for p in [*paths, root / "tests" / "test_acceptance.py"])
+
+
+# every definition is read by src/, bench/ or the acceptance suite, or kept
+# above; an entry whose definition is reached or gone leaves the list
+def test_every_definition_is_reached_or_kept():
+    unread = {name for path in sorted(SRC.glob("*.py"))
+              for _, name in unread_definitions(path.read_text(encoding="utf-8"),
+                                                _names_read_by_runs())}
+    assert unread == set(KEPT_UNREACHED)
+
+
 # Every qlevy module is imported, then a group-like sweep (diagonal T(psi)),
 # an Azema conv_exp (nilpotent T(psi)) and the trotter_nilpotent run (G^2 = 0)
 # run without loading scipy; a U<2> conv_exp, whose T(psi) is neither, then
@@ -137,9 +169,11 @@ print("scipy" in sys.modules)
 
 
 def _cold(script, *args):
-    """The lines script prints in a fresh interpreter, with args as sys.argv[1:]."""
+    """The lines script prints in a fresh interpreter, with args as sys.argv[1:]
+    and one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])),
+        OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
@@ -148,19 +182,20 @@ def test_scipy_loads_only_on_the_routes_that_call_it():
     assert _cold(_COLD_RUN, SRC) == ["[]", "True"]
 
 
-# qlevy check and run of every shipped config, then of a U<2> fock-unitary
-# config whose iH - LL*/2 is not diagonal, in one fresh interpreter
+# qlevy check and run of every shipped config, written to out, then of a U<2>
+# fock-unitary config whose iH - LL*/2 is not diagonal, written to extra_out,
+# in one fresh interpreter
 _COLD_CLI = """
 import sys
 from qlevy.cli import builtin_config_path, builtin_configs, check_defs, run_experiment
-out, extra = sys.argv[1:]
+out, extra, extra_out = sys.argv[1:]
 for name in builtin_configs():
     check_defs(builtin_config_path(name))
     run_experiment(builtin_config_path(name), out)
 print(len(builtin_configs()))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 check_defs(extra)
-run_experiment(extra, out)
+run_experiment(extra, extra_out)
 print("scipy.linalg" in sys.modules)
 print("jsonschema" in sys.modules)
 """
@@ -182,21 +217,75 @@ _FOCK_UNITARY_D2 = {
 
 @pytest.fixture(scope="module")
 def cold_cli(tmp_path_factory):
+    """(the lines _COLD_CLI prints, the directory of the shipped outputs)."""
     out = tmp_path_factory.mktemp("cold_cli")
-    extra = out / "fock_unitary_d2.config.json"
+    extra_out = tmp_path_factory.mktemp("cold_cli_extra")
+    extra = extra_out / "fock_unitary_d2.config.json"
     extra.write_text(json.dumps(_FOCK_UNITARY_D2), encoding="utf-8")
-    return _cold(_COLD_CLI, out, extra)
+    return _cold(_COLD_CLI, out, extra, extra_out), out
 
 
 # jsonschema reads config_schema.json in the tests only
 def test_check_and_run_leave_jsonschema_unloaded(cold_cli):
-    assert cold_cli[3] == "False"
+    assert cold_cli[0][3] == "False"
 
 
 # every shipped exponential takes the Taylor or the diagonal route; only a
 # dense one, here U<2>'s Fock unitary target, loads scipy.linalg
 def test_shipped_checks_and_runs_load_no_scipy(cold_cli):
-    assert cold_cli[:3] == ["9", "[]", "True"]
+    assert cold_cli[0][:3] == ["9", "[]", "True"]
+
+
+SNAPSHOT = pathlib.Path(__file__).with_name("shipped_outputs.sha256.json")
+
+
+def snapshot_environment():
+    """The numpy version and the machine: its architecture and the SIMD
+    targets numpy dispatches to, which choose the code of its ufuncs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    except ImportError:
+        simd = ["unknown"]
+    import numpy
+    return {"numpy": numpy.__version__, "machine": " ".join([platform.machine(), *simd])}
+
+
+def output_digests(out):
+    """sha256 of each file in out, a JSON summary's wall_time_s line left out."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = re.sub(rb'(?m)^  "wall_time_s": .*\n', b"", data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_output_digests_leave_out_the_wall_time(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, wall in ((a, "0.25"), (b, "1e-05")):
+        d.mkdir()
+        (d / "r.json").write_text(f'{{\n  "rng_seed": 7,\n  "wall_time_s": {wall}\n}}\n')
+        (d / "r.csv").write_text("n,v\n1,0.5\n")
+    assert output_digests(a) == output_digests(b)
+    (b / "r.csv").write_text("n,v\n1,0.5000000000000001\n")
+    assert output_digests(a)["r.csv"] != output_digests(b)["r.csv"]
+
+
+# The nine shipped CSVs and their JSON summaries are pinned byte for byte, as
+# one interpreter with one BLAS thread writes them; tests/golden/ stays the
+# independent oracle to 1e-12.  A change that moves a bit names each moved
+# cell and writes the new digests here.  Another numpy or machine may round
+# otherwise, so there the test skips.
+def test_shipped_outputs_match_their_snapshot(cold_cli):
+    want = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    here = snapshot_environment()
+    if here != want["environment"]:
+        pytest.skip(f"snapshot taken with numpy {want['environment']['numpy']} on "
+                    f"{want['environment']['machine']}; this is numpy {here['numpy']} "
+                    f"on {here['machine']}")
+    assert output_digests(cold_cli[1]) == want["sha256"]
 
 
 def scipy_imports(source):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qlevy.bialg
 import qlevy.subcoalg
-from qlevy.bialg import LinearFunctional, convolve_eval, counit_functional, iterated_coproduct
+from qlevy.bialg import LinearFunctional, convolve_eval, iterated_coproduct
 from qlevy.constructions import make_azema, make_unitary_bialgebra
 from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, TermBudgetExceeded
 from qlevy.gns import UnitaryTripleParams, unitary_triple
@@ -19,14 +19,13 @@ from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
     _routed_exp,
+    _transfer_route,
     banach_product_check,
-    coalgebra_product_check,
     conv_exp,
     conv_exp_series,
     doubled_product,
     factor_table,
     subcoalgebra_of,
-    transfer_matrix,
 )
 
 X, XS, Y = 0, 1, 2
@@ -44,12 +43,33 @@ def span_words(sub):
     return words
 
 
+def structure_residual(sub, B):
+    """Largest gap between the structure constants of sub, summed back into
+    legs -> coeff per basis word, and key_delta of the carrier B."""
+    words = list(sub._index)
+    rebuilt = [{} for _ in words]
+    for j, u, v, c in zip(*sub.constants):
+        key = (words[u], words[v])
+        rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
+    worst = 0.0
+    for got, w in zip(rebuilt, words):
+        for key, c in B.key_delta(w).items():
+            got[key] = got.get(key, 0.0) - c
+        worst = max(worst, max((abs(c) for c in got.values()), default=0.0))
+    return worst
+
+
+def transfer_matrix(psi, sub):
+    """Matrix of T(psi) on the basis of sub."""
+    return _transfer_route(psi, sub)[0]
+
+
 def test_sub_of_x(azema2):
     B, _, _ = azema2
     sub = subcoalgebra_of(NcPoly.word((X,)), B)
     assert sub.dim() == 3
     assert span_words(sub) == {(), (X,), (Y,)}
-    assert sub.check(B) < 1e-10
+    assert structure_residual(sub, B) < 1e-10
 
 
 def test_sub_of_grouplike(azema2):
@@ -64,7 +84,7 @@ def test_sub_of_xxstar(azema2):
     assert sub.dim() == 8
     assert span_words(sub) == {
         (), (X,), (XS,), (Y,), (Y, Y), (X, Y), (XS, Y), (X, XS)}
-    assert sub.check(B) < 1e-10
+    assert structure_residual(sub, B) < 1e-10
 
 
 def test_dim_cap(monkeypatch):
@@ -109,7 +129,7 @@ def test_dim_cap_boundary(monkeypatch):
 def test_transfer_counit_identity(azema2):
     B, _, _ = azema2
     sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
-    m = transfer_matrix(counit_functional(B), sub)
+    m = transfer_matrix(LinearFunctional("counit", B.key_counit), sub)
     assert np.abs(m - np.eye(sub.dim())).max() < 1e-10
 
 
@@ -627,13 +647,31 @@ def test_banach_mesh_guard():
         banach_product_check(spec, Partition.uniform(0.0, 1.0, 2), draws=1)
 
 
+def test_convolution_products_are_transfer_matrix_products(azema2):
+    # T is a homomorphism of the convolution algebra into matrices, so
+    # f_1 * ... * f_n(p) = delta T(f_1) ... T(f_n) coords(p), and a family
+    # of functionals delta + r psi + R_r is the matrix family
+    # I + r T(psi) + T(R_r): the coalgebra checks below are matrix checks
+    B, _, psi = azema2
+    p = NcPoly({(X, XS, X, XS): 0.7 - 0.4j, (X,): 1.0, (): 0.5})
+    sub = subcoalgebra_of(p, B)
+    f = LinearFunctional("f", lambda w: complex(len(w), -0.3 * len(w)))
+    for fs in ([psi, f], [f, psi, f], [psi, f, f, psi]):
+        prod = np.eye(sub.dim())
+        for h in fs:
+            prod = prod @ transfer_matrix(h, sub)
+        want = convolve_eval(fs, p, B)
+        assert abs(sub.counit_vector @ prod @ sub.coords(p) - want) <= 1e-12 * abs(want)
+
+
 def test_coalgebra_check_exact_grouplike(azema2):
+    # on the group-like y, T(f) = [z], so the step products are (1 + z / 16)^16
     B, _, _ = azema2
     z = 0.6
     f = LinearFunctional("f", lambda w: z if w == (Y,) else 0.0)
-    spec = ProductFamilySpec("functional-family", f, remainder=None, R=1.0)
-    p = NcPoly.word((Y,))
-    rep = coalgebra_product_check(spec, p, B, Partition.uniform(0.0, 1.0, 16))
+    g = transfer_matrix(f, subcoalgebra_of(NcPoly.word((Y,)), B))
+    spec = ProductFamilySpec("matrix-family", g, remainder=None, R=1.0)
+    rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, 16), draws=1)
     # scalar: |prod (1 + r z) - e^{t z}|
     want = abs(np.prod([1 + z / 16.0] * 16) - np.exp(z))
     assert rep["lhs_max"] == pytest.approx(want, abs=1e-12)
@@ -642,29 +680,28 @@ def test_coalgebra_check_exact_grouplike(azema2):
 
 def test_coalgebra_check_unit(azema2):
     B, _, psi = azema2
-    spec = ProductFamilySpec("functional-family", psi, remainder=None, R=1.0)
-    rep = coalgebra_product_check(spec, NcPoly.one(), B,
-                                  Partition.uniform(0.0, 1.0, 8))
+    g = transfer_matrix(psi, subcoalgebra_of(NcPoly.one(), B))
+    spec = ProductFamilySpec("matrix-family", g, remainder=None, R=1.0)
+    rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, 8), draws=1)
     assert rep["lhs_max"] <= 1e-13
 
 
 def test_coalgebra_check_true_semigroup(azema2):
+    # phi_r = e_*^{r psi}, so T(phi_r) = e^{r T(psi)} and the step products
+    # are e^{(t-s) T(psi)} up to rounding
     B, _, psi = azema2
-    delta = counit_functional(B)
-    p = NcPoly.word((X, XS))
+    sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
+    g, eye = transfer_matrix(psi, sub), np.eye(sub.dim())
 
     def remainder(r, mu):
-        # phi_r - delta - r psi
-        return LinearFunctional(
-            f"rem{r}", lambda w: conv_exp(psi, r, NcPoly.word(w), B)
-            - delta(NcPoly.word(w)) - r * psi(NcPoly.word(w)))
+        # T(phi_r - delta - r psi)
+        phi = LinearFunctional(f"phi{r}", lambda w: conv_exp(psi, r, NcPoly.word(w), B))
+        return transfer_matrix(phi, sub) - eye - r * g
 
-    spec = ProductFamilySpec("functional-family", psi, remainder=remainder,
-                             n_choices=1, R=1.0)
+    spec = ProductFamilySpec("matrix-family", g, remainder=remainder, n_choices=1, R=1.0)
     prev = None
     for n in (2, 4, 8, 16, 32, 64):
-        rep = coalgebra_product_check(spec, p, B, Partition.uniform(0.0, 1.0, n),
-                                      draws=1)
+        rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, n), draws=1)
         assert rep["passed"], rep
         if prev is not None and prev > 1e-13:
             assert rep["lhs_max"] <= prev
@@ -753,38 +790,6 @@ def test_nilpotent_sum_stops_after_the_side_of_the_matrix_on_nan():
         _routed_exp(np.ones(2, dtype=complex), np.array([[0, np.nan], [0, 0]]), 1.0)
 
 
-def _nan_at(mu_bad, calls_before_nan=0):
-    """Remainder functional reading NaN at choice mu_bad, after that many
-    finite calls at it."""
-    calls = []
-
-    def remainder(r, mu):
-        if mu == mu_bad:
-            calls.append(r)
-        z = float("nan") if mu == mu_bad and len(calls) > calls_before_nan else 1e-3 * r * r
-        return LinearFunctional(f"rem{r},{mu}", lambda w: z if w == (X, XS) else 0.0)
-
-    return remainder
-
-
-def test_coalgebra_check_rejects_a_nan_remainder(azema2):
-    # at the parent lhs_max read 0.0 and the check passed: max() skips NaN
-    B, _, psi = azema2
-    spec = ProductFamilySpec("functional-family", psi, remainder=_nan_at(1), n_choices=2)
-    with pytest.raises(InvalidParameter, match=r"remainder at step r = 0.25, mu = 1 is not"):
-        coalgebra_product_check(spec, NcPoly.word((X, XS)), B, Partition.uniform(0.0, 1.0, 4))
-
-
-def test_coalgebra_check_rejects_a_nan_step_product(azema2):
-    # finite for the constants (one call: both steps are 0.5) and the first
-    # step of the draw, NaN from the second step on
-    B, _, psi = azema2
-    spec = ProductFamilySpec("functional-family", psi, remainder=_nan_at(0, 2), n_choices=1)
-    with pytest.raises(InvalidParameter, match=r"coalgebra_product_check: the step product "
-                       r"is not finite on \[0.5, 1\] at mu = 0"):
-        coalgebra_product_check(spec, NcPoly.word((X, XS)), B, Partition.uniform(0.0, 1.0, 2))
-
-
 def test_banach_check_rejects_a_nan_remainder():
     g = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -805,19 +810,21 @@ def test_banach_check_names_an_overflowing_product():
         banach_product_check(spec, Partition.uniform(0.0, 1.0, 4), draws=1)
 
 
-def test_product_checks_refuse_no_draws_and_no_choices(azema2):
-    # with no draw, lhs_max read 0 and both checks passed; with no choice, a
+def test_product_checks_refuse_no_draws_and_no_choices():
+    # with no draw, lhs_max read 0 and the check passed; with no choice, a
     # remainder family died in numpy's rng.integers(0)
-    B, _, psi = azema2
     partition = Partition.uniform(0.0, 1.0, 4)
     matrix = ProductFamilySpec("matrix-family", np.zeros((2, 2)), C=0.0)
     with pytest.raises(InvalidParameter, match="banach_product_check: draws must be >= 1, got 0"):
         banach_product_check(matrix, partition, draws=0)
-    functional = ProductFamilySpec("functional-family", psi)
-    with pytest.raises(InvalidParameter, match="coalgebra_product_check: draws must be >= 1"):
-        coalgebra_product_check(functional, NcPoly.word((X, XS)), B, partition, draws=0)
     with pytest.raises(InvalidParameter, match="n_choices must be >= 1, got 0"):
-        ProductFamilySpec("functional-family", psi, remainder=_nan_at(1), n_choices=0)
+        ProductFamilySpec("matrix-family", np.zeros((2, 2)), n_choices=0,
+                          remainder=lambda r, mu: np.zeros((2, 2)))
+
+
+def test_product_family_admits_the_matrix_kind_only():
+    with pytest.raises(InvalidParameter, match="unknown family kind 'functional-family'"):
+        ProductFamilySpec("functional-family", np.zeros((2, 2)))
 
 
 def test_matrix_family_rejects_a_nan_baseline():
