@@ -524,14 +524,14 @@ def _exp_fock_unitary(run, rng):
 
 def _exp_azema_wiener(run, rng):
     from .fock import azema_wiener_mesh
-    from .gns import gns_construct
+    from .gns import azema_triple
     from .gram import DEFECT_FLOOR
     from .partition import Partition
 
     f, B, psi = run.fields, run.B, run.psi
     s, t = f["/interval"]
-    # B and psi are the run's Azema objects (_preflight)
-    triple = gns_construct(psi, B, degree_cap=3)
+    # B and psi are the run's Azema objects (_preflight), so the triple is q's
+    triple = azema_triple(f["/bialgebra/q"], B, psi)
     rows = []
     reports = []
     for n in f["/partition/ns"]:

@@ -424,18 +424,21 @@ def azema_wiener_experiment(q, partition, cap=DEFAULT_CAP):
     the Azema coproduct (creation / annihilation heads with second-quantized
     y tails), versus the Azema-structure target.  Also reports the discrete
     residual of dX = (q - 1) X dLambda + dA on a coherent-type test vector.
+    The triple is gns.azema_triple, in closed form: both shipped builders
+    carry one, and the GNS quotient of (psi, B) is its test oracle.  So each
+    last-slot operator equals its QSDE operator exactly, and the residual
+    reads 0 at every mesh and q.
     """
     from .constructions import make_azema
-    from .gns import gns_construct
+    from .gns import azema_triple
 
     B, primitive, psi = make_azema(q)
-    triple = gns_construct(psi, B, degree_cap=3)
-    return azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap)
+    return azema_wiener_mesh(q, B, primitive, psi, azema_triple(q, B, psi), partition, cap)
 
 
 def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
     """azema_wiener_experiment on make_azema(q)'s (B, primitive, psi) and
-    the GNS triple of (psi, B), built once for every mesh of a run."""
+    its azema_triple, built once for every mesh of a run."""
     alg = B.algebra
     n = partition.n_intervals()
     times = partition.times

@@ -8,7 +8,10 @@ eta, and a *-representation rho, linked by
     eta(a b) = rho(a) eta(b) + eta(a) delta(b).
 
 Given data on generators, both identities extend psi and eta to all words
-recursively; this is how the U<d> triple built from (W, L, H) is evaluated.
+recursively.  Both shipped builders carry a closed-form triple evaluated
+this way: unitary_triple on U<d> from (W, L, H), and azema_triple on the
+Azema bialgebra.  gns_construct builds the triple of a tabulated psi, and
+it is the oracle of both closed forms.
 """
 
 from __future__ import annotations
@@ -307,6 +310,25 @@ def unitary_triple(params):
             psi1[s(k, l)] = complex(z).conjugate()
     return LevyTriple(make_unitary_bialgebra(d), m, eta1, rho1, psi1=psi1,
                       name=f"unitary-triple(d={d},m={m})")
+
+
+# ---------------------------------------------------------------------------
+# the Azema triple
+# ---------------------------------------------------------------------------
+
+def azema_triple(q, B, psi):
+    """Levy triple of the Azema generator psi on make_azema(q)'s B.
+
+    K = C, eta(x*) = 1, rho(y) = q, and every other generator value is 0
+    (Schuermann, White Noise on Bialgebras, LNM 1544): psi(x x*) =
+    <eta(x*), eta(x*)> = 1 is psi's only nonzero value on a normal word
+    M(x, x*) y^k.  psi is kept as given, as gns_construct keeps it; the
+    GNS quotient of (psi, B) is this triple up to rounding.
+    """
+    x, xs, y = (B.algebra.index(name) for name in ("x", "x*", "y"))
+    zero = {x: 0.0, xs: 0.0, y: 0.0}
+    return LevyTriple(B, 1, {**zero, xs: 1.0}, {**zero, y: float(q)}, zero,
+                      psi=psi, name=f"azema-triple[{B.name}]")
 
 
 # ---------------------------------------------------------------------------

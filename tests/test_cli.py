@@ -289,8 +289,9 @@ def test_azema_wiener_generator_must_be_the_azema_psi(tmp_path, capsys, generato
 
 
 def test_azema_wiener_builds_its_objects_once(tmp_path, monkeypatch):
-    # one make_azema (build_objects') and one GNS triple serve every mesh,
-    # and each mesh's report is the public experiment's, bit for bit
+    # one make_azema (build_objects') and one closed-form triple serve every
+    # mesh, no GNS quotient is taken, and each mesh's report is the public
+    # experiment's, bit for bit
     import qlevy.constructions
     import qlevy.fock
     import qlevy.gns
@@ -300,7 +301,7 @@ def test_azema_wiener_builds_its_objects_once(tmp_path, monkeypatch):
     cfg = load_config(builtin_config_path("azema_wiener_q2.json"))
     ns = cfg["partition"]["ns"]
     public = [azema_wiener_experiment(2.0, Partition.uniform(0, 1, n), 5) for n in ns]
-    calls = {"make_azema": 0, "gns_construct": 0}
+    calls = {"make_azema": 0, "azema_triple": 0, "gns_construct": 0}
     reports = []
 
     def counted(module, name):
@@ -318,12 +319,31 @@ def test_azema_wiener_builds_its_objects_once(tmp_path, monkeypatch):
         return reports[-1]
 
     counted(qlevy.constructions, "make_azema")
+    counted(qlevy.gns, "azema_triple")
     counted(qlevy.gns, "gns_construct")
     monkeypatch.setattr(qlevy.fock, "azema_wiener_mesh", recorded)
     _, _, summary = run_experiment(builtin_config_path("azema_wiener_q2.json"), str(tmp_path))
-    assert calls == {"make_azema": 1, "gns_construct": 1}
+    assert calls == {"make_azema": 1, "azema_triple": 1, "gns_construct": 0}
     assert all(summary["assertions"].values())
     assert reports == public
+
+
+@pytest.mark.parametrize("q, ns", [(1000.0, [2, 4, 8, 16]), (2.0, [16, 32, 64, 128]),
+                                   (3.7, [2, 4, 8, 16, 24, 32, 40, 48])],
+                         ids=["q1000", "q2_n128", "q3.7_n48"])
+def test_azema_wiener_passes_at_wide_q_and_fine_meshes(tmp_path, q, ns):
+    # azema_wiener_q2 with one edit; a GNS triple, one ulp off in rho(y),
+    # failed qsde_residual_small in each (8.7e23 at q = 1000, 330 at n = 128,
+    # 0.018 at q = 3.7); the closed-form triple reads exactly 0
+    with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["bialgebra"]["q"] = q
+    cfg["partition"]["ns"] = ns
+    csv_path, _, summary = run_experiment(_write(tmp_path, "edited.json", cfg),
+                                          str(tmp_path / "out"))
+    assert all(summary["assertions"].values()), summary["assertions"]
+    rows = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()]
+    assert [r[3] for r in rows if r[2] == "qsde_residual"] == ["0"] * len(ns)
 
 
 def test_check_defs_draws_no_random_sample(monkeypatch):
@@ -429,7 +449,7 @@ def test_gram_driven_configs_match_golden_csvs(name, tmp_path):
     # tests/golden holds these CSVs as written by term-by-term pairings: of
     # whole-mesh Sweedler expansions for the sweep and reverse configs, of
     # Fock elementary tensors for the azema_wiener_q2 norm rows; its qsde rows
-    # are residuals taken in the last slot, at the rounding floor
+    # are exactly 0, each last-slot operator being its QSDE operator
     _assert_matches_golden(name, tmp_path)
 
 

@@ -5,7 +5,9 @@ from qlevy.bialg import LinearFunctional
 from qlevy.constructions import make_azema, make_unitary_bialgebra, unitary_letter
 from qlevy.errors import InvalidParameter, PositivityViolation
 from qlevy.gns import (
+    LevyTriple,
     UnitaryTripleParams,
+    azema_triple,
     check_conditional_positivity,
     gns_construct,
     levy_triple_residuals,
@@ -22,7 +24,7 @@ def azema2():
 
 
 @pytest.fixture(scope="module")
-def azema_triple(azema2):
+def gns_azema(azema2):
     B, _, psi = azema2
     return gns_construct(psi, B, degree_cap=3)
 
@@ -79,14 +81,40 @@ def test_positivity_check_passes_exactly_when_gns_builds(azema2):
     assert outcomes == {True, False}
 
 
-def test_gns_azema_values(azema_triple):
-    t = azema_triple
+def test_gns_azema_values(gns_azema):
+    t = gns_azema
     assert t.k_dim == 1
     assert abs(t.eta(NcPoly.word((XS,)))[0] - 1.0) <= 1e-12
     assert abs(t.eta(NcPoly.word((X,)))[0]) <= 1e-12
     assert abs(t.eta(NcPoly.word((Y,)))[0]) <= 1e-12
     assert abs(t.rho(NcPoly.word((X,)))[0, 0]) <= 1e-12
     assert abs(t.rho(NcPoly.word((Y,)))[0, 0] - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.5, 2.0, 3.7, 1e3, None],
+                         ids=["azema_q0.001", "azema_q0.5", "azema_q2", "azema_q3.7",
+                              "azema_q1000", "unitary1"])
+def test_closed_form_triples_match_gns(q):
+    # each closed form against the GNS quotient of its psi on every normal
+    # word up to degree 3, and psi against the recursion of the closed form's
+    # generator data, which does not read psi
+    from qlevy.constructions import normal_words
+
+    if q is None:
+        closed = unitary_triple(UnitaryTripleParams(1, [[np.exp(0.7j)]], [[[0.3]]], [[-0.2]]))
+    else:
+        B, _, psi = make_azema(q)
+        closed = azema_triple(q, B, psi)
+        assert closed.psi is psi
+    B = closed.B
+    gns = gns_construct(closed.psi, B, degree_cap=3)
+    recursion = LevyTriple(B, closed.k_dim, closed.eta1, closed.rho1, closed.psi1)
+    assert closed.k_dim == gns.k_dim == 1
+    for w in normal_words(B.algebra, 3):
+        for got, want in ((closed.eta_word(w), gns.eta_word(w)),
+                          (closed.rho_word(w), gns.rho_word(w)),
+                          (recursion.psi.on_word(w), gns.psi.on_word(w))):
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), w
 
 
 def test_gns_zero_generator(azema2):
@@ -97,9 +125,9 @@ def test_gns_zero_generator(azema2):
     assert t.eta(NcPoly.word((X,))).shape == (0,)
 
 
-def test_gram_reproduction(azema2, azema_triple):
+def test_gram_reproduction(azema2, gns_azema):
     B, _, psi = azema2
-    t = azema_triple
+    t = gns_azema
     from qlevy.constructions import b0_basis
     basis = b0_basis(B, 3)
     for _wv, v in basis:
@@ -138,15 +166,14 @@ def test_table_gram_matches_term_by_term_gram(q, cap):
         assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
-def test_azema_residuals(azema_triple):
-    rep = levy_triple_residuals(azema_triple, n_samples=40, sample_degree=3)
+def test_azema_residuals(gns_azema):
+    rep = levy_triple_residuals(gns_azema, n_samples=40, sample_degree=3)
     assert rep["max_residual"] <= 1e-10
 
 
-def test_corrupted_rho_detected(azema2, azema_triple):
+def test_corrupted_rho_detected(azema2, gns_azema):
     B, _, psi = azema2
-    t = azema_triple
-    from qlevy.gns import LevyTriple
+    t = gns_azema
     rho1 = {g: m.copy() for g, m in t.rho1.items()}
     rho1[Y] = rho1[Y] + 1.0
     bad = LevyTriple(B, t.k_dim, t.eta1, rho1, psi1=t.psi1, psi=psi)
@@ -154,9 +181,9 @@ def test_corrupted_rho_detected(azema2, azema_triple):
     assert rep["cocycle"] > 0.1
 
 
-def test_coboundary_positivity(azema2, azema_triple):
+def test_coboundary_positivity(azema2, gns_azema):
     B, _, psi = azema2
-    t = azema_triple
+    t = gns_azema
     # group-like-shifted b = w + (1 - delta(w)) 1, check psi(b*b)-psi(b*)-psi(b)
     for w in [(Y,), (X, XS), (XS, Y)]:
         b = NcPoly({w: 1.0, (): 1.0 - B.counit(NcPoly.word(w))})
@@ -251,7 +278,7 @@ def test_unitary_params_validation():
                             np.array([[1j]]))
 
 
-def test_triple_json(azema_triple):
-    doc = azema_triple.to_json()
+def test_triple_json(gns_azema):
+    doc = gns_azema.to_json()
     assert doc["k_dim"] == 1
     assert doc["eta_on_gen"][str(XS)][0] == pytest.approx([1.0, 0.0], abs=1e-12)

@@ -699,13 +699,29 @@ def test_coalgebra_check_true_semigroup(azema2):
         return transfer_matrix(phi, sub) - eye - r * g
 
     spec = ProductFamilySpec("matrix-family", g, remainder=remainder, n_choices=1, R=1.0)
+    for n in (2, 4, 8, 16, 32, 64):
+        rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, n), draws=1)
+        assert rep["passed"], rep
+        assert rep["lhs_max"] <= 1e-13
+
+
+def test_coalgebra_check_first_order_family_converges_at_rate_one(azema2):
+    # A_r = I + r T(psi) on sub((x x*)^2), where T(psi)^2 != 0 = T(psi)^3:
+    # (I + G/n)^n - e^G = -G^2 / (2n), so lhs_max = ||G^2|| / (2n) = 1/n and
+    # halves at each doubling.  On sub(x x*) T(psi)^2 = 0 and the family is exact
+    B, _, psi = azema2
+    xx = NcPoly.word((X, XS))
+    g = transfer_matrix(psi, subcoalgebra_of(multiply(xx, xx, B.algebra), B))
+    assert np.abs(g @ g).max() > 0.0
+    spec = ProductFamilySpec("matrix-family", g, R=1.0)
     prev = None
     for n in (2, 4, 8, 16, 32, 64):
         rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, n), draws=1)
         assert rep["passed"], rep
-        if prev is not None and prev > 1e-13:
-            assert rep["lhs_max"] <= prev
+        if prev is not None:
+            assert rep["lhs_max"] == pytest.approx(prev / 2.0, rel=1e-9)
         prev = rep["lhs_max"]
+    assert prev == pytest.approx(1.0 / 64, rel=1e-9)
 
 
 def _carrier_cases():
