@@ -291,10 +291,11 @@ def _build_chain(chain, lift, f, B, ctx, c_poly, d_poly):
     on the parsed elements c_poly and d_poly; gens are source keys of kappa
     generating what the experiment maps."""
     from .constructions import Morphism, make_grouplike
-    from .gram import identity_morphism
     from .ncpoly import NcPoly
 
     if chain == "identity":
+        from .gram import identity_morphism
+
         return identity_morphism(B), None, c_poly, d_poly, ()
     if chain == "grouplike":
         G, kappa, kappa_tilde = make_grouplike(B, f["/morphism/degree_cap"])
@@ -321,13 +322,14 @@ class _Run:
     def __init__(self, cfg):
         from .bialg import certify_bialgebra
         from .constructions import counit_residual
-        from .gns import UnitaryTripleParams
         from .ncpoly import NcPoly
 
         f = self.fields = _preflight(cfg)
         self.cfg, self.unitary = cfg, None
         experiment = f["/experiment"]
         if experiment == "fock-unitary":
+            from .gns import UnitaryTripleParams
+
             try:
                 self.unitary = UnitaryTripleParams(
                     f["/bialgebra/d"], *(_carr(f[f"/unitary/{k}"]) for k in "WLH"))

@@ -2,10 +2,8 @@
 
 Shipped structures: the Azema bialgebra for parameter q (plus the companion
 structure with x, x* primitive and y group-like), the unitary-matrix
-bialgebra U<d>, the primitive and induced tensor bialgebras over the counit
-kernel, and the group-like carrier spanned by counit-one elements.  The
-kernel letters come one or two per involution orbit of normal words, and
-as normal words are a basis, their coordinates are exact (no linear solve).
+bialgebra U<d>, the truncated counit-kernel basis of normal words, and the
+group-like carrier spanned by counit-one elements.
 
 A Morphism maps between two carriers that answer one protocol, so it never
 asks which carrier it holds: a BialgebraSpec (keys are normal-form words) or
@@ -20,8 +18,7 @@ lifts one word of B into the group-like carrier.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import math
 
 from .bialg import (
     BialgebraSpec,
@@ -34,7 +31,6 @@ from .ncpoly import (
     GeneratorSymbol,
     NcPoly,
     RewriteRule,
-    involute,
 )
 
 COUNIT_TOL = 1e-10    # absolute: largest |counit - 1| of a group-like key
@@ -52,9 +48,9 @@ def make_azema(q):
     monomials M(x, x*) y^k read off directly.
     """
     q = float(q)
-    if not np.isfinite(q):
+    if not math.isfinite(q):
         raise InvalidParameter(f"q must be finite, got {q}")
-    if q == 0.0 or not np.isfinite(1.0 / q):
+    if q == 0.0 or not math.isfinite(1.0 / q):
         raise InvalidParameter(f"q = {q:g} degenerates the rule yx -> q^-1 xy: q^-1 is not finite")
     X, XS, Y = 0, 1, 2
     alphabet = [GeneratorSymbol("x", XS), GeneratorSymbol("x*", X), GeneratorSymbol("y", Y)]
@@ -179,55 +175,6 @@ def b0_basis(B, max_degree):
             for w in normal_words(B.algebra, max_degree)[1:]]
 
 
-def selfadjoint_b0_basis(B, max_degree):
-    """Self-adjoint basis of the truncated counit kernel, one or two letters
-    per involution orbit of normal words, with exact letter coordinates.
-
-    With e_w = w - counit(w) 1, the star of each normal word w must be
-    c e_v + tail, v one normal word of w's degree and the tail over lower
-    words; otherwise InvalidParameter names w.  The orbit {w, v} gives
-    h = (e_w + e_w*)/2 and a = (e_w - e_w*)/2i, an orbit v = w gives h, or a
-    when Re c < 0.  As normal words are a basis, the letter coordinates of
-    each e_w follow in closed form (_kernel_letters).
-    """
-    return _kernel_letters(B, max_degree)[0]
-
-
-def _kernel_letters(B, max_degree):
-    """selfadjoint_b0_basis and coords[w] = {letter index: coeff} of each e_w."""
-    alg = B.algebra
-    letters, coords = [], {}
-    for w, p in b0_basis(B, max_degree):
-        if w in coords:
-            continue
-        ps = involute(p, alg)
-        top = [(u, c) for u, c in ps.terms.items() if len(u) == len(w)]
-        if len(top) != 1:
-            raise InvalidParameter(
-                f"the star of {alg.spell(w)!r} has {len(top)} normal words of degree "
-                f"{len(w)}; kernel letters need exactly one")
-        (v, c), = top
-        herm, anti = p.add(ps).scale(0.5), p.sub(ps).scale(-0.5j)
-        i = len(letters)
-        # e: letter coordinates of c_v e_v + tail; tail words are lower, so known
-        if v != w:              # e_w = h + i a, e_w* = h - i a
-            letters += [herm, anti]
-            coords[w] = {i: 1.0, i + 1: 1j}
-            e, c_v = {i: 1.0, i + 1: -1j}, c
-        elif c.real >= 0:       # 2 h = e_w + e_w*
-            letters.append(herm)
-            e, c_v = {i: 2.0}, 1.0 + c
-        else:                   # -2i a = e_w* - e_w
-            letters.append(anti)
-            e, c_v = {i: -2j}, c - 1.0
-        for u, z in ps.terms.items():
-            if 0 < len(u) < len(w):
-                for j, x in coords[u].items():
-                    e[j] = e.get(j, 0.0) - z * x
-        coords[v] = {j: x / c_v for j, x in e.items()}
-    return letters, coords
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
@@ -261,69 +208,6 @@ def counit_residual(m, keys):
     counits are multiplicative, so on generators this certifies a homomorphism."""
     return max((abs(m.target.counit(m.map_key(k)) - m.source.key_counit(k)) for k in keys),
                default=0.0)
-
-
-# ---------------------------------------------------------------------------
-# tensor bialgebras over the counit kernel (primitive and induced)
-# ---------------------------------------------------------------------------
-
-def _kernel_tensor(B, degree_cap, letters, delta, alg_name, name):
-    """Tensor bialgebra on the kernel letters with coproduct delta, plus kappa."""
-    if degree_cap < 1:
-        raise InvalidParameter("degree_cap must be >= 1")
-    alphabet = [GeneratorSymbol(f"v{i}", i) for i in range(len(letters))]
-    alg = AlgebraSpec(alphabet, [], name=f"{alg_name}[{B.name}]")
-    T = BialgebraSpec(alg, delta, {i: 0.0 for i in range(len(letters))},
-                      name=f"{name}[{B.name}]")
-    T.letters = letters
-
-    def product_of_letters(w):
-        img = B.one()
-        for g in w:
-            img = B.mul(img, letters[g])
-        return img
-
-    kappa = Morphism(T, B, "algebra-homomorphism", key_map=product_of_letters,
-                     name=f"kappa[{T.name}]")
-    return T, kappa
-
-
-def make_primitive_tensor(B, degree_cap):
-    """Tensor bialgebra on the counit kernel with every letter primitive."""
-    letters = selfadjoint_b0_basis(B, degree_cap)
-    delta = {i: {((i,), ()): 1.0, ((), (i,)): 1.0} for i in range(len(letters))}
-    return _kernel_tensor(B, degree_cap, letters, delta, "T0", "primitive-tensor")
-
-
-def make_induced_tensor(B, degree_cap):
-    """Tensor algebra on the counit kernel carrying the induced coproduct.
-
-    The coproduct of a letter h is h(x)1 + 1(x)h plus the reduced coproduct
-    of h re-expressed over letters.
-    """
-    letters, coords = _kernel_letters(B, degree_cap)
-
-    def letter_coords(w):
-        got = coords.get(w)
-        if got is None:
-            raise DegreeCapExceeded(
-                f"word {B.algebra.spell(w)!r} is outside the degree-{degree_cap} "
-                "truncated kernel")
-        return got
-
-    delta = {}
-    for i, h in enumerate(letters):
-        terms = delta[i] = {((i,), ()): 1.0, ((), (i,)): 1.0}
-        # Delta h - h (x) 1 - 1 (x) h is in ker (x) ker: a word pair (a, b) of
-        # Delta h with no unit leg carries its coefficient over to e_a (x) e_b
-        for (a, b), z in B.coproduct(h).items():
-            if a == () or b == ():
-                continue
-            for j, x in letter_coords(a).items():
-                for k, y in letter_coords(b).items():
-                    kk = ((j,), (k,))
-                    terms[kk] = terms.get(kk, 0.0) + z * x * y
-    return _kernel_tensor(B, degree_cap, letters, delta, "Tind0", "induced-tensor")
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,8 @@ class _DoubledLayout:
                     f"integer, got {g!r}")
         x = self.x
         for values, g in reversed(factors):
+            if not x.any():
+                return 0j
             vals = (self.coeffs * values[self.pick]).ravel()
             if self.size <= DENSE_POWER_DIM:
                 t = np.zeros((self.size, self.size), dtype=complex)
@@ -299,8 +301,11 @@ def doubled_product(subc, subd, c, d, factors):
     (conj coords(c) (x) coords(d)).  Convolution is associative, so up to
     DENSE_POWER_DIM doubled dimensions each T(Psi)^g is a dense matrix taken
     by repeated squaring, O(log g) products; above it each factor is g
-    sparse matrix-vector products.  A _DoubledLayout holds the part that
-    does not depend on the factors, so a sweep builds it once.
+    sparse matrix-vector products.  The factors apply last first, and once
+    the running vector is exactly zero the value is 0: the factors left are
+    not formed, so a power of theirs that overflows cannot make it inf * 0.
+    A _DoubledLayout holds the part that does not depend on the factors, so
+    a sweep builds it once.
     """
     return _DoubledLayout(subc, subd, c, d)(factors)
 

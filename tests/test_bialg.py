@@ -15,8 +15,6 @@ from qlevy.bialg import (
 from qlevy.constructions import (
     make_azema,
     make_grouplike,
-    make_induced_tensor,
-    make_primitive_tensor,
     make_unitary_bialgebra,
 )
 from qlevy.errors import InvalidParameter, TermBudgetExceeded
@@ -335,6 +333,23 @@ def test_certificate_names_the_generator_a_law_fails_on(azema2, mutate, want):
 _SMALL_SAMPLE = {"sample_degree": 3, "n_samples": 10}
 
 
+def _primitive_tensor_bialgebra():
+    """The tensor *-bialgebra on a, a* and a self-adjoint p, every letter primitive."""
+    alg = AlgebraSpec([GeneratorSymbol("a", 1), GeneratorSymbol("a*", 0), GeneratorSymbol("p", 2)],
+                      [], name="T(a, a*, p)")
+    delta = {i: {((i,), ()): 1.0, ((), (i,)): 1.0} for i in range(3)}
+    return BialgebraSpec(alg, delta, {i: 0.0 for i in range(3)}, name="T(a, a*, p)")
+
+
+def _induced_tensor_bialgebra():
+    """The free *-bialgebra on a self-adjoint primitive p and a self-adjoint
+    h = g - 1, g group-like: Delta h = h (x) 1 + 1 (x) h + h (x) h."""
+    alg = AlgebraSpec([GeneratorSymbol("p", 0), GeneratorSymbol("h", 1)], [], name="free(p, h)")
+    delta = {0: {((0,), ()): 1.0, ((), (0,)): 1.0},
+             1: {((1,), ()): 1.0, ((), (1,)): 1.0, ((1,), (1,)): 1.0}}
+    return BialgebraSpec(alg, delta, {0: 0.0, 1: 0.0}, name="free(p, h)")
+
+
 @pytest.mark.parametrize("build, sampling", [
     pytest.param(lambda: make_azema(2.0)[0], {}, id="azema-2"),
     pytest.param(lambda: make_azema(1e-3)[0], {}, id="azema-1e-3"),
@@ -342,10 +357,8 @@ _SMALL_SAMPLE = {"sample_degree": 3, "n_samples": 10}
     pytest.param(lambda: make_azema(2.0)[1], {}, id="azema-primitive"),
     pytest.param(lambda: make_unitary_bialgebra(1), {}, id="unitary1"),
     pytest.param(lambda: make_unitary_bialgebra(2), _SMALL_SAMPLE, id="unitary2"),
-    pytest.param(lambda: make_primitive_tensor(make_azema(2.0)[0], 2)[0], _SMALL_SAMPLE,
-                 id="primitive-tensor"),
-    pytest.param(lambda: make_induced_tensor(make_azema(2.0)[0], 2)[0], _SMALL_SAMPLE,
-                 id="induced-tensor"),
+    pytest.param(_primitive_tensor_bialgebra, _SMALL_SAMPLE, id="primitive-tensor"),
+    pytest.param(_induced_tensor_bialgebra, _SMALL_SAMPLE, id="induced-tensor"),
 ])
 def test_certificate_agrees_with_sampled_axioms(build, sampling):
     B = build()

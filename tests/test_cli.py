@@ -328,17 +328,26 @@ def test_azema_wiener_builds_its_objects_once(tmp_path, monkeypatch):
     assert reports == public
 
 
-@pytest.mark.parametrize("q, ns", [(1000.0, [2, 4, 8, 16]), (2.0, [16, 32, 64, 128]),
-                                   (3.7, [2, 4, 8, 16, 24, 32, 40, 48])],
-                         ids=["q1000", "q2_n128", "q3.7_n48"])
-def test_azema_wiener_passes_at_wide_q_and_fine_meshes(tmp_path, q, ns):
-    # azema_wiener_q2 with one edit; a GNS triple, one ulp off in rho(y),
-    # failed qsde_residual_small in each (8.7e23 at q = 1000, 330 at n = 128,
-    # 0.018 at q = 3.7); the closed-form triple reads exactly 0
+_UNIT = [0.0, 1.0]
+
+
+@pytest.mark.parametrize("q, ns, interval", [
+    (1000.0, [2, 4, 8, 16], _UNIT), (2.0, [16, 32, 64, 128], _UNIT),
+    (3.7, [2, 4, 8, 16, 24, 32, 40, 48], _UNIT), (1000.0, [16, 64], _UNIT),
+    (2.0, [2, 4, 8, 16], [0.0, 1e308]),
+], ids=["q1000", "q2_n128", "q3.7_n48", "q1000_n64", "span1e308"])
+def test_azema_wiener_passes_at_wide_q_and_fine_meshes(tmp_path, q, ns, interval):
+    # azema_wiener_q2 with its q, ns and interval edited; a GNS triple, one
+    # ulp off in rho(y), failed qsde_residual_small in the first three (8.7e23
+    # at q = 1000, 330 at n = 128, 0.018 at q = 3.7); the closed-form triple
+    # reads exactly 0.  In the last two the residual's last slot is 0 and
+    # the powers of the others overflow: a doubled product that formed them
+    # read inf * 0 = NaN, and the summary did not serialize
     with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg["bialgebra"]["q"] = q
     cfg["partition"]["ns"] = ns
+    cfg["interval"] = interval
     csv_path, _, summary = run_experiment(_write(tmp_path, "edited.json", cfg),
                                           str(tmp_path / "out"))
     assert all(summary["assertions"].values()), summary["assertions"]
@@ -664,17 +673,22 @@ def test_integer_fields_read_a_float_with_no_fraction_as_an_int(tmp_path, name, 
     assert csvs[0] == csvs[1]
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
-def test_run_writes_nothing_unless_the_summary_serializes(tmp_path):
-    # at interval [0, 1e308] a value of the azema-wiener summary is NaN,
-    # which JSON cannot hold: the run fails typed and leaves no partial CSV
-    with open(builtin_config_path("azema_wiener_q2.json"), encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    cfg["interval"] = [0.0, 1e308]
+def test_run_writes_nothing_unless_the_summary_serializes(tmp_path, monkeypatch):
+    # an experiment whose summary holds a NaN, which JSON cannot hold: the
+    # run fails typed and leaves no partial CSV
+    import qlevy.cli
+
+    experiment = qlevy.cli._DISPATCH["azema-wiener"]
+
+    def with_nan(run, rng):
+        header, rows, assertions, extra = experiment(run, rng)
+        return header, rows, assertions, {**extra, "nan": float("nan")}
+
+    monkeypatch.setitem(qlevy.cli._DISPATCH, "azema-wiener", with_nan)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(QLevyError, match="azema_wiener_q2: .*not JSON compliant"):
-        run_experiment(_write(tmp_path, "huge.json", cfg), str(out))
+        run_experiment(builtin_config_path("azema_wiener_q2.json"), str(out))
     assert list(out.iterdir()) == []
 
 

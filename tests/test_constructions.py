@@ -1,30 +1,19 @@
 import numpy as np
 import pytest
 
-from qlevy.bialg import BialgebraSpec, iterated_coproduct
+from qlevy.bialg import iterated_coproduct
 from qlevy.constructions import (
     Morphism,
     b0_basis,
     counit_residual,
     make_azema,
     make_grouplike,
-    make_induced_tensor,
-    make_primitive_tensor,
     make_unitary_bialgebra,
     normal_words,
-    selfadjoint_b0_basis,
 )
 from qlevy.errors import DegreeCapExceeded, InvalidParameter
-from qlevy.ncpoly import (
-    AlgebraSpec,
-    GeneratorSymbol,
-    NcPoly,
-    RewriteRule,
-    involute,
-    multiply,
-    random_poly,
-)
-from sampled_axioms import check_bialgebra_axioms, check_counit_preserving, first_leg_coproduct
+from qlevy.ncpoly import NcPoly, random_poly
+from sampled_axioms import check_counit_preserving, first_leg_coproduct
 
 X, XS, Y = 0, 1, 2
 
@@ -52,113 +41,6 @@ def test_b0_basis_in_kernel(azema2):
     B = azema2[0]
     for _w, p in b0_basis(B, 3):
         assert abs(B.counit(p)) < 1e-14
-
-
-def test_selfadjoint_basis(azema2):
-    B = azema2[0]
-    letters = selfadjoint_b0_basis(B, 2)
-    for h in letters:
-        assert abs(B.counit(h)) < 1e-14
-        assert h.sub(involute(h, B.algebra)).norm1() < 1e-12
-
-
-def test_selfadjoint_basis_degree1(azema2):
-    B = azema2[0]
-    letters = selfadjoint_b0_basis(B, 1)
-    # orbits {x, x*} and {y} give (x+x*)/2, (x-x*)/2i, y-1
-    assert len(letters) == 3
-    assert letters[0].terms == {(X,): 0.5, (XS,): 0.5}
-    assert letters[2].terms == {(Y,): 1.0, (): -1.0}
-
-
-def test_primitive_tensor(azema2):
-    B = azema2[0]
-    T, kappa = make_primitive_tensor(B, 2)
-    rep = check_bialgebra_axioms(T, sample_degree=3, n_samples=30)
-    assert rep["max_residual"] <= 1e-12
-    rep = check_counit_preserving(kappa, n_samples=50, sample_degree=2)
-    assert rep["max_residual"] <= 1e-12
-
-
-def _max_abs_gap(a, b):
-    # largest |a - b| over two legs -> coeff maps
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()), default=0.0)
-
-
-def test_induced_tensor_deltas(azema2):
-    B = azema2[0]
-    Tind, kappa = make_induced_tensor(B, 1)
-    assert len(Tind.letters) == 3
-    # y - 1 is letter 2: reduced coproduct (y-1)(x)(y-1)
-    want = {((2,), ()): 1.0, ((), (2,)): 1.0, ((2,), (2,)): 1.0}
-    assert _max_abs_gap(Tind.delta_on_gen[2], want) < 1e-12
-    # (x+x*)/2 is letter 0: reduced coproduct h0 (x) (y-1)
-    want = {((0,), ()): 1.0, ((), (0,)): 1.0, ((0,), (2,)): 1.0}
-    assert _max_abs_gap(Tind.delta_on_gen[0], want) < 1e-12
-    rep = check_counit_preserving(kappa, n_samples=50, sample_degree=2)
-    assert rep["max_residual"] <= 1e-12
-
-
-def test_induced_tensor_coassociative(azema2):
-    B = azema2[0]
-    Tind, _k = make_induced_tensor(B, 1)
-    rep = check_bialgebra_axioms(Tind, sample_degree=3, n_samples=30)
-    # induced coproduct carries no involution on the tensor side
-    assert rep["coassociativity"] <= 1e-12
-    assert rep["counit_law"] <= 1e-12
-    assert rep["delta_multiplicative"] <= 1e-12
-
-
-@pytest.mark.parametrize("q", [1e-6, 1e-9, 1e11])
-def test_induced_tensor_at_extreme_q(q):
-    Tind, _k = make_induced_tensor(make_azema(q)[0], 2)
-    assert len(Tind.letters) == 10
-    rep = check_bialgebra_axioms(Tind, sample_degree=2, n_samples=10)
-    assert rep["coassociativity"] <= 1e-12
-    assert rep["delta_multiplicative"] <= 1e-12
-
-
-def _two_letter_bialgebra(rule_rhs, extra_delta=None):
-    """Self-adjoint primitive x, y with the rule yx -> rule_rhs."""
-    alg = AlgebraSpec([GeneratorSymbol("x", 0), GeneratorSymbol("y", 1)],
-                      [RewriteRule((1, 0), NcPoly(rule_rhs))])
-    delta = {g: {((g,), ()): 1.0, ((), (g,)): 1.0} for g in (0, 1)}
-    for k, c in (extra_delta or {}).items():
-        delta[0][k] = delta[0].get(k, 0.0) + c
-    return BialgebraSpec(alg, delta, {0: 0.0, 1: 0.0})
-
-
-def test_selfadjoint_basis_with_star_tails():
-    # enveloping algebra of [y, x] = i x: (x y)* = y x = x y + i x
-    B = _two_letter_bialgebra({(0, 1): 1.0, (0,): 1j})
-    letters = [h.terms for h in selfadjoint_b0_basis(B, 2)]
-    assert letters == [{(0,): 1.0}, {(1,): 1.0}, {(0, 0): 1.0},
-                       {(0, 1): 1.0, (0,): 0.5j}, {(1, 1): 1.0}]
-    # kappa (x) kappa takes the induced coproduct of each letter to its
-    # coproduct in B; degree 3 reads the coordinates of x y through its tail
-    Tind, _k = make_induced_tensor(B, 3)
-    leg = [NcPoly.one()] + Tind.letters
-    for i, h in enumerate(Tind.letters):
-        back = {}
-        for (a, b), z in Tind.delta_on_gen[i].items():
-            for u, cu in leg[a[0] + 1 if a else 0].terms.items():
-                for v, cv in leg[b[0] + 1 if b else 0].terms.items():
-                    back[u, v] = back.get((u, v), 0.0) + z * cu * cv
-        assert _max_abs_gap(back, B.coproduct(h)) <= 1e-12
-
-
-def test_selfadjoint_basis_needs_one_top_word():
-    # (x y)* = y x = x y + x x has two words at degree 2
-    B = _two_letter_bialgebra({(0, 1): 1.0, (0, 0): 1.0})
-    with pytest.raises(InvalidParameter, match="'x y'"):
-        selfadjoint_b0_basis(B, 2)
-
-
-def test_induced_tensor_names_a_word_beyond_the_cap():
-    # a coproduct leg x x above the cap 1 has no kernel letter
-    B = _two_letter_bialgebra({(0, 1): 1.0}, {((0, 0), (0,)): 1.0})
-    with pytest.raises(DegreeCapExceeded, match="'x x'"):
-        make_induced_tensor(B, 1)
 
 
 def test_grouplike_registry(azema2):
@@ -308,23 +190,23 @@ def test_unitary_iterated_coproduct_matches_first_leg_oracle():
 
 
 def test_broken_morphism_detected(azema2):
-    B = azema2[0]
-    T, _kappa = make_primitive_tensor(B, 1)
-    # shift one generator image off the counit kernel
-    bad_images = {i: h for i, h in enumerate(T.letters)}
-    bad_images[0] = bad_images[0].add(NcPoly.one())
+    B, primitive, _psi = azema2
+    # the Azema -> primitive word map with x shifted off the counit kernel
+    images = {g: NcPoly.word((g,)) for g in range(B.algebra.ngen())}
+    images[X] = images[X].add(NcPoly.one())
 
     def product_of_images(w):
-        img = B.one()
+        img = primitive.one()
         for g in w:
-            img = B.mul(img, bad_images[g])
+            img = primitive.mul(img, images[g])
         return img
 
-    bad = Morphism(T, B, "algebra-homomorphism", key_map=product_of_images, name="bad")
+    bad = Morphism(B, primitive, "algebra-homomorphism", key_map=product_of_images,
+                   name="bad")
     rep = check_counit_preserving(bad, n_samples=50, sample_degree=2)
     assert rep["max_residual"] >= 0.5
     # the exact check reads it off the generators, with no sample
-    letters = [(g,) for g in range(T.algebra.ngen())]
+    letters = [(g,) for g in range(B.algebra.ngen())]
     assert counit_residual(bad, letters) >= 0.5
 
 

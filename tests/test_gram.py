@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlevy.bialg import LinearFunctional, iterated_coproduct
-from qlevy.constructions import Morphism, make_azema, make_grouplike, make_primitive_tensor
+from qlevy.constructions import Morphism, make_azema, make_grouplike
 from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
     DEFECT_FLOOR,
@@ -279,10 +279,11 @@ def test_reverse_azema_x(chain):
         assert nontrivial[-1] <= nontrivial[0]
 
 
-def test_primitive_tensor_theta_counts(azema2):
-    B, _, _psi = azema2
-    T, kappa = make_primitive_tensor(B, 1)
-    u = theta_expand(NcPoly.word((0,)), kappa, Partition.uniform(0, 1, 3))
+def test_primitive_companion_theta_counts(azema2):
+    # x is primitive there, so Delta_3(x) has one term per slot
+    _B, primitive, _psi = azema2
+    kappa = identity_morphism(primitive)
+    u = theta_expand(NcPoly.word((X,)), kappa, Partition.uniform(0, 1, 3))
     assert len(u.terms) == 3
 
 

@@ -65,34 +65,49 @@ def test_no_id_calls(path):
 
 
 def names_read(sources):
-    """Every identifier and attribute name that the sources read."""
-    read = set()
+    """(identifiers, attribute names) that the sources read."""
+    names, attrs = set(), set()
     for source in sources:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name):
-                read.add(n.id)
+                names.add(n.id)
             elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
-    return read
+                attrs.add(n.attr)
+    return names, attrs
 
 
 def unread_definitions(source, read):
     """(line, name) of each function, class and method that a module
-    defines, dunders excepted, whose name is not in read."""
-    defs = ast.walk(ast.parse(source))
-    return sorted((n.lineno, n.name) for n in defs
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not (n.name.startswith("__") and n.name.endswith("__"))
-                  and n.name not in read)
+    defines, dunders excepted, that read (names_read) does not name.  A
+    definition directly in a class body is read only as an attribute, so a
+    local variable of the same name elsewhere does not hide it; any other
+    is read by name or as an attribute."""
+    names, attrs = read
+    unread = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (child.name.startswith("__") and child.name.endswith("__"))
+                    and child.name not in attrs
+                    and (isinstance(node, ast.ClassDef) or child.name not in names)):
+                unread.append((child.lineno, child.name))
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(unread)
 
 
 def test_unread_definitions_are_found():
+    # n_terms the method is not read by n_terms the parameter of sized
     source = ("class A:\n    def __init__(self):\n        self.x = helper()\n"
               "    def method(self):\n        pass\n    def spare(self):\n        pass\n"
-              "def helper():\n    return 1\ndef unused():\n    pass\n")
-    reader = "from m import A\nA().method()\n"
-    assert unread_definitions(source, names_read([source, reader])) == [(6, "spare"),
-                                                                      (10, "unused")]
+              "    def n_terms(self):\n        return 0\n"
+              "def helper():\n    return 1\ndef unused():\n    pass\n"
+              "def sized(n_terms):\n    return n_terms\n")
+    reader = "import m\nfrom m import A\nA().method()\nm.sized(2)\n"
+    assert unread_definitions(source, names_read([source, reader])) == [
+        (6, "spare"), (8, "n_terms"), (12, "unused")]
 
 
 @functools.cache
@@ -111,10 +126,6 @@ def test_every_definition_is_read(path):
 # What runs reach: a definition that only tests read is not needed by qlevy.
 # Each one kept anyway is named here with its reason.
 KEPT_UNREACHED = {
-    "make_primitive_tensor": "the paper's primitive tensor *-bialgebra; a run that "
-                             "builds it would be a new experiment family",
-    "make_induced_tensor": "the tensor *-bialgebra whose coproduct the primitive "
-                           "one induces, the other half of the same construction",
     "check_conditional_positivity": "the certificate that a generator is conditionally "
                                     "positive, to be wired into check and run",
 }
@@ -234,6 +245,26 @@ def test_check_and_run_leave_jsonschema_unloaded(cold_cli):
 # dense one, here U<2>'s Fock unitary target, loads scipy.linalg
 def test_shipped_checks_and_runs_load_no_scipy(cold_cli):
     assert cold_cli[0][:3] == ["9", "[]", "True"]
+
+
+# qlevy check of each named shipped config in turn, in one fresh interpreter,
+# each followed by whether numpy is loaded
+_COLD_CHECK = """
+import sys
+from qlevy.cli import builtin_config_path, check_defs
+for name in sys.argv[1:]:
+    check_defs(builtin_config_path(name + ".json"))
+    print(name, "numpy" in sys.modules)
+"""
+
+
+# certification is exact dict arithmetic, so a check loads numpy only where
+# it reads arrays, as fock_unitary_d1's W, L and H, or builds the identity
+# chain (sweep_azema_x, not run here), whose morphism lives in gram
+def test_pure_python_checks_leave_numpy_unloaded():
+    names = ["azema_q2", "azema_wiener_q2", "convexp_azema_q2", "gns_azema_q2",
+             "reverse_azema_x", "sweep_grouplike_xstar", "trotter_nilpotent", "fock_unitary_d1"]
+    assert _cold(_COLD_CHECK, *names) == [f"{n} {n == 'fock_unitary_d1'}" for n in names]
 
 
 SNAPSHOT = pathlib.Path(__file__).with_name("shipped_outputs.sha256.json")
