@@ -290,12 +290,10 @@ def _build_chain(chain, lift, f, B, ctx, c_poly, d_poly):
     """(kappa, kappa_tilde or None, c, d, gens) for sweep / reverse experiments
     on the parsed elements c_poly and d_poly; gens are source keys of kappa
     generating what the experiment maps."""
-    from .constructions import Morphism, make_grouplike
+    from .constructions import Morphism, identity_morphism, make_grouplike
     from .ncpoly import NcPoly
 
     if chain == "identity":
-        from .gram import identity_morphism
-
         return identity_morphism(B), None, c_poly, d_poly, ()
     if chain == "grouplike":
         G, kappa, kappa_tilde = make_grouplike(B, f["/morphism/degree_cap"])

@@ -203,6 +203,11 @@ class Morphism:
         return out
 
 
+def identity_morphism(B):
+    return Morphism(B, B, "algebra-homomorphism",
+                    key_map=lambda k: NcPoly.word(k), name=f"id[{B.name}]")
+
+
 def counit_residual(m, keys):
     """Max |counit_target(m(k)) - counit_source(k)| over source keys.  The
     counits are multiplicative, so on generators this certifies a homomorphism."""

@@ -15,9 +15,13 @@ the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
 module's powers are; neither the n-fold tensor space nor Delta_n is
 expanded, except in cross_path_report, an independent check that lays out
 the Sweedler terms by gram.index_terms and pairs them by one gram._TermPairs
-over per-step tables of one-interval values.  Intervals of equal steps
-(Partition.step_classes) share those values.  A unitary product evolution
-holds each distinct generator block once and advances all its unitarity
+over per-step tables of one-interval values.  Every consumer of a partition
+reads one table of it (_FockMesh): one factor, the step classes
+(Partition.step_classes), whose intervals share their values, and each
+generator block I_{t_r, t_{r+1}}(b) built once per basis element and
+interval, so the Azema / Wiener products and their QSDE residual, the
+cross-path report's Fock tables and a unitary evolution's blocks share one
+source of blocks.  A unitary product evolution advances all its unitarity
 probes together through one transfer matrix per block.  All vacuum
 quantities computed here are a second path to the exact one-interval
 semigroup values of the gram module.
@@ -222,23 +226,50 @@ def generator_process(triple, b, interval, factor):
     return mat
 
 
-def _vacuum_table(triple, left, right, interval, factor, vec):
-    """values[a, b] = <I(left[a]) vec, I(right[b]) vec> on one interval."""
-    def vectors(ps):
-        return np.array([generator_process(triple, p, interval, factor) @ vec for p in ps])
+class _FockMesh:
+    """One partition's Fock data for one call: a FockFactor, the step classes
+    (Partition.step_classes) and each generator block I_{t_r, t_{r+1}}(b),
+    built by generator_process once per (basis element, interval).  It lives
+    for one call only: a partition of random times never repeats a step."""
 
-    va = vectors(left)
-    return va.conj() @ (va if right is left else vectors(right)).T
+    def __init__(self, triple, partition, particle_cap):
+        self.triple = triple
+        self.times = partition.times
+        self.first, self.of = partition.step_classes()
+        self.factor = FockFactor(triple.k_dim, particle_cap)
+        self._blocks = {}
 
+    def block(self, b, r):
+        """I(b) on the interval (t_r, t_{r+1}) of the partition."""
+        interval = (self.times[r], self.times[r + 1])
+        hit = self._blocks.get((b, interval))
+        if hit is None:
+            hit = self._blocks[b, interval] = generator_process(
+                self.triple, b, interval, self.factor)
+        return hit
 
-def _vacuum_factors(triple, subc, subd, partition, factor, vec):
-    """One (values, g) per run of g equal steps of the partition, with
-    values[a, b] = <I(a) vec, I(b) vec> over the bases of subc and subd."""
-    times = partition.times
-    first, of = partition.step_classes()
-    values = [_vacuum_table(triple, subc.basis, subd.basis, (times[r], times[r + 1]),
-                            factor, vec) for r in first]
-    return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
+    def table(self, left, right, r, vec):
+        """values[a, b] = <I(left[a]) vec, I(right[b]) vec> on interval r."""
+        def vectors(ps):
+            return np.array([self.block(p, r) @ vec for p in ps])
+
+        va = vectors(left)
+        return va.conj() @ (va if right is left else vectors(right)).T
+
+    def vacuum_factors(self, subc, subd, vec, classes=None):
+        """One (values, g) per run of g equal steps, with values[a, b] =
+        <I(a) vec, I(b) vec> over the bases of subc and subd; classes are
+        (first, of) of a prefix of the partition, the whole one by default."""
+        first, of = classes or (self.first, self.of)
+        values = [self.table(subc.basis, subd.basis, r, vec) for r in first]
+        return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
+
+    def vacuum_gram(self, c, d, B):
+        """product_vacuum_gram on this mesh."""
+        subc = subcoalgebra_of(c, B)
+        subd = subcoalgebra_of(d, B)
+        return doubled_product(subc, subd, c, d,
+                               self.vacuum_factors(subc, subd, self.factor.vacuum()))
 
 
 def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP):
@@ -251,11 +282,7 @@ def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP):
     the coproduct only, so it may be any coproduct on the triple's algebra
     (the primitive one sums the increments I(b) per interval).
     """
-    factor = FockFactor(triple.k_dim, particle_cap)
-    subc = subcoalgebra_of(c, B)
-    subd = subcoalgebra_of(d, B)
-    return doubled_product(subc, subd, c, d, _vacuum_factors(
-        triple, subc, subd, partition, factor, factor.vacuum()))
+    return _FockMesh(triple, partition, particle_cap).vacuum_gram(c, d, B)
 
 
 def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
@@ -276,13 +303,12 @@ def cross_path_report(triple, b, B, psi, partition, particle_cap=DEFAULT_CAP):
 
     n = partition.n_intervals()
     steps = partition.steps()
-    times = partition.times
-    first, slot_class = partition.step_classes()
-    factor = FockFactor(triple.k_dim, particle_cap)
+    mesh = _FockMesh(triple, partition, particle_cap)
+    first, slot_class = mesh.first, mesh.of
     terms, words = index_terms([iterated_coproduct(b, n, B)], slot_class, len(first))
     polys = [[NcPoly.word(w) for w in ws] for ws in words]
-    ftabs = [_vacuum_table(triple, ps, ps, (times[r], times[r + 1]), factor, factor.vacuum())
-             for r, ps in zip(first, polys)]
+    vac = mesh.factor.vacuum()
+    ftabs = [mesh.table(ps, ps, r, vac) for r, ps in zip(first, polys)]
     gtabs = [factor_table(psi, steps[r], ps, ps, B) for r, ps in zip(first, polys)]
     pairs = _TermPairs([t.shape for t in ftabs], slot_class, terms, terms)
     coeffs = terms[0]
@@ -396,18 +422,11 @@ def unitary_product_evolution(params, d, partition, particle_cap=DEFAULT_CAP):
 
     if int(d) != params.d:
         raise InvalidParameter("d does not match the parameter set")
-    triple = unitary_triple(params)
-    factor = FockFactor(params.m, particle_cap)
-    times = partition.times
-    first, block_of = partition.step_classes()
-    blocks = []
-    for r in first:
-        blocks.append([[generator_process(
-            triple, NcPoly.word((unitary_letter(params.d, i, j),)),
-            (times[r], times[r + 1]), factor)
-            for j in range(1, params.d + 1)]
-            for i in range(1, params.d + 1)])
-    evo = UnitaryEvolution(params, factor, blocks, block_of)
+    mesh = _FockMesh(unitary_triple(params), partition, particle_cap)
+    letters = range(1, params.d + 1)
+    blocks = [[[mesh.block(NcPoly.word((unitary_letter(params.d, i, j),)), r) for j in letters]
+               for i in letters] for r in mesh.first]
+    evo = UnitaryEvolution(params, mesh.factor, blocks, mesh.of)
     return evo, evo.unitarity_defect()
 
 
@@ -447,23 +466,25 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
     w = NcPoly({(0,): 1.0, (1,): 1.0})          # x + x*
     wsq = multiply(involute(w, alg), w, alg)
 
+    mesh = _FockMesh(triple, partition, cap)
+
     # Wiener from Azema increments: x + x* is primitive in the primitive
     # coproduct, so sum_j Z_{t_j, t_{j+1}} is its convolution product there
-    wiener_norm = product_vacuum_gram(triple, w, w, primitive, partition, cap).real
+    wiener_norm = mesh.vacuum_gram(w, w, primitive).real
     wiener_target = complex(conv_exp(psi, tau, wsq, primitive)).real
 
     # Azema from Wiener increments: the infinitesimal convolution product
-    azema_norm = product_vacuum_gram(triple, w, w, B, partition, cap).real
+    azema_norm = mesh.vacuum_gram(w, w, B).real
     azema_target = complex(conv_exp(psi, tau, wsq, B)).real
-    x_vacuum_norm = product_vacuum_gram(triple, x, x, B, partition, cap).real
+    x_vacuum_norm = mesh.vacuum_gram(x, x, B).real
 
     # discrete QSDE residual over the last subinterval: Delta x = x (x) y + 1 (x) x
     # makes r = X_{n-1}(x) (x) (I(y) - 1 - (q-1) Lambda) + 1 (x) (I(x) - A), a
     # convolution product whose last slot carries I(a) minus the QSDE operator
     qsde_residual = None
     if n >= 2:
+        factor = mesh.factor
         tail = (times[-2], times[-1])
-        factor = FockFactor(triple.k_dim, cap)
         ident = np.eye(factor.dim, dtype=complex)
         lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor)
         ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor)
@@ -474,9 +495,10 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
             occ = (0,) * mu + (1,) + (0,) * (factor.m - mu - 1)
             probe[factor.index[occ]] = 0.5
         sub = subcoalgebra_of(x, B)
-        factors = _vacuum_factors(triple, sub, sub, Partition(times[:-1]), factor, probe)
-        last = np.array([(generator_process(triple, a, tail, factor)
-                          - qsde_op[next(iter(a.terms))]) @ probe for a in sub.basis])
+        # the first n - 1 slots, grouped by the step classes of their own partition
+        factors = mesh.vacuum_factors(sub, sub, probe, Partition(times[:-1]).step_classes())
+        last = np.array([(mesh.block(a, n - 1) - qsde_op[next(iter(a.terms))]) @ probe
+                         for a in sub.basis])
         factors.append((last.conj() @ last.T, 1))
         qsde_residual = math.sqrt(max(doubled_product(sub, sub, x, x, factors).real, 0.0))
 

@@ -17,6 +17,7 @@ exactly; a word whose normal form underflows or overflows raises.
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .errors import (
 
 CONFLUENCE_TOL = 1e-12   # relative: gap allowed between two normal forms of one word
 REWRITE_BUDGET = 10 ** 6
+SPELL_LETTERS = 16       # a longer word is spelled by its runs, with its letter count
 
 Word = tuple  # tuple of generator indices; () is the unit
 
@@ -136,8 +138,14 @@ class AlgebraSpec:
         self._nf = {(): {(): 1.0}}
 
     def spell(self, w):
-        """The word w as its generator names, space-separated."""
-        return " ".join(self.alphabet[g].name for g in w)
+        """The word w as its generator names, space-separated; a word of more
+        than SPELL_LETTERS letters as its runs name^k, then its letter count,
+        e.g. 'y^1100 x* (1101 letters)'."""
+        if len(w) <= SPELL_LETTERS:
+            return " ".join(self.alphabet[g].name for g in w)
+        runs = ((self.alphabet[g].name, len(list(run))) for g, run in itertools.groupby(w))
+        spelled = " ".join(name if k == 1 else f"{name}^{k}" for name, k in runs)
+        return f"{spelled} ({len(w)} letters)"
 
     def _deglex_key(self, w):
         return (len(w), tuple(self._rank[g] for g in w))

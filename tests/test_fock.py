@@ -352,6 +352,31 @@ def test_azema_wiener_q1_exact():
     assert rep["qsde_residual"] < 1e-6
 
 
+def test_azema_wiener_mesh_builds_each_block_once(monkeypatch):
+    # the three vacuum products and the QSDE residual read one Fock factor
+    # and one table of blocks I(b) per (basis word, interval): {1, x, x*, y}
+    # on the one step class of a uniform mesh, {1, x, y} on its tail
+    import qlevy.fock
+    from qlevy.gns import azema_triple
+
+    B, primitive, psi = make_azema(2.0)
+    triple = azema_triple(2.0, B, psi)
+    blocks, factors = [], []
+    real_block, real_factor = qlevy.fock.generator_process, qlevy.fock.FockFactor
+    monkeypatch.setattr(qlevy.fock, "generator_process",
+                        lambda *args: blocks.append(args[1:3]) or real_block(*args))
+    monkeypatch.setattr(qlevy.fock, "FockFactor",
+                        lambda *args: factors.append(args) or real_factor(*args))
+    uneven = Partition([0.0, 0.25, 0.5, 0.6, 0.7, 0.8, 1.05, 1.3, 1.45])
+    for alpha, want in ((Partition.uniform(0, 1, 48), 7), (uneven, None)):
+        blocks.clear()
+        factors.clear()
+        rep = qlevy.fock.azema_wiener_mesh(2.0, B, primitive, psi, triple, alpha, 5)
+        assert len(blocks) == len(set(blocks)) and len(factors) == 1
+        assert want is None or len(blocks) == want
+        assert rep["qsde_residual"] == 0.0
+
+
 # -- the term-pair and per-interval loops the array kernels replaced --------
 
 def _cross_path_oracle(triple, b, B, psi, partition, particle_cap):

@@ -454,7 +454,8 @@ def test_underflow_raises_naming_the_word_and_a_cancellation_drops():
     alg = make_azema(2.0)[0].algebra
     assert alg.word_normal_form((Y,) + (X,) * 1000) == {(X,) * 1000 + (Y,): 2.0 ** -1000}
     w = (Y,) + (X,) * 1100
-    with pytest.raises(InvalidParameter, match=r"azema\(q=2\): normal form of 'y x x [x ]*x' underflows"):
+    with pytest.raises(InvalidParameter,
+                       match=r"^azema\(q=2\): normal form of 'y x\^1100 \(1101 letters\)' underflows$"):
         alg.word_normal_form(w)
     assert w not in alg._nf
     # c -> a + b and b a -> -a a: c a rewrites to a a - a a, an exact 0
@@ -466,6 +467,21 @@ def test_underflow_raises_naming_the_word_and_a_cancellation_drops():
     # a rule a a -> 0 stores the empty normal form
     nil = AlgebraSpec(alphabet[:1], [RewriteRule((A, A), NcPoly())], name="nil")
     assert nil.word_normal_form((A, A, A)) == {} and nil.word_normal_form((A,)) == {(A,): 1.0}
+
+
+def test_errors_spell_a_long_word_by_its_runs():
+    # y^k x* -> 2^k x* y^k at q = 2 overflows past k = 1023; the message once
+    # spelled all 1101 letters in 2 241 characters
+    alg = make_azema(2.0)[0].algebra
+    with pytest.raises(InvalidParameter) as err:
+        alg.word_normal_form((Y,) * 1100 + (XS,))
+    msg = str(err.value)
+    assert "normal form of 'y^1100 x* (1101 letters)' overflows" in msg and len(msg) < 200
+    # up to SPELL_LETTERS letters a word keeps its letter-by-letter spelling
+    short = (X, X) + (Y,) * (qlevy.ncpoly.SPELL_LETTERS - 2)
+    assert alg.spell(short) == " ".join(["x", "x"] + ["y"] * (len(short) - 2))
+    assert alg.spell(short + (XS,)) == f"x^2 y^{len(short) - 2} x* ({len(short) + 1} letters)"
+    assert NcPoly.word((X, Y)).pretty(alg) == "(+1+0i)*x y"
 
 
 def test_normal_form_of_a_polynomial_refuses_an_underflowing_term():
