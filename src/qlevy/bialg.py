@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import weakref
 
 from .errors import InvalidParameter, TermBudgetExceeded
 from .ncpoly import NcPoly, check_confluent, involute, multiply, random_poly
@@ -66,9 +67,12 @@ class BialgebraSpec:
                         f"coproduct of {algebra.spell((g,))!r} has the leg "
                         f"{algebra.spell(w)!r}, which is not a normal word")
         # word -> Delta(word), and frozenset of words -> Subcoalgebra (subcoalg):
-        # one entry per word or word set reached, freed with this bialgebra
+        # one entry per word or word set reached, freed with this bialgebra;
+        # functional -> frozenset of words -> the invariant span of T(functional)
+        # there (subcoalg), freed with either
         self._delta_word = {(): {((), ()): 1.0}}
         self._subs = {}
+        self._spans = weakref.WeakKeyDictionary()
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 

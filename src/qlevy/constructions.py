@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 
 from .bialg import (
     BialgebraSpec,
@@ -234,8 +235,10 @@ class GroupLikeBialgebra:
         self.degree_cap = degree_cap
         self.name = f"grouplike[{B.name}]"
         # frozenset of keys -> Subcoalgebra (subcoalg): one per key set reached,
-        # freed with this carrier
+        # freed with this carrier; functional -> frozenset of keys -> the
+        # invariant span of T(functional) there (subcoalg), freed with either
         self._subs = {}
+        self._spans = weakref.WeakKeyDictionary()
 
     def register(self, p):
         """Check that p is a counit-one polynomial within the cap; p is its key."""

@@ -38,7 +38,6 @@ import numpy as np
 from .bialg import iterated_coproduct
 from .errors import DimensionMismatch, InvalidParameter, TailBoundExceeded
 from .ncpoly import NcPoly, involute, multiply
-from .partition import Partition
 from .subcoalg import conv_exp, doubled_product, factor_table, subcoalgebra_of
 
 DEFAULT_CAP = 8
@@ -256,12 +255,13 @@ class _FockMesh:
         va = vectors(left)
         return va.conj() @ (va if right is left else vectors(right)).T
 
-    def vacuum_factors(self, subc, subd, vec, classes=None):
-        """One (values, g) per run of g equal steps, with values[a, b] =
-        <I(a) vec, I(b) vec> over the bases of subc and subd; classes are
-        (first, of) of a prefix of the partition, the whole one by default."""
-        first, of = classes or (self.first, self.of)
-        values = [self.table(subc.basis, subd.basis, r, vec) for r in first]
+    def vacuum_factors(self, subc, subd, vec, slots=None):
+        """One (values, g) per run of g equal steps over the first slots
+        intervals (all by default), with values[a, b] = <I(a) vec, I(b) vec>
+        over the bases of subc and subd.  Classes are numbered in order of
+        first interval, so those of the prefix are the ones it starts."""
+        of = self.of[:slots]
+        values = [self.table(subc.basis, subd.basis, r, vec) for r in self.first if r < len(of)]
         return [(values[k], len(list(run))) for k, run in itertools.groupby(of)]
 
     def vacuum_gram(self, c, d, B):
@@ -495,8 +495,8 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
             occ = (0,) * mu + (1,) + (0,) * (factor.m - mu - 1)
             probe[factor.index[occ]] = 0.5
         sub = subcoalgebra_of(x, B)
-        # the first n - 1 slots, grouped by the step classes of their own partition
-        factors = mesh.vacuum_factors(sub, sub, probe, Partition(times[:-1]).step_classes())
+        # the first n - 1 slots, grouped by the mesh's step classes
+        factors = mesh.vacuum_factors(sub, sub, probe, n - 1)
         last = np.array([(mesh.block(a, n - 1) - qsde_op[next(iter(a.terms))]) @ probe
                          for a in sub.basis])
         factors.append((last.conj() @ last.T, 1))

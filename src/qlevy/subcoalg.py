@@ -3,45 +3,50 @@
 Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
 (Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
 exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
-matrix T(psi) = (id (x) psi) o Delta.  _routed_exp is the one matrix
-exponential v e^{tM}, v a row or a matrix, and it takes one of three
-routes: an M with no nonzero entry on or below the diagonal (Azema's T,
-psi being 0 on group-likes) is nilpotent, and its Taylor sum ends, exact up
-to rounding; a diagonal M (every group-like carrier's T, and the d = 1
-Fock unitary target's iH - LL*/2) takes exp of its diagonal; any other M
-takes dense scipy.linalg.expm.  It serves the counit rows delta e^{tT},
-the Fock unitary target and a matrix-family G whose Taylor sum does not
-end.  scipy is imported by the branches that call it, so a run needing
-neither dense expm nor a sparse power never loads it.
+matrix T(psi) = (id (x) psi) o Delta.  Its value at p depends only on the
+smallest T(psi)-invariant subspace that holds p, the Krylov space of T(psi)
+at p, so conv_exp and the factor tables take T(psi) on the invariant span
+of p's words (_InvariantSpan): the words reached from them by taking the
+left leg a of each leg (a, b) of key_delta whose right leg psi does not
+vanish on.  T(psi) never leaves that span, so the value is exact; on
+Azema's (x x*)^3 the span has 8 words where the subcoalgebra has 117.
+_routed_exp is the one matrix exponential v e^{tM}, v a row or a matrix,
+and it takes one of three routes: an M with no nonzero entry on or below
+the diagonal (Azema's T, psi being 0 on group-likes) is nilpotent, and its
+Taylor sum ends, exact up to rounding; a diagonal M (every group-like
+carrier's T, and the d = 1 Fock unitary target's iH - LL*/2) takes exp of
+its diagonal; any other M takes dense scipy.linalg.expm.  It serves the
+counit rows delta e^{tT}, the Fock unitary target and a matrix-family G
+whose Taylor sum does not end.  scipy is imported by the branches that call
+it, so a run needing neither dense expm nor a sparse power never loads it.
 
 The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
 p, closed under taking either leg of key_delta, sorted by key_order.
 subcoalgebra_of is the one entry to it: the carrier holds one subcoalgebra
-per word set, and DIM_CAP bounds its words when it is first closed.  On a
-BialgebraSpec the keys are normal-form words; this relies on the algebra's
-rewriting system being confluent, so that its normal words form a basis
-(Bergman's diamond lemma); the legs of key_delta(w) are then basis
+per word set, and one invariant span per functional and word set, and
+DIM_CAP bounds the words of either when it is first closed (_closure).  On
+a BialgebraSpec the keys are normal-form words; this relies on the
+algebra's rewriting system being confluent, so that its normal words form a
+basis (Bergman's diamond lemma); the legs of key_delta(w) are then basis
 coordinates and the structure constants are read off exactly, with no linear
 solve.  On a group-like carrier every key is group-like, so the span of p's
 keys is closed already and T(psi) is diagonal.  factor_table reads the
 one-interval Gram factors of a step off one exponential, taken on each call
-(a subcoalgebra holds T(psi) and its route per functional, no row per step),
-and doubled_product evaluates the Gram and Fock vacuum values of
-infinitesimal products on the doubled coalgebra conj(C) (x) C of two
-subcoalgebras as convolution powers Psi^{*g} = T(Psi)^g.  Each of the two is
-a layout, the part that does not depend on the step or the factors, then
-its evaluation, so a sweep builds the layout once.  The module also ships
-banach_product_check, the infinitesimal-product error bound on matrices.
-The coalgebra version needs no checker of its own: T is a homomorphism of
-the convolution algebra into matrices, so f_1 * ... * f_n(p) =
-delta T(f_1) ... T(f_n) coords(p) on a finite subcoalgebra, and its bound is
-the matrix bound on the T(f).  A ProductFamilySpec owns the memo of its
-targets e^{span G} and ||G||_2, one entry per span.
+(a span holds T(psi) and its route, no row per step), and doubled_product
+evaluates the Gram and Fock vacuum values of infinitesimal products on the
+doubled coalgebra conj(C) (x) C of two subcoalgebras as convolution powers
+Psi^{*g} = T(Psi)^g.  Each of the two is a layout, the part that does not
+depend on the step or the factors, then its evaluation, so a sweep builds
+the layout once.  The module also ships banach_product_check, the
+infinitesimal-product error bound on matrices.  The coalgebra version needs
+no checker of its own: T is a homomorphism of the convolution algebra into
+matrices, so f_1 * ... * f_n(p) = delta T(f_1) ... T(f_n) coords(p) on a
+finite subcoalgebra, and its bound is the matrix bound on the T(f).  A
+ProductFamilySpec owns the memo of its targets e^{span G} and ||G||_2, one
+entry per span.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -50,7 +55,9 @@ from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConverg
                      TermBudgetExceeded)
 from .ncpoly import NcPoly, involute, multiply
 
-DIM_CAP = 512   # most normal words in one subcoalgebra, the side of its dense T(psi)
+# most words in one subcoalgebra or invariant span of T(psi), the side of a
+# dense matrix on it
+DIM_CAP = 512
 SERIES_MAX_TERMS = 64
 BOUND_SLACK = 1e-12   # absolute: a product check passes up to this far above its bound
 # largest doubled dimension whose convolution powers doubled_product takes by
@@ -72,12 +79,13 @@ class Subcoalgebra:
     basis[i] is the NcPoly of the i-th key in key_order.  The sparse
     structure constants (j, u, v, c) list
     Delta(basis[j]) = sum c basis[u] (x) basis[v], read from key_delta;
-    they are exact because the keys are a basis of the carrier.
+    they are exact because the keys are a basis of the carrier.  It holds
+    what the doubled coalgebra of _DoubledLayout, gram and fock read: the
+    constants, the counit row, coords and the basis.  No transfer matrix:
+    conv_exp and the factor tables take T(psi) on its invariant span.
 
     The carrier holds its subcoalgebras, so a subcoalgebra keeps no
-    reference to it, and its transfer matrices are dropped with their
-    functionals: neither may keep the carrier alive.  It holds no counit
-    row, since a partition with random times never repeats a step.
+    reference to it.
     """
 
     def __init__(self, B, words):
@@ -93,9 +101,6 @@ class Subcoalgebra:
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
-        # functional -> (T(functional), its _routed_exp route): one per live
-        # functional, freed with it or with self
-        self._transfers = weakref.WeakKeyDictionary()
 
     def dim(self):
         return len(self.basis)
@@ -111,23 +116,30 @@ class Subcoalgebra:
         return x
 
 
+def _closure(seeds, step, what):
+    """The words reached from the words seeds by step(w), a list of words;
+    DIM_CAP bounds them, and what names the closure in the error."""
+    words, pending = set(), list(seeds)
+    while pending:
+        w = pending.pop()
+        if w in words:
+            continue
+        words.add(w)
+        if len(words) > DIM_CAP:
+            raise DimCapExceeded(
+                f"{what} of a {len(seeds)}-term element reached "
+                f"{len(words)} words, above cap {DIM_CAP} on a dense T(psi)'s side")
+        pending.extend(step(w))
+    return words
+
+
 def subcoalgebra_of(p, B):
     """Span of p's keys closed under taking legs of key_delta, held by B: one
     subcoalgebra per word set, since the closure depends on p's words only."""
     key = frozenset(p.terms)
     if key not in B._subs:
-        words, pending = set(), list(p.terms)
-        while pending:
-            w = pending.pop()
-            if w in words:
-                continue
-            words.add(w)
-            if len(words) > DIM_CAP:
-                raise DimCapExceeded(
-                    f"subcoalgebra of a {len(p.terms)}-term element reached "
-                    f"{len(words)} words, above cap {DIM_CAP} on a dense T(psi)'s side")
-            for legs in B.key_delta(w):
-                pending.extend(legs)
+        words = _closure(p.terms, lambda w: [x for legs in B.key_delta(w) for x in legs],
+                         "subcoalgebra")
         B._subs[key] = Subcoalgebra(B, sorted(words, key=B.key_order))
     return B._subs[key]
 
@@ -148,16 +160,56 @@ def _route(m):
     return "expm"
 
 
-def _transfer_route(psi, sub):
-    """(T(psi), its _route) on the basis of sub, held by sub."""
-    got = sub._transfers.get(psi)
+class _InvariantSpan:
+    """T(psi) on the smallest T(psi)-invariant span of basis keys that holds
+    a word set: the words reached from it by taking the left leg a of each
+    leg (a, b) of key_delta(w) whose right leg psi does not vanish on.
+    T(psi) b_w = sum z psi(b) a never leaves that span, so delta e^{tT}
+    coords(p) on it is exact for every p on those words, and it is the Krylov
+    space of T(psi) there, often far smaller than the subcoalgebra (8 words
+    against 117 for Azema's (x x*)^3).  at maps each word, in key_order,
+    to its index; delta is the counit row and m = T(psi), with its route.
+    It keeps no reference to psi or the carrier, which hold it (_span_of)."""
+
+    def __init__(self, psi, seeds, B):
+        kept = {}    # word -> its legs (a, z, psi(b)) that psi does not kill
+
+        def step(w):
+            legs = kept[w] = []
+            for (a, b), z in B.key_delta(w).items():
+                fb = psi.on_word(b)
+                if fb != 0.0:
+                    legs.append((a, z, fb))
+            return [a for a, _, _ in legs]
+
+        words = sorted(_closure(seeds, step, "invariant span of T(psi)"),
+                       key=B.key_order)
+        self.at = {w: i for i, w in enumerate(words)}
+        rows, cols, zs, fs = [], [], [], []
+        for j, w in enumerate(words):
+            for a, z, fb in kept[w]:
+                rows.append(self.at[a])
+                cols.append(j)
+                zs.append(z)
+                fs.append(fb)
+        self.m = np.zeros((len(words), len(words)), dtype=complex)
+        # T(psi) = (id (x) psi) o Delta: T(psi) b_j = sum z psi(b) b_a
+        np.add.at(self.m, (np.array(rows, dtype=int), np.array(cols, dtype=int)),
+                  np.array(zs, dtype=complex) * np.array(fs, dtype=complex))
+        self.route = _route(self.m)
+        self.delta = np.array([B.key_counit(w) for w in words], dtype=complex)
+
+
+def _span_of(psi, words, B):
+    """The _InvariantSpan of T(psi) at a word set, held by B weakly per
+    functional and then per word set, so it is freed with either."""
+    spans = B._spans.get(psi)
+    if spans is None:
+        spans = B._spans[psi] = {}
+    key = frozenset(words)
+    got = spans.get(key)
     if got is None:
-        j, u, v, c = sub.constants
-        vals = np.array([psi(b) for b in sub.basis], dtype=complex)
-        m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
-        # T(psi) = (id (x) psi) o Delta: T(psi) b_j = sum c psi(b_v) b_u
-        np.add.at(m, (u, j), c * vals[v])
-        got = sub._transfers[psi] = (m, _route(m))
+        got = spans[key] = _InvariantSpan(psi, key, B)
     return got
 
 
@@ -201,29 +253,28 @@ def _at_step(err, dt):
 
 class _FactorLayout:
     """The part of factor_table(psi, ., left, right, B) that does not depend
-    on the step: the products left[i]* right[j], the subcoalgebra S their
-    words close to, with T_S(psi) and its route, and the basis index of
-    each word of S, the products' coordinates.  A DimCapExceeded names dt,
-    the step it is built for."""
+    on the step: the products left[i]* right[j] and the invariant span of
+    T(psi) at their words (_span_of), which holds T(psi), its route, the
+    counit row and each word's index, the products' coordinates.  A
+    DimCapExceeded names dt, the step it is built for."""
 
     def __init__(self, psi, left, right, B, dt):
-        prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
+        self.prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
         try:
-            sub = subcoalgebra_of(NcPoly({w: 1.0 for p in prods for w in p.terms}), B)
-            self.m, self.route = _transfer_route(psi, sub)
+            self.span = _span_of(psi, {w for p in self.prods for w in p.terms}, B)
         except (DimCapExceeded, InvalidParameter) as err:
             raise _at_step(err, dt) from None
-        self.prods, self.at, self.delta = prods, sub._index, sub.counit_vector
         self.shape = (len(left), len(right))
 
     def table(self, dt):
         """The factor table at step dt: one counit row, read against each
         product's coordinates."""
+        span = self.span
         try:
-            row = _routed_exp(self.delta, self.m, dt, self.route)
+            row = _routed_exp(span.delta, span.m, dt, span.route)
         except InvalidParameter as err:
             raise _at_step(err, dt) from None
-        at = self.at
+        at = span.at
         return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in self.prods],
                         dtype=complex).reshape(self.shape)
 
@@ -231,13 +282,14 @@ class _FactorLayout:
 def factor_table(psi, dt, left, right, B):
     """Table [i, j] = e_*^{dt psi}(left[i]* right[j]) for one step dt.
 
-    Delta is multiplicative, so the words of all products left[i]* right[j]
-    close to one subcoalgebra S (owned by B); each value is the counit row
-    delta e^{dt T_S(psi)} (by the route held with T_S(psi)) read against
-    coords_S of its product.  A _FactorLayout holds the step-free part, so a
-    sweep builds it once and evaluates it per mesh; this is its one-step
-    case.  S holds T_S(psi), not the row: a partition with random times
-    never repeats a step.
+    Each value is the counit row delta e^{dt T(psi)} (by the route held with
+    T(psi)) read against the coordinates of its product, on one invariant
+    span of T(psi) at the words of all products left[i]* right[j] (owned by
+    B).  That span is T(psi)-invariant, so the row on it is exact; it is
+    never larger than the subcoalgebra the words close to.  A _FactorLayout
+    holds the step-free part, so a sweep builds it once and evaluates it per
+    mesh; this is its one-step case.  The span holds T(psi), not the row: a
+    partition with random times never repeats a step.
     """
     return _FactorLayout(psi, left, right, B, dt).table(dt)
 
@@ -311,12 +363,13 @@ def doubled_product(subc, subd, c, d, factors):
 
 
 def conv_exp(psi, t, p, B):
-    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the subcoalgebra of p,
-    the row taken by one of _routed_exp's routes."""
-    sub = subcoalgebra_of(p, B)
-    m, route = _transfer_route(psi, sub)
-    row = _routed_exp(sub.counit_vector, m, t, route)
-    return complex(row @ sub.coords(p))
+    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the invariant span of
+    T(psi) at p's words, the row taken by one of _routed_exp's routes."""
+    span = _span_of(psi, p.terms, B)
+    x = np.zeros(len(span.at), dtype=complex)
+    for w, c in p.terms.items():
+        x[span.at[w]] = c
+    return complex(_routed_exp(span.delta, span.m, t, span.route) @ x)
 
 
 def conv_exp_series(psi, t, p, B, tol=1e-12):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qlevy.subcoalg
 from qlevy.bialg import iterated_coproduct
 from qlevy.constructions import make_azema
 from qlevy.errors import DimCapExceeded, DimensionMismatch, InvalidParameter, TailBoundExceeded
@@ -23,7 +24,7 @@ from qlevy.fock import (
 from qlevy.gns import UnitaryTripleParams, gns_construct
 from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
 from qlevy.partition import Partition
-from qlevy.subcoalg import conv_exp
+from qlevy.subcoalg import conv_exp, conv_exp_series, subcoalgebra_of
 
 X, XS, Y = 0, 1, 2
 
@@ -514,14 +515,35 @@ def test_cross_path_degree_two_at_n16(azema2, azema_triple):
     assert abs(rep["fock_value"] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_cross_path_slot_table_names_step_and_size_above_dim_cap():
-    # x11 x21* x12 at n = 1: the products of its leg words close to 1 093
-    # words, above DIM_CAP = 512
+def test_cross_path_slot_table_names_step_and_size_above_dim_cap(monkeypatch):
+    # x11 x21* x12 at n = 1: T(psi)'s invariant span at the products of its
+    # leg words has 36 words, so a cap of 35 binds and is named with the step
     from qlevy.gns import unitary_triple
 
     u2 = unitary_triple(U2_PARAMS)
-    with pytest.raises(DimCapExceeded, match=r"step 1: .* reached 513 words, above cap 512"):
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", 35)
+    with pytest.raises(DimCapExceeded, match=r"step 1: .* reached 36 words, above cap 35"):
         cross_path_report(u2, NcPoly.word((0, 6, 1)), u2.B, u2.psi, Partition([0, 1]), 5)
+
+
+def test_cross_path_report_past_the_subcoalgebra_cap():
+    # x11 x21* x12 at n = 1: the products of its leg words close to more than
+    # DIM_CAP = 512 words, but the factor table reads T(psi) on its invariant
+    # span.  The Gram value is e_*^{psi}(b* b), checked against the series,
+    # and the Fock value against the doubled product; neither takes a span
+    from qlevy.gns import unitary_triple
+
+    u2 = unitary_triple(U2_PARAMS)
+    B, psi, alg = u2.B, u2.psi, u2.B.algebra
+    b = NcPoly.word((0, 6, 1))
+    with pytest.raises(DimCapExceeded, match="subcoalgebra of a 1-term element reached 513"):
+        subcoalgebra_of(multiply(involute(b, alg), b, alg), B)
+    rep = cross_path_report(u2, b, B, psi, Partition([0, 1]), 5)
+    want, _terms = conv_exp_series(psi, 1.0, multiply(involute(b, alg), b, alg), B)
+    assert abs(rep["gram_value"] - want) <= 1e-13 * abs(want)
+    ref = product_vacuum_gram(u2, b, b, B, Partition([0, 1]), 5)
+    assert abs(rep["fock_value"] - ref) <= 1e-13 * abs(ref)
+    assert rep["defect"] <= rep["bound"] * (1.0 + 1e-12)
 
 
 def _vacuum_amplitude_oracle(evo):

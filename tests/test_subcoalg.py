@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qlevy.bialg
 import qlevy.subcoalg
 from qlevy.bialg import LinearFunctional, convolve_eval, iterated_coproduct
-from qlevy.constructions import make_azema, make_unitary_bialgebra
+from qlevy.constructions import make_azema, make_grouplike, make_unitary_bialgebra
 from qlevy.errors import DimCapExceeded, InvalidParameter, MeshTooCoarse, TermBudgetExceeded
 from qlevy.gns import UnitaryTripleParams, unitary_triple
 from qlevy.ncpoly import NcPoly, involute, multiply, parse_poly, random_poly
@@ -19,7 +19,7 @@ from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
     _routed_exp,
-    _transfer_route,
+    _span_of,
     banach_product_check,
     conv_exp,
     conv_exp_series,
@@ -60,8 +60,13 @@ def structure_residual(sub, B):
 
 
 def transfer_matrix(psi, sub):
-    """Matrix of T(psi) on the basis of sub."""
-    return _transfer_route(psi, sub)[0]
+    """Matrix of T(psi) on the basis of sub, from its structure constants:
+    T(psi) b_j = sum c psi(b_v) b_u."""
+    j, u, v, c = sub.constants
+    vals = np.array([psi(b) for b in sub.basis], dtype=complex)
+    m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
+    np.add.at(m, (u, j), c * vals[v])
+    return m
 
 
 def test_sub_of_x(azema2):
@@ -106,24 +111,112 @@ def test_subcoalgebra_of_is_held_once_per_word_set():
 
 
 def test_dim_cap_boundary(monkeypatch):
-    # (x x*)^2 closes at exactly dim words: a cap of dim passes, dim - 1 fails,
-    # both when extracting and on a fresh carrier's first conv_exp
+    # (x x*)^2 closes at exactly dim words, and T(psi)'s invariant span at it
+    # has span words: a cap of dim passes and dim - 1 fails when extracting,
+    # a cap of span passes and span - 1 fails on a fresh carrier's first
+    # conv_exp
     p = NcPoly.word((X, XS, X, XS))
     B, _, psi = make_azema(2.0)
     dim = subcoalgebra_of(p, B).dim()
+    span = len(_span_of(psi, p.terms, B).at)
+    assert span < dim
     want = conv_exp(psi, 0.5, p, B)
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim)
     B, _, psi = make_azema(2.0)
     assert subcoalgebra_of(p, B).dim() == dim
-    B, _, psi = make_azema(2.0)
-    assert conv_exp(psi, 0.5, p, B) == want
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim - 1)
     B, _, psi = make_azema(2.0)
     with pytest.raises(DimCapExceeded):
         subcoalgebra_of(p, B)
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", span)
     B, _, psi = make_azema(2.0)
-    with pytest.raises(DimCapExceeded):
+    assert conv_exp(psi, 0.5, p, B) == want
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", span - 1)
+    B, _, psi = make_azema(2.0)
+    with pytest.raises(DimCapExceeded,
+                       match=f"invariant span .* reached {span} words, above cap {span - 1}"):
         conv_exp(psi, 0.5, p, B)
+
+
+U2_PARAMS = UnitaryTripleParams(
+    2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]]))
+
+
+def _span_cases():
+    """(name, carrier, psi, element): Azema across q, U<2>'s unitary_triple,
+    a group-like carrier, a table psi with zero entries and the zero psi."""
+    for q in (1e-3, 2.0, 1e3):
+        B, _, psi = make_azema(q)
+        for k in (1, 2, 3):
+            yield f"azema q={q:g} k={k}", B, psi, NcPoly({(X, XS) * k: 0.7 - 0.4j, (): 1.0})
+    u2 = unitary_triple(U2_PARAMS)
+    for word in ("x11 x21^*", "x12 x22^* x21"):
+        p = parse_poly(word, u2.B.algebra).scale(0.6 + 0.2j).add(NcPoly.one())
+        yield f"U<2> {word}", u2.B, u2.psi, p
+    B, _, _ = make_azema(2.0)
+    G, _kappa, _kappa_tilde = make_grouplike(B, 2)
+    keys = [NcPoly.one(), NcPoly({(X, XS): 1.0, (): 1.0}), NcPoly({(Y,): 1.0})]
+    f = LinearFunctional("f", lambda k: 0.0 if k == keys[1] else complex(len(k.terms), -0.5))
+    yield "group-like", G, f, NcPoly({G.register(k): c for k, c in zip(keys, (1.0, 0.5j, -2.0))})
+    table = {(X, XS): 0.8 - 0.1j, (Y,): 0.0, (XS,): 0.0, (X,): 0.3, (Y, Y): 0.2j}
+    for name, values in (("table", table), ("zero", {})):
+        psi = LinearFunctional(f"psi[{name}]", lambda w, values=values: values.get(w, 0.0))
+        yield name, B, psi, NcPoly({(X, XS, X, XS): 0.7 - 0.4j, (X, Y): 0.3, (): 1.0})
+
+
+@pytest.mark.parametrize("case", list(_span_cases()), ids=lambda case: case[0])
+def test_span_route_matches_transfer_on_the_subcoalgebra(case):
+    # oracle: T(psi) on the subcoalgebra, built here from its structure
+    # constants.  The span is the words its columns reach from p's through
+    # entries psi does not kill, T(psi) on the span is the restriction of the
+    # oracle's, no oracle entry leads out of the span, and the values agree
+    _name, B, psi, p = case
+    sub = subcoalgebra_of(p, B)
+    m = transfer_matrix(psi, sub)
+    j, u, v, _c = sub.constants
+    vals = np.array([psi(b) for b in sub.basis], dtype=complex)
+    reach, pending = set(), [sub._index[w] for w in p.terms]
+    while pending:
+        i = pending.pop()
+        if i not in reach:
+            reach.add(i)
+            pending.extend(u[(j == i) & (vals[v] != 0)].tolist())
+    words = list(sub._index)
+    span = _span_of(psi, p.terms, B)
+    assert set(span.at) == {words[i] for i in reach}
+    assert len(span.at) <= sub.dim()
+    idx = [sub._index[w] for w in span.at]
+    assert idx == sorted(idx)
+    out = [i for i in range(sub.dim()) if i not in reach]
+    assert np.array_equal(span.m, m[np.ix_(idx, idx)])
+    assert not m[np.ix_(out, idx)].any()
+    for t in (0.1, 1.0, 2.0):
+        want = sub.counit_vector @ scipy.linalg.expm(t * m) @ sub.coords(p)
+        got = conv_exp(psi, t, p, B)
+        assert abs(got - want) <= 1e-13 * abs(want), (t, got, want)
+
+
+def test_conv_exp_closes_no_subcoalgebra():
+    # on c (x x*)^3 + 1, T(psi)'s invariant span has 8 words where the
+    # subcoalgebra has 117: conv_exp closes no subcoalgebra and takes Delta
+    # of the span's words (and their prefixes) only
+    B, _, psi = make_azema(2.0)
+    conv_exp(psi, 1.0, NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0}), B)
+    assert not B._subs
+    assert len(B._delta_word) <= 15
+
+
+def test_conv_exp_past_the_subcoalgebra_cap():
+    # a degree-6 U<2> word closes to more than DIM_CAP = 512 words, but T(psi)'s
+    # invariant span at it fits: conv_exp agrees with the series
+    u2 = unitary_triple(U2_PARAMS)
+    p = parse_poly("x11 x21^* x12 x22 x11^* x21", u2.B.algebra)
+    with pytest.raises(DimCapExceeded, match="subcoalgebra of a 1-term element reached 513"):
+        subcoalgebra_of(p, u2.B)
+    for t in (0.1, 1.0, 2.0):
+        want, _terms = conv_exp_series(u2.psi, t, p, u2.B)
+        got = conv_exp(u2.psi, t, p, u2.B)
+        assert abs(got - want) <= 1e-12 * abs(want), (t, got, want)
 
 
 def test_transfer_counit_identity(azema2):
