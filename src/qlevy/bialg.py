@@ -66,13 +66,13 @@ class BialgebraSpec:
                     raise InvalidParameter(
                         f"coproduct of {algebra.spell((g,))!r} has the leg "
                         f"{algebra.spell(w)!r}, which is not a normal word")
-        # word -> Delta(word), and frozenset of words -> Subcoalgebra (subcoalg):
-        # one entry per word or word set reached, freed with this bialgebra;
-        # functional -> frozenset of words -> the invariant span of T(functional)
-        # there (subcoalg), freed with either
+        # word -> Delta(word), and frozenset of words -> their coideal of left
+        # legs (subcoalg.Subcoalgebra): one entry per word or word set reached,
+        # freed with this bialgebra; functional -> frozenset of words -> that
+        # coideal filtered by the functional, freed with either
         self._delta_word = {(): {((), ()): 1.0}}
         self._subs = {}
-        self._spans = weakref.WeakKeyDictionary()
+        self._filtered = weakref.WeakKeyDictionary()
 
     # -- carrier protocol (shared with the group-like carrier) --------------
 

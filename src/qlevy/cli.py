@@ -447,17 +447,19 @@ def _exp_gns(run, rng):
 
 
 def _exp_sweep(run, rng):
-    from .gram import DEFECT_FLOOR, convergence_sweep
+    from .gram import convergence_sweep, defect_floor
 
     kappa, _kt, c, d, _gens = run.chain
     s, t = run.fields["/interval"]
     rows_obj = convergence_sweep(c, d, kappa, run.psi, s, t, run.fields["/partition/ns"])
     defects = [r.defect for r in rows_obj]
-    live = [x for x in defects if x > DEFECT_FLOOR]
+    # each defect against its own row's rounding level
+    floors = [defect_floor(r.limit, r.norm_sq) for r in rows_obj]
+    live = [x for x, floor in zip(defects, floors) if x > floor]
     assertions = {
-        "defect_nonincreasing": bool(all(b <= a + DEFECT_FLOOR for a, b in
-                                         zip(defects, defects[1:]))),
-        "defect_quarter": bool(defects[-1] <= max(defects[0] / 4.0, DEFECT_FLOOR)),
+        "defect_nonincreasing": bool(all(b <= a + floor for a, b, floor in
+                                         zip(defects, defects[1:], floors[1:]))),
+        "defect_quarter": bool(defects[-1] <= max(defects[0] / 4.0, floors[-1])),
     }
     if live:
         # only meaningful when the chain has a genuine discretization defect

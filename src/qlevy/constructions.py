@@ -234,11 +234,12 @@ class GroupLikeBialgebra:
         self.base = B
         self.degree_cap = degree_cap
         self.name = f"grouplike[{B.name}]"
-        # frozenset of keys -> Subcoalgebra (subcoalg): one per key set reached,
-        # freed with this carrier; functional -> frozenset of keys -> the
-        # invariant span of T(functional) there (subcoalg), freed with either
+        # frozenset of keys -> their coideal of left legs (subcoalg.Subcoalgebra):
+        # one per key set reached, freed with this carrier; functional ->
+        # frozenset of keys -> that coideal filtered by the functional, freed
+        # with either
         self._subs = {}
-        self._spans = weakref.WeakKeyDictionary()
+        self._filtered = weakref.WeakKeyDictionary()
 
     def register(self, p):
         """Check that p is a counit-one polynomial within the cap; p is its key."""

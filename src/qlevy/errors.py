@@ -24,7 +24,7 @@ class TermBudgetExceeded(QLevyError):
 
 
 class DimCapExceeded(QLevyError):
-    """Subcoalgebra closure exceeded the dimension cap."""
+    """A coideal's closure (subcoalg.subcoalgebra_of) exceeded DIM_CAP words."""
 
 
 class NonConvergence(QLevyError):

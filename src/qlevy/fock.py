@@ -11,20 +11,21 @@ their infinitesimal convolution products over a partition, unitary product
 evolutions for the unitary-matrix bialgebra, and the Azema / Wiener
 transformation experiments.  A vacuum value of a convolution product is a
 convolution product of the one-interval values <I(a) Omega, I(b) Omega> on
-the doubled coalgebra, evaluated by subcoalg.doubled_product as the gram
-module's powers are; neither the n-fold tensor space nor Delta_n is
-expanded, except in cross_path_report, an independent check that lays out
-the Sweedler terms by gram.index_terms and pairs them by one gram._TermPairs
-over per-step tables of one-interval values.  Every consumer of a partition
-reads one table of it (_FockMesh): one factor, the step classes
-(Partition.step_classes), whose intervals share their values, and each
-generator block I_{t_r, t_{r+1}}(b) built once per basis element and
-interval, so the Azema / Wiener products and their QSDE residual, the
-cross-path report's Fock tables and a unitary evolution's blocks share one
-source of blocks.  A unitary product evolution advances all its unitarity
-probes together through one transfer matrix per block.  All vacuum
-quantities computed here are a second path to the exact one-interval
-semigroup values of the gram module.
+the doubled coalgebra, over the pairs of words of the two elements'
+coideals with a and b their right legs R, evaluated by
+subcoalg.doubled_product as the gram module's powers are; neither the
+n-fold tensor space nor Delta_n is expanded, except in cross_path_report,
+an independent check that lays out the Sweedler terms by gram.index_terms
+and pairs them by one gram._TermPairs over per-step tables of one-interval
+values.  Every consumer of a partition reads one table of it (_FockMesh):
+one factor, the step classes (Partition.step_classes), whose intervals
+share their values, and each generator block I_{t_r, t_{r+1}}(b) built once
+per basis element and interval, so the Azema / Wiener products and their
+QSDE residual, the cross-path report's Fock tables and a unitary
+evolution's blocks share one source of blocks.  A unitary product evolution
+advances all its unitarity probes together through one transfer matrix per
+block.  All vacuum quantities computed here are a second path to the exact
+one-interval semigroup values of the gram module.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ class _FockMesh:
     def vacuum_factors(self, subc, subd, vec, slots=None):
         """One (values, g) per run of g equal steps over the first slots
         intervals (all by default), with values[a, b] = <I(a) vec, I(b) vec>
-        over the bases of subc and subd.  Classes are numbered in order of
+        over the bases R of the coideals subc and subd.  Classes are numbered in order of
         first interval, so those of the prefix are the ones it starts."""
         of = self.of[:slots]
         values = [self.table(subc.basis, subd.basis, r, vec) for r in self.first if r < len(of)]
@@ -277,8 +278,9 @@ def product_vacuum_gram(triple, c, d, B, partition, particle_cap=DEFAULT_CAP):
     product P_alpha(b) = sum over Delta_n(b) of I(b_(1)) (x) ... (x) I(b_(n)).
 
     It is the convolution product over the intervals of the one-interval
-    functionals a (x) b -> <I(a) Omega, I(b) Omega> on the doubled coalgebra
-    conj(sub(c)) (x) sub(d); no Sweedler expansion is formed.  B supplies
+    functionals a (x) b -> <I(a) Omega, I(b) Omega> on the doubled coalgebra,
+    with state the pairs of words of the coideals of c and d and a, b
+    running over their bases R; no Sweedler expansion is formed.  B supplies
     the coproduct only, so it may be any coproduct on the triple's algebra
     (the primitive one sums the increments I(b) per interval).
     """
@@ -488,7 +490,7 @@ def azema_wiener_mesh(q, B, primitive, psi, triple, partition, cap):
         ident = np.eye(factor.dim, dtype=complex)
         lam = quantum_noise_op("preservation", np.eye(factor.m), tail, factor)
         ann = quantum_noise_op("annihilation", np.ones(factor.m), tail, factor)
-        # the QSDE operator of each basis word of sub(x) = {1, x, y}
+        # the QSDE operator of each word of the basis R = {1, x, y} of x's coideal
         qsde_op = {(): ident, (0,): ann, (2,): ident + (q - 1.0) * lam}
         probe = factor.vacuum()
         for mu in range(factor.m):

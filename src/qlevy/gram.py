@@ -21,16 +21,17 @@ the reverse transformation, defects against the limiting convolution
 exponential, and Cauchy increments between uniform meshes.  On a uniform
 mesh each of their Gram values is an infinitesimal convolution product of
 g identical blocks, i.e. the g-th convolution power of one block
-functional on the doubled coalgebra conj(C) (x) C of the subcoalgebras of
-the two elements, taken by subcoalg.doubled_product's layout (by repeated
-squaring, O(log g) dense products, on small doubled coalgebras), the path
-fock's vacuum values take too.  On uniform meshes the one-block values of
-two meshes differ only through the step, so a sweep keeps one layout per
-piece-count pair, evaluated per mesh: the expansions, their term indices,
-the factor tables' products and coordinates, the term pairs' index work
-and the doubled structure are built once (_ConvolutionPowers), and each
-mesh pays one counit row per step class, the table sums, the pair products
-and its matrix power.
+functional on the doubled coalgebra conj(C) (x) C, taken by
+subcoalg.doubled_product's layout on the coideals L of the two elements'
+words (by repeated squaring, O(log g) dense products, on small states
+L_c x L_d), with the block functional read on the right legs R of each (the
+coideal's basis); fock's vacuum values take the same path.  On uniform
+meshes the one-block values of two meshes differ only through the step, so
+a sweep keeps one layout per piece-count pair, evaluated per mesh: the
+expansions, their term indices, the factor tables' products and
+coordinates, the term pairs' index work and the doubled structure are
+built once (_ConvolutionPowers), and each mesh pays one counit row per
+step class, the table sums, the pair products and its matrix power.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .partition import TIME_TOL, Partition
 from .subcoalg import _DoubledLayout, _FactorLayout, conv_exp, subcoalgebra_of
 
 PAIR_BLOCK = 1 << 16   # term pairs multiplied at once by _TermPairs
-DEFECT_FLOOR = 1e-13   # absolute: a sweep defect at or below this fits no rate constant
+DEFECT_FLOOR = 1e-13   # relative in defect_floor (sweeps); absolute in cli's other checks
 
 
 class FactorizedVectorSum:
@@ -304,11 +305,12 @@ class _ConvolutionPowers:
     intervals, never on its times.
 
     Each value is the g-th convolution power of Psi(a (x) b) =
-    gram(block_c(a), block_e(b)) on conj(sub(c)) (x) sub(e), taken by a
-    _DoubledLayout (repeated squaring, O(log g) dense products, up to
-    DENSE_POWER_DIM doubled dimensions; g sparse matrix-vector products
-    above) on e's column slice of one _GramLayout, whose right side reuses
-    the left blocks for a right with c's block, subcoalgebra and partition.
+    gram(block_c(a), block_e(b)) over a in the basis R of c's coideal and
+    b in that of e's, taken by a _DoubledLayout on the coideals (repeated
+    squaring, O(log g) dense products, up to DENSE_POWER_DIM states; g
+    sparse matrix-vector products above) on e's column slice of one
+    _GramLayout, whose right side reuses the left blocks for a right with
+    c's block, coideal and partition.
     One layout per piece-count pair, evaluated per mesh: pu and pv run
     uniformly from 0, so their common refinement's step classes depend on
     the piece counts only.  Each call evaluates the layout of its counts at
@@ -329,7 +331,7 @@ class _ConvolutionPowers:
         vs = [v for (_, block), sub in zip(self.rights, subs)
               for v in (lefts if same and block is block_c and sub is subc
                         else [block(a, pv) for a in sub.basis])]
-        ends = np.cumsum([0] + [sub.dim() for sub in subs])
+        ends = np.cumsum([0] + [len(sub.basis) for sub in subs])
         return _GramLayout(lefts, vs, gamma, self.psi, self.B), [
             (_DoubledLayout(subc, sub, c, e), a, b)
             for (e, _), sub, a, b in zip(self.rights, subs, ends, ends[1:])]
@@ -370,15 +372,22 @@ def _uniform_mesh(s, t, n):
 
 
 class ConvergenceRow:
-    def __init__(self, n, mesh, norm_sq, cross, defect, bound,
+    def __init__(self, n, mesh, norm_sq, cross, limit, defect, bound,
                  cauchy_increment=None):
         self.n = n
         self.mesh = mesh
         self.norm_sq = norm_sq
         self.cross = cross
+        self.limit = limit
         self.defect = defect
         self.bound = bound
         self.cauchy_increment = cauchy_increment
+
+
+def defect_floor(limit, norm_sq):
+    """The largest sweep defect |cross - limit| at rounding level: DEFECT_FLOOR
+    times the larger of 1, |limit| and norm_sq, the magnitudes it is read off."""
+    return DEFECT_FLOOR * max(1.0, abs(limit), norm_sq)
 
 
 def convergence_sweep(c, d, kappa, psi, s, t, ns):
@@ -392,7 +401,8 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
     the Cauchy increments another, so a doubling sweep builds two layouts.
 
     The reported bound is mesh * (t-s) * C with C fitted from the coarsest
-    mesh with nonzero defect (the theorem's constant is existential).
+    mesh whose defect is above rounding (defect_floor; the theorem's
+    constant is existential).
     """
     B = kappa.target
     source = kappa.source
@@ -420,13 +430,13 @@ def convergence_sweep(c, d, kappa, psi, s, t, ns):
         powers = theta_powers(norm_cross, n, n)
         norm_sq, cross = powers[0].real, powers[-1]
         defect = abs(cross - limit)
-        if c_fit is None and defect > DEFECT_FLOOR:
+        if c_fit is None and defect > defect_floor(limit, norm_sq):
             c_fit = defect * n / tau
         bound = (mesh * tau * c_fit) if c_fit is not None else 0.0
         inc = None
         if prev_n is not None:
             inc = abs(norm_sq + prev_norm - 2.0 * theta_powers(increments, n, prev_n)[0].real)
-        rows.append(ConvergenceRow(n, mesh, norm_sq, cross, defect, bound, inc))
+        rows.append(ConvergenceRow(n, mesh, norm_sq, cross, limit, defect, bound, inc))
         prev_n, prev_norm = n, norm_sq
     return rows
 
@@ -465,5 +475,5 @@ def reverse_check(b, d, kappa_tilde, psi, s, t, ns, inner_mesh_factor=1):
         gamma = Partition.uniform(0.0, tau / n, inner_mesh_factor)   # zeta's sub-partition
         norm, cross = powers(gamma, gamma, n)
         defect = abs(cross - limit)
-        rows.append(ConvergenceRow(n, mesh, norm.real, cross, defect, defect))
+        rows.append(ConvergenceRow(n, mesh, norm.real, cross, limit, defect, defect))
     return rows

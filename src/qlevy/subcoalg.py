@@ -1,52 +1,58 @@
-"""Finite-dimensional subcoalgebras, convolution exponentials, product bounds.
+"""Coideals of left legs, convolution exponentials, product bounds.
 
-Every element of a coalgebra sits inside a finite-dimensional subcoalgebra
-(Fundamental Theorem of Coalgebras); on such a subcoalgebra the convolution
-exponential e_*^{t psi} becomes delta o expm(t T(psi)) for the transfer
-matrix T(psi) = (id (x) psi) o Delta.  Its value at p depends only on the
-smallest T(psi)-invariant subspace that holds p, the Krylov space of T(psi)
-at p, so conv_exp and the factor tables take T(psi) on the invariant span
-of p's words (_InvariantSpan): the words reached from them by taking the
-left leg a of each leg (a, b) of key_delta whose right leg psi does not
-vanish on.  T(psi) never leaves that span, so the value is exact; on
-Azema's (x x*)^3 the span has 8 words where the subcoalgebra has 117.
-_routed_exp is the one matrix exponential v e^{tM}, v a row or a matrix,
-and it takes one of three routes: an M with no nonzero entry on or below
-the diagonal (Azema's T, psi being 0 on group-likes) is nilpotent, and its
-Taylor sum ends, exact up to rounding; a diagonal M (every group-like
-carrier's T, and the d = 1 Fock unitary target's iH - LL*/2) takes exp of
-its diagonal; any other M takes dense scipy.linalg.expm.  It serves the
-counit rows delta e^{tT}, the Fock unitary target and a matrix-family G
-whose Taylor sum does not end.  scipy is imported by the branches that call
-it, so a run needing neither dense expm nor a sparse power never loads it.
+Every element of a coalgebra sits inside a finite-dimensional right coideal
+(Fundamental Theorem of Comodules): here the span L of the words reached
+from its words by taking the left leg a of each leg (a, b) of key_delta,
+its coideal.  The convolution exponential e_*^{t psi} is
+delta o expm(t T(psi)) on it for the transfer matrix
+T(psi) = (id (x) psi) o Delta, since T(psi) b_w = sum z psi(b) a never
+leaves L; it reads psi on the right legs b only, the words R.  Its value
+at p depends only on the smallest T(psi)-invariant span that holds p, so
+conv_exp and the factor tables close p's words under the legs whose right
+leg psi does not vanish on, the coideal filtered by psi: on Azema's
+(x x*)^3 it has 8 words where the coideal has 33 and the subcoalgebra
+117.  _routed_exp is the one matrix exponential v e^{tM}, v a row or a
+matrix, and it takes one of three routes: an M with no nonzero entry on or
+below the diagonal (Azema's T, psi being 0 on group-likes) is nilpotent,
+and its Taylor sum ends, exact up to rounding; a diagonal M (every
+group-like carrier's T, and the d = 1 Fock unitary target's iH - LL*/2)
+takes exp of its diagonal; any other M takes dense scipy.linalg.expm.  It
+serves the counit rows delta e^{tT}, the Fock unitary target and a
+matrix-family G whose Taylor sum does not end.  scipy is imported by the
+branches that call it, so a run needing neither dense expm nor a sparse
+power never loads it.
 
-The subcoalgebra of p is spanned by basis keys of p's carrier: the keys of
-p, closed under taking either leg of key_delta, sorted by key_order.
-subcoalgebra_of is the one entry to it: the carrier holds one subcoalgebra
-per word set, and one invariant span per functional and word set, and
-DIM_CAP bounds the words of either when it is first closed (_closure).  On
-a BialgebraSpec the keys are normal-form words; this relies on the
-algebra's rewriting system being confluent, so that its normal words form a
-basis (Bergman's diamond lemma); the legs of key_delta(w) are then basis
-coordinates and the structure constants are read off exactly, with no linear
-solve.  On a group-like carrier every key is group-like, so the span of p's
-keys is closed already and T(psi) is diagonal.  factor_table reads the
+A Subcoalgebra is one such closure, of basis keys of p's carrier sorted by
+key_order: L with its structure constants, read off key_delta, and with a
+functional given, T(psi) on L.  subcoalgebra_of is the one entry to it: the
+carrier holds one closure per word set, and one per functional and word
+set, and DIM_CAP bounds the words of L when it is first closed.  On a
+BialgebraSpec the keys are normal-form words; this relies on the algebra's
+rewriting system being confluent, so that its normal words form a basis
+(Bergman's diamond lemma); the legs of key_delta(w) are then basis
+coordinates and the structure constants are read off exactly, with no
+linear solve.  On a group-like carrier every key is group-like, so p's keys
+are closed already and T(psi) is diagonal.  factor_table reads the
 one-interval Gram factors of a step off one exponential, taken on each call
-(a span holds T(psi) and its route, no row per step), and doubled_product
-evaluates the Gram and Fock vacuum values of infinitesimal products on the
-doubled coalgebra conj(C) (x) C of two subcoalgebras as convolution powers
-Psi^{*g} = T(Psi)^g.  Each of the two is a layout, the part that does not
+(a closure holds T(psi) and its route, no row per step), and
+doubled_product evaluates the Gram and Fock vacuum values of infinitesimal
+products on the doubled coalgebra conj(C) (x) C as convolution powers
+Psi^{*g} = T(Psi)^g: T(Psi) moves a pair of words to pairs of left legs and
+reads Psi on pairs of right legs, so its state is L_c x L_d and its values
+are Psi on R_c x R_d.  Each of the two is a layout, the part that does not
 depend on the step or the factors, then its evaluation, so a sweep builds
 the layout once.  The module also ships banach_product_check, the
 infinitesimal-product error bound on matrices.  The coalgebra version needs
 no checker of its own: T is a homomorphism of the convolution algebra into
 matrices, so f_1 * ... * f_n(p) = delta T(f_1) ... T(f_n) coords(p) on a
-finite subcoalgebra, and its bound is the matrix bound on the T(f).  A
+finite coideal, and its bound is the matrix bound on the T(f).  A
 ProductFamilySpec owns the memo of its targets e^{span G} and ||G||_2, one
 entry per span.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -55,8 +61,7 @@ from .errors import (DimCapExceeded, InvalidParameter, MeshTooCoarse, NonConverg
                      TermBudgetExceeded)
 from .ncpoly import NcPoly, involute, multiply
 
-# most words in one subcoalgebra or invariant span of T(psi), the side of a
-# dense matrix on it
+# most words in one coideal L (filtered or not), the side of a dense T(psi)
 DIM_CAP = 512
 SERIES_MAX_TERMS = 64
 BOUND_SLACK = 1e-12   # absolute: a product check passes up to this far above its bound
@@ -70,40 +75,75 @@ DENSE_POWER_DIM = 64
 
 
 # ---------------------------------------------------------------------------
-# subcoalgebra extraction
+# coideal extraction and transfer matrix
 # ---------------------------------------------------------------------------
 
 class Subcoalgebra:
-    """Span of a Delta-closed set of basis keys, with exact structure constants.
+    """The coideal of left legs of a word set, with exact structure constants.
 
-    basis[i] is the NcPoly of the i-th key in key_order.  The sparse
-    structure constants (j, u, v, c) list
-    Delta(basis[j]) = sum c basis[u] (x) basis[v], read from key_delta;
-    they are exact because the keys are a basis of the carrier.  It holds
-    what the doubled coalgebra of _DoubledLayout, gram and fock read: the
-    constants, the counit row, coords and the basis.  No transfer matrix:
-    conv_exp and the factor tables take T(psi) on its invariant span.
+    Its words L are those reached from the seeds by taking the left leg a of
+    each leg (a, b) of key_delta(w), and with a functional psi only of the
+    legs whose right leg psi does not vanish on; Delta L lies in L (x) C, a
+    right coideal.  The words R are the right legs of the legs kept, and
+    basis[i] is the NcPoly of the i-th word of R, both in key_order.  The
+    sparse structure constants (j, u, v, c) list
+    Delta(L[j]) = sum c L[u] (x) R[v] over the legs kept, read from
+    key_delta; they are exact because the keys are a basis of the carrier.
+    With psi, m is T(psi) = (id (x) psi) o Delta on L, with its _route:
+    T(psi) b_w = sum z psi(b) a never leaves L, so delta e^{tT} coords(p)
+    on it is exact for every p on the seeds, and L is the Krylov space of
+    T(psi) there.  _DoubledLayout reads the constants, coords and counit
+    row of two closures without psi, gram and fock their basis.
 
-    The carrier holds its subcoalgebras, so a subcoalgebra keeps no
-    reference to it.
+    The carrier holds its closures, so a closure keeps no reference to it
+    or to psi.
     """
 
-    def __init__(self, B, words):
-        self.basis = [NcPoly({w: 1.0}) for w in words]
-        self._index = {w: i for i, w in enumerate(words)}
+    def __init__(self, B, seeds, psi=None):
+        legs = {}    # word of L -> its legs (a, b, z) that psi does not kill
+        pending = list(seeds)
+        while pending:
+            w = pending.pop()
+            if w in legs:
+                continue
+            if len(legs) == DIM_CAP:
+                what = "coideal" if psi is None else f"coideal filtered by {psi.name}"
+                raise DimCapExceeded(
+                    f"{what} of a {len(seeds)}-term element reached {DIM_CAP + 1} "
+                    f"words, above cap {DIM_CAP} on a dense T(psi)'s side")
+            kept = legs[w] = [(a, b, z) for (a, b), z in B.key_delta(w).items()
+                              if psi is None or psi.on_word(b) != 0.0]
+            pending.extend([a for a, _, _ in kept])
+        words = sorted(legs, key=B.key_order)
+        index = self._index = {w: i for i, w in enumerate(words)}
+        right = self._right = sorted({b for kept in legs.values() for _, b, _ in kept},
+                                     key=B.key_order)
+        at = {b: i for i, b in enumerate(right)}
         j, u, v, c = [], [], [], []
         for i, w in enumerate(words):
-            for (a, b), z in B.key_delta(w).items():
+            for a, b, z in legs[w]:
                 j.append(i)
-                u.append(self._index[a])
-                v.append(self._index[b])
+                u.append(index[a])
+                v.append(at[b])
                 c.append(z)
         self.constants = (np.array(j, dtype=int), np.array(u, dtype=int),
                           np.array(v, dtype=int), np.array(c, dtype=complex))
         self.counit_vector = np.array([B.key_counit(w) for w in words], dtype=complex)
+        if psi is not None:
+            j, u, v, c = self.constants
+            self.m = np.zeros((len(words), len(words)), dtype=complex)
+            # T(psi) = (id (x) psi) o Delta: T(psi) L[j] = sum c psi(R[v]) L[u]
+            np.add.at(self.m, (u, j),
+                      c * np.array([psi.on_word(b) for b in right], dtype=complex)[v])
+            self.route = _route(self.m)
+
+    @functools.cached_property
+    def basis(self):
+        # built on first read: conv_exp and the factor tables never read it
+        return [NcPoly({b: 1.0}) for b in self._right]
 
     def dim(self):
-        return len(self.basis)
+        return len(self._index)
 
     def coords(self, p):
         x = np.zeros(self.dim(), dtype=complex)
@@ -111,42 +151,28 @@ class Subcoalgebra:
             i = self._index.get(w)
             if i is None:
                 raise InvalidParameter(
-                    f"element outside the subcoalgebra (word {w} not in its basis)")
+                    f"element outside the coideal (word {w} not among its words)")
             x[i] = c
         return x
 
 
-def _closure(seeds, step, what):
-    """The words reached from the words seeds by step(w), a list of words;
-    DIM_CAP bounds them, and what names the closure in the error."""
-    words, pending = set(), list(seeds)
-    while pending:
-        w = pending.pop()
-        if w in words:
-            continue
-        words.add(w)
-        if len(words) > DIM_CAP:
-            raise DimCapExceeded(
-                f"{what} of a {len(seeds)}-term element reached "
-                f"{len(words)} words, above cap {DIM_CAP} on a dense T(psi)'s side")
-        pending.extend(step(w))
-    return words
-
-
-def subcoalgebra_of(p, B):
-    """Span of p's keys closed under taking legs of key_delta, held by B: one
-    subcoalgebra per word set, since the closure depends on p's words only."""
+def subcoalgebra_of(p, B, psi=None):
+    """The Subcoalgebra of p's words, filtered by psi when given, held by B:
+    one per word set, and one per functional and word set (weakly in the
+    functional, so it is freed with either), since the closure depends on
+    p's words only."""
+    if psi is None:
+        memo = B._subs
+    else:
+        memo = B._filtered.get(psi)
+        if memo is None:
+            memo = B._filtered[psi] = {}
     key = frozenset(p.terms)
-    if key not in B._subs:
-        words = _closure(p.terms, lambda w: [x for legs in B.key_delta(w) for x in legs],
-                         "subcoalgebra")
-        B._subs[key] = Subcoalgebra(B, sorted(words, key=B.key_order))
-    return B._subs[key]
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = Subcoalgebra(B, key, psi)
+    return got
 
-
-# ---------------------------------------------------------------------------
-# transfer matrix and convolution exponential
-# ---------------------------------------------------------------------------
 
 def _route(m):
     """_routed_exp's route for m, read off the positions of its nonzero (or
@@ -160,58 +186,9 @@ def _route(m):
     return "expm"
 
 
-class _InvariantSpan:
-    """T(psi) on the smallest T(psi)-invariant span of basis keys that holds
-    a word set: the words reached from it by taking the left leg a of each
-    leg (a, b) of key_delta(w) whose right leg psi does not vanish on.
-    T(psi) b_w = sum z psi(b) a never leaves that span, so delta e^{tT}
-    coords(p) on it is exact for every p on those words, and it is the Krylov
-    space of T(psi) there, often far smaller than the subcoalgebra (8 words
-    against 117 for Azema's (x x*)^3).  at maps each word, in key_order,
-    to its index; delta is the counit row and m = T(psi), with its route.
-    It keeps no reference to psi or the carrier, which hold it (_span_of)."""
-
-    def __init__(self, psi, seeds, B):
-        kept = {}    # word -> its legs (a, z, psi(b)) that psi does not kill
-
-        def step(w):
-            legs = kept[w] = []
-            for (a, b), z in B.key_delta(w).items():
-                fb = psi.on_word(b)
-                if fb != 0.0:
-                    legs.append((a, z, fb))
-            return [a for a, _, _ in legs]
-
-        words = sorted(_closure(seeds, step, "invariant span of T(psi)"),
-                       key=B.key_order)
-        self.at = {w: i for i, w in enumerate(words)}
-        rows, cols, zs, fs = [], [], [], []
-        for j, w in enumerate(words):
-            for a, z, fb in kept[w]:
-                rows.append(self.at[a])
-                cols.append(j)
-                zs.append(z)
-                fs.append(fb)
-        self.m = np.zeros((len(words), len(words)), dtype=complex)
-        # T(psi) = (id (x) psi) o Delta: T(psi) b_j = sum z psi(b) b_a
-        np.add.at(self.m, (np.array(rows, dtype=int), np.array(cols, dtype=int)),
-                  np.array(zs, dtype=complex) * np.array(fs, dtype=complex))
-        self.route = _route(self.m)
-        self.delta = np.array([B.key_counit(w) for w in words], dtype=complex)
-
-
-def _span_of(psi, words, B):
-    """The _InvariantSpan of T(psi) at a word set, held by B weakly per
-    functional and then per word set, so it is freed with either."""
-    spans = B._spans.get(psi)
-    if spans is None:
-        spans = B._spans[psi] = {}
-    key = frozenset(words)
-    got = spans.get(key)
-    if got is None:
-        got = spans[key] = _InvariantSpan(psi, key, B)
-    return got
-
+# ---------------------------------------------------------------------------
+# convolution exponential and convolution powers
+# ---------------------------------------------------------------------------
 
 def _taylor(v, m, t):
     """(v e^{t m}, ended): v_k = (t / k) v_{k-1} m from v_0 = v (a row or a
@@ -253,15 +230,16 @@ def _at_step(err, dt):
 
 class _FactorLayout:
     """The part of factor_table(psi, ., left, right, B) that does not depend
-    on the step: the products left[i]* right[j] and the invariant span of
-    T(psi) at their words (_span_of), which holds T(psi), its route, the
-    counit row and each word's index, the products' coordinates.  A
+    on the step: the products left[i]* right[j] and the coideal of their
+    words filtered by psi (subcoalgebra_of), which holds T(psi), its route,
+    the counit row and each word's index, the products' coordinates.  A
     DimCapExceeded names dt, the step it is built for."""
 
     def __init__(self, psi, left, right, B, dt):
         self.prods = [multiply(involute(a, B.algebra), b, B.algebra) for a in left for b in right]
+        words = NcPoly(dict.fromkeys((w for p in self.prods for w in p.terms), 1.0))
         try:
-            self.span = _span_of(psi, {w for p in self.prods for w in p.terms}, B)
+            self.sub = subcoalgebra_of(words, B, psi)
         except (DimCapExceeded, InvalidParameter) as err:
             raise _at_step(err, dt) from None
         self.shape = (len(left), len(right))
@@ -269,12 +247,12 @@ class _FactorLayout:
     def table(self, dt):
         """The factor table at step dt: one counit row, read against each
         product's coordinates."""
-        span = self.span
+        sub = self.sub
         try:
-            row = _routed_exp(span.delta, span.m, dt, span.route)
+            row = _routed_exp(sub.counit_vector, sub.m, dt, sub.route)
         except InvalidParameter as err:
             raise _at_step(err, dt) from None
-        at = span.at
+        at = sub._index
         return np.array([sum(c * row[at[w]] for w, c in p.terms.items()) for p in self.prods],
                         dtype=complex).reshape(self.shape)
 
@@ -283,22 +261,23 @@ def factor_table(psi, dt, left, right, B):
     """Table [i, j] = e_*^{dt psi}(left[i]* right[j]) for one step dt.
 
     Each value is the counit row delta e^{dt T(psi)} (by the route held with
-    T(psi)) read against the coordinates of its product, on one invariant
-    span of T(psi) at the words of all products left[i]* right[j] (owned by
-    B).  That span is T(psi)-invariant, so the row on it is exact; it is
-    never larger than the subcoalgebra the words close to.  A _FactorLayout
-    holds the step-free part, so a sweep builds it once and evaluates it per
-    mesh; this is its one-step case.  The span holds T(psi), not the row: a
-    partition with random times never repeats a step.
+    T(psi)) read against the coordinates of its product, on one coideal of
+    the words of all products left[i]* right[j] filtered by psi (held by B).
+    That coideal is T(psi)-invariant, so the row on it is exact.  A
+    _FactorLayout holds the step-free part, so a sweep builds it once and
+    evaluates it per mesh; this is its one-step case.  The coideal holds
+    T(psi), not the row: a partition with random times never repeats a
+    step.
     """
     return _FactorLayout(psi, left, right, B, dt).table(dt)
 
 
 class _DoubledLayout:
     """The part of doubled_product(subc, subd, c, d, .) that does not depend
-    on the factors: the doubled structure constants' rows, columns and
-    coefficients conj(c_1) c_2, conj coords(c) (x) coords(d), and the counit
-    pair."""
+    on the factors: the doubled structure constants' rows and columns on
+    L_c x L_d, their coefficients conj(c_1) c_2 and the positions on
+    R_c x R_d of the Psi values they read, conj coords(c) (x) coords(d), and
+    the counit pair."""
 
     def __init__(self, subc, subd, c, d):
         q = subd.dim()
@@ -306,7 +285,7 @@ class _DoubledLayout:
         jd, ud, vd, zd = subd.constants
         if zc.size * zd.size > TERM_BUDGET:
             raise TermBudgetExceeded(
-                f"doubled coalgebra of dimension {subc.dim()} x {q} has "
+                f"doubled coalgebra on {subc.dim()} x {q} coideal words has "
                 f"{zc.size * zd.size} structure constants, more than {TERM_BUDGET}")
         # (id (x) Psi) Delta of the pair (j1, j2): sum conj(c1) c2 Psi[v1, v2] (u1, u2)
         self.rows = np.add.outer(uc * q, ud).ravel()
@@ -345,12 +324,15 @@ def doubled_product(subc, subd, c, d, factors):
     """Convolution product Psi_1^{*g_1} * ... * Psi_k^{*g_k} on the doubled
     coalgebra conj(subc) (x) subd, at conj(c) (x) d.
 
-    factors lists (values, g) in interval order, values[a, b] being Psi on
-    the a-th basis element of subc and the b-th of subd, and g a
-    non-negative integer (g = 0 is the counit).  The structure constants
-    are conj(c_1) c_2 over pairs of constants of the two subcoalgebras; the
-    value is (conj delta (x) delta) T(Psi_1)^{g_1} ... T(Psi_k)^{g_k}
-    (conj coords(c) (x) coords(d)).  Convolution is associative, so up to
+    subc and subd are the coideals of c's and d's words (subcoalgebra_of,
+    no functional).  factors lists (values, g) in interval order,
+    values[a, b] being Psi on the a-th basis element (a word of R) of subc
+    and the b-th of subd, and g a non-negative integer (g = 0 is the
+    counit).  T(Psi) maps each pair of words of L_c x L_d to pairs of left
+    legs with coefficients conj(c_1) c_2 Psi on the pair of right legs, so
+    the value is (conj delta (x) delta) T(Psi_1)^{g_1} ... T(Psi_k)^{g_k}
+    (conj coords(c) (x) coords(d)) on L_c x L_d.  Convolution is
+    associative, so up to
     DENSE_POWER_DIM doubled dimensions each T(Psi)^g is a dense matrix taken
     by repeated squaring, O(log g) products; above it each factor is g
     sparse matrix-vector products.  The factors apply last first, and once
@@ -363,13 +345,10 @@ def doubled_product(subc, subd, c, d, factors):
 
 
 def conv_exp(psi, t, p, B):
-    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the invariant span of
-    T(psi) at p's words, the row taken by one of _routed_exp's routes."""
-    span = _span_of(psi, p.terms, B)
-    x = np.zeros(len(span.at), dtype=complex)
-    for w, c in p.terms.items():
-        x[span.at[w]] = c
-    return complex(_routed_exp(span.delta, span.m, t, span.route) @ x)
+    """e_*^{t psi}(p) = delta e^{t T(psi)} coords(p) on the coideal of p's
+    words filtered by psi, the row taken by one of _routed_exp's routes."""
+    sub = subcoalgebra_of(p, B, psi)
+    return complex(_routed_exp(sub.counit_vector, sub.m, t, sub.route) @ sub.coords(p))
 
 
 def conv_exp_series(psi, t, p, B, tol=1e-12):
@@ -380,7 +359,7 @@ def conv_exp_series(psi, t, p, B, tol=1e-12):
     t^n / n! psi(v_{n-1}).  It stops when v_n is exactly empty (the series
     is then finite and the sum exact), or after three consecutive n with
     |t|^n / n! ||v_n||_1 < tol.  It shares nothing with conv_exp but the
-    carrier's key_delta and counit: no subcoalgebra, coordinates, transfer
+    carrier's key_delta and counit: no coideal, coordinates, transfer
     matrix or matrix exponential.  Returns (value, terms summed).
     """
     if not 0 < tol < np.inf:
@@ -425,7 +404,7 @@ class ProductFamilySpec:
     index mu in range(n_choices); it may be None for the exact family.
     Constants: R bounds the admissible mesh, C the remainder constant
     (||S_r|| <= r^2 C^2 / 2).  A family of functionals delta + r psi + R_r
-    on a coalgebra is checked through this one: on a finite subcoalgebra the
+    on a coalgebra is checked through this one: on a finite coideal the
     transfer map T is a homomorphism of the convolution algebra into
     matrices, so G = T(psi) and S_r = T(R_r).
     """

@@ -400,6 +400,29 @@ def test_trotter_nilpotent_defects_zero(tmp_path):
         assert float(line.split(",")[-1]) <= 1e-13
 
 
+@pytest.mark.parametrize("element", ["100 x x^* x x^* + 30 x", "1000 x x^* x x^* + 0.3 x",
+                                     "300 x^* x^* x x + 100 x x^*"])
+def test_sweep_defects_at_rounding_scale_with_the_norm(tmp_path, element):
+    # identity chains at q = 3.7, exact by construction, with norms of 1e4
+    # to 1e6: every defect is rounding, up to 8e-10, above the absolute
+    # DEFECT_FLOOR = 1e-13 (where run exited 1 on defect_nonincreasing,
+    # defect_quarter and defect_strictly_decreasing) but at most
+    # DEFECT_FLOOR times the norm.  No rate constant is fitted
+    from qlevy.gram import DEFECT_FLOOR
+
+    cfg = json.loads(Path(builtin_config_path("sweep_azema_x.json")).read_text(encoding="utf-8"))
+    cfg["bialgebra"]["q"] = 3.7
+    cfg["element"] = element
+    path = _write(tmp_path, "big.json", cfg)
+    csv_path, _, summary = run_experiment(path, str(tmp_path))
+    assert summary["assertions"] == {"defect_nonincreasing": True, "defect_quarter": True,
+                                     "defect_identically_zero": True}
+    rows = [r.split(",") for r in open(csv_path, encoding="utf-8").read().splitlines()[1:]]
+    assert all(float(r[2]) > 9e3 for r in rows)
+    assert all(float(r[5]) <= DEFECT_FLOOR * float(r[2]) and float(r[6]) == 0.0 for r in rows)
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+
+
 def test_sweep_grouplike_strictly_decreasing(tmp_path):
     csv_path, _, summary = run_experiment(
         builtin_config_path("sweep_grouplike_xstar.json"), str(tmp_path))

@@ -24,7 +24,8 @@ from qlevy.fock import (
 from qlevy.gns import UnitaryTripleParams, gns_construct
 from qlevy.ncpoly import NcPoly, involute, multiply, random_poly
 from qlevy.partition import Partition
-from qlevy.subcoalg import conv_exp, conv_exp_series, subcoalgebra_of
+from qlevy.subcoalg import conv_exp, conv_exp_series, doubled_product, subcoalgebra_of
+from two_leg import TwoLegSubcoalgebra
 
 X, XS, Y = 0, 1, 2
 
@@ -516,8 +517,9 @@ def test_cross_path_degree_two_at_n16(azema2, azema_triple):
 
 
 def test_cross_path_slot_table_names_step_and_size_above_dim_cap(monkeypatch):
-    # x11 x21* x12 at n = 1: T(psi)'s invariant span at the products of its
-    # leg words has 36 words, so a cap of 35 binds and is named with the step
+    # x11 x21* x12 at n = 1: the coideal of the products of its leg words
+    # filtered by psi has 36 words, so a cap of 35 binds and is named with
+    # the step
     from qlevy.gns import unitary_triple
 
     u2 = unitary_triple(U2_PARAMS)
@@ -527,23 +529,49 @@ def test_cross_path_slot_table_names_step_and_size_above_dim_cap(monkeypatch):
 
 
 def test_cross_path_report_past_the_subcoalgebra_cap():
-    # x11 x21* x12 at n = 1: the products of its leg words close to more than
-    # DIM_CAP = 512 words, but the factor table reads T(psi) on its invariant
-    # span.  The Gram value is e_*^{psi}(b* b), checked against the series,
-    # and the Fock value against the doubled product; neither takes a span
+    # x11 x21* x12 at n = 1: the products of its leg words close under both
+    # legs to more than DIM_CAP = 512 words, but to a coideal of left legs of
+    # 36, and the factor table reads T(psi) on that coideal filtered by psi.
+    # The Gram value is e_*^{psi}(b* b), checked against the series, and the
+    # Fock value against the doubled product
     from qlevy.gns import unitary_triple
 
     u2 = unitary_triple(U2_PARAMS)
     B, psi, alg = u2.B, u2.psi, u2.B.algebra
     b = NcPoly.word((0, 6, 1))
+    bb = multiply(involute(b, alg), b, alg)
     with pytest.raises(DimCapExceeded, match="subcoalgebra of a 1-term element reached 513"):
-        subcoalgebra_of(multiply(involute(b, alg), b, alg), B)
+        TwoLegSubcoalgebra(bb, B)
+    assert subcoalgebra_of(bb, B).dim() == 36
     rep = cross_path_report(u2, b, B, psi, Partition([0, 1]), 5)
     want, _terms = conv_exp_series(psi, 1.0, multiply(involute(b, alg), b, alg), B)
     assert abs(rep["gram_value"] - want) <= 1e-13 * abs(want)
     ref = product_vacuum_gram(u2, b, b, B, Partition([0, 1]), 5)
     assert abs(rep["fock_value"] - ref) <= 1e-13 * abs(ref)
     assert rep["defect"] <= rep["bound"] * (1.0 + 1e-12)
+
+
+def test_vacuum_gram_of_xxstar_cubed_matches_the_two_leg_oracle(azema2, azema_triple,
+                                                                  monkeypatch):
+    # (x x*)^3 + 1: its coideal has 33 words and 394 structure constants, so
+    # the doubled layout has 1 089 states and 155 236 constants; on the
+    # two-leg subcoalgebra (117 words) it has 1 044 484, above TERM_BUDGET,
+    # which the oracle's layout alone is let past
+    from qlevy.fock import _FockMesh
+
+    B, _, _ = azema2
+    c = NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0})
+    sub = subcoalgebra_of(c, B)
+    assert (sub.dim(), sub.constants[0].size) == (33, 394)
+    for alpha in (Partition.uniform(0, 1, 4), Partition([0.0, 0.25, 0.5, 1.0])):
+        got = product_vacuum_gram(azema_triple, c, c, B, alpha, 5)
+        oracle = TwoLegSubcoalgebra(c, B)
+        mesh = _FockMesh(azema_triple, alpha, 5)
+        factors = mesh.vacuum_factors(oracle, oracle, mesh.factor.vacuum())
+        monkeypatch.setattr(qlevy.subcoalg, "TERM_BUDGET", 2 * 10 ** 6)
+        want = doubled_product(oracle, oracle, c, c, factors)
+        monkeypatch.undo()
+        assert abs(got - want) <= 1e-13 * abs(want), (alpha.times, got, want)
 
 
 def _vacuum_amplitude_oracle(evo):

@@ -8,10 +8,10 @@ from qlevy.bialg import LinearFunctional, iterated_coproduct
 from qlevy.constructions import Morphism, make_azema, make_grouplike
 from qlevy.errors import InvalidParameter, TermBudgetExceeded
 from qlevy.gram import (
-    DEFECT_FLOOR,
     FactorizedVectorSum,
     _uniform_mesh,
     convergence_sweep,
+    defect_floor,
     gram,
     gram_matrix,
     identity_morphism,
@@ -607,7 +607,7 @@ def _sweep_per_mesh(c, d, kappa, psi, ns):
         vs = [v for sub in subs
               for v in (lefts if n == m and sub is subc else map(block[m], sub.basis))]
         values = gram_matrix(lefts, vs, psi, B)
-        ends = np.cumsum([0] + [sub.dim() for sub in subs])
+        ends = np.cumsum([0] + [len(sub.basis) for sub in subs])
         return [doubled_product(subc, sub, c, y, [(values[:, a:b], g)])
                 for y, sub, a, b in zip(ys, subs, ends, ends[1:])]
 
@@ -618,7 +618,7 @@ def _sweep_per_mesh(c, d, kappa, psi, ns):
         norm_cross = powers(n, n, [c, d] if c.sub(d).terms else [c])
         norm_sq, cross = norm_cross[0].real, norm_cross[-1]
         defect = abs(cross - limit)
-        if c_fit is None and defect > DEFECT_FLOOR:
+        if c_fit is None and defect > defect_floor(limit, norm_sq):
             c_fit = defect * n / tau
         bound = (mesh * tau * c_fit) if c_fit is not None else 0.0
         inc = None
@@ -821,7 +821,8 @@ def test_convolution_power_respects_the_term_budget(azema2, monkeypatch):
 
     B, _, psi = azema2
     c = NcPoly({(X, XS): 1.0, (): 0.3})
-    monkeypatch.setattr(qlevy.subcoalg, "TERM_BUDGET", 100)
+    # the coideal of c has 9 structure constants, so its doubled layout 81
+    monkeypatch.setattr(qlevy.subcoalg, "TERM_BUDGET", 80)
     with pytest.raises(TermBudgetExceeded, match="doubled coalgebra"):
         convergence_sweep(c, c, identity_morphism(B), psi, 0.0, 1.0, [4])
 

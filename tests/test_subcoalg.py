@@ -18,8 +18,8 @@ from qlevy.partition import Partition
 from qlevy.subcoalg import (
     DENSE_POWER_DIM,
     ProductFamilySpec,
+    _DoubledLayout,
     _routed_exp,
-    _span_of,
     banach_product_check,
     conv_exp,
     conv_exp_series,
@@ -27,6 +27,7 @@ from qlevy.subcoalg import (
     factor_table,
     subcoalgebra_of,
 )
+from two_leg import TwoLegSubcoalgebra, transfer_matrix
 
 X, XS, Y = 0, 1, 2
 
@@ -44,12 +45,15 @@ def span_words(sub):
 
 
 def structure_residual(sub, B):
-    """Largest gap between the structure constants of sub, summed back into
-    legs -> coeff per basis word, and key_delta of the carrier B."""
+    """Largest gap between the structure constants of a coideal sub with no
+    functional, summed back into legs -> coeff per word of L (u indexing
+    L, v indexing R, the words of its basis), and key_delta of the carrier
+    B."""
     words = list(sub._index)
+    right = [next(iter(b.terms)) for b in sub.basis]
     rebuilt = [{} for _ in words]
     for j, u, v, c in zip(*sub.constants):
-        key = (words[u], words[v])
+        key = (words[u], right[v])
         rebuilt[j][key] = rebuilt[j].get(key, 0.0) + c
     worst = 0.0
     for got, w in zip(rebuilt, words):
@@ -59,20 +63,11 @@ def structure_residual(sub, B):
     return worst
 
 
-def transfer_matrix(psi, sub):
-    """Matrix of T(psi) on the basis of sub, from its structure constants:
-    T(psi) b_j = sum c psi(b_v) b_u."""
-    j, u, v, c = sub.constants
-    vals = np.array([psi(b) for b in sub.basis], dtype=complex)
-    m = np.zeros((sub.dim(), sub.dim()), dtype=complex)
-    np.add.at(m, (u, j), c * vals[v])
-    return m
-
-
 def test_sub_of_x(azema2):
     B, _, _ = azema2
     sub = subcoalgebra_of(NcPoly.word((X,)), B)
-    assert sub.dim() == 3
+    assert sub.dim() == 2
+    assert set(sub._index) == {(), (X,)}
     assert span_words(sub) == {(), (X,), (Y,)}
     assert structure_residual(sub, B) < 1e-10
 
@@ -86,16 +81,18 @@ def test_sub_of_grouplike(azema2):
 def test_sub_of_xxstar(azema2):
     B, _, _ = azema2
     sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
-    assert sub.dim() == 8
+    assert sub.dim() == 4
+    assert set(sub._index) == {(), (X,), (XS,), (X, XS)}
     assert span_words(sub) == {
         (), (X,), (XS,), (Y,), (Y, Y), (X, Y), (XS, Y), (X, XS)}
     assert structure_residual(sub, B) < 1e-10
 
 
 def test_dim_cap(monkeypatch):
-    # the cap is checked when a subcoalgebra is first closed: a fresh carrier
+    # the cap is checked when a coideal is first closed: a fresh carrier;
+    # x x* has 4 words of L
     B, _, _ = make_azema(2.0)
-    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", 4)
+    monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", 3)
     with pytest.raises(DimCapExceeded):
         subcoalgebra_of(NcPoly.word((X, XS)), B)
     assert not B._subs
@@ -111,22 +108,22 @@ def test_subcoalgebra_of_is_held_once_per_word_set():
 
 
 def test_dim_cap_boundary(monkeypatch):
-    # (x x*)^2 closes at exactly dim words, and T(psi)'s invariant span at it
-    # has span words: a cap of dim passes and dim - 1 fails when extracting,
-    # a cap of span passes and span - 1 fails on a fresh carrier's first
+    # (x x*)^2's coideal closes at exactly dim words, and filtered by psi at
+    # span words: a cap of dim passes and dim - 1 fails when extracting, a
+    # cap of span passes and span - 1 fails on a fresh carrier's first
     # conv_exp
     p = NcPoly.word((X, XS, X, XS))
     B, _, psi = make_azema(2.0)
     dim = subcoalgebra_of(p, B).dim()
-    span = len(_span_of(psi, p.terms, B).at)
-    assert span < dim
+    span = subcoalgebra_of(p, B, psi).dim()
+    assert (span, dim) == (4, 12)
     want = conv_exp(psi, 0.5, p, B)
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim)
     B, _, psi = make_azema(2.0)
     assert subcoalgebra_of(p, B).dim() == dim
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", dim - 1)
     B, _, psi = make_azema(2.0)
-    with pytest.raises(DimCapExceeded):
+    with pytest.raises(DimCapExceeded, match=f"^coideal of a 1-term element reached {dim}"):
         subcoalgebra_of(p, B)
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", span)
     B, _, psi = make_azema(2.0)
@@ -134,7 +131,7 @@ def test_dim_cap_boundary(monkeypatch):
     monkeypatch.setattr(qlevy.subcoalg, "DIM_CAP", span - 1)
     B, _, psi = make_azema(2.0)
     with pytest.raises(DimCapExceeded,
-                       match=f"invariant span .* reached {span} words, above cap {span - 1}"):
+                       match=f"coideal filtered by .* reached {span} words, above cap {span - 1}"):
         conv_exp(psi, 0.5, p, B)
 
 
@@ -166,26 +163,34 @@ def _span_cases():
 
 @pytest.mark.parametrize("case", list(_span_cases()), ids=lambda case: case[0])
 def test_span_route_matches_transfer_on_the_subcoalgebra(case):
-    # oracle: T(psi) on the subcoalgebra, built here from its structure
-    # constants.  The span is the words its columns reach from p's through
-    # entries psi does not kill, T(psi) on the span is the restriction of the
-    # oracle's, no oracle entry leads out of the span, and the values agree
+    # oracle: T(psi) on the two-leg subcoalgebra, built here from its
+    # structure constants.  The coideal is the words the oracle's columns
+    # reach from p's through the left leg of any constant, and filtered by
+    # psi through the entries psi does not kill; T(psi) on the filtered
+    # coideal is the restriction of the oracle's, no oracle entry leads out
+    # of it, and the values agree
     _name, B, psi, p = case
-    sub = subcoalgebra_of(p, B)
+    sub = TwoLegSubcoalgebra(p, B)
     m = transfer_matrix(psi, sub)
     j, u, v, _c = sub.constants
     vals = np.array([psi(b) for b in sub.basis], dtype=complex)
-    reach, pending = set(), [sub._index[w] for w in p.terms]
-    while pending:
-        i = pending.pop()
-        if i not in reach:
-            reach.add(i)
-            pending.extend(u[(j == i) & (vals[v] != 0)].tolist())
+
+    def reached(kept):
+        reach, pending = set(), [sub._index[w] for w in p.terms]
+        while pending:
+            i = pending.pop()
+            if i not in reach:
+                reach.add(i)
+                pending.extend(u[(j == i) & kept].tolist())
+        return reach
+
     words = list(sub._index)
-    span = _span_of(psi, p.terms, B)
-    assert set(span.at) == {words[i] for i in reach}
-    assert len(span.at) <= sub.dim()
-    idx = [sub._index[w] for w in span.at]
+    reach = reached(vals[v] != 0)
+    assert set(subcoalgebra_of(p, B)._index) == {words[i] for i in reached(v >= 0)}
+    span = subcoalgebra_of(p, B, psi)
+    assert set(span._index) == {words[i] for i in reach}
+    assert span.dim() <= sub.dim()
+    idx = [sub._index[w] for w in span._index]
     assert idx == sorted(idx)
     out = [i for i in range(sub.dim()) if i not in reach]
     assert np.array_equal(span.m, m[np.ix_(idx, idx)])
@@ -197,9 +202,10 @@ def test_span_route_matches_transfer_on_the_subcoalgebra(case):
 
 
 def test_conv_exp_closes_no_subcoalgebra():
-    # on c (x x*)^3 + 1, T(psi)'s invariant span has 8 words where the
-    # subcoalgebra has 117: conv_exp closes no subcoalgebra and takes Delta
-    # of the span's words (and their prefixes) only
+    # on c (x x*)^3 + 1, the coideal filtered by psi has 8 words where the
+    # coideal has 33 and the subcoalgebra 117: conv_exp closes no unfiltered
+    # coideal and takes Delta of the filtered one's words (and their
+    # prefixes) only
     B, _, psi = make_azema(2.0)
     conv_exp(psi, 1.0, NcPoly({(X, XS) * 3: 0.7 - 0.4j, (): 1.0}), B)
     assert not B._subs
@@ -207,12 +213,14 @@ def test_conv_exp_closes_no_subcoalgebra():
 
 
 def test_conv_exp_past_the_subcoalgebra_cap():
-    # a degree-6 U<2> word closes to more than DIM_CAP = 512 words, but T(psi)'s
-    # invariant span at it fits: conv_exp agrees with the series
+    # a degree-6 U<2> word closes under both legs to more than DIM_CAP = 512
+    # words, but its coideal of left legs has 36, as has the one filtered by
+    # psi: conv_exp agrees with the series
     u2 = unitary_triple(U2_PARAMS)
     p = parse_poly("x11 x21^* x12 x22 x11^* x21", u2.B.algebra)
     with pytest.raises(DimCapExceeded, match="subcoalgebra of a 1-term element reached 513"):
-        subcoalgebra_of(p, u2.B)
+        TwoLegSubcoalgebra(p, u2.B)
+    assert subcoalgebra_of(p, u2.B).dim() == subcoalgebra_of(p, u2.B, u2.psi).dim() == 36
     for t in (0.1, 1.0, 2.0):
         want, _terms = conv_exp_series(u2.psi, t, p, u2.B)
         got = conv_exp(u2.psi, t, p, u2.B)
@@ -221,14 +229,14 @@ def test_conv_exp_past_the_subcoalgebra_cap():
 
 def test_transfer_counit_identity(azema2):
     B, _, _ = azema2
-    sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
+    sub = TwoLegSubcoalgebra(NcPoly.word((X, XS)), B)
     m = transfer_matrix(LinearFunctional("counit", B.key_counit), sub)
     assert np.abs(m - np.eye(sub.dim())).max() < 1e-10
 
 
 def test_transfer_psi_zero_on_x(azema2):
     B, _, psi = azema2
-    sub = subcoalgebra_of(NcPoly.word((X,)), B)
+    sub = TwoLegSubcoalgebra(NcPoly.word((X,)), B)
     m = transfer_matrix(psi, sub)
     assert np.abs(m).max() < 1e-12
 
@@ -237,7 +245,7 @@ def test_transfer_grouplike_scalar(azema2):
     B, _, _ = azema2
     z = 0.7 - 0.2j
     f = LinearFunctional("f", lambda w: z if w == (Y,) else 0.0)
-    sub = subcoalgebra_of(NcPoly.word((Y,)), B)
+    sub = TwoLegSubcoalgebra(NcPoly.word((Y,)), B)
     m = transfer_matrix(f, sub)
     assert m.shape == (1, 1)
     assert abs(m[0, 0] - z) < 1e-12
@@ -337,7 +345,7 @@ def test_nilpotent_row_matches_dense_oracle_on_azema(q, k, expm_calls):
     # T(psi) is strictly upper triangular in key order on c (x x*)^k + 1
     B, _, psi = make_azema(q)
     p = NcPoly({(X, XS) * k: 0.7 - 0.4j, (): 1.0})
-    sub = subcoalgebra_of(p, B)
+    sub = TwoLegSubcoalgebra(p, B)
     m = transfer_matrix(psi, sub)
     assert not np.tril(m).any()
     for t in (0.1, 1.0, 2.0):
@@ -382,7 +390,7 @@ def test_unitary2_transfer_with_a_diagonal_takes_dense_expm(expm_calls):
         2, np.eye(2), 0.3 * np.ones((2, 2, 1)), np.array([[0.2, 0.1j], [-0.1j, -0.3]])))
     B, psi = t.B, t.psi
     p = parse_poly("x11 x21^*", B.algebra).scale(0.6 + 0.2j).add(NcPoly.one())
-    assert np.diag(transfer_matrix(psi, subcoalgebra_of(p, B))).any()
+    assert np.diag(transfer_matrix(psi, TwoLegSubcoalgebra(p, B))).any()
     for s in (0.1, 1.0, 2.0):
         del expm_calls[:]
         got = conv_exp(psi, s, p, B)
@@ -582,7 +590,7 @@ def test_choice_independence(azema2):
     p = NcPoly.word((X, XS))
     for _ in range(10):
         q = random_poly(B.algebra, rng, 3)
-        big = subcoalgebra_of(p.add(q), B)
+        big = TwoLegSubcoalgebra(p.add(q), B)
         # enlarge so that p itself is inside
         try:
             x = big.coords(p)
@@ -747,7 +755,7 @@ def test_convolution_products_are_transfer_matrix_products(azema2):
     # I + r T(psi) + T(R_r): the coalgebra checks below are matrix checks
     B, _, psi = azema2
     p = NcPoly({(X, XS, X, XS): 0.7 - 0.4j, (X,): 1.0, (): 0.5})
-    sub = subcoalgebra_of(p, B)
+    sub = TwoLegSubcoalgebra(p, B)
     f = LinearFunctional("f", lambda w: complex(len(w), -0.3 * len(w)))
     for fs in ([psi, f], [f, psi, f], [psi, f, f, psi]):
         prod = np.eye(sub.dim())
@@ -762,7 +770,7 @@ def test_coalgebra_check_exact_grouplike(azema2):
     B, _, _ = azema2
     z = 0.6
     f = LinearFunctional("f", lambda w: z if w == (Y,) else 0.0)
-    g = transfer_matrix(f, subcoalgebra_of(NcPoly.word((Y,)), B))
+    g = transfer_matrix(f, TwoLegSubcoalgebra(NcPoly.word((Y,)), B))
     spec = ProductFamilySpec("matrix-family", g, remainder=None, R=1.0)
     rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, 16), draws=1)
     # scalar: |prod (1 + r z) - e^{t z}|
@@ -773,7 +781,7 @@ def test_coalgebra_check_exact_grouplike(azema2):
 
 def test_coalgebra_check_unit(azema2):
     B, _, psi = azema2
-    g = transfer_matrix(psi, subcoalgebra_of(NcPoly.one(), B))
+    g = transfer_matrix(psi, TwoLegSubcoalgebra(NcPoly.one(), B))
     spec = ProductFamilySpec("matrix-family", g, remainder=None, R=1.0)
     rep = banach_product_check(spec, Partition.uniform(0.0, 1.0, 8), draws=1)
     assert rep["lhs_max"] <= 1e-13
@@ -783,7 +791,7 @@ def test_coalgebra_check_true_semigroup(azema2):
     # phi_r = e_*^{r psi}, so T(phi_r) = e^{r T(psi)} and the step products
     # are e^{(t-s) T(psi)} up to rounding
     B, _, psi = azema2
-    sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
+    sub = TwoLegSubcoalgebra(NcPoly.word((X, XS)), B)
     g, eye = transfer_matrix(psi, sub), np.eye(sub.dim())
 
     def remainder(r, mu):
@@ -804,7 +812,7 @@ def test_coalgebra_check_first_order_family_converges_at_rate_one(azema2):
     # halves at each doubling.  On sub(x x*) T(psi)^2 = 0 and the family is exact
     B, _, psi = azema2
     xx = NcPoly.word((X, XS))
-    g = transfer_matrix(psi, subcoalgebra_of(multiply(xx, xx, B.algebra), B))
+    g = transfer_matrix(psi, TwoLegSubcoalgebra(multiply(xx, xx, B.algebra), B))
     assert np.abs(g @ g).max() > 0.0
     spec = ProductFamilySpec("matrix-family", g, R=1.0)
     prev = None
@@ -946,7 +954,7 @@ def test_matrix_family_rejects_a_nan_baseline():
 
 # -- doubled_product against an explicit step product -------------------------
 
-# (left, right) subcoalgebra words: doubled dimensions 9, 24, 51, 64 and 136,
+# (left, right) words of two-leg subcoalgebras: doubled dimensions 9, 24, 51, 64 and 136,
 # on both sides of DENSE_POWER_DIM; Delta(x x* x) has two legs with the same
 # left word, so two constants of the doubled step land on one entry
 _DOUBLED_PAIRS = [((X,), (X,)), ((XS,), (X, XS)), ((X,), (X, XS, X)), ((X, XS), (X, XS)),
@@ -994,8 +1002,8 @@ def _near_counit(rng, subc, subd, g):
 
 def test_doubled_pairs_cover_both_routes(azema2):
     B, _, _ = azema2
-    sizes = [subcoalgebra_of(NcPoly.word(a), B).dim() * subcoalgebra_of(NcPoly.word(b), B).dim()
-             for a, b in _DOUBLED_PAIRS]
+    sizes = [TwoLegSubcoalgebra(NcPoly.word(a), B).dim()
+             * TwoLegSubcoalgebra(NcPoly.word(b), B).dim() for a, b in _DOUBLED_PAIRS]
     assert sizes == [9, 24, 51, 64, 136]
     assert min(sizes) <= DENSE_POWER_DIM < max(sizes)
 
@@ -1004,7 +1012,7 @@ def test_doubled_pairs_cover_both_routes(azema2):
 def test_doubled_product_matches_explicit_step_product(azema2, pair):
     B, _, _ = azema2
     rng = np.random.default_rng(18)
-    subc, subd = (subcoalgebra_of(NcPoly.word(w), B) for w in pair)
+    subc, subd = (TwoLegSubcoalgebra(NcPoly.word(w), B) for w in pair)
     c = NcPoly({next(iter(b.terms)): complex(rng.normal(), rng.normal()) for b in subc.basis})
     d = NcPoly({next(iter(b.terms)): complex(rng.normal(), rng.normal()) for b in subd.basis})
     for g in (0, 1, 2, 3, 7, 64, 512):
@@ -1039,7 +1047,7 @@ def test_doubled_product_power_zero_is_the_counit(azema2):
     sub = subcoalgebra_of(NcPoly.word((X, XS)), B)
     c = NcPoly({(X, XS): 2.0, (): 0.5 - 1j})
     d = NcPoly({(X, XS): 1.0, (): 3.0})
-    values = np.ones((sub.dim(), sub.dim()), dtype=complex)
+    values = np.ones((len(sub.basis), len(sub.basis)), dtype=complex)
     got = doubled_product(sub, sub, c, d, [(values, 0)])
     assert got == pytest.approx(np.conj(B.counit(c)) * B.counit(d), abs=1e-15)
 
@@ -1049,6 +1057,84 @@ def test_doubled_product_rejects_a_power_that_is_not_a_natural_number(azema2, g)
     B, _, _ = azema2
     sub = subcoalgebra_of(NcPoly.word((X,)), B)
     x = NcPoly.word((X,))
-    values = np.ones((sub.dim(), sub.dim()), dtype=complex)
+    values = np.ones((len(sub.basis), len(sub.basis)), dtype=complex)
     with pytest.raises(InvalidParameter, match=r"power g of factor 1 .*" + re.escape(repr(g))):
         doubled_product(sub, sub, x, x, [(values, 2), (values, g)])
+
+
+# -- the coideal's doubled layout against the two-leg oracle ------------------
+
+def _coideal_oracle_cases():
+    """(name, carrier, c, d): Azema's degree-k elements at q in {1e-3, 2, 1e3}
+    and k = 1..4, a group-like carrier and U<2> words."""
+    for q in (1e-3, 2.0, 1e3):
+        B, _, _ = make_azema(q)
+        for k in (1, 2, 3, 4):
+            c = NcPoly({(X, XS, X, XS)[:k]: 0.7 - 0.4j, (): 1.0})
+            d = NcPoly({(XS, X, XS, X)[:k]: 1.0, (X,): 0.5j, (): -0.3})
+            yield f"azema q={q:g} k={k}", B, c, d
+    B, _, _ = make_azema(2.0)
+    G, _kappa, _kappa_tilde = make_grouplike(B, 2)
+    keys = [G.register(k) for k in (NcPoly.one(), NcPoly({(X, XS): 1.0, (): 1.0}),
+                                     NcPoly({(Y,): 1.0}))]
+    yield "group-like", G, NcPoly({keys[0]: 1.0, keys[1]: 0.5j}), NcPoly({keys[1]: 2.0,
+                                                                             keys[2]: -1.0})
+    u2 = unitary_triple(U2_PARAMS)
+    alg = u2.B.algebra
+    yield "U<2>", u2.B, parse_poly("x11 x21^*", alg).add(NcPoly.one()), \
+        parse_poly("x12 x22^* x21", alg).add(NcPoly.one().scale(0.4))
+
+
+def _pair_values(rng, B, words_c, words_d, g):
+    """Psi on words_c x words_d, a dict: conj(delta) (x) delta plus noise of
+    order 1/g, so that Psi^{*g} stays of order one."""
+    return {(a, b): np.conj(B.key_counit(a)) * B.key_counit(b)
+            + complex(rng.normal(), rng.normal()) / max(g, 1)
+            for a in words_c for b in words_d}
+
+
+def _values_on(sub_c, sub_d, psi):
+    """Psi's values on the basis pairs of two closures, read off the dict psi."""
+    wc = [next(iter(b.terms)) for b in sub_c.basis]
+    wd = [next(iter(b.terms)) for b in sub_d.basis]
+    return np.array([[psi[a, b] for b in wd] for a in wc], dtype=complex)
+
+
+def test_doubled_product_on_the_coideal_matches_the_two_leg_oracle():
+    # the state L_c x L_d with Psi on R_c x R_d gives the convolution powers
+    # of Psi on the whole doubled subcoalgebra, on both power routes
+    rng = np.random.default_rng(41)
+    sizes = []
+    for name, B, c, d in _coideal_oracle_cases():
+        subc, subd = subcoalgebra_of(c, B), subcoalgebra_of(d, B)
+        oc, od = TwoLegSubcoalgebra(c, B), TwoLegSubcoalgebra(d, B)
+        sizes.append(subc.dim() * subd.dim())
+        wc, wd = list(oc._index), list(od._index)
+        for g in (0, 1, 7):
+            psi = _pair_values(rng, B, wc, wd, g)
+            got = doubled_product(subc, subd, c, d, [(_values_on(subc, subd, psi), g)])
+            want = doubled_product(oc, od, c, d, [(_values_on(oc, od, psi), g)])
+            assert abs(got - want) <= 1e-13 * abs(want), (name, g, got, want)
+        # several factors in interval order, one of them the counit
+        psis = [_pair_values(rng, B, wc, wd, 9) for _ in range(3)]
+        got = doubled_product(subc, subd, c, d, [(_values_on(subc, subd, p), g)
+                                                 for p, g in zip(psis, (3, 0, 7))])
+        want = doubled_product(oc, od, c, d, [(_values_on(oc, od, p), g)
+                                              for p, g in zip(psis, (3, 0, 7))])
+        assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
+    assert min(sizes) <= DENSE_POWER_DIM < max(sizes)
+
+
+@pytest.mark.parametrize("words, size", [(((X, XS), (X, XS)), 16),
+                                         (((X, XS, X, XS), (X, XS, X, XS)), 144),
+                                         (((X,), (X, XS, X, XS)), 24)])
+def test_doubled_layout_state_is_the_product_of_the_coideals(azema2, words, size):
+    # T(Psi) moves pairs of words to pairs of left legs only: the state is
+    # L_c x L_d (1 156 for (x x*)^2 on the two-leg subcoalgebra, 144 here)
+    B, _, _ = azema2
+    c, d = (NcPoly.word(w) for w in words)
+    subc, subd = subcoalgebra_of(c, B), subcoalgebra_of(d, B)
+    layout = _DoubledLayout(subc, subd, c, d)
+    assert layout.size == subc.dim() * subd.dim() == size
+    assert layout.x.size == layout.counit.size == size
+    assert max(layout.rows.max(), layout.cols.max()) < size
